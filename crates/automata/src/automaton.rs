@@ -363,6 +363,23 @@ impl Automaton {
     }
 }
 
+/// Structural equality: the same universe, name and interface, the same
+/// states (names and labels) with the same transition rows in the same
+/// order, and the same initial states. Equal automata compose identically.
+impl PartialEq for Automaton {
+    fn eq(&self, other: &Automaton) -> bool {
+        self.universe.same_as(&other.universe)
+            && self.name == other.name
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.initial == other.initial
+            && self.states == other.states
+            && self.adj == other.adj
+    }
+}
+
+impl Eq for Automaton {}
+
 impl fmt::Debug for Automaton {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Automaton")
@@ -379,6 +396,13 @@ mod tests {
     use super::*;
     use crate::builder::AutomatonBuilder;
     use crate::label::LabelFamily;
+
+    #[test]
+    fn transitions_fit_in_64_bytes() {
+        // Exact labels stay inline; the rare guard family is boxed.
+        assert!(std::mem::size_of::<Guard>() <= 48);
+        assert!(std::mem::size_of::<Transition>() <= 64);
+    }
 
     fn two_state(u: &Universe) -> Automaton {
         AutomatonBuilder::new(u, "m")
@@ -448,7 +472,7 @@ mod tests {
         let mut m = two_state(&u);
         // add a family transition on s0 that overlaps the exact one
         m.adj[0].push(Transition {
-            guard: Guard::Family(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
+            guard: Guard::from(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
             to: StateId(0),
         });
         assert!(!m.is_deterministic());

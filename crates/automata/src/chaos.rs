@@ -59,7 +59,7 @@ pub fn chaotic_automaton(
             props,
         },
     ];
-    let all = Guard::Family(LabelFamily::all(inputs, outputs));
+    let all = Guard::from(LabelFamily::all(inputs, outputs));
     let adj = vec![
         vec![
             Transition {
@@ -153,17 +153,17 @@ pub fn chaotic_closure(m: &IncompleteAutomaton, chaos_prop: Option<PropId>) -> A
         }
         if !fam.is_empty() {
             adj[copy(s, 1).index()].push(Transition {
-                guard: Guard::Family(fam.clone()),
+                guard: Guard::from(fam.clone()),
                 to: s_all,
             });
             adj[copy(s, 1).index()].push(Transition {
-                guard: Guard::Family(fam),
+                guard: Guard::from(fam),
                 to: s_delta,
             });
         }
     }
     // The chaotic automaton itself.
-    let all = Guard::Family(LabelFamily::all(m.inputs(), m.outputs()));
+    let all = Guard::from(LabelFamily::all(m.inputs(), m.outputs()));
     adj[s_all.index()].push(Transition {
         guard: all.clone(),
         to: s_all,

@@ -11,18 +11,20 @@
 //! consumes).
 //!
 //! The composition is computed on the fly over *reachable* product states
-//! only, and solves symbolic [`Guard`](crate::Guard) families per signal, so
-//! that composing a concrete context with a chaotic closure never expands
-//! the closure's exponential `*` transitions beyond what the context admits.
+//! only, and solves symbolic [`Guard`](crate::Guard) families as signal-set
+//! boxes ([`RowKernel`]), so that composing a concrete context with a
+//! chaotic closure never expands the closure's exponential `*` transitions
+//! beyond what the context admits.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::label::{Guard, Label, LabelFamily};
 use crate::run::{Run, RunKind};
-use crate::signal::{SignalId, SignalSet};
+use crate::signal::SignalSet;
 
 /// Options controlling composition.
 #[derive(Debug, Clone)]
@@ -125,113 +127,268 @@ impl Composition {
     }
 }
 
-/// Who sends / receives a signal within a composition. Shared with the
-/// incremental recomposition path ([`crate::incremental`]), which re-expands
-/// individual product rows under the same constraint system.
+/// One candidate transition's guard as the four signal boxes the row
+/// kernel combines, restricted to its part's interface: what the part must
+/// and may receive, and must and may send, on this transition.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SignalRole {
-    sender: Option<usize>,
-    receiver: Option<usize>,
+struct GuardSets {
+    recv_must: SignalSet,
+    recv_free: SignalSet,
+    send_must: SignalSet,
+    send_free: SignalSet,
+    /// Whether the guard carves an exclusion list out of its box.
+    excludes: bool,
 }
 
-/// Derives the per-signal sender/receiver roles of a composition: each
-/// signal has at most one sender and one receiver among `parts`.
-pub(crate) fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole> {
-    let mut roles: HashMap<SignalId, SignalRole> = HashMap::new();
-    for (i, p) in parts.iter().enumerate() {
-        for s in p.inputs().iter() {
-            roles.entry(s).or_default().receiver = Some(i);
-        }
-        for s in p.outputs().iter() {
-            roles.entry(s).or_default().sender = Some(i);
+impl GuardSets {
+    /// The boxes of `guard` on a part with interface `(ins, outs)`. A
+    /// signal in both a must and a free set counts as must, as in the
+    /// per-signal solver.
+    fn of(guard: &Guard, ins: SignalSet, outs: SignalSet) -> GuardSets {
+        match guard {
+            Guard::Exact(l) => GuardSets {
+                recv_must: l.inputs.intersection(ins),
+                recv_free: SignalSet::EMPTY,
+                send_must: l.outputs.intersection(outs),
+                send_free: SignalSet::EMPTY,
+                excludes: false,
+            },
+            Guard::Family(f) => GuardSets {
+                recv_must: f.in_must.intersection(ins),
+                recv_free: f.in_free.difference(f.in_must).intersection(ins),
+                send_must: f.out_must.intersection(outs),
+                send_free: f.out_free.difference(f.out_must).intersection(outs),
+                excludes: !f.excluded.is_empty(),
+            },
         }
     }
-    roles
+
+    fn join(self, other: GuardSets) -> GuardSets {
+        GuardSets {
+            recv_must: self.recv_must.union(other.recv_must),
+            recv_free: self.recv_free.union(other.recv_free),
+            send_must: self.send_must.union(other.send_must),
+            send_free: self.send_free.union(other.send_free),
+            excludes: self.excludes || other.excludes,
+        }
+    }
 }
 
-/// Expands the outgoing transitions of one product state (given as the tuple
-/// of component states) by iterating all transition combinations and solving
-/// the per-signal constraint system for each. `emit` receives each composed
-/// guard together with the target component-state tuple.
+/// The production row kernel: expands one product state (a tuple of
+/// component states) by solving every combination of component transitions
+/// with [`SignalSet`] algebra.
 ///
-/// This is the per-row kernel shared by [`compose`] (which runs it over the
-/// whole reachable worklist) and the incremental recomposition cache (which
-/// runs it only over invalidated rows).
+/// For one combination, `R_must` / `R_free` are the unions of each chosen
+/// guard's must / free input sets, each restricted to its part's inputs;
+/// `S_must` / `S_free` are built the same way over outputs. Every signal
+/// has at most one receiver and one sender, so these unions are exactly the
+/// per-signal domains of [`compose_reference`]'s solver. Then:
 ///
-/// # Errors
+/// * the combination is infeasible iff a signal is must on one side of a
+///   handshake and impossible on the other — one mask test, since
+///   `R_must ∖ (S_must ∪ S_free)` and its mirror only contain signals that
+///   are both received and sent (the internal signals);
+/// * `A_must = R_must ∪ (S_must ∩ I)` and `B_must = S_must ∪ (R_must ∩ O)`;
+/// * internal signals free on both sides (`R_free ∩ S_free`), and one-sided
+///   free signals of parts carrying exclusion lists, are expanded
+///   concretely; the remaining one-sided free signals stay symbolic.
 ///
-/// [`AutomataError::FreeSignalOverflow`] as for [`compose`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_tuple(
-    parts: &[&Automaton],
-    tuple: &[StateId],
-    roles: &HashMap<SignalId, SignalRole>,
+/// The kernel owns the per-product interface masks and its scratch buffers,
+/// so expanding a row allocates nothing beyond the emitted guards.
+#[derive(Debug, Clone)]
+pub(crate) struct RowKernel {
+    /// `(inputs, outputs)` of each part.
+    interfaces: Vec<(SignalSet, SignalSet)>,
     all_inputs: SignalSet,
     all_outputs: SignalSet,
-    opts: &ComposeOptions,
-    stats: &mut ComposeStats,
-    mut emit: impl FnMut(Guard, &[StateId]),
-) -> Result<()> {
-    let n = parts.len();
-    // Iterate over all transition combinations (one per component).
-    let per_comp: Vec<&[Transition]> = parts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| p.transitions_from(tuple[i]))
-        .collect();
-    if per_comp.iter().any(|ts| ts.is_empty()) {
-        return Ok(()); // some component blocks everything → product deadlock
-    }
-    let mut combo = vec![0usize; n];
-    'combos: loop {
-        let chosen: Vec<&Transition> = combo
+    /// Guard boxes of every candidate transition of the current row, part
+    /// by part: part `i`'s are `sets[offsets[i]..offsets[i + 1]]`.
+    sets: Vec<GuardSets>,
+    offsets: Vec<usize>,
+    /// The combination counter: one transition index per part.
+    combo: Vec<usize>,
+    /// The target tuple of the current combination.
+    target: Vec<StateId>,
+}
+
+impl RowKernel {
+    /// A kernel for the product of `parts`.
+    pub(crate) fn new<P: Deref<Target = Automaton>>(parts: &[P]) -> RowKernel {
+        let interfaces: Vec<(SignalSet, SignalSet)> =
+            parts.iter().map(|p| (p.inputs(), p.outputs())).collect();
+        let (all_inputs, all_outputs) = interfaces
             .iter()
-            .enumerate()
-            .map(|(i, &j)| &per_comp[i][j])
-            .collect();
-        let target: Vec<StateId> = chosen.iter().map(|t| t.to).collect();
-        stats.combos += 1;
-        solve_combo(
-            parts,
-            &chosen,
-            roles,
+            .fold((SignalSet::EMPTY, SignalSet::EMPTY), |(ai, ao), &(i, o)| {
+                (ai.union(i), ao.union(o))
+            });
+        RowKernel {
             all_inputs,
             all_outputs,
-            opts,
-            stats,
-            |guard| emit(guard, &target),
-        )?;
-        // advance combination counter
-        for i in 0..n {
-            combo[i] += 1;
-            if combo[i] < per_comp[i].len() {
-                continue 'combos;
-            }
-            combo[i] = 0;
+            sets: Vec::new(),
+            offsets: Vec::with_capacity(interfaces.len() + 1),
+            combo: Vec::with_capacity(interfaces.len()),
+            target: Vec::with_capacity(interfaces.len()),
+            interfaces,
         }
-        break;
     }
-    Ok(())
-}
 
-/// Per-signal assignment derived from the guards of one transition
-/// combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Assign {
-    True,
-    False,
-    Free,
-}
+    /// The composed input set (union of the parts' inputs).
+    pub(crate) fn all_inputs(&self) -> SignalSet {
+        self.all_inputs
+    }
 
-impl Assign {
-    fn meet(self, other: Assign) -> Option<Assign> {
-        use Assign::*;
-        match (self, other) {
-            (Free, x) | (x, Free) => Some(x),
-            (True, True) => Some(True),
-            (False, False) => Some(False),
-            _ => None,
+    /// The composed output set (union of the parts' outputs).
+    pub(crate) fn all_outputs(&self) -> SignalSet {
+        self.all_outputs
+    }
+
+    /// Expands the outgoing transitions of the product state `tuple`:
+    /// iterates all transition combinations (part 0's index varying
+    /// fastest) and hands each composed guard, in emit order, to `emit`
+    /// together with the target tuple.
+    ///
+    /// This is the per-row kernel shared by [`compose`] (through
+    /// [`LazyProduct`](crate::LazyProduct)) and the incremental
+    /// recomposition cache (which runs it only over invalidated rows).
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::FreeSignalOverflow`] as for [`compose`].
+    pub(crate) fn expand<P: Deref<Target = Automaton>>(
+        &mut self,
+        parts: &[P],
+        tuple: &[StateId],
+        opts: &ComposeOptions,
+        stats: &mut ComposeStats,
+        mut emit: impl FnMut(Guard, &[StateId]),
+    ) -> Result<()> {
+        self.sets.clear();
+        self.offsets.clear();
+        for (p, (&s, &(ins, outs))) in parts.iter().zip(tuple.iter().zip(&self.interfaces)) {
+            let row = p.transitions_from(s);
+            if row.is_empty() {
+                return Ok(()); // some component blocks everything → product deadlock
+            }
+            self.offsets.push(self.sets.len());
+            self.sets
+                .extend(row.iter().map(|t| GuardSets::of(&t.guard, ins, outs)));
         }
+        self.offsets.push(self.sets.len());
+        self.combo.clear();
+        self.combo.resize(parts.len(), 0);
+        'combos: loop {
+            stats.combos += 1;
+            self.target.clear();
+            let mut joint = GuardSets::default();
+            for (i, (p, &s)) in parts.iter().zip(tuple).enumerate() {
+                joint = joint.join(self.sets[self.offsets[i] + self.combo[i]]);
+                self.target.push(p.transitions_from(s)[self.combo[i]].to);
+            }
+            self.solve(parts, tuple, joint, opts, stats, &mut emit)?;
+            // advance the combination counter
+            for i in 0..parts.len() {
+                self.combo[i] += 1;
+                if self.offsets[i] + self.combo[i] < self.offsets[i + 1] {
+                    continue 'combos;
+                }
+                self.combo[i] = 0;
+            }
+            break;
+        }
+        Ok(())
+    }
+
+    /// Solves one combination whose joined boxes are `joint` (see the type
+    /// docs) and emits its composed guards.
+    fn solve<P: Deref<Target = Automaton>>(
+        &self,
+        parts: &[P],
+        tuple: &[StateId],
+        joint: GuardSets,
+        opts: &ComposeOptions,
+        stats: &mut ComposeStats,
+        emit: &mut impl FnMut(Guard, &[StateId]),
+    ) -> Result<()> {
+        let GuardSets {
+            recv_must,
+            recv_free,
+            send_must,
+            send_free,
+            excludes,
+        } = joint;
+        let recv_never = self.all_inputs.difference(recv_must.union(recv_free));
+        let send_never = self.all_outputs.difference(send_must.union(send_free));
+        if !recv_must.is_disjoint(send_never) || !send_must.is_disjoint(recv_never) {
+            return Ok(()); // handshake conflict → combo infeasible
+        }
+        let in_must = recv_must.union(send_must.intersection(self.all_inputs));
+        let out_must = send_must.union(recv_must.intersection(self.all_outputs));
+        let free_in_only = recv_free.difference(self.all_outputs);
+        let free_out_only = send_free.difference(self.all_inputs);
+
+        // Parts with exclusion lists need their own labels concrete, so any
+        // free signal touching their interface must be enumerated as well.
+        let mut enumerate = recv_free.intersection(send_free);
+        if excludes {
+            let one_sided = free_in_only.union(free_out_only);
+            for (i, &(ins, outs)) in self.interfaces.iter().enumerate() {
+                if self.sets[self.offsets[i] + self.combo[i]].excludes {
+                    enumerate = enumerate.union(one_sided.intersection(ins.union(outs)));
+                }
+            }
+        }
+        let sym_in = free_in_only.difference(enumerate);
+        let sym_out = free_out_only.difference(enumerate);
+        if enumerate.len() > opts.expand_cap {
+            return Err(AutomataError::FreeSignalOverflow {
+                free: enumerate.len(),
+                cap: opts.expand_cap,
+            });
+        }
+
+        for chosen_free in enumerate.subsets() {
+            let a_must = in_must.union(chosen_free.intersection(self.all_inputs));
+            let b_must = out_must.union(chosen_free.intersection(self.all_outputs));
+            if excludes && self.excluded(parts, tuple, a_must, b_must) {
+                continue;
+            }
+            let guard = if sym_in.is_empty() && sym_out.is_empty() {
+                stats.expanded_labels += 1;
+                Guard::Exact(Label::new(a_must, b_must))
+            } else {
+                stats.family_guards += 1;
+                Guard::from(LabelFamily {
+                    in_must: a_must,
+                    in_free: sym_in,
+                    out_must: b_must,
+                    out_free: sym_out,
+                    excluded: Vec::new(),
+                })
+            };
+            emit(guard, &self.target);
+        }
+        Ok(())
+    }
+
+    /// Whether some part's own share of the concrete label `(a, b)` is in
+    /// the exclusion list of its chosen guard. Only checkable when that
+    /// share is concrete, which the `enumerate` construction guarantees.
+    fn excluded<P: Deref<Target = Automaton>>(
+        &self,
+        parts: &[P],
+        tuple: &[StateId],
+        a: SignalSet,
+        b: SignalSet,
+    ) -> bool {
+        parts.iter().zip(tuple).enumerate().any(|(i, (p, &s))| {
+            let Guard::Family(f) = &p.transitions_from(s)[self.combo[i]].guard else {
+                return false;
+            };
+            let (ins, outs) = self.interfaces[i];
+            !f.excluded.is_empty()
+                && f.excluded
+                    .contains(&Label::new(a.intersection(ins), b.intersection(outs)))
+        })
     }
 }
 
@@ -266,8 +423,10 @@ pub fn compose(parts: &[&Automaton], opts: &ComposeOptions) -> Result<Compositio
 
 /// The classic materializing composition: `HashMap<Vec<StateId>, StateId>`
 /// interner, per-state `Vec<Transition>` rows, full expansion before
-/// returning. Kept as the differential oracle for the arena-backed
-/// [`compose`]; not intended for production callers.
+/// returning, and the original per-signal constraint solver (one
+/// `HashMap<SignalId, SignalRole>` walk per transition combination) instead
+/// of the bitset [`RowKernel`]. Kept as the differential oracle for the
+/// arena-backed [`compose`]; not intended for production callers.
 ///
 /// # Errors
 ///
@@ -306,7 +465,7 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
         .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
 
     // Signal roles: each signal has at most one sender and one receiver.
-    let roles = signal_roles(parts);
+    let roles = reference::signal_roles(parts);
 
     // Product exploration.
     let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
@@ -380,7 +539,7 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
             });
         }
         let tuple = origin[ps.index()].clone();
-        expand_tuple(
+        reference::expand_tuple(
             parts,
             &tuple,
             &roles,
@@ -431,139 +590,258 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
     })
 }
 
-/// Solves the per-signal constraint system for one transition combination
-/// and emits zero or more composed guards via `emit`.
-#[allow(clippy::too_many_arguments)]
-fn solve_combo(
-    parts: &[&Automaton],
-    chosen: &[&Transition],
-    roles: &HashMap<SignalId, SignalRole>,
-    all_inputs: SignalSet,
-    all_outputs: SignalSet,
-    opts: &ComposeOptions,
-    stats: &mut ComposeStats,
-    mut emit: impl FnMut(Guard),
-) -> Result<()> {
-    let fams: Vec<LabelFamily> = chosen.iter().map(|t| t.guard.to_family()).collect();
+/// The per-signal constraint solver of the classic kernel, kept only as the
+/// row kernel of [`compose_reference`]: for every transition combination it
+/// walks the signal roles one signal at a time, meeting the receiver's and
+/// the sender's domains. [`RowKernel`] solves the same system with set
+/// algebra; the lazy differential suite pins the two to equal output.
+mod reference {
+    use std::collections::HashMap;
 
-    // Per-signal assignment after propagating guard domains + handshake.
-    let mut in_must = SignalSet::EMPTY; // composed A'' forced members
-    let mut out_must = SignalSet::EMPTY; // composed B'' forced members
-    let mut free_in_only = SignalSet::EMPTY; // free, input side only
-    let mut free_out_only = SignalSet::EMPTY; // free, output side only
-    let mut free_both = SignalSet::EMPTY; // free internal signals (coupled)
+    use super::{ComposeOptions, ComposeStats};
+    use crate::automaton::{Automaton, StateId, Transition};
+    use crate::error::{AutomataError, Result};
+    use crate::label::{Guard, Label, LabelFamily};
+    use crate::signal::{SignalId, SignalSet};
 
-    for (&sig, role) in roles {
-        let recv_dom = role.receiver.map(|k| {
-            let f = &fams[k];
-            if f.in_must.contains(sig) {
-                Assign::True
-            } else if f.in_free.contains(sig) {
-                Assign::Free
-            } else {
-                Assign::False
+    /// Who sends / receives a signal within a composition.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct SignalRole {
+        sender: Option<usize>,
+        receiver: Option<usize>,
+    }
+
+    /// Derives the per-signal sender/receiver roles of a composition: each
+    /// signal has at most one sender and one receiver among `parts`.
+    pub(super) fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole> {
+        let mut roles: HashMap<SignalId, SignalRole> = HashMap::new();
+        for (i, p) in parts.iter().enumerate() {
+            for s in p.inputs().iter() {
+                roles.entry(s).or_default().receiver = Some(i);
             }
-        });
-        let send_dom = role.sender.map(|j| {
-            let f = &fams[j];
-            if f.out_must.contains(sig) {
-                Assign::True
-            } else if f.out_free.contains(sig) {
-                Assign::Free
-            } else {
-                Assign::False
+            for s in p.outputs().iter() {
+                roles.entry(s).or_default().sender = Some(i);
             }
-        });
-        let joint = match (recv_dom, send_dom) {
-            (Some(r), Some(s)) => match r.meet(s) {
-                Some(j) => j,
-                None => return Ok(()), // handshake conflict → combo infeasible
-            },
-            (Some(r), None) => r,
-            (None, Some(s)) => s,
-            (None, None) => unreachable!("signal without any role"),
-        };
-        let is_input = role.receiver.is_some();
-        let is_output = role.sender.is_some();
-        match joint {
-            Assign::True => {
-                if is_input {
-                    in_must.insert(sig);
+        }
+        roles
+    }
+
+    /// Expands the outgoing transitions of one product state (given as the tuple
+    /// of component states) by iterating all transition combinations and solving
+    /// the per-signal constraint system for each. `emit` receives each composed
+    /// guard together with the target component-state tuple.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::FreeSignalOverflow`] as for [`compose`].
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn expand_tuple(
+        parts: &[&Automaton],
+        tuple: &[StateId],
+        roles: &HashMap<SignalId, SignalRole>,
+        all_inputs: SignalSet,
+        all_outputs: SignalSet,
+        opts: &ComposeOptions,
+        stats: &mut ComposeStats,
+        mut emit: impl FnMut(Guard, &[StateId]),
+    ) -> Result<()> {
+        let n = parts.len();
+        // Iterate over all transition combinations (one per component).
+        let per_comp: Vec<&[Transition]> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| p.transitions_from(tuple[i]))
+            .collect();
+        if per_comp.iter().any(|ts| ts.is_empty()) {
+            return Ok(()); // some component blocks everything → product deadlock
+        }
+        let mut combo = vec![0usize; n];
+        'combos: loop {
+            let chosen: Vec<&Transition> = combo
+                .iter()
+                .enumerate()
+                .map(|(i, &j)| &per_comp[i][j])
+                .collect();
+            let target: Vec<StateId> = chosen.iter().map(|t| t.to).collect();
+            stats.combos += 1;
+            solve_combo(
+                parts,
+                &chosen,
+                roles,
+                all_inputs,
+                all_outputs,
+                opts,
+                stats,
+                |guard| emit(guard, &target),
+            )?;
+            // advance combination counter
+            for i in 0..n {
+                combo[i] += 1;
+                if combo[i] < per_comp[i].len() {
+                    continue 'combos;
                 }
-                if is_output {
-                    out_must.insert(sig);
-                }
+                combo[i] = 0;
             }
-            Assign::False => {}
-            Assign::Free => match (is_input, is_output) {
-                (true, true) => free_both.insert(sig),
-                (true, false) => free_in_only.insert(sig),
-                (false, true) => free_out_only.insert(sig),
-                (false, false) => unreachable!(),
-            },
+            break;
+        }
+        Ok(())
+    }
+
+    /// Per-signal assignment derived from the guards of one transition
+    /// combination.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Assign {
+        True,
+        False,
+        Free,
+    }
+
+    impl Assign {
+        fn meet(self, other: Assign) -> Option<Assign> {
+            use Assign::*;
+            match (self, other) {
+                (Free, x) | (x, Free) => Some(x),
+                (True, True) => Some(True),
+                (False, False) => Some(False),
+                _ => None,
+            }
         }
     }
 
-    // Components with exclusion lists need their own labels concrete, so any
-    // free signal touching their interface must be enumerated as well.
-    let mut enumerate = free_both;
-    for (i, f) in fams.iter().enumerate() {
-        if !f.excluded.is_empty() {
-            let support = parts[i].inputs().union(parts[i].outputs());
-            enumerate = enumerate
-                .union(free_in_only.intersection(support))
-                .union(free_out_only.intersection(support));
+    /// Solves the per-signal constraint system for one transition combination
+    /// and emits zero or more composed guards via `emit`.
+    #[allow(clippy::too_many_arguments)]
+    fn solve_combo(
+        parts: &[&Automaton],
+        chosen: &[&Transition],
+        roles: &HashMap<SignalId, SignalRole>,
+        all_inputs: SignalSet,
+        all_outputs: SignalSet,
+        opts: &ComposeOptions,
+        stats: &mut ComposeStats,
+        mut emit: impl FnMut(Guard),
+    ) -> Result<()> {
+        let fams: Vec<LabelFamily> = chosen.iter().map(|t| t.guard.to_family()).collect();
+
+        // Per-signal assignment after propagating guard domains + handshake.
+        let mut in_must = SignalSet::EMPTY; // composed A'' forced members
+        let mut out_must = SignalSet::EMPTY; // composed B'' forced members
+        let mut free_in_only = SignalSet::EMPTY; // free, input side only
+        let mut free_out_only = SignalSet::EMPTY; // free, output side only
+        let mut free_both = SignalSet::EMPTY; // free internal signals (coupled)
+
+        for (&sig, role) in roles {
+            let recv_dom = role.receiver.map(|k| {
+                let f = &fams[k];
+                if f.in_must.contains(sig) {
+                    Assign::True
+                } else if f.in_free.contains(sig) {
+                    Assign::Free
+                } else {
+                    Assign::False
+                }
+            });
+            let send_dom = role.sender.map(|j| {
+                let f = &fams[j];
+                if f.out_must.contains(sig) {
+                    Assign::True
+                } else if f.out_free.contains(sig) {
+                    Assign::Free
+                } else {
+                    Assign::False
+                }
+            });
+            let joint = match (recv_dom, send_dom) {
+                (Some(r), Some(s)) => match r.meet(s) {
+                    Some(j) => j,
+                    None => return Ok(()), // handshake conflict → combo infeasible
+                },
+                (Some(r), None) => r,
+                (None, Some(s)) => s,
+                (None, None) => unreachable!("signal without any role"),
+            };
+            let is_input = role.receiver.is_some();
+            let is_output = role.sender.is_some();
+            match joint {
+                Assign::True => {
+                    if is_input {
+                        in_must.insert(sig);
+                    }
+                    if is_output {
+                        out_must.insert(sig);
+                    }
+                }
+                Assign::False => {}
+                Assign::Free => match (is_input, is_output) {
+                    (true, true) => free_both.insert(sig),
+                    (true, false) => free_in_only.insert(sig),
+                    (false, true) => free_out_only.insert(sig),
+                    (false, false) => unreachable!(),
+                },
+            }
         }
-    }
-    let sym_in = free_in_only.difference(enumerate);
-    let sym_out = free_out_only.difference(enumerate);
 
-    if enumerate.len() > opts.expand_cap {
-        return Err(AutomataError::FreeSignalOverflow {
-            free: enumerate.len(),
-            cap: opts.expand_cap,
-        });
-    }
-
-    for chosen_free in enumerate.subsets() {
-        let a_must = in_must.union(chosen_free.intersection(all_inputs));
-        let b_must = out_must.union(chosen_free.intersection(all_outputs));
-        // Filter component exclusions: each component's own label must not be
-        // in its exclusion list. (Only checkable when concrete — guaranteed
-        // by the `enumerate` construction above.)
-        let mut excluded = false;
+        // Components with exclusion lists need their own labels concrete, so any
+        // free signal touching their interface must be enumerated as well.
+        let mut enumerate = free_both;
         for (i, f) in fams.iter().enumerate() {
-            if f.excluded.is_empty() {
+            if !f.excluded.is_empty() {
+                let support = parts[i].inputs().union(parts[i].outputs());
+                enumerate = enumerate
+                    .union(free_in_only.intersection(support))
+                    .union(free_out_only.intersection(support));
+            }
+        }
+        let sym_in = free_in_only.difference(enumerate);
+        let sym_out = free_out_only.difference(enumerate);
+
+        if enumerate.len() > opts.expand_cap {
+            return Err(AutomataError::FreeSignalOverflow {
+                free: enumerate.len(),
+                cap: opts.expand_cap,
+            });
+        }
+
+        for chosen_free in enumerate.subsets() {
+            let a_must = in_must.union(chosen_free.intersection(all_inputs));
+            let b_must = out_must.union(chosen_free.intersection(all_outputs));
+            // Filter component exclusions: each component's own label must not be
+            // in its exclusion list. (Only checkable when concrete — guaranteed
+            // by the `enumerate` construction above.)
+            let mut excluded = false;
+            for (i, f) in fams.iter().enumerate() {
+                if f.excluded.is_empty() {
+                    continue;
+                }
+                let own = Label::new(
+                    a_must.intersection(parts[i].inputs()),
+                    b_must.intersection(parts[i].outputs()),
+                );
+                if f.excluded.contains(&own) {
+                    excluded = true;
+                    break;
+                }
+            }
+            if excluded {
                 continue;
             }
-            let own = Label::new(
-                a_must.intersection(parts[i].inputs()),
-                b_must.intersection(parts[i].outputs()),
-            );
-            if f.excluded.contains(&own) {
-                excluded = true;
-                break;
-            }
+            let guard = if sym_in.is_empty() && sym_out.is_empty() {
+                stats.expanded_labels += 1;
+                Guard::Exact(Label::new(a_must, b_must))
+            } else {
+                stats.family_guards += 1;
+                Guard::from(LabelFamily {
+                    in_must: a_must,
+                    in_free: sym_in,
+                    out_must: b_must,
+                    out_free: sym_out,
+                    excluded: Vec::new(),
+                })
+            };
+            emit(guard);
         }
-        if excluded {
-            continue;
-        }
-        let guard = if sym_in.is_empty() && sym_out.is_empty() {
-            stats.expanded_labels += 1;
-            Guard::Exact(Label::new(a_must, b_must))
-        } else {
-            stats.family_guards += 1;
-            Guard::Family(LabelFamily {
-                in_must: a_must,
-                in_free: sym_in,
-                out_must: b_must,
-                out_free: sym_out,
-                excluded: Vec::new(),
-            })
-        };
-        emit(guard);
+        Ok(())
     }
-    Ok(())
 }
 
 /// Restricts a run of a composition to one component and drops the leading
@@ -710,7 +988,7 @@ mod tests {
         // any subset of {rsp}.
         let req = u.signal("req");
         let rsp = u.signal("rsp");
-        let fam = Guard::Family(LabelFamily::all(
+        let fam = Guard::from(LabelFamily::all(
             SignalSet::singleton(req),
             SignalSet::singleton(rsp),
         ));
@@ -747,7 +1025,7 @@ mod tests {
             .initial("s")
             .transition_guard(
                 "s",
-                Guard::Family(LabelFamily::all(
+                Guard::from(LabelFamily::all(
                     SignalSet::singleton(u.signal("env")),
                     SignalSet::EMPTY,
                 )),
@@ -867,7 +1145,7 @@ mod tests {
             .input("req")
             .state("s")
             .initial("s")
-            .transition_guard("s", Guard::Family(fam), "s")
+            .transition_guard("s", Guard::from(fam), "s")
             .build()
             .unwrap();
         // Client that insists on sending req.

@@ -294,7 +294,7 @@ mod tests {
         m.replace_transitions(
             crate::StateId(0),
             vec![Transition {
-                guard: Guard::Family(fam),
+                guard: Guard::from(fam),
                 to: crate::StateId(1),
             }],
         );

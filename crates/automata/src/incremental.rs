@@ -13,9 +13,10 @@
 //!   is equal to a fresh [`chaotic_closure`](crate::chaotic_closure) up to a
 //!   renaming of state ids (new copies sit at the end instead of
 //!   interleaved), which composition is insensitive to.
-//! * [`CompositionCache`] keeps the previous product, invalidates only rows
-//!   whose origin tuple touches a dirty closure state, re-expands those rows
-//!   with the shared [`compose`](crate::compose) row kernel, explores any
+//! * [`CompositionCache`] borrows its context for its whole lifetime, keeps
+//!   the previous product, invalidates only rows whose origin tuple touches
+//!   a dirty closure state, re-expands those rows with the shared
+//!   [`compose`](crate::compose) row kernel, explores any
 //!   genuinely new frontier, and finally renumbers the product into the
 //!   exact state order a cold rebuild would produce — so the resulting
 //!   [`Composition`] is *identical* (states, ids, transition order,
@@ -27,26 +28,26 @@
 //!   argument).
 //!
 //! A full rebuild remains the fallback — and the differential-test oracle —
-//! whenever the context changed, the initial-state set grew, or the dirty
-//! fraction of the product exceeds [`CompositionCache::set_threshold`].
+//! whenever the initial-state set grew, the number of legacy components
+//! changed, or the dirty fraction of the product exceeds
+//! [`CompositionCache::set_threshold`]. The context cannot change under a
+//! cache: a different context needs a new cache.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
-use crate::compose::{compose, expand_tuple, signal_roles, ComposeOptions, Composition};
+use crate::compose::{compose, ComposeOptions, Composition, RowKernel};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
 use crate::label::{Guard, LabelFamily};
 use crate::prop::{PropId, PropSet};
-use crate::signal::SignalSet;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomposeMode {
-    /// Full rebuild: no cache, context changed, initial set grew, or the
-    /// dirty fraction exceeded the threshold.
+    /// Full rebuild: no cache, initial set grew, component count changed,
+    /// or the dirty fraction exceeded the threshold.
     Cold,
     /// Delta-driven: only invalidated rows were re-expanded.
     Incremental,
@@ -197,11 +198,11 @@ impl ClosureCache {
             }
             if !fam.is_empty() {
                 self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::Family(fam.clone()),
+                    guard: Guard::from(fam.clone()),
                     to: self.s_all,
                 });
                 self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::Family(fam),
+                    guard: Guard::from(fam),
                     to: self.s_delta,
                 });
             }
@@ -212,49 +213,7 @@ impl ClosureCache {
     }
 }
 
-/// A structural fingerprint of an automaton — state names, propositions,
-/// guards, targets, interface and initial states. Two automata with equal
-/// fingerprints compose identically (modulo hash collisions, which only
-/// cost a missed cold-rebuild detection in tests; the loop never mutates
-/// its context mid-run).
-fn fingerprint(m: &Automaton) -> u64 {
-    let mut h = DefaultHasher::new();
-    m.name().hash(&mut h);
-    h.write_u128(m.inputs().bits());
-    h.write_u128(m.outputs().bits());
-    for s in m.state_ids() {
-        m.state_name(s).hash(&mut h);
-        h.write_u128(m.props_of(s).0);
-        for t in m.transitions_from(s) {
-            t.to.0.hash(&mut h);
-            match &t.guard {
-                Guard::Exact(l) => {
-                    h.write_u8(0);
-                    h.write_u128(l.inputs.bits());
-                    h.write_u128(l.outputs.bits());
-                }
-                Guard::Family(f) => {
-                    h.write_u8(1);
-                    h.write_u128(f.in_must.bits());
-                    h.write_u128(f.in_free.bits());
-                    h.write_u128(f.out_must.bits());
-                    h.write_u128(f.out_free.bits());
-                    for l in &f.excluded {
-                        h.write_u128(l.inputs.bits());
-                        h.write_u128(l.outputs.bits());
-                    }
-                }
-            }
-        }
-    }
-    for &q in m.initial_states() {
-        q.0.hash(&mut h);
-    }
-    h.finish()
-}
-
 struct CacheState {
-    context_fp: u64,
     closures: Vec<ClosureCache>,
     comp: Composition,
     /// Component-state tuple → product state id.
@@ -264,24 +223,22 @@ struct CacheState {
 /// Caches the composition `context ∥ chaos(M_l^1) ∥ … ∥ chaos(M_l^k)`
 /// across learn iterations and recomposes it delta-driven.
 ///
-/// Keyed by the structural fingerprint of the context (a different context
-/// automaton forces a cold rebuild) and the legacy abstraction revisions
-/// implied by the [`LearnDelta`]s handed to [`Self::recompose`].
-pub struct CompositionCache {
+/// The cache borrows its context for its whole lifetime, so the context
+/// cannot change between recompositions; what does change — the legacy
+/// abstractions — is described by the [`LearnDelta`]s handed to
+/// [`Self::recompose`].
+pub struct CompositionCache<'c> {
+    context: &'c Automaton,
     threshold: f64,
     state: Option<CacheState>,
 }
 
-impl Default for CompositionCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompositionCache {
-    /// An empty cache with the default dirtiness threshold (0.5).
-    pub fn new() -> Self {
+impl<'c> CompositionCache<'c> {
+    /// An empty cache over `context` with the default dirtiness threshold
+    /// (0.5).
+    pub fn new(context: &'c Automaton) -> Self {
         CompositionCache {
+            context,
             threshold: 0.5,
             state: None,
         }
@@ -351,7 +308,6 @@ impl CompositionCache {
     /// As for [`compose`](crate::compose).
     pub fn recompose(
         &mut self,
-        context: &Automaton,
         legacy: &[IncompleteAutomaton],
         deltas: &[LearnDelta],
         chaos_prop: Option<PropId>,
@@ -359,16 +315,15 @@ impl CompositionCache {
         allow_incremental: bool,
     ) -> Result<(RecomposeInfo, Option<WarmCarry>)> {
         assert_eq!(legacy.len(), deltas.len(), "one delta per legacy component");
-        let context_fp = fingerprint(context);
         let reusable = allow_incremental
             && deltas.iter().all(|d| !d.initial_changed)
-            && match &self.state {
-                Some(st) => st.context_fp == context_fp && st.closures.len() == legacy.len(),
-                None => false,
-            };
+            && self
+                .state
+                .as_ref()
+                .is_some_and(|st| st.closures.len() == legacy.len());
         if !reusable {
             return self
-                .rebuild(context, legacy, chaos_prop, opts, context_fp)
+                .rebuild(legacy, chaos_prop, opts)
                 .map(|info| (info, None));
         }
 
@@ -399,7 +354,7 @@ impl CompositionCache {
         let old_states = st.comp.automaton.state_count();
         if old_states == 0 || dirty_rows.len() as f64 > self.threshold * old_states as f64 {
             return self
-                .rebuild(context, legacy, chaos_prop, opts, context_fp)
+                .rebuild(legacy, chaos_prop, opts)
                 .map(|info| (info, None));
         }
 
@@ -426,16 +381,10 @@ impl CompositionCache {
         for ((c, m), d) in st.closures.iter_mut().zip(legacy).zip(deltas) {
             c.patch(m, d);
         }
-        let parts: Vec<&Automaton> = std::iter::once(context)
+        let parts: Vec<&Automaton> = std::iter::once(self.context)
             .chain(st.closures.iter().map(|c| c.automaton()))
             .collect();
-        let roles = signal_roles(&parts);
-        let all_inputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.inputs()));
-        let all_outputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
+        let mut kernel = RowKernel::new(&parts);
 
         let automaton = &mut st.comp.automaton;
         let origin = &mut st.comp.origin;
@@ -466,43 +415,34 @@ impl CompositionCache {
             let tuple = origin[r].clone();
             let adj = &mut automaton.adj;
             let states = &mut automaton.states;
-            let expanded = expand_tuple(
-                &parts,
-                &tuple,
-                &roles,
-                all_inputs,
-                all_outputs,
-                opts,
-                &mut stats,
-                |guard, target| {
-                    let tgt = match index.get(target) {
-                        Some(&id) => id,
-                        None => {
-                            let id = StateId(states.len() as u32);
-                            let name = target
-                                .iter()
-                                .zip(&parts)
-                                .map(|(&s, p)| p.state_name(s).to_owned())
-                                .collect::<Vec<_>>()
-                                .join("||");
-                            let props = target
-                                .iter()
-                                .zip(&parts)
-                                .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
-                            states.push(StateData { name, props });
-                            adj.push(Vec::new());
-                            origin.push(target.to_vec());
-                            index.insert(target.to_vec(), id);
-                            worklist.push(id.index());
-                            id
-                        }
-                    };
-                    let tr = Transition { guard, to: tgt };
-                    if !adj[r].contains(&tr) {
-                        adj[r].push(tr);
+            let expanded = kernel.expand(&parts, &tuple, opts, &mut stats, |guard, target| {
+                let tgt = match index.get(target) {
+                    Some(&id) => id,
+                    None => {
+                        let id = StateId(states.len() as u32);
+                        let name = target
+                            .iter()
+                            .zip(&parts)
+                            .map(|(&s, p)| p.state_name(s).to_owned())
+                            .collect::<Vec<_>>()
+                            .join("||");
+                        let props = target
+                            .iter()
+                            .zip(&parts)
+                            .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
+                        states.push(StateData { name, props });
+                        adj.push(Vec::new());
+                        origin.push(target.to_vec());
+                        index.insert(target.to_vec(), id);
+                        worklist.push(id.index());
+                        id
                     }
-                },
-            );
+                };
+                let tr = Transition { guard, to: tgt };
+                if !adj[r].contains(&tr) {
+                    adj[r].push(tr);
+                }
+            });
             if let Err(e) = expanded {
                 self.state = None;
                 return Err(e);
@@ -586,18 +526,16 @@ impl CompositionCache {
 
     fn rebuild(
         &mut self,
-        context: &Automaton,
         legacy: &[IncompleteAutomaton],
         chaos_prop: Option<PropId>,
         opts: &ComposeOptions,
-        context_fp: u64,
     ) -> Result<RecomposeInfo> {
         self.state = None; // drop stale state even if the rebuild fails
         let closures: Vec<ClosureCache> = legacy
             .iter()
             .map(|m| ClosureCache::build(m, chaos_prop))
             .collect();
-        let parts: Vec<&Automaton> = std::iter::once(context)
+        let parts: Vec<&Automaton> = std::iter::once(self.context)
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
         let comp = compose(&parts, opts)?;
@@ -614,7 +552,6 @@ impl CompositionCache {
             spliced_transitions: comp.automaton.transition_count(),
         };
         self.state = Some(CacheState {
-            context_fp,
             closures,
             comp,
             index,
@@ -630,6 +567,7 @@ mod tests {
     use crate::chaos::{S_ALL, S_DELTA};
     use crate::incomplete::Observation;
     use crate::label::Label;
+    use crate::signal::SignalSet;
     use crate::universe::Universe;
 
     fn context(u: &Universe) -> Automaton {
@@ -690,12 +628,12 @@ mod tests {
         let u = Universe::new();
         let ctx = context(&u);
         let mut m = legacy(&u);
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         cache.set_threshold(1.0);
         let opts = ComposeOptions::default();
         let d0 = m.take_delta();
         let (info, carry) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d0], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d0], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Cold);
         assert!(carry.is_none());
@@ -712,7 +650,7 @@ mod tests {
         let d1 = m.take_delta();
         assert!(!d1.initial_changed);
         let (info, carry) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d1], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d1], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Incremental);
         let carry = carry.unwrap();
@@ -730,7 +668,7 @@ mod tests {
         let d2 = m.take_delta();
         assert!(!d2.initial_changed);
         let (info, carry) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d2], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d2], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Incremental);
         let carry = carry.unwrap();
@@ -747,7 +685,7 @@ mod tests {
         .unwrap();
         let d3 = m.take_delta();
         let (info, carry) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d3], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d3], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Incremental);
         assert!(carry.is_some());
@@ -759,16 +697,15 @@ mod tests {
         let u = Universe::new();
         let ctx = context(&u);
         let mut m = legacy(&u);
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         let opts = ComposeOptions::default();
         let d = m.take_delta();
         cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         let before = cache.composition().automaton.clone();
         let (info, carry) = cache
             .recompose(
-                &ctx,
                 std::slice::from_ref(&m),
                 &[LearnDelta::default()],
                 None,
@@ -791,19 +728,19 @@ mod tests {
         let u = Universe::new();
         let ctx = context(&u);
         let mut m = legacy(&u);
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         cache.set_threshold(0.0);
         let opts = ComposeOptions::default();
         let d = m.take_delta();
         cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         let ping = Label::new(u.signals(["ping"]), SignalSet::EMPTY);
         m.learn(&Observation::blocked(vec!["start".into()], vec![ping]))
             .unwrap();
         let d = m.take_delta();
         let (info, carry) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Cold);
         assert!(carry.is_none());
@@ -811,50 +748,15 @@ mod tests {
     }
 
     #[test]
-    fn context_change_forces_cold_rebuild() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut m = legacy(&u);
-        let mut cache = CompositionCache::new();
-        let opts = ComposeOptions::default();
-        let d = m.take_delta();
-        cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        // A different context with the same interface.
-        let ctx2 = AutomatonBuilder::new(&u, "ctx")
-            .output("ping")
-            .input("pong")
-            .state("idle")
-            .initial("idle")
-            .transition("idle", [], ["ping"], "idle")
-            .build()
-            .unwrap();
-        let (info, carry) = cache
-            .recompose(
-                &ctx2,
-                std::slice::from_ref(&m),
-                &[LearnDelta::default()],
-                None,
-                &opts,
-                true,
-            )
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Cold);
-        assert!(carry.is_none());
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx2, &m));
-    }
-
-    #[test]
     fn initial_growth_forces_cold_rebuild() {
         let u = Universe::new();
         let ctx = context(&u);
         let mut m = legacy(&u);
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         let opts = ComposeOptions::default();
         let d = m.take_delta();
         cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         // An observation starting in a *new* state grows Q.
         let pong = Label::new(SignalSet::EMPTY, u.signals(["pong"]));
@@ -866,7 +768,7 @@ mod tests {
         let d = m.take_delta();
         assert!(d.initial_changed);
         let (info, _) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Cold);
         assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
@@ -924,7 +826,9 @@ mod tests {
 
     #[test]
     fn set_threshold_rejects_nan_and_clamps() {
-        let mut cache = CompositionCache::new();
+        let u = Universe::new();
+        let ctx = context(&u);
+        let mut cache = CompositionCache::new(&ctx);
         assert_eq!(cache.threshold(), 0.5);
         // NaN would make `dirty > threshold * states` vacuously false,
         // permanently disabling the cold fallback — it must be ignored.
@@ -946,13 +850,12 @@ mod tests {
         let mut m = legacy(&u);
         let ctx = context(&u);
         let opts = ComposeOptions::default();
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         cache.set_threshold(f64::NAN);
         cache.set_threshold(0.0); // force-cold still works after a NaN attempt
         let _ = m.take_delta();
         let (info, _) = cache
             .recompose(
-                &ctx,
                 std::slice::from_ref(&m),
                 &[LearnDelta::default()],
                 None,
@@ -966,7 +869,7 @@ mod tests {
             .unwrap();
         let d = m.take_delta();
         let (info, _) = cache
-            .recompose(&ctx, std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
         // With threshold 0.0 every dirty recompose must fall back cold.
         assert_eq!(info.mode, RecomposeMode::Cold);

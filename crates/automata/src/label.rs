@@ -200,12 +200,17 @@ impl LabelFamily {
 
 /// The guard of a transition: either one concrete [`Label`] or a symbolic
 /// [`LabelFamily`].
+///
+/// The family is boxed: products of concrete automata carry only exact
+/// labels, and keeping the rare family out of line holds a guard at 48
+/// bytes and a [`Transition`](crate::Transition) at 64. Build a family
+/// guard with `Guard::from(family)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Guard {
     /// Exactly one label.
     Exact(Label),
     /// A symbolic family of labels.
-    Family(LabelFamily),
+    Family(Box<LabelFamily>),
 }
 
 impl Guard {
@@ -242,7 +247,7 @@ impl Guard {
                 out_free: SignalSet::EMPTY,
                 excluded: Vec::new(),
             },
-            Guard::Family(f) => f.clone(),
+            Guard::Family(f) => (**f).clone(),
         }
     }
 
@@ -303,6 +308,12 @@ impl Guard {
 impl From<Label> for Guard {
     fn from(l: Label) -> Guard {
         Guard::Exact(l)
+    }
+}
+
+impl From<LabelFamily> for Guard {
+    fn from(f: LabelFamily) -> Guard {
+        Guard::Family(Box::new(f))
     }
 }
 
@@ -427,7 +438,7 @@ mod tests {
         assert!(g.admits(l));
         assert!(!g.admits(Label::EMPTY));
         assert_eq!(g.as_exact(), Some(l));
-        let fam = Guard::Family(LabelFamily::all(set(&[0]), set(&[1])));
+        let fam = Guard::from(LabelFamily::all(set(&[0]), set(&[1])));
         assert_eq!(fam.as_exact(), None);
         assert!(fam.admits(l));
         assert_eq!(fam.enumerate(8).unwrap().len(), 4);
@@ -435,7 +446,7 @@ mod tests {
 
     #[test]
     fn zero_freedom_family_is_exact() {
-        let fam = Guard::Family(LabelFamily {
+        let fam = Guard::from(LabelFamily {
             in_must: set(&[0]),
             in_free: SignalSet::EMPTY,
             out_must: SignalSet::EMPTY,

@@ -1,11 +1,12 @@
 //! On-the-fly product exploration with arena/struct-of-arrays storage.
 //!
-//! [`compose`](crate::compose::compose) materializes the full reachable
-//! product — per-state `Vec<Transition>` rows, a `HashMap<Vec<StateId>,
-//! StateId>` interner, one heap allocation per product state — before any
-//! consumer sees a single state. [`LazyProduct`] is the same exploration
-//! (it drives the identical [`expand_tuple`] row kernel under the identical
-//! constraint system) split into *per-row* steps over flat storage:
+//! The classic materializing product
+//! ([`compose_reference`](crate::compose_reference)) builds the full
+//! reachable product — per-state `Vec<Transition>` rows, a
+//! `HashMap<Vec<StateId>, StateId>` interner, one heap allocation per
+//! product state — before any consumer sees a single state.
+//! [`LazyProduct`] is the same exploration under the identical constraint
+//! system, split into *per-row* steps over flat storage:
 //!
 //! * one `u32` arena holds every component-state tuple (stride = number of
 //!   components), so a product state is a slice, not a `Vec`;
@@ -13,12 +14,17 @@
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
 //! * the tuple→id interner is an open-addressed, power-of-two table keyed
 //!   by a packed multiply-xor hash of the tuple, probing the arena
-//!   directly — no per-key allocation, no `Vec<StateId>` clones.
+//!   directly — no per-key allocation, no `Vec<StateId>` clones;
+//! * rows are solved by the bitset [`RowKernel`], whose scratch buffers
+//!   (like the product's own row buffers) are reused from row to row.
 //!
 //! Consumers that only need reachability (the fused checker in
 //! `muml-logic`) drive [`LazyProduct::expand_row`] from their own frontier
 //! and stop as soon as the verdict is decided — an early-falsified `AG`
-//! never expands the cone behind its witness. Consumers that need the full
+//! never expands the cone behind its witness. Consumers that need one row
+//! (the driver's frontier probe) call [`LazyProduct::locate`], which
+//! expands in discovery order only until the wanted tuple is interned, and
+//! keep the product across calls. Consumers that need the full
 //! automaton call [`LazyProduct::expand_all`] +
 //! [`LazyProduct::into_composition`], which renumbers states into the
 //! canonical discovery order and yields a [`Composition`] bit-identical to
@@ -32,17 +38,14 @@
 //! the few rows a witness path actually crosses
 //! ([`LazyProduct::first_label_to`]).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
-use crate::compose::{
-    expand_tuple, signal_roles, ComposeOptions, ComposeStats, Composition, SignalRole,
-};
+use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::label::{Guard, Label};
 use crate::prop::PropSet;
-use crate::signal::{SignalId, SignalSet};
 
 /// Sentinel in `row_off` marking a state whose outgoing row has not been
 /// expanded yet.
@@ -83,6 +86,22 @@ impl TupleInterner {
             slots: vec![EMPTY_SLOT; cap],
             mask: cap - 1,
             len: 0,
+        }
+    }
+
+    /// The resident id of `tuple`, if interned.
+    fn get(&self, tuple: &[u32], arena: &[u32], k: usize) -> Option<u32> {
+        let mut i = tuple_hash(tuple) as usize & self.mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == EMPTY_SLOT {
+                return None;
+            }
+            let base = slot as usize * k;
+            if &arena[base..base + k] == tuple {
+                return Some(slot);
+            }
+            i = (i + 1) & self.mask;
         }
     }
 
@@ -133,12 +152,13 @@ impl TupleInterner {
 /// An on-the-fly synchronous product over flat arena storage. See the
 /// module docs for the storage layout and the bit-identity contract with
 /// [`compose`](crate::compose::compose).
+///
+/// Parts are borrowed or owned ([`LazyProduct::from_parts`]): a product
+/// kept across a run can own snapshots of parts its owner keeps mutating.
 pub struct LazyProduct<'a> {
-    parts: Vec<&'a Automaton>,
+    parts: Vec<Cow<'a, Automaton>>,
     opts: ComposeOptions,
-    roles: HashMap<SignalId, SignalRole>,
-    all_inputs: SignalSet,
-    all_outputs: SignalSet,
+    kernel: RowKernel,
     k: usize,
     keep_guards: bool,
     /// Packed component-state tuples, stride `k`.
@@ -162,6 +182,12 @@ pub struct LazyProduct<'a> {
     initial: Vec<u32>,
     stats: ComposeStats,
     expanded_rows: usize,
+    /// Row scratch, reused across [`LazyProduct::expand_row`] calls: the
+    /// row's tuple, its collected `(guard, target)` pairs, and the packed
+    /// target being interned.
+    tuple_buf: Vec<StateId>,
+    row_buf: Vec<(Guard, u32)>,
+    packed: Vec<u32>,
 }
 
 impl<'a> LazyProduct<'a> {
@@ -183,9 +209,26 @@ impl<'a> LazyProduct<'a> {
         opts: &ComposeOptions,
         keep_guards: bool,
     ) -> Result<LazyProduct<'a>> {
+        Self::from_parts(
+            parts.iter().map(|&p| Cow::Borrowed(p)).collect(),
+            opts,
+            keep_guards,
+        )
+    }
+
+    /// [`LazyProduct::new`] over borrowed or owned parts.
+    ///
+    /// # Errors
+    ///
+    /// As for [`LazyProduct::new`].
+    pub fn from_parts(
+        parts: Vec<Cow<'a, Automaton>>,
+        opts: &ComposeOptions,
+        keep_guards: bool,
+    ) -> Result<LazyProduct<'a>> {
         assert!(!parts.is_empty(), "compose requires at least one automaton");
         let universe = parts[0].universe();
-        for p in parts {
+        for p in &parts {
             if !p.universe().same_as(universe) {
                 return Err(AutomataError::UniverseMismatch);
             }
@@ -205,20 +248,25 @@ impl<'a> LazyProduct<'a> {
                 }
             }
         }
-        let all_inputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.inputs()));
-        let all_outputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
-        let roles = signal_roles(parts);
+        let kernel = RowKernel::new(&parts);
         let k = parts.len();
+        // Initial product states: Q'' = Q₁ × … × Qₙ, in cartesian order.
+        let mut initial_tuples: Vec<Vec<u32>> = vec![Vec::new()];
+        for p in &parts {
+            let mut next = Vec::new();
+            for tuple in &initial_tuples {
+                for &q in p.initial_states() {
+                    let mut t = tuple.clone();
+                    t.push(q.0);
+                    next.push(t);
+                }
+            }
+            initial_tuples = next;
+        }
         let mut lp = LazyProduct {
-            parts: parts.to_vec(),
+            parts,
             opts: opts.clone(),
-            roles,
-            all_inputs,
-            all_outputs,
+            kernel,
             k,
             keep_guards,
             arena: Vec::new(),
@@ -232,20 +280,10 @@ impl<'a> LazyProduct<'a> {
             initial: Vec::new(),
             stats: ComposeStats::default(),
             expanded_rows: 0,
+            tuple_buf: Vec::with_capacity(k),
+            row_buf: Vec::new(),
+            packed: Vec::with_capacity(k),
         };
-        // Initial product states: Q'' = Q₁ × … × Qₙ, in cartesian order.
-        let mut initial_tuples: Vec<Vec<u32>> = vec![Vec::new()];
-        for p in parts {
-            let mut next = Vec::new();
-            for tuple in &initial_tuples {
-                for &q in p.initial_states() {
-                    let mut t = tuple.clone();
-                    t.push(q.0);
-                    next.push(t);
-                }
-            }
-            initial_tuples = next;
-        }
         for t in initial_tuples {
             let id = lp.intern(&t);
             lp.initial.push(id);
@@ -271,6 +309,11 @@ impl<'a> LazyProduct<'a> {
             self.pending.push(id);
         }
         id
+    }
+
+    /// The composed parts, in order.
+    pub fn parts(&self) -> impl ExactSizeIterator<Item = &Automaton> {
+        self.parts.iter().map(|p| &**p)
     }
 
     /// Number of product states discovered so far.
@@ -329,6 +372,27 @@ impl<'a> LazyProduct<'a> {
             .join("||")
     }
 
+    /// Finds the reachable product state with component-state tuple
+    /// `tuple`: expands pending rows in discovery order only until the
+    /// tuple is interned. `Ok(None)` means every reachable row is expanded
+    /// and the tuple is unreachable. Rows expanded here stay expanded, so
+    /// later calls resume where this one stopped.
+    ///
+    /// # Errors
+    ///
+    /// See [`LazyProduct::expand_row`].
+    pub fn locate(&mut self, tuple: &[u32]) -> Result<Option<u32>> {
+        loop {
+            if let Some(id) = self.interner.get(tuple, &self.arena, self.k) {
+                return Ok(Some(id));
+            }
+            match self.pending.pop() {
+                Some(s) => self.expand_row(s)?,
+                None => return Ok(None),
+            }
+        }
+    }
+
     /// Whether row `s` has been expanded.
     pub fn is_expanded(&self, s: u32) -> bool {
         self.row_off[s as usize] != UNEXPANDED
@@ -350,6 +414,19 @@ impl<'a> LazyProduct<'a> {
         &self.succ[off..off + self.row_len[s as usize] as usize]
     }
 
+    /// The composed guards of the expanded row of `s`, parallel to
+    /// [`LazyProduct::successors`]. Requires the row to be expanded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the product was built without `keep_guards`.
+    pub fn row_guards(&self, s: u32) -> &[Guard] {
+        assert!(self.keep_guards, "row_guards requires keep_guards");
+        debug_assert!(self.is_expanded(s), "guard query on unexpanded row");
+        let off = self.row_off[s as usize] as usize;
+        &self.guards[off..off + self.row_len[s as usize] as usize]
+    }
+
     /// Expands the outgoing row of `s` (no-op when already expanded),
     /// interning newly discovered target states.
     ///
@@ -368,83 +445,70 @@ impl<'a> LazyProduct<'a> {
                 max: self.opts.max_states,
             });
         }
-        let tuple: Vec<StateId> = self.tuple_of(s).iter().map(|&x| StateId(x)).collect();
-        // Collect the row locally first: the emit closure below interns new
-        // target states, which appends to the same arrays a direct row
-        // write would borrow.
-        let mut row: Vec<(Guard, u32)> = Vec::new();
-        let mut packed: Vec<u32> = Vec::with_capacity(self.k);
-        {
-            let LazyProduct {
-                parts,
-                opts,
-                roles,
-                all_inputs,
-                all_outputs,
-                k,
-                arena,
-                props,
-                row_off,
-                row_len,
-                interner,
-                pending,
-                stats,
-                keep_guards,
-                ..
-            } = self;
-            let keep = *keep_guards;
-            expand_tuple(
-                parts,
-                &tuple,
-                roles,
-                *all_inputs,
-                *all_outputs,
-                opts,
-                stats,
-                |guard, target_tuple| {
-                    // Inline intern over the split-borrowed columns (the
-                    // method form would re-borrow `self`).
-                    packed.clear();
-                    packed.extend(target_tuple.iter().map(|t| t.0));
-                    let candidate = props.len() as u32;
-                    let (id, fresh) = interner.intern(&packed, candidate, arena, *k);
-                    if fresh {
-                        arena.extend_from_slice(&packed);
-                        let p = packed
-                            .iter()
-                            .zip(parts.iter())
-                            .fold(PropSet::EMPTY, |acc, (&cs, part)| {
-                                acc.union(part.props_of(StateId(cs)))
-                            });
-                        props.push(p);
-                        row_off.push(UNEXPANDED);
-                        row_len.push(0);
-                        pending.push(id);
-                    }
-                    if keep {
-                        // Classic dedup: drop exact (guard, target) repeats.
-                        if !row.iter().any(|(g, t)| *t == id && g == &guard) {
-                            row.push((guard, id));
-                        }
-                    } else if !row.iter().any(|(_, t)| *t == id) {
-                        row.push((guard, id));
-                    }
-                },
-            )?;
-        }
-        let off = u32::try_from(self.succ.len()).expect("transition arena exceeds u32 range");
-        assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
-        self.row_off[s as usize] = off;
-        self.row_len[s as usize] = row.len() as u32;
-        if self.keep_guards {
-            self.succ.reserve(row.len());
-            self.guards.reserve(row.len());
-            for (g, t) in row {
-                self.succ.push(t);
-                self.guards.push(g);
+        // Collect the row in the reused row buffer first: the emit closure
+        // below interns new target states, which appends to the same arrays
+        // a direct row write would borrow.
+        let LazyProduct {
+            parts,
+            opts,
+            kernel,
+            k,
+            keep_guards,
+            arena,
+            props,
+            row_off,
+            row_len,
+            succ,
+            guards,
+            interner,
+            pending,
+            stats,
+            tuple_buf,
+            row_buf,
+            packed,
+            ..
+        } = self;
+        let base = s as usize * *k;
+        tuple_buf.clear();
+        tuple_buf.extend(arena[base..base + *k].iter().map(|&x| StateId(x)));
+        row_buf.clear();
+        let keep = *keep_guards;
+        kernel.expand(parts, tuple_buf, opts, stats, |guard, target_tuple| {
+            // Inline intern over the split-borrowed columns (the method form
+            // would re-borrow `self`).
+            packed.clear();
+            packed.extend(target_tuple.iter().map(|t| t.0));
+            let candidate = props.len() as u32;
+            let (id, fresh) = interner.intern(packed, candidate, arena, *k);
+            if fresh {
+                arena.extend_from_slice(packed);
+                let p = packed
+                    .iter()
+                    .zip(parts.iter())
+                    .fold(PropSet::EMPTY, |acc, (&cs, part)| {
+                        acc.union(part.props_of(StateId(cs)))
+                    });
+                props.push(p);
+                row_off.push(UNEXPANDED);
+                row_len.push(0);
+                pending.push(id);
             }
-        } else {
-            self.succ.extend(row.iter().map(|&(_, t)| t));
+            if keep {
+                // Classic dedup: drop exact (guard, target) repeats.
+                if !row_buf.iter().any(|(g, t)| *t == id && g == &guard) {
+                    row_buf.push((guard, id));
+                }
+            } else if !row_buf.iter().any(|(_, t)| *t == id) {
+                row_buf.push((guard, id));
+            }
+        })?;
+        let off = u32::try_from(succ.len()).expect("transition arena exceeds u32 range");
+        assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
+        row_off[s as usize] = off;
+        row_len[s as usize] = row_buf.len() as u32;
+        succ.extend(row_buf.iter().map(|&(_, t)| t));
+        if keep {
+            guards.extend(row_buf.drain(..).map(|(g, _)| g));
         }
         self.expanded_rows += 1;
         Ok(())
@@ -483,12 +547,9 @@ impl<'a> LazyProduct<'a> {
         let target_tuple: Vec<StateId> = self.tuple_of(to).iter().map(|&x| StateId(x)).collect();
         let mut found: Option<Label> = None;
         let mut scratch = ComposeStats::default();
-        let _ = expand_tuple(
+        let _ = self.kernel.expand(
             &self.parts,
             &tuple,
-            &self.roles,
-            self.all_inputs,
-            self.all_outputs,
             &self.opts,
             &mut scratch,
             |guard, tgt| {
@@ -564,6 +625,8 @@ impl<'a> LazyProduct<'a> {
         let mut states: Vec<StateData> = Vec::with_capacity(n);
         let mut adj: Vec<Vec<Transition>> = Vec::with_capacity(n);
         let mut origin: Vec<Vec<StateId>> = Vec::with_capacity(n);
+        // Every guard lands in exactly one row: move it instead of cloning.
+        let mut guards = std::mem::take(&mut self.guards);
         for (new, &mapped) in back.iter().enumerate() {
             let old = if identity { new as u32 } else { mapped };
             states.push(StateData {
@@ -575,9 +638,9 @@ impl<'a> LazyProduct<'a> {
             adj.push(
                 self.succ[off..off + len]
                     .iter()
-                    .zip(&self.guards[off..off + len])
+                    .zip(&mut guards[off..off + len])
                     .map(|(&t, g)| Transition {
-                        guard: g.clone(),
+                        guard: std::mem::replace(g, Guard::Exact(Label::EMPTY)),
                         to: StateId(if identity {
                             t
                         } else {
@@ -602,8 +665,8 @@ impl<'a> LazyProduct<'a> {
         let automaton = Automaton {
             universe: self.parts[0].universe().clone(),
             name: self.name(),
-            inputs: self.all_inputs,
-            outputs: self.all_outputs,
+            inputs: self.kernel.all_inputs(),
+            outputs: self.kernel.all_outputs(),
             states,
             adj,
             initial,

@@ -57,7 +57,7 @@ pub fn restrict_interface(
                     push_unique(
                         &mut out,
                         Transition {
-                            guard: Guard::Family(LabelFamily {
+                            guard: Guard::from(LabelFamily {
                                 in_must: f.in_must.intersection(keep_in),
                                 in_free: f.in_free.intersection(keep_in),
                                 out_must: f.out_must.intersection(keep_out),
@@ -166,7 +166,7 @@ mod tests {
             .initial("s")
             .transition_guard(
                 "s",
-                Guard::Family(LabelFamily::all(ins, SignalSet::EMPTY)),
+                Guard::from(LabelFamily::all(ins, SignalSet::EMPTY)),
                 "s",
             )
             .build()
@@ -202,7 +202,7 @@ mod tests {
             .inputs(["a", "x"])
             .state("s")
             .initial("s")
-            .transition_guard("s", Guard::Family(fam), "s")
+            .transition_guard("s", Guard::from(fam), "s")
             .build()
             .unwrap();
         let r = restrict_interface(

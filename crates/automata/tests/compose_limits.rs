@@ -113,20 +113,13 @@ fn composition_cache_surfaces_the_state_limit() {
     let context = cycle(&u, "ctx", 3);
     let mut legacy = IncompleteAutomaton::trivial(&u, "l", SignalSet::EMPTY, SignalSet::EMPTY, "s");
     let deltas = [legacy.take_delta()];
-    let mut cache = CompositionCache::new();
+    let mut cache = CompositionCache::new(&context);
     let opts = ComposeOptions {
         max_states: 1,
         ..ComposeOptions::default()
     };
     let err = cache
-        .recompose(
-            &context,
-            std::slice::from_ref(&legacy),
-            &deltas,
-            None,
-            &opts,
-            true,
-        )
+        .recompose(std::slice::from_ref(&legacy), &deltas, None, &opts, true)
         .unwrap_err();
     assert!(matches!(err, AutomataError::Limit { .. }), "{err:?}");
 }

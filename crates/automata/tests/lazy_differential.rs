@@ -1,8 +1,16 @@
 //! Differential tests for the arena-backed lazy product: [`compose`] (which
-//! expands through [`LazyProduct`]) must be **bit-identical** to the classic
-//! materializing kernel [`compose_reference`] — same state numbering, names,
-//! props, transition rows, origin tuples, and CSR — over a 200-seed random
-//! corpus, and regardless of the order rows are expanded in.
+//! expands through [`LazyProduct`] and solves rows with the bitset kernel)
+//! must be **bit-identical** to the classic materializing kernel
+//! [`compose_reference`] (per-signal solver) — same state numbering, names,
+//! props, transition rows, origin tuples, CSR and work counters — over
+//! random corpora, and regardless of the order rows are expanded in.
+//!
+//! The exact-label corpus covers plain handshakes. The chaotic-closure
+//! corpus covers what only symbolic guards reach: guard families, exclusion
+//! lists (refusals and known labels), open inputs and outputs nobody in the
+//! product drives, and internal signals left free by both sides.
+
+use std::collections::{HashMap, HashSet};
 
 use muml_automata::*;
 use muml_testkit::{cases, Rng};
@@ -103,6 +111,127 @@ fn assert_compositions_identical(lhs: &Composition, rhs: &Composition, what: &st
     );
     assert_eq!(lhs.origin, rhs.origin, "{what}: origin tuples");
     assert_eq!(lhs.csr, rhs.csr, "{what}: CSR");
+    assert_eq!(lhs.stats, rhs.stats, "{what}: compose stats");
+}
+
+/// Composes `parts` with both kernels and asserts they agree bit-for-bit or
+/// fail identically. Returns the product when both succeed.
+fn assert_kernels_agree(parts: &[&Automaton], what: &str) -> Option<Composition> {
+    let opts = ComposeOptions::default();
+    match (compose(parts, &opts), compose_reference(parts, &opts)) {
+        (Ok(lazy), Ok(reference)) => {
+            assert_compositions_identical(&lazy, &reference, what);
+            Some(lazy)
+        }
+        (Err(el), Err(er)) => {
+            assert_eq!(format!("{el}"), format!("{er}"), "{what}: errors diverge");
+            None
+        }
+        (l, r) => panic!(
+            "{what}: one kernel failed where the other succeeded: lazy ok = {}, reference ok = {}",
+            l.is_ok(),
+            r.is_ok()
+        ),
+    }
+}
+
+/// A random label over the given input and output names.
+fn gen_label(rng: &mut Rng, u: &Universe, ins: &[&str], outs: &[&str]) -> Label {
+    let mut pick = |names: &[&str]| -> SignalSet {
+        names
+            .iter()
+            .filter(|_| rng.bool())
+            .map(|n| u.signal(n))
+            .collect()
+    };
+    let inputs = pick(ins);
+    let outputs = pick(outs);
+    Label::new(inputs, outputs)
+}
+
+/// A random incomplete automaton over `ins`/`outs`, grown from up to six
+/// random observations. Each is a walk from `q0` that replays earlier
+/// `(state, label) → target` choices (so the model stays deterministic) and
+/// avoids refused interactions; about one in five ends by refusing an
+/// unknown interaction, which feeds `T̄`. Its chaotic closure therefore
+/// carries escape families whose exclusion lists mix refusals and known
+/// labels.
+fn gen_incomplete(
+    rng: &mut Rng,
+    u: &Universe,
+    name: &str,
+    ins: &[&str],
+    outs: &[&str],
+) -> IncompleteAutomaton {
+    let mut m = IncompleteAutomaton::trivial(
+        u,
+        name,
+        u.signals(ins.iter().copied()),
+        u.signals(outs.iter().copied()),
+        "q0",
+    );
+    let mut steps: HashMap<(String, Label), String> = HashMap::new();
+    let mut refused: HashSet<(String, Label)> = HashSet::new();
+    let mut fresh = 0usize;
+    for _ in 0..rng.range(0..=6) {
+        let mut states = vec!["q0".to_owned()];
+        let mut labels = Vec::new();
+        let mut blocked = false;
+        for _ in 0..rng.range(1..=4) {
+            let here = states.last().expect("walk starts at q0").clone();
+            let l = gen_label(rng, u, ins, outs);
+            if refused.contains(&(here.clone(), l)) {
+                break;
+            }
+            if !steps.contains_key(&(here.clone(), l)) && rng.chance(1, 5) {
+                refused.insert((here, l));
+                labels.push(l);
+                blocked = true;
+                break;
+            }
+            let to = match steps.get(&(here.clone(), l)) {
+                Some(to) => to.clone(),
+                None => {
+                    let to = if rng.chance(1, 3) {
+                        fresh += 1;
+                        format!("q{fresh}")
+                    } else {
+                        format!("q{}", rng.below(fresh + 1))
+                    };
+                    steps.insert((here, l), to.clone());
+                    to
+                }
+            };
+            labels.push(l);
+            states.push(to);
+        }
+        let obs = if blocked {
+            Observation::blocked(states, labels)
+        } else {
+            Observation::regular(states, labels)
+        };
+        m.learn(&obs)
+            .expect("observations are consistent by construction");
+    }
+    m
+}
+
+/// Totals over a corpus, to show what it exercised.
+#[derive(Debug, Default)]
+struct Coverage {
+    products: usize,
+    guards: usize,
+    stats: ComposeStats,
+}
+
+impl Coverage {
+    fn add(&mut self, comp: &Composition) {
+        self.products += 1;
+        self.guards += comp.automaton.transition_count();
+        self.stats.combos += comp.stats.combos;
+        self.stats.expanded_labels += comp.stats.expanded_labels;
+        self.stats.family_guards += comp.stats.family_guards;
+    }
 }
 
 /// The headline invariant: the lazy-product-backed [`compose`] and the
@@ -185,5 +314,77 @@ fn three_part_lazy_compose_matches_reference() {
                 r.is_ok()
             ),
         }
+    });
+}
+
+/// The chaotic-closure corpus: the two kernels agree on products whose
+/// symbolic guards the exact-label corpus never produces.
+///
+/// Per seed, three shapes over the cross-wired `i*/o*` alphabet:
+/// * a random context with the closure of a random incomplete automaton
+///   that also has an open input `e` and an open output `f` (nobody drives
+///   or reads them), so unpinned families survive into the product and
+///   exclusion lists force one-sided free signals concrete;
+/// * two closures wired to each other, so internal signals are left free
+///   by both sides and must be expanded;
+/// * three parts: the context, the closure, and an exact-label observer on
+///   a private alphabet.
+#[test]
+fn chaotic_closures_match_reference_on_corpus() {
+    let coverage = std::sync::Mutex::new(Coverage::default());
+    cases(200, |rng| {
+        let u = Universe::new();
+        let ctx = build(&u, "a", ["i0", "i1"], ["o0", "o1"], &gen_spec(rng, 5, 10));
+        let open = gen_incomplete(rng, &u, "l", &["o0", "o1", "e"], &["i0", "i1", "f"]);
+        let open_closure = chaotic_closure(&open, None);
+        let mirror = gen_incomplete(rng, &u, "r", &["i0", "i1"], &["o0", "o1"]);
+        let plain = gen_incomplete(rng, &u, "p", &["o0", "o1"], &["i0", "i1"]);
+        let (mirror_closure, plain_closure) = (
+            chaotic_closure(&mirror, None),
+            chaotic_closure(&plain, None),
+        );
+        let observer = build(&u, "c", ["x0", "x1"], ["y0", "y1"], &gen_spec(rng, 4, 6));
+        let shapes: [(&[&Automaton], &str); 3] = [
+            (&[&ctx, &open_closure], "context with open closure"),
+            (&[&mirror_closure, &plain_closure], "closure with closure"),
+            (&[&ctx, &plain_closure, &observer], "three parts"),
+        ];
+        for (parts, what) in shapes {
+            if let Some(comp) = assert_kernels_agree(parts, what) {
+                coverage.lock().unwrap().add(&comp);
+            }
+        }
+    });
+    let coverage = coverage.into_inner().unwrap();
+    // The corpus must reach every branch of the solver it claims to cover.
+    assert!(coverage.products >= 500, "{coverage:?}");
+    assert!(coverage.stats.family_guards > 0, "{coverage:?}");
+    assert!(coverage.stats.expanded_labels > 0, "{coverage:?}");
+    assert!(coverage.guards > 10_000, "{coverage:?}");
+}
+
+/// Out-of-order expansion of closure products renumbers to the reference
+/// as well, work counters included.
+#[test]
+fn out_of_order_closure_expansion_matches_reference() {
+    cases(100, |rng| {
+        let u = Universe::new();
+        let ctx = build(&u, "a", ["i0", "i1"], ["o0", "o1"], &gen_spec(rng, 5, 10));
+        let m = gen_incomplete(rng, &u, "l", &["o0", "o1", "e"], &["i0", "i1", "f"]);
+        let closure = chaotic_closure(&m, None);
+        let parts = [&ctx, &closure];
+        let opts = ComposeOptions::default();
+        let Ok(reference) = compose_reference(&parts, &opts) else {
+            return;
+        };
+        let mut lp = LazyProduct::new(&parts, &opts, true).expect("lazy product");
+        while let Some(s) = (0..lp.state_count() as u32)
+            .rev()
+            .find(|&s| !lp.is_expanded(s))
+        {
+            lp.expand_row(s).expect("within limits");
+        }
+        let lazy = lp.into_composition().expect("renumbers");
+        assert_compositions_identical(&lazy, &reference, "out-of-order closure product");
     });
 }

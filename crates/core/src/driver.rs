@@ -60,7 +60,7 @@ use muml_store::{ComponentSignature, DeltaRecord, Snapshot, Store, StoreLookup};
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
 use crate::initial::{apply_props, initial_knowledge, StatePropMapper};
-use crate::probe::{probe_frontier, FrontierResult};
+use crate::probe::{probe_frontier, FrontierResult, RestProducts};
 use crate::report::render_listing;
 
 /// One legacy component under integration, with its monitoring
@@ -500,6 +500,11 @@ pub struct IntegrationStats {
     /// Symbolic guard families emitted un-expanded during composition,
     /// summed over all compositions.
     pub family_guards: u64,
+    /// Rows of the rest-of-system products the frontier probe expanded,
+    /// summed over the run. The probe keeps those products across the run,
+    /// so with one legacy unit this is at most the context's reachable
+    /// state count however many probes run.
+    pub probe_rows_expanded: usize,
     /// Wall-clock time per loop phase.
     pub timings: PhaseTimings,
 }
@@ -705,8 +710,10 @@ pub(crate) fn run_loop(
     let mut stats = IntegrationStats::default();
     // The composition cache owns the chaotic closures and the product and
     // splices each iteration's learn delta into them; the seed carries the
-    // previous iteration's satisfaction sets into the next check.
-    let mut cache = CompositionCache::new();
+    // previous iteration's satisfaction sets into the next check. The
+    // frontier probe's rest-of-system products live for the run as well.
+    let mut cache = CompositionCache::new(context);
+    let mut rest = RestProducts::new(context, units.len());
     let mut prev_seed: Option<CheckSeed> = None;
     // `stalled` counts consecutive iterations that quarantined without
     // learning anything, bounded by the flake budget.
@@ -811,7 +818,6 @@ pub(crate) fn run_loop(
             acc.merge(d);
         }
         let (info, carry) = cache.recompose(
-            context,
             &learned,
             &deltas,
             Some(chaos),
@@ -1133,7 +1139,7 @@ pub(crate) fn run_loop(
             let probe_timer = PhaseTimer::start(Phase::Probe);
             let frontier = probe_frontier(
                 u,
-                context,
+                &mut rest,
                 &cache.closures(),
                 comp,
                 &cx.run,

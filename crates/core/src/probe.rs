@@ -5,11 +5,13 @@
 //! `s_δ`, or into a pessimistic `(s,0)` copy that blocks *unknown*
 //! interactions. The probe resolves the ambiguity by experiment:
 //!
-//! 1. For every legacy component `i`, compose the *rest* of the system
-//!    (context + the other components' closures) and move the other
+//! 1. For every legacy component `i`, take the product of the *rest* of the
+//!    system (context + the other components' closures) and move the other
 //!    closures to their **optimistic** siblings (`(s,1)` instead of
 //!    `(s,0)`, `s_∀` instead of `s_δ`) — an over-approximation of what the
-//!    environment of `i` could offer.
+//!    environment of `i` could offer. That product is kept across the
+//!    run's probes ([`RestProducts`]) and expanded only as far as the
+//!    probed configuration needs.
 //! 2. Collect the input sets that environment can offer to `i` in the
 //!    deadlocked configuration, drive `i` one step beyond the confirmed
 //!    prefix with each, and learn the observed response (Definitions
@@ -32,9 +34,11 @@
 //! for multi-legacy configurations where a chaotic sibling could otherwise
 //! fake acceptance.
 
+use std::borrow::Cow;
+
 use muml_automata::{
-    compose, Automaton, Composition, Guard, IncompleteAutomaton, Label, Run, SignalSet, StateId,
-    Universe, S_ALL, S_DELTA,
+    compose, Automaton, ComposeOptions, Composition, Guard, IncompleteAutomaton, Label,
+    LazyProduct, Run, SignalSet, StateId, Universe, S_ALL, S_DELTA,
 };
 use muml_legacy::TestVerdict;
 use muml_obs::EventSink;
@@ -69,6 +73,89 @@ pub(crate) enum FrontierResult {
     },
 }
 
+/// The products frontier probing reads its offers from: for every legacy
+/// unit `i`, the product of the context with the other units' closures
+/// (the *rest of the system*), kept across a run's probes.
+///
+/// Each product is a [`LazyProduct`] that is expanded only until the probed
+/// configuration is interned, and its rows stay expanded for later probes.
+/// With one legacy unit the rest of the system is the context alone, which
+/// never changes during a run, so one product serves every probe of the
+/// run. With several units a product owns snapshots of the sibling
+/// closures it was built from and is rebuilt when one of them has changed.
+pub(crate) struct RestProducts<'c> {
+    context: &'c Automaton,
+    products: Vec<Option<LazyProduct<'c>>>,
+}
+
+impl<'c> RestProducts<'c> {
+    /// No products yet, for a run over `context` with `units` legacy units.
+    pub(crate) fn new(context: &'c Automaton, units: usize) -> Self {
+        RestProducts {
+            context,
+            products: (0..units).map(|_| None).collect(),
+        }
+    }
+
+    /// The input sets the rest of the system offers unit `i` at the
+    /// product configuration `tuple` (context state first, then the
+    /// sibling closure states in unit order), deduplicated in row order —
+    /// or `None` if that configuration is unreachable. `closures` are the
+    /// current closures of all units. Adds the rows this call expanded to
+    /// `rows_expanded`.
+    ///
+    /// # Errors
+    ///
+    /// Composition errors of the rest-of-system product.
+    pub(crate) fn offers(
+        &mut self,
+        i: usize,
+        closures: &[&Automaton],
+        tuple: &[u32],
+        own_in: SignalSet,
+        opts: &ComposeOptions,
+        rows_expanded: &mut usize,
+    ) -> Result<Option<Vec<SignalSet>>, CoreError> {
+        let siblings = || {
+            closures
+                .iter()
+                .enumerate()
+                .filter(move |&(j, _)| j != i)
+                .map(|(_, &c)| c)
+        };
+        let stale = match &self.products[i] {
+            Some(product) => !product.parts().skip(1).eq(siblings()),
+            None => true,
+        };
+        if stale {
+            let parts = std::iter::once(Cow::Borrowed(self.context))
+                .chain(siblings().map(|c| Cow::Owned(c.clone())))
+                .collect();
+            self.products[i] = Some(LazyProduct::from_parts(parts, opts, true)?);
+        }
+        let product = self.products[i].as_mut().expect("built above");
+        let before = product.expanded_rows();
+        let located = product.locate(tuple)?;
+        if let Some(s) = located {
+            product.expand_row(s)?;
+        }
+        *rows_expanded += product.expanded_rows() - before;
+        Ok(located.map(|s| {
+            let mut offers: Vec<SignalSet> = Vec::new();
+            for guard in product.row_guards(s) {
+                let offered = match guard {
+                    Guard::Exact(l) => l.outputs.intersection(own_in),
+                    Guard::Family(f) => f.out_must.intersection(own_in),
+                };
+                if !offers.contains(&offered) {
+                    offers.push(offered);
+                }
+            }
+            offers
+        }))
+    }
+}
+
 /// Maps a closure state to its optimistic sibling: `name#0 → name#1`,
 /// `s_δ → s_∀`; already-optimistic states map to themselves.
 fn optimistic_sibling(closure: &Automaton, s: StateId) -> StateId {
@@ -85,7 +172,7 @@ fn optimistic_sibling(closure: &Automaton, s: StateId) -> StateId {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_frontier(
     u: &Universe,
-    context: &Automaton,
+    rest: &mut RestProducts<'_>,
     closures: &[&Automaton],
     comp: &Composition,
     dead_run: &Run,
@@ -110,33 +197,26 @@ pub(crate) fn probe_frontier(
 
     for (i, unit) in units.iter_mut().enumerate() {
         let (own_in, _own_out) = unit.component.interface();
-        // Sub-composition of everything except component i, with the other
-        // closures moved to their optimistic states.
-        let mut parts: Vec<&Automaton> = vec![context];
-        let mut proj_tuple: Vec<StateId> = vec![dead_tuple[0]];
+        // The configuration of everything except component i, with the
+        // other closures moved to their optimistic states.
+        let mut proj_tuple: Vec<u32> = vec![dead_tuple[0].0];
         for (j, &c) in closures.iter().enumerate() {
             if j != i {
-                parts.push(c);
-                proj_tuple.push(optimistic_sibling(c, dead_tuple[j + 1]));
+                proj_tuple.push(optimistic_sibling(c, dead_tuple[j + 1]).0);
             }
         }
-        let others = compose(&parts, &config.compose)?;
-        let os = match others.origin.iter().position(|t| t == &proj_tuple) {
-            Some(p) => StateId(p as u32),
-            None => continue, // optimistic configuration unreachable: skip
-        };
-
         // Offered inputs to component i, deduplicated.
-        let mut offers: Vec<SignalSet> = Vec::new();
-        for t in others.automaton.transitions_from(os) {
-            let offered = match &t.guard {
-                Guard::Exact(l) => l.outputs.intersection(own_in),
-                Guard::Family(f) => f.out_must.intersection(own_in),
-            };
-            if !offers.contains(&offered) {
-                offers.push(offered);
-            }
-        }
+        let Some(offers) = rest.offers(
+            i,
+            closures,
+            &proj_tuple,
+            own_in,
+            &config.compose,
+            &mut stats.probe_rows_expanded,
+        )?
+        else {
+            continue; // optimistic configuration unreachable: skip
+        };
 
         let name = unit.component.name().to_owned();
         // Drive the confirmed prefix plus one step with each offered input
@@ -259,7 +339,14 @@ pub(crate) fn probe_frontier(
             }
         }
     }
-    if joint_step_exists(u, context, dead_tuple[0], learned, &frontier_states, config)? {
+    if joint_step_exists(
+        u,
+        rest.context,
+        dead_tuple[0],
+        learned,
+        &frontier_states,
+        config,
+    )? {
         Ok(FrontierResult::Progress {
             component: "resolved by earlier learning".to_owned(),
             probes: total_probes,
@@ -343,4 +430,128 @@ fn joint_step_exists(
     let comp = compose(&refs, &config.compose)?;
     let init = comp.automaton.initial_states()[0];
     Ok(!comp.automaton.transitions_from(init).is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use muml_automata::{chaotic_closure, AutomatonBuilder, Observation};
+
+    /// The offers of the rest of the system at `tuple`, read the way
+    /// probing read them before its products were kept across the run: a
+    /// fresh `compose` per probe and a scan of its origin tuples.
+    fn fresh_offers(
+        parts: &[&Automaton],
+        tuple: &[u32],
+        own_in: SignalSet,
+    ) -> Option<Vec<SignalSet>> {
+        let comp = compose(parts, &ComposeOptions::default()).unwrap();
+        let tuple: Vec<StateId> = tuple.iter().map(|&s| StateId(s)).collect();
+        let s = comp.origin.iter().position(|t| *t == tuple)?;
+        let mut offers: Vec<SignalSet> = Vec::new();
+        for t in comp.automaton.transitions_from(StateId(s as u32)) {
+            let offered = match &t.guard {
+                Guard::Exact(l) => l.outputs.intersection(own_in),
+                Guard::Family(f) => f.out_must.intersection(own_in),
+            };
+            if !offers.contains(&offered) {
+                offers.push(offered);
+            }
+        }
+        Some(offers)
+    }
+
+    /// Reads every configuration of every unit's rest of the system (the
+    /// unreachable ones included) through `rest` and compares it with a
+    /// fresh composition. Returns the rows each unit's product expanded.
+    fn offers_match_fresh_compose(
+        rest: &mut RestProducts<'_>,
+        ctx: &Automaton,
+        learned: &[IncompleteAutomaton; 2],
+    ) -> [usize; 2] {
+        let closures = learned.each_ref().map(|m| chaotic_closure(m, None));
+        let refs: Vec<&Automaton> = closures.iter().collect();
+        let mut rows = [0; 2];
+        for (i, unit_rows) in rows.iter_mut().enumerate() {
+            let sibling = refs[1 - i];
+            let own_in = refs[i].inputs();
+            for c in 0..ctx.state_count() as u32 {
+                for s in 0..sibling.state_count() as u32 {
+                    let tuple = [c, s];
+                    let offers = rest
+                        .offers(
+                            i,
+                            &refs,
+                            &tuple,
+                            own_in,
+                            &ComposeOptions::default(),
+                            unit_rows,
+                        )
+                        .unwrap();
+                    assert_eq!(
+                        offers,
+                        fresh_offers(&[ctx, sibling], &tuple, own_in),
+                        "unit {i} at {tuple:?}"
+                    );
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn reused_products_offer_what_a_fresh_compose_offers() {
+        let u = Universe::new();
+        let ctx = AutomatonBuilder::new(&u, "ctx")
+            .outputs(["cmd1", "cmd2"])
+            .inputs(["ack1", "ack2"])
+            .state("s0")
+            .initial("s0")
+            .state("s1")
+            .state("s2")
+            .state("s3")
+            .transition("s0", [], ["cmd1"], "s1")
+            .transition("s1", ["ack1"], ["cmd2"], "s2")
+            .transition("s2", ["ack2"], [], "s3")
+            .transition("s3", [], ["cmd1"], "s1")
+            .build()
+            .unwrap();
+        let unit = |name: &str, cmd: &str, ack: &str| {
+            IncompleteAutomaton::trivial(&u, name, u.signals([cmd]), u.signals([ack]), "idle")
+        };
+        let mut learned = [unit("l1", "cmd1", "ack1"), unit("l2", "cmd2", "ack2")];
+        let mut rest = RestProducts::new(&ctx, 2);
+
+        let first = offers_match_fresh_compose(&mut rest, &ctx, &learned);
+        assert!(first.iter().all(|&rows| rows > 0), "{first:?}");
+        // Nothing learned: both products are reused and fully expanded.
+        assert_eq!(
+            offers_match_fresh_compose(&mut rest, &ctx, &learned),
+            [0, 0]
+        );
+
+        // The second unit learns: the first unit's product is rebuilt from
+        // the new sibling closure, the second unit's is still reused.
+        let cmd2 = Label::new(u.signals(["cmd2"]), SignalSet::EMPTY);
+        learned[1]
+            .learn(&Observation::regular(
+                vec!["idle".into(), "got".into()],
+                vec![cmd2],
+            ))
+            .unwrap();
+        let after = offers_match_fresh_compose(&mut rest, &ctx, &learned);
+        assert!(after[0] > 0, "{after:?}");
+        assert_eq!(after[1], 0, "{after:?}");
+
+        // And a refusal on the first unit rebuilds only the second's.
+        learned[0]
+            .learn(&Observation::blocked(
+                vec!["idle".into()],
+                vec![Label::new(SignalSet::EMPTY, u.signals(["ack1"]))],
+            ))
+            .unwrap();
+        let after = offers_match_fresh_compose(&mut rest, &ctx, &learned);
+        assert_eq!(after[0], 0, "{after:?}");
+        assert!(after[1] > 0, "{after:?}");
+    }
 }

@@ -4,8 +4,8 @@
 
 use muml_automata::{Automaton, AutomatonBuilder, Universe};
 use muml_core::{
-    verify_integration, CoreError, IntegrationConfig, IntegrationVerdict, IterationOutcome,
-    LegacyUnit,
+    verify_integration, CoreError, IntegrationConfig, IntegrationReport, IntegrationVerdict,
+    IterationOutcome, LegacyUnit,
 };
 use muml_legacy::{HiddenMealy, MealyBuilder, PortMap};
 use muml_logic::parse;
@@ -213,6 +213,27 @@ fn two_legacy_components_in_parallel() {
     assert_eq!(report.learned.len(), 2);
     // Both components contributed learned behaviour.
     assert!(report.learned_sizes().iter().all(|&(s, _)| s >= 2));
+    // The iteration records are pinned, so keeping the probe's
+    // rest-of-system products across the run (rebuilt when a sibling
+    // learns) cannot change what probing offers and learns.
+    assert_eq!(
+        records(&report),
+        [
+            "[(1, 0, 0), (1, 0, 0)] 16 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 1, 0), (1, 1, 0)] 20 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 2, 1), (2, 2, 0)] 24 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 3, 1), (2, 3, 1)] 16 Proven",
+        ]
+    );
+}
+
+/// One line per iteration: knowledge at its start, product size, outcome.
+fn records(report: &IntegrationReport) -> Vec<String> {
+    report
+        .iterations
+        .iter()
+        .map(|r| format!("{:?} {} {:?}", r.knowledge, r.composed_states, r.outcome))
+        .collect()
 }
 
 #[test]
@@ -262,6 +283,75 @@ fn multi_legacy_fault_in_second_component() {
         }
         v => panic!("expected deadlock fault, got {v:?}"),
     }
+    assert_eq!(
+        records(&report),
+        [
+            "[(1, 0, 0), (1, 0, 0)] 16 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 1, 0), (1, 1, 0)] 20 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 2, 1), (1, 2, 0)] 24 FrontierLearned { component: \"l1\", probes: 2 }",
+            "[(2, 3, 1), (1, 2, 0)] 24 Fault",
+        ]
+    );
+}
+
+/// One legacy unit: the rest of the system is the context alone, so one
+/// product serves every probe of the run and probing expands each context
+/// row at most once, however many probes run.
+#[test]
+fn one_unit_probing_expands_each_context_row_at_most_once() {
+    let u = Universe::new();
+    // A driver that pushes `up` six times and then idles, against a counter
+    // that announces `top` only on its eighth push: every push is a
+    // confirmed deadlock to probe past.
+    let pushes = 6;
+    let mut b = AutomatonBuilder::new(&u, "driver")
+        .output("up")
+        .input("top");
+    for i in 0..=pushes {
+        b = b.state(&format!("d{i}"));
+    }
+    b = b.initial("d0");
+    for i in 0..pushes {
+        b = b.transition(&format!("d{i}"), [], ["up"], &format!("d{}", i + 1));
+    }
+    let ctx = b
+        .transition(&format!("d{pushes}"), [], [], &format!("d{pushes}"))
+        .build()
+        .unwrap();
+    let n = 8;
+    let mut b = MealyBuilder::new(&u, "counter").input("up").output("top");
+    for i in 0..n {
+        b = b.state(&format!("c{i}"));
+    }
+    b = b.initial("c0");
+    for i in 0..n - 1 {
+        b = b
+            .rule(&format!("c{i}"), ["up"], [], &format!("c{}", i + 1))
+            .rule(&format!("c{i}"), [], [], &format!("c{i}"));
+    }
+    let top = format!("c{}", n - 1);
+    let mut c = b
+        .rule(&top, ["up"], ["top"], &top)
+        .rule(&top, [], [], &top)
+        .build()
+        .unwrap();
+    let mut units = [LegacyUnit::new(&mut c, PortMap::with_default("port"))];
+    let report =
+        verify_integration(&u, &ctx, &[], &mut units, &IntegrationConfig::default()).unwrap();
+    assert!(report.verdict.proven(), "{:?}", report.verdict);
+    let probed = report
+        .iterations
+        .iter()
+        .filter(|r| matches!(r.outcome, IterationOutcome::FrontierLearned { .. }))
+        .count();
+    assert!(probed >= 2, "{probed} probing iterations");
+    let rows = report.stats.probe_rows_expanded;
+    assert!(rows > 0);
+    assert!(
+        rows <= ctx.state_count(),
+        "{rows} rows expanded over {probed} probes of a {}-state context",
+        ctx.state_count()
+    );
 }
 
 /// A controller that fires a trigger and then waits for a response; used

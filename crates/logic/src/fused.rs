@@ -54,8 +54,8 @@ use crate::error::LogicError;
 /// Work accounting of one fused check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedReport {
-    /// Product rows actually expanded (each row is one `expand_tuple`
-    /// solve over the component transition combinations).
+    /// Product rows actually expanded (each row is one row-kernel solve
+    /// over the component transition combinations).
     pub states_expanded: usize,
     /// Product states discovered (interned) — expanded rows plus frontier
     /// states whose rows were never needed.

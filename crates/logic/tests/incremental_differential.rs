@@ -199,7 +199,7 @@ fn randomized_learn_loops_match_cold_rebuilds() {
         let mut refused: HashMap<(String, Label), ()> = HashMap::new();
         let mut fresh = 0usize;
 
-        let mut cache = CompositionCache::new();
+        let mut cache = CompositionCache::new(&ctx);
         // Quarter of the seeds force the cold fallback, quarter maximise
         // splicing, the rest keep the production default.
         let forced_cold = seed % 4 == 3;
@@ -220,7 +220,7 @@ fn randomized_learn_loops_match_cold_rebuilds() {
             }
             let deltas = [m.take_delta()];
             let (info, carry) = cache
-                .recompose(&ctx, std::slice::from_ref(&m), &deltas, None, &opts, true)
+                .recompose(std::slice::from_ref(&m), &deltas, None, &opts, true)
                 .expect("recompose succeeds");
             if info.mode == RecomposeMode::Incremental {
                 incremental_recomposes += 1;

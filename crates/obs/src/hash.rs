@@ -1,0 +1,28 @@
+//! The workspace's one content hash: FNV-1a, 64-bit.
+//!
+//! The store names snapshots by the FNV-1a-64 of a component's canonical
+//! signature and the serve journal checksums every frame with it. Both
+//! depend on the exact bytes this function produces, so it is pinned to the
+//! published FNV-1a test vectors below.
+
+/// FNV-1a, 64-bit, over `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matches_the_published_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

@@ -424,6 +424,37 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_characters_next_to_escapes_round_trip() {
+        for text in [
+            "é\\\"ü",
+            "\"€",
+            "日本\n語",
+            "x\u{1}ÿ",
+            "🚃 runs, 🚃",
+            "ends in ß",
+            "ä",
+        ] {
+            let encoded = Json::Str(text.into()).encode();
+            assert_eq!(parse(&encoded).unwrap(), Json::Str(text.into()), "{text}");
+        }
+        // A multi-byte character right before an escape, and one right
+        // after an escape and right before the closing quote.
+        assert_eq!(parse("\"aé\\tb\"").unwrap(), Json::Str("aé\tb".into()));
+        assert_eq!(parse("\"\\\"é\"").unwrap(), Json::Str("\"é".into()));
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        assert_eq!(
+            parse("\"a\\u00e9b\\u20ACc\\u0041\"").unwrap(),
+            Json::Str("aéb€cA".into())
+        );
+        assert!(parse("\"\\u00\"").is_err());
+        assert!(parse("\"\\uZZZZ\"").is_err());
+        assert!(parse("\"\\ud800\"").is_err());
+    }
+
+    #[test]
     fn control_characters_escape_as_hex() {
         let text = Json::Str("\u{1}".into()).encode();
         assert_eq!(text, "\"\\u0001\"");

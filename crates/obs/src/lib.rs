@@ -18,6 +18,8 @@
 //!   sinks.
 //! * [`Phase`] / [`PhaseTimings`] / [`PhaseTimer`] — monotonic per-phase
 //!   timers, aggregated by the driver into its run statistics.
+//! * [`fnv1a64`] — the FNV-1a-64 content hash the store's snapshot names
+//!   and the serve journal's frame checksums share.
 //! * [`json`] — a dependency-free JSON value type with an encoder and a
 //!   parser. (The workspace builds hermetically without a crate registry,
 //!   so `serde`/`serde_json` are intentionally not used; this module is the
@@ -27,6 +29,7 @@
 
 mod event;
 mod fleet;
+mod hash;
 pub mod json;
 mod render;
 mod sink;
@@ -34,6 +37,7 @@ mod timer;
 
 pub use event::{LoopEvent, RunOutcome};
 pub use fleet::{render_fleet_event, FleetCollector, FleetEvent, FleetSink, NullFleetSink};
+pub use hash::fnv1a64;
 pub use render::{render_event, Renderer};
 pub use sink::{Collector, EventSink, JsonWriter, NullSink, SharedSink, Tee};
 pub use timer::{Phase, PhaseTimer, PhaseTimings};

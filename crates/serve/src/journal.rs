@@ -42,6 +42,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use muml_fleet::JobRequest;
+use muml_obs::fnv1a64;
 use muml_obs::json::{parse, Json};
 
 use crate::protocol::{Priority, VerdictRecord};
@@ -153,17 +154,6 @@ impl JournalRecord {
             _ => None,
         }
     }
-}
-
-/// FNV-1a 64 over the payload bytes (same hash family as the store's
-/// content addresses; hand-rolled — no external crates in this workspace).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Encodes one record as a binary frame (length + checksum + payload).

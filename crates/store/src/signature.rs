@@ -11,6 +11,7 @@
 
 use muml_automata::Universe;
 use muml_legacy::{HiddenMealy, LegacyComponent, MealyRule, StateObservable};
+use muml_obs::fnv1a64;
 use muml_obs::json::Json;
 
 /// One canonicalized interpreter rule of a [`ComponentSignature`].
@@ -235,16 +236,6 @@ pub(crate) fn str_list(json: &Json, key: &str) -> Result<Vec<String>, String> {
             .collect(),
         _ => Err(format!("missing or non-array field `{key}`")),
     }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
