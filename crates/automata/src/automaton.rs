@@ -25,9 +25,10 @@ impl StateId {
     }
 }
 
-/// Per-state data: a display name and the atomic propositions holding in it.
+/// Per-state data handed to [`Automaton::from_rows`]: a display name and
+/// the atomic propositions holding in it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StateData {
+pub(crate) struct StateData {
     /// Human-readable name (e.g. `noConvoy::default`).
     pub name: String,
     /// The labelling `L(s)`.
@@ -44,12 +45,36 @@ pub struct Transition {
     pub to: StateId,
 }
 
+/// Where one state's row lives in [`Automaton`]'s transition buffer: `len`
+/// transitions from `start`, in a slot of `cap` entries.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Filler for transition-buffer entries no row holds.
+fn vacant() -> Transition {
+    Transition {
+        guard: Guard::Exact(Label::EMPTY),
+        to: StateId(u32::MAX),
+    }
+}
+
 /// A finite discrete-time I/O automaton with state labelling.
 ///
 /// Construct via [`AutomatonBuilder`](crate::AutomatonBuilder). The struct is
 /// immutable after construction; all kernel operations
 /// ([`compose`](crate::compose), [`refines`](crate::refines),
 /// [`chaotic_closure`](crate::chaotic_closure), …) produce new automata.
+///
+/// Storage is flat: all state names share one string buffer, and all rows
+/// share one transition buffer in which each state owns a slot. Adding a
+/// state or rewriting a row (what the crate's incremental products and
+/// patched closures do) therefore allocates nothing per state: a rewritten
+/// row stays in its slot when it fits, and otherwise moves to a vacated
+/// slot of the right size class or to a fresh power-of-two slot at the end.
 ///
 /// # Examples
 ///
@@ -75,9 +100,19 @@ pub struct Automaton {
     pub(crate) name: String,
     pub(crate) inputs: SignalSet,
     pub(crate) outputs: SignalSet,
-    pub(crate) states: Vec<StateData>,
-    /// Outgoing adjacency: `adj[s]` are the transitions leaving state `s`.
-    pub(crate) adj: Vec<Vec<Transition>>,
+    /// State names back to back: state `s` is `names[name_end[s-1]..name_end[s]]`.
+    names: String,
+    name_end: Vec<u32>,
+    /// The labelling `L(s)` per state.
+    props: Vec<PropSet>,
+    /// Every row's transitions; row `s` is `trans[rows[s].start..][..rows[s].len]`.
+    trans: Vec<Transition>,
+    rows: Vec<Span>,
+    /// Transitions held by rows; the rest of `trans` is vacant.
+    live: usize,
+    /// Vacated slots `(start, cap)` by size class: `free[c]` holds slots
+    /// with `cap` in `[2^c, 2^(c+1))`.
+    free: Vec<Vec<(u32, u32)>>,
     pub(crate) initial: Vec<StateId>,
 }
 
@@ -104,40 +139,36 @@ impl Automaton {
 
     /// Number of states `|S|`.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.props.len()
     }
 
     /// Total number of transition entries (symbolic families count once).
     pub fn transition_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
+        self.live
     }
 
     /// Iterates over all state ids.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> + '_ {
-        (0..self.states.len() as u32).map(StateId)
-    }
-
-    /// The data of state `s`.
-    pub fn state(&self, s: StateId) -> &StateData {
-        &self.states[s.index()]
+        (0..self.state_count() as u32).map(StateId)
     }
 
     /// The display name of state `s`.
     pub fn state_name(&self, s: StateId) -> &str {
-        &self.states[s.index()].name
+        let start = match s.index() {
+            0 => 0,
+            i => self.name_end[i - 1] as usize,
+        };
+        &self.names[start..self.name_end[s.index()] as usize]
     }
 
     /// The labelling `L(s)`.
     pub fn props_of(&self, s: StateId) -> PropSet {
-        self.states[s.index()].props
+        self.props[s.index()]
     }
 
     /// Looks up a state id by name.
     pub fn find_state(&self, name: &str) -> Option<StateId> {
-        self.states
-            .iter()
-            .position(|d| d.name == name)
-            .map(|i| StateId(i as u32))
+        self.state_ids().find(|&s| self.state_name(s) == name)
     }
 
     /// The initial state set `Q`.
@@ -147,26 +178,27 @@ impl Automaton {
 
     /// The outgoing transitions of state `s`.
     pub fn transitions_from(&self, s: StateId) -> &[Transition] {
-        &self.adj[s.index()]
+        let Span { start, len, .. } = self.rows[s.index()];
+        &self.trans[start as usize..(start + len) as usize]
     }
 
     /// Iterates over all `(source, transition)` pairs.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, &Transition)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ts)| ts.iter().map(move |t| (StateId(i as u32), t)))
+        self.state_ids()
+            .flat_map(move |s| self.transitions_from(s).iter().map(move |t| (s, t)))
     }
 
     /// Returns `true` if state `s` enables the concrete label `(A, B)`, i.e.
     /// a transition `(s, A, B, s')` exists.
     pub fn enables(&self, s: StateId, label: Label) -> bool {
-        self.adj[s.index()].iter().any(|t| t.guard.admits(label))
+        self.transitions_from(s)
+            .iter()
+            .any(|t| t.guard.admits(label))
     }
 
     /// All successor states of `s` under the concrete label `(A, B)`.
     pub fn successors(&self, s: StateId, label: Label) -> Vec<StateId> {
-        self.adj[s.index()]
+        self.transitions_from(s)
             .iter()
             .filter(|t| t.guard.admits(label))
             .map(|t| t.to)
@@ -176,7 +208,7 @@ impl Automaton {
     /// Returns `true` if `s` has no outgoing transition at all — a deadlock
     /// state in the sense used for the `δ` predicate.
     pub fn is_deadlock(&self, s: StateId) -> bool {
-        self.adj[s.index()].iter().all(|t| match &t.guard {
+        self.transitions_from(s).iter().all(|t| match &t.guard {
             Guard::Exact(_) => false,
             Guard::Family(f) => f.is_empty(),
         })
@@ -197,7 +229,8 @@ impl Automaton {
         if self.initial.len() != 1 {
             return self.initial.first().copied().or(Some(StateId(0)));
         }
-        for (i, ts) in self.adj.iter().enumerate() {
+        for s in self.state_ids() {
+            let ts = self.transitions_from(s);
             for (a, ta) in ts.iter().enumerate() {
                 for tb in &ts[a + 1..] {
                     if ta.to == tb.to && ta.guard == tb.guard {
@@ -207,7 +240,7 @@ impl Automaton {
                     let fb = tb.guard.to_family();
                     if let Some(ix) = fa.intersect(&fb) {
                         if !ix.is_empty() {
-                            return Some(StateId(i as u32));
+                            return Some(s);
                         }
                     }
                 }
@@ -218,18 +251,16 @@ impl Automaton {
 
     /// Returns `true` if every transition guard is an exact label.
     pub fn is_concrete(&self) -> bool {
-        self.adj
-            .iter()
-            .flatten()
-            .all(|t| matches!(t.guard, Guard::Exact(_)))
+        self.transitions()
+            .all(|(_, t)| matches!(t.guard, Guard::Exact(_)))
     }
 
     /// The union of all propositions used in any state labelling — the label
     /// set `𝓛(M)` of Section 2.1.
     pub fn prop_support(&self) -> PropSet {
-        self.states
+        self.props
             .iter()
-            .fold(PropSet::EMPTY, |acc, d| acc.union(d.props))
+            .fold(PropSet::EMPTY, |acc, &p| acc.union(p))
     }
 
     /// Checks composability with `other`: `I ∩ I' = ∅` and `O ∩ O' = ∅`
@@ -248,7 +279,7 @@ impl Automaton {
 
     /// Returns the set of states reachable from `Q`.
     pub fn reachable_states(&self) -> Vec<StateId> {
-        let mut seen = vec![false; self.states.len()];
+        let mut seen = vec![false; self.state_count()];
         let mut stack: Vec<StateId> = self.initial.clone();
         let mut out = Vec::new();
         for &s in &self.initial {
@@ -256,7 +287,7 @@ impl Automaton {
         }
         while let Some(s) = stack.pop() {
             out.push(s);
-            for t in &self.adj[s.index()] {
+            for t in self.transitions_from(s) {
                 if !seen[t.to.index()] {
                     seen[t.to.index()] = true;
                     stack.push(t.to);
@@ -271,41 +302,13 @@ impl Automaton {
     /// (Definition 3 requires composition results to be trimmed this way).
     #[must_use]
     pub fn trim(&self) -> Automaton {
-        let reach = self.reachable_states();
-        let mut remap = vec![None; self.states.len()];
-        for (new, &old) in reach.iter().enumerate() {
-            remap[old.index()] = Some(StateId(new as u32));
+        let mut keep = vec![false; self.state_count()];
+        for s in self.reachable_states() {
+            keep[s.index()] = true;
         }
-        let states = reach
-            .iter()
-            .map(|&s| self.states[s.index()].clone())
-            .collect();
-        let adj = reach
-            .iter()
-            .map(|&s| {
-                self.adj[s.index()]
-                    .iter()
-                    .map(|t| Transition {
-                        guard: t.guard.clone(),
-                        to: remap[t.to.index()].expect("target of reachable state is reachable"),
-                    })
-                    .collect()
-            })
-            .collect();
-        let initial = self
-            .initial
-            .iter()
-            .filter_map(|s| remap[s.index()])
-            .collect();
-        Automaton {
-            universe: self.universe.clone(),
-            name: self.name.clone(),
-            inputs: self.inputs,
-            outputs: self.outputs,
-            states,
-            adj,
-            initial,
-        }
+        let mut out = self.clone();
+        out.retain_states(&keep);
+        out
     }
 
     /// Replaces the outgoing transitions of state `s`.
@@ -320,7 +323,7 @@ impl Automaton {
     pub fn replace_transitions(&mut self, s: StateId, transitions: Vec<Transition>) {
         for t in &transitions {
             assert!(
-                t.to.index() < self.states.len(),
+                t.to.index() < self.state_count(),
                 "transition target out of range"
             );
             assert!(
@@ -329,7 +332,241 @@ impl Automaton {
                 "transition guard leaves the declared interface"
             );
         }
-        self.adj[s.index()] = transitions;
+        let mut row = transitions;
+        self.set_row(s, &mut row);
+    }
+
+    /// Assembles an automaton from per-state data and rows.
+    pub(crate) fn from_rows(
+        universe: Universe,
+        name: String,
+        (inputs, outputs): (SignalSet, SignalSet),
+        states: Vec<StateData>,
+        adj: Vec<Vec<Transition>>,
+        initial: Vec<StateId>,
+    ) -> Automaton {
+        debug_assert_eq!(states.len(), adj.len(), "one row per state");
+        let mut m = Automaton::empty(universe, name, (inputs, outputs), initial);
+        m.trans.reserve(adj.iter().map(Vec::len).sum());
+        for (data, row) in states.into_iter().zip(adj) {
+            let s = m.push_state(data.props, |buf| buf.push_str(&data.name));
+            for t in row {
+                m.push_transition(s, t);
+            }
+        }
+        m
+    }
+
+    /// An automaton without states, to be filled by [`Self::push_state`]
+    /// and [`Self::push_transition`].
+    pub(crate) fn empty(
+        universe: Universe,
+        name: String,
+        (inputs, outputs): (SignalSet, SignalSet),
+        initial: Vec<StateId>,
+    ) -> Automaton {
+        Automaton {
+            universe,
+            name,
+            inputs,
+            outputs,
+            names: String::new(),
+            name_end: Vec::new(),
+            props: Vec::new(),
+            trans: Vec::new(),
+            rows: Vec::new(),
+            live: 0,
+            free: Vec::new(),
+            initial,
+        }
+    }
+
+    /// Reserves room for `states` more states and `transitions` more
+    /// transitions.
+    pub(crate) fn reserve(&mut self, states: usize, transitions: usize) {
+        self.name_end.reserve(states);
+        self.props.reserve(states);
+        self.rows.reserve(states);
+        self.trans.reserve(transitions);
+    }
+
+    /// Appends a state with an empty row; `name` writes its display name
+    /// into the shared name buffer.
+    pub(crate) fn push_state(&mut self, props: PropSet, name: impl FnOnce(&mut String)) -> StateId {
+        let s = StateId(self.props.len() as u32);
+        name(&mut self.names);
+        self.name_end
+            .push(u32::try_from(self.names.len()).expect("state names exceed the u32 range"));
+        self.props.push(props);
+        self.rows.push(Span::default());
+        s
+    }
+
+    /// Sets the labelling of state `s`.
+    pub(crate) fn set_props(&mut self, s: StateId, props: PropSet) {
+        self.props[s.index()] = props;
+    }
+
+    /// Appends `t` to the row of `s` while building rows one after the
+    /// other at the end of the buffer: the row must be empty or the last
+    /// one built this way.
+    pub(crate) fn push_transition(&mut self, s: StateId, t: Transition) {
+        let end = u32::try_from(self.trans.len()).expect("transitions exceed the u32 range");
+        let row = &mut self.rows[s.index()];
+        if row.cap == 0 {
+            row.start = end;
+        }
+        debug_assert!(
+            row.start + row.cap == end && row.len == row.cap,
+            "rows are built one at a time, at the end of the buffer"
+        );
+        row.len += 1;
+        row.cap += 1;
+        self.live += 1;
+        self.trans.push(t);
+    }
+
+    /// Replaces the row of `s` with the transitions in `row`, draining it
+    /// (so a caller can reuse one scratch row for every state). The row
+    /// keeps its slot when it fits, takes a vacated slot of its size class
+    /// otherwise, or a fresh power-of-two slot at the end of the buffer.
+    pub(crate) fn set_row(&mut self, s: StateId, row: &mut Vec<Transition>) {
+        let mut span = self.rows[s.index()];
+        if row.len() > span.cap as usize {
+            self.vacate(span);
+            span = self.slot(row.len());
+        } else {
+            let (from, to) = (
+                (span.start as usize) + row.len(),
+                (span.start + span.len) as usize,
+            );
+            for t in self.trans.get_mut(from..to).unwrap_or_default() {
+                *t = vacant();
+            }
+            self.live -= span.len as usize;
+        }
+        span.len = row.len() as u32;
+        self.live += row.len();
+        let slots = &mut self.trans[span.start as usize..];
+        for (slot, t) in slots.iter_mut().zip(row.drain(..)) {
+            *slot = t;
+        }
+        self.rows[s.index()] = span;
+    }
+
+    /// Empties the row of `s`, vacating its slot.
+    pub(crate) fn clear_row(&mut self, s: StateId) {
+        let span = std::mem::take(&mut self.rows[s.index()]);
+        self.vacate(span);
+    }
+
+    /// Vacates a row's slot and files it in the free lists.
+    fn vacate(&mut self, span: Span) {
+        for t in &mut self.trans[span.start as usize..(span.start + span.len) as usize] {
+            *t = vacant();
+        }
+        self.live -= span.len as usize;
+        if span.cap > 0 {
+            let class = span.cap.ilog2() as usize;
+            if self.free.len() <= class {
+                self.free.resize_with(class + 1, Vec::new);
+            }
+            self.free[class].push((span.start, span.cap));
+        }
+    }
+
+    /// An empty slot for at least `len` transitions: a vacated one whose
+    /// size class guarantees the room, or a power-of-two slot appended.
+    fn slot(&mut self, len: usize) -> Span {
+        if len == 0 {
+            return Span::default();
+        }
+        let class = len.next_power_of_two().trailing_zeros() as usize;
+        if let Some((start, cap)) = self.free.get_mut(class).and_then(Vec::pop) {
+            return Span { start, len: 0, cap };
+        }
+        let start = u32::try_from(self.trans.len()).expect("transitions exceed the u32 range");
+        let cap = len.next_power_of_two();
+        // Grow by an eighth rather than doubling: the buffer is the
+        // product's largest allocation, and splices append a little at a
+        // time.
+        if self.trans.capacity() < self.trans.len() + cap {
+            self.trans.reserve_exact(cap + self.trans.len() / 8);
+        }
+        self.trans.extend(std::iter::repeat_with(vacant).take(cap));
+        Span {
+            start,
+            len: 0,
+            cap: cap as u32,
+        }
+    }
+
+    /// Repacks the transition buffer row after row once vacant entries
+    /// outnumber live ones, so rewriting rows keeps memory linear in the
+    /// live relation.
+    pub(crate) fn compact_rows(&mut self) {
+        if self.trans.len() - self.live <= self.live {
+            return;
+        }
+        let mut trans = Vec::with_capacity(self.live);
+        for row in &mut self.rows {
+            let start = trans.len() as u32;
+            trans.extend(
+                self.trans[row.start as usize..(row.start + row.len) as usize]
+                    .iter_mut()
+                    .map(|t| std::mem::replace(t, vacant())),
+            );
+            *row = Span {
+                start,
+                len: row.len,
+                cap: row.len,
+            };
+        }
+        self.trans = trans;
+        self.free.clear();
+    }
+
+    /// Keeps exactly the states with `keep[s]`, in order, renumbering
+    /// transition targets and initial states. Kept rows must only target
+    /// kept states; dropped initial states are dropped from `Q`.
+    pub(crate) fn retain_states(&mut self, keep: &[bool]) {
+        let mut remap = vec![u32::MAX; self.state_count()];
+        let mut next = 0u32;
+        for (s, &k) in keep.iter().enumerate() {
+            if k {
+                remap[s] = next;
+                next += 1;
+            }
+        }
+        let name = std::mem::take(&mut self.name);
+        let fresh = Automaton::empty(
+            self.universe.clone(),
+            name,
+            (self.inputs, self.outputs),
+            Vec::new(),
+        );
+        let old = std::mem::replace(self, fresh);
+        self.trans.reserve(old.transition_count());
+        for s in old.state_ids().filter(|s| keep[s.index()]) {
+            let new = self.push_state(old.props_of(s), |buf| buf.push_str(old.state_name(s)));
+            for t in old.transitions_from(s) {
+                let to = remap[t.to.index()];
+                assert!(to != u32::MAX, "a kept row targets a dropped state");
+                self.push_transition(
+                    new,
+                    Transition {
+                        guard: t.guard.clone(),
+                        to: StateId(to),
+                    },
+                );
+            }
+        }
+        self.initial = old
+            .initial
+            .iter()
+            .filter(|q| keep[q.index()])
+            .map(|q| StateId(remap[q.index()]))
+            .collect();
     }
 
     /// Internal validation: every guard stays within the declared interface,
@@ -338,12 +575,13 @@ impl Automaton {
         if self.initial.is_empty() {
             return Err(AutomataError::NoInitialState(self.name.clone()));
         }
-        for (s, ts) in self.adj.iter().enumerate() {
-            for t in ts {
-                if t.to.index() >= self.states.len() {
+        for s in self.state_ids() {
+            for t in self.transitions_from(s) {
+                if t.to.index() >= self.state_count() {
                     return Err(AutomataError::UnknownState(format!(
                         "transition target #{} from state `{}`",
-                        t.to.0, self.states[s].name
+                        t.to.0,
+                        self.state_name(s)
                     )));
                 }
                 if !t.guard.input_support().is_subset(self.inputs)
@@ -353,7 +591,8 @@ impl Automaton {
                         automaton: self.name.clone(),
                         detail: format!(
                             "guard {} on state `{}` leaves interface",
-                            t.guard, self.states[s].name
+                            t.guard,
+                            self.state_name(s)
                         ),
                     });
                 }
@@ -373,8 +612,12 @@ impl PartialEq for Automaton {
             && self.inputs == other.inputs
             && self.outputs == other.outputs
             && self.initial == other.initial
-            && self.states == other.states
-            && self.adj == other.adj
+            && self.state_count() == other.state_count()
+            && self.state_ids().all(|s| {
+                self.state_name(s) == other.state_name(s)
+                    && self.props_of(s) == other.props_of(s)
+                    && self.transitions_from(s) == other.transitions_from(s)
+            })
     }
 }
 
@@ -384,7 +627,7 @@ impl fmt::Debug for Automaton {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Automaton")
             .field("name", &self.name)
-            .field("states", &self.states.len())
+            .field("states", &self.state_count())
             .field("transitions", &self.transition_count())
             .field("initial", &self.initial)
             .finish()
@@ -471,10 +714,12 @@ mod tests {
         let a = u.signal("a");
         let mut m = two_state(&u);
         // add a family transition on s0 that overlaps the exact one
-        m.adj[0].push(Transition {
+        let mut row = m.transitions_from(StateId(0)).to_vec();
+        row.push(Transition {
             guard: Guard::from(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
             to: StateId(0),
         });
+        m.replace_transitions(StateId(0), row);
         assert!(!m.is_deterministic());
     }
 

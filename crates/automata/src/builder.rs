@@ -206,15 +206,14 @@ impl AutomatonBuilder {
             .iter()
             .map(|n| find(n))
             .collect::<Result<Vec<_>>>()?;
-        let m = Automaton {
-            universe: self.universe,
-            name: self.name,
-            inputs: self.inputs,
-            outputs: self.outputs,
-            states: self.states,
+        let m = Automaton::from_rows(
+            self.universe,
+            self.name,
+            (self.inputs, self.outputs),
+            self.states,
             adj,
             initial,
-        };
+        );
         m.validate()?;
         Ok(m)
     }

@@ -73,15 +73,14 @@ pub fn chaotic_automaton(
         ],
         Vec::new(),
     ];
-    Automaton {
-        universe: u.clone(),
-        name: name.to_owned(),
-        inputs,
-        outputs,
+    Automaton::from_rows(
+        u.clone(),
+        name.to_owned(),
+        (inputs, outputs),
         states,
         adj,
-        initial: vec![StateId(0), StateId(1)],
-    }
+        vec![StateId(0), StateId(1)],
+    )
 }
 
 /// Builds the chaotic closure `chaos(M)` of an incomplete automaton
@@ -181,15 +180,14 @@ pub fn chaotic_closure(m: &IncompleteAutomaton, chaos_prop: Option<PropId>) -> A
 
     // The closure *stands in* for the component in compositions and
     // counterexample listings, so it keeps the component's name.
-    Automaton {
-        universe: m.universe().clone(),
-        name: m.name().to_owned(),
-        inputs: m.inputs(),
-        outputs: m.outputs(),
+    Automaton::from_rows(
+        m.universe().clone(),
+        m.name().to_owned(),
+        (m.inputs(), m.outputs()),
         states,
         adj,
         initial,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@ use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::label::{Guard, Label, LabelFamily};
+use crate::lazy::TupleArena;
 use crate::run::{Run, RunKind};
 use crate::signal::SignalSet;
 
@@ -64,16 +65,20 @@ pub struct ComposeStats {
 
 /// The result of a parallel composition: the product automaton plus the
 /// provenance needed to project runs back onto components.
+///
+/// A product built by [`compose`] contains exactly its reachable states.
+/// The product a [`CompositionCache`](crate::CompositionCache) keeps across
+/// learn iterations keeps state ids stable instead, so it may also hold
+/// states that became unreachable: their rows are empty, nothing reachable
+/// leads to them, and [`Composition::reachable_state_count`] excludes them.
 #[derive(Debug, Clone)]
 pub struct Composition {
-    /// The product automaton (trimmed to reachable states).
+    /// The product automaton.
     pub automaton: Automaton,
     /// Names of the composed components, in order.
     pub component_names: Vec<String>,
     /// `(inputs, outputs)` of each component, in order.
     pub interfaces: Vec<(SignalSet, SignalSet)>,
-    /// For each product state, the underlying component states, in order.
-    pub origin: Vec<Vec<StateId>>,
     /// Work counters of the exploration that built this product.
     pub stats: ComposeStats,
     /// The guard-erased transition relation of the product in CSR form
@@ -82,12 +87,29 @@ pub struct Composition {
     /// ([`Checker::with_csr`](https://docs.rs/muml-logic)) borrow it instead
     /// of re-deriving the relation the exploration just enumerated.
     pub csr: Csr,
+    /// The component-state tuple of every product state, interned.
+    pub(crate) tuples: TupleArena,
+    /// Number of states reachable from the initial states.
+    pub(crate) reachable: usize,
 }
 
 impl Composition {
+    /// The component states underlying product state `s`, in component
+    /// order.
+    pub fn tuple(&self, s: StateId) -> &[u32] {
+        self.tuples.tuple(s.0)
+    }
+
     /// The component state of product state `s` for component `idx`.
     pub fn component_state(&self, s: StateId, idx: usize) -> StateId {
-        self.origin[s.index()][idx]
+        StateId(self.tuple(s)[idx])
+    }
+
+    /// Number of product states reachable from the initial states — the
+    /// size of the product the loop reports, whatever else the automaton
+    /// keeps.
+    pub fn reachable_state_count(&self) -> usize {
+        self.reachable
     }
 
     /// Index of a component by name.
@@ -118,10 +140,11 @@ impl Composition {
     /// Renders a product state in the style of the paper's listings:
     /// `shuttle1.noConvoy, shuttle2.s_all`.
     pub fn show_state(&self, s: StateId, components: &[&Automaton]) -> String {
-        let parts: Vec<String> = self.origin[s.index()]
+        let parts: Vec<String> = self
+            .tuple(s)
             .iter()
             .zip(components)
-            .map(|(&cs, c)| format!("{}.{}", c.name(), c.state_name(cs)))
+            .map(|(&cs, c)| format!("{}.{}", c.name(), c.state_name(StateId(cs))))
             .collect();
         parts.join(", ")
     }
@@ -569,24 +592,28 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
         .map(|p| p.name().to_owned())
         .collect::<Vec<_>>()
         .join("||");
-    let automaton = Automaton {
+    let automaton = Automaton::from_rows(
         universe,
         name,
-        inputs: all_inputs,
-        outputs: all_outputs,
+        (all_inputs, all_outputs),
         states,
         adj,
         initial,
-    };
+    );
     automaton.validate()?;
     let csr = Csr::of(&automaton);
+    let mut tuples = TupleArena::new(parts.len());
+    for t in &origin {
+        tuples.intern(&t.iter().map(|s| s.0).collect::<Vec<_>>());
+    }
     Ok(Composition {
+        reachable: automaton.state_count(),
         automaton,
         component_names: parts.iter().map(|p| p.name().to_owned()).collect(),
         interfaces: parts.iter().map(|p| (p.inputs(), p.outputs())).collect(),
-        origin,
         stats,
         csr,
+        tuples,
     })
 }
 

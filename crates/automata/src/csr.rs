@@ -6,7 +6,9 @@
 //! the checker's stutter self-loops added at deadlock states — into four
 //! flat arrays: successor offsets/targets and predecessor offsets/sources.
 //! Building it is `O(V + E log E)`; every later traversal is a cache-friendly
-//! slice walk instead of a per-state `Vec<Vec<_>>` pointer chase.
+//! slice walk instead of a per-state `Vec<Vec<_>>` pointer chase. A relation
+//! can also be assembled row by row ([`Csr::from_rows`]), which is how the
+//! incremental product re-sorts only the rows a learn step changed.
 //!
 //! Products built by [`compose`](crate::compose) carry their CSR (see
 //! [`Composition::csr`](crate::Composition)), so a checker constructed from
@@ -36,39 +38,65 @@ pub struct Csr {
     deadlocked: Vec<bool>,
 }
 
+/// Appends the sorted, deduplicated targets of `s`'s live transitions
+/// (those whose guard admits at least one label) to `out`.
+pub(crate) fn live_targets(m: &Automaton, s: usize, out: &mut Vec<u32>) {
+    let start = out.len();
+    for t in m.transitions_from(crate::StateId(s as u32)) {
+        let live = match &t.guard {
+            Guard::Exact(_) => true,
+            Guard::Family(f) => !f.is_empty(),
+        };
+        if live {
+            out.push(t.to.0);
+        }
+    }
+    // Sort-and-dedup keeps the per-state cost at O(d log d) even for the
+    // fat out-degrees chaotic closures produce.
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
 impl Csr {
     /// Builds the CSR relation of `m`.
     pub fn of(m: &Automaton) -> Csr {
-        let n = m.state_count();
-        // First pass: deduplicated successor lists. Sort-and-dedup keeps the
-        // per-state cost at O(d log d) even for the fat out-degrees chaotic
-        // closures produce (a linear `contains` scan per edge is O(d²)).
+        Csr::from_rows(m.state_count(), |s, out| live_targets(m, s, out))
+    }
+
+    /// Builds the relation of `n` states from their successor lists:
+    /// `row(s, out)` appends state `s`'s sorted, deduplicated live
+    /// successors to `out` (nothing for a deadlock). Rows are concatenated
+    /// as given, deadlocks get their stutter loop, and predecessors are
+    /// inverted by counting sort — `O(V + E)` beyond what `row` costs, so a
+    /// caller that kept most rows from a previous relation (the
+    /// incremental product copies them from its last CSR) pays the sort
+    /// only for the rows that changed.
+    pub(crate) fn from_rows(n: usize, mut row: impl FnMut(usize, &mut Vec<u32>)) -> Csr {
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ: Vec<u32> = Vec::new();
         let mut deadlocked = vec![false; n];
         succ_off.push(0u32);
-        let mut scratch: Vec<u32> = Vec::new();
-        for s in m.state_ids() {
-            scratch.clear();
-            for t in m.transitions_from(s) {
-                let live = match &t.guard {
-                    Guard::Exact(_) => true,
-                    Guard::Family(f) => !f.is_empty(),
-                };
-                if live {
-                    scratch.push(t.to.0);
-                }
+        for (s, dead) in deadlocked.iter_mut().enumerate() {
+            let start = succ.len();
+            row(s, &mut succ);
+            debug_assert!(
+                succ[start..].windows(2).all(|w| w[0] < w[1]),
+                "row {s} is not sorted and deduplicated"
+            );
+            if succ.len() == start {
+                *dead = true;
+                succ.push(s as u32); // stutter
             }
-            scratch.sort_unstable();
-            scratch.dedup();
-            if scratch.is_empty() {
-                deadlocked[s.index()] = true;
-                scratch.push(s.0); // stutter
-            }
-            succ.extend_from_slice(&scratch);
             succ_off.push(succ.len() as u32);
         }
-        // Second pass: invert into predecessor lists by counting sort.
+        // Invert into predecessor lists by counting sort.
         let mut pred_off = vec![0u32; n + 1];
         for &t in &succ {
             pred_off[t as usize + 1] += 1;
@@ -90,6 +118,16 @@ impl Csr {
             pred_off,
             pred,
             deadlocked,
+        }
+    }
+
+    /// The successor list `s` had when this relation was built, as
+    /// [`Csr::from_rows`] takes it: empty for a deadlock (no stutter loop).
+    pub(crate) fn row(&self, s: usize) -> &[u32] {
+        if self.deadlocked[s] {
+            &[]
+        } else {
+            self.successors(s)
         }
     }
 
@@ -212,15 +250,15 @@ mod tests {
         // vacuous product; the CSR must degrade gracefully rather than
         // index out of bounds.
         let u = Universe::new();
-        let m = Automaton {
-            universe: u.clone(),
-            name: "empty".to_owned(),
-            inputs: crate::signal::SignalSet::EMPTY,
-            outputs: crate::signal::SignalSet::EMPTY,
-            states: Vec::new(),
-            adj: Vec::new(),
-            initial: Vec::new(),
-        };
+        let m = Automaton::empty(
+            u.clone(),
+            "empty".to_owned(),
+            (
+                crate::signal::SignalSet::EMPTY,
+                crate::signal::SignalSet::EMPTY,
+            ),
+            Vec::new(),
+        );
         let csr = Csr::of(&m);
         assert_eq!(csr.state_count(), 0);
         assert_eq!(csr.edge_count(), 0);

@@ -158,15 +158,14 @@ pub fn determinize_with(m: &Automaton, opts: &DeterminizeOptions) -> Result<Auto
         }
     }
 
-    let out = Automaton {
-        universe: m.universe().clone(),
-        name: format!("{}~det", m.name()),
-        inputs: m.inputs(),
-        outputs: m.outputs(),
+    let out = Automaton::from_rows(
+        m.universe().clone(),
+        format!("{}~det", m.name()),
+        (m.inputs(), m.outputs()),
         states,
         adj,
-        initial: vec![initial],
-    };
+        vec![initial],
+    );
     out.validate()?;
     Ok(out)
 }

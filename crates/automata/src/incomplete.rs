@@ -637,15 +637,14 @@ impl IncompleteAutomaton {
                     .collect()
             })
             .collect();
-        Automaton {
-            universe: self.universe.clone(),
-            name: self.name.clone(),
-            inputs: self.inputs,
-            outputs: self.outputs,
+        Automaton::from_rows(
+            self.universe.clone(),
+            self.name.clone(),
+            (self.inputs, self.outputs),
             states,
             adj,
-            initial: self.initial.clone(),
-        }
+            self.initial.clone(),
+        )
     }
 }
 

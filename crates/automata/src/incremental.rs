@@ -13,35 +13,43 @@
 //!   is equal to a fresh [`chaotic_closure`](crate::chaotic_closure) up to a
 //!   renaming of state ids (new copies sit at the end instead of
 //!   interleaved), which composition is insensitive to.
-//! * [`CompositionCache`] borrows its context for its whole lifetime, keeps
-//!   the previous product, invalidates only rows whose origin tuple touches
-//!   a dirty closure state, re-expands those rows with the shared
-//!   [`compose`](crate::compose) row kernel, explores any
-//!   genuinely new frontier, and finally renumbers the product into the
-//!   exact state order a cold rebuild would produce — so the resulting
-//!   [`Composition`] is *identical* (states, ids, transition order,
-//!   counterexamples) to `compose(&parts, opts)` on the fresh closures.
+//! * [`CompositionCache`] borrows its context for its whole lifetime and
+//!   updates one product in place. Product state ids are stable: the
+//!   product numbers its states through the same tuple arena and interner
+//!   a cold [`compose`] fills, rows whose origin tuple touches a dirty
+//!   closure state are cleared and re-expanded where they stand with the
+//!   shared row kernel, and newly reached tuples are appended. One pass
+//!   over the successors from the initial states then finds the reachable
+//!   part; rows that fell out of it are cleared (and re-expanded if a later
+//!   splice reaches them again), and the CSR relation is re-sorted only for
+//!   the rows that changed. The product is the one a cold rebuild yields
+//!   up to a renaming of states: the same initial order, and for every
+//!   reachable state the same tuple, name, props and row in emit order.
+//!   Nothing downstream reads state numbers — the checker's verdicts and
+//!   witnesses start from the initial states and walk rows in emit order,
+//!   and listings, projections and probes read names and tuples.
 //! * [`WarmCarry`] reports which product states kept their entire forward
 //!   behaviour (they cannot reach any invalidated row), so a checker may
 //!   carry their satisfaction bits into the next iteration (see
 //!   `muml-logic`'s seeded checker; DESIGN.md §12 has the soundness
 //!   argument).
 //!
-//! A full rebuild remains the fallback — and the differential-test oracle —
-//! whenever the initial-state set grew, the number of legacy components
-//! changed, or the dirty fraction of the product exceeds
-//! [`CompositionCache::set_threshold`]. The context cannot change under a
-//! cache: a different context needs a new cache.
+//! Unreachable rows are dropped — the product compacted in id order — only
+//! once they outnumber the reachable ones.
+//!
+//! A full rebuild remains the fallback whenever the initial-state set grew,
+//! the number of legacy components changed, or the dirty fraction of the
+//! product exceeds [`CompositionCache::set_threshold`]. The context cannot
+//! change under a cache: a different context needs a new cache.
 
-use std::collections::HashMap;
-
-use crate::automaton::{Automaton, StateData, StateId, Transition};
-use crate::compose::{compose, ComposeOptions, Composition, RowKernel};
-use crate::csr::Csr;
+use crate::automaton::{Automaton, StateId, Transition};
+use crate::compose::{compose, ComposeOptions, ComposeStats, Composition, RowKernel};
+use crate::csr::{live_targets, Csr};
 use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
 use crate::label::{Guard, LabelFamily};
-use crate::prop::{PropId, PropSet};
+use crate::lazy::{product_props, write_product_name};
+use crate::prop::PropId;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +76,10 @@ impl RecomposeMode {
 pub struct RecomposeInfo {
     /// How the product was produced.
     pub mode: RecomposeMode,
-    /// Product rows invalidated and re-expanded (cold: all of them).
+    /// Product rows invalidated and re-expanded, plus states newly reached
+    /// (cold: all of them).
     pub dirty_states: usize,
-    /// Product rows carried over untouched (cold: zero).
+    /// Reachable product rows carried over untouched (cold: zero).
     pub reused_states: usize,
     /// Transitions written while re-expanding rows (cold: all of them).
     pub spliced_transitions: usize,
@@ -79,11 +88,13 @@ pub struct RecomposeInfo {
 /// Which previous-product states kept their satisfaction bits, and where
 /// they moved.
 ///
-/// A state is *carried* iff it survives into the new product and cannot
-/// reach any invalidated row in the old transition relation: every path
-/// from it is over unchanged rows, so the truth of **every** CTL formula at
-/// it is unchanged (see DESIGN.md §12). `remap[old] = Some(new)` exactly
-/// for carried states.
+/// A state is *carried* iff it was reachable before the splice, is
+/// reachable after it, was not re-expanded, and cannot reach any
+/// invalidated row in the old transition relation: every path from it is
+/// over unchanged rows, so the truth of **every** CTL formula at it is
+/// unchanged (see DESIGN.md §12). `remap[old] = Some(new)` exactly for
+/// carried states; ids are stable, so `new == old` unless the splice
+/// compacted the product.
 #[derive(Debug, Clone)]
 pub struct WarmCarry {
     /// Number of states in the previous product (`remap.len()`).
@@ -159,36 +170,20 @@ impl ClosureCache {
         // Append copies for states learned since the last revision.
         for s in self.copies.len()..m.state_count() {
             let sid = StateId(s as u32);
-            let mut pair = [StateId(0); 2];
-            for (bit, slot) in pair.iter_mut().enumerate() {
-                *slot = StateId(self.automaton.states.len() as u32);
-                self.automaton.states.push(StateData {
-                    name: format!("{}#{}", m.state_name(sid), bit),
-                    props: m.props_of(sid),
-                });
-                self.automaton.adj.push(Vec::new());
-            }
+            let name = m.state_name(sid);
+            let pair = [0, 1].map(|bit| {
+                self.automaton.push_state(m.props_of(sid), |buf| {
+                    buf.push_str(name);
+                    buf.push_str(if bit == 0 { "#0" } else { "#1" });
+                })
+            });
             self.copies.push(pair);
         }
         // Rewire every dirty state exactly as `chaotic_closure` would.
         let mut touched = Vec::new();
+        let mut row: Vec<Transition> = Vec::new();
         for &s in &delta.dirty {
             let [c0, c1] = self.copies[s.index()];
-            for c in [c0, c1] {
-                self.automaton.states[c.index()].props = m.props_of(s);
-                self.automaton.adj[c.index()].clear();
-            }
-            for &(l, to) in m.transitions_from(s) {
-                let tc = self.copies[to.index()];
-                for c in [c0, c1] {
-                    for &t in &tc {
-                        self.automaton.adj[c.index()].push(Transition {
-                            guard: Guard::Exact(l),
-                            to: t,
-                        });
-                    }
-                }
-            }
             let mut fam = LabelFamily::all(m.inputs(), m.outputs());
             fam.excluded = m.refusals_at(s).to_vec();
             for &(l, _) in m.transitions_from(s) {
@@ -196,19 +191,26 @@ impl ClosureCache {
                     fam.excluded.push(l);
                 }
             }
-            if !fam.is_empty() {
-                self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::from(fam.clone()),
-                    to: self.s_all,
-                });
-                self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::from(fam),
-                    to: self.s_delta,
-                });
+            for c in [c0, c1] {
+                for &(l, to) in m.transitions_from(s) {
+                    row.extend(self.copies[to.index()].map(|t| Transition {
+                        guard: Guard::Exact(l),
+                        to: t,
+                    }));
+                }
+                if c == c1 && !fam.is_empty() {
+                    row.extend([self.s_all, self.s_delta].map(|to| Transition {
+                        guard: Guard::from(fam.clone()),
+                        to,
+                    }));
+                }
+                self.automaton.set_props(c, m.props_of(s));
+                self.automaton.set_row(c, &mut row);
             }
             touched.push(c0);
             touched.push(c1);
         }
+        self.automaton.compact_rows();
         touched
     }
 }
@@ -216,12 +218,13 @@ impl ClosureCache {
 struct CacheState {
     closures: Vec<ClosureCache>,
     comp: Composition,
-    /// Component-state tuple → product state id.
-    index: HashMap<Vec<StateId>, StateId>,
+    /// Whether each product state is reachable from the initial states.
+    /// Unreachable states keep their ids and tuples; their rows are empty.
+    live: Vec<bool>,
 }
 
 /// Caches the composition `context ∥ chaos(M_l^1) ∥ … ∥ chaos(M_l^k)`
-/// across learn iterations and recomposes it delta-driven.
+/// across learn iterations and recomposes it delta-driven, in place.
 ///
 /// The cache borrows its context for its whole lifetime, so the context
 /// cannot change between recompositions; what does change — the legacy
@@ -293,11 +296,14 @@ impl<'c> CompositionCache<'c> {
     /// (Re)composes `context ∥ chaos(legacy[0]) ∥ …` given the deltas each
     /// abstraction accumulated since the previous call.
     ///
-    /// The resulting product — reachable via [`Self::composition`] — is
-    /// identical to `compose` over fresh closures: same state ids, names,
-    /// transitions and CSR; only [`Composition::stats`] reflects the
-    /// (smaller) incremental work and origin tuples reference the cache's
-    /// append-only closure layout instead of the fresh interleaved one.
+    /// The resulting product — reachable via [`Self::composition`] — equals
+    /// `compose` over fresh closures up to a renaming of states: the same
+    /// initial states in order, and for every reachable state the same
+    /// name, props and transition row (guards in order, targets renamed),
+    /// hence the same CSR relation over the reachable part. States keep
+    /// their ids from one recompose to the next; origin tuples reference the
+    /// cache's append-only closure layout, and [`Composition::stats`]
+    /// reflects the (smaller) incremental work.
     ///
     /// Returns the work report and, for incremental recompositions, the
     /// [`WarmCarry`] a checker needs to reuse the previous iteration's
@@ -331,28 +337,32 @@ impl<'c> CompositionCache<'c> {
         // New legacy states have no product rows yet, so the *invalidated*
         // row set only depends on dirty states that already had copies.
         let st = self.state.as_ref().expect("checked above");
-        let mut dirty_closure: Vec<Vec<StateId>> = Vec::with_capacity(legacy.len());
+        let mut dirty_closure: Vec<Vec<u32>> = Vec::with_capacity(legacy.len());
         for (c, d) in st.closures.iter().zip(deltas) {
             let mut ids = Vec::new();
             for &s in &d.dirty {
                 if s.index() < c.copies.len() {
-                    ids.extend(c.copies[s.index()]);
+                    ids.extend(c.copies[s.index()].map(|id| id.0));
                 }
             }
             ids.sort_unstable();
             dirty_closure.push(ids);
         }
-        let dirty_rows: Vec<usize> = (0..st.comp.automaton.state_count())
+        let old_states = st.comp.automaton.state_count();
+        let old_live = st.comp.reachable;
+        let dirty_rows: Vec<u32> = (0..old_states as u32)
             .filter(|&r| {
-                st.comp.origin[r]
-                    .iter()
-                    .skip(1) // slot 0 is the context
-                    .zip(&dirty_closure)
-                    .any(|(cs, ids)| ids.binary_search(cs).is_ok())
+                st.live[r as usize]
+                    && st
+                        .comp
+                        .tuple(StateId(r))
+                        .iter()
+                        .skip(1) // slot 0 is the context
+                        .zip(&dirty_closure)
+                        .any(|(cs, ids)| ids.binary_search(cs).is_ok())
             })
             .collect();
-        let old_states = st.comp.automaton.state_count();
-        if old_states == 0 || dirty_rows.len() as f64 > self.threshold * old_states as f64 {
+        if old_live == 0 || dirty_rows.len() as f64 > self.threshold * old_live as f64 {
             return self
                 .rebuild(legacy, chaos_prop, opts)
                 .map(|info| (info, None));
@@ -362,164 +372,61 @@ impl<'c> CompositionCache<'c> {
         // invalidated row. States outside it keep their entire forward
         // behaviour, hence their satisfaction bits (DESIGN.md §12).
         let mut in_cone = vec![false; old_states];
-        let mut stack: Vec<usize> = dirty_rows.clone();
+        let mut stack: Vec<u32> = dirty_rows.clone();
         for &r in &dirty_rows {
-            in_cone[r] = true;
+            in_cone[r as usize] = true;
         }
         while let Some(s) = stack.pop() {
-            for &p in st.comp.csr.predecessors(s) {
+            for &p in st.comp.csr.predecessors(s as usize) {
                 if !in_cone[p as usize] {
                     in_cone[p as usize] = true;
-                    stack.push(p as usize);
+                    stack.push(p);
                 }
             }
         }
 
-        // Patch the closures, then re-expand the invalidated rows and
-        // explore whatever new frontier they open.
+        // Patch the closures, then splice the product.
         let st = self.state.as_mut().expect("checked above");
         for ((c, m), d) in st.closures.iter_mut().zip(legacy).zip(deltas) {
             c.patch(m, d);
         }
-        let parts: Vec<&Automaton> = std::iter::once(self.context)
-            .chain(st.closures.iter().map(|c| c.automaton()))
-            .collect();
-        let mut kernel = RowKernel::new(&parts);
-
-        let automaton = &mut st.comp.automaton;
-        let origin = &mut st.comp.origin;
-        let index = &mut st.index;
-        let mut stats = crate::compose::ComposeStats::default();
-        let mut spliced = 0usize;
-        // Invalidated rows first (their StateData may have stale props),
-        // then the worklist of appended frontier states.
-        let mut worklist: Vec<usize> = Vec::new();
-        for &r in &dirty_rows {
-            automaton.adj[r].clear();
-            automaton.states[r].props = origin[r]
-                .iter()
-                .zip(&parts)
-                .fold(PropSet::EMPTY, |acc, (&cs, p)| acc.union(p.props_of(cs)));
-        }
-        let mut queue: Vec<usize> = dirty_rows.clone();
-        while let Some(r) = queue.pop().or_else(|| worklist.pop()) {
-            if automaton.states.len() > opts.max_states {
+        let spliced = splice(self.context, st, &dirty_rows, opts);
+        let Splice {
+            expanded,
+            appended,
+            transitions,
+            stats,
+        } = match spliced {
+            Ok(s) => s,
+            Err(e) => {
                 // Poison the cache: the partially spliced product is not a
                 // valid composition.
                 self.state = None;
-                return Err(AutomataError::Limit {
-                    what: "composed state space".into(),
-                    max: opts.max_states,
-                });
-            }
-            let tuple = origin[r].clone();
-            let adj = &mut automaton.adj;
-            let states = &mut automaton.states;
-            let expanded = kernel.expand(&parts, &tuple, opts, &mut stats, |guard, target| {
-                let tgt = match index.get(target) {
-                    Some(&id) => id,
-                    None => {
-                        let id = StateId(states.len() as u32);
-                        let name = target
-                            .iter()
-                            .zip(&parts)
-                            .map(|(&s, p)| p.state_name(s).to_owned())
-                            .collect::<Vec<_>>()
-                            .join("||");
-                        let props = target
-                            .iter()
-                            .zip(&parts)
-                            .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
-                        states.push(StateData { name, props });
-                        adj.push(Vec::new());
-                        origin.push(target.to_vec());
-                        index.insert(target.to_vec(), id);
-                        worklist.push(id.index());
-                        id
-                    }
-                };
-                let tr = Transition { guard, to: tgt };
-                if !adj[r].contains(&tr) {
-                    adj[r].push(tr);
-                }
-            });
-            if let Err(e) = expanded {
-                self.state = None;
                 return Err(e);
             }
-            spliced += automaton.adj[r].len();
-        }
-
-        // Renumber into the exact order a cold rebuild's worklist would
-        // assign, dropping states that became unreachable. This makes the
-        // incremental product bit-identical to `compose` over fresh
-        // closures (see module docs) and doubles as compaction.
-        let grown = automaton.states.len();
-        let mut order: Vec<Option<u32>> = vec![None; grown];
-        let mut assigned = 0u32;
-        let mut stack: Vec<usize> = Vec::new();
-        for &q in &automaton.initial {
-            if order[q.index()].is_none() {
-                order[q.index()] = Some(assigned);
-                assigned += 1;
-                stack.push(q.index());
-            }
-        }
-        let mut visit: Vec<usize> = Vec::with_capacity(grown);
-        while let Some(s) = stack.pop() {
-            visit.push(s);
-            for t in &automaton.adj[s] {
-                if order[t.to.index()].is_none() {
-                    order[t.to.index()] = Some(assigned);
-                    assigned += 1;
-                    stack.push(t.to.index());
-                }
-            }
-        }
-        let new_count = assigned as usize;
-        let placeholder = StateData {
-            name: String::new(),
-            props: PropSet::EMPTY,
         };
-        let mut new_states: Vec<StateData> = vec![placeholder; new_count];
-        let mut new_adj: Vec<Vec<Transition>> = vec![Vec::new(); new_count];
-        let mut new_origin: Vec<Vec<StateId>> = vec![Vec::new(); new_count];
-        for old in visit {
-            let new = order[old].expect("visited states are ordered") as usize;
-            new_states[new] = std::mem::take(&mut automaton.states[old]);
-            new_origin[new] = std::mem::take(&mut origin[old]);
-            let mut row = std::mem::take(&mut automaton.adj[old]);
-            for t in &mut row {
-                t.to = StateId(order[t.to.index()].expect("reachable target"));
-            }
-            new_adj[new] = row;
-        }
-        automaton.states = new_states;
-        automaton.adj = new_adj;
-        for q in &mut automaton.initial {
-            *q = StateId(order[q.index()].expect("initial states are reachable"));
-        }
-        *origin = new_origin;
-        index.clear();
-        for (i, tuple) in origin.iter().enumerate() {
-            index.insert(tuple.clone(), StateId(i as u32));
-        }
+        let was_live = std::mem::take(&mut st.live);
+        let settled = settle(&mut st.comp, &expanded);
+        st.live = settled.live;
         st.comp.stats = stats;
-        st.comp.csr = Csr::of(&st.comp.automaton);
 
-        let dirty_states = dirty_rows.len() + grown.saturating_sub(old_states);
+        let dirty_states = dirty_rows.len() + appended;
         let carry = WarmCarry {
             old_states,
-            new_states: new_count,
+            new_states: st.comp.automaton.state_count(),
             remap: (0..old_states)
-                .map(|s| if in_cone[s] { None } else { order[s] })
+                .map(|s| {
+                    let new = settled.remap[s];
+                    let kept = new != u32::MAX && st.live[new as usize];
+                    (was_live[s] && kept && !expanded[s] && !in_cone[s]).then_some(new)
+                })
                 .collect(),
         };
         let info = RecomposeInfo {
             mode: RecomposeMode::Incremental,
             dirty_states,
-            reused_states: new_count.saturating_sub(dirty_states),
-            spliced_transitions: spliced,
+            reused_states: st.comp.reachable.saturating_sub(dirty_states),
+            spliced_transitions: transitions,
         };
         Ok((info, Some(carry)))
     }
@@ -539,24 +446,197 @@ impl<'c> CompositionCache<'c> {
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
         let comp = compose(&parts, opts)?;
-        let index = comp
-            .origin
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), StateId(i as u32)))
-            .collect();
         let info = RecomposeInfo {
             mode: RecomposeMode::Cold,
             dirty_states: comp.automaton.state_count(),
             reused_states: 0,
             spliced_transitions: comp.automaton.transition_count(),
         };
+        let live = vec![true; comp.automaton.state_count()];
         self.state = Some(CacheState {
             closures,
             comp,
-            index,
+            live,
         });
         Ok(info)
+    }
+}
+
+/// What one [`splice`] did.
+struct Splice {
+    /// Per product state: whether its row was re-expanded.
+    expanded: Vec<bool>,
+    /// States newly reached: fresh tuples plus unreachable rows revived.
+    appended: usize,
+    /// Transitions written into re-expanded rows.
+    transitions: usize,
+    stats: ComposeStats,
+}
+
+/// Re-expands the `dirty` rows of the cached product in place and explores
+/// whatever they newly reach: fresh tuples are interned and appended,
+/// unreachable (cleared) rows hit again are revived and re-expanded. Each
+/// row is collected in one reused scratch row and written into the
+/// automaton's shared buffers, so the splice allocates nothing per state.
+fn splice(
+    context: &Automaton,
+    st: &mut CacheState,
+    dirty: &[u32],
+    opts: &ComposeOptions,
+) -> Result<Splice> {
+    let parts: Vec<&Automaton> = std::iter::once(context)
+        .chain(st.closures.iter().map(|c| c.automaton()))
+        .collect();
+    let mut kernel = RowKernel::new(&parts);
+    let comp = &mut st.comp;
+    let live = &mut st.live;
+    let mut expanded = vec![false; comp.automaton.state_count()];
+    for &r in dirty {
+        expanded[r as usize] = true;
+    }
+    let mut queue: Vec<u32> = dirty.to_vec();
+    let mut appended = 0usize;
+    let mut transitions = 0usize;
+    let mut stats = ComposeStats::default();
+    let mut tuple: Vec<StateId> = Vec::with_capacity(parts.len());
+    let mut packed: Vec<u32> = Vec::with_capacity(parts.len());
+    let mut row: Vec<Transition> = Vec::new();
+    // `seen[t] == r + 1` once row `r` targets `t`: most targets occur once
+    // per row, and only repeats need the duplicate scan.
+    let mut seen: Vec<u32> = vec![0; comp.automaton.state_count()];
+    while let Some(r) = queue.pop() {
+        if comp.reachable + appended > opts.max_states {
+            return Err(AutomataError::Limit {
+                what: "composed state space".into(),
+                max: opts.max_states,
+            });
+        }
+        tuple.clear();
+        tuple.extend(comp.tuples.tuple(r).iter().map(|&x| StateId(x)));
+        let automaton = &mut comp.automaton;
+        let tuples = &mut comp.tuples;
+        kernel.expand(&parts, &tuple, opts, &mut stats, |guard, target| {
+            packed.clear();
+            packed.extend(target.iter().map(|t| t.0));
+            let (id, fresh) = tuples.intern(&packed);
+            if fresh {
+                automaton.push_state(product_props(&parts, &packed), |buf| {
+                    write_product_name(&parts, &packed, buf)
+                });
+                live.push(false);
+                expanded.push(true);
+                seen.push(0);
+                appended += 1;
+                queue.push(id);
+            } else if !live[id as usize] && !expanded[id as usize] {
+                expanded[id as usize] = true;
+                appended += 1;
+                queue.push(id);
+            }
+            // Drop exact (guard, target) repeats, comparing the one-word
+            // target before the up-to-48-byte guard.
+            let to = StateId(id);
+            let repeat = std::mem::replace(&mut seen[id as usize], r + 1) == r + 1;
+            if !repeat || !row.iter().any(|t| t.to == to && t.guard == guard) {
+                row.push(Transition { guard, to });
+            }
+        })?;
+        transitions += row.len();
+        // The closure copies in the tuple may have been relabelled.
+        let state = StateId(r);
+        comp.automaton
+            .set_props(state, product_props(&parts, comp.tuples.tuple(r)));
+        comp.automaton.set_row(state, &mut row);
+    }
+    Ok(Splice {
+        expanded,
+        appended,
+        transitions,
+        stats,
+    })
+}
+
+/// The reachable part of a spliced product.
+struct Settled {
+    /// Per state: reachable from the initial states.
+    live: Vec<bool>,
+    /// Old id → new id (`u32::MAX` for states compaction dropped); the
+    /// identity unless the product was compacted.
+    remap: Vec<u32>,
+}
+
+/// Finds the reachable part of the spliced product with one pass over the
+/// successors from the initial states, clears the rows that fell out of it,
+/// and rebuilds the CSR relation — re-sorting only rows that changed and
+/// copying the rest from the previous relation. Once unreachable states
+/// outnumber reachable ones the product is compacted in id order instead.
+fn settle(comp: &mut Composition, expanded: &[bool]) -> Settled {
+    let m = &mut comp.automaton;
+    let n = m.state_count();
+    // Rows the splice did not touch still have the targets the previous
+    // relation lists as compact `u32` runs; only re-expanded rows are read
+    // from the automaton. (Product guards are never empty, so every target
+    // of a row is a live one.)
+    let prev = &comp.csr;
+    let mut live = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let reach = |t: u32, live: &mut [bool], stack: &mut Vec<u32>| {
+        if !live[t as usize] {
+            live[t as usize] = true;
+            stack.push(t);
+        }
+    };
+    for q in m.initial_states() {
+        reach(q.0, &mut live, &mut stack);
+    }
+    while let Some(s) = stack.pop() {
+        if expanded[s as usize] {
+            for t in m.transitions_from(StateId(s)) {
+                reach(t.to.0, &mut live, &mut stack);
+            }
+        } else {
+            for &t in prev.row(s as usize) {
+                reach(t, &mut live, &mut stack);
+            }
+        }
+    }
+    let reachable = live.iter().filter(|&&l| l).count();
+    comp.reachable = reachable;
+    if n - reachable > reachable {
+        let mut remap = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for (s, &l) in live.iter().enumerate() {
+            if l {
+                remap[s] = next;
+                next += 1;
+            }
+        }
+        m.retain_states(&live);
+        comp.tuples.remap(&remap, reachable);
+        comp.csr = Csr::of(m);
+        return Settled {
+            live: vec![true; reachable],
+            remap,
+        };
+    }
+    let mut changed = expanded.to_vec();
+    for s in 0..n {
+        if !live[s] && !m.transitions_from(StateId(s as u32)).is_empty() {
+            m.clear_row(StateId(s as u32));
+            changed[s] = true;
+        }
+    }
+    m.compact_rows();
+    comp.csr = Csr::from_rows(n, |s, out| {
+        if changed[s] {
+            live_targets(m, s, out);
+        } else {
+            out.extend_from_slice(prev.row(s));
+        }
+    });
+    Settled {
+        live,
+        remap: (0..n as u32).collect(),
     }
 }
 
@@ -592,186 +672,6 @@ mod tests {
             u.signals(["pong"]),
             "start",
         )
-    }
-
-    fn cold_oracle(u: &Universe, ctx: &Automaton, m: &IncompleteAutomaton) -> Composition {
-        let _ = u;
-        let closure = crate::chaos::chaotic_closure(m, None);
-        compose(&[ctx, &closure], &ComposeOptions::default()).unwrap()
-    }
-
-    /// The incremental product must be *identical* to the cold oracle in
-    /// every id-visible way (states, names, props, guards, order, initial,
-    /// CSR) — origin tuples are allowed to differ (closure id spaces do).
-    fn assert_products_identical(inc: &Composition, cold: &Composition) {
-        assert_eq!(inc.automaton.state_count(), cold.automaton.state_count());
-        for s in inc.automaton.state_ids() {
-            assert_eq!(inc.automaton.state_name(s), cold.automaton.state_name(s));
-            assert_eq!(inc.automaton.props_of(s), cold.automaton.props_of(s));
-            assert_eq!(
-                inc.automaton.transitions_from(s),
-                cold.automaton.transitions_from(s),
-                "row {} ({})",
-                s.0,
-                inc.automaton.state_name(s)
-            );
-        }
-        assert_eq!(
-            inc.automaton.initial_states(),
-            cold.automaton.initial_states()
-        );
-        assert_eq!(inc.csr, cold.csr);
-    }
-
-    #[test]
-    fn incremental_matches_cold_across_learning() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut m = legacy(&u);
-        let mut cache = CompositionCache::new(&ctx);
-        cache.set_threshold(1.0);
-        let opts = ComposeOptions::default();
-        let d0 = m.take_delta();
-        let (info, carry) = cache
-            .recompose(std::slice::from_ref(&m), &[d0], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Cold);
-        assert!(carry.is_none());
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-
-        // Learn a regular run: the start state gains a transition and a new
-        // state appears (the initial set is unchanged).
-        let ping = Label::new(u.signals(["ping"]), SignalSet::EMPTY);
-        m.learn(&Observation::regular(
-            vec!["start".into(), "started".into()],
-            vec![ping],
-        ))
-        .unwrap();
-        let d1 = m.take_delta();
-        assert!(!d1.initial_changed);
-        let (info, carry) = cache
-            .recompose(std::slice::from_ref(&m), &[d1], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Incremental);
-        let carry = carry.unwrap();
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-        assert_eq!(carry.old_states, carry.remap.len());
-
-        // Refuse the empty interaction at the new state: only its copies'
-        // rows are invalidated; the chaos tail of the product is out of the
-        // dirty cone and must be both reused and carried.
-        m.learn(&Observation::blocked(
-            vec!["start".into(), "started".into()],
-            vec![ping, Label::EMPTY],
-        ))
-        .unwrap();
-        let d2 = m.take_delta();
-        assert!(!d2.initial_changed);
-        let (info, carry) = cache
-            .recompose(std::slice::from_ref(&m), &[d2], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Incremental);
-        let carry = carry.unwrap();
-        assert!(info.reused_states > 0, "{info:?}");
-        assert!(carry.carried() > 0, "{carry:?}");
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-
-        // And one more regular step out of the refusing state.
-        let pong = Label::new(SignalSet::EMPTY, u.signals(["pong"]));
-        m.learn(&Observation::regular(
-            vec!["start".into(), "started".into(), "done".into()],
-            vec![ping, pong],
-        ))
-        .unwrap();
-        let d3 = m.take_delta();
-        let (info, carry) = cache
-            .recompose(std::slice::from_ref(&m), &[d3], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Incremental);
-        assert!(carry.is_some());
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-    }
-
-    #[test]
-    fn empty_delta_is_a_no_op_with_full_carry() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut m = legacy(&u);
-        let mut cache = CompositionCache::new(&ctx);
-        let opts = ComposeOptions::default();
-        let d = m.take_delta();
-        cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        let before = cache.composition().automaton.clone();
-        let (info, carry) = cache
-            .recompose(
-                std::slice::from_ref(&m),
-                &[LearnDelta::default()],
-                None,
-                &opts,
-                true,
-            )
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Incremental);
-        assert_eq!(info.dirty_states, 0);
-        let carry = carry.unwrap();
-        assert_eq!(carry.carried(), before.state_count());
-        for (old, new) in carry.remap.iter().enumerate() {
-            assert_eq!(*new, Some(old as u32));
-        }
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-    }
-
-    #[test]
-    fn threshold_zero_forces_cold_fallback() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut m = legacy(&u);
-        let mut cache = CompositionCache::new(&ctx);
-        cache.set_threshold(0.0);
-        let opts = ComposeOptions::default();
-        let d = m.take_delta();
-        cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        let ping = Label::new(u.signals(["ping"]), SignalSet::EMPTY);
-        m.learn(&Observation::blocked(vec!["start".into()], vec![ping]))
-            .unwrap();
-        let d = m.take_delta();
-        let (info, carry) = cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Cold);
-        assert!(carry.is_none());
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
-    }
-
-    #[test]
-    fn initial_growth_forces_cold_rebuild() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut m = legacy(&u);
-        let mut cache = CompositionCache::new(&ctx);
-        let opts = ComposeOptions::default();
-        let d = m.take_delta();
-        cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        // An observation starting in a *new* state grows Q.
-        let pong = Label::new(SignalSet::EMPTY, u.signals(["pong"]));
-        m.learn(&Observation::regular(
-            vec!["alt".into(), "start".into()],
-            vec![pong],
-        ))
-        .unwrap();
-        let d = m.take_delta();
-        assert!(d.initial_changed);
-        let (info, _) = cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
-            .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Cold);
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
     }
 
     #[test]
@@ -845,34 +745,55 @@ mod tests {
     }
 
     #[test]
-    fn nan_threshold_cannot_disable_cold_fallback() {
+    fn ids_stay_put_and_unreachable_rows_are_cleared() {
         let u = Universe::new();
-        let mut m = legacy(&u);
         let ctx = context(&u);
-        let opts = ComposeOptions::default();
+        let mut m = legacy(&u);
         let mut cache = CompositionCache::new(&ctx);
-        cache.set_threshold(f64::NAN);
-        cache.set_threshold(0.0); // force-cold still works after a NaN attempt
-        let _ = m.take_delta();
-        let (info, _) = cache
-            .recompose(
-                std::slice::from_ref(&m),
-                &[LearnDelta::default()],
-                None,
-                &opts,
-                true,
-            )
+        cache.set_threshold(1.0);
+        let opts = ComposeOptions::default();
+        let d = m.take_delta();
+        cache
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
-        assert_eq!(info.mode, RecomposeMode::Cold);
+        let before: Vec<String> = cache
+            .composition()
+            .automaton
+            .state_ids()
+            .map(|s| cache.composition().automaton.state_name(s).to_owned())
+            .collect();
+        // Learn the whole behaviour at `start`: pinging moves on, silence
+        // is refused. The start copies stop escaping to chaos.
         let ping = Label::new(u.signals(["ping"]), SignalSet::EMPTY);
-        m.learn(&Observation::blocked(vec!["start".into()], vec![ping]))
-            .unwrap();
+        m.learn(&Observation::regular(
+            vec!["start".into(), "started".into()],
+            vec![ping],
+        ))
+        .unwrap();
+        m.learn(&Observation::blocked(
+            vec!["start".into()],
+            vec![Label::EMPTY],
+        ))
+        .unwrap();
         let d = m.take_delta();
         let (info, _) = cache
             .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
             .unwrap();
-        // With threshold 0.0 every dirty recompose must fall back cold.
-        assert_eq!(info.mode, RecomposeMode::Cold);
-        assert_products_identical(cache.composition(), &cold_oracle(&u, &ctx, &m));
+        assert_eq!(info.mode, RecomposeMode::Incremental);
+        let comp = cache.composition();
+        // Every state kept its id (and so its name); new ones came after.
+        for (i, name) in before.iter().enumerate() {
+            assert_eq!(comp.automaton.state_name(StateId(i as u32)), name);
+        }
+        assert!(comp.automaton.state_count() >= before.len());
+        // Rows outside the reachable part are empty and deadlocked.
+        let reach = comp.automaton.reachable_states();
+        assert_eq!(reach.len(), comp.reachable_state_count());
+        for s in comp.automaton.state_ids() {
+            if !reach.contains(&s) {
+                assert!(comp.automaton.transitions_from(s).is_empty());
+                assert!(comp.csr.is_deadlocked(s.index()));
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! system, split into *per-row* steps over flat storage:
 //!
 //! * one `u32` arena holds every component-state tuple (stride = number of
-//!   components), so a product state is a slice, not a `Vec`;
+//!   components), so a product state is a slice, not a `Vec`. The arena and
+//!   its interner (`TupleArena`) are the id space of every product in the
+//!   crate: a materialized [`Composition`] keeps them, and the incremental
+//!   [`CompositionCache`](crate::CompositionCache) extends them in place;
 //! * expanded rows live in CSR-style blocks (`row_off`/`row_len` into one
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
 //! * the tuple→id interner is an open-addressed, power-of-two table keyed
@@ -28,8 +31,9 @@
 //! automaton call [`LazyProduct::expand_all`] +
 //! [`LazyProduct::into_composition`], which renumbers states into the
 //! canonical discovery order and yields a [`Composition`] bit-identical to
-//! the classic materializing path (this is how [`compose`] itself is
-//! implemented now).
+//! the classic materializing path (this is how [`compose`](crate::compose)
+//! itself is implemented now). Materializing writes names, rows and tuples
+//! into the automaton's shared buffers: nothing is allocated per state.
 //!
 //! Storage modes: with `keep_guards` every `(guard, target)` pair is
 //! retained (required for materialization); without it only deduplicated
@@ -39,8 +43,9 @@
 //! ([`LazyProduct::first_label_to`]).
 
 use std::borrow::Cow;
+use std::ops::Deref;
 
-use crate::automaton::{Automaton, StateData, StateId, Transition};
+use crate::automaton::{Automaton, StateId, Transition};
 use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
@@ -129,6 +134,16 @@ impl TupleInterner {
         }
     }
 
+    /// Renames every resident id through `remap` (keys are unchanged, so
+    /// no slot moves).
+    fn rename(&mut self, remap: &[u32]) {
+        for slot in &mut self.slots {
+            if *slot != EMPTY_SLOT {
+                *slot = remap[*slot as usize];
+            }
+        }
+    }
+
     fn grow(&mut self, arena: &[u32], k: usize) {
         let new_cap = self.slots.len() * 2;
         let mut next = vec![EMPTY_SLOT; new_cap];
@@ -149,6 +164,105 @@ impl TupleInterner {
     }
 }
 
+/// The id space of a product: every component-state tuple, packed with
+/// stride `k` in one `u32` arena (id `i` is `arena[i*k..i*k+k]`), and the
+/// interner mapping tuples back to ids. Lazy, cold and incremental products
+/// all number their states through one of these.
+#[derive(Debug, Clone)]
+pub(crate) struct TupleArena {
+    k: usize,
+    arena: Vec<u32>,
+    interner: TupleInterner,
+}
+
+impl TupleArena {
+    /// An empty arena for tuples of width `k`.
+    pub(crate) fn new(k: usize) -> TupleArena {
+        assert!(k > 0, "tuples have at least one component");
+        TupleArena {
+            k,
+            arena: Vec::new(),
+            interner: TupleInterner::with_capacity(64),
+        }
+    }
+
+    /// Number of interned tuples.
+    pub(crate) fn len(&self) -> usize {
+        self.arena.len() / self.k
+    }
+
+    /// The tuple with id `id`.
+    pub(crate) fn tuple(&self, id: u32) -> &[u32] {
+        let base = id as usize * self.k;
+        &self.arena[base..base + self.k]
+    }
+
+    /// The id of `tuple`, if interned.
+    pub(crate) fn get(&self, tuple: &[u32]) -> Option<u32> {
+        self.interner.get(tuple, &self.arena, self.k)
+    }
+
+    /// Interns `tuple`, appending it as id [`TupleArena::len`] on first
+    /// sight. Returns the resident id and whether it was fresh.
+    pub(crate) fn intern(&mut self, tuple: &[u32]) -> (u32, bool) {
+        let candidate = self.len() as u32;
+        let (id, fresh) = self.interner.intern(tuple, candidate, &self.arena, self.k);
+        if fresh {
+            self.arena.extend_from_slice(tuple);
+        }
+        (id, fresh)
+    }
+
+    /// Renumbers the tuples: `remap[old]` is the new id, or `u32::MAX` to
+    /// drop the tuple; the kept ids must be exactly `0..kept`.
+    pub(crate) fn remap(&mut self, remap: &[u32], kept: usize) {
+        let k = self.k;
+        let mut arena = vec![0u32; kept * k];
+        for (old, &new) in remap.iter().enumerate() {
+            if new != u32::MAX {
+                let (o, n) = (old * k, new as usize * k);
+                arena[n..n + k].copy_from_slice(&self.arena[o..o + k]);
+            }
+        }
+        self.arena = arena;
+        if kept == remap.len() {
+            self.interner.rename(remap);
+        } else {
+            self.interner = TupleInterner::with_capacity(kept * 8 / 7 + 1);
+            for id in 0..kept {
+                let base = id * k;
+                self.interner
+                    .intern(&self.arena[base..base + k], id as u32, &self.arena, k);
+            }
+        }
+    }
+}
+
+/// Writes the classic `c0||d1` name of the product state `tuple` over
+/// `parts` into `out`.
+pub(crate) fn write_product_name<P: Deref<Target = Automaton>>(
+    parts: &[P],
+    tuple: &[u32],
+    out: &mut String,
+) {
+    for (i, (&cs, p)) in tuple.iter().zip(parts).enumerate() {
+        if i > 0 {
+            out.push_str("||");
+        }
+        out.push_str(p.state_name(StateId(cs)));
+    }
+}
+
+/// The union of the component labellings at `tuple`.
+pub(crate) fn product_props<P: Deref<Target = Automaton>>(parts: &[P], tuple: &[u32]) -> PropSet {
+    tuple
+        .iter()
+        .zip(parts)
+        .fold(PropSet::EMPTY, |acc, (&cs, p)| {
+            acc.union(p.props_of(StateId(cs)))
+        })
+}
+
 /// An on-the-fly synchronous product over flat arena storage. See the
 /// module docs for the storage layout and the bit-identity contract with
 /// [`compose`](crate::compose::compose).
@@ -159,10 +273,9 @@ pub struct LazyProduct<'a> {
     parts: Vec<Cow<'a, Automaton>>,
     opts: ComposeOptions,
     kernel: RowKernel,
-    k: usize,
     keep_guards: bool,
-    /// Packed component-state tuples, stride `k`.
-    arena: Vec<u32>,
+    /// Every discovered state's component-state tuple, interned.
+    tuples: TupleArena,
     /// Union of component labellings per product state.
     props: Vec<PropSet>,
     /// Offset of each expanded row in `succ` ([`UNEXPANDED`] otherwise).
@@ -174,7 +287,6 @@ pub struct LazyProduct<'a> {
     succ: Vec<u32>,
     /// Parallel guards for `succ` (empty unless `keep_guards`).
     guards: Vec<Guard>,
-    interner: TupleInterner,
     /// Discovery-order worklist: every interned state is pushed once;
     /// [`LazyProduct::expand_all`] drains it LIFO, which is exactly the
     /// classic compose exploration order.
@@ -267,15 +379,13 @@ impl<'a> LazyProduct<'a> {
             parts,
             opts: opts.clone(),
             kernel,
-            k,
             keep_guards,
-            arena: Vec::new(),
+            tuples: TupleArena::new(k),
             props: Vec::new(),
             row_off: Vec::new(),
             row_len: Vec::new(),
             succ: Vec::new(),
             guards: Vec::new(),
-            interner: TupleInterner::with_capacity(64),
             pending: Vec::new(),
             initial: Vec::new(),
             stats: ComposeStats::default(),
@@ -293,17 +403,9 @@ impl<'a> LazyProduct<'a> {
 
     /// Interns a tuple, assigning the next id on first sight.
     fn intern(&mut self, tuple: &[u32]) -> u32 {
-        let candidate = self.props.len() as u32;
-        let (id, fresh) = self.interner.intern(tuple, candidate, &self.arena, self.k);
+        let (id, fresh) = self.tuples.intern(tuple);
         if fresh {
-            self.arena.extend_from_slice(tuple);
-            let props = tuple
-                .iter()
-                .zip(&self.parts)
-                .fold(PropSet::EMPTY, |acc, (&s, p)| {
-                    acc.union(p.props_of(StateId(s)))
-                });
-            self.props.push(props);
+            self.props.push(product_props(&self.parts, tuple));
             self.row_off.push(UNEXPANDED);
             self.row_len.push(0);
             self.pending.push(id);
@@ -358,18 +460,14 @@ impl<'a> LazyProduct<'a> {
 
     /// The component-state tuple of product state `s`.
     pub fn tuple_of(&self, s: u32) -> &[u32] {
-        let base = s as usize * self.k;
-        &self.arena[base..base + self.k]
+        self.tuples.tuple(s)
     }
 
     /// Renders product state `s` in the classic `c0||d1` name format.
     pub fn state_name(&self, s: u32) -> String {
-        self.tuple_of(s)
-            .iter()
-            .zip(&self.parts)
-            .map(|(&cs, p)| p.state_name(StateId(cs)).to_owned())
-            .collect::<Vec<_>>()
-            .join("||")
+        let mut name = String::new();
+        write_product_name(&self.parts, self.tuple_of(s), &mut name);
+        name
     }
 
     /// Finds the reachable product state with component-state tuple
@@ -383,7 +481,7 @@ impl<'a> LazyProduct<'a> {
     /// See [`LazyProduct::expand_row`].
     pub fn locate(&mut self, tuple: &[u32]) -> Result<Option<u32>> {
         loop {
-            if let Some(id) = self.interner.get(tuple, &self.arena, self.k) {
+            if let Some(id) = self.tuples.get(tuple) {
                 return Ok(Some(id));
             }
             match self.pending.pop() {
@@ -452,15 +550,13 @@ impl<'a> LazyProduct<'a> {
             parts,
             opts,
             kernel,
-            k,
             keep_guards,
-            arena,
+            tuples,
             props,
             row_off,
             row_len,
             succ,
             guards,
-            interner,
             pending,
             stats,
             tuple_buf,
@@ -468,9 +564,8 @@ impl<'a> LazyProduct<'a> {
             packed,
             ..
         } = self;
-        let base = s as usize * *k;
         tuple_buf.clear();
-        tuple_buf.extend(arena[base..base + *k].iter().map(|&x| StateId(x)));
+        tuple_buf.extend(tuples.tuple(s).iter().map(|&x| StateId(x)));
         row_buf.clear();
         let keep = *keep_guards;
         kernel.expand(parts, tuple_buf, opts, stats, |guard, target_tuple| {
@@ -478,23 +573,16 @@ impl<'a> LazyProduct<'a> {
             // would re-borrow `self`).
             packed.clear();
             packed.extend(target_tuple.iter().map(|t| t.0));
-            let candidate = props.len() as u32;
-            let (id, fresh) = interner.intern(packed, candidate, arena, *k);
+            let (id, fresh) = tuples.intern(packed);
             if fresh {
-                arena.extend_from_slice(packed);
-                let p = packed
-                    .iter()
-                    .zip(parts.iter())
-                    .fold(PropSet::EMPTY, |acc, (&cs, part)| {
-                        acc.union(part.props_of(StateId(cs)))
-                    });
-                props.push(p);
+                props.push(product_props(parts, packed));
                 row_off.push(UNEXPANDED);
                 row_len.push(0);
                 pending.push(id);
             }
             if keep {
-                // Classic dedup: drop exact (guard, target) repeats.
+                // Classic dedup: drop exact (guard, target) repeats,
+                // comparing the one-word target before the guard.
                 if !row_buf.iter().any(|(g, t)| *t == id && g == &guard) {
                     row_buf.push((guard, id));
                 }
@@ -595,8 +683,9 @@ impl<'a> LazyProduct<'a> {
     }
 
     /// Materializes the fully expanded product as a [`Composition`]
-    /// bit-identical to the classic path: canonical renumbering, per-state
-    /// rows, origin tuples, and the CSR relation.
+    /// bit-identical to the classic path: canonical renumbering, rows,
+    /// tuples, and the CSR relation. Names, rows and tuples are written
+    /// into shared buffers, so nothing is allocated per state.
     ///
     /// # Errors
     ///
@@ -614,65 +703,56 @@ impl<'a> LazyProduct<'a> {
             "into_composition requires a LazyProduct built with keep_guards"
         );
         self.expand_all()?;
-        let order = self.canonical_order();
         let n = self.state_count();
-        let identity = order.iter().enumerate().all(|(i, o)| *o == Some(i as u32));
-        // new id -> old id
+        // old id -> canonical id, and back
+        let order: Vec<u32> = self
+            .canonical_order()
+            .into_iter()
+            .map(|o| o.expect("expand_all left no unreachable state"))
+            .collect();
+        let identity = order.iter().enumerate().all(|(i, &o)| o == i as u32);
         let mut back: Vec<u32> = vec![0; n];
-        for (old, o) in order.iter().enumerate() {
-            back[o.expect("expand_all left no unreachable state") as usize] = old as u32;
-        }
-        let mut states: Vec<StateData> = Vec::with_capacity(n);
-        let mut adj: Vec<Vec<Transition>> = Vec::with_capacity(n);
-        let mut origin: Vec<Vec<StateId>> = Vec::with_capacity(n);
-        // Every guard lands in exactly one row: move it instead of cloning.
-        let mut guards = std::mem::take(&mut self.guards);
-        for (new, &mapped) in back.iter().enumerate() {
-            let old = if identity { new as u32 } else { mapped };
-            states.push(StateData {
-                name: self.state_name(old),
-                props: self.props[old as usize],
-            });
-            let off = self.row_off[old as usize] as usize;
-            let len = self.row_len[old as usize] as usize;
-            adj.push(
-                self.succ[off..off + len]
-                    .iter()
-                    .zip(&mut guards[off..off + len])
-                    .map(|(&t, g)| Transition {
-                        guard: std::mem::replace(g, Guard::Exact(Label::EMPTY)),
-                        to: StateId(if identity {
-                            t
-                        } else {
-                            order[t as usize].expect("target discovered")
-                        }),
-                    })
-                    .collect(),
-            );
-            origin.push(self.tuple_of(old).iter().map(|&x| StateId(x)).collect());
+        for (old, &new) in order.iter().enumerate() {
+            back[new as usize] = old as u32;
         }
         let initial: Vec<StateId> = self
             .initial
             .iter()
-            .map(|&q| {
-                StateId(if identity {
-                    q
-                } else {
-                    order[q as usize].expect("initial discovered")
-                })
-            })
+            .map(|&q| StateId(order[q as usize]))
             .collect();
-        let automaton = Automaton {
-            universe: self.parts[0].universe().clone(),
-            name: self.name(),
-            inputs: self.kernel.all_inputs(),
-            outputs: self.kernel.all_outputs(),
-            states,
-            adj,
+        let mut automaton = Automaton::empty(
+            self.parts[0].universe().clone(),
+            self.name(),
+            (self.kernel.all_inputs(), self.kernel.all_outputs()),
             initial,
-        };
+        );
+        automaton.reserve(n, self.succ.len());
+        // Every guard lands in exactly one row: move it instead of cloning.
+        let mut guards = std::mem::take(&mut self.guards);
+        for &old in &back {
+            let s = automaton.push_state(self.props[old as usize], |buf| {
+                write_product_name(&self.parts, self.tuples.tuple(old), buf)
+            });
+            let off = self.row_off[old as usize] as usize;
+            let len = self.row_len[old as usize] as usize;
+            for (&t, g) in self.succ[off..off + len]
+                .iter()
+                .zip(&mut guards[off..off + len])
+            {
+                automaton.push_transition(
+                    s,
+                    Transition {
+                        guard: std::mem::replace(g, Guard::Exact(Label::EMPTY)),
+                        to: StateId(order[t as usize]),
+                    },
+                );
+            }
+        }
         automaton.validate()?;
         let csr = Csr::of(&automaton);
+        if !identity {
+            self.tuples.remap(&order, n);
+        }
         Ok(Composition {
             automaton,
             component_names: self.parts.iter().map(|p| p.name().to_owned()).collect(),
@@ -681,9 +761,10 @@ impl<'a> LazyProduct<'a> {
                 .iter()
                 .map(|p| (p.inputs(), p.outputs()))
                 .collect(),
-            origin,
             stats: self.stats,
             csr,
+            tuples: self.tuples,
+            reachable: n,
         })
     }
 }
@@ -777,7 +858,11 @@ mod tests {
             );
         }
         assert_eq!(comp.csr, classic.csr);
-        assert_eq!(comp.origin, classic.origin);
+        for st in classic.automaton.state_ids() {
+            assert_eq!(comp.tuple(st), classic.tuple(st));
+            // The renumbered interner still finds every tuple's new id.
+            assert_eq!(comp.tuples.get(comp.tuple(st)), Some(st.0));
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod run;
 mod signal;
 mod universe;
 
-pub use automaton::{Automaton, StateData, StateId, Transition};
+pub use automaton::{Automaton, StateId, Transition};
 pub use builder::AutomatonBuilder;
 pub use chaos::{chaotic_automaton, chaotic_closure, S_ALL, S_DELTA};
 pub use csr::Csr;

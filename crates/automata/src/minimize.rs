@@ -127,15 +127,14 @@ pub fn minimize(m: &Automaton) -> Result<Automaton> {
         .collect();
     initial.sort();
     initial.dedup();
-    let out = Automaton {
-        universe: m.universe().clone(),
-        name: format!("{}~min", m.name()),
-        inputs: m.inputs(),
-        outputs: m.outputs(),
+    let out = Automaton::from_rows(
+        m.universe().clone(),
+        format!("{}~min", m.name()),
+        (m.inputs(), m.outputs()),
         states,
         adj,
         initial,
-    };
+    );
     out.validate()?;
     Ok(out.trim())
 }

@@ -83,15 +83,14 @@ pub fn restrict_interface(
         }
         adj.push(out);
     }
-    Ok(Automaton {
-        universe: m.universe().clone(),
-        name: format!("{}|restricted", m.name()),
-        inputs: keep_in,
-        outputs: keep_out,
+    Ok(Automaton::from_rows(
+        m.universe().clone(),
+        format!("{}|restricted", m.name()),
+        (keep_in, keep_out),
         states,
         adj,
-        initial: m.initial_states().to_vec(),
-    })
+        m.initial_states().to_vec(),
+    ))
 }
 
 fn push_unique(out: &mut Vec<Transition>, t: Transition) {

@@ -857,7 +857,7 @@ fn fused_cell(
 /// the differential oracle of DESIGN.md §12 — before any timing is
 /// reported; with `--json` the numbers land in `BENCH_incr.json`.
 fn run_incr(json: bool) {
-    use muml_bench::workload::seed_fault;
+    use muml_bench::workload::{seed_fault, ticker_counter_workload, CounterWorkload};
     use muml_core::{verify_integration, IntegrationConfig, LegacyUnit};
     use muml_legacy::{fault_matrix, inject, Fault, HiddenMealy, PortMap};
     use muml_railcab::{correct_shuttle, faulty_shuttle, front_context, shuttle_variants};
@@ -902,12 +902,10 @@ fn run_incr(json: bool) {
     }
 
     fn counter_run(
-        n: usize,
-        k: usize,
+        mut w: CounterWorkload,
         fault_depth: Option<usize>,
         incremental: bool,
     ) -> IntegrationReport {
-        let mut w = counter_workload(n, k);
         if let Some(d) = fault_depth {
             seed_fault(&mut w, d);
         }
@@ -1014,11 +1012,17 @@ fn run_incr(json: bool) {
     });
     for (n, k) in [(16usize, 14usize), (32, 30), (48, 46)] {
         measure(&mut rows, format!("counter/n={n},k={k}"), |inc| {
-            counter_run(n, k, None, inc)
+            counter_run(counter_workload(n, k), None, inc)
         });
     }
     measure(&mut rows, "counter/n=32,fault@24".into(), |inc| {
-        counter_run(32, 30, Some(24), inc)
+        counter_run(counter_workload(32, 30), Some(24), inc)
+    });
+    // The compose-bound shape: a context of hundreds of states (the
+    // driver with a ticker grid), where the incremental splice, not the
+    // rig, is the loop's cost.
+    measure(&mut rows, "ticker/n=10,k=8".into(), |inc| {
+        counter_run(ticker_counter_workload(10, 8), None, inc)
     });
 
     // The `full`-variant fault campaign at zero harness latency: baseline

@@ -79,6 +79,28 @@ pub fn counter_workload(n: usize, k: usize) -> CounterWorkload {
     }
 }
 
+/// A counter workload whose context is the `k`-push driver composed with a
+/// grid of three free-running 5-phase tickers ([`ticker_workload`]): a
+/// context of several hundred states, so composing it with the counter's
+/// closure, not the rig, dominates the loop. `n = 10, k = 8` is the
+/// served benchmark's warm cell.
+pub fn ticker_counter_workload(n: usize, k: usize) -> CounterWorkload {
+    let grid = ticker_workload(3, 5, 0);
+    let driver = driver_context(&grid.universe, k);
+    let mut parts = vec![&driver];
+    parts.extend(grid.parts.iter());
+    let context = muml_automata::compose(&parts, &muml_automata::ComposeOptions::default())
+        .expect("driver and tickers compose")
+        .automaton;
+    CounterWorkload {
+        component: counter_component(&grid.universe, n),
+        universe: grid.universe,
+        context,
+        n,
+        k,
+    }
+}
+
 /// Seeds the paper-style fault at depth `d`: the counter mis-announces
 /// `top` already when leaving state `c(d)` — an early saturation the
 /// context cannot accept, i.e. a real integration fault reachable after

@@ -152,8 +152,9 @@ pub struct IntegrationConfig {
     /// them, and warm-start the model checker from the previous
     /// iteration's satisfaction sets. Verdicts, counterexamples, and
     /// iteration counts are identical either way (the incremental product
-    /// is bit-identical to a cold rebuild); `false` forces the cold path
-    /// everywhere, e.g. for differential testing.
+    /// is a cold rebuild's up to a renaming of states, which nothing
+    /// downstream observes); `false` forces the cold path everywhere, e.g.
+    /// for differential testing.
     pub incremental: bool,
     /// Retry policy for counterexample tests and frontier probes. The
     /// default (`quorum` 1, a few attempts) behaves exactly like single-shot
@@ -809,9 +810,11 @@ pub(crate) fn run_loop(
         }
 
         // Compose M_a^c ∥ chaos(M_l^i) — incrementally when the learn
-        // delta permits, cold otherwise. The incremental product is
-        // bit-identical to a cold rebuild, so everything downstream
-        // (checking, counterexamples, projections) is mode-agnostic.
+        // delta permits, cold otherwise. The incremental product is the
+        // cold rebuild up to a renaming of states, and nothing downstream
+        // (checking, counterexamples, projections) reads state numbers, so
+        // everything downstream is mode-agnostic. Sizes are reported over
+        // the reachable part.
         let compose_timer = PhaseTimer::start(Phase::Compose);
         let deltas: Vec<LearnDelta> = learned.iter_mut().map(|m| m.take_delta()).collect();
         for (acc, d) in run_delta.iter_mut().zip(&deltas) {
@@ -836,12 +839,12 @@ pub(crate) fn run_loop(
                 stats.recompose_incremental += 1;
             }
         }
-        stats.peak_composed_states = stats.peak_composed_states.max(comp.automaton.state_count());
+        stats.peak_composed_states = stats.peak_composed_states.max(comp.reachable_state_count());
         stats.expanded_labels += comp.stats.expanded_labels;
         stats.family_guards += comp.stats.family_guards;
         sink.emit(&LoopEvent::Composed {
             iteration: index,
-            product_states: comp.automaton.state_count(),
+            product_states: comp.reachable_state_count(),
             transitions: comp.automaton.transition_count(),
             expanded_labels: comp.stats.expanded_labels,
             family_guards: comp.stats.family_guards,
@@ -899,7 +902,7 @@ pub(crate) fn run_loop(
                 iterations.push(IterationRecord {
                     index,
                     knowledge,
-                    composed_states: comp.automaton.state_count(),
+                    composed_states: comp.reachable_state_count(),
                     violated: None,
                     counterexample: None,
                     outcome: IterationOutcome::Proven,
@@ -1098,7 +1101,7 @@ pub(crate) fn run_loop(
                 iterations.push(IterationRecord {
                     index,
                     knowledge,
-                    composed_states: comp.automaton.state_count(),
+                    composed_states: comp.reachable_state_count(),
                     violated: Some(violated_str.clone()),
                     counterexample: Some(cex_listing.clone()),
                     outcome: IterationOutcome::Fault,
@@ -1217,7 +1220,7 @@ pub(crate) fn run_loop(
                     iterations.push(IterationRecord {
                         index,
                         knowledge,
-                        composed_states: comp.automaton.state_count(),
+                        composed_states: comp.reachable_state_count(),
                         violated: Some(violated_str.clone()),
                         counterexample: Some(cex_listing.clone()),
                         outcome: IterationOutcome::Fault,
@@ -1255,7 +1258,7 @@ pub(crate) fn run_loop(
         iterations.push(IterationRecord {
             index,
             knowledge,
-            composed_states: comp.automaton.state_count(),
+            composed_states: comp.reachable_state_count(),
             violated: Some(violated),
             counterexample: Some(listing),
             outcome: record_outcome.unwrap_or(IterationOutcome::FrontierLearned {

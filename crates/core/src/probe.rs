@@ -186,7 +186,7 @@ pub(crate) fn probe_frontier(
     harness: &mut TestHarness,
 ) -> Result<FrontierResult, CoreError> {
     let dead = dead_run.last_state();
-    let dead_tuple = &comp.origin[dead.index()];
+    let dead_tuple = comp.tuple(dead);
     let knowledge_before: usize = learned
         .iter()
         .map(|m| m.transition_count() + m.refusal_count() + m.state_count())
@@ -199,10 +199,10 @@ pub(crate) fn probe_frontier(
         let (own_in, _own_out) = unit.component.interface();
         // The configuration of everything except component i, with the
         // other closures moved to their optimistic states.
-        let mut proj_tuple: Vec<u32> = vec![dead_tuple[0].0];
+        let mut proj_tuple: Vec<u32> = vec![dead_tuple[0]];
         for (j, &c) in closures.iter().enumerate() {
             if j != i {
-                proj_tuple.push(optimistic_sibling(c, dead_tuple[j + 1]).0);
+                proj_tuple.push(optimistic_sibling(c, StateId(dead_tuple[j + 1])).0);
             }
         }
         // Offered inputs to component i, deduplicated.
@@ -342,7 +342,7 @@ pub(crate) fn probe_frontier(
     if joint_step_exists(
         u,
         rest.context,
-        dead_tuple[0],
+        StateId(dead_tuple[0]),
         learned,
         &frontier_states,
         config,
@@ -446,10 +446,12 @@ mod tests {
         own_in: SignalSet,
     ) -> Option<Vec<SignalSet>> {
         let comp = compose(parts, &ComposeOptions::default()).unwrap();
-        let tuple: Vec<StateId> = tuple.iter().map(|&s| StateId(s)).collect();
-        let s = comp.origin.iter().position(|t| *t == tuple)?;
+        let s = comp
+            .automaton
+            .state_ids()
+            .find(|&s| comp.tuple(s) == tuple)?;
         let mut offers: Vec<SignalSet> = Vec::new();
-        for t in comp.automaton.transitions_from(StateId(s as u32)) {
+        for t in comp.automaton.transitions_from(s) {
             let offered = match &t.guard {
                 Guard::Exact(l) => l.outputs.intersection(own_in),
                 Guard::Family(f) => f.out_must.intersection(own_in),

@@ -2,8 +2,9 @@
 //! checking (DESIGN.md §12): 200 seeded learn-loop runs, each a sequence of
 //! random observations folded into an [`IncompleteAutomaton`], recomposed
 //! through a [`CompositionCache`] and model-checked with seed carry-over.
-//! After every round the incremental product must be identical to a cold
-//! rebuild and the warm-started verdicts must equal a cold checker's.
+//! After every round the incremental product must be the cold rebuild's up
+//! to a renaming of states (`muml_testkit::assert_same_product`) and the
+//! warm-started verdicts must equal a cold checker's.
 //!
 //! A quarter of the seeds pin the splice threshold to `0.0`, forcing the
 //! fallback-to-cold path; another quarter pin it to `1.0`, maximising
@@ -13,9 +14,11 @@ use std::collections::HashMap;
 
 use muml_automata::{
     chaotic_closure, compose, Automaton, AutomatonBuilder, ComposeOptions, Composition,
-    CompositionCache, IncompleteAutomaton, Label, Observation, RecomposeMode, SignalSet, Universe,
+    CompositionCache, IncompleteAutomaton, Label, Observation, RecomposeMode, SignalSet, StateId,
+    Universe,
 };
 use muml_logic::{parse, CheckSeed, Checker, Formula};
+use muml_testkit::assert_same_product;
 
 /// Deterministic splitmix-style generator — no external dependencies, same
 /// stream on every platform.
@@ -134,43 +137,6 @@ fn cold_oracle(ctx: &Automaton, m: &IncompleteAutomaton) -> Composition {
     compose(&[ctx, &closure], &ComposeOptions::default()).expect("cold oracle composes")
 }
 
-/// The incremental product must be identical to the cold oracle in every
-/// id-visible way — states, names, props, guards, row order, initial, CSR.
-fn assert_products_identical(seed: u64, round: usize, inc: &Composition, cold: &Composition) {
-    assert_eq!(
-        inc.automaton.state_count(),
-        cold.automaton.state_count(),
-        "seed {seed} round {round}: state counts diverge"
-    );
-    for s in inc.automaton.state_ids() {
-        assert_eq!(
-            inc.automaton.state_name(s),
-            cold.automaton.state_name(s),
-            "seed {seed} round {round}: state {} renamed",
-            s.0
-        );
-        assert_eq!(
-            inc.automaton.props_of(s),
-            cold.automaton.props_of(s),
-            "seed {seed} round {round}: props diverge at {}",
-            inc.automaton.state_name(s)
-        );
-        assert_eq!(
-            inc.automaton.transitions_from(s),
-            cold.automaton.transitions_from(s),
-            "seed {seed} round {round}: row {} ({}) diverges",
-            s.0,
-            inc.automaton.state_name(s)
-        );
-    }
-    assert_eq!(
-        inc.automaton.initial_states(),
-        cold.automaton.initial_states(),
-        "seed {seed} round {round}: initial states diverge"
-    );
-    assert_eq!(inc.csr, cold.csr, "seed {seed} round {round}: CSR diverges");
-}
-
 #[test]
 fn randomized_learn_loops_match_cold_rebuilds() {
     const RUNS: u64 = 200;
@@ -179,6 +145,8 @@ fn randomized_learn_loops_match_cold_rebuilds() {
     let mut incremental_recomposes = 0usize;
     let mut forced_cold_recomposes = 0usize;
     let mut warm_seeded_checks = 0usize;
+    let mut unreachable_kept = 0usize;
+    let mut compactions = 0usize;
 
     for seed in 0..RUNS {
         let mut rng = Lcg(0x9E3779B97F4A7C15 ^ (seed.wrapping_mul(0xBF58476D1CE4E5B9)));
@@ -219,11 +187,20 @@ fn randomized_learn_loops_match_cold_rebuilds() {
                     .expect("generated observations are consistent by construction");
             }
             let deltas = [m.take_delta()];
+            let states_before = if round > 0 {
+                cache.composition().automaton.state_count()
+            } else {
+                0
+            };
             let (info, carry) = cache
                 .recompose(std::slice::from_ref(&m), &deltas, None, &opts, true)
                 .expect("recompose succeeds");
             if info.mode == RecomposeMode::Incremental {
                 incremental_recomposes += 1;
+                // Ids are stable, so only a compaction shrinks the product.
+                if cache.composition().automaton.state_count() < states_before {
+                    compactions += 1;
+                }
                 // Threshold 0.0 only admits the no-op splice of an empty
                 // delta; any real dirtiness must have fallen back to cold.
                 assert!(
@@ -236,7 +213,19 @@ fn randomized_learn_loops_match_cold_rebuilds() {
             }
             let comp = cache.composition();
             let cold = cold_oracle(&ctx, &m);
-            assert_products_identical(seed, round, comp, &cold);
+            assert_same_product(&format!("seed {seed} round {round}"), comp, &cold);
+            // Carried bits are only valid at states still reachable.
+            if let Some(carry) = &carry {
+                let reachable = comp.automaton.reachable_states();
+                for new in carry.remap.iter().flatten() {
+                    assert!(
+                        reachable.contains(&StateId(*new)),
+                        "seed {seed} round {round}: carried state {new} is unreachable"
+                    );
+                }
+            }
+            unreachable_kept =
+                unreachable_kept.max(comp.automaton.state_count() - comp.reachable_state_count());
 
             let mut warm = match (prev_seed.take(), &carry) {
                 (Some(s), Some(c)) => {
@@ -270,4 +259,9 @@ fn randomized_learn_loops_match_cold_rebuilds() {
         warm_seeded_checks > 0,
         "no check was ever warm-seeded from a previous round"
     );
+    assert!(
+        unreachable_kept > 0,
+        "no splice ever left an unreachable row behind"
+    );
+    assert!(compactions > 0, "no splice ever compacted the product");
 }

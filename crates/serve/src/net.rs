@@ -91,7 +91,11 @@ struct ServerInner {
     stop_signal: Mutex<bool>,
     stopped: Condvar,
     next_client: AtomicU64,
-    conns: Mutex<Vec<Stream>>,
+    /// A clone of every open connection's socket, by client id, so a stop
+    /// can unblock its reader. Event pumps leave this list: they end when
+    /// the daemon's shutdown disconnects their channel, after delivering
+    /// every event emitted before it.
+    conns: Mutex<Vec<(u64, Stream)>>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
@@ -111,7 +115,7 @@ impl ServerInner {
         if let Some(path) = &self.unix_path {
             let _ = UnixStream::connect(path);
         }
-        for conn in self
+        for (_, conn) in self
             .conns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -287,14 +291,14 @@ fn accept_loop(inner: Arc<ServerInner>, accept: impl Fn() -> io::Result<Stream>)
         if inner.stopping.load(Ordering::SeqCst) {
             return;
         }
+        let client = inner.next_client.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
             inner
                 .conns
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
+                .push((client, clone));
         }
-        let client = inner.next_client.fetch_add(1, Ordering::SeqCst);
         let conn_inner = Arc::clone(&inner);
         let handle = thread::spawn(move || handle_conn(conn_inner, client, stream));
         inner
@@ -422,8 +426,18 @@ fn serve_conn(inner: &Arc<ServerInner>, client: u64, stream: &mut Stream) {
                 if write_frame(stream, &Response::Subscribed.to_json()).is_err() {
                     return;
                 }
-                // The connection becomes an event pump until it drops,
-                // the daemon shuts down, or the server stops.
+                // The connection becomes an event pump until it drops or
+                // the daemon shuts down. A stop must not cut it off while
+                // events are still buffered — a client that saw a verdict
+                // may stop the server before the pump wrote that job's
+                // `job_finished` — so it leaves the stop's shutdown list
+                // and drains its channel, which the daemon's shutdown
+                // (always first in a stop) disconnects.
+                inner
+                    .conns
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .retain(|(id, _)| *id != client);
                 loop {
                     match events.recv_timeout(Duration::from_millis(100)) {
                         Ok(event) => {
@@ -431,6 +445,8 @@ fn serve_conn(inner: &Arc<ServerInner>, client: u64, stream: &mut Stream) {
                                 return;
                             }
                         }
+                        // A backstop only: every stop shuts the daemon
+                        // down first, which disconnects the channel.
                         Err(RecvTimeoutError::Timeout) => {
                             if inner.stopping.load(Ordering::SeqCst) {
                                 return;

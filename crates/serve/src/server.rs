@@ -205,7 +205,8 @@ enum JobState {
         cancel: CancelToken,
         cancelled_by_client: bool,
     },
-    Done(Box<VerdictRecord>),
+    /// The finished verdict, shared with the history.
+    Done(Arc<VerdictRecord>),
 }
 
 /// One priority class: per-client FIFO queues served round-robin.
@@ -280,7 +281,9 @@ struct SchedState {
     next_job: u64,
     classes: [ClassQueue; 3],
     jobs: HashMap<u64, JobState>,
-    history: VecDeque<VerdictRecord>,
+    /// Finished verdicts, oldest first; each is the same allocation its
+    /// job's [`JobState::Done`] holds.
+    history: VecDeque<Arc<VerdictRecord>>,
     running: usize,
     per_client: HashMap<u64, usize>,
     counters: Counters,
@@ -295,6 +298,20 @@ impl SchedState {
 
     fn pending(&self) -> usize {
         self.queued() + self.running
+    }
+
+    /// Files a finished verdict: one shared record, held by the history
+    /// and by its job's `Done` state. Evicting a record past
+    /// `history_limit` forgets its job as well.
+    fn finish(&mut self, record: VerdictRecord, history_limit: usize) {
+        let record = Arc::new(record);
+        self.history.push_back(Arc::clone(&record));
+        while self.history.len() > history_limit {
+            if let Some(evicted) = self.history.pop_front() {
+                self.jobs.remove(&evicted.job);
+            }
+        }
+        self.jobs.insert(record.job, JobState::Done(record));
     }
 }
 
@@ -338,19 +355,14 @@ impl DaemonInner {
     /// Moves a job into `Done`, maintaining history, counters, and
     /// bookkeeping. Call with the lock held; notifies `done`.
     fn record_done(&self, state: &mut SchedState, client: u64, record: VerdictRecord) {
-        let job = record.job;
         // The verdict hits stable storage before any waiter can observe
         // it: a crash after the wakeup must still replay this record.
-        self.journal_append(&JournalRecord::Finished {
-            record: record.clone(),
-        });
-        state.history.push_back(record.clone());
-        while state.history.len() > self.config.history_limit {
-            if let Some(evicted) = state.history.pop_front() {
-                state.jobs.remove(&evicted.job);
-            }
-        }
-        state.jobs.insert(job, JobState::Done(Box::new(record)));
+        let journalled = JournalRecord::Finished { record };
+        self.journal_append(&journalled);
+        let JournalRecord::Finished { record } = journalled else {
+            unreachable!("built as Finished above")
+        };
+        state.finish(record, self.config.history_limit);
         state.counters.completed += 1;
         if let Some(pending) = state.per_client.get_mut(&client) {
             *pending = pending.saturating_sub(1);
@@ -554,7 +566,7 @@ impl Daemon {
         loop {
             match state.jobs.get(&job) {
                 None => return Err(ServeError::UnknownJob { job }),
-                Some(JobState::Done(record)) => return Ok((**record).clone()),
+                Some(JobState::Done(record)) => return Ok(VerdictRecord::clone(record)),
                 Some(_) => {
                     state = self
                         .inner
@@ -627,7 +639,12 @@ impl Daemon {
 
     /// The bounded verdict history, oldest first.
     pub fn history(&self) -> Vec<VerdictRecord> {
-        self.inner.lock().history.iter().cloned().collect()
+        self.inner
+            .lock()
+            .history
+            .iter()
+            .map(|r| VerdictRecord::clone(r))
+            .collect()
     }
 
     /// Current daemon counters.
@@ -748,15 +765,7 @@ fn replay_daemon_state(
         ..ReplayStats::default()
     };
     for record in replay.finished() {
-        state.history.push_back(record.clone());
-        while state.history.len() > history_limit {
-            if let Some(evicted) = state.history.pop_front() {
-                state.jobs.remove(&evicted.job);
-            }
-        }
-        state
-            .jobs
-            .insert(record.job, JobState::Done(Box::new(record.clone())));
+        state.finish(record.clone(), history_limit);
         state.counters.completed += 1;
         stats.finished += 1;
     }
@@ -797,8 +806,7 @@ fn replay_daemon_state(
                 let _ = journal.append(&JournalRecord::Finished {
                     record: verdict.clone(),
                 });
-                state.history.push_back(verdict.clone());
-                state.jobs.insert(*job, JobState::Done(Box::new(verdict)));
+                state.finish(verdict, history_limit);
                 state.counters.completed += 1;
                 eprintln!("muml-serve: journalled job {job} no longer resolves: {e:?}");
             }
@@ -1283,6 +1291,44 @@ mod tests {
             .unwrap();
         assert!(next > first_history.iter().map(|r| r.job).max().unwrap());
         daemon.wait(next).unwrap();
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    #[test]
+    fn finished_verdicts_are_kept_once_and_evicted_together() {
+        let daemon = Daemon::start(
+            ServeConfig::default().with_history_limit(2),
+            test_registry(),
+        );
+        let mut jobs = Vec::new();
+        for i in 0..3 {
+            let job = daemon
+                .submit(1, &noop_request(i), Priority::Normal)
+                .unwrap();
+            let record = daemon.wait(job).unwrap();
+            // `wait` and `history` hand out equal records…
+            assert_eq!(daemon.history().last(), Some(&record));
+            jobs.push(job);
+        }
+        {
+            // …because both read one shared allocation.
+            let state = daemon.inner.lock();
+            assert_eq!(state.history.len(), 2);
+            for record in &state.history {
+                let Some(JobState::Done(done)) = state.jobs.get(&record.job) else {
+                    panic!("job {} has no Done state", record.job);
+                };
+                assert!(Arc::ptr_eq(done, record));
+                assert_eq!(Arc::strong_count(record), 2);
+            }
+        }
+        // Eviction past the limit forgets both copies of the oldest job.
+        assert!(matches!(
+            daemon.wait(jobs[0]),
+            Err(ServeError::UnknownJob { .. })
+        ));
+        assert_eq!(daemon.wait(jobs[2]).unwrap().job, jobs[2]);
         daemon.shutdown();
         daemon.join();
     }

@@ -1,6 +1,7 @@
 //! End-to-end protocol tests over real sockets: typed answers to hostile
 //! frames, the two-client cancel race, admission bursts, event
-//! subscription, and shutdown semantics.
+//! subscription, and shutdown semantics. Tests order their steps by the
+//! daemon's own answers and events, never by sleeping.
 
 use std::io::Write;
 use std::time::Duration;
@@ -82,28 +83,54 @@ fn submit_wait_over_unix_socket() {
     assert!(!path.exists(), "socket file is cleaned up on stop");
 }
 
+/// Blocks until `events` reports that `job` started running.
+fn await_started(events: &mut muml_serve::EventStream, job: u64) {
+    for response in events {
+        if let Response::Event {
+            job: id, payload, ..
+        } = response
+        {
+            if id == job && payload.get("event").and_then(Json::as_str) == Some("job_started") {
+                return;
+            }
+        }
+    }
+    panic!("event stream ended before job {job} started");
+}
+
 #[test]
 fn two_client_cancel_race_yields_one_signal_and_one_already_done() {
-    // Two clients race to cancel the same running job. Exactly one
-    // observes the transition (`signalled` / `removed`); the later one
-    // sees `already-done` once the verdict lands. Neither errors, and
-    // the final verdict is `cancelled` either way.
+    // Two clients race to cancel the same *running* job. Each observes
+    // either the transition (`signalled`) or, once the verdict landed,
+    // `already-done`; at least one signals, neither errors, and the final
+    // verdict is `cancelled`. The race starts only after the job's
+    // `job_started` event, so no racer can find it still queued, and a
+    // barrier releases both racers together.
     for _ in 0..5 {
         let (server, addr) = start_tcp(ServeConfig::default().with_workers(1));
+        let mut events = ServeClient::connect_tcp(&addr)
+            .unwrap()
+            .subscribe()
+            .unwrap();
         let mut submitter = ServeClient::connect_tcp(&addr).unwrap();
         let job = submitter.submit(&slow(0), Priority::Normal).unwrap();
+        await_started(&mut events, job);
 
-        let addr_a = addr.clone();
-        let addr_b = addr.clone();
-        let racer = |addr: String| {
-            std::thread::spawn(move || {
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
                 let mut client = ServeClient::connect_tcp(&addr).unwrap();
-                client.cancel(job)
+                let barrier = std::sync::Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    client.cancel(job)
+                })
             })
-        };
-        let a = racer(addr_a).join().map_err(|_| "panic").unwrap();
-        let b = racer(addr_b).join().map_err(|_| "panic").unwrap();
-        let states = [a.unwrap(), b.unwrap()];
+            .collect();
+        let states: Vec<CancelState> = racers
+            .into_iter()
+            .map(|racer| racer.join().expect("racer panicked").unwrap())
+            .collect();
         assert!(
             states
                 .iter()
@@ -247,6 +274,9 @@ fn truncated_frame_ends_only_that_connection() {
 
 #[test]
 fn subscribers_stream_lifecycle_events_over_the_wire() {
+    // The client shuts the server down the moment it has the verdict; the
+    // subscriber must still receive the job's whole lifecycle, in order,
+    // before its stream ends.
     let (server, addr) = start_tcp(ServeConfig::default());
     let subscriber = ServeClient::connect_tcp(&addr).unwrap();
     let events = subscriber.subscribe().unwrap();
@@ -257,9 +287,12 @@ fn subscribers_stream_lifecycle_events_over_the_wire() {
     let kinds: Vec<String> = events
         .filter_map(|response| match response {
             Response::Event {
-                stream, payload, ..
+                stream,
+                job: id,
+                payload,
             } => {
                 assert_eq!(stream, "fleet");
+                assert_eq!(id, job);
                 payload
                     .get("event")
                     .and_then(Json::as_str)
@@ -268,8 +301,7 @@ fn subscribers_stream_lifecycle_events_over_the_wire() {
             _ => None,
         })
         .collect();
-    assert!(kinds.contains(&"job_started".to_owned()), "{kinds:?}");
-    assert!(kinds.contains(&"job_finished".to_owned()), "{kinds:?}");
+    assert_eq!(kinds, ["job_started", "job_finished"]);
     server.wait();
 }
 

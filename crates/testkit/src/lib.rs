@@ -1,19 +1,24 @@
-//! Deterministic, dependency-free randomness for property-style tests.
+//! Deterministic randomness and shared oracles for property-style tests.
 //!
 //! The workspace runs in hermetic environments without access to a crate
 //! registry, so `proptest`/`rand` are not available. This crate provides the
-//! two pieces the test suites actually need:
+//! pieces the test suites actually need:
 //!
 //! * [`Rng`] — a splitmix64 generator with convenience samplers, fully
 //!   deterministic from its seed;
 //! * [`cases`] — runs a closure over `n` derived seeds and reports the
 //!   failing seed on panic, so a failure is reproducible with
-//!   [`Rng::with_seed`].
+//!   [`Rng::with_seed`];
+//! * [`assert_same_product`] — the one comparison of two composed products
+//!   up to a renaming of states, which is the contract between a cold
+//!   composition and an incrementally maintained one.
 //!
 //! There is no shrinking; generators should therefore keep their value
 //! spaces small (as the original proptest strategies already did).
 
 #![warn(missing_docs)]
+
+use muml_automata::{Composition, StateId};
 
 /// A splitmix64 pseudo-random generator (deterministic, `Copy`-cheap).
 #[derive(Debug, Clone)]
@@ -84,6 +89,135 @@ pub fn cases(n: u64, body: impl Fn(&mut Rng)) {
             eprintln!("testkit: case failed with seed {seed} (replay via Rng::with_seed({seed}))");
             std::panic::resume_unwind(payload);
         }
+    }
+}
+
+/// The reachable part of a product in canonical order: breadth-first from
+/// the initial states (in order), following each row in emit order.
+/// Returns `canon[s]` (the canonical index of `s`, if reachable) and the
+/// states in canonical order.
+fn canonical_order(comp: &Composition) -> (Vec<Option<usize>>, Vec<StateId>) {
+    let m = &comp.automaton;
+    let mut canon: Vec<Option<usize>> = vec![None; m.state_count()];
+    let mut order: Vec<StateId> = Vec::new();
+    for &q in m.initial_states() {
+        if canon[q.index()].is_none() {
+            canon[q.index()] = Some(order.len());
+            order.push(q);
+        }
+    }
+    let mut next = 0;
+    while next < order.len() {
+        let s = order[next];
+        next += 1;
+        for t in m.transitions_from(s) {
+            if canon[t.to.index()].is_none() {
+                canon[t.to.index()] = Some(order.len());
+                order.push(t.to);
+            }
+        }
+    }
+    (canon, order)
+}
+
+/// Asserts that `lhs` and `rhs` are the same product up to a renaming of
+/// states, over their reachable parts.
+///
+/// Both products are relabelled breadth-first from their initial states,
+/// following rows in emit order. Then, exactly: the initial states in
+/// order; for every reachable state its name, its props and its row
+/// (guards in order, targets relabelled); and the CSR relation — each
+/// state's successors, predecessors and deadlock flag, relabelled. Every
+/// state outside the reachable part must have an empty row, and
+/// [`Composition::reachable_state_count`] must count the reachable part.
+/// This is everything a consumer that starts from the initial states can
+/// observe: checker verdicts and witnesses, listings, projections and
+/// probes read names, tuples and rows, never raw state numbers.
+///
+/// # Panics
+///
+/// Panics (naming `what` and the first difference) if the products differ.
+pub fn assert_same_product(what: &str, lhs: &Composition, rhs: &Composition) {
+    let (lc, lorder) = canonical_order(lhs);
+    let (rc, rorder) = canonical_order(rhs);
+    assert_eq!(
+        lorder.len(),
+        rorder.len(),
+        "{what}: reachable state counts differ"
+    );
+    for (side, comp, canon, order) in [("lhs", lhs, &lc, &lorder), ("rhs", rhs, &rc, &rorder)] {
+        assert_eq!(
+            comp.reachable_state_count(),
+            order.len(),
+            "{what}: {side} miscounts its reachable states"
+        );
+        for s in comp.automaton.state_ids() {
+            if canon[s.index()].is_none() {
+                assert!(
+                    comp.automaton.transitions_from(s).is_empty(),
+                    "{what}: {side} keeps a row at unreachable state {}",
+                    comp.automaton.state_name(s)
+                );
+            }
+        }
+    }
+    let relabel = |canon: &[Option<usize>], ids: &[u32]| -> Vec<usize> {
+        let mut v: Vec<usize> = ids
+            .iter()
+            .map(|&t| canon[t as usize].expect("reachable states only touch reachable states"))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let linit: Vec<Option<usize>> = lhs
+        .automaton
+        .initial_states()
+        .iter()
+        .map(|q| lc[q.index()])
+        .collect();
+    let rinit: Vec<Option<usize>> = rhs
+        .automaton
+        .initial_states()
+        .iter()
+        .map(|q| rc[q.index()])
+        .collect();
+    assert_eq!(linit, rinit, "{what}: initial states differ");
+    for (i, (&ls, &rs)) in lorder.iter().zip(&rorder).enumerate() {
+        let (lm, rm) = (&lhs.automaton, &rhs.automaton);
+        let name = lm.state_name(ls);
+        assert_eq!(name, rm.state_name(rs), "{what}: state #{i} renamed");
+        assert_eq!(
+            lm.props_of(ls),
+            rm.props_of(rs),
+            "{what}: props differ at {name}"
+        );
+        let lrow: Vec<_> = lm
+            .transitions_from(ls)
+            .iter()
+            .map(|t| (&t.guard, lc[t.to.index()]))
+            .collect();
+        let rrow: Vec<_> = rm
+            .transitions_from(rs)
+            .iter()
+            .map(|t| (&t.guard, rc[t.to.index()]))
+            .collect();
+        assert_eq!(lrow, rrow, "{what}: row of {name} differs");
+        let (l, r) = (ls.index(), rs.index());
+        assert_eq!(
+            lhs.csr.is_deadlocked(l),
+            rhs.csr.is_deadlocked(r),
+            "{what}: CSR deadlock flag differs at {name}"
+        );
+        assert_eq!(
+            relabel(&lc, lhs.csr.successors(l)),
+            relabel(&rc, rhs.csr.successors(r)),
+            "{what}: CSR successors differ at {name}"
+        );
+        assert_eq!(
+            relabel(&lc, lhs.csr.predecessors(l)),
+            relabel(&rc, rhs.csr.predecessors(r)),
+            "{what}: CSR predecessors differ at {name}"
+        );
     }
 }
 
