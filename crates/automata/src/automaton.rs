@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::label::{Guard, GuardId, GuardTable, Label};
 use crate::prop::PropSet;
 use crate::signal::SignalSet;
 use crate::universe::Universe;
@@ -35,12 +35,13 @@ pub(crate) struct StateData {
     pub props: PropSet,
 }
 
-/// An outgoing transition: a [`Guard`] (one label or a symbolic family) and
-/// the target state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An outgoing transition: the id of its [`Guard`] (one label or a
+/// symbolic family) in the owning automaton's guard table, and the target
+/// state. Resolve the guard with [`Automaton::guard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// The label(s) on which this transition fires.
-    pub guard: Guard,
+    pub guard: GuardId,
     /// The successor state.
     pub to: StateId,
 }
@@ -54,13 +55,11 @@ struct Span {
     cap: u32,
 }
 
-/// Filler for transition-buffer entries no row holds.
-fn vacant() -> Transition {
-    Transition {
-        guard: Guard::Exact(Label::EMPTY),
-        to: StateId(u32::MAX),
-    }
-}
+/// Filler for fresh transition-buffer entries no row holds yet.
+const VACANT: Transition = Transition {
+    guard: GuardId(u32::MAX),
+    to: StateId(u32::MAX),
+};
 
 /// A finite discrete-time I/O automaton with state labelling.
 ///
@@ -70,11 +69,13 @@ fn vacant() -> Transition {
 /// [`chaotic_closure`](crate::chaotic_closure), …) produce new automata.
 ///
 /// Storage is flat: all state names share one string buffer, and all rows
-/// share one transition buffer in which each state owns a slot. Adding a
-/// state or rewriting a row (what the crate's incremental products and
-/// patched closures do) therefore allocates nothing per state: a rewritten
-/// row stays in its slot when it fits, and otherwise moves to a vacated
-/// slot of the right size class or to a fresh power-of-two slot at the end.
+/// share one buffer of 8-byte [`Transition`]s in which each state owns a
+/// slot. Each distinct guard is stored once, in the automaton's guard
+/// table, and transitions refer to it by [`GuardId`]. Adding a state or
+/// rewriting a row (what the crate's incremental products and patched
+/// closures do) therefore allocates nothing per state: a rewritten row
+/// stays in its slot when it fits, and otherwise moves to a vacated slot
+/// of the right size class or to a fresh power-of-two slot at the end.
 ///
 /// # Examples
 ///
@@ -105,6 +106,8 @@ pub struct Automaton {
     name_end: Vec<u32>,
     /// The labelling `L(s)` per state.
     props: Vec<PropSet>,
+    /// Every distinct guard, interned; ids are append-only.
+    guards: GuardTable,
     /// Every row's transitions; row `s` is `trans[rows[s].start..][..rows[s].len]`.
     trans: Vec<Transition>,
     rows: Vec<Span>,
@@ -145,6 +148,17 @@ impl Automaton {
     /// Total number of transition entries (symbolic families count once).
     pub fn transition_count(&self) -> usize {
         self.live
+    }
+
+    /// The guard with id `id` (a [`Transition::guard`] of this automaton).
+    pub fn guard(&self, id: GuardId) -> &Guard {
+        self.guards.get(id)
+    }
+
+    /// Number of distinct guards in the guard table. The table is
+    /// append-only, so it may also hold guards no row uses any more.
+    pub fn guard_count(&self) -> usize {
+        self.guards.len()
     }
 
     /// Iterates over all state ids.
@@ -193,14 +207,14 @@ impl Automaton {
     pub fn enables(&self, s: StateId, label: Label) -> bool {
         self.transitions_from(s)
             .iter()
-            .any(|t| t.guard.admits(label))
+            .any(|t| self.guard(t.guard).admits(label))
     }
 
     /// All successor states of `s` under the concrete label `(A, B)`.
     pub fn successors(&self, s: StateId, label: Label) -> Vec<StateId> {
         self.transitions_from(s)
             .iter()
-            .filter(|t| t.guard.admits(label))
+            .filter(|t| self.guard(t.guard).admits(label))
             .map(|t| t.to)
             .collect()
     }
@@ -208,10 +222,12 @@ impl Automaton {
     /// Returns `true` if `s` has no outgoing transition at all — a deadlock
     /// state in the sense used for the `δ` predicate.
     pub fn is_deadlock(&self, s: StateId) -> bool {
-        self.transitions_from(s).iter().all(|t| match &t.guard {
-            Guard::Exact(_) => false,
-            Guard::Family(f) => f.is_empty(),
-        })
+        self.transitions_from(s)
+            .iter()
+            .all(|t| match self.guard(t.guard) {
+                Guard::Exact(_) => false,
+                Guard::Family(f) => f.is_empty(),
+            })
     }
 
     /// Whether the automaton is deterministic: for any state and concrete
@@ -236,8 +252,8 @@ impl Automaton {
                     if ta.to == tb.to && ta.guard == tb.guard {
                         continue; // duplicate entry, harmless
                     }
-                    let fa = ta.guard.to_family();
-                    let fb = tb.guard.to_family();
+                    let fa = self.guard(ta.guard).to_family();
+                    let fb = self.guard(tb.guard).to_family();
                     if let Some(ix) = fa.intersect(&fb) {
                         if !ix.is_empty() {
                             return Some(s);
@@ -252,7 +268,7 @@ impl Automaton {
     /// Returns `true` if every transition guard is an exact label.
     pub fn is_concrete(&self) -> bool {
         self.transitions()
-            .all(|(_, t)| matches!(t.guard, Guard::Exact(_)))
+            .all(|(_, t)| matches!(self.guard(t.guard), Guard::Exact(_)))
     }
 
     /// The union of all propositions used in any state labelling — the label
@@ -311,7 +327,9 @@ impl Automaton {
         out
     }
 
-    /// Replaces the outgoing transitions of state `s`.
+    /// Replaces the outgoing transitions of state `s` with `(guard,
+    /// target)` pairs, interning each guard in this automaton's guard
+    /// table.
     ///
     /// Used to build one-step "slice" automata (e.g. the exact joint-step
     /// decision in `muml-core`'s frontier probing).
@@ -320,33 +338,48 @@ impl Automaton {
     ///
     /// Panics if a new transition leaves the declared interface or targets
     /// a missing state.
-    pub fn replace_transitions(&mut self, s: StateId, transitions: Vec<Transition>) {
-        for t in &transitions {
+    pub fn replace_transitions(
+        &mut self,
+        s: StateId,
+        transitions: impl IntoIterator<Item = (Guard, StateId)>,
+    ) {
+        let mut row: Vec<Transition> = Vec::new();
+        for (guard, to) in transitions {
             assert!(
-                t.to.index() < self.state_count(),
+                to.index() < self.state_count(),
                 "transition target out of range"
             );
             assert!(
-                t.guard.input_support().is_subset(self.inputs)
-                    && t.guard.output_support().is_subset(self.outputs),
+                guard.input_support().is_subset(self.inputs)
+                    && guard.output_support().is_subset(self.outputs),
                 "transition guard leaves the declared interface"
             );
+            row.push(Transition {
+                guard: self.guards.intern(guard),
+                to,
+            });
         }
-        let mut row = transitions;
         self.set_row(s, &mut row);
     }
 
-    /// Assembles an automaton from per-state data and rows.
+    /// The guard table, to intern guards into (interning only appends, so
+    /// every id handed out stays valid).
+    pub(crate) fn guards_mut(&mut self) -> &mut GuardTable {
+        &mut self.guards
+    }
+
+    /// Assembles an automaton from per-state data and rows whose guard ids
+    /// refer to `guards`.
     pub(crate) fn from_rows(
         universe: Universe,
         name: String,
         (inputs, outputs): (SignalSet, SignalSet),
         states: Vec<StateData>,
-        adj: Vec<Vec<Transition>>,
+        (guards, adj): (GuardTable, Vec<Vec<Transition>>),
         initial: Vec<StateId>,
     ) -> Automaton {
         debug_assert_eq!(states.len(), adj.len(), "one row per state");
-        let mut m = Automaton::empty(universe, name, (inputs, outputs), initial);
+        let mut m = Automaton::empty(universe, name, (inputs, outputs), guards, initial);
         m.trans.reserve(adj.iter().map(Vec::len).sum());
         for (data, row) in states.into_iter().zip(adj) {
             let s = m.push_state(data.props, |buf| buf.push_str(&data.name));
@@ -357,12 +390,13 @@ impl Automaton {
         m
     }
 
-    /// An automaton without states, to be filled by [`Self::push_state`]
-    /// and [`Self::push_transition`].
+    /// An automaton without states over the guard table `guards`, to be
+    /// filled by [`Self::push_state`] and [`Self::push_transition`].
     pub(crate) fn empty(
         universe: Universe,
         name: String,
         (inputs, outputs): (SignalSet, SignalSet),
+        guards: GuardTable,
         initial: Vec<StateId>,
     ) -> Automaton {
         Automaton {
@@ -373,6 +407,7 @@ impl Automaton {
             names: String::new(),
             name_end: Vec::new(),
             props: Vec::new(),
+            guards,
             trans: Vec::new(),
             rows: Vec::new(),
             live: 0,
@@ -426,31 +461,23 @@ impl Automaton {
         self.trans.push(t);
     }
 
-    /// Replaces the row of `s` with the transitions in `row`, draining it
-    /// (so a caller can reuse one scratch row for every state). The row
-    /// keeps its slot when it fits, takes a vacated slot of its size class
-    /// otherwise, or a fresh power-of-two slot at the end of the buffer.
+    /// Replaces the row of `s` with the transitions in `row` (guard ids of
+    /// this automaton), draining it (so a caller can reuse one scratch row
+    /// for every state). The row keeps its slot when it fits, takes a
+    /// vacated slot of its size class otherwise, or a fresh power-of-two
+    /// slot at the end of the buffer.
     pub(crate) fn set_row(&mut self, s: StateId, row: &mut Vec<Transition>) {
         let mut span = self.rows[s.index()];
         if row.len() > span.cap as usize {
             self.vacate(span);
             span = self.slot(row.len());
         } else {
-            let (from, to) = (
-                (span.start as usize) + row.len(),
-                (span.start + span.len) as usize,
-            );
-            for t in self.trans.get_mut(from..to).unwrap_or_default() {
-                *t = vacant();
-            }
             self.live -= span.len as usize;
         }
         span.len = row.len() as u32;
         self.live += row.len();
-        let slots = &mut self.trans[span.start as usize..];
-        for (slot, t) in slots.iter_mut().zip(row.drain(..)) {
-            *slot = t;
-        }
+        self.trans[span.start as usize..][..row.len()].copy_from_slice(row);
+        row.clear();
         self.rows[s.index()] = span;
     }
 
@@ -462,9 +489,6 @@ impl Automaton {
 
     /// Vacates a row's slot and files it in the free lists.
     fn vacate(&mut self, span: Span) {
-        for t in &mut self.trans[span.start as usize..(span.start + span.len) as usize] {
-            *t = vacant();
-        }
         self.live -= span.len as usize;
         if span.cap > 0 {
             let class = span.cap.ilog2() as usize;
@@ -493,7 +517,7 @@ impl Automaton {
         if self.trans.capacity() < self.trans.len() + cap {
             self.trans.reserve_exact(cap + self.trans.len() / 8);
         }
-        self.trans.extend(std::iter::repeat_with(vacant).take(cap));
+        self.trans.resize(self.trans.len() + cap, VACANT);
         Span {
             start,
             len: 0,
@@ -511,11 +535,8 @@ impl Automaton {
         let mut trans = Vec::with_capacity(self.live);
         for row in &mut self.rows {
             let start = trans.len() as u32;
-            trans.extend(
-                self.trans[row.start as usize..(row.start + row.len) as usize]
-                    .iter_mut()
-                    .map(|t| std::mem::replace(t, vacant())),
-            );
+            trans
+                .extend_from_slice(&self.trans[row.start as usize..(row.start + row.len) as usize]);
             *row = Span {
                 start,
                 len: row.len,
@@ -528,7 +549,8 @@ impl Automaton {
 
     /// Keeps exactly the states with `keep[s]`, in order, renumbering
     /// transition targets and initial states. Kept rows must only target
-    /// kept states; dropped initial states are dropped from `Q`.
+    /// kept states; dropped initial states are dropped from `Q`. The guard
+    /// table, and so every guard id, is kept.
     pub(crate) fn retain_states(&mut self, keep: &[bool]) {
         let mut remap = vec![u32::MAX; self.state_count()];
         let mut next = 0u32;
@@ -539,10 +561,12 @@ impl Automaton {
             }
         }
         let name = std::mem::take(&mut self.name);
+        let guards = std::mem::take(&mut self.guards);
         let fresh = Automaton::empty(
             self.universe.clone(),
             name,
             (self.inputs, self.outputs),
+            guards,
             Vec::new(),
         );
         let old = std::mem::replace(self, fresh);
@@ -555,7 +579,7 @@ impl Automaton {
                 self.push_transition(
                     new,
                     Transition {
-                        guard: t.guard.clone(),
+                        guard: t.guard,
                         to: StateId(to),
                     },
                 );
@@ -570,11 +594,21 @@ impl Automaton {
     }
 
     /// Internal validation: every guard stays within the declared interface,
-    /// every target exists, and there is at least one initial state.
+    /// every target exists, and there is at least one initial state. Each
+    /// distinct guard is checked once; targets are checked per entry.
     pub(crate) fn validate(&self) -> Result<()> {
         if self.initial.is_empty() {
             return Err(AutomataError::NoInitialState(self.name.clone()));
         }
+        let leaves: Vec<bool> = self
+            .guards
+            .as_slice()
+            .iter()
+            .map(|g| {
+                !g.input_support().is_subset(self.inputs)
+                    || !g.output_support().is_subset(self.outputs)
+            })
+            .collect();
         for s in self.state_ids() {
             for t in self.transitions_from(s) {
                 if t.to.index() >= self.state_count() {
@@ -584,14 +618,12 @@ impl Automaton {
                         self.state_name(s)
                     )));
                 }
-                if !t.guard.input_support().is_subset(self.inputs)
-                    || !t.guard.output_support().is_subset(self.outputs)
-                {
+                if leaves[t.guard.index()] {
                     return Err(AutomataError::UndeclaredSignal {
                         automaton: self.name.clone(),
                         detail: format!(
                             "guard {} on state `{}` leaves interface",
-                            t.guard,
+                            self.guard(t.guard),
                             self.state_name(s)
                         ),
                     });
@@ -600,11 +632,34 @@ impl Automaton {
         }
         Ok(())
     }
+
+    /// Heap bytes the automaton holds, by capacity: names, labelling, the
+    /// guard table, the transition buffer, row spans, free lists and
+    /// initial states.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.name.capacity()
+            + self.names.capacity()
+            + self.name_end.capacity() * size_of::<u32>()
+            + self.props.capacity() * size_of::<PropSet>()
+            + self.guards.heap_bytes()
+            + self.trans.capacity() * size_of::<Transition>()
+            + self.rows.capacity() * size_of::<Span>()
+            + self.free.capacity() * size_of::<Vec<(u32, u32)>>()
+            + self
+                .free
+                .iter()
+                .map(|f| f.capacity() * size_of::<(u32, u32)>())
+                .sum::<usize>()
+            + self.initial.capacity() * size_of::<StateId>()
+    }
 }
 
 /// Structural equality: the same universe, name and interface, the same
 /// states (names and labels) with the same transition rows in the same
-/// order, and the same initial states. Equal automata compose identically.
+/// order, and the same initial states. Rows are compared by resolved
+/// guard, so equality does not depend on the order guards were interned
+/// in. Equal automata compose identically.
 impl PartialEq for Automaton {
     fn eq(&self, other: &Automaton) -> bool {
         self.universe.same_as(&other.universe)
@@ -614,9 +669,13 @@ impl PartialEq for Automaton {
             && self.initial == other.initial
             && self.state_count() == other.state_count()
             && self.state_ids().all(|s| {
+                let (a, b) = (self.transitions_from(s), other.transitions_from(s));
                 self.state_name(s) == other.state_name(s)
                     && self.props_of(s) == other.props_of(s)
-                    && self.transitions_from(s) == other.transitions_from(s)
+                    && a.len() == b.len()
+                    && a.iter().zip(b).all(|(ta, tb)| {
+                        ta.to == tb.to && self.guard(ta.guard) == other.guard(tb.guard)
+                    })
             })
     }
 }
@@ -641,10 +700,178 @@ mod tests {
     use crate::label::LabelFamily;
 
     #[test]
-    fn transitions_fit_in_64_bytes() {
-        // Exact labels stay inline; the rare guard family is boxed.
-        assert!(std::mem::size_of::<Guard>() <= 48);
-        assert!(std::mem::size_of::<Transition>() <= 64);
+    fn transition_is_8_bytes() {
+        // Rows hold guard ids; each distinct guard lives once in the table.
+        assert_eq!(std::mem::size_of::<Transition>(), 8);
+    }
+
+    fn family(u: &Universe, excluded: &[Label]) -> Guard {
+        let mut f = LabelFamily::all(u.signals(["a"]), u.signals(["b"]));
+        f.excluded = excluded.to_vec();
+        Guard::from(f)
+    }
+
+    #[test]
+    fn equal_guards_share_one_id() {
+        let u = Universe::new();
+        let a = Label::new(u.signals(["a"]), SignalSet::EMPTY);
+        let m = AutomatonBuilder::new(&u, "m")
+            .input("a")
+            .output("b")
+            .state("s0")
+            .initial("s0")
+            .state("s1")
+            .transition("s0", ["a"], [], "s1")
+            .transition("s1", ["a"], [], "s0")
+            .transition("s1", ["a"], [], "s1")
+            .transition("s0", [], [], "s0")
+            .build()
+            .unwrap();
+        assert_eq!(m.transition_count(), 4);
+        assert_eq!(m.guard_count(), 2);
+        // Rows in state order: s0 = [a → s1, ε → s0], s1 = [a → s0, a → s1].
+        let ids: Vec<GuardId> = m.transitions().map(|(_, t)| t.guard).collect();
+        assert_eq!(ids[0], ids[2]);
+        assert_eq!(ids[2], ids[3]);
+        assert_ne!(ids[0], ids[1]);
+        assert_eq!(m.guard(ids[0]), &Guard::Exact(a));
+    }
+
+    #[test]
+    fn a_family_guard_is_stored_once() {
+        let u = Universe::new();
+        let excl = [Label::new(u.signals(["a"]), SignalSet::EMPTY)];
+        let m = AutomatonBuilder::new(&u, "m")
+            .input("a")
+            .output("b")
+            .state("s0")
+            .initial("s0")
+            .state("s1")
+            .transition_guard("s0", family(&u, &excl), "s0")
+            .transition_guard("s0", family(&u, &excl), "s1")
+            .transition_guard("s1", family(&u, &excl), "s0")
+            .transition_guard("s1", family(&u, &[]), "s0")
+            .build()
+            .unwrap();
+        // Exclusion lists are part of a guard's identity.
+        assert_eq!(m.guard_count(), 2);
+        let families = m
+            .guards
+            .as_slice()
+            .iter()
+            .filter(|g| matches!(g, Guard::Family(_)))
+            .count();
+        assert_eq!(families, 2);
+        // Closures box each escape family once, however many states share it.
+        let mut im = crate::incomplete::IncompleteAutomaton::trivial(
+            &u,
+            "c",
+            u.signals(["a"]),
+            u.signals(["b"]),
+            "s",
+        );
+        im.learn(&crate::incomplete::Observation::regular(
+            vec!["s".into(), "t".into()],
+            vec![Label::EMPTY],
+        ))
+        .unwrap();
+        let closure = crate::chaos::chaotic_closure(&im, None);
+        let distinct: Vec<&Guard> = closure.guards.as_slice().iter().collect();
+        for (i, g) in distinct.iter().enumerate() {
+            assert!(!distinct[..i].contains(g), "guard stored twice: {g}");
+        }
+        assert!(closure.transition_count() > closure.guard_count());
+    }
+
+    #[test]
+    fn ids_survive_row_rewrites_retain_and_clone() {
+        let u = Universe::new();
+        let mut m = two_state(&u);
+        let fam = family(&u, &[]);
+        m.replace_transitions(
+            StateId(0),
+            [(fam.clone(), StateId(0)), (fam.clone(), StateId(1))],
+        );
+        let fam_id = m.transitions_from(StateId(0))[0].guard;
+        let exact_id = m.transitions_from(StateId(1))[0].guard;
+        let guards_before: Vec<Guard> = m.guards.as_slice().to_vec();
+        let check = |m: &Automaton| {
+            assert_eq!(m.guard(fam_id), &fam);
+            assert_eq!(
+                m.guards.as_slice()[..guards_before.len()],
+                guards_before[..]
+            );
+        };
+        // set_row with ids interned earlier
+        let mut row = vec![Transition {
+            guard: fam_id,
+            to: StateId(1),
+        }];
+        m.set_row(StateId(1), &mut row);
+        check(&m);
+        assert_eq!(m.transitions_from(StateId(1))[0].guard, fam_id);
+        m.clear_row(StateId(0));
+        check(&m);
+        m.compact_rows();
+        check(&m);
+        let c = m.clone();
+        check(&c);
+        assert_eq!(c, m);
+        let mut r = m.clone();
+        r.retain_states(&[false, true]);
+        check(&r);
+        assert_eq!(
+            r.transitions_from(StateId(0)),
+            &[Transition {
+                guard: fam_id,
+                to: StateId(0),
+            }]
+        );
+        // The exact guard is no longer used by any row but keeps its id.
+        assert_eq!(m.guard(exact_id), r.guard(exact_id));
+    }
+
+    #[test]
+    fn equality_ignores_guard_interning_order() {
+        let u = Universe::new();
+        let build = |order: &[usize]| {
+            let mut m = AutomatonBuilder::new(&u, "m")
+                .input("a")
+                .output("b")
+                .state("s0")
+                .initial("s0")
+                .state("s1")
+                .build()
+                .unwrap();
+            // Intern the guards in the given order first, then write the
+            // same rows.
+            let guards = [
+                Guard::Exact(Label::new(u.signals(["a"]), SignalSet::EMPTY)),
+                Guard::Exact(Label::new(SignalSet::EMPTY, u.signals(["b"]))),
+                family(&u, &[Label::EMPTY]),
+            ];
+            for &i in order {
+                m.guards_mut().intern(guards[i].clone());
+            }
+            m.replace_transitions(
+                StateId(0),
+                [
+                    (guards[0].clone(), StateId(1)),
+                    (guards[2].clone(), StateId(0)),
+                ],
+            );
+            m.replace_transitions(StateId(1), [(guards[1].clone(), StateId(0))]);
+            m
+        };
+        let (a, b) = (build(&[0, 1, 2]), build(&[2, 1, 0]));
+        assert_ne!(
+            a.transitions_from(StateId(0))[0].guard,
+            b.transitions_from(StateId(0))[0].guard
+        );
+        assert_eq!(a, b);
+        let mut c = build(&[0, 1, 2]);
+        c.replace_transitions(StateId(1), [(family(&u, &[]), StateId(0))]);
+        assert_ne!(a, c);
     }
 
     fn two_state(u: &Universe) -> Automaton {
@@ -714,11 +941,15 @@ mod tests {
         let a = u.signal("a");
         let mut m = two_state(&u);
         // add a family transition on s0 that overlaps the exact one
-        let mut row = m.transitions_from(StateId(0)).to_vec();
-        row.push(Transition {
-            guard: Guard::from(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
-            to: StateId(0),
-        });
+        let mut row: Vec<(Guard, StateId)> = m
+            .transitions_from(StateId(0))
+            .iter()
+            .map(|t| (m.guard(t.guard).clone(), t.to))
+            .collect();
+        row.push((
+            Guard::from(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
+            StateId(0),
+        ));
         m.replace_transitions(StateId(0), row);
         assert!(!m.is_deterministic());
     }

@@ -2,7 +2,7 @@
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::label::{Guard, GuardTable, Label};
 use crate::prop::PropSet;
 use crate::signal::SignalSet;
 use crate::universe::Universe;
@@ -195,11 +195,15 @@ impl AutomatonBuilder {
                 .map(|i| StateId(i as u32))
                 .ok_or_else(|| AutomataError::UnknownState(name.to_owned()))
         };
+        let mut guards = GuardTable::default();
         let mut adj: Vec<Vec<Transition>> = vec![Vec::new(); self.states.len()];
         for (from, guard, to) in self.transitions {
             let f = find(&from)?;
             let t = find(&to)?;
-            adj[f.index()].push(Transition { guard, to: t });
+            adj[f.index()].push(Transition {
+                guard: guards.intern(guard),
+                to: t,
+            });
         }
         let initial = self
             .initial
@@ -211,7 +215,7 @@ impl AutomatonBuilder {
             self.name,
             (self.inputs, self.outputs),
             self.states,
-            adj,
+            (guards, adj),
             initial,
         );
         m.validate()?;

@@ -11,7 +11,7 @@
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::incomplete::IncompleteAutomaton;
-use crate::label::{Guard, LabelFamily};
+use crate::label::{Guard, GuardTable, LabelFamily};
 use crate::prop::{PropId, PropSet};
 use crate::signal::SignalSet;
 use crate::universe::Universe;
@@ -59,11 +59,12 @@ pub fn chaotic_automaton(
             props,
         },
     ];
-    let all = Guard::from(LabelFamily::all(inputs, outputs));
+    let mut guards = GuardTable::default();
+    let all = guards.intern(Guard::from(LabelFamily::all(inputs, outputs)));
     let adj = vec![
         vec![
             Transition {
-                guard: all.clone(),
+                guard: all,
                 to: StateId(0),
             },
             Transition {
@@ -78,7 +79,7 @@ pub fn chaotic_automaton(
         name.to_owned(),
         (inputs, outputs),
         states,
-        adj,
+        (guards, adj),
         vec![StateId(0), StateId(1)],
     )
 }
@@ -119,16 +120,18 @@ pub fn chaotic_closure(m: &IncompleteAutomaton, chaos_prop: Option<PropId>) -> A
         props: chaos_props,
     });
 
+    let mut guards = GuardTable::default();
     let mut adj: Vec<Vec<Transition>> = vec![Vec::new(); 2 * n + 2];
     for i in 0..n {
         let s = StateId(i as u32);
         // Defined behaviour: each (s,b) copies every T transition to both
         // target copies.
         for &(l, to) in m.transitions_from(s) {
+            let guard = guards.intern(Guard::Exact(l));
             for bit in 0..2 {
                 for tbit in 0..2 {
                     adj[copy(s, bit).index()].push(Transition {
-                        guard: Guard::Exact(l),
+                        guard,
                         to: copy(to, tbit),
                     });
                 }
@@ -151,20 +154,15 @@ pub fn chaotic_closure(m: &IncompleteAutomaton, chaos_prop: Option<PropId>) -> A
             }
         }
         if !fam.is_empty() {
-            adj[copy(s, 1).index()].push(Transition {
-                guard: Guard::from(fam.clone()),
-                to: s_all,
-            });
-            adj[copy(s, 1).index()].push(Transition {
-                guard: Guard::from(fam),
-                to: s_delta,
-            });
+            let guard = guards.intern(Guard::from(fam));
+            adj[copy(s, 1).index()].push(Transition { guard, to: s_all });
+            adj[copy(s, 1).index()].push(Transition { guard, to: s_delta });
         }
     }
     // The chaotic automaton itself.
-    let all = Guard::from(LabelFamily::all(m.inputs(), m.outputs()));
+    let all = guards.intern(Guard::from(LabelFamily::all(m.inputs(), m.outputs())));
     adj[s_all.index()].push(Transition {
-        guard: all.clone(),
+        guard: all,
         to: s_all,
     });
     adj[s_all.index()].push(Transition {
@@ -185,7 +183,7 @@ pub fn chaotic_closure(m: &IncompleteAutomaton, chaos_prop: Option<PropId>) -> A
         m.name().to_owned(),
         (m.inputs(), m.outputs()),
         states,
-        adj,
+        (guards, adj),
         initial,
     )
 }

@@ -22,7 +22,7 @@ use std::ops::Deref;
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label, LabelFamily};
+use crate::label::{Guard, GuardId, GuardTable, Label, LabelFamily};
 use crate::lazy::TupleArena;
 use crate::run::{Run, RunKind};
 use crate::signal::SignalSet;
@@ -112,6 +112,14 @@ impl Composition {
         self.reachable
     }
 
+    /// Heap bytes the product holds, by capacity: the automaton (row
+    /// buffer, guard table, names, labelling, row spans), the interned
+    /// component-state tuples and the CSR relation. Deterministic for a
+    /// given sequence of compositions, so runs can compare it exactly.
+    pub fn heap_bytes(&self) -> usize {
+        self.automaton.heap_bytes() + self.tuples.heap_bytes() + self.csr.heap_bytes()
+    }
+
     /// Index of a component by name.
     pub fn component_index(&self, name: &str) -> Option<usize> {
         self.component_names.iter().position(|n| n == name)
@@ -150,9 +158,9 @@ impl Composition {
     }
 }
 
-/// One candidate transition's guard as the four signal boxes the row
-/// kernel combines, restricted to its part's interface: what the part must
-/// and may receive, and must and may send, on this transition.
+/// One part guard as the four signal boxes the row kernel combines,
+/// restricted to its part's interface: what the part must and may
+/// receive, and must and may send, on a transition with this guard.
 #[derive(Debug, Clone, Copy, Default)]
 struct GuardSets {
     recv_must: SignalSet,
@@ -197,6 +205,19 @@ impl GuardSets {
     }
 }
 
+/// What one combination of part guards emits, memoized by the row kernel:
+/// the product guard ids in emit order (`emitted[start..start + len]`),
+/// how many of them are exact labels, and how many free signals the
+/// combination enumerated (checked against the expansion cap on every
+/// use).
+#[derive(Debug, Clone, Copy)]
+struct Solved {
+    start: u32,
+    len: u32,
+    exact: u32,
+    enumerated: u32,
+}
+
 /// The production row kernel: expands one product state (a tuple of
 /// component states) by solving every combination of component transitions
 /// with [`SignalSet`] algebra.
@@ -216,21 +237,36 @@ impl GuardSets {
 ///   free signals of parts carrying exclusion lists, are expanded
 ///   concretely; the remaining one-sided free signals stay symbolic.
 ///
-/// The kernel owns the per-product interface masks and its scratch buffers,
-/// so expanding a row allocates nothing beyond the emitted guards.
+/// A combination's result depends only on the chosen guards, so the kernel
+/// works on guard ids: it computes each part's boxes once per guard id,
+/// and memoizes the solution per tuple of chosen part guard ids as the
+/// product guard ids it emits. Only a memo miss builds [`Guard`]s, and
+/// interns them into the product's guard table; emitting a transition
+/// otherwise copies ids. A kernel must therefore always be handed the same
+/// product guard table (append-only, so ids stay valid), and its parts'
+/// guard ids must keep naming the same guards — both hold for a product's
+/// lifetime and for a [`CompositionCache`](crate::CompositionCache) across
+/// recomposes.
 #[derive(Debug, Clone)]
 pub(crate) struct RowKernel {
     /// `(inputs, outputs)` of each part.
     interfaces: Vec<(SignalSet, SignalSet)>,
     all_inputs: SignalSet,
     all_outputs: SignalSet,
-    /// Guard boxes of every candidate transition of the current row, part
-    /// by part: part `i`'s are `sets[offsets[i]..offsets[i + 1]]`.
-    sets: Vec<GuardSets>,
-    offsets: Vec<usize>,
-    /// The combination counter: one transition index per part.
+    /// Per part, the boxes of its guards by guard id, filled on first use.
+    boxes: Vec<Vec<GuardSets>>,
+    /// Every solved tuple of part guard ids, interned; `solved[i]` is the
+    /// result for key `i`.
+    memo: TupleArena,
+    solved: Vec<Solved>,
+    /// Product guard ids of every memo entry, back to back.
+    emitted: Vec<GuardId>,
+    /// The combination counter: one transition index per part, and each
+    /// part's row length.
     combo: Vec<usize>,
-    /// The target tuple of the current combination.
+    lens: Vec<usize>,
+    /// The chosen guard ids and target tuple of the current combination.
+    key: Vec<u32>,
     target: Vec<StateId>,
 }
 
@@ -244,13 +280,18 @@ impl RowKernel {
             .fold((SignalSet::EMPTY, SignalSet::EMPTY), |(ai, ao), &(i, o)| {
                 (ai.union(i), ao.union(o))
             });
+        let k = interfaces.len();
         RowKernel {
             all_inputs,
             all_outputs,
-            sets: Vec::new(),
-            offsets: Vec::with_capacity(interfaces.len() + 1),
-            combo: Vec::with_capacity(interfaces.len()),
-            target: Vec::with_capacity(interfaces.len()),
+            boxes: vec![Vec::new(); k],
+            memo: TupleArena::new(k),
+            solved: Vec::new(),
+            emitted: Vec::new(),
+            combo: Vec::with_capacity(k),
+            lens: Vec::with_capacity(k),
+            key: Vec::with_capacity(k),
+            target: Vec::with_capacity(k),
             interfaces,
         }
     }
@@ -267,8 +308,8 @@ impl RowKernel {
 
     /// Expands the outgoing transitions of the product state `tuple`:
     /// iterates all transition combinations (part 0's index varying
-    /// fastest) and hands each composed guard, in emit order, to `emit`
-    /// together with the target tuple.
+    /// fastest) and hands each composed guard's id in `guards`, in emit
+    /// order, to `emit` together with the target tuple.
     ///
     /// This is the per-row kernel shared by [`compose`] (through
     /// [`LazyProduct`](crate::LazyProduct)) and the incremental
@@ -283,35 +324,47 @@ impl RowKernel {
         tuple: &[StateId],
         opts: &ComposeOptions,
         stats: &mut ComposeStats,
-        mut emit: impl FnMut(Guard, &[StateId]),
+        guards: &mut GuardTable,
+        mut emit: impl FnMut(GuardId, &[StateId]),
     ) -> Result<()> {
-        self.sets.clear();
-        self.offsets.clear();
-        for (p, (&s, &(ins, outs))) in parts.iter().zip(tuple.iter().zip(&self.interfaces)) {
-            let row = p.transitions_from(s);
-            if row.is_empty() {
+        self.lens.clear();
+        for (p, &s) in parts.iter().zip(tuple) {
+            let len = p.transitions_from(s).len();
+            if len == 0 {
                 return Ok(()); // some component blocks everything → product deadlock
             }
-            self.offsets.push(self.sets.len());
-            self.sets
-                .extend(row.iter().map(|t| GuardSets::of(&t.guard, ins, outs)));
+            self.lens.push(len);
         }
-        self.offsets.push(self.sets.len());
         self.combo.clear();
         self.combo.resize(parts.len(), 0);
         'combos: loop {
             stats.combos += 1;
+            self.key.clear();
             self.target.clear();
-            let mut joint = GuardSets::default();
-            for (i, (p, &s)) in parts.iter().zip(tuple).enumerate() {
-                joint = joint.join(self.sets[self.offsets[i] + self.combo[i]]);
-                self.target.push(p.transitions_from(s)[self.combo[i]].to);
+            for ((p, &s), &c) in parts.iter().zip(tuple).zip(&self.combo) {
+                let t = p.transitions_from(s)[c];
+                self.key.push(t.guard.0);
+                self.target.push(t.to);
             }
-            self.solve(parts, tuple, joint, opts, stats, &mut emit)?;
+            let solved = match self.memo.get(&self.key) {
+                Some(entry) => self.solved[entry as usize],
+                None => self.solve(parts, opts, guards)?,
+            };
+            if solved.enumerated as usize > opts.expand_cap {
+                return Err(AutomataError::FreeSignalOverflow {
+                    free: solved.enumerated as usize,
+                    cap: opts.expand_cap,
+                });
+            }
+            stats.expanded_labels += u64::from(solved.exact);
+            stats.family_guards += u64::from(solved.len - solved.exact);
+            for &g in &self.emitted[solved.start as usize..][..solved.len as usize] {
+                emit(g, &self.target);
+            }
             // advance the combination counter
             for i in 0..parts.len() {
                 self.combo[i] += 1;
-                if self.offsets[i] + self.combo[i] < self.offsets[i + 1] {
+                if self.combo[i] < self.lens[i] {
                     continue 'combos;
                 }
                 self.combo[i] = 0;
@@ -321,17 +374,31 @@ impl RowKernel {
         Ok(())
     }
 
-    /// Solves one combination whose joined boxes are `joint` (see the type
-    /// docs) and emits its composed guards.
+    /// The boxes of guard `id` of part `i`.
+    fn boxes_of(&mut self, i: usize, part: &Automaton, id: u32) -> GuardSets {
+        let (ins, outs) = self.interfaces[i];
+        let boxes = &mut self.boxes[i];
+        while boxes.len() <= id as usize {
+            let g = part.guard(GuardId(boxes.len() as u32));
+            boxes.push(GuardSets::of(g, ins, outs));
+        }
+        boxes[id as usize]
+    }
+
+    /// Solves the current combination (the part guard ids in `key`; see
+    /// the type docs), interns its composed guards into `guards` and
+    /// memoizes the result. An overflowing combination is reported and not
+    /// memoized.
     fn solve<P: Deref<Target = Automaton>>(
-        &self,
+        &mut self,
         parts: &[P],
-        tuple: &[StateId],
-        joint: GuardSets,
         opts: &ComposeOptions,
-        stats: &mut ComposeStats,
-        emit: &mut impl FnMut(Guard, &[StateId]),
-    ) -> Result<()> {
+        guards: &mut GuardTable,
+    ) -> Result<Solved> {
+        let mut joint = GuardSets::default();
+        for (i, p) in parts.iter().enumerate() {
+            joint = joint.join(self.boxes_of(i, p, self.key[i]));
+        }
         let GuardSets {
             recv_must,
             recv_free,
@@ -339,58 +406,68 @@ impl RowKernel {
             send_free,
             excludes,
         } = joint;
+        let start = self.emitted.len() as u32;
+        let mut solved = Solved {
+            start,
+            len: 0,
+            exact: 0,
+            enumerated: 0,
+        };
         let recv_never = self.all_inputs.difference(recv_must.union(recv_free));
         let send_never = self.all_outputs.difference(send_must.union(send_free));
-        if !recv_must.is_disjoint(send_never) || !send_must.is_disjoint(recv_never) {
-            return Ok(()); // handshake conflict → combo infeasible
-        }
-        let in_must = recv_must.union(send_must.intersection(self.all_inputs));
-        let out_must = send_must.union(recv_must.intersection(self.all_outputs));
-        let free_in_only = recv_free.difference(self.all_outputs);
-        let free_out_only = send_free.difference(self.all_inputs);
+        if recv_must.is_disjoint(send_never) && send_must.is_disjoint(recv_never) {
+            // otherwise a handshake conflict makes the combination infeasible
+            let in_must = recv_must.union(send_must.intersection(self.all_inputs));
+            let out_must = send_must.union(recv_must.intersection(self.all_outputs));
+            let free_in_only = recv_free.difference(self.all_outputs);
+            let free_out_only = send_free.difference(self.all_inputs);
 
-        // Parts with exclusion lists need their own labels concrete, so any
-        // free signal touching their interface must be enumerated as well.
-        let mut enumerate = recv_free.intersection(send_free);
-        if excludes {
-            let one_sided = free_in_only.union(free_out_only);
-            for (i, &(ins, outs)) in self.interfaces.iter().enumerate() {
-                if self.sets[self.offsets[i] + self.combo[i]].excludes {
-                    enumerate = enumerate.union(one_sided.intersection(ins.union(outs)));
+            // Parts with exclusion lists need their own labels concrete, so
+            // any free signal touching their interface must be enumerated
+            // as well.
+            let mut enumerate = recv_free.intersection(send_free);
+            if excludes {
+                let one_sided = free_in_only.union(free_out_only);
+                for (i, &(ins, outs)) in self.interfaces.iter().enumerate() {
+                    if self.boxes[i][self.key[i] as usize].excludes {
+                        enumerate = enumerate.union(one_sided.intersection(ins.union(outs)));
+                    }
                 }
             }
-        }
-        let sym_in = free_in_only.difference(enumerate);
-        let sym_out = free_out_only.difference(enumerate);
-        if enumerate.len() > opts.expand_cap {
-            return Err(AutomataError::FreeSignalOverflow {
-                free: enumerate.len(),
-                cap: opts.expand_cap,
-            });
-        }
-
-        for chosen_free in enumerate.subsets() {
-            let a_must = in_must.union(chosen_free.intersection(self.all_inputs));
-            let b_must = out_must.union(chosen_free.intersection(self.all_outputs));
-            if excludes && self.excluded(parts, tuple, a_must, b_must) {
-                continue;
+            let sym_in = free_in_only.difference(enumerate);
+            let sym_out = free_out_only.difference(enumerate);
+            if enumerate.len() > opts.expand_cap {
+                return Err(AutomataError::FreeSignalOverflow {
+                    free: enumerate.len(),
+                    cap: opts.expand_cap,
+                });
             }
-            let guard = if sym_in.is_empty() && sym_out.is_empty() {
-                stats.expanded_labels += 1;
-                Guard::Exact(Label::new(a_must, b_must))
-            } else {
-                stats.family_guards += 1;
-                Guard::from(LabelFamily {
-                    in_must: a_must,
-                    in_free: sym_in,
-                    out_must: b_must,
-                    out_free: sym_out,
-                    excluded: Vec::new(),
-                })
-            };
-            emit(guard, &self.target);
+            solved.enumerated = enumerate.len() as u32;
+            for chosen_free in enumerate.subsets() {
+                let a_must = in_must.union(chosen_free.intersection(self.all_inputs));
+                let b_must = out_must.union(chosen_free.intersection(self.all_outputs));
+                if excludes && self.excluded(parts, a_must, b_must) {
+                    continue;
+                }
+                let guard = if sym_in.is_empty() && sym_out.is_empty() {
+                    solved.exact += 1;
+                    Guard::Exact(Label::new(a_must, b_must))
+                } else {
+                    Guard::from(LabelFamily {
+                        in_must: a_must,
+                        in_free: sym_in,
+                        out_must: b_must,
+                        out_free: sym_out,
+                        excluded: Vec::new(),
+                    })
+                };
+                self.emitted.push(guards.intern(guard));
+            }
         }
-        Ok(())
+        solved.len = self.emitted.len() as u32 - start;
+        self.memo.intern(&self.key);
+        self.solved.push(solved);
+        Ok(solved)
     }
 
     /// Whether some part's own share of the concrete label `(a, b)` is in
@@ -399,12 +476,11 @@ impl RowKernel {
     fn excluded<P: Deref<Target = Automaton>>(
         &self,
         parts: &[P],
-        tuple: &[StateId],
         a: SignalSet,
         b: SignalSet,
     ) -> bool {
-        parts.iter().zip(tuple).enumerate().any(|(i, (p, &s))| {
-            let Guard::Family(f) = &p.transitions_from(s)[self.combo[i]].guard else {
+        parts.iter().enumerate().any(|(i, p)| {
+            let Guard::Family(f) = p.guard(GuardId(self.key[i])) else {
                 return false;
             };
             let (ins, outs) = self.interfaces[i];
@@ -447,9 +523,10 @@ pub fn compose(parts: &[&Automaton], opts: &ComposeOptions) -> Result<Compositio
 /// The classic materializing composition: `HashMap<Vec<StateId>, StateId>`
 /// interner, per-state `Vec<Transition>` rows, full expansion before
 /// returning, and the original per-signal constraint solver (one
-/// `HashMap<SignalId, SignalRole>` walk per transition combination) instead
-/// of the bitset [`RowKernel`]. Kept as the differential oracle for the
-/// arena-backed [`compose`]; not intended for production callers.
+/// `HashMap<SignalId, SignalRole>` walk per transition combination, no
+/// memo) instead of the bitset [`RowKernel`]. Kept as the differential
+/// oracle for the arena-backed [`compose`]; not intended for production
+/// callers.
 ///
 /// # Errors
 ///
@@ -494,6 +571,7 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
     let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
     let mut origin: Vec<Vec<StateId>> = Vec::new();
     let mut states: Vec<StateData> = Vec::new();
+    let mut guards = GuardTable::default();
     let mut adj: Vec<Vec<Transition>> = Vec::new();
     let mut worklist: Vec<StateId> = Vec::new();
     let mut stats = ComposeStats::default();
@@ -579,7 +657,10 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
                     &mut adj,
                     &mut worklist,
                 );
-                let tr = Transition { guard, to: tgt };
+                let tr = Transition {
+                    guard: guards.intern(guard),
+                    to: tgt,
+                };
                 if !adj[ps.index()].contains(&tr) {
                     adj[ps.index()].push(tr);
                 }
@@ -597,7 +678,7 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
         name,
         (all_inputs, all_outputs),
         states,
-        adj,
+        (guards, adj),
         initial,
     );
     automaton.validate()?;
@@ -748,7 +829,11 @@ mod reference {
         stats: &mut ComposeStats,
         mut emit: impl FnMut(Guard),
     ) -> Result<()> {
-        let fams: Vec<LabelFamily> = chosen.iter().map(|t| t.guard.to_family()).collect();
+        let fams: Vec<LabelFamily> = chosen
+            .iter()
+            .zip(parts)
+            .map(|(t, p)| p.guard(t.guard).to_family())
+            .collect();
 
         // Per-signal assignment after propagating guard domains + handshake.
         let mut in_must = SignalSet::EMPTY; // composed A'' forced members
@@ -1035,7 +1120,10 @@ mod tests {
         let init = m.initial_states()[0];
         let ts = m.transitions_from(init);
         assert_eq!(ts.len(), 1);
-        let l = ts[0].guard.as_exact().expect("concrete after pinning");
+        let l = m
+            .guard(ts[0].guard)
+            .as_exact()
+            .expect("concrete after pinning");
         assert!(l.outputs.contains(req));
         assert!(!l.outputs.contains(rsp));
         assert!(m.is_concrete());
@@ -1073,7 +1161,7 @@ mod tests {
         let ts = m.transitions_from(init);
         assert_eq!(ts.len(), 1);
         // env stays a free input in the composed guard
-        match &ts[0].guard {
+        match m.guard(ts[0].guard) {
             Guard::Family(f) => {
                 assert!(f.in_free.contains(u.signal("env")));
             }
@@ -1089,7 +1177,10 @@ mod tests {
         let comp = compose2(&c, &s).unwrap();
         let m = &comp.automaton;
         let init = m.initial_states()[0];
-        let l = m.transitions_from(init)[0].guard.as_exact().unwrap();
+        let l = m
+            .guard(m.transitions_from(init)[0].guard)
+            .as_exact()
+            .unwrap();
         let next = m.successors(init, l)[0];
         let run = Run::regular(vec![init, next], vec![l]);
         let cr = comp.project_run(&run, comp.component_index("client").unwrap());
@@ -1128,8 +1219,8 @@ mod tests {
         let m = &comp.automaton;
         assert_eq!(m.state_count(), 1);
         assert_eq!(m.transition_count(), 1);
-        let l = m.transitions_from(m.initial_states()[0])[0]
-            .guard
+        let l = m
+            .guard(m.transitions_from(m.initial_states()[0])[0].guard)
             .as_exact()
             .unwrap();
         assert_eq!(l.inputs.len(), 2); // x received by b, y received by c
@@ -1187,5 +1278,114 @@ mod tests {
         // The only possible joint step is excluded → initial state deadlocks.
         let m = &comp.automaton;
         assert!(m.transitions_from(m.initial_states()[0]).is_empty());
+    }
+
+    /// The memo key must tell apart family guards whose boxes agree and
+    /// whose exclusion lists differ: `srv` accepts any subset of `{req}`
+    /// except `{req}` at `s0` and except `{}` at `s1`.
+    #[test]
+    fn memo_key_covers_exclusion_lists() {
+        let u = Universe::new();
+        let req = SignalSet::singleton(u.signal("req"));
+        let except = |l: Label| {
+            let mut fam = LabelFamily::all(req, SignalSet::EMPTY);
+            fam.excluded.push(l);
+            Guard::from(fam)
+        };
+        let s = AutomatonBuilder::new(&u, "srv")
+            .input("req")
+            .state("s0")
+            .initial("s0")
+            .state("s1")
+            .transition_guard("s0", except(Label::new(req, SignalSet::EMPTY)), "s1")
+            .transition_guard("s1", except(Label::EMPTY), "s0")
+            .build()
+            .unwrap();
+        // A client that may or may not send `req`.
+        let c = AutomatonBuilder::new(&u, "cli")
+            .output("req")
+            .state("t")
+            .initial("t")
+            .transition("t", [], ["req"], "t")
+            .transition("t", [], [], "t")
+            .build()
+            .unwrap();
+        let comp = compose2(&c, &s).unwrap();
+        let m = &comp.automaton;
+        let row = |name: &str| -> Vec<(Guard, String)> {
+            let st = m.find_state(name).unwrap();
+            m.transitions_from(st)
+                .iter()
+                .map(|t| (m.guard(t.guard).clone(), m.state_name(t.to).to_owned()))
+                .collect()
+        };
+        // At s0 only silence passes, at s1 only `req`.
+        assert_eq!(row("t||s0"), [(Guard::Exact(Label::EMPTY), "t||s1".into())]);
+        assert_eq!(
+            row("t||s1"),
+            [(Guard::Exact(Label::new(req, req)), "t||s0".into())]
+        );
+        let reference = compose_reference(&[&c, &s], &ComposeOptions::default()).unwrap();
+        assert_eq!(comp.automaton, reference.automaton);
+        assert_eq!(comp.stats, reference.stats);
+    }
+
+    /// A memoized combination is still checked against the expansion cap
+    /// of the call that reuses it.
+    #[test]
+    fn memo_hits_respect_the_expansion_cap() {
+        let u = Universe::new();
+        let sig = u.signals(["x", "y"]);
+        // Two closure-like parts that leave the internal signals free on
+        // both sides, which must be enumerated.
+        let any = |name: &str, ins: &[&str], outs: &[&str]| {
+            AutomatonBuilder::new(&u, name)
+                .inputs(ins.iter().copied())
+                .outputs(outs.iter().copied())
+                .state("s")
+                .initial("s")
+                .transition_guard(
+                    "s",
+                    Guard::from(LabelFamily::all(
+                        u.signals(ins.iter().copied()),
+                        u.signals(outs.iter().copied()),
+                    )),
+                    "s",
+                )
+                .build()
+                .unwrap()
+        };
+        let a = any("a", &[], &["x", "y"]);
+        let b = any("b", &["x", "y"], &[]);
+        let parts = [&a, &b];
+        let mut kernel = RowKernel::new(&parts);
+        let mut guards = GuardTable::default();
+        let mut stats = ComposeStats::default();
+        let mut emitted = 0;
+        let tuple = [StateId(0), StateId(0)];
+        let wide = ComposeOptions::default();
+        kernel
+            .expand(&parts, &tuple, &wide, &mut stats, &mut guards, |_, _| {
+                emitted += 1
+            })
+            .unwrap();
+        assert_eq!(emitted, 4); // every subset of {x, y}
+        assert_eq!(guards.len(), 4);
+        let narrow = ComposeOptions {
+            expand_cap: 1,
+            ..ComposeOptions::default()
+        };
+        let err = kernel
+            .expand(&parts, &tuple, &narrow, &mut stats, &mut guards, |_, _| {})
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AutomataError::FreeSignalOverflow {
+                free: sig.len(),
+                cap: 1
+            }
+        );
+        assert_eq!(stats.combos, 2);
+        assert_eq!(stats.expanded_labels, 4);
     }
 }

@@ -43,7 +43,7 @@ pub struct Csr {
 pub(crate) fn live_targets(m: &Automaton, s: usize, out: &mut Vec<u32>) {
     let start = out.len();
     for t in m.transitions_from(crate::StateId(s as u32)) {
-        let live = match &t.guard {
+        let live = match m.guard(t.guard) {
             Guard::Exact(_) => true,
             Guard::Family(f) => !f.is_empty(),
         };
@@ -65,6 +65,16 @@ pub(crate) fn live_targets(m: &Automaton, s: usize, out: &mut Vec<u32>) {
 }
 
 impl Csr {
+    /// Heap bytes held by the relation's arrays, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.succ_off.capacity()
+            + self.succ.capacity()
+            + self.pred_off.capacity()
+            + self.pred.capacity())
+            * std::mem::size_of::<u32>()
+            + self.deadlocked.capacity()
+    }
+
     /// Builds the CSR relation of `m`.
     pub fn of(m: &Automaton) -> Csr {
         Csr::from_rows(m.state_count(), |s, out| live_targets(m, s, out))
@@ -257,6 +267,7 @@ mod tests {
                 crate::signal::SignalSet::EMPTY,
                 crate::signal::SignalSet::EMPTY,
             ),
+            Default::default(),
             Vec::new(),
         );
         let csr = Csr::of(&m);
@@ -315,7 +326,6 @@ mod tests {
 
     #[test]
     fn empty_family_guards_do_not_create_edges() {
-        use crate::automaton::Transition;
         use crate::label::{Guard, LabelFamily};
         use crate::signal::SignalSet;
         let u = Universe::new();
@@ -329,13 +339,7 @@ mod tests {
         // s0 only has an empty-family (infeasible) transition → deadlocked.
         let mut fam = LabelFamily::all(SignalSet::EMPTY, SignalSet::EMPTY);
         fam.excluded.push(crate::label::Label::EMPTY);
-        m.replace_transitions(
-            crate::StateId(0),
-            vec![Transition {
-                guard: Guard::from(fam),
-                to: crate::StateId(1),
-            }],
-        );
+        m.replace_transitions(crate::StateId(0), [(Guard::from(fam), crate::StateId(1))]);
         let csr = Csr::of(&m);
         assert!(csr.is_deadlocked(0));
         assert_eq!(csr.successors(0), &[0]);

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::label::{Guard, GuardTable, Label};
 use crate::prop::PropSet;
 
 /// Options for [`determinize`].
@@ -76,6 +76,7 @@ pub fn determinize_with(m: &Automaton, opts: &DeterminizeOptions) -> Result<Auto
     let mut states: Vec<StateData> = Vec::new();
     let mut members: Vec<Vec<StateId>> = Vec::new();
     let mut adj: Vec<Vec<Transition>> = Vec::new();
+    let mut guards = GuardTable::default();
     let mut work: Vec<StateId> = Vec::new();
 
     let intern = |set: Vec<StateId>,
@@ -129,7 +130,7 @@ pub fn determinize_with(m: &Automaton, opts: &DeterminizeOptions) -> Result<Auto
         let mut by_label: HashMap<Label, Vec<StateId>> = HashMap::new();
         for &s in &set {
             for t in m.transitions_from(s) {
-                for l in t.guard.enumerate(opts.expand_cap)? {
+                for l in m.guard(t.guard).enumerate(opts.expand_cap)? {
                     let succs = by_label.entry(l).or_default();
                     if !succs.contains(&t.to) {
                         succs.push(t.to);
@@ -152,7 +153,7 @@ pub fn determinize_with(m: &Automaton, opts: &DeterminizeOptions) -> Result<Auto
                 &mut work,
             );
             adj[id.index()].push(Transition {
-                guard: Guard::Exact(l),
+                guard: guards.intern(Guard::Exact(l)),
                 to: target,
             });
         }
@@ -163,7 +164,7 @@ pub fn determinize_with(m: &Automaton, opts: &DeterminizeOptions) -> Result<Auto
         format!("{}~det", m.name()),
         (m.inputs(), m.outputs()),
         states,
-        adj,
+        (guards, adj),
         vec![initial],
     );
     out.validate()?;

@@ -31,7 +31,7 @@ pub fn to_dot(m: &Automaton) -> String {
         let _ = writeln!(out, "  s{} [shape={shape}, label=\"{label}\"];", s.0);
     }
     for (from, t) in m.transitions() {
-        let label = match &t.guard {
+        let label = match m.guard(t.guard) {
             Guard::Exact(l) => l.show(u),
             Guard::Family(f) => {
                 if f.excluded.is_empty() && f.in_must.is_empty() && f.out_must.is_empty() {

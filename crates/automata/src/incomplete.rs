@@ -472,7 +472,7 @@ impl IncompleteAutomaton {
                 if !reference
                     .transitions_from(rs)
                     .iter()
-                    .any(|t| t.guard.admits(*l) && t.to == rto)
+                    .any(|t| reference.guard(t.guard).admits(*l) && t.to == rto)
                 {
                     return false;
                 }
@@ -625,13 +625,14 @@ impl IncompleteAutomaton {
                 props: p,
             })
             .collect();
+        let mut guards = crate::label::GuardTable::default();
         let adj = self
             .transitions
             .iter()
             .map(|ts| {
                 ts.iter()
                     .map(|(l, to)| crate::automaton::Transition {
-                        guard: crate::label::Guard::Exact(*l),
+                        guard: guards.intern(crate::label::Guard::Exact(*l)),
                         to: *to,
                     })
                     .collect()
@@ -642,7 +643,7 @@ impl IncompleteAutomaton {
             self.name.clone(),
             (self.inputs, self.outputs),
             states,
-            adj,
+            (guards, adj),
             self.initial.clone(),
         )
     }

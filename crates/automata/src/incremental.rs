@@ -16,15 +16,17 @@
 //! * [`CompositionCache`] borrows its context for its whole lifetime and
 //!   updates one product in place. Product state ids are stable: the
 //!   product numbers its states through the same tuple arena and interner
-//!   a cold [`compose`] fills, rows whose origin tuple touches a dirty
-//!   closure state are cleared and re-expanded where they stand with the
-//!   shared row kernel, and newly reached tuples are appended. One pass
-//!   over the successors from the initial states then finds the reachable
-//!   part; rows that fell out of it are cleared (and re-expanded if a later
-//!   splice reaches them again), and the CSR relation is re-sorted only for
-//!   the rows that changed. The product is the one a cold rebuild yields
-//!   up to a renaming of states: the same initial order, and for every
-//!   reachable state the same tuple, name, props and row in emit order.
+//!   a cold [`compose`](crate::compose) fills, rows whose origin tuple
+//!   touches a dirty closure state are cleared and re-expanded where they
+//!   stand with the row kernel that built the product (its memo and the
+//!   product's guard table are kept across recomposes), and newly reached
+//!   tuples are appended. One pass over the successors from the initial
+//!   states then finds the reachable part; rows that fell out of it are
+//!   cleared (and re-expanded if a later splice reaches them again), and
+//!   the CSR relation is re-sorted only for the rows that changed. The
+//!   product is the one a cold rebuild yields up to a renaming of states:
+//!   the same initial order, and for every reachable state the same
+//!   tuple, name, props and row in emit order.
 //!   Nothing downstream reads state numbers — the checker's verdicts and
 //!   witnesses start from the initial states and walk rows in emit order,
 //!   and listings, projections and probes read names and tuples.
@@ -43,12 +45,12 @@
 //! change under a cache: a different context needs a new cache.
 
 use crate::automaton::{Automaton, StateId, Transition};
-use crate::compose::{compose, ComposeOptions, ComposeStats, Composition, RowKernel};
+use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
 use crate::csr::{live_targets, Csr};
 use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
-use crate::label::{Guard, LabelFamily};
-use crate::lazy::{product_props, write_product_name};
+use crate::label::{Guard, GuardId, LabelFamily};
+use crate::lazy::{product_props, write_product_name, LazyProduct};
 use crate::prop::PropId;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
@@ -179,9 +181,11 @@ impl ClosureCache {
             });
             self.copies.push(pair);
         }
-        // Rewire every dirty state exactly as `chaotic_closure` would.
+        // Rewire every dirty state exactly as `chaotic_closure` would,
+        // interning each guard once (ids already in the table are reused).
         let mut touched = Vec::new();
         let mut row: Vec<Transition> = Vec::new();
+        let mut exact: Vec<GuardId> = Vec::new();
         for &s in &delta.dirty {
             let [c0, c1] = self.copies[s.index()];
             let mut fam = LabelFamily::all(m.inputs(), m.outputs());
@@ -191,18 +195,18 @@ impl ClosureCache {
                     fam.excluded.push(l);
                 }
             }
+            exact.clear();
+            for &(l, _) in m.transitions_from(s) {
+                exact.push(self.automaton.guards_mut().intern(Guard::Exact(l)));
+            }
+            let escape =
+                (!fam.is_empty()).then(|| self.automaton.guards_mut().intern(Guard::from(fam)));
             for c in [c0, c1] {
-                for &(l, to) in m.transitions_from(s) {
-                    row.extend(self.copies[to.index()].map(|t| Transition {
-                        guard: Guard::Exact(l),
-                        to: t,
-                    }));
+                for (&(_, to), &guard) in m.transitions_from(s).iter().zip(&exact) {
+                    row.extend(self.copies[to.index()].map(|t| Transition { guard, to: t }));
                 }
-                if c == c1 && !fam.is_empty() {
-                    row.extend([self.s_all, self.s_delta].map(|to| Transition {
-                        guard: Guard::from(fam.clone()),
-                        to,
-                    }));
+                if let Some(guard) = escape.filter(|_| c == c1) {
+                    row.extend([self.s_all, self.s_delta].map(|to| Transition { guard, to }));
                 }
                 self.automaton.set_props(c, m.props_of(s));
                 self.automaton.set_row(c, &mut row);
@@ -218,6 +222,10 @@ impl ClosureCache {
 struct CacheState {
     closures: Vec<ClosureCache>,
     comp: Composition,
+    /// The row kernel that built `comp`: its memo names guards of
+    /// `comp.automaton`'s table and parts' guard ids, both append-only, so
+    /// it stays valid across splices.
+    kernel: RowKernel,
     /// Whether each product state is reachable from the initial states.
     /// Unreachable states keep their ids and tuples; their rows are empty.
     live: Vec<bool>,
@@ -445,7 +453,7 @@ impl<'c> CompositionCache<'c> {
         let parts: Vec<&Automaton> = std::iter::once(self.context)
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
-        let comp = compose(&parts, opts)?;
+        let (comp, kernel) = LazyProduct::new(&parts, opts, true)?.materialize()?;
         let info = RecomposeInfo {
             mode: RecomposeMode::Cold,
             dirty_states: comp.automaton.state_count(),
@@ -456,6 +464,7 @@ impl<'c> CompositionCache<'c> {
         self.state = Some(CacheState {
             closures,
             comp,
+            kernel,
             live,
         });
         Ok(info)
@@ -476,8 +485,9 @@ struct Splice {
 /// Re-expands the `dirty` rows of the cached product in place and explores
 /// whatever they newly reach: fresh tuples are interned and appended,
 /// unreachable (cleared) rows hit again are revived and re-expanded. Each
-/// row is collected in one reused scratch row and written into the
-/// automaton's shared buffers, so the splice allocates nothing per state.
+/// row is collected in one reused scratch row of guard ids and written
+/// into the automaton's shared buffers, so the splice allocates nothing per
+/// state; the cache's kernel interns new guards into the product's table.
 fn splice(
     context: &Automaton,
     st: &mut CacheState,
@@ -487,7 +497,7 @@ fn splice(
     let parts: Vec<&Automaton> = std::iter::once(context)
         .chain(st.closures.iter().map(|c| c.automaton()))
         .collect();
-    let mut kernel = RowKernel::new(&parts);
+    let kernel = &mut st.kernel;
     let comp = &mut st.comp;
     let live = &mut st.live;
     let mut expanded = vec![false; comp.automaton.state_count()];
@@ -513,16 +523,13 @@ fn splice(
         }
         tuple.clear();
         tuple.extend(comp.tuples.tuple(r).iter().map(|&x| StateId(x)));
-        let automaton = &mut comp.automaton;
+        let guards = comp.automaton.guards_mut();
         let tuples = &mut comp.tuples;
-        kernel.expand(&parts, &tuple, opts, &mut stats, |guard, target| {
+        kernel.expand(&parts, &tuple, opts, &mut stats, guards, |guard, target| {
             packed.clear();
             packed.extend(target.iter().map(|t| t.0));
             let (id, fresh) = tuples.intern(&packed);
             if fresh {
-                automaton.push_state(product_props(&parts, &packed), |buf| {
-                    write_product_name(&parts, &packed, buf)
-                });
                 live.push(false);
                 expanded.push(true);
                 seen.push(0);
@@ -533,14 +540,25 @@ fn splice(
                 appended += 1;
                 queue.push(id);
             }
-            // Drop exact (guard, target) repeats, comparing the one-word
-            // target before the up-to-48-byte guard.
-            let to = StateId(id);
+            // Drop exact (target, guard id) repeats; only a repeated
+            // target needs the scan.
+            let t = Transition {
+                guard,
+                to: StateId(id),
+            };
             let repeat = std::mem::replace(&mut seen[id as usize], r + 1) == r + 1;
-            if !repeat || !row.iter().any(|t| t.to == to && t.guard == guard) {
-                row.push(Transition { guard, to });
+            if !repeat || !row.contains(&t) {
+                row.push(t);
             }
         })?;
+        // States for the tuples this row discovered, in id order.
+        for id in comp.automaton.state_count()..comp.tuples.len() {
+            let fresh = comp.tuples.tuple(id as u32);
+            comp.automaton
+                .push_state(product_props(&parts, fresh), |buf| {
+                    write_product_name(&parts, fresh, buf)
+                });
+        }
         transitions += row.len();
         // The closure copies in the tuple may have been relabelled.
         let state = StateId(r);
@@ -705,12 +723,22 @@ mod tests {
             let mut fresh_row: Vec<(Guard, String)> = fresh
                 .transitions_from(s)
                 .iter()
-                .map(|t| (t.guard.clone(), fresh.state_name(t.to).to_owned()))
+                .map(|t| {
+                    (
+                        fresh.guard(t.guard).clone(),
+                        fresh.state_name(t.to).to_owned(),
+                    )
+                })
                 .collect();
             let mut patched_row: Vec<(Guard, String)> = patched
                 .transitions_from(p)
                 .iter()
-                .map(|t| (t.guard.clone(), patched.state_name(t.to).to_owned()))
+                .map(|t| {
+                    (
+                        patched.guard(t.guard).clone(),
+                        patched.state_name(t.to).to_owned(),
+                    )
+                })
                 .collect();
             // Row order is also preserved (T transitions in T order, then
             // the escape family) — compare exactly, not as sets.

@@ -10,6 +10,7 @@
 //! has already pinned most signals down.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::signal::SignalSet;
 use crate::universe::Universe;
@@ -74,7 +75,7 @@ impl Label {
 /// The chaotic automaton's `*` transitions are one `LabelFamily` with
 /// everything free; the chaotic closure's escape transitions are a family
 /// minus the refused interactions `T̄(s)`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LabelFamily {
     /// Inputs that every member must contain.
     pub in_must: SignalSet,
@@ -201,11 +202,12 @@ impl LabelFamily {
 /// The guard of a transition: either one concrete [`Label`] or a symbolic
 /// [`LabelFamily`].
 ///
-/// The family is boxed: products of concrete automata carry only exact
-/// labels, and keeping the rare family out of line holds a guard at 48
-/// bytes and a [`Transition`](crate::Transition) at 64. Build a family
-/// guard with `Guard::from(family)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An automaton stores each distinct guard once, in its guard table, and
+/// its transitions refer to guards by [`GuardId`]
+/// ([`Automaton::guard`](crate::Automaton::guard) resolves one). The
+/// family is boxed, so the table holds an exact label inline and a family
+/// out of line. Build a family guard with `Guard::from(family)`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// Exactly one label.
     Exact(Label),
@@ -331,6 +333,111 @@ impl fmt::Display for Guard {
                 fam.excluded.len()
             ),
         }
+    }
+}
+
+/// Index of a guard in one automaton's guard table. Ids are append-only for
+/// the automaton's lifetime and mean nothing in any other automaton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct GuardId(pub u32);
+
+impl GuardId {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Empty slot of a [`GuardTable`].
+const NO_GUARD: u32 = u32::MAX;
+
+/// Interned guards: every distinct guard once, in first-seen order, and an
+/// open-addressed table of ids keyed by the guard's hash that probes the
+/// guards themselves, so no guard is stored twice. Append-only: an id, once
+/// handed out, names the same guard for the table's lifetime.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GuardTable {
+    guards: Vec<Guard>,
+    /// Power-of-two id slots ([`NO_GUARD`] when empty), at most half full.
+    slots: Vec<u32>,
+}
+
+fn guard_hash(guard: &Guard) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    guard.hash(&mut h);
+    h.finish()
+}
+
+impl GuardTable {
+    /// Number of distinct guards.
+    pub(crate) fn len(&self) -> usize {
+        self.guards.len()
+    }
+
+    /// The guard with id `id`.
+    pub(crate) fn get(&self, id: GuardId) -> &Guard {
+        &self.guards[id.index()]
+    }
+
+    /// Every guard, by id.
+    pub(crate) fn as_slice(&self) -> &[Guard] {
+        &self.guards
+    }
+
+    /// The id of `guard`, appending it on first sight.
+    pub(crate) fn intern(&mut self, guard: Guard) -> GuardId {
+        if (self.guards.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = guard_hash(&guard) as usize & mask;
+        loop {
+            match self.slots[i] {
+                NO_GUARD => {
+                    let id = u32::try_from(self.guards.len())
+                        .ok()
+                        .filter(|&id| id != NO_GUARD)
+                        .expect("guards exceed the u32 range");
+                    self.slots[i] = id;
+                    self.guards.push(guard);
+                    return GuardId(id);
+                }
+                slot if self.guards[slot as usize] == guard => return GuardId(slot),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(8);
+        let mask = cap - 1;
+        let mut slots = vec![NO_GUARD; cap];
+        for (id, g) in self.guards.iter().enumerate() {
+            let mut i = guard_hash(g) as usize & mask;
+            while slots[i] != NO_GUARD {
+                i = (i + 1) & mask;
+            }
+            slots[i] = id as u32;
+        }
+        self.slots = slots;
+    }
+
+    /// Heap bytes held: the guard and slot buffers plus boxed families.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let boxed: usize = self
+            .guards
+            .iter()
+            .map(|g| match g {
+                Guard::Exact(_) => 0,
+                Guard::Family(f) => {
+                    std::mem::size_of::<LabelFamily>()
+                        + f.excluded.capacity() * std::mem::size_of::<Label>()
+                }
+            })
+            .sum();
+        self.guards.capacity() * std::mem::size_of::<Guard>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+            + boxed
     }
 }
 

@@ -18,8 +18,10 @@
 //! * the tuple→id interner is an open-addressed, power-of-two table keyed
 //!   by a packed multiply-xor hash of the tuple, probing the arena
 //!   directly — no per-key allocation, no `Vec<StateId>` clones;
-//! * rows are solved by the bitset [`RowKernel`], whose scratch buffers
-//!   (like the product's own row buffers) are reused from row to row.
+//! * rows are solved by the bitset [`RowKernel`], which memoizes each
+//!   combination of part guard ids and emits ids into the product's guard
+//!   table (each distinct guard stored once); its scratch buffers, like
+//!   the product's own row buffers, are reused from row to row.
 //!
 //! Consumers that only need reachability (the fused checker in
 //! `muml-logic`) drive [`LazyProduct::expand_row`] from their own frontier
@@ -35,12 +37,11 @@
 //! itself is implemented now). Materializing writes names, rows and tuples
 //! into the automaton's shared buffers: nothing is allocated per state.
 //!
-//! Storage modes: with `keep_guards` every `(guard, target)` pair is
+//! Storage modes: with `keep_guards` every `(guard id, target)` pair is
 //! retained (required for materialization); without it only deduplicated
-//! targets are stored — an order of magnitude less memory at 10^6 states —
-//! and counterexample labels are recovered by re-running the row kernel on
-//! the few rows a witness path actually crosses
-//! ([`LazyProduct::first_label_to`]).
+//! targets are stored and counterexample labels are recovered by
+//! re-running the row kernel on the few rows a witness path actually
+//! crosses ([`LazyProduct::first_label_to`]).
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -49,7 +50,7 @@ use crate::automaton::{Automaton, StateId, Transition};
 use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::label::{Guard, GuardId, GuardTable, Label};
 use crate::prop::PropSet;
 
 /// Sentinel in `row_off` marking a state whose outgoing row has not been
@@ -191,6 +192,11 @@ impl TupleArena {
         self.arena.len() / self.k
     }
 
+    /// Heap bytes held by the arena and its interner, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.arena.capacity() + self.interner.slots.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// The tuple with id `id`.
     pub(crate) fn tuple(&self, id: u32) -> &[u32] {
         let base = id as usize * self.k;
@@ -285,8 +291,10 @@ pub struct LazyProduct<'a> {
     /// Flat transition targets: `(guard, target)` pairs in emit order when
     /// `keep_guards`, first-occurrence-deduplicated targets otherwise.
     succ: Vec<u32>,
-    /// Parallel guards for `succ` (empty unless `keep_guards`).
-    guards: Vec<Guard>,
+    /// Parallel guard ids for `succ` (empty unless `keep_guards`).
+    succ_guards: Vec<GuardId>,
+    /// The product's guard table, which the kernel interns into.
+    guards: GuardTable,
     /// Discovery-order worklist: every interned state is pushed once;
     /// [`LazyProduct::expand_all`] drains it LIFO, which is exactly the
     /// classic compose exploration order.
@@ -298,7 +306,7 @@ pub struct LazyProduct<'a> {
     /// row's tuple, its collected `(guard, target)` pairs, and the packed
     /// target being interned.
     tuple_buf: Vec<StateId>,
-    row_buf: Vec<(Guard, u32)>,
+    row_buf: Vec<(GuardId, u32)>,
     packed: Vec<u32>,
 }
 
@@ -385,7 +393,8 @@ impl<'a> LazyProduct<'a> {
             row_off: Vec::new(),
             row_len: Vec::new(),
             succ: Vec::new(),
-            guards: Vec::new(),
+            succ_guards: Vec::new(),
+            guards: GuardTable::default(),
             pending: Vec::new(),
             initial: Vec::new(),
             stats: ComposeStats::default(),
@@ -518,11 +527,13 @@ impl<'a> LazyProduct<'a> {
     /// # Panics
     ///
     /// Panics if the product was built without `keep_guards`.
-    pub fn row_guards(&self, s: u32) -> &[Guard] {
+    pub fn row_guards(&self, s: u32) -> impl ExactSizeIterator<Item = &Guard> + '_ {
         assert!(self.keep_guards, "row_guards requires keep_guards");
         debug_assert!(self.is_expanded(s), "guard query on unexpanded row");
         let off = self.row_off[s as usize] as usize;
-        &self.guards[off..off + self.row_len[s as usize] as usize]
+        self.succ_guards[off..off + self.row_len[s as usize] as usize]
+            .iter()
+            .map(|&g| self.guards.get(g))
     }
 
     /// Expands the outgoing row of `s` (no-op when already expanded),
@@ -556,6 +567,7 @@ impl<'a> LazyProduct<'a> {
             row_off,
             row_len,
             succ,
+            succ_guards,
             guards,
             pending,
             stats,
@@ -568,35 +580,41 @@ impl<'a> LazyProduct<'a> {
         tuple_buf.extend(tuples.tuple(s).iter().map(|&x| StateId(x)));
         row_buf.clear();
         let keep = *keep_guards;
-        kernel.expand(parts, tuple_buf, opts, stats, |guard, target_tuple| {
-            // Inline intern over the split-borrowed columns (the method form
-            // would re-borrow `self`).
-            packed.clear();
-            packed.extend(target_tuple.iter().map(|t| t.0));
-            let (id, fresh) = tuples.intern(packed);
-            if fresh {
-                props.push(product_props(parts, packed));
-                row_off.push(UNEXPANDED);
-                row_len.push(0);
-                pending.push(id);
-            }
-            if keep {
-                // Classic dedup: drop exact (guard, target) repeats,
-                // comparing the one-word target before the guard.
-                if !row_buf.iter().any(|(g, t)| *t == id && g == &guard) {
+        kernel.expand(
+            parts,
+            tuple_buf,
+            opts,
+            stats,
+            guards,
+            |guard, target_tuple| {
+                // Inline intern over the split-borrowed columns (the method form
+                // would re-borrow `self`).
+                packed.clear();
+                packed.extend(target_tuple.iter().map(|t| t.0));
+                let (id, fresh) = tuples.intern(packed);
+                if fresh {
+                    props.push(product_props(parts, packed));
+                    row_off.push(UNEXPANDED);
+                    row_len.push(0);
+                    pending.push(id);
+                }
+                if keep {
+                    // Classic dedup: drop exact (guard, target) repeats.
+                    if !row_buf.contains(&(guard, id)) {
+                        row_buf.push((guard, id));
+                    }
+                } else if !row_buf.iter().any(|(_, t)| *t == id) {
                     row_buf.push((guard, id));
                 }
-            } else if !row_buf.iter().any(|(_, t)| *t == id) {
-                row_buf.push((guard, id));
-            }
-        })?;
+            },
+        )?;
         let off = u32::try_from(succ.len()).expect("transition arena exceeds u32 range");
         assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
         row_off[s as usize] = off;
         row_len[s as usize] = row_buf.len() as u32;
         succ.extend(row_buf.iter().map(|&(_, t)| t));
         if keep {
-            guards.extend(row_buf.drain(..).map(|(g, _)| g));
+            succ_guards.extend(row_buf.iter().map(|&(g, _)| g));
         }
         self.expanded_rows += 1;
         Ok(())
@@ -620,33 +638,37 @@ impl<'a> LazyProduct<'a> {
     /// order — the label [`Guard::sample_label`] would yield on the
     /// materialized product's row walk. With `keep_guards` this reads the
     /// stored guard; otherwise it re-runs the row kernel for `s` (cheap: a
-    /// witness path crosses few rows).
+    /// witness path crosses few rows, and the kernel's memo answers them).
     pub fn first_label_to(&mut self, s: u32, to: u32) -> Option<Label> {
         if self.keep_guards {
             let off = self.row_off[s as usize] as usize;
             let len = self.row_len[s as usize] as usize;
             return self.succ[off..off + len]
                 .iter()
-                .zip(&self.guards[off..off + len])
+                .zip(&self.succ_guards[off..off + len])
                 .find(|(&t, _)| t == to)
-                .and_then(|(_, g)| g.sample_label());
+                .and_then(|(_, &g)| self.guards.get(g).sample_label());
         }
         let tuple: Vec<StateId> = self.tuple_of(s).iter().map(|&x| StateId(x)).collect();
         let target_tuple: Vec<StateId> = self.tuple_of(to).iter().map(|&x| StateId(x)).collect();
-        let mut found: Option<Label> = None;
+        let mut found: Vec<GuardId> = Vec::new();
         let mut scratch = ComposeStats::default();
         let _ = self.kernel.expand(
             &self.parts,
             &tuple,
             &self.opts,
             &mut scratch,
+            &mut self.guards,
             |guard, tgt| {
-                if found.is_none() && tgt == target_tuple.as_slice() {
-                    found = guard.sample_label();
+                if tgt == target_tuple.as_slice() {
+                    found.push(guard);
                 }
             },
         );
+        // The first guard to `to` that admits a label, as the row walk picks.
         found
+            .iter()
+            .find_map(|&g| self.guards.get(g).sample_label())
     }
 
     /// The canonical discovery-order numbering: initial states first (in
@@ -685,7 +707,8 @@ impl<'a> LazyProduct<'a> {
     /// Materializes the fully expanded product as a [`Composition`]
     /// bit-identical to the classic path: canonical renumbering, rows,
     /// tuples, and the CSR relation. Names, rows and tuples are written
-    /// into shared buffers, so nothing is allocated per state.
+    /// into shared buffers, so nothing is allocated per state, and the
+    /// product's guard table becomes the automaton's.
     ///
     /// # Errors
     ///
@@ -697,7 +720,14 @@ impl<'a> LazyProduct<'a> {
     ///
     /// Panics if the product was built without `keep_guards` (targets alone
     /// cannot reconstitute the transition relation).
-    pub fn into_composition(mut self) -> Result<Composition> {
+    pub fn into_composition(self) -> Result<Composition> {
+        self.materialize().map(|(comp, _)| comp)
+    }
+
+    /// [`LazyProduct::into_composition`], also returning the row kernel,
+    /// whose memo refers to the composition's guard table and stays valid
+    /// for it.
+    pub(crate) fn materialize(mut self) -> Result<(Composition, RowKernel)> {
         assert!(
             self.keep_guards,
             "into_composition requires a LazyProduct built with keep_guards"
@@ -724,25 +754,24 @@ impl<'a> LazyProduct<'a> {
             self.parts[0].universe().clone(),
             self.name(),
             (self.kernel.all_inputs(), self.kernel.all_outputs()),
+            std::mem::take(&mut self.guards),
             initial,
         );
         automaton.reserve(n, self.succ.len());
-        // Every guard lands in exactly one row: move it instead of cloning.
-        let mut guards = std::mem::take(&mut self.guards);
         for &old in &back {
             let s = automaton.push_state(self.props[old as usize], |buf| {
                 write_product_name(&self.parts, self.tuples.tuple(old), buf)
             });
             let off = self.row_off[old as usize] as usize;
             let len = self.row_len[old as usize] as usize;
-            for (&t, g) in self.succ[off..off + len]
+            for (&t, &guard) in self.succ[off..off + len]
                 .iter()
-                .zip(&mut guards[off..off + len])
+                .zip(&self.succ_guards[off..off + len])
             {
                 automaton.push_transition(
                     s,
                     Transition {
-                        guard: std::mem::replace(g, Guard::Exact(Label::EMPTY)),
+                        guard,
                         to: StateId(order[t as usize]),
                     },
                 );
@@ -753,7 +782,7 @@ impl<'a> LazyProduct<'a> {
         if !identity {
             self.tuples.remap(&order, n);
         }
-        Ok(Composition {
+        let comp = Composition {
             automaton,
             component_names: self.parts.iter().map(|p| p.name().to_owned()).collect(),
             interfaces: self
@@ -765,7 +794,8 @@ impl<'a> LazyProduct<'a> {
             csr,
             tuples: self.tuples,
             reachable: n,
-        })
+        };
+        Ok((comp, self.kernel))
     }
 }
 

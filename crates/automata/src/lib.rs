@@ -84,7 +84,7 @@ pub use incomplete::{
     SnapshotState, SnapshotTransition,
 };
 pub use incremental::{ClosureCache, CompositionCache, RecomposeInfo, RecomposeMode, WarmCarry};
-pub use label::{Guard, Label, LabelFamily};
+pub use label::{Guard, GuardId, Label, LabelFamily};
 pub use lazy::LazyProduct;
 pub use minimize::{equivalence_witness, equivalent, minimize};
 pub use prop::{PropId, PropSet, PropSetIter, MAX_PROPS};

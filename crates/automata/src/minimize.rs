@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::label::{Guard, GuardTable, Label};
 use crate::refine::{refines, RefinementFailure};
 
 /// Minimizes a concrete automaton by merging bisimilar states (equal
@@ -42,7 +42,7 @@ use crate::refine::{refines, RefinementFailure};
 /// guard families (minimize the concrete learned models, not closures).
 pub fn minimize(m: &Automaton) -> Result<Automaton> {
     for (_, t) in m.transitions() {
-        if !matches!(t.guard, Guard::Exact(_)) {
+        if !matches!(m.guard(t.guard), Guard::Exact(_)) {
             return Err(AutomataError::SymbolicUnsupported {
                 detail: format!("minimization of `{}`", m.name()),
             });
@@ -73,7 +73,7 @@ pub fn minimize(m: &Automaton) -> Result<Automaton> {
                 .transitions_from(s)
                 .iter()
                 .map(|t| {
-                    let l = t.guard.as_exact().expect("checked concrete");
+                    let l = m.guard(t.guard).as_exact().expect("checked concrete");
                     (l, block[t.to.index()])
                 })
                 .collect();
@@ -109,10 +109,11 @@ pub fn minimize(m: &Automaton) -> Result<Automaton> {
             }
         })
         .collect();
+    let mut guards = GuardTable::default();
     let mut adj: Vec<Vec<Transition>> = vec![Vec::new(); block_count];
     for (s, t) in m.transitions() {
         let tr = Transition {
-            guard: t.guard.clone(),
+            guard: guards.intern(m.guard(t.guard).clone()),
             to: StateId(block[t.to.index()] as u32),
         };
         let from = block[s.index()];
@@ -132,7 +133,7 @@ pub fn minimize(m: &Automaton) -> Result<Automaton> {
         format!("{}~min", m.name()),
         (m.inputs(), m.outputs()),
         states,
-        adj,
+        (guards, adj),
         initial,
     );
     out.validate()?;

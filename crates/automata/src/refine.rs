@@ -168,7 +168,7 @@ pub fn refines_with(
         // Concrete enabled labels (expanded).
         let mut enabled: Vec<Label> = Vec::new();
         for t in concrete.transitions_from(s) {
-            for l in t.guard.enumerate(opts.expand_cap)? {
+            for l in concrete.guard(t.guard).enumerate(opts.expand_cap)? {
                 if !enabled.contains(&l) {
                     enabled.push(l);
                 }
@@ -189,7 +189,7 @@ pub fn refines_with(
             let mut abs_next: Vec<StateId> = Vec::new();
             for &a in &abs {
                 for t in abstr.transitions_from(a) {
-                    if t.guard.admits(l) && !abs_next.contains(&t.to) {
+                    if abstr.guard(t.guard).admits(l) && !abs_next.contains(&t.to) {
                         abs_next.push(t.to);
                     }
                 }
@@ -201,7 +201,7 @@ pub fn refines_with(
             }
             abs_next.sort();
             for t in concrete.transitions_from(s) {
-                if !t.guard.admits(l) {
+                if !concrete.guard(t.guard).admits(l) {
                     continue;
                 }
                 let key = (t.to, abs_next.clone());
@@ -236,13 +236,13 @@ fn refusal_witness(
     let mut boxes: Vec<LabelFamily> = abstr
         .transitions_from(first)
         .iter()
-        .map(|t| t.guard.to_family())
+        .map(|t| abstr.guard(t.guard).to_family())
         .collect();
     for &a in &abs[1..] {
         let guards: Vec<LabelFamily> = abstr
             .transitions_from(a)
             .iter()
-            .map(|t| t.guard.to_family())
+            .map(|t| abstr.guard(t.guard).to_family())
             .collect();
         let mut next = Vec::new();
         for b in &boxes {

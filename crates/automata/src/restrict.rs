@@ -7,7 +7,7 @@
 
 use crate::automaton::{Automaton, StateData, Transition};
 use crate::error::Result;
-use crate::label::{Guard, LabelFamily};
+use crate::label::{Guard, GuardTable, LabelFamily};
 use crate::prop::PropSet;
 use crate::signal::SignalSet;
 
@@ -39,44 +39,35 @@ pub fn restrict_interface(
             props: m.props_of(s).intersection(props),
         })
         .collect();
+    let mut guards = GuardTable::default();
     let mut adj: Vec<Vec<Transition>> = Vec::with_capacity(m.state_count());
     for s in m.state_ids() {
         let mut out: Vec<Transition> = Vec::new();
+        let mut push = |guard: Guard, to| {
+            let t = Transition {
+                guard: guards.intern(guard),
+                to,
+            };
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        };
         for t in m.transitions_from(s) {
-            match &t.guard {
-                Guard::Exact(l) => {
-                    push_unique(
-                        &mut out,
-                        Transition {
-                            guard: Guard::Exact(l.restrict(keep_in, keep_out)),
-                            to: t.to,
-                        },
-                    );
-                }
-                Guard::Family(f) if f.excluded.is_empty() => {
-                    push_unique(
-                        &mut out,
-                        Transition {
-                            guard: Guard::from(LabelFamily {
-                                in_must: f.in_must.intersection(keep_in),
-                                in_free: f.in_free.intersection(keep_in),
-                                out_must: f.out_must.intersection(keep_out),
-                                out_free: f.out_free.intersection(keep_out),
-                                excluded: Vec::new(),
-                            }),
-                            to: t.to,
-                        },
-                    );
-                }
+            match m.guard(t.guard) {
+                Guard::Exact(l) => push(Guard::Exact(l.restrict(keep_in, keep_out)), t.to),
+                Guard::Family(f) if f.excluded.is_empty() => push(
+                    Guard::from(LabelFamily {
+                        in_must: f.in_must.intersection(keep_in),
+                        in_free: f.in_free.intersection(keep_in),
+                        out_must: f.out_must.intersection(keep_out),
+                        out_free: f.out_free.intersection(keep_out),
+                        excluded: Vec::new(),
+                    }),
+                    t.to,
+                ),
                 Guard::Family(f) => {
                     for l in f.enumerate(16)? {
-                        push_unique(
-                            &mut out,
-                            Transition {
-                                guard: Guard::Exact(l.restrict(keep_in, keep_out)),
-                                to: t.to,
-                            },
-                        );
+                        push(Guard::Exact(l.restrict(keep_in, keep_out)), t.to);
                     }
                 }
             }
@@ -88,15 +79,9 @@ pub fn restrict_interface(
         format!("{}|restricted", m.name()),
         (keep_in, keep_out),
         states,
-        adj,
+        (guards, adj),
         m.initial_states().to_vec(),
     ))
-}
-
-fn push_unique(out: &mut Vec<Transition>, t: Transition) {
-    if !out.contains(&t) {
-        out.push(t);
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +113,7 @@ mod tests {
         assert_eq!(r.outputs(), keep_out);
         let s0 = r.find_state("s0").unwrap();
         assert_eq!(r.props_of(s0), keep_props);
-        let l = r.transitions_from(s0)[0].guard.as_exact().unwrap();
+        let l = r.guard(r.transitions_from(s0)[0].guard).as_exact().unwrap();
         assert_eq!(l, Label::new(keep_in, keep_out));
         r.validate().unwrap();
     }
@@ -178,7 +163,7 @@ mod tests {
         )
         .unwrap();
         let s = r.find_state("s").unwrap();
-        match &r.transitions_from(s)[0].guard {
+        match r.guard(r.transitions_from(s)[0].guard) {
             Guard::Family(f) => {
                 assert_eq!(f.in_free, u.signals(["a"]));
             }

@@ -127,7 +127,7 @@ impl Run {
             let ok = m
                 .transitions_from(self.states[i])
                 .iter()
-                .any(|t| t.guard.admits(self.labels[i]) && t.to == self.states[i + 1]);
+                .any(|t| m.guard(t.guard).admits(self.labels[i]) && t.to == self.states[i + 1]);
             if !ok {
                 return false;
             }
@@ -185,7 +185,7 @@ pub fn enumerate_runs(m: &Automaton, depth: usize) -> Vec<Run> {
         for (states, labels) in frontier {
             let s = *states.last().expect("nonempty");
             for t in m.transitions_from(s) {
-                let concrete = t.guard.enumerate(16).unwrap_or_default();
+                let concrete = m.guard(t.guard).enumerate(16).unwrap_or_default();
                 for l in concrete {
                     let mut ns = states.clone();
                     ns.push(t.to);

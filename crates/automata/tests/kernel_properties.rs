@@ -138,7 +138,7 @@ fn learn_walks(m: &Automaton, walks: &[Vec<u8>]) -> IncompleteAutomaton {
                 break;
             }
             let t = &ts[choice as usize % ts.len()];
-            let l = t.guard.as_exact().expect("specs are concrete");
+            let l = m.guard(t.guard).as_exact().expect("specs are concrete");
             labels.push(l);
             state = t.to;
             names.push(m.state_name(state).to_owned());

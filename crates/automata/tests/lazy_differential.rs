@@ -1,14 +1,19 @@
 //! Differential tests for the arena-backed lazy product: [`compose`] (which
-//! expands through [`LazyProduct`] and solves rows with the bitset kernel)
-//! must be **bit-identical** to the classic materializing kernel
-//! [`compose_reference`] (per-signal solver) — same state numbering, names,
-//! props, transition rows, origin tuples, CSR and work counters — over
-//! random corpora, and regardless of the order rows are expanded in.
+//! expands through [`LazyProduct`] and solves rows with the memoizing
+//! bitset kernel) must be **bit-identical** to the classic materializing
+//! kernel [`compose_reference`] (per-signal solver, no memo) — same state
+//! numbering, names, props, transition rows (guards resolved, so the order
+//! guards were interned in does not matter), origin tuples, CSR and work
+//! counters — over random corpora, and regardless of the order rows are
+//! expanded in.
 //!
 //! The exact-label corpus covers plain handshakes. The chaotic-closure
 //! corpus covers what only symbolic guards reach: guard families, exclusion
 //! lists (refusals and known labels), open inputs and outputs nobody in the
-//! product drives, and internal signals left free by both sides.
+//! product drives, and internal signals left free by both sides. The
+//! ticker corpus repeats row shapes (a driver ∥ ticker-grid context against
+//! random closures), so the kernel's memo answers almost every
+//! combination.
 
 use std::collections::{HashMap, HashSet};
 
@@ -97,8 +102,8 @@ fn assert_compositions_identical(lhs: &Composition, rhs: &Composition, what: &st
             s.0
         );
         assert_eq!(
-            lhs.automaton.transitions_from(s),
-            rhs.automaton.transitions_from(s),
+            row(&lhs.automaton, s),
+            row(&rhs.automaton, s),
             "{what}: row {} ({})",
             s.0,
             lhs.automaton.state_name(s)
@@ -119,6 +124,14 @@ fn assert_compositions_identical(lhs: &Composition, rhs: &Composition, what: &st
     }
     assert_eq!(lhs.csr, rhs.csr, "{what}: CSR");
     assert_eq!(lhs.stats, rhs.stats, "{what}: compose stats");
+}
+
+/// The row of `s` with its guards resolved.
+fn row(m: &Automaton, s: StateId) -> Vec<(&Guard, StateId)> {
+    m.transitions_from(s)
+        .iter()
+        .map(|t| (m.guard(t.guard), t.to))
+        .collect()
 }
 
 /// Composes `parts` with both kernels and asserts they agree bit-for-bit or
@@ -394,4 +407,82 @@ fn out_of_order_closure_expansion_matches_reference() {
         let lazy = lp.into_composition().expect("renumbers");
         assert_compositions_identical(&lazy, &reference, "out-of-order closure product");
     });
+}
+
+/// A driver that pushes `up` `k` times and then idles (never listening for
+/// `top`), composed with `tickers` free-running `phases`-phase tickers: a
+/// context whose rows repeat a handful of shapes.
+fn ticker_context(u: &Universe, k: usize, tickers: usize, phases: usize) -> Automaton {
+    let mut b = AutomatonBuilder::new(u, "driver").output("up").input("top");
+    for i in 0..=k {
+        b = b.state(&format!("d{i}"));
+    }
+    b = b.initial("d0");
+    for i in 0..k {
+        b = b.transition(&format!("d{i}"), [], ["up"], &format!("d{}", i + 1));
+    }
+    let driver = b
+        .transition(&format!("d{k}"), [], [], &format!("d{k}"))
+        .build()
+        .expect("driver builds");
+    let grid: Vec<Automaton> = (0..tickers)
+        .map(|i| {
+            let tick = format!("tick{i}");
+            let mut b = AutomatonBuilder::new(u, &format!("t{i}")).output(&tick);
+            for j in 0..phases {
+                b = b.state(&format!("s{j}"));
+            }
+            b = b.initial("s0");
+            for j in 0..phases {
+                let (here, next) = (format!("s{j}"), format!("s{}", (j + 1) % phases));
+                b = b.transition(&here, [], [], &here);
+                b = b.transition(&here, [], [tick.as_str()], &next);
+            }
+            b.build().expect("ticker builds")
+        })
+        .collect();
+    let mut parts = vec![&driver];
+    parts.extend(grid.iter());
+    compose(&parts, &ComposeOptions::default())
+        .expect("driver and tickers compose")
+        .automaton
+}
+
+/// The ticker corpus: a driver ∥ ticker-grid context against the closure
+/// of a random incomplete counter-like component (input `up`, output
+/// `top`, plus an open input `e` nobody drives). Context rows repeat a few
+/// guard shapes, so the kernel's memo answers nearly every combination:
+/// it solves each distinct (context guard, closure guard) pair once. The
+/// products must still equal the reference, work counters included.
+#[test]
+fn ticker_contexts_with_repeated_rows_match_reference() {
+    let combos = std::cell::Cell::new(0u64);
+    let keys = std::cell::Cell::new(0u64);
+    cases(40, |rng| {
+        let u = Universe::new();
+        let ctx = ticker_context(&u, rng.range(1..=4), 3, rng.range(2..=3));
+        let m = gen_incomplete(rng, &u, "counter", &["up", "e"], &["top"]);
+        let closure = chaotic_closure(&m, None);
+        let Some(comp) = assert_kernels_agree(&[&ctx, &closure], "ticker context") else {
+            return;
+        };
+        // The memo keys a cold compose solves: the distinct guard pairs of
+        // every expanded row's combinations.
+        let mut pairs: HashSet<(GuardId, GuardId)> = HashSet::new();
+        for s in comp.automaton.state_ids() {
+            let t = comp.tuple(s);
+            for a in ctx.transitions_from(StateId(t[0])) {
+                for b in closure.transitions_from(StateId(t[1])) {
+                    pairs.insert((a.guard, b.guard));
+                }
+            }
+        }
+        combos.set(combos.get() + comp.stats.combos);
+        keys.set(keys.get() + pairs.len() as u64);
+    });
+    let (combos, keys) = (combos.get(), keys.get());
+    assert!(
+        keys * 20 < combos,
+        "the memo would answer too few combinations: {keys} keys for {combos} combos"
+    );
 }

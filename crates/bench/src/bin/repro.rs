@@ -870,6 +870,7 @@ fn run_incr(json: bool) {
         incr_ns: u64,
         incr_recomposes: usize,
         warm_states: u64,
+        product_bytes: usize,
     }
 
     fn config(incremental: bool) -> IntegrationConfig {
@@ -995,6 +996,7 @@ fn run_incr(json: bool) {
             incr_ns,
             incr_recomposes: incr.stats.recompose_incremental,
             warm_states: incr.stats.checker_warm_states,
+            product_bytes: incr.stats.peak_product_bytes,
         });
     }
 
@@ -1047,14 +1049,29 @@ fn run_incr(json: bool) {
     }
 
     println!(
-        "{:<42} {:>5} {:>10} {:>12} {:>12} {:>8} {:>6} {:>8}",
-        "workload", "iters", "outcome", "cold ns", "incr ns", "speedup", "incr#", "warm"
+        "{:<42} {:>5} {:>10} {:>12} {:>12} {:>8} {:>6} {:>8} {:>10}",
+        "workload",
+        "iters",
+        "outcome",
+        "cold ns",
+        "incr ns",
+        "speedup",
+        "incr#",
+        "warm",
+        "product B"
     );
     for r in &rows {
         let speedup = r.cold_ns as f64 / r.incr_ns.max(1) as f64;
         println!(
-            "{:<42} {:>5} {:>10} {:>12} {:>12} {speedup:>7.1}x {:>6} {:>8}",
-            r.name, r.iterations, r.outcome, r.cold_ns, r.incr_ns, r.incr_recomposes, r.warm_states
+            "{:<42} {:>5} {:>10} {:>12} {:>12} {speedup:>7.1}x {:>6} {:>8} {:>10}",
+            r.name,
+            r.iterations,
+            r.outcome,
+            r.cold_ns,
+            r.incr_ns,
+            r.incr_recomposes,
+            r.warm_states,
+            r.product_bytes
         );
     }
     let total_cold: u64 = rows.iter().map(|r| r.cold_ns).sum();
@@ -1088,6 +1105,10 @@ fn run_incr(json: bool) {
                         Json::from_usize(r.incr_recomposes),
                     ),
                     ("checker_warm_states".into(), Json::from_u64(r.warm_states)),
+                    (
+                        "peak_product_bytes".into(),
+                        Json::from_usize(r.product_bytes),
+                    ),
                 ])
             })
             .collect();

@@ -434,6 +434,10 @@ pub struct IntegrationStats {
     pub iterations: usize,
     /// Largest composed state space encountered.
     pub peak_composed_states: usize,
+    /// Largest heap footprint of a checked product over the run, in bytes
+    /// ([`Composition::heap_bytes`](muml_automata::Composition::heap_bytes):
+    /// row buffer, guard table, names, labelling, tuples and CSR).
+    pub peak_product_bytes: usize,
     /// Number of test executions (component resets driven by the harness).
     pub tests_executed: usize,
     /// Total component steps driven.
@@ -840,6 +844,7 @@ pub(crate) fn run_loop(
             }
         }
         stats.peak_composed_states = stats.peak_composed_states.max(comp.reachable_state_count());
+        stats.peak_product_bytes = stats.peak_product_bytes.max(comp.heap_bytes());
         stats.expanded_labels += comp.stats.expanded_labels;
         stats.family_guards += comp.stats.family_guards;
         sink.emit(&LoopEvent::Composed {

@@ -372,7 +372,7 @@ fn joint_step_exists(
     frontier_states: &[String],
     config: &IntegrationConfig,
 ) -> Result<bool, CoreError> {
-    use muml_automata::{AutomatonBuilder, Transition};
+    use muml_automata::AutomatonBuilder;
 
     // Context slice: its deadlock-configuration state with real transitions
     // retargeted to an absorbing sink.
@@ -389,14 +389,10 @@ fn joint_step_exists(
         let mut ctx_slice = b.build().map_err(CoreError::Automata)?;
         let sink = ctx_slice.find_state("sink").expect("just added");
         let here = ctx_slice.find_state("here").expect("just added");
-        let retargeted: Vec<Transition> = context
+        let retargeted = context
             .transitions_from(ctx_state)
             .iter()
-            .map(|t| Transition {
-                guard: t.guard.clone(),
-                to: sink,
-            })
-            .collect();
+            .map(|t| (context.guard(t.guard).clone(), sink));
         ctx_slice.replace_transitions(here, retargeted);
         slice_parts.push(ctx_slice);
     }
@@ -412,14 +408,11 @@ fn joint_step_exists(
         let mut slice = b.build().map_err(CoreError::Automata)?;
         let sink = slice.find_state("sink").expect("just added");
         let here = slice.find_state("here").expect("just added");
-        let transitions: Vec<Transition> = match m.find_state(state_name) {
+        let transitions: Vec<(Guard, StateId)> = match m.find_state(state_name) {
             Some(s) => m
                 .transitions_from(s)
                 .iter()
-                .map(|&(l, _)| Transition {
-                    guard: muml_automata::Guard::Exact(l),
-                    to: sink,
-                })
+                .map(|&(l, _)| (Guard::Exact(l), sink))
                 .collect(),
             None => Vec::new(), // frontier state never observed: no known step
         };
@@ -452,7 +445,7 @@ mod tests {
             .find(|&s| comp.tuple(s) == tuple)?;
         let mut offers: Vec<SignalSet> = Vec::new();
         for t in comp.automaton.transitions_from(s) {
-            let offered = match &t.guard {
+            let offered = match comp.automaton.guard(t.guard) {
                 Guard::Exact(l) => l.outputs.intersection(own_in),
                 Guard::Family(f) => f.out_must.intersection(own_in),
             };

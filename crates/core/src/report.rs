@@ -173,7 +173,10 @@ mod tests {
         let comp = compose2(&a, &b).unwrap();
         let m = &comp.automaton;
         let init = m.initial_states()[0];
-        let l = m.transitions_from(init)[0].guard.as_exact().unwrap();
+        let l = m
+            .guard(m.transitions_from(init)[0].guard)
+            .as_exact()
+            .unwrap();
         let next = m.successors(init, l)[0];
         let run = Run::regular(vec![init, next], vec![l]);
         let text = render_listing(&comp, &run, &u);

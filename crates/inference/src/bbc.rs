@@ -131,7 +131,11 @@ impl CheckingOracle<'_> {
             let (hyp_in, _) = (hyp_auto.inputs(), hyp_auto.outputs());
             let mut offers: Vec<SignalSet> = Vec::new();
             for t in self.context.transitions_from(ctx_state) {
-                let offered = t.guard.output_support().intersection(hyp_in);
+                let offered = self
+                    .context
+                    .guard(t.guard)
+                    .output_support()
+                    .intersection(hyp_in);
                 if !offers.contains(&offered) {
                     offers.push(offered);
                 }

@@ -62,8 +62,8 @@ impl HiddenMealy {
     pub fn from_automaton(m: &Automaton, default: DefaultBehavior) -> Result<Self, AutomataError> {
         let mut rules = HashMap::new();
         for (s, t) in m.transitions() {
-            let l = t
-                .guard
+            let l = m
+                .guard(t.guard)
                 .as_exact()
                 .ok_or(AutomataError::SymbolicUnsupported {
                     detail: format!("legacy interpreter for `{}`", m.name()),

@@ -167,7 +167,7 @@ pub fn deadlock_counterexamples(m: &Automaton, max: usize) -> Vec<Counterexample
             if seen[t.to.index()] {
                 continue;
             }
-            if let Some(l) = t.guard.sample_label() {
+            if let Some(l) = m.guard(t.guard).sample_label() {
                 seen[t.to.index()] = true;
                 parent[t.to.index()] = Some((s, l));
                 q.push_back(t.to);
@@ -227,7 +227,7 @@ fn extend_with_negation_witness(
             }
             for t in m.transitions_from(here) {
                 if !checker.sat_ref(iid)[t.to.index()] {
-                    if let Some(l) = t.guard.sample_label() {
+                    if let Some(l) = m.guard(t.guard).sample_label() {
                         states.push(t.to);
                         labels.push(l);
                         return extend_with_negation_witness(checker, inner, states, labels);
@@ -317,7 +317,7 @@ fn bfs_path(m: &Automaton, from: StateId, targets: &BitSet) -> Option<(Vec<State
             if seen[t.to.index()] {
                 continue;
             }
-            let l = match t.guard.sample_label() {
+            let l = match m.guard(t.guard).sample_label() {
                 Some(l) => l,
                 None => continue, // empty family
             };
@@ -366,7 +366,7 @@ fn window_witness(
         let mut stepped = false;
         for tr in m.transitions_from(here) {
             if next_layer[tr.to.index()] {
-                if let Some(l) = tr.guard.sample_label() {
+                if let Some(l) = m.guard(tr.guard).sample_label() {
                     states.push(tr.to);
                     labels.push(l);
                     here = tr.to;

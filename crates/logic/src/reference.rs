@@ -44,7 +44,7 @@ impl<'a> ReferenceChecker<'a> {
         for s in m.state_ids() {
             let mut out: Vec<usize> = Vec::new();
             for t in m.transitions_from(s) {
-                let live = match &t.guard {
+                let live = match m.guard(t.guard) {
                     muml_automata::Guard::Exact(_) => true,
                     muml_automata::Guard::Family(f) => !f.is_empty(),
                 };

@@ -99,7 +99,7 @@ fn extend(
             let m = checker.automaton();
             for t in m.transitions_from(here) {
                 if checker.sat_ref(iid)[t.to.index()] {
-                    if let Some(l) = t.guard.sample_label() {
+                    if let Some(l) = m.guard(t.guard).sample_label() {
                         states.push(t.to);
                         labels.push(l);
                         return extend(checker, inner, states, labels);
@@ -143,7 +143,7 @@ fn extend(
                     if seen[t.to.index()] {
                         continue;
                     }
-                    if let Some(l) = t.guard.sample_label() {
+                    if let Some(l) = m.guard(t.guard).sample_label() {
                         seen[t.to.index()] = true;
                         parent[t.to.index()] = Some((s, l));
                         if sat_goal[t.to.index()] {
@@ -191,7 +191,7 @@ fn bfs_to(m: &Automaton, from: StateId, targets: &BitSet) -> Option<(Vec<StateId
             if seen[t.to.index()] {
                 continue;
             }
-            if let Some(l) = t.guard.sample_label() {
+            if let Some(l) = m.guard(t.guard).sample_label() {
                 seen[t.to.index()] = true;
                 parent[t.to.index()] = Some((s, l));
                 if targets[t.to.index()] {

@@ -104,7 +104,7 @@ impl<'a> Oracle<'a> {
             let mut out: Vec<usize> = m
                 .transitions_from(s)
                 .iter()
-                .filter(|t| t.guard.sample_label().is_some())
+                .filter(|t| m.guard(t.guard).sample_label().is_some())
                 .map(|t| t.to.index())
                 .collect();
             out.sort_unstable();

@@ -243,8 +243,10 @@ mod tests {
         assert!(dot.contains("noConvoy::wait"));
         // The conservative shuttle never breaks convoys, so nothing about
         // the break machinery was learned (claim C4: partial learning).
-        assert!(learned.known_automaton().transitions().all(|(_, t)| {
-            !t.guard
+        let known = learned.known_automaton();
+        assert!(known.transitions().all(|(_, t)| {
+            !known
+                .guard(t.guard)
                 .input_support()
                 .contains(u.signal("breakConvoyRejected"))
         }));

@@ -126,7 +126,8 @@ fn canonical_order(comp: &Composition) -> (Vec<Option<usize>>, Vec<StateId>) {
 /// Both products are relabelled breadth-first from their initial states,
 /// following rows in emit order. Then, exactly: the initial states in
 /// order; for every reachable state its name, its props and its row
-/// (guards in order, targets relabelled); and the CSR relation — each
+/// (resolved guards in order, so the order each product interned its
+/// guards in does not matter; targets relabelled); and the CSR relation — each
 /// state's successors, predecessors and deadlock flag, relabelled. Every
 /// state outside the reachable part must have an empty row, and
 /// [`Composition::reachable_state_count`] must count the reachable part.
@@ -194,12 +195,12 @@ pub fn assert_same_product(what: &str, lhs: &Composition, rhs: &Composition) {
         let lrow: Vec<_> = lm
             .transitions_from(ls)
             .iter()
-            .map(|t| (&t.guard, lc[t.to.index()]))
+            .map(|t| (lm.guard(t.guard), lc[t.to.index()]))
             .collect();
         let rrow: Vec<_> = rm
             .transitions_from(rs)
             .iter()
-            .map(|t| (&t.guard, rc[t.to.index()]))
+            .map(|t| (rm.guard(t.guard), rc[t.to.index()]))
             .collect();
         assert_eq!(lrow, rrow, "{what}: row of {name} differs");
         let (l, r) = (ls.index(), rs.index());
