@@ -261,13 +261,12 @@ pub(crate) struct RowKernel {
     solved: Vec<Solved>,
     /// Product guard ids of every memo entry, back to back.
     emitted: Vec<GuardId>,
-    /// The combination counter: one transition index per part, and each
-    /// part's row length.
+    /// The outer parts' positions in their rows (entry 0 is unused: part
+    /// 0's row is the inner loop).
     combo: Vec<usize>,
-    lens: Vec<usize>,
     /// The chosen guard ids and target tuple of the current combination.
     key: Vec<u32>,
-    target: Vec<StateId>,
+    target: Vec<u32>,
 }
 
 impl RowKernel {
@@ -289,7 +288,6 @@ impl RowKernel {
             solved: Vec::new(),
             emitted: Vec::new(),
             combo: Vec::with_capacity(k),
-            lens: Vec::with_capacity(k),
             key: Vec::with_capacity(k),
             target: Vec::with_capacity(k),
             interfaces,
@@ -306,10 +304,15 @@ impl RowKernel {
         self.all_outputs
     }
 
-    /// Expands the outgoing transitions of the product state `tuple`:
-    /// iterates all transition combinations (part 0's index varying
-    /// fastest) and hands each composed guard's id in `guards`, in emit
-    /// order, to `emit` together with the target tuple.
+    /// Expands the outgoing transitions of the product state `tuple` (part
+    /// state ids, packed as in [`TupleArena`]): iterates all transition
+    /// combinations (part 0's index varying fastest) and hands each
+    /// composed guard's id in `guards`, in emit order, to `emit` together
+    /// with the packed target tuple.
+    ///
+    /// Part 0's row is the inner loop, walked as a slice; the other parts
+    /// advance like an odometer once per pass over it, and only the part
+    /// that advanced (or wrapped) rewrites its entry of the key and target.
     ///
     /// This is the per-row kernel shared by [`compose`] (through
     /// [`LazyProduct`](crate::LazyProduct)) and the incremental
@@ -321,57 +324,68 @@ impl RowKernel {
     pub(crate) fn expand<P: Deref<Target = Automaton>>(
         &mut self,
         parts: &[P],
-        tuple: &[StateId],
+        tuple: &[u32],
         opts: &ComposeOptions,
         stats: &mut ComposeStats,
         guards: &mut GuardTable,
-        mut emit: impl FnMut(GuardId, &[StateId]),
+        mut emit: impl FnMut(GuardId, &[u32]),
     ) -> Result<()> {
-        self.lens.clear();
+        // The first combination: every part's first transition.
+        self.key.clear();
+        self.target.clear();
         for (p, &s) in parts.iter().zip(tuple) {
-            let len = p.transitions_from(s).len();
-            if len == 0 {
+            let Some(first) = p.transitions_from(StateId(s)).first() else {
                 return Ok(()); // some component blocks everything → product deadlock
-            }
-            self.lens.push(len);
+            };
+            self.key.push(first.guard.0);
+            self.target.push(first.to.0);
         }
         self.combo.clear();
         self.combo.resize(parts.len(), 0);
-        'combos: loop {
-            stats.combos += 1;
-            self.key.clear();
-            self.target.clear();
-            for ((p, &s), &c) in parts.iter().zip(tuple).zip(&self.combo) {
-                let t = p.transitions_from(s)[c];
-                self.key.push(t.guard.0);
-                self.target.push(t.to);
-            }
-            let solved = match self.memo.get(&self.key) {
-                Some(entry) => self.solved[entry as usize],
-                None => self.solve(parts, opts, guards)?,
-            };
-            if solved.enumerated as usize > opts.expand_cap {
-                return Err(AutomataError::FreeSignalOverflow {
-                    free: solved.enumerated as usize,
-                    cap: opts.expand_cap,
-                });
-            }
-            stats.expanded_labels += u64::from(solved.exact);
-            stats.family_guards += u64::from(solved.len - solved.exact);
-            for &g in &self.emitted[solved.start as usize..][..solved.len as usize] {
-                emit(g, &self.target);
-            }
-            // advance the combination counter
-            for i in 0..parts.len() {
-                self.combo[i] += 1;
-                if self.combo[i] < self.lens[i] {
-                    continue 'combos;
+        let inner = parts[0].transitions_from(StateId(tuple[0]));
+        loop {
+            for t in inner {
+                stats.combos += 1;
+                self.key[0] = t.guard.0;
+                self.target[0] = t.to.0;
+                let solved = match self.memo.get(&self.key) {
+                    Some(entry) => self.solved[entry as usize],
+                    None => self.solve(parts, opts, guards)?,
+                };
+                if solved.enumerated as usize > opts.expand_cap {
+                    return Err(AutomataError::FreeSignalOverflow {
+                        free: solved.enumerated as usize,
+                        cap: opts.expand_cap,
+                    });
                 }
-                self.combo[i] = 0;
+                stats.expanded_labels += u64::from(solved.exact);
+                stats.family_guards += u64::from(solved.len - solved.exact);
+                for &g in &self.emitted[solved.start as usize..][..solved.len as usize] {
+                    emit(g, &self.target);
+                }
             }
-            break;
+            // Advance the outer parts: a part that wraps restarts its row
+            // and carries into the next one; when the last one wraps, every
+            // combination has been solved.
+            let mut i = 1;
+            loop {
+                let Some(p) = parts.get(i) else {
+                    return Ok(());
+                };
+                let row = p.transitions_from(StateId(tuple[i]));
+                let c = &mut self.combo[i];
+                *c += 1;
+                if *c == row.len() {
+                    *c = 0;
+                }
+                self.key[i] = row[*c].guard.0;
+                self.target[i] = row[*c].to.0;
+                if *c != 0 {
+                    break;
+                }
+                i += 1;
+            }
         }
-        Ok(())
     }
 
     /// The boxes of guard `id` of part `i`.
@@ -1362,7 +1376,7 @@ mod tests {
         let mut guards = GuardTable::default();
         let mut stats = ComposeStats::default();
         let mut emitted = 0;
-        let tuple = [StateId(0), StateId(0)];
+        let tuple = [0, 0];
         let wide = ComposeOptions::default();
         kernel
             .expand(&parts, &tuple, &wide, &mut stats, &mut guards, |_, _| {

@@ -15,8 +15,8 @@
 //!   interleaved), which composition is insensitive to.
 //! * [`CompositionCache`] borrows its context for its whole lifetime and
 //!   updates one product in place. Product state ids are stable: the
-//!   product numbers its states through the same tuple arena and interner
-//!   a cold [`compose`](crate::compose) fills, rows whose origin tuple
+//!   product numbers its states through the same tuple arena and index a
+//!   cold [`compose`](crate::compose) fills, rows whose origin tuple
 //!   touches a dirty closure state are cleared and re-expanded where they
 //!   stand with the row kernel that built the product (its memo and the
 //!   product's guard table are kept across recomposes), and newly reached
@@ -50,7 +50,7 @@ use crate::csr::{live_targets, Csr};
 use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
 use crate::label::{Guard, GuardId, LabelFamily};
-use crate::lazy::{product_props, write_product_name, LazyProduct};
+use crate::lazy::{product_props, write_product_name, LazyProduct, RowDedup};
 use crate::prop::PropId;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
@@ -508,12 +508,9 @@ fn splice(
     let mut appended = 0usize;
     let mut transitions = 0usize;
     let mut stats = ComposeStats::default();
-    let mut tuple: Vec<StateId> = Vec::with_capacity(parts.len());
-    let mut packed: Vec<u32> = Vec::with_capacity(parts.len());
+    let mut tuple: Vec<u32> = Vec::with_capacity(parts.len());
     let mut row: Vec<Transition> = Vec::new();
-    // `seen[t] == r + 1` once row `r` targets `t`: most targets occur once
-    // per row, and only repeats need the duplicate scan.
-    let mut seen: Vec<u32> = vec![0; comp.automaton.state_count()];
+    let mut dedup = RowDedup::default();
     while let Some(r) = queue.pop() {
         if comp.reachable + appended > opts.max_states {
             return Err(AutomataError::Limit {
@@ -522,17 +519,15 @@ fn splice(
             });
         }
         tuple.clear();
-        tuple.extend(comp.tuples.tuple(r).iter().map(|&x| StateId(x)));
+        tuple.extend_from_slice(comp.tuples.tuple(r));
         let guards = comp.automaton.guards_mut();
         let tuples = &mut comp.tuples;
+        dedup.next_row();
         kernel.expand(&parts, &tuple, opts, &mut stats, guards, |guard, target| {
-            packed.clear();
-            packed.extend(target.iter().map(|t| t.0));
-            let (id, fresh) = tuples.intern(&packed);
+            let (id, fresh) = tuples.intern(target);
             if fresh {
                 live.push(false);
                 expanded.push(true);
-                seen.push(0);
                 appended += 1;
                 queue.push(id);
             } else if !live[id as usize] && !expanded[id as usize] {
@@ -540,14 +535,12 @@ fn splice(
                 appended += 1;
                 queue.push(id);
             }
-            // Drop exact (target, guard id) repeats; only a repeated
-            // target needs the scan.
+            // Drop exact (target, guard id) repeats.
             let t = Transition {
                 guard,
                 to: StateId(id),
             };
-            let repeat = std::mem::replace(&mut seen[id as usize], r + 1) == r + 1;
-            if !repeat || !row.contains(&t) {
+            if !dedup.repeats(id) || !row.contains(&t) {
                 row.push(t);
             }
         })?;

@@ -15,13 +15,17 @@
 //!   [`CompositionCache`](crate::CompositionCache) extends them in place;
 //! * expanded rows live in CSR-style blocks (`row_off`/`row_len` into one
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
-//! * the tuple→id interner is an open-addressed, power-of-two table keyed
-//!   by a packed multiply-xor hash of the tuple, probing the arena
+//! * a tuple's id is found through a dense table over the box of
+//!   coordinates seen so far (a few multiply-adds and one load), or, once
+//!   that box would be too sparse or too large, through an open-addressed
+//!   table keyed by a multiply-xor hash of the tuple that probes the arena
 //!   directly — no per-key allocation, no `Vec<StateId>` clones;
 //! * rows are solved by the bitset [`RowKernel`], which memoizes each
 //!   combination of part guard ids and emits ids into the product's guard
 //!   table (each distinct guard stored once); its scratch buffers, like
-//!   the product's own row buffers, are reused from row to row.
+//!   the product's own row buffers, are reused from row to row, and
+//!   repeated row entries are dropped in time linear in the row
+//!   (`RowDedup`).
 //!
 //! Consumers that only need reachability (the fused checker in
 //! `muml-logic`) drive [`LazyProduct::expand_row`] from their own frontier
@@ -57,12 +61,14 @@ use crate::prop::PropSet;
 /// expanded yet.
 const UNEXPANDED: u32 = u32::MAX;
 
-/// Open-addressed tuple→id interner over the tuple arena.
+/// Open-addressed tuple→id interner over the tuple arena: the index of a
+/// [`TupleArena`] whose tuples are too spread out for a dense table.
 ///
 /// Slots store product-state ids; the keys themselves live in the arena
-/// (`arena[id*k .. id*k+k]`), so probing compares flat `u32` slices and
-/// inserting allocates nothing. Capacity is a power of two, grown at 7/8
-/// load by rehashing the ids (the arena is the source of truth).
+/// (`arena[id*k .. id*k+k]`), so probing compares `u32` coordinates one by
+/// one and inserting allocates nothing. Capacity is a power of two, grown
+/// to keep the table at most half full by rehashing the ids (the arena is
+/// the source of truth).
 #[derive(Debug, Clone)]
 struct TupleInterner {
     slots: Vec<u32>,
@@ -85,9 +91,20 @@ fn tuple_hash(tuple: &[u32]) -> u64 {
     h
 }
 
+/// Whether the arena tuple at `base` is `tuple`, compared coordinate by
+/// coordinate (tuples are a few words long, too short for a `memcmp` call
+/// to pay off).
+fn tuple_at(arena: &[u32], base: usize, tuple: &[u32]) -> bool {
+    arena[base..base + tuple.len()]
+        .iter()
+        .zip(tuple)
+        .all(|(a, b)| a == b)
+}
+
 impl TupleInterner {
-    fn with_capacity(cap: usize) -> TupleInterner {
-        let cap = cap.next_power_of_two().max(16);
+    /// An empty interner with room for `len` ids at most half full.
+    fn with_capacity(len: usize) -> TupleInterner {
+        let cap = (len * 2).next_power_of_two().max(16);
         TupleInterner {
             slots: vec![EMPTY_SLOT; cap],
             mask: cap - 1,
@@ -103,46 +120,26 @@ impl TupleInterner {
             if slot == EMPTY_SLOT {
                 return None;
             }
-            let base = slot as usize * k;
-            if &arena[base..base + k] == tuple {
+            if tuple_at(arena, slot as usize * k, tuple) {
                 return Some(slot);
             }
             i = (i + 1) & self.mask;
         }
     }
 
-    /// Looks up `tuple`, inserting `id` if absent. Returns the resident id.
-    /// `arena` is the packed tuple storage keyed by stride `k`; `tuple` must
-    /// not yet be in the arena when inserting (the caller appends it on
-    /// miss).
-    fn intern(&mut self, tuple: &[u32], id: u32, arena: &[u32], k: usize) -> (u32, bool) {
-        if (self.len + 1) * 8 >= self.slots.len() * 7 {
+    /// Indexes `id`, whose tuple is in `arena` (stride `k`) and not
+    /// indexed yet.
+    fn insert(&mut self, id: u32, arena: &[u32], k: usize) {
+        if (self.len + 1) * 2 > self.slots.len() {
             self.grow(arena, k);
         }
-        let mut i = tuple_hash(tuple) as usize & self.mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                self.slots[i] = id;
-                self.len += 1;
-                return (id, true);
-            }
-            let base = slot as usize * k;
-            if &arena[base..base + k] == tuple {
-                return (slot, false);
-            }
+        let base = id as usize * k;
+        let mut i = tuple_hash(&arena[base..base + k]) as usize & self.mask;
+        while self.slots[i] != EMPTY_SLOT {
             i = (i + 1) & self.mask;
         }
-    }
-
-    /// Renames every resident id through `remap` (keys are unchanged, so
-    /// no slot moves).
-    fn rename(&mut self, remap: &[u32]) {
-        for slot in &mut self.slots {
-            if *slot != EMPTY_SLOT {
-                *slot = remap[*slot as usize];
-            }
-        }
+        self.slots[i] = id;
+        self.len += 1;
     }
 
     fn grow(&mut self, arena: &[u32], k: usize) {
@@ -165,15 +162,86 @@ impl TupleInterner {
     }
 }
 
+/// Largest dense table, in slots (16 MiB of ids).
+const DENSE_MAX_SLOTS: usize = 1 << 22;
+/// A dense table may spend this many slots per interned tuple…
+const DENSE_SLOTS_PER_TUPLE: usize = 8;
+/// …or this many in all, however few tuples it holds.
+const DENSE_MIN_SLOTS: usize = 2048;
+
+/// A row-major table over the box of coordinates seen so far, extent
+/// `d[i]` per coordinate: the tuple `t` of width `k` sits at slot
+/// `(…(t[k-1]·d[k-2] + t[k-2])·d[k-3] + …)·d[0] + t[0]`, so finding it is a
+/// few multiply-adds and one load, with nothing to hash or compare.
+///
+/// The last coordinate is the outermost. Its extent covers exactly the
+/// values seen, and growing it only extends the table: in the loop's
+/// products the last parts are the learned closures, whose states are
+/// appended across recomposes, and in a memo key they are the closures'
+/// guard ids, which grow the same way. Every other extent is padded by a
+/// quarter when it grows, which re-lays the table out. Part 0 is the
+/// innermost coordinate, the one the row kernel's inner loop varies.
+#[derive(Debug, Clone)]
+struct DenseIndex {
+    dims: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl DenseIndex {
+    /// The slot of `tuple`, or `None` if it lies outside the box.
+    #[inline]
+    fn slot(&self, tuple: &[u32]) -> Option<usize> {
+        let mut at = 0usize;
+        for (&x, &d) in tuple.iter().zip(&self.dims).rev() {
+            if x >= d {
+                return None;
+            }
+            at = at * d as usize + x as usize;
+        }
+        Some(at)
+    }
+
+    /// The box that also covers `tuple` (see the type docs).
+    fn covering(&self, tuple: &[u32]) -> Vec<u32> {
+        let outer = self.dims.len() - 1;
+        let mut dims = self.dims.clone();
+        for (i, (d, &x)) in dims.iter_mut().zip(tuple).enumerate() {
+            if x >= *d {
+                let need = x.saturating_add(1);
+                *d = if i == outer {
+                    need
+                } else {
+                    need.max(*d + *d / 4)
+                };
+            }
+        }
+        dims
+    }
+}
+
+/// How a [`TupleArena`] finds a tuple's id. The dense table is used while
+/// the box of coordinates seen so far stays small and well filled, which
+/// is the common case: a product's coordinates are part-state ids, and a
+/// memo key's are part guard ids, each numbered from zero. Once a new
+/// tuple would make the box too sparse or too large the arena falls back
+/// to the hash interner for good, so the choice follows from the tuples
+/// interned, in order.
+#[derive(Debug, Clone)]
+enum TupleIndex {
+    Dense(DenseIndex),
+    Hash(TupleInterner),
+}
+
 /// The id space of a product: every component-state tuple, packed with
 /// stride `k` in one `u32` arena (id `i` is `arena[i*k..i*k+k]`), and the
-/// interner mapping tuples back to ids. Lazy, cold and incremental products
-/// all number their states through one of these.
+/// index mapping tuples back to ids. Lazy, cold and incremental products
+/// all number their states through one of these, and the row kernel keys
+/// its memo with one.
 #[derive(Debug, Clone)]
 pub(crate) struct TupleArena {
     k: usize,
     arena: Vec<u32>,
-    interner: TupleInterner,
+    index: TupleIndex,
 }
 
 impl TupleArena {
@@ -183,7 +251,10 @@ impl TupleArena {
         TupleArena {
             k,
             arena: Vec::new(),
-            interner: TupleInterner::with_capacity(64),
+            index: TupleIndex::Dense(DenseIndex {
+                dims: vec![0; k],
+                slots: Vec::new(),
+            }),
         }
     }
 
@@ -192,9 +263,13 @@ impl TupleArena {
         self.arena.len() / self.k
     }
 
-    /// Heap bytes held by the arena and its interner, by capacity.
+    /// Heap bytes held by the arena and its index, by capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        (self.arena.capacity() + self.interner.slots.capacity()) * std::mem::size_of::<u32>()
+        let index = match &self.index {
+            TupleIndex::Dense(d) => d.dims.capacity() + d.slots.capacity(),
+            TupleIndex::Hash(h) => h.slots.capacity(),
+        };
+        (self.arena.capacity() + index) * std::mem::size_of::<u32>()
     }
 
     /// The tuple with id `id`.
@@ -204,19 +279,86 @@ impl TupleArena {
     }
 
     /// The id of `tuple`, if interned.
+    #[inline]
     pub(crate) fn get(&self, tuple: &[u32]) -> Option<u32> {
-        self.interner.get(tuple, &self.arena, self.k)
+        match &self.index {
+            TupleIndex::Dense(d) => d
+                .slot(tuple)
+                .map(|at| d.slots[at])
+                .filter(|&id| id != EMPTY_SLOT),
+            TupleIndex::Hash(h) => h.get(tuple, &self.arena, self.k),
+        }
     }
 
     /// Interns `tuple`, appending it as id [`TupleArena::len`] on first
     /// sight. Returns the resident id and whether it was fresh.
+    #[inline]
     pub(crate) fn intern(&mut self, tuple: &[u32]) -> (u32, bool) {
-        let candidate = self.len() as u32;
-        let (id, fresh) = self.interner.intern(tuple, candidate, &self.arena, self.k);
-        if fresh {
-            self.arena.extend_from_slice(tuple);
+        match self.get(tuple) {
+            Some(id) => (id, false),
+            None => (self.insert(tuple), true),
         }
-        (id, fresh)
+    }
+
+    /// Appends `tuple`, which is not interned yet, and indexes it: in its
+    /// dense slot, growing the box to cover it, or in the hash interner
+    /// once the grown box would be too sparse or too large.
+    fn insert(&mut self, tuple: &[u32]) -> u32 {
+        debug_assert_eq!(tuple.len(), self.k, "tuple width");
+        let id = self.len() as u32;
+        let count = id as usize + 1;
+        self.arena.extend_from_slice(tuple);
+        let d = match &mut self.index {
+            TupleIndex::Dense(d) => d,
+            TupleIndex::Hash(h) => {
+                h.insert(id, &self.arena, self.k);
+                return id;
+            }
+        };
+        if let Some(at) = d.slot(tuple) {
+            d.slots[at] = id;
+            return id;
+        }
+        let dims = d.covering(tuple);
+        let size = dims
+            .iter()
+            .try_fold(1usize, |acc, &x| acc.checked_mul(x as usize))
+            .filter(|&size| size <= DENSE_MAX_SLOTS)
+            .filter(|&size| size <= DENSE_MIN_SLOTS.max(DENSE_SLOTS_PER_TUPLE * count));
+        let outer = self.k - 1;
+        match size {
+            Some(size) if dims[..outer] == d.dims[..outer] => {
+                // Only the outermost extent grew: the table extends in place,
+                // by an eighth at least so that growing it stays amortized.
+                if size > d.slots.capacity() {
+                    let want = size.max(d.slots.capacity() + d.slots.capacity() / 8);
+                    d.slots.reserve_exact(want - d.slots.len());
+                }
+                d.slots.resize(size, EMPTY_SLOT);
+                d.dims = dims;
+                let at = d.slot(tuple).expect("the box covers the tuple");
+                d.slots[at] = id;
+            }
+            Some(size) => {
+                let mut grown = DenseIndex {
+                    dims,
+                    slots: vec![EMPTY_SLOT; size],
+                };
+                for (i, t) in self.arena.chunks_exact(self.k).enumerate() {
+                    let at = grown.slot(t).expect("the box covers every tuple");
+                    grown.slots[at] = i as u32;
+                }
+                *d = grown;
+            }
+            None => {
+                let mut h = TupleInterner::with_capacity(count);
+                for i in 0..count as u32 {
+                    h.insert(i, &self.arena, self.k);
+                }
+                self.index = TupleIndex::Hash(h);
+            }
+        }
+        id
     }
 
     /// Renumbers the tuples: `remap[old]` is the new id, or `u32::MAX` to
@@ -230,17 +372,46 @@ impl TupleArena {
                 arena[n..n + k].copy_from_slice(&self.arena[o..o + k]);
             }
         }
-        self.arena = arena;
-        if kept == remap.len() {
-            self.interner.rename(remap);
-        } else {
-            self.interner = TupleInterner::with_capacity(kept * 8 / 7 + 1);
-            for id in 0..kept {
-                let base = id * k;
-                self.interner
-                    .intern(&self.arena[base..base + k], id as u32, &self.arena, k);
-            }
+        // Index the kept tuples afresh, in their new order.
+        let mut fresh = TupleArena::new(k);
+        fresh.arena.reserve_exact(arena.len());
+        for t in arena.chunks_exact(k) {
+            fresh.insert(t);
         }
+        *self = fresh;
+    }
+}
+
+/// Drops repeated entries from a row while it is collected, in time
+/// linear in the row: `stamp[t]` is the number of the last row that
+/// targeted `t`, so only an entry whose target already occurs in the row
+/// needs a scan of it. Cold, lazy and incremental products all dedupe
+/// their rows through one of these.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowDedup {
+    stamp: Vec<u32>,
+    row: u32,
+}
+
+impl RowDedup {
+    /// Starts collecting a new row.
+    pub(crate) fn next_row(&mut self) {
+        if self.row == u32::MAX {
+            self.stamp.fill(0);
+            self.row = 0;
+        }
+        self.row += 1;
+    }
+
+    /// Whether the row being collected already targets `target`; from now
+    /// on it does.
+    #[inline]
+    pub(crate) fn repeats(&mut self, target: u32) -> bool {
+        let t = target as usize;
+        if t >= self.stamp.len() {
+            self.stamp.resize(t + 1, 0);
+        }
+        std::mem::replace(&mut self.stamp[t], self.row) == self.row
     }
 }
 
@@ -303,11 +474,11 @@ pub struct LazyProduct<'a> {
     stats: ComposeStats,
     expanded_rows: usize,
     /// Row scratch, reused across [`LazyProduct::expand_row`] calls: the
-    /// row's tuple, its collected `(guard, target)` pairs, and the packed
-    /// target being interned.
-    tuple_buf: Vec<StateId>,
+    /// row's tuple, and its collected `(guard, target)` pairs with their
+    /// dedupe stamps.
+    tuple_buf: Vec<u32>,
     row_buf: Vec<(GuardId, u32)>,
-    packed: Vec<u32>,
+    dedup: RowDedup,
 }
 
 impl<'a> LazyProduct<'a> {
@@ -401,7 +572,7 @@ impl<'a> LazyProduct<'a> {
             expanded_rows: 0,
             tuple_buf: Vec::with_capacity(k),
             row_buf: Vec::new(),
-            packed: Vec::with_capacity(k),
+            dedup: RowDedup::default(),
         };
         for t in initial_tuples {
             let id = lp.intern(&t);
@@ -573,41 +744,30 @@ impl<'a> LazyProduct<'a> {
             stats,
             tuple_buf,
             row_buf,
-            packed,
+            dedup,
             ..
         } = self;
         tuple_buf.clear();
-        tuple_buf.extend(tuples.tuple(s).iter().map(|&x| StateId(x)));
+        tuple_buf.extend_from_slice(tuples.tuple(s));
         row_buf.clear();
+        dedup.next_row();
         let keep = *keep_guards;
-        kernel.expand(
-            parts,
-            tuple_buf,
-            opts,
-            stats,
-            guards,
-            |guard, target_tuple| {
-                // Inline intern over the split-borrowed columns (the method form
-                // would re-borrow `self`).
-                packed.clear();
-                packed.extend(target_tuple.iter().map(|t| t.0));
-                let (id, fresh) = tuples.intern(packed);
-                if fresh {
-                    props.push(product_props(parts, packed));
-                    row_off.push(UNEXPANDED);
-                    row_len.push(0);
-                    pending.push(id);
-                }
-                if keep {
-                    // Classic dedup: drop exact (guard, target) repeats.
-                    if !row_buf.contains(&(guard, id)) {
-                        row_buf.push((guard, id));
-                    }
-                } else if !row_buf.iter().any(|(_, t)| *t == id) {
-                    row_buf.push((guard, id));
-                }
-            },
-        )?;
+        kernel.expand(parts, tuple_buf, opts, stats, guards, |guard, target| {
+            // Inline intern over the split-borrowed columns (the method form
+            // would re-borrow `self`).
+            let (id, fresh) = tuples.intern(target);
+            if fresh {
+                props.push(product_props(parts, target));
+                row_off.push(UNEXPANDED);
+                row_len.push(0);
+                pending.push(id);
+            }
+            // Classic dedup: drop exact (guard, target) repeats, or every
+            // repeated target without guards.
+            if !dedup.repeats(id) || (keep && !row_buf.contains(&(guard, id))) {
+                row_buf.push((guard, id));
+            }
+        })?;
         let off = u32::try_from(succ.len()).expect("transition arena exceeds u32 range");
         assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
         row_off[s as usize] = off;
@@ -649,8 +809,8 @@ impl<'a> LazyProduct<'a> {
                 .find(|(&t, _)| t == to)
                 .and_then(|(_, &g)| self.guards.get(g).sample_label());
         }
-        let tuple: Vec<StateId> = self.tuple_of(s).iter().map(|&x| StateId(x)).collect();
-        let target_tuple: Vec<StateId> = self.tuple_of(to).iter().map(|&x| StateId(x)).collect();
+        let tuple = self.tuple_of(s).to_vec();
+        let target_tuple = self.tuple_of(to).to_vec();
         let mut found: Vec<GuardId> = Vec::new();
         let mut scratch = ComposeStats::default();
         let _ = self.kernel.expand(
@@ -830,23 +990,20 @@ mod tests {
     }
 
     #[test]
-    fn interner_interns_and_grows() {
+    fn interner_inserts_and_grows() {
         let mut arena: Vec<u32> = Vec::new();
         let mut it = TupleInterner::with_capacity(4);
         for i in 0..200u32 {
             let tuple = [i, i.wrapping_mul(7)];
-            let id = arena.len() as u32 / 2;
-            let (got, fresh) = it.intern(&tuple, id, &arena, 2);
-            assert!(fresh);
-            assert_eq!(got, id);
+            assert_eq!(it.get(&tuple, &arena, 2), None);
             arena.extend_from_slice(&tuple);
+            it.insert(i, &arena, 2);
+            assert!(it.len * 2 <= it.slots.len(), "at most half full");
         }
         for i in 0..200u32 {
-            let tuple = [i, i.wrapping_mul(7)];
-            let (got, fresh) = it.intern(&tuple, 999, &arena, 2);
-            assert!(!fresh);
-            assert_eq!(got, i);
+            assert_eq!(it.get(&[i, i.wrapping_mul(7)], &arena, 2), Some(i));
         }
+        assert_eq!(it.get(&[7, 0], &arena, 2), None);
     }
 
     #[test]
@@ -950,5 +1107,110 @@ mod tests {
         };
         let mut lp = LazyProduct::new(&[&c, &s], &opts, true).unwrap();
         assert!(matches!(lp.expand_all(), Err(AutomataError::Limit { .. })));
+    }
+
+    /// The arena against a `HashMap` reference: every lookup before an
+    /// intern (hits and misses), every intern's id and fresh flag, and
+    /// after each renumbering every tuple's id and `tuple(id)`. Cases draw
+    /// widths 1 to 4 and coordinate ranges from a few values to thousands,
+    /// so boxes re-lay out, grow only their outer extent, stay dense, or
+    /// fall back to the hash interner part-way through.
+    #[test]
+    fn arena_matches_a_hash_map_through_relayouts_switches_and_remaps() {
+        use std::cell::Cell;
+        use std::collections::HashMap;
+        let (dense, hashed, relayouts) = (Cell::new(0), Cell::new(0), Cell::new(0));
+        muml_testkit::cases(300, |rng| {
+            let k = rng.range(1..=4);
+            let spread = [3, 12, 40, 3000][rng.below(4)];
+            let steps = rng.range(50..=600);
+            let mut arena = TupleArena::new(k);
+            let mut reference: HashMap<Vec<u32>, u32> = HashMap::new();
+            let draw = |rng: &mut muml_testkit::Rng| -> Vec<u32> {
+                (0..k).map(|_| rng.below(spread) as u32).collect()
+            };
+            let check_all = |arena: &TupleArena, reference: &HashMap<Vec<u32>, u32>| {
+                assert_eq!(arena.len(), reference.len());
+                for (t, &id) in reference {
+                    assert_eq!(arena.get(t), Some(id), "{t:?}");
+                    assert_eq!(arena.tuple(id), t.as_slice());
+                }
+            };
+            for step in 0..steps {
+                let t = draw(rng);
+                assert_eq!(arena.get(&t), reference.get(&t).copied(), "{t:?}");
+                let before = match &arena.index {
+                    TupleIndex::Dense(d) => Some(d.dims[..k - 1].to_vec()),
+                    TupleIndex::Hash(_) => None,
+                };
+                let expected = match reference.get(&t) {
+                    Some(&id) => (id, false),
+                    None => (reference.len() as u32, true),
+                };
+                assert_eq!(arena.intern(&t), expected, "{t:?}");
+                reference.entry(t).or_insert(expected.0);
+                if let (Some(before), TupleIndex::Dense(d)) = (before, &arena.index) {
+                    relayouts.set(relayouts.get() + usize::from(before != d.dims[..k - 1]));
+                }
+                if step % 97 == 96 {
+                    // Renumber: a random permutation, or keep a random
+                    // subset (the kept ids must become exactly 0..kept).
+                    let mut order: Vec<u32> = (0..arena.len() as u32).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.below(i + 1));
+                    }
+                    let kept = if rng.bool() {
+                        order.len()
+                    } else {
+                        rng.below(order.len() + 1)
+                    };
+                    let mut remap = vec![u32::MAX; order.len()];
+                    for (new, &old) in order[..kept].iter().enumerate() {
+                        remap[old as usize] = new as u32;
+                    }
+                    arena.remap(&remap, kept);
+                    reference.retain(|_, id| remap[*id as usize] != u32::MAX);
+                    for id in reference.values_mut() {
+                        *id = remap[*id as usize];
+                    }
+                    check_all(&arena, &reference);
+                }
+            }
+            check_all(&arena, &reference);
+            for _ in 0..50 {
+                let t = draw(rng);
+                assert_eq!(arena.get(&t), reference.get(&t).copied(), "{t:?}");
+            }
+            let mode = match arena.index {
+                TupleIndex::Dense(_) => &dense,
+                TupleIndex::Hash(_) => &hashed,
+            };
+            mode.set(mode.get() + 1);
+        });
+        // The corpus must reach both representations and re-lay out.
+        let (dense, hashed, relayouts) = (dense.get(), hashed.get(), relayouts.get());
+        assert!(dense > 50 && hashed > 50, "{dense} dense, {hashed} hashed");
+        assert!(relayouts > 100, "{relayouts} re-layouts");
+    }
+
+    /// A dense box never spends more than its budget: it stays within
+    /// `DENSE_SLOTS_PER_TUPLE` slots per tuple once past `DENSE_MIN_SLOTS`,
+    /// and its slots are counted by `heap_bytes`.
+    #[test]
+    fn dense_tables_respect_their_budget() {
+        muml_testkit::cases(100, |rng| {
+            let k = rng.range(1..=4);
+            let mut arena = TupleArena::new(k);
+            for _ in 0..rng.range(1..=500) {
+                let t: Vec<u32> = (0..k).map(|_| rng.below(60) as u32).collect();
+                arena.intern(&t);
+                if let TupleIndex::Dense(d) = &arena.index {
+                    let size: usize = d.dims.iter().map(|&x| x as usize).product();
+                    assert_eq!(d.slots.len(), size);
+                    assert!(size <= DENSE_MIN_SLOTS.max(DENSE_SLOTS_PER_TUPLE * arena.len()));
+                    assert!(arena.heap_bytes() >= (arena.arena.len() + size) * 4);
+                }
+            }
+        });
     }
 }

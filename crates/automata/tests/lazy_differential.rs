@@ -486,3 +486,107 @@ fn ticker_contexts_with_repeated_rows_match_reference() {
         "the memo would answer too few combinations: {keys} keys for {combos} combos"
     );
 }
+
+/// Two cross-wired rings of `n` states that advance in lockstep: `a`
+/// sends `x` on every step and `b` must receive it, and at random steps `b`
+/// may also answer `y`, which `a` may take or ignore. A few random steps of
+/// `a` may instead fall into a sink state with no transitions. The
+/// reachable product is the diagonal of the `n × n` box of state pairs,
+/// plus one deadlocked pair per fall.
+fn lockstep_rings(rng: &mut Rng, u: &Universe, n: usize) -> (Automaton, Automaton) {
+    let mut a = AutomatonBuilder::new(u, "a").input("y").output("x");
+    let mut b = AutomatonBuilder::new(u, "b").input("x").output("y");
+    for s in 0..n {
+        a = a.state(&format!("a{s}"));
+        b = b.state(&format!("b{s}"));
+    }
+    a = a.state("sink").initial("a0");
+    b = b.initial("b0");
+    for s in 0..n {
+        let next = (s + 1) % n;
+        let (from, to) = (format!("a{s}"), format!("a{next}"));
+        a = a.transition(&from, [], ["x"], &to);
+        a = a.transition(&from, ["y"], ["x"], &to);
+        if rng.chance(1, 20) {
+            a = a.transition(&from, [], ["x"], "sink");
+        }
+        let (from, to) = (format!("b{s}"), format!("b{next}"));
+        b = b.transition(&from, ["x"], [], &to);
+        if rng.bool() {
+            b = b.transition(&from, ["x"], ["y"], &to);
+        }
+    }
+    (
+        a.build().expect("ring builds"),
+        b.build().expect("ring builds"),
+    )
+}
+
+/// A sparse two-part product: the state pairs a lockstep pair reaches
+/// fill a tiny fraction of their `n × n` box, so the product numbers its
+/// states through the hash interner rather than a dense table of the
+/// whole box (its heap stays far below what that table would take). It
+/// must still equal the reference, work counters and emit order included,
+/// and regardless of expansion order.
+#[test]
+fn sparse_lockstep_products_match_reference() {
+    cases(40, |rng| {
+        let u = Universe::new();
+        let n = rng.range(150..=300);
+        let (a, b) = lockstep_rings(rng, &u, n);
+        let comp = assert_kernels_agree(&[&a, &b], "lockstep rings").expect("rings compose");
+        let states = comp.automaton.state_count();
+        assert!(states * 8 < n * n, "{states} states fill the {n}x{n} box");
+        assert!(
+            comp.heap_bytes() < n * n,
+            "{} heap bytes: a dense table of the {n}x{n} box would take {}",
+            comp.heap_bytes(),
+            n * n * 4
+        );
+        let opts = ComposeOptions::default();
+        let reference = compose_reference(&[&a, &b], &opts).expect("rings compose");
+        let mut lp = LazyProduct::new(&[&a, &b], &opts, true).expect("lazy product");
+        while let Some(s) = (0..lp.state_count() as u32)
+            .rev()
+            .find(|&s| !lp.is_expanded(s))
+        {
+            lp.expand_row(s).expect("within limits");
+        }
+        let lazy = lp.into_composition().expect("renumbers");
+        assert_compositions_identical(&lazy, &reference, "out-of-order lockstep rings");
+    });
+}
+
+/// Four-part products (two cross-wired pairs, interleaved so that parts 1
+/// and 2 sit in the middle of the tuple) in which a middle part reaches a
+/// state without transitions: the row kernel must treat the empty row as a
+/// product deadlock whichever part it sits in, and walk the odometer over
+/// the other three parts in emit order everywhere else.
+#[test]
+fn four_part_products_with_empty_middle_rows_match_reference() {
+    let blocked = std::cell::Cell::new(0usize);
+    cases(100, |rng| {
+        let u = Universe::new();
+        let a = build(&u, "a", ["i0", "i1"], ["o0", "o1"], &gen_spec(rng, 4, 8));
+        let b = build(&u, "b", ["o0", "o1"], ["i0", "i1"], &gen_spec(rng, 4, 8));
+        let c = build(&u, "c", ["x0", "x1"], ["y0", "y1"], &gen_spec(rng, 4, 8));
+        let d = build(&u, "d", ["y0", "y1"], ["x0", "x1"], &gen_spec(rng, 4, 8));
+        let parts = [&a, &c, &b, &d];
+        let Some(comp) = assert_kernels_agree(&parts, "four parts") else {
+            return;
+        };
+        let m = &comp.automaton;
+        for s in m.state_ids() {
+            let t = comp.tuple(s);
+            if (1..=2).any(|i| parts[i].transitions_from(StateId(t[i])).is_empty()) {
+                assert!(m.transitions_from(s).is_empty(), "a blocked part deadlocks");
+                blocked.set(blocked.get() + 1);
+            }
+        }
+    });
+    assert!(
+        blocked.get() > 50,
+        "only {} product states reach an empty middle row",
+        blocked.get()
+    );
+}
