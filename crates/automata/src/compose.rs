@@ -531,7 +531,7 @@ pub fn compose2(a: &Automaton, b: &Automaton) -> Result<Composition> {
 /// * [`AutomataError::Limit`] if the reachable product exceeds
 ///   `opts.max_states`.
 pub fn compose(parts: &[&Automaton], opts: &ComposeOptions) -> Result<Composition> {
-    crate::lazy::LazyProduct::new(parts, opts, true)?.into_composition()
+    crate::lazy::LazyProduct::new(parts, opts)?.into_composition()
 }
 
 /// The classic materializing composition: `HashMap<Vec<StateId>, StateId>`

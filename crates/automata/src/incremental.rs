@@ -276,11 +276,6 @@ impl<'c> CompositionCache<'c> {
         self.threshold
     }
 
-    /// Drops the cached product, forcing the next recompose cold.
-    pub fn invalidate(&mut self) {
-        self.state = None;
-    }
-
     /// The current product. Panics if [`Self::recompose`] has not succeeded
     /// yet.
     pub fn composition(&self) -> &Composition {
@@ -453,7 +448,7 @@ impl<'c> CompositionCache<'c> {
         let parts: Vec<&Automaton> = std::iter::once(self.context)
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
-        let (comp, kernel) = LazyProduct::new(&parts, opts, true)?.materialize()?;
+        let (comp, kernel) = LazyProduct::new(&parts, opts)?.materialize()?;
         let info = RecomposeInfo {
             mode: RecomposeMode::Cold,
             dirty_states: comp.automaton.state_count(),

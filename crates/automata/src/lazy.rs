@@ -27,25 +27,19 @@
 //!   repeated row entries are dropped in time linear in the row
 //!   (`RowDedup`).
 //!
-//! Consumers that only need reachability (the fused checker in
-//! `muml-logic`) drive [`LazyProduct::expand_row`] from their own frontier
-//! and stop as soon as the verdict is decided — an early-falsified `AG`
-//! never expands the cone behind its witness. Consumers that need one row
-//! (the driver's frontier probe) call [`LazyProduct::locate`], which
-//! expands in discovery order only until the wanted tuple is interned, and
-//! keep the product across calls. Consumers that need the full
-//! automaton call [`LazyProduct::expand_all`] +
-//! [`LazyProduct::into_composition`], which renumbers states into the
-//! canonical discovery order and yields a [`Composition`] bit-identical to
-//! the classic materializing path (this is how [`compose`](crate::compose)
-//! itself is implemented now). Materializing writes names, rows and tuples
-//! into the automaton's shared buffers: nothing is allocated per state.
-//!
-//! Storage modes: with `keep_guards` every `(guard id, target)` pair is
-//! retained (required for materialization); without it only deduplicated
-//! targets are stored and counterexample labels are recovered by
-//! re-running the row kernel on the few rows a witness path actually
-//! crosses ([`LazyProduct::first_label_to`]).
+//! Every row keeps its `(guard id, target)` pairs in emit order. Consumers
+//! that need one row (the driver's frontier probe) call
+//! [`LazyProduct::locate`], which expands in discovery order only until
+//! the wanted tuple is interned, read the row with
+//! [`LazyProduct::row_guards`], and keep the product across calls.
+//! Consumers that need the full automaton call
+//! [`LazyProduct::into_composition`], which expands every remaining row,
+//! renumbers states into the canonical discovery order (rows expanded out
+//! of order with [`LazyProduct::expand_row`] included) and yields a
+//! [`Composition`] bit-identical to the classic materializing path (this
+//! is how [`compose`](crate::compose) itself is implemented now).
+//! Materializing writes names, rows and tuples into the automaton's shared
+//! buffers: nothing is allocated per state.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -54,7 +48,7 @@ use crate::automaton::{Automaton, StateId, Transition};
 use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, GuardId, GuardTable, Label};
+use crate::label::{Guard, GuardId, GuardTable};
 use crate::prop::PropSet;
 
 /// Sentinel in `row_off` marking a state whose outgoing row has not been
@@ -450,7 +444,6 @@ pub struct LazyProduct<'a> {
     parts: Vec<Cow<'a, Automaton>>,
     opts: ComposeOptions,
     kernel: RowKernel,
-    keep_guards: bool,
     /// Every discovered state's component-state tuple, interned.
     tuples: TupleArena,
     /// Union of component labellings per product state.
@@ -459,16 +452,16 @@ pub struct LazyProduct<'a> {
     row_off: Vec<u32>,
     /// Length of each expanded row.
     row_len: Vec<u32>,
-    /// Flat transition targets: `(guard, target)` pairs in emit order when
-    /// `keep_guards`, first-occurrence-deduplicated targets otherwise.
+    /// Flat transition targets of the `(guard, target)` pairs, in emit
+    /// order.
     succ: Vec<u32>,
-    /// Parallel guard ids for `succ` (empty unless `keep_guards`).
+    /// Parallel guard ids for `succ`.
     succ_guards: Vec<GuardId>,
     /// The product's guard table, which the kernel interns into.
     guards: GuardTable,
     /// Discovery-order worklist: every interned state is pushed once;
-    /// [`LazyProduct::expand_all`] drains it LIFO, which is exactly the
-    /// classic compose exploration order.
+    /// `expand_all` drains it LIFO, which is exactly the classic compose
+    /// exploration order.
     pending: Vec<u32>,
     initial: Vec<u32>,
     stats: ComposeStats,
@@ -486,25 +479,12 @@ impl<'a> LazyProduct<'a> {
     /// composability and interning the cartesian initial tuples (ids
     /// `0..initial_count`, same as the classic path).
     ///
-    /// With `keep_guards` the product retains every composed `(guard,
-    /// target)` pair and can be materialized via
-    /// [`into_composition`](LazyProduct::into_composition); without it only
-    /// deduplicated successor targets are stored.
-    ///
     /// # Errors
     ///
     /// [`AutomataError::UniverseMismatch`] / [`AutomataError::NotComposable`]
     /// as for [`compose`](crate::compose::compose).
-    pub fn new(
-        parts: &[&'a Automaton],
-        opts: &ComposeOptions,
-        keep_guards: bool,
-    ) -> Result<LazyProduct<'a>> {
-        Self::from_parts(
-            parts.iter().map(|&p| Cow::Borrowed(p)).collect(),
-            opts,
-            keep_guards,
-        )
+    pub fn new(parts: &[&'a Automaton], opts: &ComposeOptions) -> Result<LazyProduct<'a>> {
+        Self::from_parts(parts.iter().map(|&p| Cow::Borrowed(p)).collect(), opts)
     }
 
     /// [`LazyProduct::new`] over borrowed or owned parts.
@@ -515,7 +495,6 @@ impl<'a> LazyProduct<'a> {
     pub fn from_parts(
         parts: Vec<Cow<'a, Automaton>>,
         opts: &ComposeOptions,
-        keep_guards: bool,
     ) -> Result<LazyProduct<'a>> {
         assert!(!parts.is_empty(), "compose requires at least one automaton");
         let universe = parts[0].universe();
@@ -558,7 +537,6 @@ impl<'a> LazyProduct<'a> {
             parts,
             opts: opts.clone(),
             kernel,
-            keep_guards,
             tuples: TupleArena::new(k),
             props: Vec::new(),
             row_off: Vec::new(),
@@ -598,56 +576,25 @@ impl<'a> LazyProduct<'a> {
         self.parts.iter().map(|p| &**p)
     }
 
-    /// Number of product states discovered so far.
+    /// Number of product states discovered so far: ids `0..state_count()`
+    /// are the states [`LazyProduct::expand_row`] accepts.
     pub fn state_count(&self) -> usize {
         self.props.len()
     }
 
-    /// Number of rows expanded so far (the work the fused checker reports
-    /// as `states_expanded`).
+    /// Number of rows expanded so far (the frontier probe reports them as
+    /// `probe_rows_expanded`).
     pub fn expanded_rows(&self) -> usize {
         self.expanded_rows
     }
 
-    /// The initial product states (ids `0..n` in cartesian order).
-    pub fn initial_states(&self) -> &[u32] {
-        &self.initial
-    }
-
-    /// Work counters of the exploration so far.
-    pub fn stats(&self) -> ComposeStats {
-        self.stats
-    }
-
-    /// The composed interface and universe carriers.
-    pub fn universe(&self) -> &crate::universe::Universe {
-        self.parts[0].universe()
-    }
-
     /// The product name, `a||b||…` as for the classic path.
-    pub fn name(&self) -> String {
+    fn name(&self) -> String {
         self.parts
             .iter()
             .map(|p| p.name().to_owned())
             .collect::<Vec<_>>()
             .join("||")
-    }
-
-    /// The labelling of product state `s` (union of component labellings).
-    pub fn props_of(&self, s: u32) -> PropSet {
-        self.props[s as usize]
-    }
-
-    /// The component-state tuple of product state `s`.
-    pub fn tuple_of(&self, s: u32) -> &[u32] {
-        self.tuples.tuple(s)
-    }
-
-    /// Renders product state `s` in the classic `c0||d1` name format.
-    pub fn state_name(&self, s: u32) -> String {
-        let mut name = String::new();
-        write_product_name(&self.parts, self.tuple_of(s), &mut name);
-        name
     }
 
     /// Finds the reachable product state with component-state tuple
@@ -672,34 +619,21 @@ impl<'a> LazyProduct<'a> {
     }
 
     /// Whether row `s` has been expanded.
-    pub fn is_expanded(&self, s: u32) -> bool {
+    fn is_expanded(&self, s: u32) -> bool {
         self.row_off[s as usize] != UNEXPANDED
     }
 
-    /// Whether product state `s` deadlocks (no feasible joint transition).
-    /// Requires the row to be expanded.
-    pub fn is_deadlock(&self, s: u32) -> bool {
-        debug_assert!(self.is_expanded(s), "deadlock query on unexpanded row");
-        self.row_len[s as usize] == 0
-    }
-
-    /// The expanded successor targets of `s`, in emit order — `(guard,
-    /// target)` pairs when `keep_guards` (targets may repeat), deduplicated
-    /// first occurrences otherwise. Requires the row to be expanded.
-    pub fn successors(&self, s: u32) -> &[u32] {
+    /// The targets of the expanded row of `s`, in emit order (a target
+    /// repeats when several guards lead to it).
+    fn successors(&self, s: u32) -> &[u32] {
         debug_assert!(self.is_expanded(s), "successor query on unexpanded row");
         let off = self.row_off[s as usize] as usize;
         &self.succ[off..off + self.row_len[s as usize] as usize]
     }
 
-    /// The composed guards of the expanded row of `s`, parallel to
-    /// [`LazyProduct::successors`]. Requires the row to be expanded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the product was built without `keep_guards`.
+    /// The composed guards of the expanded row of `s`, in emit order.
+    /// Requires the row to be expanded.
     pub fn row_guards(&self, s: u32) -> impl ExactSizeIterator<Item = &Guard> + '_ {
-        assert!(self.keep_guards, "row_guards requires keep_guards");
         debug_assert!(self.is_expanded(s), "guard query on unexpanded row");
         let off = self.row_off[s as usize] as usize;
         self.succ_guards[off..off + self.row_len[s as usize] as usize]
@@ -732,7 +666,6 @@ impl<'a> LazyProduct<'a> {
             parts,
             opts,
             kernel,
-            keep_guards,
             tuples,
             props,
             row_off,
@@ -751,7 +684,6 @@ impl<'a> LazyProduct<'a> {
         tuple_buf.extend_from_slice(tuples.tuple(s));
         row_buf.clear();
         dedup.next_row();
-        let keep = *keep_guards;
         kernel.expand(parts, tuple_buf, opts, stats, guards, |guard, target| {
             // Inline intern over the split-borrowed columns (the method form
             // would re-borrow `self`).
@@ -762,9 +694,8 @@ impl<'a> LazyProduct<'a> {
                 row_len.push(0);
                 pending.push(id);
             }
-            // Classic dedup: drop exact (guard, target) repeats, or every
-            // repeated target without guards.
-            if !dedup.repeats(id) || (keep && !row_buf.contains(&(guard, id))) {
+            // Classic dedup: drop exact (guard, target) repeats.
+            if !dedup.repeats(id) || !row_buf.contains(&(guard, id)) {
                 row_buf.push((guard, id));
             }
         })?;
@@ -773,9 +704,7 @@ impl<'a> LazyProduct<'a> {
         row_off[s as usize] = off;
         row_len[s as usize] = row_buf.len() as u32;
         succ.extend(row_buf.iter().map(|&(_, t)| t));
-        if keep {
-            succ_guards.extend(row_buf.iter().map(|&(g, _)| g));
-        }
+        succ_guards.extend(row_buf.iter().map(|&(g, _)| g));
         self.expanded_rows += 1;
         Ok(())
     }
@@ -783,52 +712,11 @@ impl<'a> LazyProduct<'a> {
     /// Drains the discovery worklist, expanding every reachable row. When no
     /// row has been expanded out of band, this visits states in exactly the
     /// classic compose order, so ids equal the classic numbering.
-    ///
-    /// # Errors
-    ///
-    /// See [`LazyProduct::expand_row`].
-    pub fn expand_all(&mut self) -> Result<()> {
+    fn expand_all(&mut self) -> Result<()> {
         while let Some(s) = self.pending.pop() {
             self.expand_row(s)?;
         }
         Ok(())
-    }
-
-    /// The sample label of the first composed transition `s → to` in emit
-    /// order — the label [`Guard::sample_label`] would yield on the
-    /// materialized product's row walk. With `keep_guards` this reads the
-    /// stored guard; otherwise it re-runs the row kernel for `s` (cheap: a
-    /// witness path crosses few rows, and the kernel's memo answers them).
-    pub fn first_label_to(&mut self, s: u32, to: u32) -> Option<Label> {
-        if self.keep_guards {
-            let off = self.row_off[s as usize] as usize;
-            let len = self.row_len[s as usize] as usize;
-            return self.succ[off..off + len]
-                .iter()
-                .zip(&self.succ_guards[off..off + len])
-                .find(|(&t, _)| t == to)
-                .and_then(|(_, &g)| self.guards.get(g).sample_label());
-        }
-        let tuple = self.tuple_of(s).to_vec();
-        let target_tuple = self.tuple_of(to).to_vec();
-        let mut found: Vec<GuardId> = Vec::new();
-        let mut scratch = ComposeStats::default();
-        let _ = self.kernel.expand(
-            &self.parts,
-            &tuple,
-            &self.opts,
-            &mut scratch,
-            &mut self.guards,
-            |guard, tgt| {
-                if tgt == target_tuple.as_slice() {
-                    found.push(guard);
-                }
-            },
-        );
-        // The first guard to `to` that admits a label, as the row walk picks.
-        found
-            .iter()
-            .find_map(|&g| self.guards.get(g).sample_label())
     }
 
     /// The canonical discovery-order numbering: initial states first (in
@@ -836,7 +724,7 @@ impl<'a> LazyProduct<'a> {
     /// row in emit order — the numbering the classic compose assigns. The
     /// result maps current ids to canonical ids (`None` for states that are
     /// unreachable under the canonical traversal, which cannot happen once
-    /// [`expand_all`](LazyProduct::expand_all) ran).
+    /// `expand_all` ran).
     fn canonical_order(&self) -> Vec<Option<u32>> {
         let n = self.state_count();
         let mut order: Vec<Option<u32>> = vec![None; n];
@@ -864,22 +752,16 @@ impl<'a> LazyProduct<'a> {
         order
     }
 
-    /// Materializes the fully expanded product as a [`Composition`]
-    /// bit-identical to the classic path: canonical renumbering, rows,
-    /// tuples, and the CSR relation. Names, rows and tuples are written
-    /// into shared buffers, so nothing is allocated per state, and the
-    /// product's guard table becomes the automaton's.
+    /// Expands every remaining row and materializes the product as a
+    /// [`Composition`] bit-identical to the classic path: canonical
+    /// renumbering, rows, tuples, and the CSR relation. Names, rows and
+    /// tuples are written into shared buffers, so nothing is allocated per
+    /// state, and the product's guard table becomes the automaton's.
     ///
     /// # Errors
     ///
-    /// Any pending expansion error from
-    /// [`expand_all`](LazyProduct::expand_all); validation errors as for
-    /// [`compose`](crate::compose::compose).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the product was built without `keep_guards` (targets alone
-    /// cannot reconstitute the transition relation).
+    /// Any expansion error (see [`LazyProduct::expand_row`]); validation
+    /// errors as for [`compose`](crate::compose::compose).
     pub fn into_composition(self) -> Result<Composition> {
         self.materialize().map(|(comp, _)| comp)
     }
@@ -888,10 +770,6 @@ impl<'a> LazyProduct<'a> {
     /// whose memo refers to the composition's guard table and stays valid
     /// for it.
     pub(crate) fn materialize(mut self) -> Result<(Composition, RowKernel)> {
-        assert!(
-            self.keep_guards,
-            "into_composition requires a LazyProduct built with keep_guards"
-        );
         self.expand_all()?;
         let n = self.state_count();
         // old id -> canonical id, and back
@@ -1011,12 +889,17 @@ mod tests {
         let u = Universe::new();
         let (c, s) = pair(&u);
         let classic = crate::compose::compose2(&c, &s).unwrap();
-        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default(), true).unwrap();
+        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
         lp.expand_all().unwrap();
         assert_eq!(lp.state_count(), classic.automaton.state_count());
         for st in 0..lp.state_count() as u32 {
-            assert_eq!(lp.state_name(st), classic.automaton.state_name(StateId(st)));
-            assert_eq!(lp.props_of(st), classic.automaton.props_of(StateId(st)));
+            let mut name = String::new();
+            write_product_name(&lp.parts, lp.tuples.tuple(st), &mut name);
+            assert_eq!(name, classic.automaton.state_name(StateId(st)));
+            assert_eq!(
+                lp.props[st as usize],
+                classic.automaton.props_of(StateId(st))
+            );
         }
     }
 
@@ -1025,7 +908,7 @@ mod tests {
         let u = Universe::new();
         let (c, s) = pair(&u);
         let classic = crate::compose::compose2(&c, &s).unwrap();
-        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default(), true).unwrap();
+        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
         // Expand in discovery order (the worklist is LIFO, so touching id 0
         // first is "out of band"), then materialize.
         lp.expand_row(0).unwrap();
@@ -1053,29 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn targets_mode_recovers_labels_by_reexpansion() {
-        let u = Universe::new();
-        let (c, s) = pair(&u);
-        let mut with = LazyProduct::new(&[&c, &s], &ComposeOptions::default(), true).unwrap();
-        with.expand_all().unwrap();
-        let mut without = LazyProduct::new(&[&c, &s], &ComposeOptions::default(), false).unwrap();
-        without.expand_all().unwrap();
-        assert_eq!(with.state_count(), without.state_count());
-        for st in 0..with.state_count() as u32 {
-            let mut seen = Vec::new();
-            for &t in with.successors(st) {
-                if !seen.contains(&t) {
-                    seen.push(t);
-                }
-            }
-            assert_eq!(without.successors(st), seen.as_slice());
-            for &t in &seen {
-                assert_eq!(with.first_label_to(st, t), without.first_label_to(st, t));
-            }
-        }
-    }
-
-    #[test]
     fn deadlock_rows_are_empty() {
         let u = Universe::new();
         let c = pair(&u).0;
@@ -1089,12 +949,17 @@ mod tests {
             .transition("ready", ["req"], [], "stuck")
             .build()
             .unwrap();
-        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default(), false).unwrap();
+        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
         lp.expand_all().unwrap();
-        let dead = (0..lp.state_count() as u32)
-            .find(|&st| lp.is_deadlock(st))
-            .expect("deadlock state exists");
-        assert_eq!(lp.successors(dead), &[] as &[u32]);
+        let dead: Vec<u32> = (0..lp.state_count() as u32)
+            .filter(|&st| lp.successors(st).is_empty())
+            .collect();
+        assert_eq!(dead.len(), 1, "one deadlock state: {dead:?}");
+        assert_eq!(lp.row_guards(dead[0]).len(), 0);
+        let comp = lp.into_composition().unwrap();
+        let stuck = comp.automaton.find_state("waiting||stuck").unwrap();
+        assert!(comp.automaton.transitions_from(stuck).is_empty());
+        assert!(comp.csr.is_deadlocked(stuck.index()));
     }
 
     #[test]
@@ -1105,7 +970,7 @@ mod tests {
             max_states: 1,
             ..ComposeOptions::default()
         };
-        let mut lp = LazyProduct::new(&[&c, &s], &opts, true).unwrap();
+        let mut lp = LazyProduct::new(&[&c, &s], &opts).unwrap();
         assert!(matches!(lp.expand_all(), Err(AutomataError::Limit { .. })));
     }
 

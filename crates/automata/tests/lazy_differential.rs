@@ -134,6 +134,18 @@ fn row(m: &Automaton, s: StateId) -> Vec<(&Guard, StateId)> {
         .collect()
 }
 
+/// Expands every row of `lp` lowest id first — breadth-first, where the
+/// classic discovery order is depth-first — and materializes it, so
+/// `into_composition` has to renumber the states.
+fn expand_lowest_first(mut lp: LazyProduct<'_>) -> Composition {
+    let mut s = 0;
+    while (s as usize) < lp.state_count() {
+        lp.expand_row(s).expect("within limits");
+        s += 1;
+    }
+    lp.into_composition().expect("renumbers")
+}
+
 /// Composes `parts` with both kernels and asserts they agree bit-for-bit or
 /// fail identically. Returns the product when both succeed.
 fn assert_kernels_agree(parts: &[&Automaton], what: &str) -> Option<Composition> {
@@ -281,8 +293,9 @@ fn lazy_compose_matches_reference_on_corpus() {
 }
 
 /// Expansion order must not leak into the finished composition: expanding
-/// rows highest-id-first (the opposite of the classic discovery order) and
-/// renumbering via `into_composition` reproduces the reference bit-for-bit.
+/// rows lowest id first (breadth-first, where the classic discovery order
+/// is depth-first) and renumbering via `into_composition` reproduces the
+/// reference bit-for-bit.
 #[test]
 fn out_of_order_lazy_expansion_matches_reference_on_corpus() {
     cases(200, |rng| {
@@ -295,17 +308,7 @@ fn out_of_order_lazy_expansion_matches_reference_on_corpus() {
             // Failure parity is covered by the corpus test above.
             Err(_) => return,
         };
-        let mut lp = LazyProduct::new(&parts, &opts, true).expect("lazy product");
-        loop {
-            let next = (0..lp.state_count() as u32)
-                .rev()
-                .find(|&s| !lp.is_expanded(s));
-            match next {
-                Some(s) => lp.expand_row(s).expect("within limits"),
-                None => break,
-            }
-        }
-        let lazy = lp.into_composition().expect("renumbers");
+        let lazy = expand_lowest_first(LazyProduct::new(&parts, &opts).expect("lazy product"));
         assert_compositions_identical(&lazy, &reference, "out-of-order vs reference");
     });
 }
@@ -397,14 +400,7 @@ fn out_of_order_closure_expansion_matches_reference() {
         let Ok(reference) = compose_reference(&parts, &opts) else {
             return;
         };
-        let mut lp = LazyProduct::new(&parts, &opts, true).expect("lazy product");
-        while let Some(s) = (0..lp.state_count() as u32)
-            .rev()
-            .find(|&s| !lp.is_expanded(s))
-        {
-            lp.expand_row(s).expect("within limits");
-        }
-        let lazy = lp.into_composition().expect("renumbers");
+        let lazy = expand_lowest_first(LazyProduct::new(&parts, &opts).expect("lazy product"));
         assert_compositions_identical(&lazy, &reference, "out-of-order closure product");
     });
 }
@@ -545,14 +541,7 @@ fn sparse_lockstep_products_match_reference() {
         );
         let opts = ComposeOptions::default();
         let reference = compose_reference(&[&a, &b], &opts).expect("rings compose");
-        let mut lp = LazyProduct::new(&[&a, &b], &opts, true).expect("lazy product");
-        while let Some(s) = (0..lp.state_count() as u32)
-            .rev()
-            .find(|&s| !lp.is_expanded(s))
-        {
-            lp.expand_row(s).expect("within limits");
-        }
-        let lazy = lp.into_composition().expect("renumbers");
+        let lazy = expand_lowest_first(LazyProduct::new(&[&a, &b], &opts).expect("lazy product"));
         assert_compositions_identical(&lazy, &reference, "out-of-order lockstep rings");
     });
 }

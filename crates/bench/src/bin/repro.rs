@@ -25,21 +25,17 @@
 
 use std::time::Instant;
 
-use muml_automata::{
-    chaotic_closure, compose, compose2, to_dot, Automaton, ComposeOptions, Composition,
-    LazyProduct, Universe,
-};
+use muml_automata::{chaotic_closure, compose2, to_dot, Composition, Universe};
 use muml_bench::experiments::{render_rows, table_a, table_b, table_c, table_e};
-use muml_bench::workload::{counter_workload, ticker_workload};
+use muml_bench::workload::counter_workload;
 use muml_core::{
     default_mapper, initial_knowledge, render_report, IntegrationReport, IntegrationVerdict,
 };
-use muml_logic::{
-    check_all_with, fused_check_all, parse, Checker, Formula, ReferenceChecker, Verdict,
-};
+use muml_logic::{parse, Checker, Formula};
 use muml_obs::json::Json;
 use muml_obs::{Collector, LoopEvent, NullSink};
 use muml_railcab::scenario;
+use muml_testkit::ReferenceChecker;
 
 const KNOWN: [&str; 26] = [
     "fig1",
@@ -476,23 +472,15 @@ const CHECK_FORMULAS: [&str; 6] = [
     "EG !deadlock",
 ];
 
-/// `repro check [--json]`: benchmarks the checking stack on two ladders
-/// and, with `--json`, writes both to `BENCH_check.json`.
+/// `repro check [--json]`: benchmarks the checker on a counter ladder and,
+/// with `--json`, writes it to `BENCH_check.json`.
 ///
-/// **Counter ladder** (`sizes` in the JSON): the pre-rewrite sweep kernel
+/// Each rung (`sizes` in the JSON) runs the pre-rewrite sweep kernel
 /// ([`ReferenceChecker`]) against the bitset/worklist kernel ([`Checker`])
-/// on the table-D compositions, with verdict agreement asserted. Timings
+/// on a table-D composition, with verdict agreement asserted. Timings
 /// are taken warm (one discarded warm-up pass per size) and best-of-three
 /// — as in `fig2 --json` — because at these sizes a single scheduler
 /// preemption would otherwise dominate the recorded number.
-///
-/// **Ticker grid** (`fused` in the JSON): the fused on-the-fly product
-/// checker ([`fused_check_all`]) against materialize-then-check on
-/// `m^3`-state ticker products up to 10^6 states. Verdicts and
-/// counterexample traces are hard-asserted equal on every co-run size
-/// (and against the sweep kernel on the smallest), and every early-exit
-/// case hard-asserts `states_expanded < product_states` — any divergence
-/// aborts the run before a file is written.
 fn run_check(json: bool) {
     heading("Check — sweep kernel (old) vs bitset/worklist kernel (new)");
     println!(
@@ -603,8 +591,6 @@ fn run_check(json: bool) {
     let total_speedup = total_old_ns as f64 / total_new_ns.max(1) as f64;
     println!("total: old {total_old_ns} ns, new {total_new_ns} ns ({total_speedup:.1}x)");
 
-    let fused = run_check_fused();
-
     if json {
         let doc = Json::Object(vec![
             ("artefact".into(), Json::Str("check".into())),
@@ -627,226 +613,10 @@ fn run_check(json: bool) {
                     ("speedup".into(), Json::Float(total_speedup)),
                 ]),
             ),
-            ("fused".into(), Json::Array(fused)),
         ]);
         std::fs::write("BENCH_check.json", doc.encode() + "\n").expect("write BENCH_check.json");
         println!("wrote BENCH_check.json ({total_speedup:.1}x overall)");
     }
-}
-
-/// The formulas of the fused ticker-grid ladder: an early-falsified
-/// invariant, a full-expansion invariant that holds, and an
-/// early-witnessed reachability.
-const FUSED_FORMULAS: [&str; 3] = ["AG !bad", "AG !deadlock", "EF bad"];
-
-/// The ticker-grid half of `repro check`: fused on-the-fly checking vs
-/// materialize-then-check, differential oracles included. Returns one JSON
-/// record per `(m, formula)` cell.
-fn run_check_fused() -> Vec<Json> {
-    heading("Fused — on-the-fly product + early exit vs materialize-then-check (tickers, k=3)");
-    println!(
-        "{:>8} {:>10} {:<14} {:>9} {:>10} {:>11} {:>12} {:>12}",
-        "m", "product", "formula", "verdict", "expanded", "discovered", "fused ns", "mat ns"
-    );
-    let opts = ComposeOptions::default();
-    let mut out: Vec<Json> = Vec::new();
-
-    // Co-run ladder: fused and materialized paths both execute; verdicts,
-    // traces, and (on the smallest size) the sweep kernel must agree.
-    for m in [10usize, 22, 47] {
-        let w = ticker_workload(3, m, 3);
-        let parts: Vec<&Automaton> = w.parts.iter().collect();
-        let fs: Vec<Formula> = FUSED_FORMULAS
-            .iter()
-            .map(|s| parse(&w.universe, s).expect("formula parses"))
-            .collect();
-        let oracle = compose(&parts, &opts).expect("ticker grid composes");
-        assert_eq!(
-            oracle.automaton.state_count(),
-            w.product_states,
-            "ticker grid size must match its closed form at m={m}"
-        );
-        for (sf, f) in FUSED_FORMULAS.iter().zip(&fs) {
-            let one = std::slice::from_ref(f);
-            // Warm-up run + best of three, both paths (see `run_check`).
-            let mut fused_best: Option<(u64, muml_logic::FusedRun)> = None;
-            for run in 0..4 {
-                let start = Instant::now();
-                let lp = LazyProduct::new(&parts, &opts, false).expect("lazy product");
-                let res = fused_check_all(lp, one).expect("fusable fragment");
-                let ns = start.elapsed().as_nanos() as u64;
-                if run > 0 && fused_best.as_ref().is_none_or(|b| ns < b.0) {
-                    fused_best = Some((ns, res));
-                }
-            }
-            let (fused_ns, fres) = fused_best.expect("ran three times");
-            let mut mat_best: Option<(u64, Verdict)> = None;
-            for run in 0..4 {
-                let start = Instant::now();
-                let c = compose(&parts, &opts).expect("ticker grid composes");
-                let mut checker = Checker::with_csr(&c.automaton, &c.csr);
-                let verdict = check_all_with(&mut checker, one).expect("supported fragment");
-                let ns = start.elapsed().as_nanos() as u64;
-                if run > 0 && mat_best.as_ref().is_none_or(|b| ns < b.0) {
-                    mat_best = Some((ns, verdict));
-                }
-            }
-            let (mat_ns, mat_verdict) = mat_best.expect("ran three times");
-
-            // Differential oracles: verdict equality, trace equality, and
-            // (at m=10) the naive sweep kernel.
-            assert_eq!(
-                fres.verdict.holds(),
-                mat_verdict.holds(),
-                "fused verdict diverges on {sf} at m={m}"
-            );
-            match (fres.verdict.counterexample(), mat_verdict.counterexample()) {
-                (None, None) => {}
-                (Some(fc), Some(mc)) => {
-                    let fused_names = fres
-                        .counterexample_names()
-                        .expect("violated fused run has a trace");
-                    let mat_names: Vec<String> = mc
-                        .run
-                        .states
-                        .iter()
-                        .map(|s| oracle.automaton.state_name(*s).to_owned())
-                        .collect();
-                    assert_eq!(
-                        fused_names, mat_names,
-                        "fused trace diverges on {sf} at m={m}"
-                    );
-                    assert_eq!(
-                        fc.description, mc.description,
-                        "fused description diverges on {sf} at m={m}"
-                    );
-                }
-                _ => unreachable!("holds() equality checked above"),
-            }
-            if m == 10 {
-                let mut sweep = ReferenceChecker::new(&oracle.automaton);
-                assert_eq!(
-                    sweep.satisfies(f),
-                    fres.verdict.holds(),
-                    "sweep kernel diverges on {sf} at m={m}"
-                );
-            }
-            // The early-exit contract: falsified AG and witnessed EF stop
-            // before the full product; the holding AG expands all of it.
-            if *sf == "AG !deadlock" {
-                assert!(!fres.report.early_exit, "AG !deadlock cannot exit early");
-                assert_eq!(fres.report.states_expanded, w.product_states);
-            } else {
-                assert!(
-                    fres.report.early_exit && fres.report.states_expanded < w.product_states,
-                    "{sf} must exit early at m={m}: expanded {} of {}",
-                    fres.report.states_expanded,
-                    w.product_states
-                );
-            }
-
-            print_fused_row(m, w.product_states, sf, &fres, fused_ns, Some(mat_ns));
-            out.push(fused_cell(m, &w, sf, &fres, fused_ns, Some(mat_ns)));
-        }
-    }
-
-    // Million-state rung: fused only — materializing 10^6 states here
-    // would dwarf the smoke budget, and the early-exit assertion is the
-    // point of the rung.
-    let m = 100usize;
-    let w = ticker_workload(3, m, 3);
-    let parts: Vec<&Automaton> = w.parts.iter().collect();
-    for sf in ["AG !bad", "EF bad"] {
-        let f = parse(&w.universe, sf).expect("formula parses");
-        let start = Instant::now();
-        let lp = LazyProduct::new(&parts, &opts, false).expect("lazy product");
-        let fres = fused_check_all(lp, std::slice::from_ref(&f)).expect("fusable fragment");
-        let fused_ns = start.elapsed().as_nanos() as u64;
-        assert_eq!(
-            fres.verdict.holds(),
-            sf == "EF bad",
-            "unexpected verdict on {sf} at m={m}"
-        );
-        assert!(
-            fres.report.early_exit && fres.report.states_expanded < w.product_states,
-            "{sf} must exit early on the {}-state product: expanded {}",
-            w.product_states,
-            fres.report.states_expanded
-        );
-        print_fused_row(m, w.product_states, sf, &fres, fused_ns, None);
-        out.push(fused_cell(m, &w, sf, &fres, fused_ns, None));
-    }
-    out
-}
-
-fn print_fused_row(
-    m: usize,
-    product: usize,
-    sf: &str,
-    fres: &muml_logic::FusedRun,
-    fused_ns: u64,
-    mat_ns: Option<u64>,
-) {
-    println!(
-        "{m:>8} {product:>10} {sf:<14} {:>9} {:>10} {:>11} {fused_ns:>12} {:>12}",
-        if fres.verdict.holds() {
-            "holds"
-        } else {
-            "violated"
-        },
-        fres.report.states_expanded,
-        fres.report.states_discovered,
-        mat_ns.map_or("-".to_owned(), |ns| ns.to_string()),
-    );
-}
-
-/// One `(m, formula)` record of the `fused` JSON array (schema documented
-/// in DESIGN.md §15).
-fn fused_cell(
-    m: usize,
-    w: &muml_bench::workload::TickerWorkload,
-    sf: &str,
-    fres: &muml_logic::FusedRun,
-    fused_ns: u64,
-    mat_ns: Option<u64>,
-) -> Json {
-    Json::Object(vec![
-        ("m".into(), Json::from_usize(m)),
-        ("k".into(), Json::from_usize(3)),
-        ("product_states".into(), Json::from_usize(w.product_states)),
-        ("formula".into(), Json::Str(sf.into())),
-        (
-            "verdict".into(),
-            Json::Str(
-                if fres.verdict.holds() {
-                    "holds"
-                } else {
-                    "violated"
-                }
-                .into(),
-            ),
-        ),
-        ("early_exit".into(), Json::Bool(fres.report.early_exit)),
-        (
-            "states_expanded".into(),
-            Json::from_usize(fres.report.states_expanded),
-        ),
-        (
-            "states_discovered".into(),
-            Json::from_usize(fres.report.states_discovered),
-        ),
-        ("fused_ns".into(), Json::from_u64(fused_ns)),
-        (
-            "materialized_ns".into(),
-            mat_ns.map_or(Json::Null, Json::from_u64),
-        ),
-        (
-            "trace_len".into(),
-            fres.verdict
-                .counterexample()
-                .map_or(Json::Null, |c| Json::from_usize(c.run.states.len())),
-        ),
-    ])
 }
 
 /// `repro incr [--json]`: incremental recomposition + warm-started checking

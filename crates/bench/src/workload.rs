@@ -210,14 +210,14 @@ pub struct TickerWorkload {
 /// ticker `i` either stutters in place or advances one step emitting its
 /// private output `tick{i}` — nobody listens to it — so every product step
 /// advances an arbitrary subset of tickers and **all `m^k` phase tuples
-/// are reachable** (with `2^k` successors each). This is the million-state
-/// stress shape for the on-the-fly product checker: dense, deadlock-free,
-/// and with a size known in closed form without expanding anything.
+/// are reachable** (with `2^k` successors each): a dense, deadlock-free
+/// product whose size is known in closed form, and the compose-bound
+/// context of [`ticker_counter_workload`] and of servebench's
+/// `ticker-kernel` workload.
 ///
 /// Ticker 0 carries the proposition `bad` on its state `s{bad_depth}`, so
-/// `AG !bad` is falsified by a shortest trace of `bad_depth` steps (and
-/// `EF bad` is witnessed by it) — the early-exit cases — while
-/// `AG !deadlock` holds and forces a full expansion.
+/// `AG !bad` is falsified by a shortest trace of `bad_depth` steps, while
+/// `AG !deadlock` holds.
 pub fn ticker_workload(k: usize, m: usize, bad_depth: usize) -> TickerWorkload {
     assert!(k >= 1 && m >= 2, "need at least one 2-state ticker");
     assert!(bad_depth < m, "bad state must lie on the cycle");

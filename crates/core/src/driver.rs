@@ -46,14 +46,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use muml_automata::{
-    chaotic_closure, Automaton, ComposeOptions, CompositionCache, IncompleteAutomaton, Label,
-    LazyProduct, LearnDelta, RecomposeMode, SignalSet, Universe,
+    Automaton, ComposeOptions, CompositionCache, IncompleteAutomaton, Label, LearnDelta,
+    RecomposeMode, SignalSet, Universe,
 };
 use muml_legacy::{
     execute_with_retry_pooled, probe_offers_pooled, CacheStats, PortMap, RetryPolicy, RetryReport,
     SimClock, StateObservable, TraceCache,
 };
-use muml_logic::{check_all_with, fusable, fused_check_all, CheckSeed, Checker, Formula, Verdict};
+use muml_logic::{check_all_with, CheckSeed, Checker, Formula, Verdict};
 use muml_obs::{EventSink, LoopEvent, NullSink, Phase, PhaseTimer, PhaseTimings, RunOutcome};
 use muml_store::{ComponentSignature, DeltaRecord, Snapshot, Store, StoreLookup};
 
@@ -167,16 +167,6 @@ pub struct IntegrationConfig {
     /// the first inconclusive test raises
     /// [`CoreError::Nondeterministic`] instead of degrading.
     pub flake_budget: usize,
-    /// Fuse composition and checking: when every checked formula falls in
-    /// the fusable fragment (conjunctions of state-local formulas,
-    /// `AG local` and `EF local`), each iteration first runs the
-    /// on-the-fly product checker — product rows are expanded lazily from
-    /// the arena product while the check runs, so a `Holds` verdict (and
-    /// an early `EF` witness) never materializes the full composition. A
-    /// violated iteration falls back to the materialized path unchanged,
-    /// so verdicts, counterexamples, and iteration counts are identical
-    /// either way. Off by default.
-    pub fused: bool,
     /// Worklist shards for the model checker's unbounded fixpoint engines
     /// (see `muml_logic::Checker::set_shards`). `1` (the default) keeps
     /// the sequential engines; larger values parallelize the two
@@ -220,7 +210,6 @@ impl Default for IntegrationConfig {
             incremental: true,
             retry: RetryPolicy::default(),
             flake_budget: 2,
-            fused: false,
             check_shards: 1,
             store: None,
             trace_cache: true,
@@ -286,14 +275,6 @@ impl IntegrationConfig {
     #[must_use]
     pub fn with_flake_budget(mut self, flake_budget: usize) -> Self {
         self.flake_budget = flake_budget;
-        self
-    }
-
-    /// Enables or disables the fused composition+checking pre-pass (off by
-    /// default).
-    #[must_use]
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -744,74 +725,6 @@ pub(crate) fn run_loop(
             .map(|m| (m.state_count(), m.transition_count(), m.refusal_count()))
             .collect();
         let knowledge_sum_before: usize = knowledge.iter().map(|k| k.0 + k.1 + k.2).sum();
-
-        // Fused pre-pass: when every checked formula is in the fusable
-        // fragment, expand the product on the fly from the arena-backed
-        // lazy product while checking it. A `Holds` verdict short-circuits
-        // the iteration without ever materializing the composition (and an
-        // early `EF` witness stops expansion as soon as it is found); any
-        // other outcome falls through to the materialized path below,
-        // which re-derives the identical verdict together with the full
-        // counterexample machinery the learn step needs.
-        if config.fused && checked.iter().all(fusable) {
-            let fused_timer = PhaseTimer::start(Phase::Check);
-            let closures: Vec<Automaton> = learned
-                .iter()
-                .map(|m| chaotic_closure(m, Some(chaos)))
-                .collect();
-            let parts: Vec<&Automaton> = std::iter::once(context).chain(closures.iter()).collect();
-            let lp = LazyProduct::new(&parts, &config.compose, false)?;
-            match fused_check_all(lp, &checked) {
-                Ok(run) => {
-                    let fused_ns = fused_timer.stop(&mut stats.timings);
-                    stats.peak_composed_states =
-                        stats.peak_composed_states.max(run.report.states_discovered);
-                    sink.emit(&LoopEvent::FusedChecked {
-                        iteration: index,
-                        holds: matches!(run.verdict, Verdict::Holds),
-                        states_expanded: run.report.states_expanded,
-                        states_discovered: run.report.states_discovered,
-                        early_exit: run.report.early_exit,
-                        nanos: fused_ns,
-                    });
-                    if matches!(run.verdict, Verdict::Holds) {
-                        iterations.push(IterationRecord {
-                            index,
-                            knowledge,
-                            composed_states: run.report.states_discovered,
-                            violated: None,
-                            counterexample: None,
-                            outcome: IterationOutcome::Proven,
-                        });
-                        persist_learned(
-                            config,
-                            units,
-                            &learned,
-                            &quarantined,
-                            &store_history,
-                            &run_delta,
-                        );
-                        sink.emit(&LoopEvent::RunFinished {
-                            iterations: stats.iterations,
-                            outcome: RunOutcome::Proven,
-                            nanos: run_start.elapsed().as_nanos() as u64,
-                        });
-                        return Ok(IntegrationReport {
-                            verdict: IntegrationVerdict::Proven,
-                            iterations,
-                            learned,
-                            stats,
-                        });
-                    }
-                }
-                // Expansion limits and unsupported-counterexample shapes
-                // surface identically from the materialized path below;
-                // falling through keeps the error reporting in one place.
-                Err(_) => {
-                    fused_timer.stop(&mut stats.timings);
-                }
-            }
-        }
 
         // Compose M_a^c ∥ chaos(M_l^i) — incrementally when the learn
         // delta permits, cold otherwise. The incremental product is the

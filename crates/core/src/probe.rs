@@ -131,7 +131,7 @@ impl<'c> RestProducts<'c> {
             let parts = std::iter::once(Cow::Borrowed(self.context))
                 .chain(siblings().map(|c| Cow::Owned(c.clone())))
                 .collect();
-            self.products[i] = Some(LazyProduct::from_parts(parts, opts, true)?);
+            self.products[i] = Some(LazyProduct::from_parts(parts, opts)?);
         }
         let product = self.products[i].as_mut().expect("built above");
         let before = product.expanded_rows();

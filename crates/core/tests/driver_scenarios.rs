@@ -633,94 +633,3 @@ fn iteration_records_carry_listing_counterexamples() {
     }
     assert!(report.iterations.last().unwrap().counterexample.is_none());
 }
-
-/// The fused composition+checking pre-pass must be a pure acceleration:
-/// same verdict, same iteration trajectory (outcomes, violated properties,
-/// product sizes), same learned models — whether the run ends proven or in
-/// a real fault. Shards > 1 ride along to cover the checker dispatch.
-#[test]
-fn fused_mode_matches_materialized_loop() {
-    let u = Universe::new();
-    let ctx = controller(&u);
-    let props = [parse(&u, "AG !legacy.error").unwrap()];
-
-    let mut c1 = good_component(&u);
-    let mut units1 = [LegacyUnit::new(&mut c1, PortMap::with_default("port"))];
-    let base =
-        verify_integration(&u, &ctx, &props, &mut units1, &IntegrationConfig::default()).unwrap();
-
-    let mut c2 = good_component(&u);
-    let mut units2 = [LegacyUnit::new(&mut c2, PortMap::with_default("port"))];
-    let fused_config = IntegrationConfig::default()
-        .with_fused(true)
-        .with_check_shards(4);
-    let fused = verify_integration(&u, &ctx, &props, &mut units2, &fused_config).unwrap();
-
-    assert!(fused.verdict.proven(), "{:?}", fused.verdict);
-    assert_eq!(base.stats.iterations, fused.stats.iterations);
-    assert_eq!(base.iterations.len(), fused.iterations.len());
-    for (a, b) in base.iterations.iter().zip(&fused.iterations) {
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.violated, b.violated);
-        assert_eq!(a.composed_states, b.composed_states);
-        assert_eq!(a.knowledge, b.knowledge);
-    }
-    assert_eq!(base.learned_sizes(), fused.learned_sizes());
-}
-
-/// Fused mode on a faulty component: every violated iteration falls back
-/// to the materialized path, so the confirmed fault is identical.
-#[test]
-fn fused_mode_detects_the_same_fault() {
-    let u = Universe::new();
-    let ctx = controller(&u);
-    let build_bad = || {
-        MealyBuilder::new(&u, "legacy")
-            .input("cmd")
-            .output("ack")
-            .state("idle")
-            .initial("idle")
-            .state("error")
-            .rule("idle", ["cmd"], [], "error")
-            .rule("error", [], ["ack"], "idle")
-            .build()
-            .unwrap()
-    };
-    let props = [parse(&u, "AG !legacy.error").unwrap()];
-
-    let mut c1 = build_bad();
-    let mut units1 = [LegacyUnit::new(&mut c1, PortMap::with_default("port"))];
-    let base =
-        verify_integration(&u, &ctx, &props, &mut units1, &IntegrationConfig::default()).unwrap();
-
-    let mut c2 = build_bad();
-    let mut units2 = [LegacyUnit::new(&mut c2, PortMap::with_default("port"))];
-    let fused = verify_integration(
-        &u,
-        &ctx,
-        &props,
-        &mut units2,
-        &IntegrationConfig::default().with_fused(true),
-    )
-    .unwrap();
-
-    match (&base.verdict, &fused.verdict) {
-        (
-            IntegrationVerdict::RealFault {
-                property: p1,
-                rendered: r1,
-                ..
-            },
-            IntegrationVerdict::RealFault {
-                property: p2,
-                rendered: r2,
-                ..
-            },
-        ) => {
-            assert_eq!(p1, p2);
-            assert_eq!(r1, r2);
-        }
-        (a, b) => panic!("expected matching RealFault verdicts, got {a:?} vs {b:?}"),
-    }
-    assert_eq!(base.stats.iterations, fused.stats.iterations);
-}

@@ -283,10 +283,8 @@ fn unsupported(checker: &Checker<'_>, f: &Formula) -> LogicError {
 }
 
 /// Formulas whose violation is visible at a single state (no path needed):
-/// propositional logic over atoms and the deadlock predicate. Shared with
-/// the fused on-the-fly checker ([`crate::fused`]), whose fragment is
-/// exactly `local | AG local | EF local` and their conjunctions.
-pub(crate) fn is_state_local(f: &Formula) -> bool {
+/// propositional logic over atoms and the deadlock predicate.
+fn is_state_local(f: &Formula) -> bool {
     match f {
         Formula::True | Formula::False | Formula::Prop(_) | Formula::Deadlock => true,
         Formula::Not(g) => is_state_local(g),

@@ -17,8 +17,8 @@
 //!   pattern constraint) or `AG (!p1 | AF[1,d] p2)` (a maximal delay).
 //! * [`Checker`] — bit-packed satisfaction sets over CSR adjacency with
 //!   worklist fixpoints (see the `checker` module docs for the kernel
-//!   design); [`ReferenceChecker`] keeps the naive sweep kernel as an
-//!   executable specification.
+//!   design); the naive sweep kernel it replaced lives on in
+//!   `muml-testkit` as an executable specification.
 //! * [`check`] / [`check_all`] — verdicts with finite counterexample *runs*
 //!   for the safety fragment; the runs drive the testing step of the
 //!   synthesis loop.
@@ -30,9 +30,7 @@ mod bitset;
 mod checker;
 mod counterexample;
 mod error;
-mod fused;
 mod parser;
-pub mod reference;
 mod witness;
 
 pub use ast::{Bound, Formula};
@@ -42,7 +40,5 @@ pub use counterexample::{
     check, check_all, check_all_with, check_with, deadlock_counterexamples, Counterexample, Verdict,
 };
 pub use error::LogicError;
-pub use fused::{fusable, fused_check_all, FusedProduct, FusedReport, FusedRun};
 pub use parser::{parse, ParseError};
-pub use reference::ReferenceChecker;
 pub use witness::witness;

@@ -16,8 +16,8 @@
 //! an infinite violation.
 
 use muml_automata::{Automaton, AutomatonBuilder, StateId, Universe};
-use muml_logic::{Bound, Checker, Formula, ReferenceChecker};
-use muml_testkit::{cases, Rng};
+use muml_logic::{Bound, Checker, Formula};
+use muml_testkit::{cases, ReferenceChecker, Rng};
 
 /// Random automaton: `n ≤ 8` states, per-state out-degree `≤ 3` (with a
 /// 1-in-4 chance of none — a deadlock), random p/q propositions.

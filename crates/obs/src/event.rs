@@ -172,29 +172,6 @@ pub enum LoopEvent {
         /// Wall-clock nanoseconds spent checking.
         nanos: u64,
     },
-    /// The fused composition+checking pre-pass ran: product rows were
-    /// expanded on the fly from the lazy arena product while the
-    /// properties were checked, instead of materializing the full
-    /// composition first. `states_expanded < states_discovered` (or
-    /// `early_exit`) means the check terminated before touching the whole
-    /// product.
-    FusedChecked {
-        /// Iteration index.
-        iteration: usize,
-        /// `true` iff all fusable properties hold — the run ends `Proven`
-        /// without ever materializing the product.
-        holds: bool,
-        /// Product rows whose successor sets were expanded.
-        states_expanded: usize,
-        /// Product states interned (expanded rows plus discovered-but-
-        /// unexpanded frontier states).
-        states_discovered: usize,
-        /// `true` iff the verdict was reached before expanding every
-        /// discovered state.
-        early_exit: bool,
-        /// Wall-clock nanoseconds spent in the fused pass.
-        nanos: u64,
-    },
     /// A counterexample was extracted (the test input of Section 4.2;
     /// Listings 1.1/1.4 are renderings of these).
     CounterexampleExtracted {
@@ -344,7 +321,6 @@ impl LoopEvent {
             LoopEvent::Composed { .. } => "composed",
             LoopEvent::Recomposed { .. } => "recomposed",
             LoopEvent::ModelChecked { .. } => "model_checked",
-            LoopEvent::FusedChecked { .. } => "fused_checked",
             LoopEvent::CounterexampleExtracted { .. } => "counterexample_extracted",
             LoopEvent::ReplayExecuted { .. } => "replay_executed",
             LoopEvent::LearnStep { .. } => "learn_step",
@@ -365,7 +341,6 @@ impl LoopEvent {
             | LoopEvent::Composed { iteration, .. }
             | LoopEvent::Recomposed { iteration, .. }
             | LoopEvent::ModelChecked { iteration, .. }
-            | LoopEvent::FusedChecked { iteration, .. }
             | LoopEvent::CounterexampleExtracted { iteration, .. }
             | LoopEvent::ReplayExecuted { iteration, .. }
             | LoopEvent::LearnStep { iteration, .. }
@@ -513,24 +488,6 @@ impl LoopEvent {
                 ));
                 obj.push(("warm_states".into(), Json::from_u64(*warm_states)));
                 obj.push(("reseeded_words".into(), Json::from_u64(*reseeded_words)));
-                obj.push(("nanos".into(), Json::from_u64(*nanos)));
-            }
-            LoopEvent::FusedChecked {
-                iteration,
-                holds,
-                states_expanded,
-                states_discovered,
-                early_exit,
-                nanos,
-            } => {
-                obj.push(("iteration".into(), Json::from_usize(*iteration)));
-                obj.push(("holds".into(), Json::Bool(*holds)));
-                obj.push(("states_expanded".into(), Json::from_usize(*states_expanded)));
-                obj.push((
-                    "states_discovered".into(),
-                    Json::from_usize(*states_discovered),
-                ));
-                obj.push(("early_exit".into(), Json::Bool(*early_exit)));
                 obj.push(("nanos".into(), Json::from_u64(*nanos)));
             }
             LoopEvent::CounterexampleExtracted {

@@ -102,19 +102,6 @@ pub fn render_event(event: &LoopEvent) -> String {
                 ms(*nanos)
             )
         }
-        LoopEvent::FusedChecked {
-            iteration: _,
-            holds,
-            states_expanded,
-            states_discovered,
-            early_exit,
-            nanos,
-        } => format!(
-            "  fused check: {} ({states_expanded}/{states_discovered} states expanded{}) [{}]",
-            if *holds { "holds" } else { "violated" },
-            if *early_exit { ", early exit" } else { "" },
-            ms(*nanos)
-        ),
         LoopEvent::CounterexampleExtracted {
             iteration: _,
             property,

@@ -11,7 +11,10 @@
 //!   [`Rng::with_seed`];
 //! * [`assert_same_product`] — the one comparison of two composed products
 //!   up to a renaming of states, which is the contract between a cold
-//!   composition and an incrementally maintained one.
+//!   composition and an incrementally maintained one;
+//! * [`ReferenceChecker`] — the naive sweep kernel the bitset/worklist
+//!   [`muml_logic::Checker`] replaced, kept as its executable
+//!   specification.
 //!
 //! There is no shrinking; generators should therefore keep their value
 //! spaces small (as the original proptest strategies already did).
@@ -19,6 +22,10 @@
 #![warn(missing_docs)]
 
 use muml_automata::{Composition, StateId};
+
+mod reference;
+
+pub use reference::ReferenceChecker;
 
 /// A splitmix64 pseudo-random generator (deterministic, `Copy`-cheap).
 #[derive(Debug, Clone)]
