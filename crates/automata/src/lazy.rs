@@ -905,13 +905,60 @@ mod tests {
 
     #[test]
     fn out_of_order_expansion_renumbers_to_classic() {
+        // A client that branches at once and then runs on along each
+        // branch: the classic LIFO worklist expands the second branch
+        // before the first, so expanding rows breadth-first (lowest id
+        // first) numbers the states differently and `materialize` must
+        // renumber rows, names and tuples into the classic order.
         let u = Universe::new();
-        let (c, s) = pair(&u);
+        let c = AutomatonBuilder::new(&u, "client")
+            .output("a")
+            .output("b")
+            .state("idle")
+            .initial("idle")
+            .state("w1")
+            .state("w2")
+            .state("d1")
+            .state("d2")
+            .transition("idle", [], ["a"], "w1")
+            .transition("idle", [], ["b"], "w2")
+            .transition("w1", [], [], "d1")
+            .transition("w2", [], [], "d2")
+            .transition("d1", [], [], "d1")
+            .transition("d2", [], [], "d2")
+            .build()
+            .unwrap();
+        let s = AutomatonBuilder::new(&u, "server")
+            .input("a")
+            .input("b")
+            .state("s")
+            .initial("s")
+            .transition("s", ["a"], [], "s")
+            .transition("s", ["b"], [], "s")
+            .transition("s", [], [], "s")
+            .build()
+            .unwrap();
         let classic = crate::compose::compose2(&c, &s).unwrap();
         let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
-        // Expand in discovery order (the worklist is LIFO, so touching id 0
-        // first is "out of band"), then materialize.
-        lp.expand_row(0).unwrap();
+        let mut row = 0;
+        while (row as usize) < lp.state_count() {
+            lp.expand_row(row).unwrap();
+            row += 1;
+        }
+        let bfs_names: Vec<String> = (0..lp.state_count() as u32)
+            .map(|q| {
+                let mut name = String::new();
+                write_product_name(&lp.parts, lp.tuples.tuple(q), &mut name);
+                name
+            })
+            .collect();
+        assert!(
+            bfs_names
+                .iter()
+                .zip(classic.automaton.state_ids())
+                .any(|(name, st)| name != classic.automaton.state_name(st)),
+            "breadth-first expansion must differ from the classic order"
+        );
         let comp = lp.into_composition().unwrap();
         assert_eq!(
             comp.automaton.state_count(),
@@ -930,7 +977,7 @@ mod tests {
         assert_eq!(comp.csr, classic.csr);
         for st in classic.automaton.state_ids() {
             assert_eq!(comp.tuple(st), classic.tuple(st));
-            // The renumbered interner still finds every tuple's new id.
+            // The renumbered arena still finds every tuple's new id.
             assert_eq!(comp.tuples.get(comp.tuple(st)), Some(st.0));
         }
     }

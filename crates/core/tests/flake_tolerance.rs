@@ -234,3 +234,160 @@ fn modest_rig_flakiness_still_confirms_the_real_deadlock() {
     }
     assert!(rig.total_injected() >= 1);
 }
+
+/// An `n`-state counter announcing `top` only when pushed at saturation,
+/// and a driver pushing it `k` times: for `k ≤ n - 2` the pair is correct.
+fn counter_pair(u: &Universe, n: usize, k: usize) -> (Automaton, HiddenMealy) {
+    let mut ctx = AutomatonBuilder::new(u, "driver").output("up").input("top");
+    for i in 0..=k {
+        ctx = ctx.state(&format!("d{i}"));
+    }
+    ctx = ctx.initial("d0");
+    for i in 0..k {
+        ctx = ctx.transition(&format!("d{i}"), [], ["up"], &format!("d{}", i + 1));
+    }
+    let ctx = ctx
+        .transition(&format!("d{k}"), [], [], &format!("d{k}"))
+        .build()
+        .unwrap();
+    let mut counter = MealyBuilder::new(u, "counter").input("up").output("top");
+    for i in 0..n {
+        counter = counter.state(&format!("c{i}"));
+    }
+    counter = counter.initial("c0");
+    for i in 0..n - 1 {
+        counter = counter
+            .rule(&format!("c{i}"), ["up"], [], &format!("c{}", i + 1))
+            .rule(&format!("c{i}"), [], [], &format!("c{i}"));
+    }
+    let top = format!("c{}", n - 1);
+    let counter = counter
+        .rule(&top, ["up"], ["top"], &top)
+        .rule(&top, [], [], &top)
+        .build()
+        .unwrap();
+    (ctx, counter)
+}
+
+/// When a clonable liar lies.
+#[derive(Debug, Clone, Copy)]
+enum Lie {
+    /// Lies from period `from` on, after every even-numbered reset.
+    ResetParity { from: u64 },
+    /// Lies from its `from`-th step counted across resets (and clones keep
+    /// the count), for ever after.
+    LifetimeStep { from: u64 },
+}
+
+/// A clonable determinism liar: it claims `deterministic_rig()` (the trait
+/// default) and can be cloned, so the trace cache checkpoints it and
+/// verifies it by its own drives — but it adds `top` to its answer
+/// whenever its [`Lie`] says so.
+#[derive(Debug, Clone)]
+struct Liar {
+    inner: HiddenMealy,
+    lie: Lie,
+    top: SignalSet,
+    resets: u64,
+    lifetime: u64,
+}
+
+impl Liar {
+    fn new(inner: HiddenMealy, lie: Lie, u: &Universe) -> Self {
+        Liar {
+            inner,
+            lie,
+            top: u.signals(["top"]),
+            resets: 0,
+            lifetime: 0,
+        }
+    }
+}
+
+impl LegacyComponent for Liar {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn interface(&self) -> (SignalSet, SignalSet) {
+        self.inner.interface()
+    }
+    fn reset(&mut self) {
+        self.resets += 1;
+        self.inner.reset();
+    }
+    fn step(&mut self, inputs: SignalSet) -> SignalSet {
+        self.lifetime += 1;
+        let out = self.inner.step(inputs);
+        let lying = match self.lie {
+            Lie::ResetParity { from } => {
+                self.resets.is_multiple_of(2) && self.inner.period() >= from
+            }
+            Lie::LifetimeStep { from } => self.lifetime >= from,
+        };
+        if lying {
+            out.union(self.top)
+        } else {
+            out
+        }
+    }
+    fn period(&self) -> u64 {
+        self.inner.period()
+    }
+}
+
+impl StateObservable for Liar {
+    fn observable_state(&self) -> String {
+        self.inner.observable_state()
+    }
+    fn initial_state_name(&self) -> String {
+        self.inner.initial_state_name()
+    }
+    fn try_clone_boxed(&self) -> Option<Box<dyn StateObservable + Send>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// The clonable liars against a correct 8-push driver / 10-state counter
+/// pair, with the trace cache on, serially and on the pool. A reset-parity
+/// liar is caught — the cache's checkpoint and witness lineages descend
+/// from resets of different parity — and degrades to `Inconclusive`
+/// exactly as the uncached serial executor would make it. A lifetime-step
+/// liar is the residual gap of DESIGN.md §17: its clones keep its step
+/// count, and in a fresh loop (whose first test is the empty word) both
+/// lineages reach every depth after the same number of steps, so the cache
+/// cannot tell it from a deterministic component and the loop concludes
+/// from the lie (a fault once the lie shows within the tested depth).
+#[test]
+fn clonable_liars_are_caught_or_consistently_believed() {
+    for (lie, caught, proven) in [
+        (Lie::ResetParity { from: 1 }, true, false),
+        (Lie::ResetParity { from: 3 }, true, false),
+        (Lie::LifetimeStep { from: 4 }, false, false),
+        (Lie::LifetimeStep { from: 12 }, false, true),
+    ] {
+        for parallelism in [1usize, 4] {
+            let u = Universe::new();
+            let (ctx, counter) = counter_pair(&u, 10, 8);
+            let mut liar = Liar::new(counter, lie, &u);
+            let mut units = [LegacyUnit::new(&mut liar, PortMap::with_default("p"))];
+            let report = verify_integration(
+                &u,
+                &ctx,
+                &[],
+                &mut units,
+                &IntegrationConfig::default().with_test_parallelism(parallelism),
+            )
+            .unwrap();
+            let tag = format!("{lie:?} parallelism={parallelism}");
+            match &report.verdict {
+                IntegrationVerdict::Inconclusive { .. } => assert!(caught, "{tag}"),
+                IntegrationVerdict::RealFault { property, .. } => {
+                    assert!(!caught && !proven, "{tag}: {property}");
+                }
+                IntegrationVerdict::Proven => assert!(proven, "{tag}"),
+            }
+            // A caught liar fails the serial cross-check from then on.
+            assert_eq!(report.stats.suspected_rig_faults > 0, caught, "{tag}");
+        }
+    }
+}

@@ -10,10 +10,12 @@
 //!
 //! * [`TraceCache`] — a trie over executed input words. Each node memoizes
 //!   the rig's full per-step response (outputs, observable state, period)
-//!   plus an optional *checkpoint*: a clone of the component positioned
-//!   exactly after that step. A repeated test is synthesized from the trie
-//!   with **zero** rig steps; testing `w·a` after `w` resumes from the
-//!   checkpoint at `w` and drives one step instead of `3·(|w|+1)`.
+//!   plus two optional clones of the component positioned exactly after
+//!   that step, each from its own from-reset drive: the *checkpoint* and
+//!   the *witness*. A repeated test is synthesized from the trie with
+//!   **zero** rig steps; testing `w·a` after `w` steps a clone of the
+//!   checkpoint at `w` once and checks that output against one step of a
+//!   clone of the witness at `w` — two steps instead of `3·(|w|+1)`.
 //! * [`execute_with_retry_pooled`] — a drop-in for
 //!   [`execute_with_retry_on`] that consults the cache and runs speculative
 //!   quorum attempts on cloned rigs in parallel. Verdicts and observations
@@ -41,7 +43,8 @@ use crate::executor::{execute_expected_trace, TestOutcome};
 use crate::monitor::{Direction, MonitorEvent, MonitorTrace, PortMap};
 use crate::replay::{RecordedStep, Recording};
 use crate::retry::{
-    execute_with_retry_on, internally_consistent, RetryPolicy, RetryReport, SimClock, TestVerdict,
+    execute_with_retry_on, internally_consistent, retry_witnessed, RetryPolicy, RetryReport,
+    SimClock, TestVerdict,
 };
 
 /// Counters describing what the cache did, cumulatively per instance.
@@ -79,9 +82,29 @@ struct Node {
     state: String,
     /// A component clone positioned exactly after this step; `None` for
     /// non-clonable components and for quorum-inserted (flaky-rig) entries.
+    /// New words are memoized by stepping clones of it.
     checkpoint: Option<Box<dyn StateObservable + Send>>,
+    /// A second clone positioned after this step, reached by a different
+    /// from-reset drive than `checkpoint` (never the same one): new words
+    /// are verified by stepping clones of it. `None` where no verification
+    /// drive has passed yet.
+    witness: Option<Box<dyn StateObservable + Send>>,
     /// Child nodes by input signal set.
     children: HashMap<SignalSet, usize>,
+}
+
+impl Node {
+    /// A leaf holding response data only, no clones attached.
+    fn new(outputs: SignalSet, period: u64, state: String) -> Node {
+        Node {
+            outputs,
+            period,
+            state,
+            checkpoint: None,
+            witness: None,
+            children: HashMap::new(),
+        }
+    }
 }
 
 /// Whether the component's `deterministic_rig()` claim has been checked
@@ -188,13 +211,9 @@ impl TraceCache {
         checkpoint: Option<Box<dyn StateObservable + Send>>,
     ) {
         if self.nodes.is_empty() {
-            self.nodes.push(Node {
-                outputs: SignalSet::EMPTY,
-                period: 0,
-                state: root_state.clone(),
-                checkpoint,
-                children: HashMap::new(),
-            });
+            let mut root = Node::new(SignalSet::EMPTY, 0, root_state.clone());
+            root.checkpoint = checkpoint;
+            self.nodes.push(root);
         } else if self.nodes[0].checkpoint.is_none() {
             self.nodes[0].checkpoint = checkpoint;
         }
@@ -295,8 +314,9 @@ impl TraceCache {
 
     /// Extends the trie so it covers the executed prefix of `expected`,
     /// resuming from the deepest checkpoint (or reset-and-replaying the
-    /// known prefix when no checkpoint exists). Deterministic rigs only.
-    /// Returns the rig steps driven.
+    /// known prefix when no checkpoint exists), then verifies the new
+    /// steps ([`TraceCache::verify`]). Deterministic rigs only. Returns the
+    /// rig steps driven.
     fn extend(&mut self, component: &mut dyn StateObservable, expected: &[Label]) -> usize {
         let path = match self.walk(expected) {
             Walk::Covered { .. } => return 0,
@@ -381,21 +401,16 @@ impl TraceCache {
             let out = driver.step(l.inputs);
             driven += 1;
             drove_new = true;
-            at = self.insert_node(
-                at,
-                l.inputs,
-                out,
-                driver.period(),
-                driver.observable_state(),
-                driver.try_clone_boxed(),
-            );
+            let mut node = Node::new(out, driver.period(), driver.observable_state());
+            node.checkpoint = driver.try_clone_boxed();
+            at = self.insert_node(at, l.inputs, node);
             if out != l.outputs {
                 break; // live semantics: stop at the divergence
             }
         }
         self.stats.driven_steps += driven;
         if drove_new {
-            driven += self.verify_from_reset(component, expected);
+            driven += self.verify(component, expected);
         }
         driven
     }
@@ -429,44 +444,50 @@ impl TraceCache {
                 at = n;
                 continue;
             }
-            at = self.insert_node(
-                at,
-                l.inputs,
-                out,
-                component.period(),
-                component.observable_state(),
-                component.try_clone_boxed(),
-            );
+            let node = Node::new(out, component.period(), component.observable_state());
+            at = self.insert_node(at, l.inputs, node);
             if out != l.outputs {
                 break;
             }
         }
         self.stats.driven_steps += driven;
-        driven + self.verify_from_reset(component, expected)
+        driven + self.verify(component, expected)
     }
 
-    /// One independent from-reset drive of the executed word, comparing
-    /// every output against the trie — the cached analogue of the serial
-    /// executor's record/replay cross-check. Every newly memoized word is
-    /// thus backed by two independent observations (the extension drive and
-    /// this one) before any verdict is synthesized from it; a component
-    /// whose behaviour varies across resets (a false `deterministic_rig()`
-    /// claim) fails the comparison and is distrusted permanently, exactly
-    /// as the serial executor would report it nondeterministic. Missing
-    /// checkpoints along the path are filled in as a side effect. Returns
-    /// the steps driven.
-    fn verify_from_reset(
-        &mut self,
-        component: &mut dyn StateObservable,
-        expected: &[Label],
-    ) -> usize {
+    /// The verification drive of the executed word: a second observation
+    /// of every newly memoized step, compared output by output against the
+    /// trie — the cached analogue of the serial executor's record/replay
+    /// cross-check. It resumes the witness lineage from the deepest witness
+    /// on the word's path (the root included), so a word one step past a
+    /// witnessed node costs one step; with no witness on the path it drives
+    /// the whole word from a reset, as the serial cross-check does. Every
+    /// node it passes without a witness keeps the drive's clone as one.
+    /// The drive never starts from a checkpoint and never leaves one, so a
+    /// node's checkpoint and witness always come from different from-reset
+    /// drives, and the two observations of each new step are independent.
+    /// A component whose behaviour varies across resets (a false
+    /// `deterministic_rig()` claim) fails the comparison and is distrusted
+    /// permanently, exactly as the serial executor would report it
+    /// nondeterministic. Returns the steps driven.
+    fn verify(&mut self, component: &mut dyn StateObservable, expected: &[Label]) -> usize {
         let path = match self.walk(expected) {
             Walk::Covered { path, .. } | Walk::Miss { path } => path,
         };
-        if path.is_empty() {
-            return 0;
+        let mut start = 0usize; // depth the drive resumes at
+        let mut resume_node = 0usize;
+        for (depth, &n) in path.iter().enumerate() {
+            if self.nodes[n].witness.is_some() {
+                start = depth + 1;
+                resume_node = n;
+            }
         }
-        let mut clone = component.try_clone_boxed();
+        let mut clone = match self.nodes[resume_node].witness.as_ref() {
+            Some(w) => w.try_clone_boxed(),
+            None => {
+                start = 0;
+                component.try_clone_boxed()
+            }
+        };
         let driver: &mut dyn StateObservable = match clone.as_deref_mut() {
             Some(c) => c,
             // Non-clonable: drive the original — it is reset on every test
@@ -474,18 +495,21 @@ impl TraceCache {
             // record/replay pattern the serial cross-check relies on.
             None => component,
         };
-        driver.reset();
+        if start == 0 && self.nodes[0].witness.is_none() {
+            driver.reset();
+            self.nodes[0].witness = driver.try_clone_boxed();
+        }
         let mut driven = 0usize;
         let mut ok = true;
-        for (t, &n) in path.iter().enumerate() {
+        for (t, &n) in path.iter().enumerate().skip(start) {
             let out = driver.step(expected[t].inputs);
             driven += 1;
             if out != self.nodes[n].outputs {
                 ok = false;
                 break;
             }
-            if self.nodes[n].checkpoint.is_none() {
-                self.nodes[n].checkpoint = driver.try_clone_boxed();
+            if self.nodes[n].witness.is_none() {
+                self.nodes[n].witness = driver.try_clone_boxed();
             }
         }
         self.stats.driven_steps += driven;
@@ -496,26 +520,12 @@ impl TraceCache {
         driven
     }
 
-    fn insert_node(
-        &mut self,
-        parent: usize,
-        inputs: SignalSet,
-        outputs: SignalSet,
-        period: u64,
-        state: String,
-        checkpoint: Option<Box<dyn StateObservable + Send>>,
-    ) -> usize {
+    fn insert_node(&mut self, parent: usize, inputs: SignalSet, node: Node) -> usize {
         if let Some(&existing) = self.nodes[parent].children.get(&inputs) {
             return existing;
         }
         let idx = self.nodes.len();
-        self.nodes.push(Node {
-            outputs,
-            period,
-            state,
-            checkpoint,
-            children: HashMap::new(),
-        });
+        self.nodes.push(node);
         self.nodes[parent].children.insert(inputs, idx);
         self.stats.insertions += 1;
         idx
@@ -548,14 +558,12 @@ impl TraceCache {
                 at = child;
                 continue;
             }
-            at = self.insert_node(
-                at,
-                l.inputs,
+            let node = Node::new(
                 l.outputs,
                 o.recording.steps[i].period,
                 o.observation.states[i + 1].clone(),
-                None,
             );
+            at = self.insert_node(at, l.inputs, node);
         }
     }
 
@@ -564,9 +572,13 @@ impl TraceCache {
     /// phase of [`execute_expected_trace`] is the replay, which does not
     /// reset afterwards): snapshot it as the checkpoint of the word's final
     /// trie node, so the very next extension resumes instead of replaying.
-    fn attach_terminal_checkpoint(
+    /// `witness` — the run's clone from between its re-record and replay,
+    /// one reset apart from the checkpoint's drive — becomes that node's
+    /// witness, so the next verification resumes as well.
+    fn attach_terminal_clones(
         &mut self,
         component: &mut dyn StateObservable,
+        witness: Option<Box<dyn StateObservable + Send>>,
         labels: &[Label],
     ) {
         if self.nodes.is_empty() {
@@ -581,6 +593,9 @@ impl TraceCache {
         }
         if self.nodes[at].checkpoint.is_none() {
             self.nodes[at].checkpoint = component.try_clone_boxed();
+        }
+        if self.nodes[at].witness.is_none() {
+            self.nodes[at].witness = witness;
         }
     }
 }
@@ -723,7 +738,14 @@ pub fn execute_with_retry_pooled(
     // A cache in `Trusted` state returned above, so reaching the executor
     // with a cache means the claim is pending (the validation run must be
     // the serial executor verbatim) or refuted (clones must not be used).
-    // The parallel quorum is therefore reserved for cache-less calls.
+    // The parallel quorum is therefore reserved for cache-less calls. The
+    // validation run also hands over its witness clone.
+    let validating = deterministic
+        && !degenerate
+        && cache
+            .as_deref()
+            .is_some_and(|c| c.validation == Validation::Pending);
+    let mut witness = None;
     let report = if deterministic
         && !degenerate
         && cache.is_none()
@@ -741,7 +763,15 @@ pub fn execute_with_retry_pooled(
             None,
         )
     } else {
-        execute_with_retry_on(component, expected, u, ports, policy, clock)
+        retry_witnessed(
+            component,
+            expected,
+            u,
+            ports,
+            policy,
+            clock,
+            validating.then_some(&mut witness),
+        )
     };
 
     if let Some(cache) = cache {
@@ -762,7 +792,7 @@ pub fn execute_with_retry_pooled(
             if let Some(outcome) = report.outcome.as_ref() {
                 cache.insert_quorum_confirmed(component, outcome);
                 if deterministic && cache.validation == Validation::Trusted {
-                    cache.attach_terminal_checkpoint(component, &outcome.observation.labels);
+                    cache.attach_terminal_clones(component, witness, &outcome.observation.labels);
                 }
             }
         }
@@ -903,10 +933,11 @@ fn execute_quorum_parallel(
 
 /// The frontier-probe batch: for each offered input `a`, the verdict of
 /// testing `prefix·(a/∅)` — semantically identical to calling
-/// [`execute_with_retry_pooled`] per offer in order, but the uncached
-/// offers resume from the checkpoint at the end of `prefix` (one step each
-/// instead of `3·(|w|+1)`) and run concurrently on cloned rigs. Reports
-/// come back in offer order; learned evidence is bit-identical to serial.
+/// [`execute_with_retry_pooled`] per offer in order, but each uncached
+/// offer steps clones of the checkpoint and of the witness at the end of
+/// `prefix` once each (two steps instead of `3·(|w|+1)`), concurrently on
+/// the pool. Reports come back in offer order; learned evidence is
+/// bit-identical to serial.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_offers_pooled(
     component: &mut dyn StateObservable,
@@ -932,7 +963,7 @@ pub fn probe_offers_pooled(
 
     // The fast path: deterministic rig, validated claim, with a cache.
     // Cover the prefix once, then extend each missing offer by a single
-    // checkpointed step plus its verification drive. An unvalidated or
+    // checkpointed step plus its witness step. An unvalidated or
     // refuted claim goes through the per-offer fallback, whose first
     // execution validates serially.
     if deterministic && !degenerate {
@@ -991,69 +1022,60 @@ pub fn probe_offers_pooled(
             let missing: Vec<usize> = (0..offers.len())
                 .filter(|&i| !cache.nodes[prefix_node].children.contains_key(&offers[i]))
                 .collect();
-            if !missing.is_empty() {
-                if let Some(snap) = cache.nodes[prefix_node].checkpoint.as_ref() {
-                    // Each missing offer needs two clones: one positioned
-                    // at the prefix checkpoint (the one-step extension) and
-                    // one driven from reset (the independent verification
-                    // drive — see `verify_from_reset`).
-                    let mut pairs = Vec::with_capacity(missing.len());
-                    let mut ok = true;
-                    for _ in &missing {
-                        match (snap.try_clone_boxed(), component.try_clone_boxed()) {
-                            (Some(c), Some(f)) => pairs.push((c, f)),
-                            _ => {
-                                ok = false;
-                                break;
+            if !missing.is_empty() && cache.nodes[prefix_node].checkpoint.is_some() {
+                // Both lineages must reach the prefix: a prefix without a
+                // witness first gets one from a verification drive.
+                if cache.nodes[prefix_node].witness.is_none() {
+                    extra[0] += cache.verify(component, prefix);
+                }
+                // Each missing offer steps a clone of the prefix checkpoint
+                // (the extension) and a clone of the prefix witness (its
+                // verification — see `verify`) once.
+                let mut pairs = Vec::with_capacity(missing.len());
+                if cache.validation == Validation::Trusted {
+                    let node = &cache.nodes[prefix_node];
+                    if let (Some(snap), Some(wit)) = (&node.checkpoint, &node.witness) {
+                        for _ in &missing {
+                            match (snap.try_clone_boxed(), wit.try_clone_boxed()) {
+                                (Some(c), Some(w)) => pairs.push((c, w)),
+                                _ => break,
                             }
                         }
                     }
-                    if ok {
-                        let word_inputs: Vec<SignalSet> = prefix.iter().map(|l| l.inputs).collect();
-                        let tasks: Vec<_> = missing
-                            .iter()
-                            .zip(pairs)
-                            .map(|(&i, (mut c, mut f))| {
-                                let a = offers[i];
-                                let word = word_inputs.clone();
-                                move || {
-                                    let out = c.step(a);
-                                    let period = c.period();
-                                    let state = c.observable_state();
-                                    let snap = c.try_clone_boxed();
-                                    f.reset();
-                                    let mut verify: Vec<SignalSet> =
-                                        word.iter().map(|&x| f.step(x)).collect();
-                                    verify.push(f.step(a));
-                                    (out, period, state, snap, verify)
-                                }
-                            })
-                            .collect();
-                        let results = run_pooled(tasks, parallelism, Some(&mut cache.stats));
-                        cache.stats.driven_steps += results.len() * (2 + prefix.len());
-                        for (&i, (out, period, state, snap, verify)) in missing.iter().zip(results)
-                        {
-                            extra[i] += 2 + prefix.len();
-                            if cache.validation != Validation::Trusted {
-                                continue; // already distrusted: count steps only
+                }
+                if pairs.len() == missing.len() {
+                    let tasks: Vec<_> = missing
+                        .iter()
+                        .zip(pairs)
+                        .map(|(&i, (mut c, mut w))| {
+                            let a = offers[i];
+                            move || {
+                                let out = c.step(a);
+                                let seen = w.step(a);
+                                (out, seen, c, w)
                             }
-                            // The verification drive must reproduce the
-                            // memoized prefix and the extension's output;
-                            // any disagreement refutes the determinism
-                            // claim (as the serial cross-check would).
-                            let agrees = verify.len() == prefix_path.len() + 1
-                                && prefix_path
-                                    .iter()
-                                    .zip(&verify)
-                                    .all(|(&n, &v)| cache.nodes[n].outputs == v)
-                                && *verify.last().expect("one step per input") == out;
-                            if !agrees {
-                                cache.clear();
-                                cache.validation = Validation::Distrusted;
-                                continue;
-                            }
-                            cache.insert_node(prefix_node, offers[i], out, period, state, snap);
+                        })
+                        .collect();
+                    let results = run_pooled(tasks, parallelism, Some(&mut cache.stats));
+                    cache.stats.driven_steps += 2 * results.len();
+                    for (&i, (out, seen, c, w)) in missing.iter().zip(results) {
+                        extra[i] += 2;
+                        if cache.validation != Validation::Trusted {
+                            continue; // already distrusted: count steps only
                         }
+                        // The verification step must reproduce the
+                        // extension's output; any disagreement refutes the
+                        // determinism claim (as the serial cross-check
+                        // would).
+                        if seen != out {
+                            cache.clear();
+                            cache.validation = Validation::Distrusted;
+                            continue;
+                        }
+                        let mut node = Node::new(out, c.period(), c.observable_state());
+                        node.checkpoint = Some(c);
+                        node.witness = Some(w);
+                        cache.insert_node(prefix_node, offers[i], node);
                     }
                 }
             }
@@ -1180,6 +1202,7 @@ fn per_offer_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::LegacyComponent;
     use crate::interpreter::{HiddenMealy, MealyBuilder};
     use crate::latency::LatentComponent;
     use crate::retry::execute_with_retry;
@@ -1321,9 +1344,9 @@ mod tests {
         );
         assert_eq!(first.driven_steps, 3, "first contact validates serially");
         // Extending w to w·a drives one new step from the checkpoint
-        // captured at the end of the validation run, plus one |w·a|
-        // verification drive from reset — 3 steps against the serial
-        // executor's 3·|w·a| = 6.
+        // captured at the end of the validation run, plus one verification
+        // step from the witness it captured one reset earlier — 2 steps
+        // against the serial executor's 3·|w·a| = 6.
         let ext = execute_with_retry_pooled(
             &mut c,
             &wa,
@@ -1334,7 +1357,7 @@ mod tests {
             Some(&mut cache),
             1,
         );
-        assert_eq!(ext.driven_steps, 3);
+        assert_eq!(ext.driven_steps, 2);
         assert!(cache.stats().resumes >= 1);
         let serial = execute_with_retry(&mut component(&u), &wa, &u, &ports, &policy);
         assert_equivalent(&ext, &serial);
@@ -1495,13 +1518,13 @@ mod tests {
                 assert_equivalent(b, s);
             }
             // The first offer is the serial validation run (accounted to
-            // the executor, not the cache); every further offer costs at
-            // most one checkpointed step, one |w|+1 verification drive,
-            // and a one-off prefix replay — bounded by (|w|+2)·k, not the
-            // serial 3·(|w|+1)·k.
+            // the executor, not the cache); every further offer costs one
+            // checkpointed step and one witness step, after a one-off
+            // replay of the prefix on each lineage — 2·|w| + 2·(k-1), not
+            // the serial 3·(|w|+1)·(k-1).
             let driven: usize = cache.stats().driven_steps;
             assert!(
-                driven <= (prefix.len() + 2) * offers.len(),
+                driven <= 2 * prefix.len() + 2 * (offers.len() - 1),
                 "cache drove {driven} steps"
             );
             // A repeated batch is served entirely from the trie.
@@ -1595,8 +1618,8 @@ mod tests {
         );
         assert_equivalent(&r, &serial);
         // Extending the word costs one latency-paying step from the
-        // checkpoint plus one |w·a| verification drive — 4 slow steps, not
-        // the serial executor's 3·|w·a| = 9.
+        // checkpoint plus one verification step from the witness — 2 slow
+        // steps, not the serial executor's 3·|w·a| = 9.
         let mut wa = expected.clone();
         wa.push(l(&u, &["start"], &[]));
         let ext = execute_with_retry_pooled(
@@ -1609,7 +1632,10 @@ mod tests {
             Some(&mut cache),
             1,
         );
-        assert_eq!(ext.driven_steps, 4, "one checkpointed step + verification");
+        assert_eq!(
+            ext.driven_steps, 2,
+            "one checkpointed step + one witness step"
+        );
         let serial_ext = execute_with_retry(
             &mut LatentComponent::new(component(&u), std::time::Duration::ZERO),
             &wa,
@@ -1618,6 +1644,172 @@ mod tests {
             &policy,
         );
         assert_equivalent(&ext, &serial_ext);
+    }
+
+    /// When a clonable liar lies.
+    #[derive(Debug, Clone, Copy)]
+    enum Lie {
+        /// Lies from period `from` on, after every even-numbered reset.
+        ResetParity { from: u64 },
+        /// Lies from its `from`-th step counted across resets (clones keep
+        /// the count), for ever after.
+        LifetimeStep { from: u64 },
+    }
+
+    /// A clonable determinism liar: it claims `deterministic_rig()` (the
+    /// trait default) but toggles `propose` in its answer whenever its
+    /// [`Lie`] says so.
+    #[derive(Debug, Clone)]
+    struct Liar {
+        inner: HiddenMealy,
+        lie: Lie,
+        propose: SignalSet,
+        resets: u64,
+        lifetime: u64,
+    }
+
+    impl LegacyComponent for Liar {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn interface(&self) -> (SignalSet, SignalSet) {
+            self.inner.interface()
+        }
+        fn reset(&mut self) {
+            self.resets += 1;
+            self.inner.reset();
+        }
+        fn step(&mut self, inputs: SignalSet) -> SignalSet {
+            self.lifetime += 1;
+            let out = self.inner.step(inputs);
+            let lying = match self.lie {
+                Lie::ResetParity { from } => {
+                    self.resets.is_multiple_of(2) && self.inner.period() >= from
+                }
+                Lie::LifetimeStep { from } => self.lifetime >= from,
+            };
+            if lying {
+                if out.is_disjoint(self.propose) {
+                    out.union(self.propose)
+                } else {
+                    out.difference(self.propose)
+                }
+            } else {
+                out
+            }
+        }
+        fn period(&self) -> u64 {
+            self.inner.period()
+        }
+    }
+
+    impl StateObservable for Liar {
+        fn observable_state(&self) -> String {
+            self.inner.observable_state()
+        }
+        fn initial_state_name(&self) -> String {
+            self.inner.initial_state_name()
+        }
+        fn try_clone_boxed(&self) -> Option<Box<dyn StateObservable + Send>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// Drives a cache the way the loop does: a serial first contact with
+    /// `first`, then frontier probe batches (every input) along a growing
+    /// prefix of the component's true run, each followed by a test of the
+    /// prefix's one-step extension. Returns whether the cache ended up
+    /// distrusting the rig.
+    fn loop_like_run(lie: Lie, first: &[Label], parallelism: usize) -> bool {
+        let u = Universe::new();
+        let ports = PortMap::with_default("rearRole");
+        let policy = RetryPolicy::default();
+        let mut liar = Liar {
+            inner: component(&u),
+            lie,
+            propose: u.signals(["propose"]),
+            resets: 0,
+            lifetime: 0,
+        };
+        let mut truth = component(&u);
+        let offers = [
+            SignalSet::EMPTY,
+            u.signals(["start"]),
+            u.signals(["reject"]),
+        ];
+        let mut cache = TraceCache::new("liar");
+        let mut clock = SimClock::new();
+        execute_with_retry_pooled(
+            &mut liar,
+            first,
+            &u,
+            &ports,
+            &policy,
+            &mut clock,
+            Some(&mut cache),
+            parallelism,
+        );
+        // noConvoy → wait → noConvoy → … : `propose`, then `reject`.
+        let mut prefix: Vec<Label> = Vec::new();
+        for depth in 0..8 {
+            probe_offers_pooled(
+                &mut liar,
+                &prefix,
+                &offers,
+                &u,
+                &ports,
+                &policy,
+                &mut clock,
+                Some(&mut cache),
+                parallelism,
+            );
+            let a = if depth % 2 == 0 {
+                SignalSet::EMPTY
+            } else {
+                offers[2]
+            };
+            prefix.push(Label::new(a, truth.step(a)));
+            execute_with_retry_pooled(
+                &mut liar,
+                &prefix,
+                &u,
+                &ports,
+                &policy,
+                &mut clock,
+                Some(&mut cache),
+                parallelism,
+            );
+        }
+        cache.validation == Validation::Distrusted
+    }
+
+    /// Every clonable liar is distrusted whenever the verification
+    /// lineages can tell it apart. A reset-parity liar always: the
+    /// checkpoint lineage descends from the validation run's replay and the
+    /// witness lineage from its re-record, one reset apart. A lifetime-step
+    /// liar only after a non-empty first word: then the lineages start
+    /// `|w|` steps apart in its count; after the empty word they reach
+    /// every depth with equal counts (the residual gap of DESIGN.md §17).
+    #[test]
+    fn clonable_liars_are_distrusted_when_the_lineages_can_tell() {
+        let u = Universe::new();
+        let firsts = [vec![], vec![l(&u, &[], &["propose"])]];
+        for (lie, caught_after_empty) in [
+            (Lie::ResetParity { from: 1 }, true),
+            (Lie::ResetParity { from: 3 }, true),
+            (Lie::LifetimeStep { from: 5 }, false),
+            (Lie::LifetimeStep { from: 10 }, false),
+        ] {
+            for first in &firsts {
+                for parallelism in [1usize, 4] {
+                    assert_eq!(
+                        loop_like_run(lie, first, parallelism),
+                        caught_after_empty || !first.is_empty(),
+                        "{lie:?} first word {first:?} parallelism {parallelism}"
+                    );
+                }
+            }
+        }
     }
 
     /// The 200-seed differential suite: prefix-resumed execution must equal

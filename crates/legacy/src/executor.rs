@@ -59,6 +59,20 @@ pub fn execute_expected_trace(
     u: &Universe,
     ports: &PortMap,
 ) -> Result<TestOutcome, ReplayError> {
+    execute_witnessed(component, expected, u, ports, None)
+}
+
+/// [`execute_expected_trace`] that, given `witness`, stores in it a clone of
+/// the component taken between the re-record and the replay: positioned at
+/// the end of the executed word by a drive of its own, one reset before the
+/// replay that leaves the component there.
+pub(crate) fn execute_witnessed(
+    component: &mut dyn StateObservable,
+    expected: &[Label],
+    u: &Universe,
+    ports: &PortMap,
+    witness: Option<&mut Option<Box<dyn StateObservable + Send>>>,
+) -> Result<TestOutcome, ReplayError> {
     // Phase 1: live execution with minimal probes, stopping at divergence.
     component.reset();
     let mut executed_inputs: Vec<SignalSet> = Vec::new();
@@ -74,6 +88,9 @@ pub fn execute_expected_trace(
     // Re-record the executed prefix cleanly (reset + rerun) so the recording
     // reflects one uninterrupted execution, then replay with full probes.
     let recording = record_live(component, &executed_inputs);
+    if let Some(witness) = witness {
+        *witness = component.try_clone_boxed();
+    }
     let report = replay(component, &recording, u, ports)?;
 
     let refusal = divergence.map(|t| {

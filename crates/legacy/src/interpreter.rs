@@ -8,6 +8,7 @@
 //! DESIGN.md §5 for the substitution argument.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use muml_automata::{AutomataError, Automaton, SignalSet, Universe};
 
@@ -29,15 +30,18 @@ pub enum DefaultBehavior {
 /// A deterministic hidden-state Mealy machine.
 ///
 /// Build with [`MealyBuilder`] or derive from a deterministic concrete
-/// [`Automaton`] via [`HiddenMealy::from_automaton`].
+/// [`Automaton`] via [`HiddenMealy::from_automaton`]. A clone shares the
+/// rule table and state names (copied only if fault injection edits the
+/// clone's rules), so checkpointing a machine copies its execution
+/// counters only.
 #[derive(Debug, Clone)]
 pub struct HiddenMealy {
     name: String,
     inputs: SignalSet,
     outputs: SignalSet,
-    state_names: Vec<String>,
+    state_names: Arc<[String]>,
     /// `(state, inputs) → (outputs, next state)`
-    rules: HashMap<(usize, SignalSet), (SignalSet, usize)>,
+    rules: Arc<HashMap<(usize, SignalSet), (SignalSet, usize)>>,
     default: DefaultBehavior,
     initial: usize,
     current: usize,
@@ -95,7 +99,7 @@ impl HiddenMealy {
             inputs: m.inputs(),
             outputs: m.outputs(),
             state_names: m.state_ids().map(|s| m.state_name(s).to_owned()).collect(),
-            rules,
+            rules: Arc::new(rules),
             default,
             initial,
             current: initial,
@@ -127,7 +131,7 @@ impl HiddenMealy {
 
     /// Direct access for fault injection (see [`crate::faults`]).
     pub(crate) fn rules_mut(&mut self) -> &mut HashMap<(usize, SignalSet), (SignalSet, usize)> {
-        &mut self.rules
+        Arc::make_mut(&mut self.rules)
     }
 
     /// State index by name (fault injection).
@@ -365,8 +369,8 @@ impl MealyBuilder {
             name: self.name,
             inputs: self.inputs,
             outputs: self.outputs,
-            state_names: self.states,
-            rules,
+            state_names: self.states.into(),
+            rules: Arc::new(rules),
             default: self.default,
             initial,
             current: initial,

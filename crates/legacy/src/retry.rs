@@ -1,10 +1,10 @@
 //! Flake-tolerant test execution: bounded retries with a verdict quorum.
 //!
-//! [`execute_expected_trace`] assumes a reliable rig — any replay mismatch
-//! is a fatal [`ReplayError`]. Against a real rig (modelled by
-//! [`UnreliableRig`](crate::UnreliableRig)) that assumption fails
-//! routinely, so this module wraps the executor in a retry loop that keeps
-//! every verdict *sound*:
+//! [`execute_expected_trace`](crate::execute_expected_trace) assumes a
+//! reliable rig — any replay mismatch is a fatal [`ReplayError`]. Against a
+//! real rig (modelled by [`UnreliableRig`](crate::UnreliableRig)) that
+//! assumption fails routinely, so this module wraps the executor in a retry
+//! loop that keeps every verdict *sound*:
 //!
 //! * Every attempt is validated for **internal consistency** against the
 //!   expected trace: a `Confirmed` attempt must reproduce the expected
@@ -29,7 +29,7 @@
 use muml_automata::{Label, Universe};
 
 use crate::component::StateObservable;
-use crate::executor::{execute_expected_trace, TestOutcome};
+use crate::executor::{execute_witnessed, TestOutcome};
 use crate::monitor::PortMap;
 use crate::replay::ReplayError;
 
@@ -91,7 +91,8 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The single-shot policy: one attempt, no retries. On a reliable rig
-    /// this reproduces [`execute_expected_trace`] exactly.
+    /// this reproduces
+    /// [`execute_expected_trace`](crate::execute_expected_trace) exactly.
     pub fn strict() -> Self {
         RetryPolicy {
             max_attempts: 1,
@@ -251,6 +252,21 @@ pub fn execute_with_retry_on(
     policy: &RetryPolicy,
     clock: &mut SimClock,
 ) -> RetryReport {
+    retry_witnessed(component, expected, u, ports, policy, clock, None)
+}
+
+/// [`execute_with_retry_on`] that, given `witness`, stores in it the
+/// witness clone (see [`execute_witnessed`]) of the last attempt run — the
+/// one that completed the quorum, if any did.
+pub(crate) fn retry_witnessed(
+    component: &mut dyn StateObservable,
+    expected: &[Label],
+    u: &Universe,
+    ports: &PortMap,
+    policy: &RetryPolicy,
+    clock: &mut SimClock,
+    mut witness: Option<&mut Option<Box<dyn StateObservable + Send>>>,
+) -> RetryReport {
     let quorum = policy.quorum.max(1);
     let max_attempts = policy.max_attempts.max(1);
     let mut candidates: Vec<TestOutcome> = Vec::new();
@@ -275,7 +291,7 @@ pub fn execute_with_retry_on(
             // sum wraps in release mode.
             report.backoff_ticks = report.backoff_ticks.saturating_add(pause);
         }
-        match execute_expected_trace(component, expected, u, ports) {
+        match execute_witnessed(component, expected, u, ports, witness.as_deref_mut()) {
             Err(e) => {
                 report.replay_errors += 1;
                 report.last_replay_period = Some(match e {
@@ -322,6 +338,7 @@ pub fn execute_with_retry(
 mod tests {
     use super::*;
     use crate::component::LegacyComponent;
+    use crate::executor::execute_expected_trace;
     use crate::interpreter::MealyBuilder;
     use crate::rig::{RigFaultProfile, UnreliableRig};
     use muml_automata::SignalSet;

@@ -8,6 +8,9 @@
 //! size, composition work counters, learned sizes, probe rows) and the
 //! FNV-1a hash of all lines is pinned. Any change to how products are
 //! built, numbered or checked that leaks into the loop moves the hash.
+//! The rig steps each cell drives are pinned by a second hash of their
+//! own, so a change to how the trace cache drives the rig re-pins that
+//! one only, and the first shows that nothing the loop concludes moved.
 //! The default (incremental) run must also equal the cold-rebuild run cell
 //! by cell on every field that does not count composition work.
 
@@ -19,17 +22,24 @@ use muml_integration::legacy::{fault_matrix, inject, Fault, PortMap};
 use muml_integration::obs::fnv1a64;
 use muml_integration::railcab::{front_context, scenario, shuttle_variants, ShuttleVariant};
 
-/// The FNV-1a hash of every cell's digest, in grid order. It was taken
-/// while the incremental product was still renumbered into cold-compose
-/// order, so it also pins that state numbering does not reach the loop.
-const PINNED_DIGEST: u64 = 0x3ad1_2eb4_9a89_0e75;
+/// The FNV-1a hash of every cell's digest, in grid order, rig steps
+/// excluded. It pins the same runs as the earlier whole-cell digest, which
+/// was taken while the incremental product was still renumbered into
+/// cold-compose order, so it also pins that state numbering does not reach
+/// the loop.
+const PINNED_DIGEST: u64 = 0x0eaf_bfc7_e731_6d76;
 
-/// One cell's observable run: the mode-independent part and the
-/// composition work counters (which count only what each mode composed).
+/// The FNV-1a hash of every cell's driven rig steps, in grid order.
+const PINNED_DRIVEN_DIGEST: u64 = 0x20b7_d27c_d106_8134;
+
+/// One cell's observable run: the mode-independent part, the composition
+/// work counters (which count only what each mode composed) and the rig
+/// steps driven.
 struct CellDigest {
     tag: String,
     observable: String,
     compose_work: String,
+    driven: usize,
 }
 
 fn digest(tag: String, report: &IntegrationReport) -> CellDigest {
@@ -59,11 +69,10 @@ fn digest(tag: String, report: &IntegrationReport) -> CellDigest {
     }
     let s = &report.stats;
     observable.push_str(&format!(
-        "  iterations={} tests={} test_steps={} driven={} peak={} learned={:?} probe_rows={}",
+        "  iterations={} tests={} test_steps={} peak={} learned={:?} probe_rows={}",
         s.iterations,
         s.tests_executed,
         s.test_steps,
-        s.driven_steps,
         s.peak_composed_states,
         report.learned_sizes(),
         s.probe_rows_expanded,
@@ -75,6 +84,7 @@ fn digest(tag: String, report: &IntegrationReport) -> CellDigest {
             "expanded_labels={} family_guards={}",
             s.expanded_labels, s.family_guards
         ),
+        driven: s.driven_steps,
     }
 }
 
@@ -180,12 +190,15 @@ fn loop_runs_match_the_pinned_digest_and_the_cold_loop() {
     for (a, b) in incremental.iter().zip(&cold) {
         assert_eq!(a.tag, b.tag);
         assert_eq!(
-            a.observable, b.observable,
+            (&a.observable, a.driven),
+            (&b.observable, b.driven),
             "{}: incremental and cold loops diverge",
             a.tag
         );
     }
     let mut text = String::new();
+    let mut driven = String::new();
+    let mut families = [("counter", 0usize), ("ticker", 0), ("railcab", 0)];
     for c in &incremental {
         text.push_str(&c.tag);
         text.push('\n');
@@ -193,12 +206,25 @@ fn loop_runs_match_the_pinned_digest_and_the_cold_loop() {
         text.push('\n');
         text.push_str(&c.compose_work);
         text.push('\n');
+        driven.push_str(&format!("{} driven={}\n", c.tag, c.driven));
+        for (family, total) in &mut families {
+            if c.tag.starts_with(*family) {
+                *total += c.driven;
+            }
+        }
     }
     let hash = fnv1a64(text.as_bytes());
     assert_eq!(
         hash,
         PINNED_DIGEST,
         "loop digest over {} cells moved: {hash:#018x}",
+        incremental.len()
+    );
+    let driven_hash = fnv1a64(driven.as_bytes());
+    assert_eq!(
+        driven_hash,
+        PINNED_DRIVEN_DIGEST,
+        "driven-step digest over {} cells moved: {driven_hash:#018x} (totals {families:?})",
         incremental.len()
     );
 }
