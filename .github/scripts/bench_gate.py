@@ -37,6 +37,22 @@ VARYING = {
         ("jobs", "*", "driven_cold"),
         ("jobs", "*", "tests_cold"),
     ],
+    # `repro fleet`: which worker ran a job, and so the order of the
+    # slowest-job table, depends on thread scheduling.
+    "fleet": [
+        ("report", "results", "*", "worker"),
+        ("report", "slowest", "*", "job"),
+        ("report", "slowest", "*", "name"),
+    ],
+    # `repro chaos`: the seeded store faults are drawn in the order the
+    # three workers reach the store, and the journal cuts fall at seeded
+    # offsets of a journal whose length depends on timing, so how many
+    # faults land and how many jobs a cut leaves unfinished vary.
+    "chaos": [
+        ("store", "*", "injected"),
+        ("journal", "resubmitted"),
+        ("journal", "truncated_bytes"),
+    ],
 }
 
 

@@ -1033,8 +1033,8 @@ fn run_probe(json: bool) {
 /// §11).
 fn run_fleet_cmd(workers: usize, json: bool) {
     use muml_bench::campaign::{railcab_campaign, CampaignOptions};
-    use muml_fleet::{run_fleet, FleetConfig, FleetReport};
-    use muml_obs::NullFleetSink;
+    use muml_fleet::FleetReport;
+    use muml_serve::{run_fleet, ServeConfig};
 
     heading(&format!(
         "Fleet — batch campaign, 1 worker vs {workers} workers"
@@ -1050,8 +1050,7 @@ fn run_fleet_cmd(workers: usize, json: bool) {
         let start = Instant::now();
         let report = run_fleet(
             railcab_campaign(&options),
-            &FleetConfig::default().with_workers(n),
-            &mut NullFleetSink,
+            &ServeConfig::default().with_workers(n),
         );
         (report, start.elapsed().as_nanos() as u64)
     };
@@ -1112,9 +1111,9 @@ fn run_fleet_cmd(workers: usize, json: bool) {
 /// `BENCH_serve.json` (schema: DESIGN.md §14).
 fn run_serve_cmd(clients: usize, json: bool) {
     use muml_bench::campaign::{railcab_requests, CampaignOptions};
-    use muml_fleet::{run_fleet, FleetConfig};
-    use muml_obs::NullFleetSink;
-    use muml_serve::{railcab_registry, Daemon, Priority, ServeClient, ServeConfig, Server};
+    use muml_serve::{
+        railcab_registry, run_fleet, Daemon, Priority, ServeClient, ServeConfig, Server,
+    };
 
     heading(&format!("Serve — daemon load test, {clients} wire clients"));
     let options = CampaignOptions {
@@ -1193,8 +1192,7 @@ fn run_serve_cmd(clients: usize, json: bool) {
             .iter()
             .map(|r| registry.resolve(r).expect("generated requests resolve"))
             .collect(),
-        &FleetConfig::default().with_workers(4),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(4),
     );
     verdicts.sort_by_key(|record| record.request.id);
     assert_eq!(verdicts.len(), direct.results.len());

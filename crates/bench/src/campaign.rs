@@ -159,7 +159,8 @@ mod tests {
 
     #[test]
     fn baseline_jobs_reach_the_expected_verdicts() {
-        use muml_fleet::{run_fleet, FleetConfig, JobOutcome};
+        use muml_fleet::JobOutcome;
+        use muml_serve::{run_fleet, ServeConfig};
         let options = CampaignOptions {
             latency: Duration::ZERO,
             max_jobs: None,
@@ -172,11 +173,7 @@ mod tests {
             .map(|r| registry.resolve(&r).unwrap())
             .collect();
         assert_eq!(baselines.len(), 3);
-        let report = run_fleet(
-            baselines,
-            &FleetConfig::default().with_workers(2),
-            &mut muml_obs::NullFleetSink,
-        );
+        let report = run_fleet(baselines, &ServeConfig::default().with_workers(2));
         for (result, variant) in report.results.iter().zip(shuttle_variants()) {
             assert_eq!(result.request.variant, variant.name);
             if variant.proven_when_unmodified {

@@ -20,11 +20,11 @@
 //!   live server while a well-behaved client runs a campaign. The good
 //!   client's verdicts must equal the clean run and the server must stay
 //!   responsive.
-//! * **worker** — fleet jobs kill their worker threads mid-job
-//!   ([`WorkerKill`]) at a sweep of crash rates. Under the supervisor's
-//!   crash budget every verdict must equal the crash-free run; over
-//!   budget the job must surface the *typed* [`JobOutcome::Crashed`] —
-//!   never a wrong verdict.
+//! * **worker** — campaign jobs panic mid-job at a sweep of rates. A
+//!   panicking attempt is an `error`, retried under the request's own
+//!   `retries` (2 here): within that budget every verdict must equal the
+//!   panic-free run; past it the job must surface the *typed*
+//!   [`JobOutcome::Error`] — never a wrong verdict.
 //!
 //! DESIGN.md §18 documents the fault matrix and the `BENCH_chaos.json`
 //! schema.
@@ -36,10 +36,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use muml_core::store::{FaultProfile, FaultyIo, Store};
-use muml_fleet::{run_fleet, FleetConfig, FleetReport, Job, JobOutcome, WorkerKill};
+use muml_fleet::{FleetReport, Job, JobOutcome};
 use muml_obs::json::Json;
-use muml_obs::NullFleetSink;
-use muml_serve::{railcab_registry, Daemon, Journal, Priority, ServeClient, ServeConfig, Server};
+use muml_serve::{
+    railcab_registry, run_fleet, Daemon, Journal, Priority, ServeClient, ServeConfig, Server,
+};
 
 use crate::campaign::{railcab_campaign, railcab_requests, CampaignOptions};
 
@@ -51,6 +52,10 @@ pub const CHAOS_JOURNAL_CUTS: usize = 6;
 
 /// Hostile clients the socket axis unleashes.
 pub const CHAOS_HOSTILE_CLIENTS: usize = 8;
+
+/// Retries each worker-axis job is granted; a job panics at most this
+/// often, so every one still reaches its verdict.
+pub const CHAOS_RETRIES: usize = 2;
 
 /// One rate of the store axis.
 #[derive(Debug, Clone)]
@@ -89,12 +94,12 @@ pub struct ChaosSocketRow {
 /// One rate of the worker axis.
 #[derive(Debug, Clone)]
 pub struct ChaosWorkerRow {
-    /// Per-job crash probability.
+    /// Per-job panic probability.
     pub rate: f64,
     /// Jobs run at this rate.
     pub jobs: usize,
-    /// Worker crashes injected.
-    pub crashes: usize,
+    /// Panics injected.
+    pub panics: usize,
 }
 
 /// The full chaos campaign result. Constructing one via [`chaos_campaign`]
@@ -109,9 +114,9 @@ pub struct ChaosReport {
     pub socket: ChaosSocketRow,
     /// Worker axis, in rate order.
     pub worker: Vec<ChaosWorkerRow>,
-    /// Crashes the budget-exhaustion probe injected before the typed
-    /// `crashed` outcome surfaced.
-    pub budget_crashes: usize,
+    /// Attempts the budget-exhaustion probe ran (each one panicked) before
+    /// the typed `error` outcome surfaced.
+    pub budget_attempts: usize,
 }
 
 /// XorShift64* — the workspace's seeded PRNG idiom (no external crates).
@@ -171,8 +176,7 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
     let options = chaos_options(8);
     let clean = run_fleet(
         railcab_campaign(&options),
-        &FleetConfig::default().with_workers(3),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(3),
     );
     let truth = outcome_names(&clean);
     rates
@@ -186,10 +190,9 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
             let store = Arc::new(Store::open_with_io(tmpdir("store"), io.clone()));
             let report = run_fleet(
                 railcab_campaign(&options),
-                &FleetConfig::default()
+                &ServeConfig::default()
                     .with_workers(3)
                     .with_shared_store(store),
-                &mut NullFleetSink,
             );
             // THE store assertion: a degrading store never changes a
             // verdict — every miss reason cold-starts, every fault is
@@ -362,8 +365,7 @@ fn socket_axis(hostiles: usize) -> ChaosSocketRow {
     let requests = railcab_requests(&chaos_options(3));
     let clean = run_fleet(
         railcab_campaign(&chaos_options(3)),
-        &FleetConfig::default().with_workers(2),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(2),
     );
     let truth = outcome_names(&clean);
 
@@ -428,16 +430,17 @@ fn socket_axis(hostiles: usize) -> ChaosSocketRow {
 
 // --------------------------------------------------------------- worker
 
-/// Wraps a job so its first `crashes` executions kill the worker thread.
-fn crashing(job: Job, crashes: usize) -> Job {
+/// Wraps a job so its first `panics` executions panic mid-job, and grants
+/// it [`CHAOS_RETRIES`] retries.
+fn panicking(job: Job, panics: usize) -> Job {
     let Job { request, work } = job;
-    let remaining = Arc::new(AtomicUsize::new(crashes));
-    Job::new(request, move |ctx| {
+    let remaining = Arc::new(AtomicUsize::new(panics));
+    Job::new(request.with_retries(CHAOS_RETRIES), move |ctx| {
         if remaining
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
         {
-            std::panic::panic_any(WorkerKill);
+            panic!("injected worker panic");
         }
         work(ctx)
     })
@@ -447,8 +450,7 @@ fn worker_axis(rates: &[f64]) -> Vec<ChaosWorkerRow> {
     let options = chaos_options(6);
     let clean = run_fleet(
         railcab_campaign(&options),
-        &FleetConfig::default().with_workers(3),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(3),
     );
     let truth = outcome_names(&clean);
     rates
@@ -456,55 +458,57 @@ fn worker_axis(rates: &[f64]) -> Vec<ChaosWorkerRow> {
         .enumerate()
         .map(|(i, &rate)| {
             let mut rng = XorShift::new(0x8765_4321_0FED_CBA9 ^ ((i as u64) << 16));
-            let mut crashes = 0usize;
+            let mut panics = 0usize;
             let jobs: Vec<Job> = railcab_campaign(&options)
                 .into_iter()
                 .map(|job| {
                     let n = if rng.roll(rate) {
-                        1 + (rng.next() as usize % 2)
+                        1 + (rng.next() as usize % CHAOS_RETRIES)
                     } else {
                         0
                     };
-                    crashes += n;
-                    crashing(job, n)
+                    panics += n;
+                    panicking(job, n)
                 })
                 .collect();
-            let report = run_fleet(
-                jobs,
-                &FleetConfig::default().with_workers(3).with_crash_budget(3),
-                &mut NullFleetSink,
-            );
-            // THE worker assertion: crashes under the supervisor's budget
-            // re-run to the identical verdict.
+            let report = run_fleet(jobs, &ServeConfig::default().with_workers(3));
+            // THE worker assertion: panics within the retry budget re-run
+            // to the identical verdict.
             assert_eq!(
                 outcome_names(&report),
                 truth,
-                "worker crashes at rate {rate} flipped a verdict"
+                "worker panics at rate {rate} flipped a verdict"
             );
             ChaosWorkerRow {
                 rate,
                 jobs: report.results.len(),
-                crashes,
+                panics,
             }
         })
         .collect()
 }
 
-/// A job that crashes more often than the budget tolerates must surface
-/// the typed `crashed` outcome — not hang, not report a verdict.
+/// A job that panics on every attempt must surface the typed `error`
+/// outcome once its retries are spent — not hang, not report a verdict.
+/// Returns the attempts it ran.
 fn budget_probe() -> usize {
     let job = railcab_campaign(&chaos_options(1)).remove(0);
     let report = run_fleet(
-        vec![crashing(job, 5)],
-        &FleetConfig::default().with_workers(2).with_crash_budget(1),
-        &mut NullFleetSink,
+        vec![panicking(job, usize::MAX)],
+        &ServeConfig::default().with_workers(2),
     );
-    match &report.results[0].outcome {
-        JobOutcome::Crashed { crashes } => {
-            assert!(*crashes > 1, "budget exhaustion implies repeated crashes");
-            *crashes
+    let result = &report.results[0];
+    match &result.outcome {
+        JobOutcome::Error { message } => {
+            assert!(message.contains("injected worker panic"), "{message}");
+            assert_eq!(
+                result.attempts,
+                CHAOS_RETRIES + 1,
+                "a first run plus one per retry"
+            );
+            result.attempts
         }
-        other => panic!("budget exhaustion must be typed Crashed, got {other:?}"),
+        other => panic!("budget exhaustion must be a typed error, got {other:?}"),
     }
 }
 
@@ -517,7 +521,7 @@ pub fn chaos_campaign(rates: &[f64]) -> ChaosReport {
         journal: journal_axis(CHAOS_JOURNAL_CUTS),
         socket: socket_axis(CHAOS_HOSTILE_CLIENTS),
         worker: worker_axis(rates),
-        budget_crashes: budget_probe(),
+        budget_attempts: budget_probe(),
     }
 }
 
@@ -536,7 +540,7 @@ impl ChaosReport {
             Json::Object(vec![
                 ("rate".into(), Json::Float(r.rate)),
                 ("jobs".into(), Json::from_usize(r.jobs)),
-                ("crashes".into(), Json::from_usize(r.crashes)),
+                ("panics".into(), Json::from_usize(r.panics)),
                 ("matched".into(), Json::Bool(true)),
             ])
         };
@@ -580,8 +584,8 @@ impl ChaosReport {
             (
                 "budget_probe".into(),
                 Json::Object(vec![
-                    ("crashes".into(), Json::from_usize(self.budget_crashes)),
-                    ("outcome".into(), Json::Str("crashed".into())),
+                    ("attempts".into(), Json::from_usize(self.budget_attempts)),
+                    ("outcome".into(), Json::Str("error".into())),
                 ]),
             ),
         ])
@@ -613,17 +617,17 @@ impl ChaosReport {
         ));
         out.push_str(&format!(
             "worker axis  {:>6} {:>6} {:>8}\n",
-            "rate", "jobs", "crashes"
+            "rate", "jobs", "panics"
         ));
         for r in &self.worker {
             out.push_str(&format!(
                 "             {:>6.2} {:>6} {:>8}\n",
-                r.rate, r.jobs, r.crashes
+                r.rate, r.jobs, r.panics
             ));
         }
         out.push_str(&format!(
-            "budget probe {} crashes -> typed `crashed` outcome\n",
-            self.budget_crashes
+            "budget probe {} panicking attempts -> typed `error` outcome\n",
+            self.budget_attempts
         ));
         out
     }
@@ -644,7 +648,7 @@ mod tests {
         assert_eq!(report.journal.cuts, CHAOS_JOURNAL_CUTS);
         assert!(report.journal.verdicts > 0);
         assert_eq!(report.socket.hostile, CHAOS_HOSTILE_CLIENTS);
-        assert!(report.budget_crashes > 1);
+        assert_eq!(report.budget_attempts, CHAOS_RETRIES + 1);
         let json = report.to_json().encode();
         assert!(json.contains("\"verdicts_sound\":true"), "{json}");
     }

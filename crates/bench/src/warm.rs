@@ -18,9 +18,9 @@
 
 use std::path::Path;
 
-use muml_fleet::{run_fleet, FleetConfig, FleetReport, JobOutcome};
+use muml_fleet::{FleetReport, JobOutcome};
 use muml_obs::json::Json;
-use muml_obs::NullFleetSink;
+use muml_serve::{run_fleet, ServeConfig};
 
 use crate::campaign::{railcab_campaign, CampaignOptions};
 
@@ -92,12 +92,11 @@ pub fn warm_campaign(store_dir: &Path) -> WarmReport {
     };
     let store_prewarmed = has_snapshots(store_dir);
 
-    let run = |config: FleetConfig| -> FleetReport {
-        run_fleet(railcab_campaign(&options), &config, &mut NullFleetSink)
-    };
-    let baseline = run(FleetConfig::default().with_workers(4));
-    let run1 = run(FleetConfig::default().with_workers(4).with_store(store_dir));
-    let run2 = run(FleetConfig::default().with_workers(4).with_store(store_dir));
+    let run =
+        |config: ServeConfig| -> FleetReport { run_fleet(railcab_campaign(&options), &config) };
+    let baseline = run(ServeConfig::default().with_workers(4));
+    let run1 = run(ServeConfig::default().with_workers(4).with_store(store_dir));
+    let run2 = run(ServeConfig::default().with_workers(4).with_store(store_dir));
 
     assert_eq!(
         outcomes(&run1),

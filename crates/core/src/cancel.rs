@@ -10,7 +10,7 @@
 //! gives no Lemma-5 guarantee to build on.
 //!
 //! Tokens are cheap to clone (an `Arc` plus a copied deadline) and safe to
-//! signal from any thread; the fleet orchestrator hands one to every job so
+//! signal from any thread; the daemon's worker loop hands one to every job so
 //! per-job wall-clock deadlines and explicit shutdown share one mechanism.
 
 use std::sync::atomic::{AtomicBool, Ordering};

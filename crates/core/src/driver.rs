@@ -167,12 +167,6 @@ pub struct IntegrationConfig {
     /// the first inconclusive test raises
     /// [`CoreError::Nondeterministic`] instead of degrading.
     pub flake_budget: usize,
-    /// Worklist shards for the model checker's unbounded fixpoint engines
-    /// (see `muml_logic::Checker::set_shards`). `1` (the default) keeps
-    /// the sequential engines; larger values parallelize the two
-    /// least-fixpoint worklists on products above the checker's size
-    /// threshold, with bit-identical verdicts and work counters.
-    pub check_shards: usize,
     /// Content-addressed warm-start store. When set, every unit carrying a
     /// [`ComponentSignature`] is looked up before iteration 0: a hit seeds
     /// the learned abstraction from the persisted snapshot instead of the
@@ -210,7 +204,6 @@ impl Default for IntegrationConfig {
             incremental: true,
             retry: RetryPolicy::default(),
             flake_budget: 2,
-            check_shards: 1,
             store: None,
             trace_cache: true,
             test_parallelism: 1,
@@ -275,14 +268,6 @@ impl IntegrationConfig {
     #[must_use]
     pub fn with_flake_budget(mut self, flake_budget: usize) -> Self {
         self.flake_budget = flake_budget;
-        self
-    }
-
-    /// Sets the model checker's worklist shard count (clamped to at
-    /// least 1).
-    #[must_use]
-    pub fn with_check_shards(mut self, check_shards: usize) -> Self {
-        self.check_shards = check_shards.max(1);
         self
     }
 
@@ -788,7 +773,6 @@ pub(crate) fn run_loop(
             }
             _ => Checker::with_csr(&comp.automaton, &comp.csr),
         };
-        checker.set_shards(config.check_shards);
         let verdict = check_all_with(&mut checker, &checked)?;
         let check_ns = check_timer.stop(&mut stats.timings);
         let cstats = checker.stats;

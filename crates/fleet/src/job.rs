@@ -27,8 +27,8 @@ pub struct JobContext {
     /// subscriber is listening (`None` = discard). Work closures that run
     /// an `IntegrationSession` should wire this in as the session sink.
     pub loop_sink: Option<SharedSink>,
-    /// The campaign's shared warm-start store, when the pool was given one
-    /// (see [`FleetConfig::with_store`](crate::FleetConfig::with_store)).
+    /// The campaign's shared warm-start store, when the runner was given
+    /// one (`muml_serve::ServeConfig::with_store`).
     /// Work closures attach it to their session via
     /// [`IntegrationConfig::with_shared_store`](muml_core::IntegrationConfig::with_shared_store)
     /// and sign their units so repeat campaigns seed from persisted
@@ -38,21 +38,10 @@ pub struct JobContext {
 
 /// The executable work of a job. Runs on a worker thread; everything the
 /// session needs (universe, context automaton, component) is built inside.
-/// `Fn` (not `FnOnce`) so the pool can re-run the closure when the request
-/// grants [`retries`](JobRequest::retries) after a rig-attributed failure
-/// — and so the supervisor can re-queue it after a worker crash.
+/// `Fn` (not `FnOnce`) so the runner can re-run the closure when the
+/// request grants [`retries`](JobRequest::retries) after a rig-attributed
+/// failure or a panic.
 pub type JobWork = Box<dyn Fn(&JobContext) -> Result<IntegrationReport, CoreError> + Send>;
-
-/// Panic payload that kills the worker thread running the job.
-///
-/// A work closure that calls `std::panic::panic_any(WorkerKill)` does not
-/// get the ordinary panic treatment (an [`JobOutcome::Error`] on a healthy
-/// worker); instead the worker itself is considered dead — the pool's
-/// supervisor respawns a replacement and re-queues the in-flight job under
-/// its crash budget. The chaos campaign uses this to simulate worker
-/// processes being OOM-killed or segfaulting mid-job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerKill;
 
 /// One schedulable unit: a request plus its work closure.
 pub struct Job {
@@ -104,15 +93,6 @@ pub enum JobOutcome {
     TimedOut,
     /// The session hit its iteration cap.
     IterationLimit,
-    /// The job never ran: its component's circuit breaker had already
-    /// tripped, so the pool short-circuited it.
-    Quarantined,
-    /// The job killed its worker thread more times than the pool's crash
-    /// budget tolerates; the supervisor gave up re-queueing it.
-    Crashed {
-        /// Worker crashes attributed to this job.
-        crashes: usize,
-    },
     /// The session failed (or the work closure panicked).
     Error {
         /// The error (or panic) message.
@@ -129,29 +109,25 @@ impl JobOutcome {
             JobOutcome::Inconclusive { .. } => "inconclusive",
             JobOutcome::TimedOut => "timed_out",
             JobOutcome::IterationLimit => "iteration_limit",
-            JobOutcome::Quarantined => "quarantined",
-            JobOutcome::Crashed { .. } => "crashed",
             JobOutcome::Error { .. } => "error",
         }
     }
 
     /// All outcome names, in the fixed histogram order.
-    pub fn names() -> [&'static str; 8] {
+    pub fn names() -> [&'static str; 6] {
         [
             "proven",
             "real_fault",
             "inconclusive",
             "timed_out",
             "iteration_limit",
-            "quarantined",
-            "crashed",
             "error",
         ]
     }
 
     /// Whether the outcome counts as a rig-attributed failure for the
-    /// retry loop and the per-component circuit breaker: errors and
-    /// inconclusive runs might succeed on a healthier rig, whereas
+    /// retry loop: errors (panics included) and inconclusive runs might
+    /// succeed on a healthier rig, whereas
     /// proofs, confirmed faults, timeouts, and iteration caps are
     /// properties of the job itself.
     pub fn is_rig_failure(&self) -> bool {
@@ -180,26 +156,14 @@ pub struct JobResult {
     /// Wall-clock nanoseconds the job occupied its worker (telemetry;
     /// excluded from the fingerprint).
     pub nanos: u64,
-    /// Executions the job took (1 = first try; 0 = short-circuited by a
-    /// tripped breaker). Rig-health telemetry; excluded from the
-    /// fingerprint.
+    /// Executions the job took (1 = first try). Rig-health telemetry;
+    /// excluded from the fingerprint.
     pub attempts: usize,
 }
 
-/// The circuit-breaker grouping key of a request: the component variant
-/// when set (campaign cells for the same variant exercise the same legacy
-/// rig), the job name otherwise.
-pub(crate) fn breaker_key(request: &JobRequest) -> String {
-    if request.variant.is_empty() {
-        request.name.clone()
-    } else {
-        request.variant.clone()
-    }
-}
-
 /// Classifies a session result into a [`JobOutcome`] plus its iteration
-/// count and stats rollup. Shared by the in-process pool and the
-/// `muml-serve` daemon so the two agree on outcome semantics.
+/// count and stats rollup: the outcome semantics of the `muml-serve`
+/// daemon's worker loop, the one place a job's work runs.
 pub fn classify(
     result: Result<IntegrationReport, CoreError>,
 ) -> (JobOutcome, usize, IntegrationStats) {
@@ -301,13 +265,5 @@ mod tests {
             other => panic!("expected an error outcome, got {other:?}"),
         }
         assert!(outcome.is_rig_failure());
-    }
-
-    #[test]
-    fn breaker_key_prefers_the_variant() {
-        let request = JobRequest::new(0, "faulty/drop[x]").with_variant("faulty");
-        assert_eq!(breaker_key(&request), "faulty");
-        let request = JobRequest::new(1, "anonymous");
-        assert_eq!(breaker_key(&request), "anonymous");
     }
 }

@@ -1,4 +1,4 @@
-//! Concurrent batch verification for integration campaigns.
+//! Job, request and report types for integration campaigns.
 //!
 //! One integration session answers one question: *does this component,
 //! under this context, satisfy this constraint?* Real integration work
@@ -15,288 +15,27 @@
 //!   ([`to_json`](JobRequest::to_json) / [`from_json`](JobRequest::from_json))
 //!   and a [`JobRegistry`] resolves it back into a runnable [`Job`]
 //!   server-side, so the same type serves as the `muml-serve` wire schema,
-//!   the fleet input, and the bench-campaign cell.
-//! * [`run_fleet`] / [`FleetConfig`] — a fixed pool of std threads fed by
-//!   a *bounded* queue (submission back-pressures), with per-job
-//!   wall-clock deadlines enforced through the cooperative
-//!   [`muml_core::CancelToken`] and panicking jobs contained per job.
+//!   the batch input, and the bench-campaign cell.
+//! * [`JobOutcome`] / [`JobResult`] / [`classify`] — how a job ended, with
+//!   its stats rollup and attempt count.
 //! * [`FleetReport`] — the deterministic aggregation: rows sorted by
 //!   generation-time job id, a verdict histogram, per-job
 //!   [`muml_core::IntegrationStats`] rollups, and a
 //!   [`fingerprint`](FleetReport::fingerprint) that is bit-identical
 //!   across worker counts and submission orders.
-//! * Fleet-level telemetry ([`muml_obs::FleetEvent`]) — job lifecycle,
-//!   queue depth, worker utilization — forwarded to a
-//!   [`muml_obs::FleetSink`] from the coordinator thread only.
 //!
-//! DESIGN.md §11 documents the queue discipline, the cancellation points,
+//! Jobs run in one place: the worker loop of the `muml-serve` daemon.
+//! `muml_serve::run_fleet` is its batch client — it submits a whole
+//! campaign to an in-process daemon and collects a [`FleetReport`].
+//! DESIGN.md §11 documents the batch client, the cancellation points,
 //! and the determinism argument.
 
 #![warn(missing_docs)]
 
-mod error;
 mod job;
-mod pool;
 mod report;
 pub mod request;
 
-pub use error::FleetError;
-pub use job::{classify, Job, JobContext, JobOutcome, JobResult, JobWork, WorkerKill};
-pub use pool::{run_fleet, FleetConfig};
+pub use job::{classify, Job, JobContext, JobOutcome, JobResult, JobWork};
 pub use report::FleetReport;
 pub use request::{JobRegistry, JobRequest, JobResolver, ResolveError};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use muml_core::{CoreError, IntegrationReport, IntegrationStats, IntegrationVerdict};
-    use muml_obs::{FleetCollector, FleetEvent, NullFleetSink};
-    use std::time::Duration;
-
-    /// A fabricated proven report (the fleet never inspects `learned` or
-    /// `iterations`, so empty vectors are fine for pool tests).
-    fn proven_report(iterations: usize) -> IntegrationReport {
-        IntegrationReport {
-            verdict: IntegrationVerdict::Proven,
-            iterations: Vec::new(),
-            learned: Vec::new(),
-            stats: IntegrationStats {
-                iterations,
-                ..IntegrationStats::default()
-            },
-        }
-    }
-
-    fn proven_job(id: usize) -> Job {
-        Job::new(JobRequest::new(id, format!("job-{id}")), move |_ctx| {
-            Ok(proven_report(id + 1))
-        })
-    }
-
-    #[test]
-    fn drains_all_jobs_and_sorts_results() {
-        let jobs: Vec<Job> = (0..20).rev().map(proven_job).collect(); // reversed submission
-        let mut sink = NullFleetSink;
-        let report = run_fleet(jobs, &FleetConfig::default().with_workers(3), &mut sink);
-        assert_eq!(report.results.len(), 20);
-        assert_eq!(
-            report
-                .results
-                .iter()
-                .map(|r| r.request.id)
-                .collect::<Vec<_>>(),
-            (0..20).collect::<Vec<_>>()
-        );
-        assert_eq!(report.histogram()[0], ("proven", 20));
-        assert_eq!(report.total_iterations(), (1..=20).sum::<usize>());
-    }
-
-    #[test]
-    fn fingerprint_is_stable_across_worker_counts() {
-        let run = |workers: usize| {
-            run_fleet(
-                (0..12).map(proven_job).collect(),
-                &FleetConfig::default()
-                    .with_workers(workers)
-                    .with_queue_bound(2),
-                &mut NullFleetSink,
-            )
-        };
-        let serial = run(1);
-        let pooled = run(4);
-        assert_eq!(serial.fingerprint(), pooled.fingerprint());
-        assert_eq!(serial.workers, 1);
-        assert_eq!(pooled.workers, 4);
-    }
-
-    #[test]
-    fn zero_deadline_times_out_deterministically() {
-        let request = JobRequest::new(0, "doomed").with_deadline(Duration::ZERO);
-        let job = Job::new(request, |ctx| {
-            // Mirrors the driver's cancellation points: poll before work.
-            if ctx.cancel.is_cancelled() {
-                return Err(CoreError::Cancelled { iterations: 0 });
-            }
-            Ok(proven_report(1))
-        });
-        let mut sink = FleetCollector::new();
-        let report = run_fleet(vec![job], &FleetConfig::default(), &mut sink);
-        assert_eq!(report.results[0].outcome, JobOutcome::TimedOut);
-        assert_eq!(report.histogram()[3], ("timed_out", 1));
-        let kinds = sink.kinds();
-        assert!(kinds.contains(&"job_timed_out"), "{kinds:?}");
-    }
-
-    #[test]
-    fn panicking_job_is_contained() {
-        let jobs = vec![
-            Job::new(JobRequest::new(0, "bomb"), |_ctx| -> Result<_, CoreError> {
-                panic!("boom: {}", 42)
-            }),
-            proven_job(1),
-        ];
-        let report = run_fleet(jobs, &FleetConfig::default(), &mut NullFleetSink);
-        match &report.results[0].outcome {
-            JobOutcome::Error { message } => assert!(message.contains("boom"), "{message}"),
-            other => panic!("expected an error outcome, got {other:?}"),
-        }
-        // The worker survived the panic and served the next job.
-        assert_eq!(report.results[1].outcome, JobOutcome::Proven);
-    }
-
-    #[test]
-    fn event_stream_brackets_every_job() {
-        let mut sink = FleetCollector::new();
-        let report = run_fleet(
-            (0..5).map(proven_job).collect(),
-            &FleetConfig::default().with_workers(2).with_queue_bound(1),
-            &mut sink,
-        );
-        assert_eq!(report.results.len(), 5);
-        let kinds = sink.kinds();
-        assert_eq!(kinds.first(), Some(&"fleet_started"));
-        assert_eq!(kinds.last(), Some(&"fleet_finished"));
-        assert_eq!(kinds.iter().filter(|k| **k == "job_started").count(), 5);
-        assert_eq!(kinds.iter().filter(|k| **k == "job_finished").count(), 5);
-        assert_eq!(
-            kinds.iter().filter(|k| **k == "worker_utilization").count(),
-            2
-        );
-        // Every job's started precedes its finished.
-        for id in 0..5 {
-            let job_events = sink.job(id);
-            assert_eq!(job_events.len(), 2, "job {id}: {job_events:?}");
-            assert!(matches!(job_events[0], FleetEvent::JobStarted { .. }));
-            assert!(matches!(job_events[1], FleetEvent::JobFinished { .. }));
-        }
-        match sink.events.last() {
-            Some(FleetEvent::FleetFinished { jobs, .. }) => assert_eq!(*jobs, 5),
-            other => panic!("unexpected terminal event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retries_rerun_rig_failures_until_success() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let request = JobRequest::new(0, "flaky").with_retries(3);
-        let job = Job::new(request, move |_ctx| {
-            if seen.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(CoreError::InterfaceMismatch {
-                    detail: "transient rig glitch".into(),
-                })
-            } else {
-                Ok(proven_report(1))
-            }
-        });
-        let mut sink = FleetCollector::new();
-        let report = run_fleet(vec![job], &FleetConfig::default(), &mut sink);
-        assert_eq!(report.results[0].outcome, JobOutcome::Proven);
-        assert_eq!(report.results[0].attempts, 3);
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-        assert_eq!(report.total_retries(), 2);
-        let kinds = sink.kinds();
-        assert_eq!(kinds.iter().filter(|k| **k == "job_retried").count(), 2);
-    }
-
-    #[test]
-    fn verdict_outcomes_are_not_retried() {
-        let request = JobRequest::new(0, "solid").with_retries(5);
-        let job = Job::new(request, move |_ctx| Ok(proven_report(1)));
-        let report = run_fleet(vec![job], &FleetConfig::default(), &mut NullFleetSink);
-        assert_eq!(report.results[0].attempts, 1);
-    }
-
-    fn failing_job(id: usize, variant: &str) -> Job {
-        let request = JobRequest::new(id, format!("{variant}/{id}")).with_variant(variant);
-        Job::new(request, |_ctx| {
-            Err(CoreError::InterfaceMismatch {
-                detail: "rig down".into(),
-            })
-        })
-    }
-
-    #[test]
-    fn breaker_quarantines_the_rest_of_a_failing_component() {
-        let jobs = vec![
-            failing_job(0, "wobbly"),
-            failing_job(1, "wobbly"),
-            failing_job(2, "wobbly"),
-            failing_job(3, "wobbly"),
-            proven_job(4),
-        ];
-        let mut sink = FleetCollector::new();
-        let report = run_fleet(
-            jobs,
-            &FleetConfig::default()
-                .with_workers(2)
-                .with_breaker_threshold(2),
-            &mut sink,
-        );
-        // First two failures trip the breaker; jobs 2 and 3 never run.
-        assert!(matches!(
-            report.results[0].outcome,
-            JobOutcome::Error { .. }
-        ));
-        assert!(matches!(
-            report.results[1].outcome,
-            JobOutcome::Error { .. }
-        ));
-        assert_eq!(report.results[2].outcome, JobOutcome::Quarantined);
-        assert_eq!(report.results[3].outcome, JobOutcome::Quarantined);
-        assert_eq!(report.results[4].outcome, JobOutcome::Proven);
-        assert_eq!(report.results[2].attempts, 0);
-        assert_eq!(report.breaker_trips, vec![("wobbly".to_owned(), 2)]);
-        let kinds = sink.kinds();
-        assert_eq!(kinds.iter().filter(|k| **k == "breaker_tripped").count(), 1);
-        assert_eq!(kinds.iter().filter(|k| **k == "job_quarantined").count(), 2);
-        assert!(report.render().contains("breaker: `wobbly`"));
-    }
-
-    #[test]
-    fn breaker_fingerprint_is_stable_across_worker_counts() {
-        let campaign = || {
-            vec![
-                failing_job(0, "wobbly"),
-                failing_job(1, "wobbly"),
-                failing_job(2, "wobbly"),
-                proven_job(3),
-                proven_job(4),
-            ]
-        };
-        let config = |workers| {
-            FleetConfig::default()
-                .with_workers(workers)
-                .with_breaker_threshold(2)
-        };
-        let serial = run_fleet(campaign(), &config(1), &mut NullFleetSink);
-        let pooled = run_fleet(campaign(), &config(4), &mut NullFleetSink);
-        assert_eq!(serial.fingerprint(), pooled.fingerprint());
-        assert_eq!(serial.quarantined_jobs(), 1);
-    }
-
-    #[test]
-    fn latency_bound_jobs_overlap_across_workers() {
-        // Jobs that sleep (as harness-bound sessions do) should overlap:
-        // 8 × 10ms on 4 workers must finish well under the 80ms serial time.
-        let sleepy = |id: usize| {
-            Job::new(JobRequest::new(id, format!("sleepy-{id}")), |_ctx| {
-                std::thread::sleep(Duration::from_millis(10));
-                Ok(proven_report(1))
-            })
-        };
-        let report = run_fleet(
-            (0..8).map(sleepy).collect(),
-            &FleetConfig::default().with_workers(4),
-            &mut NullFleetSink,
-        );
-        assert!(
-            report.wall_nanos < report.busy_nanos(),
-            "wall {} >= busy {}",
-            report.wall_nanos,
-            report.busy_nanos()
-        );
-    }
-}

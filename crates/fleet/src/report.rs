@@ -11,7 +11,6 @@
 
 use muml_obs::json::Json;
 
-use crate::error::FleetError;
 use crate::job::{JobOutcome, JobResult};
 
 /// The aggregated result of a campaign.
@@ -21,40 +20,19 @@ pub struct FleetReport {
     pub workers: usize,
     /// Per-job results, sorted by `request.id`.
     pub results: Vec<JobResult>,
-    /// Circuit breakers that tripped during the campaign, sorted by key:
-    /// `(component key, consecutive failures at the trip)`. Health
-    /// telemetry; excluded from the fingerprint (the quarantined job
-    /// *outcomes* it caused are in `results` and fingerprinted there).
-    pub breaker_trips: Vec<(String, usize)>,
     /// Wall-clock nanoseconds for the whole campaign.
     pub wall_nanos: u64,
-    /// Campaign-level failure, if the pool machinery itself broke down
-    /// (e.g. [`FleetError::WorkersGone`] when every worker exited before
-    /// the campaign drained). Excluded from the fingerprint — like
-    /// `breaker_trips`, it describes *how* the campaign ran, not what the
-    /// jobs concluded; the missing job rows it implies are already visible
-    /// in the fingerprinted `results`.
-    pub error: Option<FleetError>,
 }
 
 impl FleetReport {
     /// Builds a report from completion-ordered results (sorts by request
     /// id).
-    pub(crate) fn new(
-        workers: usize,
-        mut results: Vec<JobResult>,
-        mut breaker_trips: Vec<(String, usize)>,
-        wall_nanos: u64,
-        error: Option<FleetError>,
-    ) -> Self {
+    pub fn new(workers: usize, mut results: Vec<JobResult>, wall_nanos: u64) -> Self {
         results.sort_by_key(|r| r.request.id);
-        breaker_trips.sort();
         FleetReport {
             workers,
             results,
-            breaker_trips,
             wall_nanos,
-            error,
         }
     }
 
@@ -90,7 +68,7 @@ impl FleetReport {
         self.results.iter().map(|r| r.nanos).sum()
     }
 
-    /// Total job executions, retries included (quarantined jobs count 0).
+    /// Total job executions, retries included.
     pub fn total_attempts(&self) -> usize {
         self.results.iter().map(|r| r.attempts).sum()
     }
@@ -101,14 +79,6 @@ impl FleetReport {
             .iter()
             .map(|r| r.attempts.saturating_sub(1))
             .sum()
-    }
-
-    /// Jobs short-circuited by a tripped circuit breaker.
-    pub fn quarantined_jobs(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.outcome == JobOutcome::Quarantined)
-            .count()
     }
 
     /// Trace-cache hits (full verdict tuples served without driving the
@@ -159,16 +129,6 @@ impl FleetReport {
                 "results".to_owned(),
                 Json::Array(self.results.iter().map(|r| job_json(r, true)).collect()),
             ),
-            (
-                "error".to_owned(),
-                match &self.error {
-                    Some(e) => Json::Object(vec![
-                        ("kind".to_owned(), Json::Str(e.kind().to_owned())),
-                        ("message".to_owned(), Json::Str(e.to_string())),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
         ];
         obj.push((
             "health".to_owned(),
@@ -178,10 +138,6 @@ impl FleetReport {
                     Json::from_usize(self.total_attempts()),
                 ),
                 ("retries".to_owned(), Json::from_usize(self.total_retries())),
-                (
-                    "quarantined_jobs".to_owned(),
-                    Json::from_usize(self.quarantined_jobs()),
-                ),
                 (
                     "trace_cache_hits".to_owned(),
                     Json::from_usize(self.total_cache_hits()),
@@ -193,20 +149,6 @@ impl FleetReport {
                 (
                     "dedup_skipped".to_owned(),
                     Json::from_usize(self.total_dedup_skipped()),
-                ),
-                (
-                    "breaker_trips".to_owned(),
-                    Json::Array(
-                        self.breaker_trips
-                            .iter()
-                            .map(|(key, failures)| {
-                                Json::Object(vec![
-                                    ("key".to_owned(), Json::Str(key.clone())),
-                                    ("failures".to_owned(), Json::from_usize(*failures)),
-                                ])
-                            })
-                            .collect(),
-                    ),
                 ),
             ]),
         ));
@@ -284,21 +226,12 @@ impl FleetReport {
                 self.total_dedup_skipped(),
             ));
         }
-        if let Some(e) = &self.error {
-            out.push_str(&format!("  fleet error: {e}\n"));
-        }
-        if self.total_retries() > 0 || !self.breaker_trips.is_empty() {
+        if self.total_retries() > 0 {
             out.push_str(&format!(
-                "  rig health: {} attempts ({} retries), {} jobs quarantined\n",
+                "  rig health: {} attempts ({} retries)\n",
                 self.total_attempts(),
                 self.total_retries(),
-                self.quarantined_jobs(),
             ));
-            for (key, failures) in &self.breaker_trips {
-                out.push_str(&format!(
-                    "  breaker: `{key}` tripped after {failures} consecutive failures\n"
-                ));
-            }
         }
         for r in self.slowest(5) {
             out.push_str(&format!(
@@ -386,9 +319,7 @@ mod tests {
                 result(0, JobOutcome::TimedOut, 1, 900),
                 result(1, JobOutcome::Proven, 0, 100),
             ],
-            Vec::new(),
             10_000,
-            None,
         );
         let b = FleetReport::new(
             1,
@@ -397,9 +328,7 @@ mod tests {
                 result(1, JobOutcome::Proven, 0, 222),
                 result(2, JobOutcome::Proven, 0, 333),
             ],
-            Vec::new(),
             99_999,
-            None,
         );
         assert_eq!(
             a.results.iter().map(|r| r.request.id).collect::<Vec<_>>(),
@@ -420,9 +349,7 @@ mod tests {
                 result(1, JobOutcome::Proven, 1, 500),
                 result(2, JobOutcome::Proven, 0, 5),
             ],
-            Vec::new(),
             1_000,
-            None,
         );
         let slow: Vec<usize> = report.slowest(2).iter().map(|r| r.request.id).collect();
         assert_eq!(slow, [1, 0]);
@@ -431,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn health_stats_surface_retries_and_breaker_trips() {
+    fn health_stats_surface_retries() {
         let mut flaky = result(
             0,
             JobOutcome::Error {
@@ -441,32 +368,18 @@ mod tests {
             10,
         );
         flaky.attempts = 3;
-        let report = FleetReport::new(
-            1,
-            vec![
-                flaky,
-                result(1, JobOutcome::Quarantined, 0, 0),
-                result(2, JobOutcome::Proven, 0, 20),
-            ],
-            vec![("wobbly".to_owned(), 2)],
-            1_000,
-            None,
-        );
+        let report = FleetReport::new(1, vec![flaky, result(1, JobOutcome::Proven, 0, 20)], 1_000);
         assert_eq!(report.total_retries(), 2);
-        assert_eq!(report.quarantined_jobs(), 1);
         let text = report.render();
         assert!(
-            text.contains("rig health: 5 attempts (2 retries)"),
+            text.contains("rig health: 4 attempts (2 retries)"),
             "{text}"
         );
-        assert!(text.contains("breaker: `wobbly` tripped after 2"), "{text}");
         let json = report.to_json().encode();
-        assert!(json.contains("\"breaker_trips\""), "{json}");
-        // Fingerprint ignores attempts and breaker trips but keeps the
-        // quarantined outcome itself.
+        assert!(json.contains("\"retries\":2"), "{json}");
+        // The fingerprint keeps outcomes but ignores attempts.
         let fp = report.fingerprint();
-        assert!(fp.contains("\"quarantined\""), "{fp}");
-        assert!(!fp.contains("breaker_trips"), "{fp}");
+        assert!(fp.contains("\"error\""), "{fp}");
         assert!(!fp.contains("attempts"), "{fp}");
     }
 
@@ -476,13 +389,7 @@ mod tests {
         warm.stats.trace_cache_hits = 4;
         warm.stats.trace_cache_saved_steps = 36;
         warm.stats.dedup_skipped = 2;
-        let report = FleetReport::new(
-            1,
-            vec![warm, result(1, JobOutcome::Proven, 0, 20)],
-            Vec::new(),
-            1_000,
-            None,
-        );
+        let report = FleetReport::new(1, vec![warm, result(1, JobOutcome::Proven, 0, 20)], 1_000);
         assert_eq!(report.total_cache_hits(), 4);
         assert_eq!(report.total_cache_saved_steps(), 36);
         assert_eq!(report.total_dedup_skipped(), 2);
@@ -494,50 +401,7 @@ mod tests {
         let json = report.to_json().encode();
         assert!(json.contains("\"trace_cache_saved_steps\":36"), "{json}");
         // Cold campaigns stay silent.
-        let cold = FleetReport::new(
-            1,
-            vec![result(0, JobOutcome::Proven, 0, 10)],
-            Vec::new(),
-            1_000,
-            None,
-        );
+        let cold = FleetReport::new(1, vec![result(0, JobOutcome::Proven, 0, 10)], 1_000);
         assert!(!cold.render().contains("trace cache"), "{}", cold.render());
-    }
-
-    #[test]
-    fn workers_gone_error_surfaces_outside_the_fingerprint() {
-        let failed = FleetReport::new(
-            2,
-            vec![result(0, JobOutcome::Proven, 0, 10)],
-            Vec::new(),
-            1_000,
-            Some(FleetError::WorkersGone {
-                submitted: 1,
-                dropped: 4,
-            }),
-        );
-        let clean = FleetReport::new(
-            2,
-            vec![result(0, JobOutcome::Proven, 0, 10)],
-            Vec::new(),
-            1_000,
-            None,
-        );
-        let text = failed.render();
-        assert!(
-            text.contains("fleet error: all workers exited early: 1 jobs submitted, 4 never ran"),
-            "{text}"
-        );
-        assert!(
-            !clean.render().contains("fleet error"),
-            "{}",
-            clean.render()
-        );
-        let json = failed.to_json().encode();
-        assert!(json.contains("\"workers_gone\""), "{json}");
-        assert!(clean.to_json().encode().contains("\"error\":null"));
-        // The fingerprint describes what the jobs concluded, not how the
-        // campaign machinery fared.
-        assert_eq!(failed.fingerprint(), clean.fingerprint());
     }
 }

@@ -43,8 +43,8 @@ use crate::executor::{execute_expected_trace, TestOutcome};
 use crate::monitor::{Direction, MonitorEvent, MonitorTrace, PortMap};
 use crate::replay::{RecordedStep, Recording};
 use crate::retry::{
-    execute_with_retry_on, internally_consistent, retry_witnessed, RetryPolicy, RetryReport,
-    SimClock, TestVerdict,
+    book_attempt, execute_with_retry_on, internally_consistent, retry_witnessed, RetryPolicy,
+    RetryReport, SimClock, TestVerdict,
 };
 
 /// Counters describing what the cache did, cumulatively per instance.
@@ -612,12 +612,8 @@ fn synthesized_report(outcome: TestOutcome, expected: &[Label], driven: usize) -
     RetryReport {
         verdict,
         outcome: conclusive.then_some(outcome),
-        attempts: 0,
-        replay_errors: 0,
-        inconsistent_attempts: 0,
-        backoff_ticks: 0,
         driven_steps: driven,
-        last_replay_period: None,
+        ..RetryReport::empty()
     }
 }
 
@@ -696,6 +692,9 @@ pub fn execute_with_retry_pooled(
     // serial executor's behaviour exactly rather than synthesizing a
     // conclusive verdict the serial path would not reach.
     let degenerate = policy.quorum.max(1) > policy.max_attempts.max(1);
+    // Steps an extension drove before it refuted the determinism claim;
+    // booked into the serial executor's report below.
+    let mut refuted_steps = 0usize;
 
     if let Some(cache) = cache.as_deref_mut() {
         cache.stats.lookups += 1;
@@ -721,6 +720,7 @@ pub fn execute_with_retry_pooled(
             }
             // The extension refuted the determinism claim mid-replay: the
             // trie was dropped; fall through to the serial executor.
+            refuted_steps = driven;
         }
         if !deterministic || cache.validation == Validation::Distrusted {
             if let Some(outcome) = cache.synthesize(expected, u, ports) {
@@ -746,7 +746,7 @@ pub fn execute_with_retry_pooled(
             .as_deref()
             .is_some_and(|c| c.validation == Validation::Pending);
     let mut witness = None;
-    let report = if deterministic
+    let mut report = if deterministic
         && !degenerate
         && cache.is_none()
         && parallelism > 1
@@ -773,6 +773,7 @@ pub fn execute_with_retry_pooled(
             validating.then_some(&mut witness),
         )
     };
+    report.driven_steps += refuted_steps;
 
     if let Some(cache) = cache {
         if deterministic && !degenerate && cache.validation == Validation::Pending {
@@ -818,9 +819,8 @@ fn execute_quorum_parallel(
     parallelism: usize,
     stats: Option<&mut CacheStats>,
 ) -> RetryReport {
-    let quorum = policy.quorum.max(1);
     let max_attempts = policy.max_attempts.max(1);
-    let speculate = quorum.min(max_attempts);
+    let speculate = policy.quorum.max(1).min(max_attempts);
 
     let mut clones = Vec::with_capacity(speculate);
     for _ in 0..speculate {
@@ -841,91 +841,33 @@ fn execute_quorum_parallel(
     let results = run_pooled(tasks, parallelism, stats);
 
     // Serial-loop bookkeeping over the speculative results, in order.
-    let mut candidates: Vec<TestOutcome> = Vec::new();
-    let mut report = RetryReport {
-        verdict: TestVerdict::Inconclusive,
-        outcome: None,
-        attempts: 0,
-        replay_errors: 0,
-        inconsistent_attempts: 0,
-        backoff_ticks: 0,
-        driven_steps: 0,
-        last_replay_period: None,
-    };
+    let mut report = RetryReport::empty();
+    let mut candidates = Vec::new();
     for result in results {
-        report.attempts += 1;
-        let pause = policy.backoff_before(report.attempts);
-        if pause > 0 {
-            clock.advance(pause);
-            report.backoff_ticks = report.backoff_ticks.saturating_add(pause);
-        }
-        match result {
-            Err(e) => {
-                report.replay_errors += 1;
-                report.last_replay_period = Some(match e {
-                    crate::replay::ReplayError::Nondeterministic { period, .. } => period,
-                    crate::replay::ReplayError::PeriodDrift { recorded, .. } => recorded,
-                });
-            }
-            Ok(outcome) => {
-                report.driven_steps += outcome.driven_steps;
-                if !internally_consistent(&outcome, expected) {
-                    report.inconsistent_attempts += 1;
-                    continue;
-                }
-                let agreeing = 1 + candidates
-                    .iter()
-                    .filter(|c| crate::retry::agrees(c, &outcome))
-                    .count();
-                if agreeing >= quorum {
-                    report.verdict = match outcome.divergence {
-                        None => TestVerdict::Confirmed,
-                        Some(step) => TestVerdict::Diverged { step },
-                    };
-                    report.outcome = Some(outcome);
-                    return report;
-                }
-                candidates.push(outcome);
-            }
+        if book_attempt(
+            &mut report,
+            &mut candidates,
+            result,
+            expected,
+            policy,
+            clock,
+        ) {
+            return report;
         }
     }
     // Speculation exhausted without a verdict: continue serially, exactly
     // where the serial loop would be.
     while report.attempts < max_attempts {
-        report.attempts += 1;
-        let pause = policy.backoff_before(report.attempts);
-        if pause > 0 {
-            clock.advance(pause);
-            report.backoff_ticks = report.backoff_ticks.saturating_add(pause);
-        }
-        match execute_expected_trace(component, expected, u, ports) {
-            Err(e) => {
-                report.replay_errors += 1;
-                report.last_replay_period = Some(match e {
-                    crate::replay::ReplayError::Nondeterministic { period, .. } => period,
-                    crate::replay::ReplayError::PeriodDrift { recorded, .. } => recorded,
-                });
-            }
-            Ok(outcome) => {
-                report.driven_steps += outcome.driven_steps;
-                if !internally_consistent(&outcome, expected) {
-                    report.inconsistent_attempts += 1;
-                    continue;
-                }
-                let agreeing = 1 + candidates
-                    .iter()
-                    .filter(|c| crate::retry::agrees(c, &outcome))
-                    .count();
-                if agreeing >= quorum {
-                    report.verdict = match outcome.divergence {
-                        None => TestVerdict::Confirmed,
-                        Some(step) => TestVerdict::Diverged { step },
-                    };
-                    report.outcome = Some(outcome);
-                    return report;
-                }
-                candidates.push(outcome);
-            }
+        let attempt = execute_expected_trace(component, expected, u, ports);
+        if book_attempt(
+            &mut report,
+            &mut candidates,
+            attempt,
+            expected,
+            policy,
+            clock,
+        ) {
+            break;
         }
     }
     report

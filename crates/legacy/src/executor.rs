@@ -51,8 +51,9 @@ pub struct TestOutcome {
 ///
 /// # Errors
 ///
-/// [`ReplayError::Nondeterministic`] if the replay cross-check fails — the
-/// component violates the method's determinism assumption.
+/// [`ReplayError`] if the replay cross-check fails — the component
+/// violates the method's determinism assumption. The error carries the rig
+/// steps the execution drove, every phase included.
 pub fn execute_expected_trace(
     component: &mut dyn StateObservable,
     expected: &[Label],
@@ -91,7 +92,9 @@ pub(crate) fn execute_witnessed(
     if let Some(witness) = witness {
         *witness = component.try_clone_boxed();
     }
-    let report = replay(component, &recording, u, ports)?;
+    // A failed replay books the live run and the re-record too.
+    let report = replay(component, &recording, u, ports)
+        .map_err(|e| e.after_steps(2 * executed_inputs.len()))?;
 
     let refusal = divergence.map(|t| {
         let states = report.observation.states[..=t].to_vec();

@@ -9,8 +9,8 @@
 //! configurable latency on every [`step`](crate::LegacyComponent::step) and
 //! [`reset`](crate::LegacyComponent::reset).
 //!
-//! Besides realism, this is what makes batch campaigns (the `muml-fleet`
-//! crate) worth sharding: a job driving a latent component is blocked on
+//! Besides realism, this is what makes batch campaigns
+//! (`muml_serve::run_fleet`) worth sharding: a job driving a latent component is blocked on
 //! the harness most of the time, so concurrent workers overlap their wait
 //! time and a pool speeds up the campaign even on a single CPU — exactly as
 //! it would against real test-rig hardware.

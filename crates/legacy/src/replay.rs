@@ -92,6 +92,9 @@ pub enum ReplayError {
         recorded: SignalSet,
         /// What the replay produced.
         replayed: SignalSet,
+        /// Rig steps the failed execution drove, the mismatching one
+        /// included (see [`ReplayError::driven_steps`]).
+        driven_steps: usize,
     },
     /// The replayed execution's period counter drifted from the recorded
     /// one — a period was lost or repeated between record and replay. The
@@ -106,7 +109,41 @@ pub enum ReplayError {
         recorded: u64,
         /// The period the replayed component reported.
         replayed: u64,
+        /// Rig steps the failed execution drove, the drifting one included
+        /// (see [`ReplayError::driven_steps`]).
+        driven_steps: usize,
     },
+}
+
+impl ReplayError {
+    /// The recorded period at which the replay failed.
+    pub fn period(&self) -> u64 {
+        match self {
+            ReplayError::Nondeterministic { period, .. } => *period,
+            ReplayError::PeriodDrift { recorded, .. } => *recorded,
+        }
+    }
+
+    /// Rig steps the failed execution drove before the mismatch surfaced,
+    /// the failing step included: the replay's own steps from [`replay`],
+    /// and every phase's (live run, re-record, replay) from
+    /// [`execute_expected_trace`](crate::execute_expected_trace).
+    pub fn driven_steps(&self) -> usize {
+        match self {
+            ReplayError::Nondeterministic { driven_steps, .. }
+            | ReplayError::PeriodDrift { driven_steps, .. } => *driven_steps,
+        }
+    }
+
+    /// The error with `steps` more driven steps booked — the phases an
+    /// execution ran before its replay.
+    pub(crate) fn after_steps(mut self, steps: usize) -> Self {
+        match &mut self {
+            ReplayError::Nondeterministic { driven_steps, .. }
+            | ReplayError::PeriodDrift { driven_steps, .. } => *driven_steps += steps,
+        }
+        self
+    }
 }
 
 impl std::fmt::Display for ReplayError {
@@ -120,6 +157,7 @@ impl std::fmt::Display for ReplayError {
                 step,
                 recorded,
                 replayed,
+                ..
             } => write!(
                 f,
                 "replay period drifted from the recording at step {step} (recorded {recorded}, replayed {replayed}): the component violates the determinism assumption"
@@ -167,6 +205,7 @@ pub fn replay(
                 period: step.period,
                 recorded: step.outputs,
                 replayed: out,
+                driven_steps: idx + 1,
             });
         }
         // Cross-check the timing probe as well: a silent component makes a
@@ -178,6 +217,7 @@ pub fn replay(
                 step: idx,
                 recorded: step.period,
                 replayed: replayed_period,
+                driven_steps: idx + 1,
             });
         }
         for e in ports.message_events(u, out, Direction::Outgoing) {
@@ -271,6 +311,8 @@ mod tests {
             err,
             ReplayError::Nondeterministic { period: 1, .. }
         ));
+        assert_eq!(err.period(), 1);
+        assert_eq!(err.driven_steps(), 1, "the mismatching step was driven");
         assert!(err.to_string().contains("determinism"));
     }
 

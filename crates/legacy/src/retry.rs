@@ -192,7 +192,8 @@ pub struct RetryReport {
     pub inconsistent_attempts: usize,
     /// Total backoff charged to the clock, in ticks.
     pub backoff_ticks: u64,
-    /// Raw component steps driven across all completed attempts.
+    /// Raw component steps driven across all attempts, those that failed
+    /// the replay cross-check included.
     pub driven_steps: usize,
     /// The period of the most recent replay cross-check failure, if any.
     pub last_replay_period: Option<u64>,
@@ -203,6 +204,20 @@ impl RetryReport {
     /// inconsistencies).
     pub fn suspected_rig_faults(&self) -> usize {
         self.replay_errors + self.inconsistent_attempts
+    }
+
+    /// The report before any attempt: inconclusive, all counters zero.
+    pub(crate) fn empty() -> Self {
+        RetryReport {
+            verdict: TestVerdict::Inconclusive,
+            outcome: None,
+            attempts: 0,
+            replay_errors: 0,
+            inconsistent_attempts: 0,
+            backoff_ticks: 0,
+            driven_steps: 0,
+            last_replay_period: None,
+        }
     }
 }
 
@@ -240,6 +255,57 @@ pub(crate) fn agrees(a: &TestOutcome, b: &TestOutcome) -> bool {
         && a.refusal == b.refusal
 }
 
+/// Books one executed attempt into `report`: the attempt bookkeeping of the
+/// serial retry loop and of the speculative parallel quorum, in one place.
+/// Charges the attempt's backoff to `clock`, adds every rig step it drove
+/// (a failed replay's included), classifies it, and returns `true` once
+/// `policy.quorum` internally consistent attempts agree — the agreed
+/// outcome is then `report.outcome`. `candidates` holds the consistent
+/// attempts booked so far.
+pub(crate) fn book_attempt(
+    report: &mut RetryReport,
+    candidates: &mut Vec<TestOutcome>,
+    attempt: Result<TestOutcome, ReplayError>,
+    expected: &[Label],
+    policy: &RetryPolicy,
+    clock: &mut SimClock,
+) -> bool {
+    report.attempts += 1;
+    let pause = policy.backoff_before(report.attempts);
+    if pause > 0 {
+        clock.advance(pause);
+        // Saturate: with a pathological schedule (base/cap near
+        // `u64::MAX`) the per-attempt pauses individually fit but their
+        // sum wraps in release mode.
+        report.backoff_ticks = report.backoff_ticks.saturating_add(pause);
+    }
+    let outcome = match attempt {
+        Err(e) => {
+            report.driven_steps += e.driven_steps();
+            report.replay_errors += 1;
+            report.last_replay_period = Some(e.period());
+            return false;
+        }
+        Ok(outcome) => outcome,
+    };
+    report.driven_steps += outcome.driven_steps;
+    if !internally_consistent(&outcome, expected) {
+        report.inconsistent_attempts += 1;
+        return false;
+    }
+    let agreeing = 1 + candidates.iter().filter(|c| agrees(c, &outcome)).count();
+    if agreeing >= policy.quorum.max(1) {
+        report.verdict = match outcome.divergence {
+            None => TestVerdict::Confirmed,
+            Some(step) => TestVerdict::Diverged { step },
+        };
+        report.outcome = Some(outcome);
+        return true;
+    }
+    candidates.push(outcome);
+    false
+}
+
 /// Executes `expected` against `component` with bounded retries and a
 /// verdict quorum, charging backoff to `clock`. Never panics and never
 /// returns an error: a rig too flaky to produce `policy.quorum` agreeing,
@@ -267,55 +333,19 @@ pub(crate) fn retry_witnessed(
     clock: &mut SimClock,
     mut witness: Option<&mut Option<Box<dyn StateObservable + Send>>>,
 ) -> RetryReport {
-    let quorum = policy.quorum.max(1);
-    let max_attempts = policy.max_attempts.max(1);
-    let mut candidates: Vec<TestOutcome> = Vec::new();
-    let mut report = RetryReport {
-        verdict: TestVerdict::Inconclusive,
-        outcome: None,
-        attempts: 0,
-        replay_errors: 0,
-        inconsistent_attempts: 0,
-        backoff_ticks: 0,
-        driven_steps: 0,
-        last_replay_period: None,
-    };
-
-    while report.attempts < max_attempts {
-        report.attempts += 1;
-        let pause = policy.backoff_before(report.attempts);
-        if pause > 0 {
-            clock.advance(pause);
-            // Saturate: with a pathological schedule (base/cap near
-            // `u64::MAX`) the per-attempt pauses individually fit but their
-            // sum wraps in release mode.
-            report.backoff_ticks = report.backoff_ticks.saturating_add(pause);
-        }
-        match execute_witnessed(component, expected, u, ports, witness.as_deref_mut()) {
-            Err(e) => {
-                report.replay_errors += 1;
-                report.last_replay_period = Some(match e {
-                    ReplayError::Nondeterministic { period, .. } => period,
-                    ReplayError::PeriodDrift { recorded, .. } => recorded,
-                });
-            }
-            Ok(outcome) => {
-                report.driven_steps += outcome.driven_steps;
-                if !internally_consistent(&outcome, expected) {
-                    report.inconsistent_attempts += 1;
-                    continue;
-                }
-                let agreeing = 1 + candidates.iter().filter(|c| agrees(c, &outcome)).count();
-                if agreeing >= quorum {
-                    report.verdict = match outcome.divergence {
-                        None => TestVerdict::Confirmed,
-                        Some(step) => TestVerdict::Diverged { step },
-                    };
-                    report.outcome = Some(outcome);
-                    return report;
-                }
-                candidates.push(outcome);
-            }
+    let mut report = RetryReport::empty();
+    let mut candidates = Vec::new();
+    while report.attempts < policy.max_attempts.max(1) {
+        let attempt = execute_witnessed(component, expected, u, ports, witness.as_deref_mut());
+        if book_attempt(
+            &mut report,
+            &mut candidates,
+            attempt,
+            expected,
+            policy,
+            clock,
+        ) {
+            break;
         }
     }
     report

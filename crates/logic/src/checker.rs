@@ -39,8 +39,6 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::thread;
 
 use muml_automata::{Automaton, Csr, PropId, StateId, WarmCarry};
 
@@ -209,17 +207,9 @@ pub struct Checker<'a> {
     keys: Vec<Key>,
     /// Warm-start seed from the previous iteration, if any.
     seed: Option<SeedState>,
-    /// Worklist shards for the two unbounded least-fixpoint engines
-    /// (1 = sequential; see [`Checker::set_shards`]).
-    shards: usize,
     /// Work counters.
     pub stats: CheckStats,
 }
-
-/// Below this state count the sharded worklists fall back to the
-/// sequential engines: the per-level thread spawn costs more than the
-/// whole fixpoint on small products.
-const PARALLEL_MIN_STATES: usize = 4096;
 
 impl<'a> Checker<'a> {
     /// Creates a checker for `m`, deriving the CSR adjacency here.
@@ -243,7 +233,6 @@ impl<'a> Checker<'a> {
             table: Vec::with_capacity(32),
             keys: Vec::with_capacity(32),
             seed: None,
-            shards: 1,
             stats: CheckStats::default(),
         }
     }
@@ -308,23 +297,8 @@ impl<'a> Checker<'a> {
             table: Vec::with_capacity(32),
             keys: Vec::with_capacity(32),
             seed: None,
-            shards: 1,
             stats: CheckStats::default(),
         }
-    }
-
-    /// Sets the number of worklist shards for the two unbounded
-    /// least-fixpoint engines (clamped to at least 1; 1 = sequential).
-    ///
-    /// Sharding is a pure acceleration: the sharded engines run the same
-    /// fixpoints level-synchronously and produce bit-identical
-    /// satisfaction sets *and* identical [`CheckStats`] — every state
-    /// still enters a frontier exactly once, so `worklist_pops` matches
-    /// the sequential count. Products below the parallel threshold
-    /// (4096 states) always use the sequential engines regardless of
-    /// this setting.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
     }
 
     /// The underlying automaton.
@@ -500,35 +474,31 @@ impl<'a> Checker<'a> {
             // Unbounded least fixpoints: direct worklists, warm-started
             // with the carried-over members when a seed applies.
             Key::Ef(None, g) => {
-                let (set, pops) =
-                    lfp_exists(&self.csr, None, &self.table[g], warm.as_ref(), self.shards);
+                let (set, pops) = exists_until(&self.csr, None, &self.table[g], warm.as_ref());
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Af(None, g) => {
-                let (set, pops) =
-                    lfp_all(&self.csr, None, &self.table[g], warm.as_ref(), self.shards);
+                let (set, pops) = all_until(&self.csr, None, &self.table[g], warm.as_ref());
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Eu(None, l, r) => {
-                let (set, pops) = lfp_exists(
+                let (set, pops) = exists_until(
                     &self.csr,
                     Some(&self.table[l]),
                     &self.table[r],
                     warm.as_ref(),
-                    self.shards,
                 );
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Au(None, l, r) => {
-                let (set, pops) = lfp_all(
+                let (set, pops) = all_until(
                     &self.csr,
                     Some(&self.table[l]),
                     &self.table[r],
                     warm.as_ref(),
-                    self.shards,
                 );
                 self.note_worklist(&set, pops);
                 set
@@ -541,7 +511,7 @@ impl<'a> Checker<'a> {
             // where the old gfp result was false (see [`Checker::seed_warm`]).
             Key::Ag(None, g) => {
                 let bad = self.table[g].complement();
-                let (reach, pops) = lfp_exists(&self.csr, None, &bad, warm.as_ref(), self.shards);
+                let (reach, pops) = exists_until(&self.csr, None, &bad, warm.as_ref());
                 self.note_worklist(&reach, pops);
                 let set = reach.complement();
                 self.stats.words_touched += 2 * set.word_count() as u64;
@@ -549,7 +519,7 @@ impl<'a> Checker<'a> {
             }
             Key::Eg(None, g) => {
                 let bad = self.table[g].complement();
-                let (must, pops) = lfp_all(&self.csr, None, &bad, warm.as_ref(), self.shards);
+                let (must, pops) = all_until(&self.csr, None, &bad, warm.as_ref());
                 self.note_worklist(&must, pops);
                 let set = must.complement();
                 self.stats.words_touched += 2 * set.word_count() as u64;
@@ -728,174 +698,6 @@ fn all_until(
                 work.push(p as u32);
             }
         }
-    }
-    (res, pops)
-}
-
-/// Dispatches between the sequential and sharded existential worklists.
-/// Sharding only pays above [`PARALLEL_MIN_STATES`] states: the fixpoint
-/// result and the pop count are identical either way.
-fn lfp_exists(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-    shards: usize,
-) -> (BitSet, u64) {
-    if shards > 1 && csr.state_count() >= PARALLEL_MIN_STATES {
-        exists_until_sharded(csr, hold, goal, warm, shards)
-    } else {
-        exists_until(csr, hold, goal, warm)
-    }
-}
-
-/// Dispatches between the sequential and sharded universal worklists,
-/// as [`lfp_exists`] does for the existential one.
-fn lfp_all(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-    shards: usize,
-) -> (BitSet, u64) {
-    if shards > 1 && csr.state_count() >= PARALLEL_MIN_STATES {
-        all_until_sharded(csr, hold, goal, warm, shards)
-    } else {
-        all_until(csr, hold, goal, warm)
-    }
-}
-
-/// Level-synchronous sharded variant of [`exists_until`]: the frontier of
-/// newly satisfied states is split into `shards` chunks, each scanned by a
-/// scoped thread that collects candidate predecessors against the *frozen*
-/// result set; candidates are then merged sequentially (in shard order,
-/// deduplicated on insertion) into the next frontier.
-///
-/// Equivalence with the sequential engine: both compute the same least
-/// fixpoint, and because every member of the result enters a frontier
-/// exactly once, the reported pop count equals the sequential engine's
-/// `worklist_pops` — golden stat assertions hold across both engines.
-fn exists_until_sharded(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-    shards: usize,
-) -> (BitSet, u64) {
-    let mut res = goal.clone();
-    if let Some(w) = warm {
-        res.union_with(w);
-    }
-    let mut frontier: Vec<u32> = res.iter_ones().map(|s| s as u32).collect();
-    let mut pops = 0u64;
-    while !frontier.is_empty() {
-        pops += frontier.len() as u64;
-        let chunk = frontier.len().div_ceil(shards);
-        let candidates: Vec<Vec<u32>> = thread::scope(|scope| {
-            let res = &res;
-            let handles: Vec<_> = frontier
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut found = Vec::new();
-                        for &s in part {
-                            for &p in csr.predecessors(s as usize) {
-                                if !res.get(p as usize) && hold.is_none_or(|h| h.get(p as usize)) {
-                                    found.push(p);
-                                }
-                            }
-                        }
-                        found
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worklist shard panicked"))
-                .collect()
-        });
-        let mut next = Vec::new();
-        for part in candidates {
-            for p in part {
-                if !res.get(p as usize) {
-                    res.insert(p as usize);
-                    next.push(p);
-                }
-            }
-        }
-        frontier = next;
-    }
-    (res, pops)
-}
-
-/// Level-synchronous sharded variant of [`all_until`]. The per-state
-/// successor counters are atomics; a shard *claims* a predecessor when its
-/// `fetch_sub` observes the counter reaching zero, so each state is claimed
-/// by exactly one shard and the merge needs no deduplication.
-///
-/// The decrement discipline matches the sequential engine exactly: a state
-/// joins only after *all* of its (deduplicated) successor edges have been
-/// consumed, so each edge is decremented at most once in either engine and
-/// the counters can never underflow. Self-loop edges (the stutter loops at
-/// deadlock states) are skipped the same way — the looping state is already
-/// in the result when its own frontier entry is scanned — preserving the
-/// `AF` semantics under divergence. Pop counts match the sequential engine
-/// for the reason given at [`exists_until_sharded`].
-fn all_until_sharded(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-    shards: usize,
-) -> (BitSet, u64) {
-    let n = csr.state_count();
-    let remaining: Vec<AtomicU32> = (0..n).map(|s| AtomicU32::new(csr.out_degree(s))).collect();
-    let mut res = goal.clone();
-    if let Some(w) = warm {
-        res.union_with(w);
-    }
-    let mut frontier: Vec<u32> = res.iter_ones().map(|s| s as u32).collect();
-    let mut pops = 0u64;
-    while !frontier.is_empty() {
-        pops += frontier.len() as u64;
-        let chunk = frontier.len().div_ceil(shards);
-        let claimed: Vec<Vec<u32>> = thread::scope(|scope| {
-            let res = &res;
-            let remaining = &remaining;
-            let handles: Vec<_> = frontier
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut found = Vec::new();
-                        for &s in part {
-                            for &p in csr.predecessors(s as usize) {
-                                if res.get(p as usize) {
-                                    continue;
-                                }
-                                if remaining[p as usize].fetch_sub(1, Ordering::Relaxed) == 1
-                                    && hold.is_none_or(|h| h.get(p as usize))
-                                {
-                                    found.push(p);
-                                }
-                            }
-                        }
-                        found
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worklist shard panicked"))
-                .collect()
-        });
-        let mut next = Vec::new();
-        for part in claimed {
-            for p in part {
-                res.insert(p as usize);
-                next.push(p);
-            }
-        }
-        frontier = next;
     }
     (res, pops)
 }
@@ -1314,99 +1116,5 @@ mod tests {
         assert!(c.stats.worklist_pops > 0);
         assert!(c.stats.words_touched > 0);
         assert!(c.stats.fixpoint_iterations > 0);
-    }
-
-    /// A single automaton big enough (> `PARALLEL_MIN_STATES`) to engage
-    /// the sharded worklists: a long cycle with LCG-scattered chords,
-    /// props, and a few genuine deadlock states.
-    fn big_scrambled(u: &Universe) -> Automaton {
-        let n: usize = PARALLEL_MIN_STATES + 512;
-        let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
-        let mut b = AutomatonBuilder::new(u, "big");
-        for name in &names {
-            b = b.state(name);
-        }
-        b = b.initial(&names[0]).initial(&names[n / 2]);
-        let mut lcg: u64 = 0xDEAD_BEEF;
-        let mut step = || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (lcg >> 33) as usize
-        };
-        for i in 0..n {
-            if step() % 3 != 0 {
-                b = b.prop(&names[i], "p");
-            }
-            if step() % 97 == 0 {
-                b = b.prop(&names[i], "q");
-            }
-            // ~1% of states deadlock; the rest follow the cycle, and a
-            // third also take a chord to a scattered target.
-            if step() % 101 == 0 {
-                continue;
-            }
-            b = b.transition(&names[i], [], [], &names[(i + 1) % n]);
-            if step() % 3 == 0 {
-                let t = step() % n;
-                b = b.transition(&names[i], [], [], &names[t]);
-            }
-        }
-        b.build().unwrap()
-    }
-
-    /// The sharded level-synchronous worklists must compute bit-identical
-    /// satisfaction sets *and* identical work counters for all six
-    /// unbounded operators — `worklist_pops` counts every state entering
-    /// a frontier exactly once in both engines.
-    #[test]
-    fn sharded_worklists_match_sequential() {
-        let u = Universe::new();
-        let m = big_scrambled(&u);
-        assert!(m.state_count() >= PARALLEL_MIN_STATES);
-        let formulas = [
-            "EF q",
-            "AF q",
-            "E[p U q]",
-            "A[p U q]",
-            "AG p",
-            "EG p",
-            "AG !deadlock",
-            "EF deadlock",
-        ];
-        let mut seq = Checker::new(&m);
-        let mut par = Checker::new(&m);
-        par.set_shards(4);
-        for f in formulas {
-            let f = parse(&u, f).unwrap();
-            assert_eq!(
-                *seq.sat(&f),
-                {
-                    let s = par.sat(&f).clone();
-                    s
-                },
-                "sharded satisfaction set diverged on {}",
-                f.show(&u)
-            );
-        }
-        assert_eq!(seq.stats, par.stats, "sharded work counters diverged");
-    }
-
-    /// `set_shards` clamps zero to one and leaves small products on the
-    /// sequential path (exercised implicitly: `diamond` is far below the
-    /// parallel threshold, so a huge shard count must change nothing).
-    #[test]
-    fn shard_count_is_clamped_and_small_products_stay_sequential() {
-        let u = Universe::new();
-        let m = diamond(&u);
-        let mut seq = Checker::new(&m);
-        let mut par = Checker::new(&m);
-        par.set_shards(0); // clamps to 1
-        let f = parse(&u, "EF q").unwrap();
-        assert_eq!(*seq.sat(&f), *par.sat(&f));
-        let mut wide = Checker::new(&m);
-        wide.set_shards(64);
-        assert_eq!(*seq.sat(&f), *wide.sat(&f));
-        assert_eq!(seq.stats, wide.stats);
     }
 }

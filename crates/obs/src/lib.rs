@@ -16,6 +16,8 @@
 //!   paper's listings), [`JsonWriter`] (newline-delimited JSON), and
 //!   [`NullSink`] implementations. [`Tee`] fans one stream out to two
 //!   sinks.
+//! * [`FleetEvent`] — a job's start and finish on the `muml-serve`
+//!   daemon's worker pool, as its subscribers receive them.
 //! * [`Phase`] / [`PhaseTimings`] / [`PhaseTimer`] — monotonic per-phase
 //!   timers, aggregated by the driver into its run statistics.
 //! * [`fnv1a64`] — the FNV-1a-64 content hash the store's snapshot names
@@ -36,7 +38,7 @@ mod sink;
 mod timer;
 
 pub use event::{LoopEvent, RunOutcome};
-pub use fleet::{render_fleet_event, FleetCollector, FleetEvent, FleetSink, NullFleetSink};
+pub use fleet::FleetEvent;
 pub use hash::fnv1a64;
 pub use render::{render_event, Renderer};
 pub use sink::{Collector, EventSink, JsonWriter, NullSink, SharedSink, Tee};

@@ -109,27 +109,21 @@ impl<W: io::Write> JsonWriter<W> {
         writer.flush()?;
         Ok(writer)
     }
+}
 
-    /// Writes one pre-encoded JSON value as a line (shared by the loop- and
-    /// fleet-event sink impls).
-    pub(crate) fn emit_json(&mut self, value: crate::json::Json) {
+impl<W: io::Write> EventSink for JsonWriter<W> {
+    fn emit(&mut self, event: &LoopEvent) {
         if self.error.is_some() {
             return;
         }
         let Some(writer) = self.writer.as_mut() else {
             return;
         };
-        let mut line = value.encode();
+        let mut line = event.to_json().encode();
         line.push('\n');
         if let Err(e) = writer.write_all(line.as_bytes()) {
             self.error = Some(e);
         }
-    }
-}
-
-impl<W: io::Write> EventSink for JsonWriter<W> {
-    fn emit(&mut self, event: &LoopEvent) {
-        self.emit_json(event.to_json());
     }
 }
 
@@ -190,7 +184,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 /// A cloneable, thread-safe handle fanning many producers into one shared
 /// sink (`Arc<Mutex<dyn EventSink + Send>>`).
 ///
-/// Fleet workers each run their own [`IntegrationSession`] with its own
+/// Daemon workers each run their own [`IntegrationSession`] with its own
 /// `&mut dyn EventSink`; `SharedSink` lets all of them feed one collector
 /// without any worker owning it. Combine with [`Tee`] to additionally keep
 /// a local per-worker stream.

@@ -1,14 +1,14 @@
 //! `muml-serve` — a long-running verification daemon with a wire-stable
 //! job API.
 //!
-//! The in-process fleet (`muml_fleet::run_fleet`) is batch-shaped: build
-//! all jobs, run them, collect a report. This crate turns the same
-//! machinery into a *resident* service for integration campaigns that
-//! arrive over time: a daemon listens on a TCP and/or Unix socket,
-//! clients submit declarative [`JobRequest`](muml_fleet::JobRequest)s
-//! (pure data — the wire schema, the fleet input, and the bench-campaign
-//! cell are one type), and a scenario [`JobRegistry`](muml_fleet::JobRegistry)
-//! re-attaches the executable half server-side.
+//! A resident service for integration campaigns that arrive over time: a
+//! daemon listens on a TCP and/or Unix socket, clients submit declarative
+//! [`JobRequest`](muml_fleet::JobRequest)s (pure data — the wire schema,
+//! the batch input, and the bench-campaign cell are one type), and a
+//! scenario [`JobRegistry`](muml_fleet::JobRegistry) re-attaches the
+//! executable half server-side. The daemon's worker loop is the one place
+//! a job's work runs: a campaign built all at once goes through the same
+//! loop, as [`run_fleet`]'s batch of already-resolved jobs.
 //!
 //! The pieces:
 //!
@@ -25,6 +25,9 @@
 //! - [`server`] — the [`Daemon`]: priority scheduling with per-client
 //!   round-robin fairness, non-blocking admission control, worker pool,
 //!   verdict history, live event broadcast.
+//! - [`batch`] — [`run_fleet`], the in-process batch client: a whole
+//!   campaign on a private daemon, aggregated into a
+//!   [`FleetReport`](muml_fleet::FleetReport).
 //! - [`net`] — the socket front end ([`Server`]).
 //! - [`client`] — the blocking [`ServeClient`] and its
 //!   [`client::EventStream`].
@@ -37,6 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod client;
 pub mod error;
 pub mod journal;
@@ -45,6 +49,7 @@ pub mod protocol;
 pub mod scenarios;
 pub mod server;
 
+pub use batch::run_fleet;
 pub use client::{EventStream, ServeClient};
 pub use error::ServeError;
 pub use journal::{Journal, JournalRecord, JournalReplay, JOURNAL_VERSION};

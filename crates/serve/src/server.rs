@@ -19,10 +19,15 @@
 //! **Admission policy**: submission never blocks. A submission is either
 //! accepted (job id) or rejected with a typed reason — daemon-wide
 //! pending cap ([`ServeError::QueueFull`]), per-client cap
-//! ([`ServeError::ClientLimit`]), unresolvable request, or shutdown. The
-//! bounded-queue backpressure of `run_fleet` is replaced by load
-//! *shedding*: a burst of thousands of submissions drains as fast as
-//! rejections can be written, and the daemon keeps serving.
+//! ([`ServeError::ClientLimit`]), unresolvable request, or shutdown. Wire
+//! clients see load *shedding*: a burst of thousands of submissions drains
+//! as fast as rejections can be written, and the daemon keeps serving. The
+//! in-process batch client ([`crate::run_fleet`]) meets the same answers by
+//! waiting for its oldest job instead.
+//!
+//! **One panic rule**: a panicking attempt is an `error` outcome, retried
+//! under the request's own [`retries`](JobRequest::retries) like any other
+//! rig-attributed failure; the worker thread survives it.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +36,7 @@ use std::thread;
 use std::time::Instant;
 
 use muml_core::CancelToken;
-use muml_fleet::{classify, Job, JobContext, JobOutcome, JobRegistry, JobRequest};
+use muml_fleet::{classify, Job, JobContext, JobOutcome, JobRegistry, JobRequest, JobResult};
 use muml_obs::{EventSink, FleetEvent, LoopEvent, SharedSink};
 
 use crate::error::ServeError;
@@ -61,7 +66,7 @@ pub struct ServeConfig {
     /// are evicted and their job ids forgotten).
     pub history_limit: usize,
     /// Warm-start store shared by every worker (and, through the file
-    /// lock, with any co-resident fleet or daemon on the same directory).
+    /// lock, with any co-resident daemon on the same directory).
     /// Handed to work closures via [`JobContext::store`](muml_fleet::JobContext);
     /// `None` keeps jobs stateless.
     pub store: Option<Arc<muml_core::store::Store>>,
@@ -196,6 +201,9 @@ struct QueuedJob {
     job: Job,
     client: u64,
     cancel: CancelToken,
+    /// Where the worker hands back the full [`JobResult`]: set for jobs of
+    /// the in-process batch client, `None` for wire jobs.
+    reply: Option<mpsc::Sender<JobResult>>,
 }
 
 /// Lifecycle of a submitted job.
@@ -508,41 +516,13 @@ impl Daemon {
                 return Err(ServeError::from(e));
             }
         };
-        let mut state = self.inner.lock();
-        if state.shutdown {
-            state.counters.rejected += 1;
-            return Err(ServeError::ShuttingDown);
-        }
-        let pending = state.pending();
-        if pending >= self.inner.config.max_pending {
-            state.counters.rejected += 1;
-            return Err(ServeError::QueueFull {
-                pending,
-                limit: self.inner.config.max_pending,
-            });
-        }
-        let client_pending = state.per_client.get(&client).copied().unwrap_or(0);
-        if client_pending >= self.inner.config.max_pending_per_client {
-            state.counters.rejected += 1;
-            return Err(ServeError::ClientLimit {
-                pending: client_pending,
-                limit: self.inner.config.max_pending_per_client,
-            });
-        }
-        let id = state.next_job;
-        state.next_job += 1;
-        state.jobs.insert(
-            id,
-            JobState::Queued(Box::new(QueuedJob {
-                job: resolved,
-                client,
-                cancel: CancelToken::new(),
-            })),
-        );
-        state.classes[priority.rank()].push(client, id);
-        *state.per_client.entry(client).or_insert(0) += 1;
-        state.counters.submitted += 1;
-        drop(state);
+        let queued = Box::new(QueuedJob {
+            job: resolved,
+            client,
+            cancel: CancelToken::new(),
+            reply: None,
+        });
+        let id = self.admit(queued, priority).map_err(|(e, _)| e)?;
         // Journal the admission before the id escapes to the client: a
         // crash after this reply must replay (and re-run) the job.
         self.inner.journal_append(&JournalRecord::Accepted {
@@ -553,6 +533,68 @@ impl Daemon {
         });
         self.inner.work_ready.notify_one();
         Ok(id)
+    }
+
+    /// Submits an already-resolved job for the in-process batch client: the
+    /// same admission and enqueue as [`Daemon::submit`], at normal
+    /// priority, with the worker's full [`JobResult`] sent to `reply`. A
+    /// rejection hands the job back. Nothing is journalled: a work closure
+    /// cannot be replayed from a record.
+    pub(crate) fn submit_job(
+        &self,
+        client: u64,
+        job: Job,
+        reply: mpsc::Sender<JobResult>,
+    ) -> Result<u64, Box<(ServeError, Job)>> {
+        let queued = Box::new(QueuedJob {
+            job,
+            client,
+            cancel: CancelToken::new(),
+            reply: Some(reply),
+        });
+        let id = self
+            .admit(queued, Priority::Normal)
+            .map_err(|(e, queued)| Box::new((e, queued.job)))?;
+        self.inner.work_ready.notify_one();
+        Ok(id)
+    }
+
+    /// Admission and enqueue under one scheduler lock: checks shutdown and
+    /// both pending caps, then queues the job under a fresh id. A rejection
+    /// hands the job back.
+    fn admit(
+        &self,
+        queued: Box<QueuedJob>,
+        priority: Priority,
+    ) -> Result<u64, (ServeError, Box<QueuedJob>)> {
+        let config = &self.inner.config;
+        let client = queued.client;
+        let mut state = self.inner.lock();
+        let pending = state.pending();
+        let client_pending = state.per_client.get(&client).copied().unwrap_or(0);
+        let refusal = if state.shutdown {
+            ServeError::ShuttingDown
+        } else if pending >= config.max_pending {
+            ServeError::QueueFull {
+                pending,
+                limit: config.max_pending,
+            }
+        } else if client_pending >= config.max_pending_per_client {
+            ServeError::ClientLimit {
+                pending: client_pending,
+                limit: config.max_pending_per_client,
+            }
+        } else {
+            let id = state.next_job;
+            state.next_job += 1;
+            state.jobs.insert(id, JobState::Queued(queued));
+            state.classes[priority.rank()].push(client, id);
+            *state.per_client.entry(client).or_insert(0) += 1;
+            state.counters.submitted += 1;
+            return Ok(id);
+        };
+        state.counters.rejected += 1;
+        Err((refusal, queued))
     }
 
     /// Blocks until the job reaches a verdict and returns its record.
@@ -787,6 +829,7 @@ fn replay_daemon_state(
                         job: resolved,
                         client: *client,
                         cancel: CancelToken::new(),
+                        reply: None,
                     })),
                 );
                 state.classes[priority.rank()].push(*client, *job);
@@ -864,7 +907,7 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
             job,
             client,
             cancel,
-            ..
+            reply,
         } = *queued;
         let request = job.request.clone();
         inner.journal_append(&JournalRecord::Started { job: id });
@@ -884,7 +927,7 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
         });
         let started = Instant::now();
         let mut attempts = 0usize;
-        let (outcome, iterations, _stats) = loop {
+        let (outcome, iterations, stats) = loop {
             attempts += 1;
             // Per-attempt deadline sharing the client-cancellable flag:
             // whichever fires first cancels the attempt.
@@ -969,7 +1012,25 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
         state
             .subscribers
             .retain(|tx| tx.send(event.clone()).is_ok());
+        let batch = reply.map(|tx| {
+            let result = JobResult {
+                request: record.request.clone(),
+                outcome,
+                iterations,
+                stats,
+                worker,
+                nanos,
+                attempts,
+            };
+            (tx, result)
+        });
         inner.record_done(&mut state, client, record);
+        if let Some((tx, result)) = batch {
+            // After `record_done`, so the batch client finds the job's
+            // admission slot free when it wakes.
+            drop(state);
+            let _ = tx.send(result);
+        }
     }
 }
 

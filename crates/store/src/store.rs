@@ -9,7 +9,7 @@
 //! <dir>/.lock                advisory file lock (coarse, whole-store)
 //! ```
 //!
-//! Concurrency: one in-process mutex (fleet workers share an
+//! Concurrency: one in-process mutex (daemon workers share an
 //! `Arc<Store>`) plus one exclusive advisory file lock per operation (the
 //! `muml-serve` daemon and ad-hoc CLI runs may share a directory across
 //! processes). Writes go to a temp file in the same directory followed by
@@ -112,7 +112,7 @@ impl std::error::Error for StoreError {}
 /// A persistent, content-addressed store of learned models.
 ///
 /// Cheap to construct — the directory is only touched on first use. Share
-/// one instance (via `Arc`) across fleet workers and daemon jobs so the
+/// one instance (via `Arc`) across a daemon's workers so the
 /// in-process mutex actually serializes them.
 #[derive(Debug)]
 pub struct Store {

@@ -40,7 +40,8 @@
 //! | [`core`] | `muml-core` | **the paper's contribution**: the iterative synthesis loop |
 //! | [`obs`] | `muml-obs` | structured loop telemetry: events, sinks, phase timers |
 //! | [`store`] | `muml-store` | content-addressed warm-start store: fingerprinted snapshots of learned abstractions |
-//! | [`fleet`] | `muml-fleet` | concurrent batch verification: worker pool, job deadlines, deterministic campaign reports |
+//! | [`fleet`] | `muml-fleet` | campaign jobs: wire-stable requests, scenario resolvers, outcomes, deterministic campaign reports |
+//! | [`serve`] | `muml-serve` | the verification daemon (priority scheduling, admission, journal, socket API) and `run_fleet`, its in-process batch client |
 //! | [`inference`] | `muml-inference` | baselines: `L*`, W-method, black-box checking |
 //! | [`railcab`] | `muml-railcab` | the RailCab shuttle-convoy case study |
 //!
@@ -91,6 +92,7 @@ pub use muml_logic as logic;
 pub use muml_obs as obs;
 pub use muml_railcab as railcab;
 pub use muml_rtsc as rtsc;
+pub use muml_serve as serve;
 pub use muml_store as store;
 
 /// The most commonly used items, re-exported flat.
@@ -106,19 +108,17 @@ pub mod prelude {
         verify_integration, CancelToken, IntegrationConfig, IntegrationReport, IntegrationSession,
         IntegrationVerdict, LegacyUnit,
     };
-    pub use muml_fleet::{
-        run_fleet, FleetConfig, FleetReport, Job, JobOutcome, JobRegistry, JobRequest, ResolveError,
-    };
+    pub use muml_fleet::{FleetReport, Job, JobOutcome, JobRegistry, JobRequest, ResolveError};
     pub use muml_legacy::{
         execute_expected_trace, record_live, replay, HiddenMealy, LegacyComponent, MealyBuilder,
         PortMap, StateObservable,
     };
     pub use muml_logic::{check, check_all, parse, Checker, Formula, Verdict};
     pub use muml_obs::{
-        Collector, EventSink, FleetCollector, FleetEvent, FleetSink, JsonWriter, LoopEvent,
-        NullFleetSink, Renderer, RunOutcome,
+        Collector, EventSink, FleetEvent, JsonWriter, LoopEvent, Renderer, RunOutcome,
     };
     pub use muml_rtsc::{channel_automaton, flatten, ChannelSpec, CmpOp, RtscBuilder};
+    pub use muml_serve::{run_fleet, ServeConfig};
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use muml_bench::campaign::{railcab_campaign, CampaignOptions};
-use muml_fleet::{run_fleet, FleetConfig, Job};
-use muml_obs::NullFleetSink;
+use muml_fleet::Job;
+use muml_serve::{run_fleet, ServeConfig};
 
 /// Zero harness latency and a modest job cap keep the three debug-mode
 /// campaign runs inside the tier-1 test budget.
@@ -45,18 +45,15 @@ fn report_fingerprint_is_independent_of_workers_and_submission_order() {
 
     let serial = run_fleet(
         railcab_campaign(&opts),
-        &FleetConfig::default().with_workers(1),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(1),
     );
     let pooled = run_fleet(
         railcab_campaign(&opts),
-        &FleetConfig::default().with_workers(4),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(4),
     );
     let shuffled = run_fleet(
         riffle(railcab_campaign(&opts)),
-        &FleetConfig::default().with_workers(4),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(4),
     );
 
     assert_eq!(serial.results.len(), 12);
@@ -75,8 +72,7 @@ fn shuffled_submission_still_assigns_results_by_job_id() {
     let opts = options();
     let report = run_fleet(
         riffle(railcab_campaign(&opts)),
-        &FleetConfig::default().with_workers(3),
-        &mut NullFleetSink,
+        &ServeConfig::default().with_workers(3),
     );
     let ids: Vec<usize> = report.results.iter().map(|r| r.request.id).collect();
     let expected: Vec<usize> = (0..ids.len()).collect();

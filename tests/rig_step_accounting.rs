@@ -3,7 +3,8 @@
 //! wrapped in a rig whose clones (the trace cache's checkpoints and
 //! verification drives, the pool's parallel instances) all share one step
 //! counter, and the stats must equal that counter exactly — with the trace
-//! cache on and off, serially and on the pool.
+//! cache on and off, serially and on the pool, for honest rigs and for a
+//! rig whose replays fail the determinism cross-check.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -11,7 +12,9 @@ use std::sync::Arc;
 use muml_bench::workload::{counter_workload, seed_fault, ticker_counter_workload};
 use muml_integration::automata::{Automaton, SignalSet, Universe};
 use muml_integration::core::{verify_integration, IntegrationConfig, LegacyUnit};
-use muml_integration::legacy::{fault_matrix, inject, LegacyComponent, PortMap, StateObservable};
+use muml_integration::legacy::{
+    fault_matrix, inject, HiddenMealy, LegacyComponent, PortMap, RetryPolicy, StateObservable,
+};
 use muml_integration::logic::Formula;
 use muml_integration::railcab::{front_context, scenario, shuttle_variants};
 
@@ -74,6 +77,53 @@ fn modes() -> Vec<(String, IntegrationConfig)> {
         }
     }
     out
+}
+
+/// A clonable determinism liar: it claims `deterministic_rig()` (the trait
+/// default) but, after every even-numbered reset, adds the counter's output
+/// to each answer. Every test execution resets it three times (live run,
+/// re-record, replay), so its replays keep failing the cross-check.
+#[derive(Clone)]
+struct ResetParityLiar {
+    inner: HiddenMealy,
+    lie: SignalSet,
+    resets: u64,
+}
+
+impl LegacyComponent for ResetParityLiar {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn interface(&self) -> (SignalSet, SignalSet) {
+        self.inner.interface()
+    }
+    fn reset(&mut self) {
+        self.resets += 1;
+        self.inner.reset();
+    }
+    fn step(&mut self, inputs: SignalSet) -> SignalSet {
+        let out = self.inner.step(inputs);
+        if self.resets.is_multiple_of(2) {
+            out.union(self.lie)
+        } else {
+            out
+        }
+    }
+    fn period(&self) -> u64 {
+        self.inner.period()
+    }
+}
+
+impl StateObservable for ResetParityLiar {
+    fn observable_state(&self) -> String {
+        self.inner.observable_state()
+    }
+    fn initial_state_name(&self) -> String {
+        self.inner.initial_state_name()
+    }
+    fn try_clone_boxed(&self) -> Option<Box<dyn StateObservable + Send>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// Runs one cell and asserts the counter equals the shared step count.
@@ -154,5 +204,32 @@ fn driven_steps_equal_the_rigs_own_step_count() {
                 );
             }
         }
+    }
+}
+
+/// Failed attempts drive the rig too: every replay of the reset-parity liar
+/// fails the cross-check, and the steps each failed attempt drove (live
+/// run, re-record, and the replay up to the mismatch) must be booked —
+/// through the serial retry loop, the speculative parallel quorum (quorum
+/// 2, no cache, four workers) and the trace cache's validation run.
+#[test]
+fn failed_replays_book_the_steps_they_drove() {
+    for (mode, config) in modes() {
+        let w = counter_workload(10, 8);
+        let liar = ResetParityLiar {
+            lie: w.component.interface().1,
+            inner: w.component.clone(),
+            resets: 0,
+        };
+        let retry = RetryPolicy::default().with_quorum(2).with_max_attempts(4);
+        assert_counted(
+            &format!("reset-parity liar {mode}"),
+            &w.universe,
+            &w.context,
+            &[],
+            liar,
+            PortMap::with_default("p"),
+            &config.with_retry_policy(retry),
+        );
     }
 }
