@@ -408,7 +408,7 @@ pub struct IntegrationStats {
     pub tests_executed: usize,
     /// Total component steps driven.
     pub test_steps: usize,
-    /// Raw component steps across all test phases (live + re-record +
+    /// Raw component steps across all test drives (record drive +
     /// instrumented replay) — the true harness cost.
     pub driven_steps: usize,
     /// Test attempts executed by the retrying executor (≥

@@ -15,7 +15,7 @@
 //!   the *witness*. A repeated test is synthesized from the trie with
 //!   **zero** rig steps; testing `w·a` after `w` steps a clone of the
 //!   checkpoint at `w` once and checks that output against one step of a
-//!   clone of the witness at `w` — two steps instead of `3·(|w|+1)`.
+//!   clone of the witness at `w` — two steps instead of `2·(|w|+1)`.
 //! * [`execute_with_retry_pooled`] — a drop-in for
 //!   [`execute_with_retry_on`] that consults the cache and runs speculative
 //!   quorum attempts on cloned rigs in parallel. Verdicts and observations
@@ -57,7 +57,7 @@ pub struct CacheStats {
     /// Partial hits resumed from a trie checkpoint instead of a reset.
     pub resumes: usize,
     /// Partial hits positioned by reset-and-replay (no checkpoint
-    /// available); still ~3× cheaper than the uncached three-phase run.
+    /// available).
     pub prefix_replays: usize,
     /// Rig steps actually driven through the cache layer.
     pub driven_steps: usize,
@@ -145,8 +145,8 @@ pub struct TraceCache {
     stats: CacheStats,
 }
 
-/// The trie walk outcome for an expected trace, mirroring the live phase of
-/// [`execute_expected_trace`]: stop at the first output divergence.
+/// The trie walk outcome for an expected trace, mirroring the record drive
+/// of [`execute_expected_trace`]: stop at the first output divergence.
 enum Walk {
     /// The executed prefix is fully covered: the node path (one per
     /// executed step) and the divergence step, if any.
@@ -154,8 +154,8 @@ enum Walk {
         path: Vec<usize>,
         divergence: Option<usize>,
     },
-    /// The trie ends (no diverging output seen) after `path`; the live run
-    /// would have to drive the remaining inputs.
+    /// The trie ends (no diverging output seen) after `path`; the record
+    /// drive would have to drive the remaining inputs.
     Miss { path: Vec<usize> },
 }
 
@@ -223,7 +223,7 @@ impl TraceCache {
         self.root_state.get_or_insert(root_state);
     }
 
-    /// Walks the trie along `expected`, stopping — like the live phase —
+    /// Walks the trie along `expected`, stopping — like the record drive —
     /// at the first output divergence.
     fn walk(&self, expected: &[Label]) -> Walk {
         if self.nodes.is_empty() {
@@ -252,8 +252,8 @@ impl TraceCache {
         }
     }
 
-    /// Synthesizes the [`TestOutcome`] the three-phase executor would
-    /// produce for `expected`, if the trie covers the executed prefix.
+    /// Synthesizes the [`TestOutcome`] the serial executor would produce
+    /// for `expected`, if the trie covers the executed prefix.
     /// Zero rig steps; `driven_steps` of the result is 0.
     fn synthesize(&self, expected: &[Label], u: &Universe, ports: &PortMap) -> Option<TestOutcome> {
         let (path, divergence) = match self.walk(expected) {
@@ -264,8 +264,8 @@ impl TraceCache {
         let initial = self.initial_state.clone()?;
         let root = self.root_state.clone()?;
 
-        // Reconstruct exactly what `record_live` + `replay` would emit for
-        // the executed (divergence-inclusive) prefix.
+        // Reconstruct exactly what the record drive + `replay` would emit
+        // for the executed (divergence-inclusive) prefix.
         let mut states = Vec::with_capacity(path.len() + 1);
         states.push(initial);
         let mut labels = Vec::with_capacity(path.len());
@@ -405,7 +405,7 @@ impl TraceCache {
             node.checkpoint = driver.try_clone_boxed();
             at = self.insert_node(at, l.inputs, node);
             if out != l.outputs {
-                break; // live semantics: stop at the divergence
+                break; // record-drive semantics: stop at the divergence
             }
         }
         self.stats.driven_steps += driven;
@@ -568,13 +568,13 @@ impl TraceCache {
     }
 
     /// After a conclusive serial run of a *trusted* deterministic rig, the
-    /// component sits exactly at the end of the executed word (the last
-    /// phase of [`execute_expected_trace`] is the replay, which does not
+    /// component sits exactly at the end of the executed word (the second
+    /// drive of [`execute_expected_trace`] is the replay, which does not
     /// reset afterwards): snapshot it as the checkpoint of the word's final
     /// trie node, so the very next extension resumes instead of replaying.
-    /// `witness` — the run's clone from between its re-record and replay,
-    /// one reset apart from the checkpoint's drive — becomes that node's
-    /// witness, so the next verification resumes as well.
+    /// `witness` — the run's clone from between its record drive and
+    /// replay, one reset apart from the checkpoint's drive — becomes that
+    /// node's witness, so the next verification resumes as well.
     fn attach_terminal_clones(
         &mut self,
         component: &mut dyn StateObservable,
@@ -618,11 +618,11 @@ fn synthesized_report(outcome: TestOutcome, expected: &[Label], driven: usize) -
 }
 
 /// The rig steps the serial uncached executor would drive for this trace:
-/// three phases per executed input, once per quorum attempt (deterministic
-/// rigs repeat identically until the quorum is met).
+/// two drives (record and replay) per executed input, once per quorum
+/// attempt (deterministic rigs repeat identically until the quorum is met).
 fn serial_counterfactual(executed: usize, policy: &RetryPolicy) -> usize {
     let attempts = policy.quorum.max(1).min(policy.max_attempts.max(1));
-    executed.saturating_mul(3).saturating_mul(attempts)
+    executed.saturating_mul(2).saturating_mul(attempts)
 }
 
 /// Runs `tasks` on scoped threads, at most `parallelism` at a time, and
@@ -729,7 +729,7 @@ pub fn execute_with_retry_pooled(
                 // agreed verdict is as sound as the quorum that produced
                 // it.
                 cache.stats.hits += 1;
-                cache.stats.saved_steps += expected.len().saturating_mul(3);
+                cache.stats.saved_steps += expected.len().saturating_mul(2);
                 return synthesized_report(outcome, expected, 0);
             }
         }
@@ -877,7 +877,7 @@ fn execute_quorum_parallel(
 /// testing `prefix·(a/∅)` — semantically identical to calling
 /// [`execute_with_retry_pooled`] per offer in order, but each uncached
 /// offer steps clones of the checkpoint and of the witness at the end of
-/// `prefix` once each (two steps instead of `3·(|w|+1)`), concurrently on
+/// `prefix` once each (two steps instead of `2·(|w|+1)`), concurrently on
 /// the pool. Reports come back in offer order; learned evidence is
 /// bit-identical to serial.
 #[allow(clippy::too_many_arguments)]
@@ -1284,11 +1284,11 @@ mod tests {
             Some(&mut cache),
             1,
         );
-        assert_eq!(first.driven_steps, 3, "first contact validates serially");
+        assert_eq!(first.driven_steps, 2, "first contact validates serially");
         // Extending w to w·a drives one new step from the checkpoint
         // captured at the end of the validation run, plus one verification
         // step from the witness it captured one reset earlier — 2 steps
-        // against the serial executor's 3·|w·a| = 6.
+        // against the serial executor's 2·|w·a| = 4.
         let ext = execute_with_retry_pooled(
             &mut c,
             &wa,
@@ -1463,7 +1463,7 @@ mod tests {
             // the executor, not the cache); every further offer costs one
             // checkpointed step and one witness step, after a one-off
             // replay of the prefix on each lineage — 2·|w| + 2·(k-1), not
-            // the serial 3·(|w|+1)·(k-1).
+            // the serial 2·(|w|+1)·(k-1).
             let driven: usize = cache.stats().driven_steps;
             assert!(
                 driven <= 2 * prefix.len() + 2 * (offers.len() - 1),
@@ -1548,7 +1548,7 @@ mod tests {
         );
         assert_eq!(r.verdict, TestVerdict::Confirmed);
         assert_eq!(
-            r.driven_steps, 6,
+            r.driven_steps, 4,
             "first contact is the serial validation run"
         );
         let serial = execute_with_retry(
@@ -1561,7 +1561,7 @@ mod tests {
         assert_equivalent(&r, &serial);
         // Extending the word costs one latency-paying step from the
         // checkpoint plus one verification step from the witness — 2 slow
-        // steps, not the serial executor's 3·|w·a| = 9.
+        // steps, not the serial executor's 2·|w·a| = 6.
         let mut wa = expected.clone();
         wa.push(l(&u, &["start"], &[]));
         let ext = execute_with_retry_pooled(
@@ -1693,7 +1693,7 @@ mod tests {
         );
         // noConvoy → wait → noConvoy → … : `propose`, then `reject`.
         let mut prefix: Vec<Label> = Vec::new();
-        for depth in 0..8 {
+        for depth in 0..12 {
             probe_offers_pooled(
                 &mut liar,
                 &prefix,
@@ -1726,12 +1726,15 @@ mod tests {
     }
 
     /// Every clonable liar is distrusted whenever the verification
-    /// lineages can tell it apart. A reset-parity liar always: the
-    /// checkpoint lineage descends from the validation run's replay and the
-    /// witness lineage from its re-record, one reset apart. A lifetime-step
+    /// lineages can tell it apart. A reset-parity liar always: the witness
+    /// lineage descends from the validation run's record drive and the
+    /// checkpoint lineage from its replay, one reset apart. A lifetime-step
     /// liar only after a non-empty first word: then the lineages start
     /// `|w|` steps apart in its count; after the empty word they reach
     /// every depth with equal counts (the residual gap of DESIGN.md §17).
+    /// The loop probes 12 depths, enough for every liar here: after the
+    /// one-step first word, a liar lying from its 10th lifetime step is
+    /// caught within 9.
     #[test]
     fn clonable_liars_are_distrusted_when_the_lineages_can_tell() {
         let u = Universe::new();

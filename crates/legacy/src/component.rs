@@ -39,7 +39,7 @@ pub trait LegacyComponent {
 /// White-box state observation, available only under replay instrumentation.
 pub trait StateObservable: LegacyComponent {
     /// The name of the current internal state. With the *minimal* probe
-    /// configuration (live runs) this information is not available to the
+    /// configuration (record drives) this information is not available to the
     /// harness; the replay engine enables it.
     fn observable_state(&self) -> String;
 

@@ -14,12 +14,18 @@
 //!   with state probes) plus a *blocked* observation stating that the
 //!   expected interaction `(Aₜ,Bₜ)` is refused in the reached state — the
 //!   two learning inputs of Definitions 11 and 12.
+//!
+//! Each execution drives the component twice, as the paper's monitoring
+//! workflow does: a record drive with minimal probes that stops at the
+//! first divergence, then the instrumented replay of that recording, which
+//! cross-checks every output and period of the drive the verdict comes
+//! from.
 
-use muml_automata::{Label, Observation, SignalSet, Universe};
+use muml_automata::{Label, Observation, Universe};
 
 use crate::component::StateObservable;
 use crate::monitor::{MonitorTrace, PortMap};
-use crate::replay::{record_live, replay, Recording, ReplayError};
+use crate::replay::{record_until, replay, Recording, ReplayError};
 
 /// The outcome of executing an expected trace against the real component.
 #[derive(Debug, Clone)]
@@ -35,25 +41,26 @@ pub struct TestOutcome {
     /// If diverged: the refused expected interaction as a blocked
     /// observation — learn with Definition 12.
     pub refusal: Option<Observation>,
-    /// The minimal-probe recording (Listing 1.2 artefact).
+    /// The minimal-probe recording of the record drive (Listing 1.2
+    /// artefact).
     pub recording: Recording,
     /// The full-instrumentation replay trace (Listing 1.3 artefact).
     pub monitor: MonitorTrace,
-    /// Raw component steps driven by the harness across all three phases
-    /// (live execution, clean re-record, and instrumented replay) — the
-    /// true test cost, as opposed to the observation's length.
+    /// Raw component steps driven by the harness across both drives (the
+    /// record drive and the instrumented replay) — the true test cost, as
+    /// opposed to the observation's length.
     pub driven_steps: usize,
 }
 
 /// Drives `component` with the inputs of `expected` and analyses the
-/// outcome. The component is reset; execution stops at the first output
-/// divergence.
+/// outcome. The component is reset before each of its two drives; the
+/// record drive stops at the first output divergence.
 ///
 /// # Errors
 ///
 /// [`ReplayError`] if the replay cross-check fails — the component
 /// violates the method's determinism assumption. The error carries the rig
-/// steps the execution drove, every phase included.
+/// steps the execution drove, the record drive's included.
 pub fn execute_expected_trace(
     component: &mut dyn StateObservable,
     expected: &[Label],
@@ -64,9 +71,9 @@ pub fn execute_expected_trace(
 }
 
 /// [`execute_expected_trace`] that, given `witness`, stores in it a clone of
-/// the component taken between the re-record and the replay: positioned at
-/// the end of the executed word by a drive of its own, one reset before the
-/// replay that leaves the component there.
+/// the component taken between the record drive and the replay: positioned
+/// at the end of the executed word by a drive of its own, one reset before
+/// the replay that leaves the component there.
 pub(crate) fn execute_witnessed(
     component: &mut dyn StateObservable,
     expected: &[Label],
@@ -74,27 +81,16 @@ pub(crate) fn execute_witnessed(
     ports: &PortMap,
     witness: Option<&mut Option<Box<dyn StateObservable + Send>>>,
 ) -> Result<TestOutcome, ReplayError> {
-    // Phase 1: live execution with minimal probes, stopping at divergence.
-    component.reset();
-    let mut executed_inputs: Vec<SignalSet> = Vec::new();
-    let mut divergence = None;
-    for (t, l) in expected.iter().enumerate() {
-        let out = component.step(l.inputs);
-        executed_inputs.push(l.inputs);
-        if out != l.outputs {
-            divergence = Some(t);
-            break;
-        }
-    }
-    // Re-record the executed prefix cleanly (reset + rerun) so the recording
-    // reflects one uninterrupted execution, then replay with full probes.
-    let recording = record_live(component, &executed_inputs);
+    let (recording, divergence) =
+        record_until(component, expected.iter().map(|l| l.inputs), |t, out| {
+            out != expected[t].outputs
+        });
+    let executed = recording.steps.len();
     if let Some(witness) = witness {
         *witness = component.try_clone_boxed();
     }
-    // A failed replay books the live run and the re-record too.
-    let report = replay(component, &recording, u, ports)
-        .map_err(|e| e.after_steps(2 * executed_inputs.len()))?;
+    // A failed replay books the record drive too.
+    let report = replay(component, &recording, u, ports).map_err(|e| e.after_steps(executed))?;
 
     let refusal = divergence.map(|t| {
         let states = report.observation.states[..=t].to_vec();
@@ -103,25 +99,24 @@ pub(crate) fn execute_witnessed(
         Observation::blocked(states, labels)
     });
 
-    // Each executed input is driven three times: live, during the clean
-    // re-record, and under the instrumented replay.
-    let driven_steps = executed_inputs.len() * 3;
-
     Ok(TestOutcome {
-        confirmed: divergence.is_none() && executed_inputs.len() == expected.len(),
+        confirmed: divergence.is_none(),
         divergence,
         observation: report.observation,
         refusal,
         recording,
         monitor: report.monitor,
-        driven_steps,
+        // Each executed input is driven twice: recorded, then replayed.
+        driven_steps: 2 * executed,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interpreter::MealyBuilder;
+    use crate::component::LegacyComponent;
+    use crate::interpreter::{HiddenMealy, MealyBuilder};
+    use muml_automata::SignalSet;
 
     /// Component: noConvoy --{}/{propose}--> wait --{start}/{}--> convoy.
     fn component(u: &Universe) -> crate::interpreter::HiddenMealy {
@@ -161,6 +156,7 @@ mod tests {
             out.observation.states,
             vec!["noConvoy".to_owned(), "wait".into(), "convoy".into()]
         );
+        assert_eq!(out.driven_steps, 4, "recorded once, replayed once");
     }
 
     #[test]
@@ -174,6 +170,7 @@ mod tests {
         let out = execute_expected_trace(&mut c, &expected, &u, &ports).unwrap();
         assert!(!out.confirmed);
         assert_eq!(out.divergence, Some(0));
+        assert_eq!(out.driven_steps, 2, "the record drive stops at step 0");
         // observed: the real step {}/{propose}
         assert_eq!(out.observation.labels, vec![l(&u, &[], &["propose"])]);
         assert_eq!(
@@ -239,5 +236,74 @@ mod tests {
         let full = out.monitor.to_string();
         assert!(full.contains("[CurrentState]"));
         assert!(full.contains("[Timing] count=2"));
+    }
+
+    /// The wrapped component, except that after its first reset it adds
+    /// `propose` to every answer from period 2 on.
+    struct FirstResetLiar {
+        inner: HiddenMealy,
+        propose: SignalSet,
+        resets: u64,
+    }
+
+    impl LegacyComponent for FirstResetLiar {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn interface(&self) -> (SignalSet, SignalSet) {
+            self.inner.interface()
+        }
+        fn reset(&mut self) {
+            self.resets += 1;
+            self.inner.reset();
+        }
+        fn step(&mut self, inputs: SignalSet) -> SignalSet {
+            let out = self.inner.step(inputs);
+            if self.resets == 1 && self.inner.period() >= 2 {
+                out.union(self.propose)
+            } else {
+                out
+            }
+        }
+        fn period(&self) -> u64 {
+            self.inner.period()
+        }
+    }
+
+    impl StateObservable for FirstResetLiar {
+        fn observable_state(&self) -> String {
+            self.inner.observable_state()
+        }
+        fn initial_state_name(&self) -> String {
+            self.inner.initial_state_name()
+        }
+    }
+
+    /// One attempt is one cross-checked drive pair: the divergence comes
+    /// from the record drive, and the replay of that drive rejects it when
+    /// the component answers differently on its next reset.
+    #[test]
+    fn divergence_comes_from_the_drive_the_replay_cross_checks() {
+        let u = Universe::new();
+        let mut c = FirstResetLiar {
+            inner: component(&u),
+            propose: u.signals(["propose"]),
+            resets: 0,
+        };
+        let ports = PortMap::with_default("rearRole");
+        let expected = vec![
+            l(&u, &[], &["propose"]),
+            l(&u, &["start"], &[]),
+            l(&u, &[], &[]),
+        ];
+        let err = execute_expected_trace(&mut c, &expected, &u, &ports).unwrap_err();
+        assert!(
+            matches!(err, ReplayError::Nondeterministic { period: 2, .. }),
+            "{err:?}"
+        );
+        // The record drive stops at its divergence (step 1); the replay
+        // stops at its mismatch (period 2).
+        assert_eq!(err.driven_steps(), 2 + 2);
+        assert_eq!(c.resets, 2, "one reset per drive");
     }
 }

@@ -64,20 +64,36 @@ impl Recording {
 /// The component is reset first. Use [`replay`] afterwards to enrich the
 /// recording with state information.
 pub fn record_live(component: &mut dyn LegacyComponent, inputs: &[SignalSet]) -> Recording {
+    record_until(component, inputs.iter().copied(), |_, _| false).0
+}
+
+/// [`record_live`] that stops after the first step `t` for which
+/// `stop(t, outputs)` holds; that step is recorded too, and returned.
+pub(crate) fn record_until(
+    component: &mut dyn LegacyComponent,
+    inputs: impl Iterator<Item = SignalSet>,
+    mut stop: impl FnMut(usize, SignalSet) -> bool,
+) -> (Recording, Option<usize>) {
     component.reset();
-    let mut steps = Vec::with_capacity(inputs.len());
-    for &a in inputs {
+    let mut steps = Vec::with_capacity(inputs.size_hint().0);
+    let mut stopped = None;
+    for (t, a) in inputs.enumerate() {
         let b = component.step(a);
         steps.push(RecordedStep {
             period: component.period(),
             inputs: a,
             outputs: b,
         });
+        if stop(t, b) {
+            stopped = Some(t);
+            break;
+        }
     }
-    Recording {
+    let recording = Recording {
         component: component.name().to_owned(),
         steps,
-    }
+    };
+    (recording, stopped)
 }
 
 /// Error from [`replay`].
@@ -126,7 +142,7 @@ impl ReplayError {
 
     /// Rig steps the failed execution drove before the mismatch surfaced,
     /// the failing step included: the replay's own steps from [`replay`],
-    /// and every phase's (live run, re-record, replay) from
+    /// and the record drive's plus the replay's from
     /// [`execute_expected_trace`](crate::execute_expected_trace).
     pub fn driven_steps(&self) -> usize {
         match self {
@@ -135,8 +151,8 @@ impl ReplayError {
         }
     }
 
-    /// The error with `steps` more driven steps booked — the phases an
-    /// execution ran before its replay.
+    /// The error with `steps` more driven steps booked — the record drive
+    /// an execution ran before its replay.
     pub(crate) fn after_steps(mut self, steps: usize) -> Self {
         match &mut self {
             ReplayError::Nondeterministic { driven_steps, .. }

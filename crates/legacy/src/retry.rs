@@ -9,9 +9,11 @@
 //! * Every attempt is validated for **internal consistency** against the
 //!   expected trace: a `Confirmed` attempt must reproduce the expected
 //!   labels exactly, and a `Diverged(t)` attempt must match the expected
-//!   prefix and mismatch exactly at `t`. A rig fault in the live phase can
-//!   fake a confirmation the replayed observation contradicts — such
-//!   attempts are rejected as suspected rig faults, never trusted.
+//!   prefix and mismatch exactly at `t`. An attempt whose claimed verdict
+//!   its own replayed observation contradicts is rejected as a suspected
+//!   rig fault, never trusted. (The executor takes the verdict from the
+//!   record drive its replay cross-checks, so a rig fault in either drive
+//!   surfaces as a [`ReplayError`] first.)
 //! * A conclusive verdict requires `quorum` *identical* consistent attempts
 //!   (same confirmation flag, divergence point, observation, and refusal).
 //!   Transient faults are seeded per period, so two corrupted attempts
@@ -188,7 +190,7 @@ pub struct RetryReport {
     /// Attempts that failed the replay cross-check ([`ReplayError`]).
     pub replay_errors: usize,
     /// Attempts whose outcome contradicted the expected trace internally —
-    /// a live-phase rig fault the replay did not catch.
+    /// a claimed verdict its own observation does not show.
     pub inconsistent_attempts: usize,
     /// Total backoff charged to the clock, in ticks.
     pub backoff_ticks: u64,

@@ -193,7 +193,7 @@ pub enum LoopEvent {
         component: String,
         /// Steps of the resulting observation.
         steps: usize,
-        /// Raw component steps driven by the harness (live + re-record +
+        /// Raw component steps driven by the harness (record drive +
         /// replay).
         driven_steps: usize,
         /// Step index of the first output divergence, if the component

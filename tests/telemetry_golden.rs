@@ -178,9 +178,9 @@ fn faulty_walkthrough_event_payloads_match_the_paper_narrative() {
         }
         _ => unreachable!(),
     }
-    // A replay drives each input at most three times (live, re-record,
-    // replay); the trace cache may answer a repeat word with fewer — and
-    // iteration 1's counterexample is a full hit with zero driven steps.
+    // A test drives each input at most twice (record drive, replay); the
+    // trace cache may answer a repeat word with fewer — and iteration 1's
+    // counterexample is a full hit with zero driven steps.
     let replays: Vec<(usize, usize)> = sink
         .events
         .iter()
@@ -194,7 +194,7 @@ fn faulty_walkthrough_event_payloads_match_the_paper_narrative() {
         })
         .collect();
     for &(steps, driven) in &replays {
-        assert!(driven <= steps * 3, "{driven} > {steps}*3");
+        assert!(driven <= steps * 2, "{driven} > {steps}*2");
     }
     let (steps, driven) = *replays.last().unwrap();
     assert!(steps > 0);
