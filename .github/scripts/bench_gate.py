@@ -1,109 +1,48 @@
 #!/usr/bin/env python3
-"""Fail if a fresh `repro … --json` artefact differs from the committed one.
+"""Fail if a fresh `repro … --json` envelope differs from the committed one.
 
 Usage: bench_gate.py FRESH COMMITTED
 
-Both files are compared as whole JSON documents, recursively: every object
-key, every list length and every scalar must be equal. Only fields that vary
-from run to run are skipped:
+Both files are benchmark envelopes (DESIGN.md §19). The fresh one must
+match the committed one in `artefact`, `schema`, the cell names in order,
+and every cell's `counters`, value for value and type for type. `timing`,
+`varying` and `wall_ns` are never compared: each producer puts its
+run-to-run fields in `varying` itself.
 
-* keys ending in `_ns` or `nanos` (wall-clock nanoseconds);
-* `speedup` (a ratio of two timings);
-* `totals.target_met` (whether a speedup met its target);
-* the fields `VARYING` lists for the committed file's `artefact`.
-
-Every difference is printed with its JSON path; the exit status is 1 if
-there is any, 0 otherwise. A change that moves a deterministic field
-commits the refreshed file, so the move shows in its diff.
+Every difference is printed; the exit status is 1 if there is any, 0
+otherwise. A change that moves a counter commits the refreshed file, so the
+move shows in its diff.
 """
 
-import fnmatch
 import json
 import sys
 
-TIMING_PATHS = {("totals", "target_met")}
 
-# Fields that vary from run to run although they are not timings, keyed by
-# `artefact`. Each pattern is a path whose parts are matched with fnmatch;
-# `*` also matches a list index.
-VARYING = {
-    # Pass 1 of `repro warm` starts from an empty store: worker interleaving
-    # decides which duplicate-fingerprint cell persists its snapshot first,
-    # so the cold run's totals, per-cell cold counts and the reductions
-    # derived from them vary. The baseline and the seeded run do not.
-    "warm": [
-        ("run1_*",),
-        ("*_reduction",),
-        ("jobs", "*", "driven_cold"),
-        ("jobs", "*", "tests_cold"),
-    ],
-    # `repro fleet`: which worker ran a job, and so the order of the
-    # slowest-job table, depends on thread scheduling.
-    "fleet": [
-        ("report", "results", "*", "worker"),
-        ("report", "slowest", "*", "job"),
-        ("report", "slowest", "*", "name"),
-    ],
-    # `repro chaos`: the seeded store faults are drawn in the order the
-    # three workers reach the store, and the journal cuts fall at seeded
-    # offsets of a journal whose length depends on timing, so how many
-    # faults land and how many jobs a cut leaves unfinished vary.
-    "chaos": [
-        ("store", "*", "injected"),
-        ("journal", "resubmitted"),
-        ("journal", "truncated_bytes"),
-    ],
-}
+def same(a, b):
+    return a == b and type(a) is type(b)
 
 
-def is_timing(path):
-    key = path[-1]
-    if not isinstance(key, str):
-        return False
-    return (
-        key.endswith("_ns")
-        or key.endswith("nanos")
-        or key == "speedup"
-        or tuple(path) in TIMING_PATHS
-    )
-
-
-def is_varying(path, artefact):
-    for pattern in VARYING.get(artefact, ()):
-        if len(pattern) == len(path) and all(
-            fnmatch.fnmatchcase(str(part), glob) for part, glob in zip(path, pattern)
-        ):
-            return True
-    return False
-
-
-def show(path):
-    out = ""
-    for part in path:
-        out += f"[{part}]" if isinstance(part, int) else f".{part}"
-    return out or "."
-
-
-def diff(fresh, committed, path, out, artefact):
-    if isinstance(fresh, dict) and isinstance(committed, dict):
-        keys = list(committed) + [k for k in fresh if k not in committed]
+def diff(fresh, committed):
+    out = []
+    for key in ("artefact", "schema"):
+        if not same(fresh.get(key), committed.get(key)):
+            out.append(f"{key}: {committed.get(key)!r} -> {fresh.get(key)!r}")
+    names = [c["name"] for c in committed["cells"]]
+    fresh_names = [c["name"] for c in fresh["cells"]]
+    if fresh_names != names:
+        out.append(f"cell names: {names} -> {fresh_names}")
+        return out
+    for new, old in zip(fresh["cells"], committed["cells"]):
+        keys = list(old["counters"]) + [k for k in new["counters"] if k not in old["counters"]]
         for key in keys:
-            sub = path + [key]
-            if is_timing(sub) or is_varying(sub, artefact):
-                continue
-            if key not in fresh:
-                out.append(f"{show(sub)}: missing from the fresh run")
-            elif key not in committed:
-                out.append(f"{show(sub)}: not in the committed file")
-            else:
-                diff(fresh[key], committed[key], sub, out, artefact)
-    elif isinstance(fresh, list) and isinstance(committed, list):
-        if len(fresh) != len(committed):
-            out.append(f"{show(path)}: {len(committed)} entries -> {len(fresh)}")
-        for i, (f, c) in enumerate(zip(fresh, committed)):
-            diff(f, c, path + [i], out, artefact)
-    elif fresh != committed or type(fresh) is not type(committed):
-        out.append(f"{show(path)}: {committed!r} -> {fresh!r}")
+            where = f"{old['name']}.{key}"
+            if key not in new["counters"]:
+                out.append(f"{where}: missing from the fresh run")
+            elif key not in old["counters"]:
+                out.append(f"{where}: not in the committed file")
+            elif not same(new["counters"][key], old["counters"][key]):
+                out.append(f"{where}: {old['counters'][key]!r} -> {new['counters'][key]!r}")
+    return out
 
 
 def main(argv):
@@ -115,13 +54,11 @@ def main(argv):
         fresh = json.load(f)
     with open(committed_path) as f:
         committed = json.load(f)
-    out = []
-    artefact = committed.get("artefact") if isinstance(committed, dict) else None
-    diff(fresh, committed, [], out, artefact)
+    out = diff(fresh, committed)
     for line in out:
         print(f"{committed_path} differs: {line}")
     if not out:
-        print(f"{committed_path}: every deterministic field matches {fresh_path}")
+        print(f"{committed_path}: every counter matches {fresh_path}")
     return 1 if out else 0
 
 

@@ -26,8 +26,8 @@
 //!   panic-free run; past it the job must surface the *typed*
 //!   [`JobOutcome::Error`] — never a wrong verdict.
 //!
-//! DESIGN.md §18 documents the fault matrix and the `BENCH_chaos.json`
-//! schema.
+//! DESIGN.md §18 documents the fault matrix; §19 the envelope
+//! `BENCH_chaos.json` is written in.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -37,12 +37,12 @@ use std::time::Duration;
 
 use muml_core::store::{FaultProfile, FaultyIo, Store};
 use muml_fleet::{FleetReport, Job, JobOutcome};
-use muml_obs::json::Json;
 use muml_serve::{
     railcab_registry, run_fleet, Daemon, Journal, Priority, ServeClient, ServeConfig, Server,
 };
 
 use crate::campaign::{railcab_campaign, railcab_requests, CampaignOptions};
+use crate::envelope::Cell;
 
 /// The fault rates the store and worker axes sweep.
 pub const CHAOS_RATES: [f64; 4] = [0.0, 0.05, 0.15, 0.30];
@@ -526,116 +526,56 @@ pub fn chaos_campaign(rates: &[f64]) -> ChaosReport {
 }
 
 impl ChaosReport {
-    /// The `BENCH_chaos.json` document (schema: DESIGN.md §18).
-    pub fn to_json(&self) -> Json {
-        let store_json = |r: &ChaosStoreRow| {
-            Json::Object(vec![
-                ("rate".into(), Json::Float(r.rate)),
-                ("jobs".into(), Json::from_usize(r.jobs)),
-                ("injected".into(), Json::from_usize(r.injected)),
-                ("matched".into(), Json::Bool(true)),
-            ])
-        };
-        let worker_json = |r: &ChaosWorkerRow| {
-            Json::Object(vec![
-                ("rate".into(), Json::Float(r.rate)),
-                ("jobs".into(), Json::from_usize(r.jobs)),
-                ("panics".into(), Json::from_usize(r.panics)),
-                ("matched".into(), Json::Bool(true)),
-            ])
-        };
-        Json::Object(vec![
-            ("artefact".into(), Json::Str("chaos".into())),
-            // Reaching serialization means every axis's hard assertion
-            // held — a violation panics inside chaos_campaign.
-            ("verdicts_sound".into(), Json::Bool(true)),
-            (
-                "store".into(),
-                Json::Array(self.store.iter().map(store_json).collect()),
-            ),
-            (
-                "journal".into(),
-                Json::Object(vec![
-                    ("verdicts".into(), Json::from_usize(self.journal.verdicts)),
-                    ("cuts".into(), Json::from_usize(self.journal.cuts)),
-                    (
-                        "resubmitted".into(),
-                        Json::from_usize(self.journal.resubmitted),
-                    ),
-                    (
-                        "truncated_bytes".into(),
-                        Json::from_u64(self.journal.truncated_bytes),
-                    ),
-                    ("history_identical".into(), Json::Bool(true)),
-                ]),
-            ),
-            (
-                "socket".into(),
-                Json::Object(vec![
-                    ("hostile".into(), Json::from_usize(self.socket.hostile)),
-                    ("good_jobs".into(), Json::from_usize(self.socket.good_jobs)),
-                    ("survived".into(), Json::Bool(true)),
-                ]),
-            ),
-            (
-                "worker".into(),
-                Json::Array(self.worker.iter().map(worker_json).collect()),
-            ),
-            (
-                "budget_probe".into(),
-                Json::Object(vec![
-                    ("attempts".into(), Json::from_usize(self.budget_attempts)),
-                    ("outcome".into(), Json::Str("error".into())),
-                ]),
-            ),
-        ])
-    }
-
-    /// Human-readable axis summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "store axis   {:>6} {:>6} {:>9}\n",
-            "rate", "jobs", "injected"
-        ));
-        for r in &self.store {
-            out.push_str(&format!(
-                "             {:>6.2} {:>6} {:>9}\n",
-                r.rate, r.jobs, r.injected
-            ));
-        }
-        out.push_str(&format!(
-            "journal axis {} verdicts, {} cuts, {} resubmitted, {} bytes truncated\n",
-            self.journal.verdicts,
-            self.journal.cuts,
-            self.journal.resubmitted,
-            self.journal.truncated_bytes
-        ));
-        out.push_str(&format!(
-            "socket axis  {} hostile clients, {} good jobs served\n",
-            self.socket.hostile, self.socket.good_jobs
-        ));
-        out.push_str(&format!(
-            "worker axis  {:>6} {:>6} {:>8}\n",
-            "rate", "jobs", "panics"
-        ));
-        for r in &self.worker {
-            out.push_str(&format!(
-                "             {:>6.2} {:>6} {:>8}\n",
-                r.rate, r.jobs, r.panics
-            ));
-        }
-        out.push_str(&format!(
-            "budget probe {} panicking attempts -> typed `error` outcome\n",
-            self.budget_attempts
-        ));
-        out
+    /// The `repro chaos` envelope cells: a `total` cell, one per store
+    /// rate, the journal, socket and budget-probe cells, and one per worker
+    /// rate. The store faults land in the order the workers reach the
+    /// store, and the journal cuts fall at offsets of a journal whose
+    /// length depends on timing, so those counts are `varying`.
+    pub fn cells(&self) -> Vec<Cell> {
+        // Reaching this point means every axis's hard assertion held — a
+        // violation panics inside chaos_campaign.
+        let mut cells = vec![Cell::new("total").counter("verdicts_sound", true)];
+        cells.extend(self.store.iter().map(|r| {
+            Cell::new(format!("store/rate={:.2}", r.rate))
+                .counter("rate", r.rate)
+                .counter("jobs", r.jobs)
+                .counter("matched", true)
+                .varying("injected", r.injected)
+        }));
+        cells.push(
+            Cell::new("journal")
+                .counter("verdicts", self.journal.verdicts)
+                .counter("cuts", self.journal.cuts)
+                .counter("history_identical", true)
+                .varying("resubmitted", self.journal.resubmitted)
+                .varying("truncated_bytes", self.journal.truncated_bytes),
+        );
+        cells.push(
+            Cell::new("socket")
+                .counter("hostile", self.socket.hostile)
+                .counter("good_jobs", self.socket.good_jobs)
+                .counter("survived", true),
+        );
+        cells.extend(self.worker.iter().map(|r| {
+            Cell::new(format!("worker/rate={:.2}", r.rate))
+                .counter("rate", r.rate)
+                .counter("jobs", r.jobs)
+                .counter("panics", r.panics)
+                .counter("matched", true)
+        }));
+        cells.push(
+            Cell::new("budget_probe")
+                .counter("attempts", self.budget_attempts)
+                .counter("outcome", "error"),
+        );
+        cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muml_obs::json::Json;
 
     #[test]
     fn chaos_campaign_is_sound_at_modest_rates() {
@@ -649,7 +589,7 @@ mod tests {
         assert!(report.journal.verdicts > 0);
         assert_eq!(report.socket.hostile, CHAOS_HOSTILE_CLIENTS);
         assert_eq!(report.budget_attempts, CHAOS_RETRIES + 1);
-        let json = report.to_json().encode();
-        assert!(json.contains("\"verdicts_sound\":true"), "{json}");
+        let cells = report.cells();
+        assert_eq!(cells[0].get("verdicts_sound"), Some(&Json::Bool(true)));
     }
 }

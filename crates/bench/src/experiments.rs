@@ -1,8 +1,11 @@
-//! Experiment runners for the tables T-A … T-E of DESIGN.md.
+//! Experiment runners for the tables T-A … T-F of DESIGN.md, and the
+//! `repro tables` envelope that carries them.
 //!
-//! Every runner measures all methods with the *same* cost metric, taken
-//! directly from the component: lifetime resets and symbols driven. The
-//! paper's claims under test:
+//! Every runner measures all methods with the *same* cost metric: rig
+//! resets and symbols driven. The baselines drive the component itself;
+//! the paper's loop drives it through a [`CountingRig`], because its trace
+//! cache runs most of its steps on checkpoint and witness clones, and
+//! reports the clones it took. The paper's claims under test:
 //!
 //! * **C3 — fast conflict detection**: a fault reachable under the context
 //!   is found after few iterations/steps, with no false negatives.
@@ -11,17 +14,102 @@
 //!   (`L*` + conformance) always learns everything and pays the
 //!   Vasilevskii/Chow suite, exponential in the state-bound gap.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use muml_automata::SignalSet;
 use muml_core::{verify_integration, IntegrationConfig, IntegrationVerdict, LegacyUnit};
 use muml_inference::{
     black_box_check, learn, BbcConfig, BbcVerdict, CexProcessing, ComponentOracle, LstarLimits,
     WMethodOracle,
 };
-use muml_legacy::{LegacyComponent, PortMap};
+use muml_legacy::{LegacyComponent, PortMap, StateObservable};
 use muml_logic::{check_all, Formula, Verdict};
 
+use crate::envelope::{timed, Cell};
 use crate::workload::{
     counter_alphabet, counter_workload, seed_fault, twin_workload, CounterWorkload,
 };
+
+/// A rig that counts every `step` and `reset` on itself and on all of its
+/// clones, and the clones taken ([`StateObservable::try_clone_boxed`]).
+#[derive(Clone)]
+pub struct CountingRig<C> {
+    inner: C,
+    counts: Arc<Counts>,
+}
+
+#[derive(Default)]
+struct Counts {
+    steps: AtomicUsize,
+    resets: AtomicUsize,
+    clones: AtomicUsize,
+}
+
+impl<C> CountingRig<C> {
+    /// Wraps `inner` with fresh counters.
+    pub fn new(inner: C) -> Self {
+        CountingRig {
+            inner,
+            counts: Arc::default(),
+        }
+    }
+
+    /// Steps driven on this rig and every clone of it.
+    pub fn steps(&self) -> usize {
+        self.counts.steps.load(Ordering::Relaxed)
+    }
+
+    /// Resets of this rig and every clone of it.
+    pub fn resets(&self) -> usize {
+        self.counts.resets.load(Ordering::Relaxed)
+    }
+
+    /// Clones taken of this rig and of its clones.
+    pub fn clones(&self) -> usize {
+        self.counts.clones.load(Ordering::Relaxed)
+    }
+}
+
+impl<C: LegacyComponent> LegacyComponent for CountingRig<C> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn interface(&self) -> (SignalSet, SignalSet) {
+        self.inner.interface()
+    }
+    fn reset(&mut self) {
+        self.counts.resets.fetch_add(1, Ordering::Relaxed);
+        self.inner.reset();
+    }
+    fn step(&mut self, inputs: SignalSet) -> SignalSet {
+        self.counts.steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.step(inputs)
+    }
+    fn period(&self) -> u64 {
+        self.inner.period()
+    }
+}
+
+impl<C: StateObservable + Clone + Send + 'static> StateObservable for CountingRig<C> {
+    fn observable_state(&self) -> String {
+        self.inner.observable_state()
+    }
+    fn initial_state_name(&self) -> String {
+        self.inner.initial_state_name()
+    }
+    fn deterministic_rig(&self) -> bool {
+        self.inner.deterministic_rig()
+    }
+    fn rig_token(&self) -> String {
+        self.inner.rig_token()
+    }
+    fn try_clone_boxed(&self) -> Option<Box<dyn StateObservable + Send>> {
+        self.inner.try_clone_boxed()?;
+        self.counts.clones.fetch_add(1, Ordering::Relaxed);
+        Some(Box::new(self.clone()))
+    }
+}
 
 /// The cost of one method on one workload.
 #[derive(Debug, Clone)]
@@ -34,40 +122,62 @@ pub struct MethodCost {
     pub resets: u64,
     /// Input symbols driven into the component.
     pub steps: u64,
+    /// Rig clones taken (checkpoints, witnesses, parallel instances); the
+    /// baselines never clone.
+    pub clones: u64,
     /// States of the final learned model / hypothesis.
     pub learned_states: usize,
     /// Verification iterations (ours) or refinement rounds (baselines).
     pub rounds: usize,
+    /// Wall-clock nanoseconds of the run.
+    pub nanos: u64,
+}
+
+impl MethodCost {
+    /// The envelope cell `<prefix>/<method>`.
+    pub fn cell(&self, prefix: &str) -> Cell {
+        Cell::new(format!("{prefix}/{}", self.method))
+            .counter("outcome", self.outcome.as_str())
+            .counter("resets", self.resets)
+            .counter("steps", self.steps)
+            .counter("clones", self.clones)
+            .counter("learned_states", self.learned_states)
+            .counter("rounds", self.rounds)
+            .wall("run", self.nanos)
+    }
+}
+
+fn outcome(verdict: &IntegrationVerdict) -> String {
+    match verdict {
+        IntegrationVerdict::Proven => "proven",
+        IntegrationVerdict::RealFault { .. } => "fault",
+        IntegrationVerdict::Inconclusive { .. } => "inconclusive",
+    }
+    .to_owned()
 }
 
 /// Runs the paper's approach on a counter workload.
 pub fn run_ours(w: &CounterWorkload) -> MethodCost {
-    let mut component = w.component.clone();
-    let u = &w.universe;
-    let ports = PortMap::with_default("port");
-    let report = {
-        let mut units = [LegacyUnit::new(&mut component, ports)];
-        verify_integration(
-            u,
-            &w.context,
-            &[],
-            &mut units,
-            &IntegrationConfig::default(),
-        )
-        .expect("integration terminates")
-    };
-    let outcome = match &report.verdict {
-        IntegrationVerdict::Proven => "proven".to_owned(),
-        IntegrationVerdict::RealFault { .. } => "fault".to_owned(),
-        IntegrationVerdict::Inconclusive { .. } => "inconclusive".to_owned(),
-    };
+    run_ours_with(w, &IntegrationConfig::default())
+}
+
+/// Runs the paper's approach on a counter workload under `config`.
+pub fn run_ours_with(w: &CounterWorkload, config: &IntegrationConfig) -> MethodCost {
+    let mut rig = CountingRig::new(w.component.clone());
+    let (report, nanos) = timed(|| {
+        let mut units = [LegacyUnit::new(&mut rig, PortMap::with_default("port"))];
+        verify_integration(&w.universe, &w.context, &[], &mut units, config)
+            .expect("integration terminates")
+    });
     MethodCost {
         method: "ours",
-        outcome,
-        resets: component.resets(),
-        steps: component.total_steps(),
+        outcome: outcome(&report.verdict),
+        resets: rig.resets() as u64,
+        steps: rig.steps() as u64,
+        clones: rig.clones() as u64,
         learned_states: report.learned_sizes()[0].0,
         rounds: report.stats.iterations,
+        nanos,
     }
 }
 
@@ -93,7 +203,7 @@ fn run_lstar_variant(
     let u = &w.universe;
     let interface = component.interface();
     let alphabet = counter_alphabet(u);
-    let (hypothesis, rounds) = {
+    let ((hypothesis, rounds, outcome), nanos) = timed(|| {
         let mut oracle = ComponentOracle::new(&mut component);
         let mut eq = WMethodOracle::new(w.n);
         let res = learn(
@@ -105,22 +215,24 @@ fn run_lstar_variant(
                 ..LstarLimits::default()
             },
         );
-        (res.hypothesis, res.rounds)
-    };
-    let hyp_auto = hypothesis.to_automaton(u, "hypothesis", interface);
-    let comp = muml_automata::compose2(&w.context, &hyp_auto).expect("composes");
-    let verdict = check_all(&comp.automaton, &[Formula::deadlock_free()]).expect("checkable");
-    let outcome = match verdict {
-        Verdict::Holds => "verified".to_owned(),
-        Verdict::Violated(_) => "fault".to_owned(),
-    };
+        let hyp_auto = res.hypothesis.to_automaton(u, "hypothesis", interface);
+        let comp = muml_automata::compose2(&w.context, &hyp_auto).expect("composes");
+        let verdict = check_all(&comp.automaton, &[Formula::deadlock_free()]).expect("checkable");
+        let outcome = match verdict {
+            Verdict::Holds => "verified",
+            Verdict::Violated(_) => "fault",
+        };
+        (res.hypothesis, res.rounds, outcome.to_owned())
+    });
     MethodCost {
         method,
         outcome,
         resets: component.resets(),
         steps: component.total_steps(),
+        clones: 0,
         learned_states: hypothesis.state_count,
         rounds,
+        nanos,
     }
 }
 
@@ -129,18 +241,20 @@ pub fn run_bbc(w: &CounterWorkload) -> MethodCost {
     let mut component = w.component.clone();
     let u = &w.universe;
     let alphabet = counter_alphabet(u);
-    let res = black_box_check(
-        u,
-        &w.context,
-        &[],
-        &mut component,
-        alphabet,
-        &BbcConfig {
-            max_states: w.n,
-            max_rounds: 500,
-        },
-    )
-    .expect("bbc runs");
+    let (res, nanos) = timed(|| {
+        black_box_check(
+            u,
+            &w.context,
+            &[],
+            &mut component,
+            alphabet,
+            &BbcConfig {
+                max_states: w.n,
+                max_rounds: 500,
+            },
+        )
+        .expect("bbc runs")
+    });
     let outcome = match res.verdict {
         BbcVerdict::Verified => "verified".to_owned(),
         BbcVerdict::RealFault { .. } => "fault".to_owned(),
@@ -151,113 +265,93 @@ pub fn run_bbc(w: &CounterWorkload) -> MethodCost {
         outcome,
         resets: component.resets(),
         steps: component.total_steps(),
+        clones: 0,
         learned_states: res.hypothesis_states,
         rounds: res.rounds,
+        nanos,
     }
 }
 
-/// Table T-A: method comparison over growing component sizes
-/// (`k = n / 2` pushes — a moderately restrictive context).
-pub fn table_a(sizes: &[usize]) -> Vec<(usize, Vec<MethodCost>)> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let w = counter_workload(n, n / 2);
-            let rows = vec![
-                run_ours(&w),
-                run_lstar_then_check(&w),
-                run_lstar_rs_then_check(&w),
-                run_bbc(&w),
-            ];
-            (n, rows)
-        })
-        .collect()
-}
-
-/// Table T-B: context restrictiveness sweep for a fixed component size —
-/// the learned fraction of the paper's approach tracks `k`, the baselines'
-/// does not.
-pub fn table_b(n: usize, pushes: &[usize]) -> Vec<(usize, MethodCost, MethodCost)> {
-    pushes
-        .iter()
-        .map(|&k| {
-            let w = counter_workload(n, k);
-            (k, run_ours(&w), run_lstar_then_check(&w))
-        })
-        .collect()
-}
-
-/// Table T-C: steps until a seeded fault at depth `d` is *confirmed* (the
-/// context pushes deep enough to reach it). All methods must report the
-/// fault — no false negatives.
-pub fn table_c(n: usize, depths: &[usize]) -> Vec<(usize, Vec<MethodCost>)> {
-    depths
-        .iter()
-        .map(|&d| {
-            let mut w = counter_workload(n, n - 2);
-            seed_fault(&mut w, d);
-            let rows = vec![run_ours(&w), run_lstar_then_check(&w), run_bbc(&w)];
-            (d, rows)
-        })
-        .collect()
-}
-
-/// Table T-E: multi-legacy (twin counters) vs. the equivalent single run.
-pub fn table_e(n: usize, k: usize) -> (MethodCost, MethodCost) {
-    // Single counter, same push budget.
-    let single = run_ours(&counter_workload(n, k));
-    // Twin counters learned in parallel.
+/// Runs the paper's approach on twin counters learned in parallel under
+/// one context (the Section-7 multi-legacy extension).
+pub fn run_twin(n: usize, k: usize) -> MethodCost {
     let w = twin_workload(n, k);
-    let u = &w.universe;
-    let mut left = w.left.clone();
-    let mut right = w.right.clone();
-    let report = {
+    let mut left = CountingRig::new(w.left.clone());
+    let mut right = CountingRig::new(w.right.clone());
+    let (report, nanos) = timed(|| {
         let mut units = [
             LegacyUnit::new(&mut left, PortMap::with_default("p1")),
             LegacyUnit::new(&mut right, PortMap::with_default("p2")),
         ];
         verify_integration(
-            u,
+            &w.universe,
             &w.context,
             &[],
             &mut units,
             &IntegrationConfig::default(),
         )
         .expect("twin integration terminates")
-    };
-    let twin = MethodCost {
+    });
+    MethodCost {
         method: "ours-twin",
-        outcome: match &report.verdict {
-            IntegrationVerdict::Proven => "proven".to_owned(),
-            IntegrationVerdict::RealFault { .. } => "fault".to_owned(),
-            IntegrationVerdict::Inconclusive { .. } => "inconclusive".to_owned(),
-        },
-        resets: left.resets() + right.resets(),
-        steps: left.total_steps() + right.total_steps(),
+        outcome: outcome(&report.verdict),
+        resets: (left.resets() + right.resets()) as u64,
+        steps: (left.steps() + right.steps()) as u64,
+        clones: (left.clones() + right.clones()) as u64,
         learned_states: report.learned_sizes().iter().map(|(s, _)| s).sum(),
         rounds: report.stats.iterations,
-    };
-    (single, twin)
+        nanos,
+    }
 }
 
-/// Renders a table of `(param, rows)` as aligned text.
-pub fn render_rows(header: &str, param_name: &str, table: &[(usize, Vec<MethodCost>)]) -> String {
-    let mut out = String::new();
-    out.push_str(header);
-    out.push('\n');
-    out.push_str(&format!(
-        "{param_name:>6} {:<12} {:<10} {:>8} {:>10} {:>8} {:>7}\n",
-        "method", "outcome", "resets", "steps", "states", "rounds"
-    ));
-    for (p, rows) in table {
-        for r in rows {
-            out.push_str(&format!(
-                "{p:>6} {:<12} {:<10} {:>8} {:>10} {:>8} {:>7}\n",
-                r.method, r.outcome, r.resets, r.steps, r.learned_states, r.rounds
-            ));
+/// Every cell of the paper's tables (`repro tables`): T-A to T-C and T-E
+/// compare the loop with `L*` and black-box checking in resets, steps and
+/// clones; T-D times the kernels; T-F the counterexample batching.
+pub fn table_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    // T-A: growing component under a moderately restrictive context
+    // (k = n / 2 pushes).
+    for n in [4, 6, 8, 10] {
+        let w = counter_workload(n, n / 2);
+        for cost in [
+            run_ours(&w),
+            run_lstar_then_check(&w),
+            run_lstar_rs_then_check(&w),
+            run_bbc(&w),
+        ] {
+            cells.push(cost.cell(&format!("T-A/n={n}")));
         }
     }
-    out
+    // T-B: context restrictiveness for a fixed component size — the
+    // learned fraction of the paper's approach tracks k, L*'s does not.
+    for k in [1, 2, 4, 6, 8] {
+        let w = counter_workload(10, k);
+        for cost in [run_ours(&w), run_lstar_then_check(&w)] {
+            cells.push(cost.cell(&format!("T-B/k={k}")));
+        }
+    }
+    // T-C: cost until a seeded fault at depth d is confirmed; every method
+    // must report it (no false negatives).
+    for d in [1, 2, 3, 4, 5] {
+        let mut w = counter_workload(8, 6);
+        seed_fault(&mut w, d);
+        for cost in [run_ours(&w), run_lstar_then_check(&w), run_bbc(&w)] {
+            assert_eq!(cost.outcome, "fault", "T-C d={d}: {cost:?}");
+            cells.push(cost.cell(&format!("T-C/d={d}")));
+        }
+    }
+    cells.extend(crate::kernel::table_d(&[8, 16, 32, 64]));
+    // T-E: two legacy units against one with the same push budget.
+    cells.push(run_ours(&counter_workload(4, 2)).cell("T-E"));
+    cells.push(run_twin(4, 2).cell("T-E"));
+    // T-F: the Section-7 "multiple counterexamples per check" ablation.
+    for batch in [1, 4, 16] {
+        let config = IntegrationConfig::default().with_batch_counterexamples(batch);
+        let cost = run_ours_with(&counter_workload(8, 5), &config);
+        assert_eq!(cost.outcome, "proven", "T-F batch {batch}");
+        cells.push(cost.cell(&format!("T-F/batch={batch}")));
+    }
+    cells
 }
 
 #[cfg(test)]
@@ -309,12 +403,14 @@ mod tests {
     #[test]
     fn ours_is_cheaper_under_restrictive_context() {
         // claim C4, quantified: with k ≪ n the paper's approach drives far
-        // fewer symbols than full learning.
+        // fewer symbols than full learning. The loop's steps run on rig
+        // clones too, and they count.
         let w = counter_workload(10, 2);
         let ours = run_ours(&w);
         let lstar = run_lstar_then_check(&w);
         assert_eq!(ours.outcome, "proven");
         assert_eq!(lstar.outcome, "verified");
+        assert!(ours.steps > 0, "the loop's rig work was not counted");
         assert!(
             ours.steps < lstar.steps,
             "ours {} vs lstar {}",
@@ -326,17 +422,9 @@ mod tests {
 
     #[test]
     fn twin_integration_terminates() {
-        let (single, twin) = table_e(4, 2);
+        let (single, twin) = (run_ours(&counter_workload(4, 2)), run_twin(4, 2));
         assert_eq!(single.outcome, "proven");
         assert_eq!(twin.outcome, "proven");
         assert!(twin.learned_states >= single.learned_states);
-    }
-
-    #[test]
-    fn render_is_aligned() {
-        let table = vec![(4usize, vec![run_ours(&counter_workload(4, 2))])];
-        let text = render_rows("T-A", "n", &table);
-        assert!(text.contains("ours"));
-        assert!(text.contains("resets"));
     }
 }

@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 use muml_automata::IncompleteSnapshot;
 use muml_core::{verify_integration, IntegrationConfig, IntegrationReport, LegacyUnit};
 use muml_legacy::{LatentComponent, PortMap};
-use muml_obs::json::Json;
 
+use crate::envelope::Cell;
 use crate::workload::{counter_workload, seed_fault};
 
 /// One campaign cell: a counter workload, optionally fault-seeded.
@@ -207,96 +207,32 @@ pub fn probe_campaign(latency: Duration) -> ProbeReport {
 }
 
 impl ProbeReport {
-    /// Fraction of the serial run's rig steps the cache avoided.
-    pub fn driven_reduction(&self) -> f64 {
-        if self.serial_driven == 0 {
-            return 0.0;
-        }
-        1.0 - self.cached_driven as f64 / self.serial_driven as f64
-    }
-
-    /// Wall-clock speedup of the cached runs over the serial runs.
-    pub fn speedup(&self) -> f64 {
-        if self.cached_nanos == 0 {
-            return 0.0;
-        }
-        self.serial_nanos as f64 / self.cached_nanos as f64
-    }
-
-    /// The `BENCH_probe.json` document.
-    pub fn to_json(&self) -> Json {
-        let job_json = |j: &ProbeJobRow| {
-            Json::Object(vec![
-                ("name".into(), Json::Str(j.name.clone())),
-                ("outcome".into(), Json::Str(j.outcome.clone())),
-                ("driven_serial".into(), Json::from_usize(j.driven_serial)),
-                ("driven_cached".into(), Json::from_usize(j.driven_cached)),
-                ("tests_serial".into(), Json::from_usize(j.tests_serial)),
-                ("tests_cached".into(), Json::from_usize(j.tests_cached)),
-                ("cache_hits".into(), Json::from_usize(j.cache_hits)),
-                ("cache_saved".into(), Json::from_usize(j.cache_saved)),
-                (
-                    "parallel_batches".into(),
-                    Json::from_usize(j.parallel_batches),
-                ),
-                ("dedup_skipped".into(), Json::from_usize(j.dedup_skipped)),
-            ])
-        };
-        Json::Object(vec![
-            ("artefact".into(), Json::Str("probe".into())),
-            // Reaching serialization means every hard assertion held:
-            // identical verdicts, identical learned models, ≥2× fewer
-            // driven steps.
-            ("verdicts_identical".into(), Json::Bool(true)),
-            ("learned_identical".into(), Json::Bool(true)),
-            ("latency_us".into(), Json::from_u64(self.latency_us)),
-            ("serial_driven".into(), Json::from_usize(self.serial_driven)),
-            ("cached_driven".into(), Json::from_usize(self.cached_driven)),
-            (
-                "driven_reduction".into(),
-                Json::Float(self.driven_reduction()),
-            ),
-            ("serial_nanos".into(), Json::from_u64(self.serial_nanos)),
-            ("cached_nanos".into(), Json::from_u64(self.cached_nanos)),
-            ("speedup".into(), Json::Float(self.speedup())),
-            (
-                "jobs".into(),
-                Json::Array(self.jobs.iter().map(job_json).collect()),
-            ),
-        ])
-    }
-
-    /// Human-readable per-cell table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<30} {:>10} {:>13} {:>13} {:>10} {:>10} {:>8}\n",
-            "cell", "outcome", "driven serial", "driven cached", "hits", "saved", "deduped"
-        ));
-        for j in &self.jobs {
-            out.push_str(&format!(
-                "{:<30} {:>10} {:>13} {:>13} {:>10} {:>10} {:>8}\n",
-                j.name,
-                j.outcome,
-                j.driven_serial,
-                j.driven_cached,
-                j.cache_hits,
-                j.cache_saved,
-                j.dedup_skipped
-            ));
-        }
-        out.push_str(&format!(
-            "total driven: serial {} / cached {} ({:.0}% saved), \
-             wall: {:.2}ms vs {:.2}ms ({:.1}x) at {}us/step\n",
-            self.serial_driven,
-            self.cached_driven,
-            100.0 * self.driven_reduction(),
-            self.serial_nanos as f64 / 1e6,
-            self.cached_nanos as f64 / 1e6,
-            self.speedup(),
-            self.latency_us
-        ));
-        out
+    /// The `repro probe` envelope cells: a `total` cell with both runs'
+    /// wall times, then one cell per campaign cell.
+    pub fn cells(&self) -> Vec<Cell> {
+        // Reaching this point means every hard assertion held: identical
+        // verdicts, identical learned models, ≥2× fewer driven steps.
+        let mut cells = vec![Cell::new("total")
+            .counter("verdicts_identical", true)
+            .counter("learned_identical", true)
+            .counter("latency_us", self.latency_us)
+            .counter("serial_driven", self.serial_driven)
+            .counter("cached_driven", self.cached_driven)
+            .wall("serial", self.serial_nanos)
+            .wall("cached", self.cached_nanos)];
+        cells.extend(self.jobs.iter().map(|j| {
+            Cell::new(j.name.as_str())
+                .counter("outcome", j.outcome.as_str())
+                .counter("driven_serial", j.driven_serial)
+                .counter("driven_cached", j.driven_cached)
+                .counter("tests_serial", j.tests_serial)
+                .counter("tests_cached", j.tests_cached)
+                .counter("cache_hits", j.cache_hits)
+                .counter("cache_saved", j.cache_saved)
+                .counter("parallel_batches", j.parallel_batches)
+                .counter("dedup_skipped", j.dedup_skipped)
+        }));
+        cells
     }
 }
 
@@ -311,17 +247,11 @@ mod tests {
         // the test. Zero latency keeps the suite fast.
         let report = probe_campaign(Duration::ZERO);
         assert_eq!(report.jobs.len(), 4);
-        assert!(report.driven_reduction() >= 0.5);
+        assert!(report.cached_driven * 2 <= report.serial_driven);
         assert!(report
             .jobs
             .iter()
             .any(|j| j.dedup_skipped > 0 || j.cache_hits > 0));
-        let doc = report.to_json();
-        assert_eq!(
-            doc.get("artefact").and_then(Json::as_str),
-            Some("probe"),
-            "{doc:?}"
-        );
-        assert!(report.render().contains("total driven: serial"));
+        assert_eq!(report.cells().len(), 1 + report.jobs.len());
     }
 }

@@ -11,13 +11,13 @@
 //! wrapper is exercised but injects nothing, so every verdict must be
 //! conclusive and matching.
 
+use crate::envelope::Cell;
 use crate::workload::{counter_workload, seed_fault};
 use muml_core::{
     verify_integration, CoreError, IntegrationConfig, IntegrationReport, IntegrationVerdict,
     LegacyUnit,
 };
 use muml_legacy::{PortMap, RetryPolicy, RigFaultProfile, UnreliableRig};
-use muml_obs::json::Json;
 use muml_railcab::{correct_shuttle, faulty_shuttle, front_context, scenario};
 
 /// The fault rates the storm sweeps (per-kind uniform split, see
@@ -318,95 +318,48 @@ pub fn storm_campaign(rates: &[f64]) -> StormReport {
 }
 
 impl StormReport {
-    /// The `BENCH_storm.json` document (schema: DESIGN.md §13).
-    pub fn to_json(&self) -> Json {
-        let rate_json = |r: &StormRateRow| {
-            Json::Object(vec![
-                ("rate".into(), Json::Float(r.rate)),
-                ("jobs".into(), Json::from_usize(r.jobs)),
-                ("conclusive".into(), Json::from_usize(r.conclusive)),
-                ("inconclusive".into(), Json::from_usize(r.inconclusive)),
-                ("attempts".into(), Json::from_usize(r.attempts)),
-                ("retries".into(), Json::from_usize(r.retries)),
-                ("suspected".into(), Json::from_usize(r.suspected)),
-                ("quarantined".into(), Json::from_usize(r.quarantined)),
-                ("injected".into(), Json::from_usize(r.injected)),
-                ("backoff_ticks".into(), Json::from_u64(r.backoff_ticks)),
-            ])
-        };
-        let job_json = |j: &StormJobRow| {
-            Json::Object(vec![
-                ("workload".into(), Json::Str(j.workload.clone())),
-                ("rate".into(), Json::Float(j.rate)),
-                ("clean".into(), Json::Str(j.clean.clone())),
-                ("flaky".into(), Json::Str(j.flaky.clone())),
-                (
-                    "matched".into(),
-                    match j.matched {
-                        Some(m) => Json::Bool(m),
-                        None => Json::Null,
-                    },
-                ),
-                ("attempts".into(), Json::from_usize(j.attempts)),
-                ("retries".into(), Json::from_usize(j.retries)),
-                ("suspected".into(), Json::from_usize(j.suspected)),
-                ("quarantined".into(), Json::from_usize(j.quarantined)),
-                ("injected".into(), Json::from_usize(j.injected)),
-                ("backoff_ticks".into(), Json::from_u64(j.backoff_ticks)),
-            ])
-        };
-        Json::Object(vec![
-            ("artefact".into(), Json::Str("storm".into())),
-            // Reaching serialization means the soundness assertion held
-            // for every cell — a violation panics inside storm_campaign.
-            ("verdicts_sound".into(), Json::Bool(true)),
-            (
-                "rates".into(),
-                Json::Array(self.rates.iter().map(rate_json).collect()),
-            ),
-            (
-                "jobs".into(),
-                Json::Array(self.jobs.iter().map(job_json).collect()),
-            ),
-        ])
-    }
-
-    /// Human-readable per-rate table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>6} {:>5} {:>11} {:>13} {:>9} {:>8} {:>10} {:>12} {:>9}\n",
-            "rate",
-            "jobs",
-            "conclusive",
-            "inconclusive",
-            "attempts",
-            "retries",
-            "suspected",
-            "quarantined",
-            "injected"
-        ));
-        for r in &self.rates {
-            out.push_str(&format!(
-                "{:>6.2} {:>5} {:>11} {:>13} {:>9} {:>8} {:>10} {:>12} {:>9}\n",
-                r.rate,
-                r.jobs,
-                r.conclusive,
-                r.inconclusive,
-                r.attempts,
-                r.retries,
-                r.suspected,
-                r.quarantined,
-                r.injected
-            ));
-        }
-        out
+    /// The `repro storm` envelope cells: a `total` cell, one cell per rate
+    /// (`rate=0.05`), then one per workload and rate
+    /// (`rate=0.05/railcab/correct`).
+    pub fn cells(&self) -> Vec<Cell> {
+        // Reaching this point means the soundness assertion held for every
+        // cell — a violation panics inside storm_campaign.
+        let mut cells = vec![Cell::new("total").counter("verdicts_sound", true)];
+        cells.extend(self.rates.iter().map(|r| {
+            Cell::new(format!("rate={:.2}", r.rate))
+                .counter("rate", r.rate)
+                .counter("jobs", r.jobs)
+                .counter("conclusive", r.conclusive)
+                .counter("inconclusive", r.inconclusive)
+                .counter("attempts", r.attempts)
+                .counter("retries", r.retries)
+                .counter("suspected", r.suspected)
+                .counter("quarantined", r.quarantined)
+                .counter("injected", r.injected)
+                .counter("backoff_ticks", r.backoff_ticks)
+        }));
+        cells.extend(self.jobs.iter().map(|j| {
+            Cell::new(format!("rate={:.2}/{}", j.rate, j.workload))
+                .counter("workload", j.workload.as_str())
+                .counter("rate", j.rate)
+                .counter("clean", j.clean.as_str())
+                .counter("flaky", j.flaky.as_str())
+                .counter("matched", j.matched)
+                .counter("attempts", j.attempts)
+                .counter("retries", j.retries)
+                .counter("suspected", j.suspected)
+                .counter("quarantined", j.quarantined)
+                .counter("injected", j.injected)
+                .counter("backoff_ticks", j.backoff_ticks)
+        }));
+        cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muml_obs::json::Json;
 
     #[test]
     fn storm_is_sound_at_a_modest_rate() {
@@ -418,7 +371,8 @@ mod tests {
         assert_eq!(report.rates[0].inconclusive, 0, "rate 0.0 must conclude");
         assert_eq!(report.rates[0].injected, 0, "rate 0.0 must inject nothing");
         assert_eq!(report.jobs.len(), 2 * report.rates[0].jobs);
-        let json = report.to_json().encode();
-        assert!(json.contains("\"verdicts_sound\":true"), "{json}");
+        let cells = report.cells();
+        assert_eq!(cells[0].get("verdicts_sound"), Some(&Json::Bool(true)));
+        assert_eq!(cells.len(), 1 + 2 + report.jobs.len());
     }
 }

@@ -19,10 +19,10 @@
 use std::path::Path;
 
 use muml_fleet::{FleetReport, JobOutcome};
-use muml_obs::json::Json;
 use muml_serve::{run_fleet, ServeConfig};
 
 use crate::campaign::{railcab_campaign, CampaignOptions};
+use crate::envelope::Cell;
 
 /// One campaign cell across the three runs.
 #[derive(Debug, Clone)]
@@ -163,68 +163,29 @@ impl WarmReport {
         1.0 - self.run2_tests as f64 / self.run1_tests as f64
     }
 
-    /// The `BENCH_warm.json` document (schema: DESIGN.md §16).
-    pub fn to_json(&self) -> Json {
-        let job_json = |j: &WarmJobRow| {
-            Json::Object(vec![
-                ("name".into(), Json::Str(j.name.clone())),
-                ("outcome".into(), Json::Str(j.outcome.clone())),
-                ("driven_cold".into(), Json::from_usize(j.driven_cold)),
-                ("driven_warm".into(), Json::from_usize(j.driven_warm)),
-                ("tests_cold".into(), Json::from_usize(j.tests_cold)),
-                ("tests_warm".into(), Json::from_usize(j.tests_warm)),
-            ])
-        };
-        Json::Object(vec![
-            ("artefact".into(), Json::Str("warm".into())),
-            // Reaching serialization means every hard assertion held.
-            ("verdicts_identical".into(), Json::Bool(true)),
-            ("store_prewarmed".into(), Json::Bool(self.store_prewarmed)),
-            (
-                "baseline_driven".into(),
-                Json::from_usize(self.baseline_driven),
-            ),
-            ("run1_driven".into(), Json::from_usize(self.run1_driven)),
-            ("run2_driven".into(), Json::from_usize(self.run2_driven)),
-            ("run1_tests".into(), Json::from_usize(self.run1_tests)),
-            ("run2_tests".into(), Json::from_usize(self.run2_tests)),
-            (
-                "driven_reduction".into(),
-                Json::Float(self.driven_reduction()),
-            ),
-            ("test_reduction".into(), Json::Float(self.test_reduction())),
-            (
-                "jobs".into(),
-                Json::Array(self.jobs.iter().map(job_json).collect()),
-            ),
-        ])
-    }
-
-    /// Human-readable per-cell table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<36} {:>12} {:>12} {:>12} {:>11} {:>11}\n",
-            "job", "outcome", "driven cold", "driven warm", "tests cold", "tests warm"
-        ));
-        for j in &self.jobs {
-            out.push_str(&format!(
-                "{:<36} {:>12} {:>12} {:>12} {:>11} {:>11}\n",
-                j.name, j.outcome, j.driven_cold, j.driven_warm, j.tests_cold, j.tests_warm
-            ));
-        }
-        out.push_str(&format!(
-            "total driven: baseline {} / cold {} / warm {} ({:.0}% saved), \
-             tests: cold {} / warm {} ({:.0}% saved)\n",
-            self.baseline_driven,
-            self.run1_driven,
-            self.run2_driven,
-            100.0 * self.driven_reduction(),
-            self.run1_tests,
-            self.run2_tests,
-            100.0 * self.test_reduction()
-        ));
-        out
+    /// The `repro warm` envelope cells: a `total` cell, then one per
+    /// campaign job. Run 1's figures are `varying`: worker interleaving
+    /// decides which of two cells with the same component fingerprint
+    /// persists its snapshot first. The baseline and run 2 are stable.
+    pub fn cells(&self) -> Vec<Cell> {
+        // Reaching this point means every hard assertion held.
+        let mut cells = vec![Cell::new("total")
+            .counter("verdicts_identical", true)
+            .counter("store_prewarmed", self.store_prewarmed)
+            .counter("baseline_driven", self.baseline_driven)
+            .counter("run2_driven", self.run2_driven)
+            .counter("run2_tests", self.run2_tests)
+            .varying("run1_driven", self.run1_driven)
+            .varying("run1_tests", self.run1_tests)];
+        cells.extend(self.jobs.iter().map(|j| {
+            Cell::new(j.name.as_str())
+                .counter("outcome", j.outcome.as_str())
+                .counter("driven_warm", j.driven_warm)
+                .counter("tests_warm", j.tests_warm)
+                .varying("driven_cold", j.driven_cold)
+                .varying("tests_cold", j.tests_cold)
+        }));
+        cells
     }
 }
 

@@ -1,6 +1,10 @@
-//! CLI-contract tests for the `repro` binary: exit codes and usage text.
+//! CLI-contract tests for the `repro` binary: exit codes, usage text, and
+//! the envelopes the campaign benchmarks write.
 
+use std::path::Path;
 use std::process::Command;
+
+use muml_obs::json::{parse, Json};
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -9,46 +13,66 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("repro binary runs")
 }
 
+/// Runs `repro` in `dir` and asserts it exits 0.
+fn repro_in(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{args:?} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The counter `key` of the envelope cell `cell` in `dir/BENCH_<artefact>.json`.
+fn counter(dir: &Path, artefact: &str, cell: &str, key: &str) -> Json {
+    let text = std::fs::read_to_string(dir.join(format!("BENCH_{artefact}.json"))).unwrap();
+    let doc = parse(&text).expect("the envelope is valid JSON");
+    assert_eq!(doc.get("artefact").and_then(Json::as_str), Some(artefact));
+    let Some(Json::Array(cells)) = doc.get("cells") else {
+        panic!("no cells: {text}")
+    };
+    cells
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some(cell))
+        .and_then(|c| c.get("counters")?.get(key))
+        .unwrap_or_else(|| panic!("no counter {cell}.{key}: {text}"))
+        .clone()
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("repro-{tag}-cli-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
-fn unknown_artefact_exits_2_and_lists_fleet() {
+fn unknown_artefact_exits_2_and_lists_every_benchmark() {
     let out = repro(&["no-such-artefact"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown artefact"), "{stderr}");
-    // The usage text must enumerate every artefact, fleet included.
-    assert!(stderr.contains("fleet"), "{stderr}");
-    assert!(stderr.contains("check"), "{stderr}");
-    assert!(stderr.contains("--jobs"), "{stderr}");
-}
-
-#[test]
-fn unknown_flag_exits_2() {
-    let out = repro(&["fleet", "--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
-}
-
-#[test]
-fn jobs_flag_requires_a_positive_integer() {
-    for args in [
-        &["fleet", "--jobs"] as &[&str],
-        &["fleet", "--jobs", "zero-ish"],
-        &["fleet", "--jobs", "0"],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--jobs requires"),
-            "{args:?}"
-        );
+    for name in ["fleet", "check", "storm", "tables", "--store"] {
+        assert!(stderr.contains(name), "{name}: {stderr}");
     }
 }
 
 #[test]
-fn jobs_flag_is_fleet_only() {
-    let out = repro(&["fig3", "--jobs", "4"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs is only supported for `fleet`"));
+fn unknown_flag_exits_2() {
+    for flag in ["--frobnicate", "--jobs", "--clients"] {
+        let out = repro(&["fleet", flag, "4"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{flag}"
+        );
+    }
 }
 
 #[test]
@@ -58,84 +82,7 @@ fn json_flag_is_rejected_for_unsupported_artefacts() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--json is only supported"), "{stderr}");
     assert!(stderr.contains("fleet"), "{stderr}");
-    // `storm` is a JSON-capable artefact and must be advertised as such.
     assert!(stderr.contains("storm"), "{stderr}");
-}
-
-#[test]
-fn usage_text_lists_storm() {
-    let out = repro(&["no-such-artefact"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("storm"), "{stderr}");
-}
-
-#[test]
-fn storm_rejects_jobs_flag() {
-    let out = repro(&["storm", "--jobs", "4"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs is only supported for `fleet`"));
-}
-
-#[test]
-fn clients_flag_contract() {
-    // `--clients` is serve-only and must be a positive integer.
-    let out = repro(&["fleet", "--clients", "4"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--clients is only supported for `serve`")
-    );
-    for args in [
-        &["serve", "--clients"] as &[&str],
-        &["serve", "--clients", "many"],
-        &["serve", "--clients", "0"],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--clients requires"),
-            "{args:?}"
-        );
-    }
-    // The usage text advertises both the artefact and its flag.
-    let usage = repro(&["no-such-artefact"]);
-    let stderr = String::from_utf8_lossy(&usage.stderr);
-    assert!(stderr.contains("serve"), "{stderr}");
-    assert!(stderr.contains("--clients"), "{stderr}");
-}
-
-#[test]
-fn serve_runs_clean_and_writes_the_artefact() {
-    // The daemon load test binds a loopback socket, drives it with 8
-    // clients, and must exit 0 (wire-vs-fleet verdict divergence panics)
-    // while writing BENCH_serve.json into the working directory.
-    let dir = std::env::temp_dir().join(format!("repro-serve-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["serve", "--json"])
-        .current_dir(&dir)
-        .output()
-        .expect("repro binary runs");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("wire verdicts match direct run_fleet"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("rejected (typed)"), "{stdout}");
-    let artefact = std::fs::read_to_string(dir.join("BENCH_serve.json")).unwrap();
-    assert!(artefact.contains("\"artefact\":\"serve\""), "{artefact}");
-    assert!(
-        artefact.contains("\"verdicts_match_fleet\":true"),
-        "{artefact}"
-    );
-    assert!(artefact.contains("\"served_after\":true"), "{artefact}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -149,66 +96,41 @@ fn store_flag_is_warm_only() {
 }
 
 #[test]
-fn warm_runs_clean_twice_and_writes_the_artefact() {
+fn warm_runs_clean_twice_and_writes_the_envelope() {
     // First run against a persistent store: cold, must show the seeded
     // run's ≥2× step reduction (the assertion is built in — a regression
     // panics). Second run against the same store is the cache-poisoning
     // guard: every cell now seeds from the first run's snapshots, and any
     // flipped verdict panics inside warm_campaign.
-    let dir = std::env::temp_dir().join(format!("repro-warm-cli-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("warm");
     let store = dir.join("store");
-    for (pass, prewarmed) in [("cold", false), ("prewarmed", true)] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["warm", "--json", "--store", store.to_str().unwrap()])
-            .current_dir(&dir)
-            .output()
-            .expect("repro binary runs");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{pass} pass stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
+    for prewarmed in [false, true] {
+        let stdout = repro_in(
+            &dir,
+            &["warm", "--json", "--store", store.to_str().unwrap()],
         );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("verdicts identical"), "{pass}: {stdout}");
-        let artefact = std::fs::read_to_string(dir.join("BENCH_warm.json")).unwrap();
-        assert!(artefact.contains("\"artefact\":\"warm\""), "{artefact}");
-        assert!(
-            artefact.contains("\"verdicts_identical\":true"),
-            "{artefact}"
-        );
-        assert!(
-            artefact.contains(&format!("\"store_prewarmed\":{prewarmed}")),
-            "{pass}: {artefact}"
-        );
+        assert!(stdout.contains("verdicts identical"), "{stdout}");
+        let total = |key| counter(&dir, "warm", "total", key);
+        assert_eq!(total("verdicts_identical"), Json::Bool(true));
+        assert_eq!(total("store_prewarmed"), Json::Bool(prewarmed));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn storm_runs_clean_and_writes_the_artefact() {
+fn storm_runs_clean_and_writes_the_envelope() {
     // The full sweep runs in a few seconds; `--json` must exit 0 (the
     // soundness assertion is built in — a flipped verdict panics) and
     // write BENCH_storm.json into the working directory.
-    let dir = std::env::temp_dir().join(format!("repro-storm-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["storm", "--json"])
-        .current_dir(&dir)
-        .output()
-        .expect("repro binary runs");
+    let dir = scratch("storm");
+    repro_in(&dir, &["storm", "--json"]);
     assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        counter(&dir, "storm", "total", "verdicts_sound"),
+        Json::Bool(true)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("conclusive"), "{stdout}");
-    let artefact = std::fs::read_to_string(dir.join("BENCH_storm.json")).unwrap();
-    assert!(artefact.contains("\"verdicts_sound\":true"), "{artefact}");
-    assert!(artefact.contains("\"artefact\":\"storm\""), "{artefact}");
+    assert_eq!(
+        counter(&dir, "storm", "rate=0.00", "inconclusive"),
+        Json::Int(0)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

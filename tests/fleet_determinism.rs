@@ -1,17 +1,20 @@
 //! Fleet determinism (DESIGN.md §11): the aggregated [`FleetReport`] —
 //! minus timing and worker attribution, i.e. its `fingerprint()` — must be
 //! identical however the campaign is sharded: one worker, four workers, or
-//! a shuffled submission order.
+//! a shuffled submission order; and a daemon serving the same requests to
+//! wire clients must reach the same verdicts.
 //!
 //! This is the end-to-end counterpart of the unit tests inside
 //! `muml-fleet`: it runs the real RailCab campaign (variants × faults)
-//! through the real worker pool three times and compares canonical JSON.
+//! through the real worker pool and compares canonical JSON.
+//!
+//! [`FleetReport`]: muml_fleet::FleetReport
 
 use std::time::Duration;
 
-use muml_bench::campaign::{railcab_campaign, CampaignOptions};
+use muml_bench::campaign::{railcab_campaign, railcab_requests, CampaignOptions};
 use muml_fleet::Job;
-use muml_serve::{run_fleet, ServeConfig};
+use muml_serve::{railcab_registry, run_fleet, Daemon, Priority, ServeClient, ServeConfig, Server};
 
 /// Zero harness latency and a modest job cap keep the three debug-mode
 /// campaign runs inside the tier-1 test budget.
@@ -77,4 +80,65 @@ fn shuffled_submission_still_assigns_results_by_job_id() {
     let ids: Vec<usize> = report.results.iter().map(|r| r.request.id).collect();
     let expected: Vec<usize> = (0..ids.len()).collect();
     assert_eq!(ids, expected, "results must be sorted by generation id");
+}
+
+#[test]
+fn wire_verdicts_from_four_clients_match_run_fleet() {
+    // The same 12 requests, submitted round-robin by four loopback clients
+    // to a daemon serving the RailCab registry: every job's outcome and
+    // iteration count must equal the in-process batch run's.
+    let requests = railcab_requests(&options());
+    assert_eq!(requests.len(), 12);
+    let direct = run_fleet(
+        railcab_campaign(&options()),
+        &ServeConfig::default().with_workers(4),
+    );
+
+    let daemon = Daemon::start(ServeConfig::default().with_workers(4), railcab_registry());
+    let server = Server::bind(daemon, Some("127.0.0.1:0"), None).expect("bind loopback");
+    let addr = server.tcp_addr().expect("tcp addr").to_string();
+    let clients: Vec<_> = (0..4)
+        .map(|shard| {
+            let mine: Vec<_> = requests
+                .iter()
+                .filter(|r| r.id % 4 == shard)
+                .cloned()
+                .collect();
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect_tcp(&addr).expect("connect");
+                mine.iter()
+                    .map(|request| {
+                        let job = client
+                            .submit(request, Priority::Normal)
+                            .expect("campaign submissions are admitted");
+                        client.wait(job).expect("verdict")
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut wire: Vec<_> = clients
+        .into_iter()
+        .flat_map(|client| client.join().expect("client thread"))
+        .collect();
+    server.stop();
+
+    wire.sort_by_key(|record| record.request.id);
+    assert_eq!(wire.len(), direct.results.len());
+    for (record, local) in wire.iter().zip(&direct.results) {
+        assert_eq!(record.request.id, local.request.id);
+        assert_eq!(
+            record.outcome,
+            local.outcome.name(),
+            "job {} ({}): outcome differs across the wire",
+            local.request.id,
+            local.request.name
+        );
+        assert_eq!(
+            record.iterations, local.iterations,
+            "job {} ({}): iterations differ across the wire",
+            local.request.id, local.request.name
+        );
+    }
 }

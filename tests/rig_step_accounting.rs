@@ -8,9 +8,7 @@
 //! resets, which pins the serial cost of a test attempt: one record drive
 //! and one replay, each from its own reset.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
+use muml_bench::experiments::CountingRig;
 use muml_bench::workload::{counter_workload, seed_fault, ticker_counter_workload};
 use muml_integration::automata::{Automaton, SignalSet, Universe};
 use muml_integration::core::{
@@ -21,54 +19,6 @@ use muml_integration::legacy::{
 };
 use muml_integration::logic::Formula;
 use muml_integration::railcab::{front_context, scenario, shuttle_variants};
-
-/// Counts every `step` and every `reset` on itself and on all of its
-/// clones.
-#[derive(Clone)]
-struct CountingRig<C> {
-    inner: C,
-    steps: Arc<AtomicUsize>,
-    resets: Arc<AtomicUsize>,
-}
-
-impl<C: LegacyComponent> LegacyComponent for CountingRig<C> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn interface(&self) -> (SignalSet, SignalSet) {
-        self.inner.interface()
-    }
-    fn reset(&mut self) {
-        self.resets.fetch_add(1, Ordering::Relaxed);
-        self.inner.reset();
-    }
-    fn step(&mut self, inputs: SignalSet) -> SignalSet {
-        self.steps.fetch_add(1, Ordering::Relaxed);
-        self.inner.step(inputs)
-    }
-    fn period(&self) -> u64 {
-        self.inner.period()
-    }
-}
-
-impl<C: StateObservable + Clone + Send + 'static> StateObservable for CountingRig<C> {
-    fn observable_state(&self) -> String {
-        self.inner.observable_state()
-    }
-    fn initial_state_name(&self) -> String {
-        self.inner.initial_state_name()
-    }
-    fn deterministic_rig(&self) -> bool {
-        self.inner.deterministic_rig()
-    }
-    fn rig_token(&self) -> String {
-        self.inner.rig_token()
-    }
-    fn try_clone_boxed(&self) -> Option<Box<dyn StateObservable + Send>> {
-        self.inner.try_clone_boxed()?;
-        Some(Box::new(self.clone()))
-    }
-}
 
 /// The four harness modes: trace cache on/off × serial/pooled.
 fn modes() -> Vec<(String, IntegrationConfig)> {
@@ -158,26 +108,22 @@ fn run_counted<C: StateObservable + Clone + Send + 'static>(
     tag: &str,
     config: &IntegrationConfig,
 ) -> Counted {
-    let steps = Arc::new(AtomicUsize::new(0));
-    let resets = Arc::new(AtomicUsize::new(0));
-    let mut rig = CountingRig {
-        inner: cell.component,
-        steps: Arc::clone(&steps),
-        resets: Arc::clone(&resets),
+    let mut rig = CountingRig::new(cell.component);
+    let report = {
+        let mut units = [LegacyUnit::new(&mut rig, cell.ports)];
+        verify_integration(
+            &cell.universe,
+            &cell.context,
+            &cell.props,
+            &mut units,
+            config,
+        )
+        .unwrap_or_else(|e| panic!("{tag}: {e}"))
     };
-    let mut units = [LegacyUnit::new(&mut rig, cell.ports)];
-    let report = verify_integration(
-        &cell.universe,
-        &cell.context,
-        &cell.props,
-        &mut units,
-        config,
-    )
-    .unwrap_or_else(|e| panic!("{tag}: {e}"));
     Counted {
         report,
-        steps: steps.load(Ordering::Relaxed),
-        resets: resets.load(Ordering::Relaxed),
+        steps: rig.steps(),
+        resets: rig.resets(),
     }
 }
 
