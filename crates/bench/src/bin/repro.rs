@@ -23,7 +23,7 @@ use muml_bench::{chaos, experiments, incr, kernel, probe, storm, warm};
 use muml_core::{render_report, IntegrationVerdict};
 use muml_fleet::{JobOutcome, JobResult};
 use muml_obs::json::Json;
-use muml_obs::{Collector, LoopEvent};
+use muml_obs::Collector;
 use muml_railcab::scenario;
 use muml_serve::{run_fleet, ServeConfig};
 
@@ -163,8 +163,9 @@ fn benchmark(what: &str, store: Option<PathBuf>, json: bool) {
 
 /// `repro fig2 --json`: the Figure-2 walkthrough (correct shuttle) with an
 /// event sink. A `run` cell holds the loop's totals and phase times; one
-/// cell per iteration folds that iteration's events (`iteration/0`, …);
-/// one cell per event holds its payload without `nanos` (`event/00/…`).
+/// cell per event holds its payload without `nanos` as counters and its
+/// `nanos` as wall time (`event/00/…`); every per-iteration figure follows
+/// from the event cells that carry its `iteration`.
 fn fig2_cells() -> Vec<Cell> {
     let u = Universe::new();
     let mut shuttle = muml_railcab::correct_shuttle(&u);
@@ -198,111 +199,15 @@ fn fig2_cells() -> Vec<Cell> {
         .wall("test", t.test_ns)
         .wall("learn", t.learn_ns)
         .wall("probe", t.probe_ns)];
-    for index in 0.. {
-        let events = sink.iteration(index);
-        if events.is_empty() {
-            break;
-        }
-        cells.push(iteration_cell(index, &events));
-    }
     for (i, event) in sink.events.iter().enumerate() {
-        cells.push(
-            Cell::new(format!("event/{i:02}/{}", event.kind()))
-                .counters_from(event.to_json(), &["event", "nanos"]),
-        );
+        let payload = event.to_json();
+        let mut cell = Cell::new(format!("event/{i:02}/{}", event.kind()));
+        if let Some(nanos) = payload.get("nanos").and_then(Json::as_int) {
+            cell = cell.wall("run", nanos as u64);
+        }
+        cells.push(cell.counters_from(payload, &["event", "nanos"]));
     }
     cells
-}
-
-/// Folds one iteration's events into one cell.
-fn iteration_cell(index: usize, events: &[&LoopEvent]) -> Cell {
-    let (mut product_states, mut composed_transitions) = (0usize, 0usize);
-    let (mut expanded_labels, mut family_guards) = (0u64, 0u64);
-    let mut holds = false;
-    let (mut fixpoint_iterations, mut labeled_states) = (0u64, 0u64);
-    let mut counterexample_length: Option<usize> = None;
-    let (mut replay_steps, mut driven_steps, mut probes) = (0usize, 0usize, 0usize);
-    let (mut delta_states, mut delta_transitions, mut delta_refusals) = (0usize, 0usize, 0usize);
-    let (mut compose_ns, mut check_ns, mut test_ns, mut probe_ns) = (0u64, 0u64, 0u64, 0u64);
-    for e in events {
-        match e {
-            LoopEvent::Composed {
-                product_states: ps,
-                transitions,
-                expanded_labels: el,
-                family_guards: fg,
-                nanos,
-                ..
-            } => {
-                product_states = *ps;
-                composed_transitions = *transitions;
-                expanded_labels += el;
-                family_guards += fg;
-                compose_ns += nanos;
-            }
-            LoopEvent::ModelChecked {
-                holds: h,
-                fixpoint_iterations: fi,
-                labeled_states: ls,
-                nanos,
-                ..
-            } => {
-                holds = *h;
-                fixpoint_iterations += fi;
-                labeled_states += ls;
-                check_ns += nanos;
-            }
-            LoopEvent::CounterexampleExtracted { length, .. } => {
-                counterexample_length.get_or_insert(*length);
-            }
-            LoopEvent::ReplayExecuted {
-                steps,
-                driven_steps: ds,
-                nanos,
-                ..
-            } => {
-                replay_steps += steps;
-                driven_steps += ds;
-                test_ns += nanos;
-            }
-            LoopEvent::LearnStep {
-                delta_states: dq,
-                delta_transitions: dt,
-                delta_refusals: dr,
-                ..
-            } => {
-                delta_states += dq;
-                delta_transitions += dt;
-                delta_refusals += dr;
-            }
-            LoopEvent::FrontierProbed {
-                probes: p, nanos, ..
-            } => {
-                probes += p;
-                probe_ns += nanos;
-            }
-            _ => {}
-        }
-    }
-    Cell::new(format!("iteration/{index}"))
-        .counter("product_states", product_states)
-        .counter("composed_transitions", composed_transitions)
-        .counter("expanded_labels", expanded_labels)
-        .counter("family_guards", family_guards)
-        .counter("holds", holds)
-        .counter("fixpoint_iterations", fixpoint_iterations)
-        .counter("labeled_states", labeled_states)
-        .counter("counterexample_length", counterexample_length)
-        .counter("replay_steps", replay_steps)
-        .counter("driven_steps", driven_steps)
-        .counter("delta_states", delta_states)
-        .counter("delta_transitions", delta_transitions)
-        .counter("delta_refusals", delta_refusals)
-        .counter("probes", probes)
-        .wall("compose", compose_ns)
-        .wall("check", check_ns)
-        .wall("test", test_ns)
-        .wall("probe", probe_ns)
 }
 
 /// `repro fleet`: the RailCab variants × faults campaign, run on one

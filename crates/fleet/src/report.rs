@@ -141,12 +141,23 @@ mod tests {
         }
     }
 
+    fn error() -> JobOutcome {
+        JobOutcome::Error {
+            message: "x".into(),
+        }
+    }
+
     #[test]
     fn report_sorts_by_id_and_fingerprints_ignore_timing() {
+        // Job 3 needed three attempts in `a` and one in `b`: the
+        // fingerprint keeps its outcome but not its attempts.
+        let mut flaky = result(3, error(), 2, 0);
+        flaky.attempts = 3;
         let a = FleetReport::new(
             4,
             vec![
                 result(2, JobOutcome::Proven, 3, 500),
+                flaky,
                 result(0, JobOutcome::TimedOut, 1, 900),
                 result(1, JobOutcome::Proven, 0, 100),
             ],
@@ -158,15 +169,21 @@ mod tests {
                 result(0, JobOutcome::TimedOut, 0, 111),
                 result(1, JobOutcome::Proven, 0, 222),
                 result(2, JobOutcome::Proven, 0, 333),
+                result(3, error(), 0, 444),
             ],
             99_999,
         );
         assert_eq!(
             a.results.iter().map(|r| r.request.id).collect::<Vec<_>>(),
-            [0, 1, 2]
+            [0, 1, 2, 3]
         );
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        let fp = a.fingerprint();
+        assert_eq!(fp, b.fingerprint());
+        assert!(fp.contains("\"error\"") && !fp.contains("attempts"), "{fp}");
+        assert_eq!(a.busy_nanos(), 1500);
+        assert_eq!(b.busy_nanos(), 1110);
         assert_eq!(a.histogram()[0], ("proven", 2));
         assert_eq!(a.histogram()[3], ("timed_out", 1));
+        assert_eq!(a.histogram()[5], ("error", 1));
     }
 }
