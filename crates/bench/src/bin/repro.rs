@@ -22,7 +22,7 @@ use muml_bench::envelope::{timed, Cell, Envelope, Timing};
 use muml_bench::{chaos, experiments, incr, kernel, probe, storm, warm};
 use muml_core::{render_report, IntegrationVerdict};
 use muml_fleet::{JobOutcome, JobResult};
-use muml_obs::json::Json;
+use muml_obs::json::{Json, ToJson};
 use muml_obs::Collector;
 use muml_railcab::scenario;
 use muml_serve::{run_fleet, ServeConfig};

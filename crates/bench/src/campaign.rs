@@ -128,6 +128,7 @@ fn push_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muml_obs::json::{FromJson, ToJson};
 
     #[test]
     fn campaign_enumeration_is_deterministic() {

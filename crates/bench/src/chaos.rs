@@ -31,6 +31,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -141,15 +142,27 @@ impl XorShift {
     }
 }
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "muml-chaos-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).expect("create chaos temp dir");
-    dir
+/// A fresh directory under the system temp dir, removed when the guard
+/// drops: an axis leaves nothing behind, even when an assertion fails.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "muml-chaos-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::SeqCst)
+        ));
+        std::fs::create_dir_all(&dir).expect("create chaos temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 fn outcome_names(report: &FleetReport) -> Vec<(usize, String)> {
@@ -187,7 +200,8 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
                 0x9E37_79B9_7F4A_7C15 ^ ((i as u64) << 24),
                 FaultProfile::uniform(rate),
             ));
-            let store = Arc::new(Store::open_with_io(tmpdir("store"), io.clone()));
+            let dir = TempDir::new("store");
+            let store = Arc::new(Store::open_with_io(&dir.0, io.clone()));
             let report = run_fleet(
                 railcab_campaign(&options),
                 &ServeConfig::default()
@@ -217,8 +231,8 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
 // -------------------------------------------------------------- journal
 
 fn journal_axis(cuts: usize) -> ChaosJournalRow {
-    let dir = tmpdir("journal");
-    let path = dir.join("serve.journal");
+    let dir = TempDir::new("journal");
+    let path = dir.0.join("serve.journal");
     let requests = railcab_requests(&chaos_options(4));
 
     // Reference run: journal everything, remember the exact history.
@@ -276,12 +290,12 @@ fn journal_axis(cuts: usize) -> ChaosJournalRow {
         // A seeded crash point strictly inside the file: every prefix is
         // a state a real crash could have left behind.
         let cut = 1 + (rng.next() as usize) % (bytes.len() - 1);
-        let cut_dir = tmpdir("journal-cut");
-        let cut_path = cut_dir.join("serve.journal");
+        let cut_dir = TempDir::new("journal-cut");
+        let cut_path = cut_dir.0.join("serve.journal");
         std::fs::write(&cut_path, &bytes[..cut]).expect("write cut journal");
         // Learn the expected surviving records from an independent copy
         // (opening recovers — and truncates — in place).
-        let probe_path = cut_dir.join("probe.journal");
+        let probe_path = cut_dir.0.join("probe.journal");
         std::fs::write(&probe_path, &bytes[..cut]).expect("write probe");
         let (_, probe) = Journal::open(&probe_path).expect("probe replay");
         let expect_finished = probe.finished().len();
@@ -591,5 +605,13 @@ mod tests {
         assert_eq!(report.budget_attempts, CHAOS_RETRIES + 1);
         let cells = report.cells();
         assert_eq!(cells[0].get("verdicts_sound"), Some(&Json::Bool(true)));
+        let pid = format!("-{}-", std::process::id());
+        let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+            .expect("list the temp dir")
+            .filter_map(|entry| entry.ok())
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("muml-chaos-") && name.contains(&pid))
+            .collect();
+        assert!(left.is_empty(), "temp directories left behind: {left:?}");
     }
 }

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use muml_obs::json::Json;
+use muml_obs::json::{object, FromJson, Json, ToJson};
 
 /// Version of the envelope layout.
 pub const SCHEMA: u64 = 1;
@@ -54,57 +54,10 @@ impl Timing {
     };
 }
 
-/// A value a cell field can hold.
-pub trait Value {
-    /// The JSON encoding of the value.
-    fn json(self) -> Json;
-}
-
-impl Value for Json {
-    fn json(self) -> Json {
-        self
-    }
-}
-
-impl Value for usize {
-    fn json(self) -> Json {
-        Json::from_usize(self)
-    }
-}
-
-impl Value for u64 {
-    fn json(self) -> Json {
-        Json::from_u64(self)
-    }
-}
-
-impl Value for f64 {
-    fn json(self) -> Json {
-        Json::Float(self)
-    }
-}
-
-impl Value for bool {
-    fn json(self) -> Json {
-        Json::Bool(self)
-    }
-}
-
-impl Value for &str {
-    fn json(self) -> Json {
-        Json::Str(self.to_owned())
-    }
-}
-
-impl Value for String {
-    fn json(self) -> Json {
-        Json::Str(self)
-    }
-}
-
-impl<T: Value> Value for Option<T> {
-    fn json(self) -> Json {
-        self.map_or(Json::Null, Value::json)
+muml_obs::json_codec! {
+    impl ToJson for Timing {
+        warmup: "warmup",
+        samples: "samples",
     }
 }
 
@@ -133,17 +86,16 @@ impl Cell {
     }
 
     /// Adds a deterministic counter.
-    pub fn counter(mut self, key: &str, value: impl Value) -> Cell {
-        self.counters.push((key.to_owned(), value.json()));
+    pub fn counter(mut self, key: &str, value: impl ToJson) -> Cell {
+        self.counters.push((key.to_owned(), value.to_json()));
         self
     }
 
     /// Adds every field of the JSON object `object` as a counter, except
     /// the keys in `skip`.
     pub fn counters_from(self, object: Json, skip: &[&str]) -> Cell {
-        let Json::Object(fields) = object else {
-            panic!("counters come from an object, not {object:?}")
-        };
+        let fields: Vec<(String, Json)> =
+            FromJson::from_json(&object).expect("counters come from an object");
         fields
             .into_iter()
             .filter(|(key, _)| !skip.contains(&key.as_str()))
@@ -151,8 +103,8 @@ impl Cell {
     }
 
     /// Adds a field that varies from run to run.
-    pub fn varying(mut self, key: &str, value: impl Value) -> Cell {
-        self.varying.push((key.to_owned(), value.json()));
+    pub fn varying(mut self, key: &str, value: impl ToJson) -> Cell {
+        self.varying.push((key.to_owned(), value.to_json()));
         self
     }
 
@@ -166,23 +118,14 @@ impl Cell {
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.counters.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
+}
 
-    fn to_json(&self) -> Json {
-        let fields = |fields: &[(String, Json)]| Json::Object(fields.to_vec());
-        Json::Object(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("counters".into(), fields(&self.counters)),
-            ("varying".into(), fields(&self.varying)),
-            (
-                "wall_ns".into(),
-                Json::Object(
-                    self.wall_ns
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from_u64(*v)))
-                        .collect(),
-                ),
-            ),
-        ])
+muml_obs::json_codec! {
+    impl ToJson for Cell {
+        name: "name",
+        counters: "counters",
+        varying: "varying",
+        wall_ns: "wall_ns",
     }
 }
 
@@ -256,16 +199,10 @@ impl Envelope {
     /// The JSON document, one cell per line so that a refreshed file's
     /// diff shows which cells moved.
     pub fn encode(&self) -> String {
-        let head = Json::Object(vec![
-            ("artefact".into(), Json::Str(self.artefact.clone())),
-            ("schema".into(), Json::from_u64(SCHEMA)),
-            (
-                "timing".into(),
-                Json::Object(vec![
-                    ("warmup".into(), Json::from_usize(self.timing.warmup)),
-                    ("samples".into(), Json::from_usize(self.timing.samples)),
-                ]),
-            ),
+        let head = object(&[
+            ("artefact", &self.artefact),
+            ("schema", &SCHEMA),
+            ("timing", &self.timing),
         ])
         .encode();
         let cells: Vec<String> = self.cells.iter().map(|c| c.to_json().encode()).collect();

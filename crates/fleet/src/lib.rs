@@ -11,8 +11,8 @@
 //! * [`JobRequest`] / [`Job`] — a declarative campaign cell (scenario ×
 //!   pattern × variant × fault, plus iteration cap and deadline) paired
 //!   with a work closure that builds and runs its session inside a worker
-//!   thread. A `JobRequest` is wire-encodable
-//!   ([`to_json`](JobRequest::to_json) / [`from_json`](JobRequest::from_json))
+//!   thread. A `JobRequest` is wire-encodable (its
+//!   [`muml_obs::json::ToJson`] / [`muml_obs::json::FromJson`] table)
 //!   and a [`JobRegistry`] resolves it back into a runnable [`Job`]
 //!   server-side, so the same type serves as the `muml-serve` wire schema,
 //!   the batch input, and the bench-campaign cell.

@@ -9,7 +9,7 @@
 //! orders — produce identical fingerprints; see DESIGN.md §11 for the full
 //! argument.
 
-use muml_obs::json::Json;
+use muml_obs::json::{object, Json, ToJson};
 
 use crate::job::{JobOutcome, JobResult};
 
@@ -64,21 +64,11 @@ impl FleetReport {
     /// attempts. Equal campaigns yield equal fingerprints regardless
     /// of worker count or submission order.
     pub fn fingerprint(&self) -> String {
-        Json::Object(vec![
-            ("jobs".to_owned(), Json::from_usize(self.results.len())),
-            (
-                "histogram".to_owned(),
-                Json::Object(
-                    self.histogram()
-                        .into_iter()
-                        .map(|(name, count)| (name.to_owned(), Json::from_usize(count)))
-                        .collect(),
-                ),
-            ),
-            (
-                "results".to_owned(),
-                Json::Array(self.results.iter().map(job_json).collect()),
-            ),
+        let rows: Vec<Row> = self.results.iter().map(Row).collect();
+        object(&[
+            ("jobs", &self.results.len()),
+            ("histogram", &self.histogram()),
+            ("results", &rows),
         ])
         .encode()
     }
@@ -86,41 +76,33 @@ impl FleetReport {
 
 /// One result row of the fingerprint: no scheduling-dependent field
 /// (worker, nanos, attempts).
-fn job_json(r: &JobResult) -> Json {
-    Json::Object(vec![
-        ("job".to_owned(), Json::from_usize(r.request.id)),
-        ("name".to_owned(), Json::Str(r.request.name.clone())),
-        ("scenario".to_owned(), Json::Str(r.request.scenario.clone())),
-        ("pattern".to_owned(), Json::Str(r.request.pattern.clone())),
-        ("variant".to_owned(), Json::Str(r.request.variant.clone())),
-        (
-            "fault".to_owned(),
-            match &r.request.fault {
-                Some(f) => Json::Str(f.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("outcome".to_owned(), Json::Str(r.outcome.name().to_owned())),
-        (
-            "property".to_owned(),
-            match &r.outcome {
-                JobOutcome::RealFault { property } => Json::Str(property.clone()),
-                _ => Json::Null,
-            },
-        ),
-        (
-            "quarantined".to_owned(),
-            match &r.outcome {
-                JobOutcome::Inconclusive { quarantined } => Json::from_usize(*quarantined),
-                _ => Json::Null,
-            },
-        ),
-        ("iterations".to_owned(), Json::from_usize(r.iterations)),
-        (
-            "driven_steps".to_owned(),
-            Json::from_usize(r.stats.driven_steps),
-        ),
-    ])
+struct Row<'a>(&'a JobResult);
+
+impl ToJson for Row<'_> {
+    fn to_json(&self) -> Json {
+        let (r, request) = (self.0, &self.0.request);
+        let property = match &r.outcome {
+            JobOutcome::RealFault { property } => Some(property),
+            _ => None,
+        };
+        let quarantined = match &r.outcome {
+            JobOutcome::Inconclusive { quarantined } => Some(quarantined),
+            _ => None,
+        };
+        object(&[
+            ("job", &request.id),
+            ("name", &request.name),
+            ("scenario", &request.scenario),
+            ("pattern", &request.pattern),
+            ("variant", &request.variant),
+            ("fault", &request.fault),
+            ("outcome", &r.outcome.name()),
+            ("property", &property),
+            ("quarantined", &quarantined),
+            ("iterations", &r.iterations),
+            ("driven_steps", &r.stats.driven_steps),
+        ])
+    }
 }
 
 #[cfg(test)]

@@ -10,78 +10,40 @@
 //! not part of the deterministic `FleetReport` — consumers that need
 //! determinism read the report's fingerprint instead.
 
-use crate::json::Json;
-
-/// One observable step of a job's life on the daemon's worker pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetEvent {
-    /// A worker picked a job off the queue.
-    JobStarted {
-        /// The job's id.
-        job: usize,
-        /// The job's display name.
-        name: String,
-        /// The worker index executing it.
-        worker: usize,
-    },
-    /// A job ran to a verdict (or error).
-    JobFinished {
-        /// The job's id.
-        job: usize,
-        /// The worker index that executed it.
-        worker: usize,
-        /// Stable outcome name (`proven`, `real_fault`, `timed_out`,
-        /// `iteration_limit`, `error`, `cancelled`).
-        outcome: String,
-        /// Verification iterations the session performed.
-        iterations: usize,
-        /// Wall-clock nanoseconds the job occupied its worker.
-        nanos: u64,
-    },
-}
-
-impl FleetEvent {
-    /// Stable snake_case tag of the variant (the `event` field of the JSON
-    /// encoding).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FleetEvent::JobStarted { .. } => "job_started",
-            FleetEvent::JobFinished { .. } => "job_finished",
-        }
-    }
-
-    /// The JSON object encoding of the event (field `event` carries
-    /// [`FleetEvent::kind`]; remaining fields mirror the variant's).
-    pub fn to_json(&self) -> Json {
-        let mut obj = vec![("event".to_owned(), Json::Str(self.kind().to_owned()))];
-        match self {
-            FleetEvent::JobStarted { job, name, worker } => {
-                obj.push(("job".into(), Json::from_usize(*job)));
-                obj.push(("name".into(), Json::Str(name.clone())));
-                obj.push(("worker".into(), Json::from_usize(*worker)));
-            }
-            FleetEvent::JobFinished {
-                job,
-                worker,
-                outcome,
-                iterations,
-                nanos,
-            } => {
-                obj.push(("job".into(), Json::from_usize(*job)));
-                obj.push(("worker".into(), Json::from_usize(*worker)));
-                obj.push(("outcome".into(), Json::Str(outcome.clone())));
-                obj.push(("iterations".into(), Json::from_usize(*iterations)));
-                obj.push(("nanos".into(), Json::from_u64(*nanos)));
-            }
-        }
-        Json::Object(obj)
+crate::json_codec! {
+    /// One observable step of a job's life on the daemon's worker pool.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum FleetEvent tagged "event" {
+        /// A worker picked a job off the queue.
+        JobStarted = "job_started" {
+            /// The job's id.
+            job: usize,
+            /// The job's display name.
+            name: String,
+            /// The worker index executing it.
+            worker: usize,
+        },
+        /// A job ran to a verdict (or error).
+        JobFinished = "job_finished" {
+            /// The job's id.
+            job: usize,
+            /// The worker index that executed it.
+            worker: usize,
+            /// Stable outcome name (`proven`, `real_fault`, `timed_out`,
+            /// `iteration_limit`, `error`, `cancelled`).
+            outcome: String,
+            /// Verification iterations the session performed.
+            iterations: usize,
+            /// Wall-clock nanoseconds the job occupied its worker.
+            nanos: u64,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use crate::json::{parse, Json, ToJson};
 
     #[test]
     fn json_round_trips_every_variant() {

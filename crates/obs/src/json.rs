@@ -1,9 +1,25 @@
-//! A minimal, dependency-free JSON value type with an encoder and parser.
+//! A minimal, dependency-free JSON value type with an encoder and parser,
+//! and the one codec every wire, persisted and telemetry type goes through.
 //!
 //! Only the subset the telemetry format needs: object key order is
 //! preserved (objects are `Vec<(String, Json)>`), integers are `i64`, and
 //! the parser accepts exactly what the encoder emits plus insignificant
 //! whitespace.
+//!
+//! # The codec
+//!
+//! A type encodes through [`ToJson`] and decodes through [`FromJson`].
+//! Both are implemented once for the primitives (`u64`, `usize`, `i64`,
+//! `bool`, strings, [`Json`] itself, `Option<T>` as `null`, `Vec<T>` as an
+//! array and `Vec<(String, T)>` as an object with its keys in order;
+//! `f64` encodes only: nothing decodes floats). A struct declares its
+//! fields once, in a [`json_codec!`](crate::json_codec) table that writes
+//! both impls, so its encoder and decoder cannot disagree on a key.
+//!
+//! Every decoder reads a field by one rule, [`field_with`]: a field that
+//! is missing or `null` takes its declared default, and without one it is
+//! an error; a present field of the wrong JSON type, or out of range, is
+//! an error. Every error names the field.
 
 use std::fmt;
 
@@ -29,12 +45,12 @@ pub enum Json {
 impl Json {
     /// An integer value from a `usize` (saturating at `i64::MAX`).
     pub fn from_usize(v: usize) -> Json {
-        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+        v.to_json()
     }
 
     /// An integer value from a `u64` (saturating at `i64::MAX`).
     pub fn from_u64(v: u64) -> Json {
-        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+        v.to_json()
     }
 
     /// Looks up a key in an object; `None` for other variants.
@@ -377,6 +393,385 @@ impl<'a> Parser<'a> {
                 .map_err(|_| self.err("bad integer"))
         }
     }
+}
+
+/// A value with a JSON encoding.
+pub trait ToJson {
+    /// The value's JSON encoding.
+    fn to_json(&self) -> Json;
+}
+
+/// A value decoded from JSON.
+pub trait FromJson: Sized {
+    /// Decodes `json`.
+    ///
+    /// # Errors
+    ///
+    /// A description of what failed, naming the field (see
+    /// [`field_with`]).
+    fn from_json(json: &Json) -> Result<Self, String>;
+}
+
+fn mismatch(expected: &str, found: &Json) -> String {
+    let found = match found {
+        Json::Null => "null",
+        Json::Bool(_) => "a boolean",
+        Json::Int(_) => "an integer",
+        Json::Float(_) => "a float",
+        Json::Str(_) => "a string",
+        Json::Array(_) => "an array",
+        Json::Object(_) => "an object",
+    };
+    format!("expected {expected}, found {found}")
+}
+
+/// The field rule: reads field `key` of the object `json` with `decode`.
+///
+/// * A field that is missing or `null` takes `default`; without one it is
+///   an error.
+/// * A present field of the wrong JSON type, or out of range, is an error.
+///
+/// Every error names the field: ``missing `key` `` or `` `key`: … ``.
+///
+/// # Errors
+///
+/// As above, and when `json` is not an object.
+pub fn field_with<T>(
+    json: &Json,
+    key: &str,
+    default: Option<T>,
+    decode: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    let Json::Object(fields) = json else {
+        return Err(mismatch("an object", json));
+    };
+    match fields.iter().find(|(k, _)| k == key) {
+        None | Some((_, Json::Null)) => default.ok_or_else(|| format!("missing `{key}`")),
+        Some((_, value)) => decode(value).map_err(|e| format!("`{key}`: {e}")),
+    }
+}
+
+/// [`field_with`] for a required field.
+///
+/// # Errors
+///
+/// See [`field_with`].
+pub fn field<T: FromJson>(json: &Json, key: &str) -> Result<T, String> {
+    field_with(json, key, None, T::from_json)
+}
+
+/// [`field_with`] for a field with a default.
+///
+/// # Errors
+///
+/// See [`field_with`].
+pub fn field_or<T: FromJson>(json: &Json, key: &str, default: T) -> Result<T, String> {
+    field_with(json, key, Some(default), T::from_json)
+}
+
+/// Reads a version tag: a required field that must equal `expected`.
+///
+/// # Errors
+///
+/// See [`field_with`]; another version is `` `key`: unsupported version N ``.
+pub fn version<T: FromJson + PartialEq + fmt::Display>(
+    json: &Json,
+    key: &str,
+    expected: T,
+) -> Result<(), String> {
+    match field::<T>(json, key)? {
+        found if found == expected => Ok(()),
+        found => Err(format!("`{key}`: unsupported version {found}")),
+    }
+}
+
+/// Decodes an array item by item; an error names the failing index.
+///
+/// # Errors
+///
+/// When `json` is not an array or an item does not decode.
+pub fn items<T>(json: &Json, item: impl Fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    match json {
+        Json::Array(values) => values
+            .iter()
+            .enumerate()
+            .map(|(i, value)| item(value).map_err(|e| format!("[{i}]: {e}")))
+            .collect(),
+        other => Err(mismatch("an array", other)),
+    }
+}
+
+/// An object of `fields` in order: how a hand-written encoder (an enum
+/// that dispatches on a tag field) builds its JSON.
+pub fn object(fields: &[(&str, &dyn ToJson)]) -> Json {
+    Json::Object(
+        fields
+            .iter()
+            .map(|(key, value)| ((*key).to_owned(), value.to_json()))
+            .collect(),
+    )
+}
+
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::Int(i64::try_from(*self).unwrap_or(i64::MAX))
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(json: &Json) -> Result<Self, String> {
+                match json {
+                    Json::Int(v) => <$t>::try_from(*v).map_err(|_| format!("{v} is out of range")),
+                    other => Err(mismatch("an integer", other)),
+                }
+            }
+        }
+    )*};
+}
+
+unsigned!(u64, usize);
+
+impl ToJson for i64 {
+    fn to_json(&self) -> Json {
+        Json::Int(*self)
+    }
+}
+
+impl FromJson for i64 {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        json.as_int().ok_or_else(|| mismatch("an integer", json))
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Float(*self)
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        json.as_bool().ok_or_else(|| mismatch("a boolean", json))
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_owned())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        json.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| mismatch("a string", json))
+    }
+}
+
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
+
+impl FromJson for Json {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        Ok(json.clone())
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        match json {
+            Json::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        items(json, T::from_json)
+    }
+}
+
+/// Key-value pairs encode as an object with the keys in order: the
+/// encoding of a map whose keys are data (the store's index, a benchmark
+/// cell's counters).
+impl<K: AsRef<str>, T: ToJson> ToJson for Vec<(K, T)> {
+    fn to_json(&self) -> Json {
+        Json::Object(
+            self.iter()
+                .map(|(key, value)| (key.as_ref().to_owned(), value.to_json()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<(String, T)> {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        match json {
+            Json::Object(fields) => fields
+                .iter()
+                .map(|(key, value)| {
+                    T::from_json(value)
+                        .map(|v| (key.clone(), v))
+                        .map_err(|e| format!("`{key}`: {e}"))
+                })
+                .collect(),
+            other => Err(mismatch("an object", other)),
+        }
+    }
+}
+
+/// Declares a type's JSON encoding once.
+///
+/// **A struct table** lists one row per field, in encoding order:
+///
+/// * `field: "key"` — a required field;
+/// * `field: "key" = default` — the value a missing or `null` field takes;
+/// * `field: "key" via (to, from)` — a field whose type has no codec of its
+///   own (a `Duration` sent as integer milliseconds, a type of a crate that
+///   does not depend on this one): `to(&field) -> Json` encodes it and
+///   `from(&Json) -> Result<_, String>` decodes it; a default may follow.
+///
+/// An optional leading `"key" = VERSION;` row is a version tag: encoded
+/// first, and read by [`version`].
+///
+/// `impl ToJson for T { rows }` writes the encoder only (its rows take no
+/// defaults). `impl ToJson + FromJson for T { rows }` also writes the
+/// decoder, which reads every row by [`field_with`] into a struct literal
+/// (so the table must name every field); a trailing `then f` passes the
+/// decoded value through `f` (a constructor that canonicalizes, say).
+///
+/// **An enum declaration** `enum E tagged "tag" { Variant = "name" { fields }, … }`
+/// declares `E` with its attributes and docs, `E::kind()` returning the
+/// variant's name, and an encoder whose object is the `tag` field holding
+/// that name followed by every field under its own name.
+#[macro_export]
+macro_rules! json_codec {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident tagged $tag:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal {
+                    $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $fty),* }),*
+        }
+
+        impl $name {
+            /// Stable snake_case name of the variant (the
+            #[doc = concat!("`", $tag, "`")]
+            /// field of its JSON encoding).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $kind),*
+                }
+            }
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                match self {
+                    $($name::$variant { $($field),* } => $crate::json::object(&[
+                        ($tag, &$kind),
+                        $((stringify!($field), $field)),*
+                    ])),*
+                }
+            }
+        }
+    };
+    (
+        impl ToJson for $ty:ty {
+            $($tag:literal = $version:expr;)?
+            $($field:ident: $key:literal $(via ($to:path, $from:path))?),* $(,)?
+        }
+    ) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Object(vec![
+                    $(($tag.to_owned(), $crate::json::ToJson::to_json(&$version)),)?
+                    $(($key.to_owned(), $crate::json_codec!(@encode self.$field $(, $to)?)),)*
+                ])
+            }
+        }
+    };
+    (
+        impl ToJson + FromJson for $ty:ty {
+            $($tag:literal = $version:expr;)?
+            $($field:ident: $key:literal $(via ($to:path, $from:path))? $(= $default:expr)?),* $(,)?
+        } $(then $then:expr)?
+    ) => {
+        $crate::json_codec! {
+            impl ToJson for $ty {
+                $($tag = $version;)?
+                $($field: $key $(via ($to, $from))?),*
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(json: &$crate::json::Json) -> Result<Self, String> {
+                $($crate::json::version(json, $tag, $version)?;)?
+                let value = Self {
+                    $($field: $crate::json::field_with(
+                        json,
+                        $key,
+                        $crate::json_codec!(@default $($default)?),
+                        $crate::json_codec!(@decode $($from)?),
+                    )?,)*
+                };
+                Ok($crate::json_codec!(@then value $(, $then)?))
+            }
+        }
+    };
+    (@encode $value:expr) => { $crate::json::ToJson::to_json(&$value) };
+    (@encode $value:expr, $to:path) => { $to(&$value) };
+    (@default) => { None };
+    (@default $default:expr) => { Some($default) };
+    (@decode) => { $crate::json::FromJson::from_json };
+    (@decode $from:path) => { $from };
+    (@then $value:ident) => { $value };
+    (@then $value:ident, $then:expr) => { ($then)($value) };
 }
 
 #[cfg(test)]

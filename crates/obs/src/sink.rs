@@ -5,6 +5,7 @@ use std::io;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::LoopEvent;
+use crate::json::ToJson;
 use crate::render::render_event;
 
 /// A consumer of [`LoopEvent`]s.

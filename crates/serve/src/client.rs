@@ -10,7 +10,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use muml_fleet::JobRequest;
-use muml_obs::json::Json;
+use muml_obs::json::{Json, ToJson};
 
 use crate::error::ServeError;
 use crate::protocol::{

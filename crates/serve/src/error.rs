@@ -13,7 +13,7 @@ use std::fmt;
 
 use muml_core::CoreError;
 use muml_fleet::ResolveError;
-use muml_obs::json::Json;
+use muml_obs::json::{field, object, FromJson, Json, ToJson};
 
 /// A client-facing error with a stable wire code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,123 +113,86 @@ impl ServeError {
             ServeError::Transport { .. } => "transport",
         }
     }
+}
 
-    /// The wire encoding: `{"code": ..., "message": ..., <fields>}`.
-    pub fn to_json(&self) -> Json {
-        let mut obj = vec![
-            ("code".to_owned(), Json::Str(self.code().to_owned())),
-            ("message".to_owned(), Json::Str(self.to_string())),
-        ];
-        match self {
-            ServeError::UnsupportedVersion { got } => {
-                obj.push(("got".to_owned(), Json::Int(*got)));
-            }
-            ServeError::UnknownMethod { method } => {
-                obj.push(("method".to_owned(), Json::Str(method.clone())));
-            }
+/// The wire encoding: `{"code": ..., "message": ..., <fields>}`. The
+/// message is the [`Display`](fmt::Display) rendering, for humans; decoding
+/// ignores it.
+impl ToJson for ServeError {
+    fn to_json(&self) -> Json {
+        let (code, message) = (self.code(), self.to_string());
+        let fields: &[(&str, &dyn ToJson)] = match self {
+            ServeError::UnsupportedVersion { got } => &[("got", got)],
+            ServeError::UnknownMethod { method } => &[("method", method)],
             ServeError::Malformed { detail }
             | ServeError::InvalidRequest { detail }
-            | ServeError::Transport { detail } => {
-                obj.push(("detail".to_owned(), Json::Str(detail.clone())));
-            }
-            ServeError::OversizedFrame { length, max } => {
-                obj.push(("length".to_owned(), Json::from_usize(*length)));
-                obj.push(("max".to_owned(), Json::from_usize(*max)));
-            }
-            ServeError::UnknownScenario { scenario } => {
-                obj.push(("scenario".to_owned(), Json::Str(scenario.clone())));
-            }
+            | ServeError::Transport { detail } => &[("detail", detail)],
+            ServeError::OversizedFrame { length, max } => &[("length", length), ("max", max)],
+            ServeError::UnknownScenario { scenario } => &[("scenario", scenario)],
             ServeError::QueueFull { pending, limit }
             | ServeError::ClientLimit { pending, limit } => {
-                obj.push(("pending".to_owned(), Json::from_usize(*pending)));
-                obj.push(("limit".to_owned(), Json::from_usize(*limit)));
+                &[("pending", pending), ("limit", limit)]
             }
-            ServeError::UnknownJob { job } => {
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-            }
-            ServeError::ShuttingDown => {}
+            ServeError::UnknownJob { job } => &[("job", job)],
+            ServeError::ShuttingDown => &[],
             ServeError::Session { code, message } => {
-                obj.push(("session_code".to_owned(), Json::Str(code.clone())));
-                obj.push(("session_message".to_owned(), Json::Str(message.clone())));
+                &[("session_code", code), ("session_message", message)]
             }
-        }
-        Json::Object(obj)
+        };
+        let mut all: Vec<(&str, &dyn ToJson)> = vec![("code", &code), ("message", &message)];
+        all.extend_from_slice(fields);
+        object(&all)
     }
+}
 
-    /// Decodes the wire encoding produced by [`ServeError::to_json`].
-    /// Unknown codes decode to [`ServeError::Malformed`] rather than
-    /// failing, so a newer server's errors still surface client-side.
-    pub fn from_json(json: &Json) -> ServeError {
-        let code = json.get("code").and_then(Json::as_str).unwrap_or("");
-        let detail = || {
-            json.get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned()
-        };
-        let count = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_int)
-                .and_then(|v| usize::try_from(v).ok())
-                .unwrap_or(0)
-        };
-        match code {
+/// Unknown codes decode to [`ServeError::Malformed`] rather than failing,
+/// so a newer server's errors still surface client-side.
+impl FromJson for ServeError {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let code: String = field(json, "code")?;
+        Ok(match code.as_str() {
             "unsupported-version" => ServeError::UnsupportedVersion {
-                got: json.get("got").and_then(Json::as_int).unwrap_or(-1),
+                got: field(json, "got")?,
             },
             "unknown-method" => ServeError::UnknownMethod {
-                method: json
-                    .get("method")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned(),
+                method: field(json, "method")?,
             },
-            "malformed-request" => ServeError::Malformed { detail: detail() },
+            "malformed-request" => ServeError::Malformed {
+                detail: field(json, "detail")?,
+            },
             "oversized-frame" => ServeError::OversizedFrame {
-                length: count("length"),
-                max: count("max"),
+                length: field(json, "length")?,
+                max: field(json, "max")?,
             },
             "unknown-scenario" => ServeError::UnknownScenario {
-                scenario: json
-                    .get("scenario")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned(),
+                scenario: field(json, "scenario")?,
             },
-            "invalid-request" => ServeError::InvalidRequest { detail: detail() },
+            "invalid-request" => ServeError::InvalidRequest {
+                detail: field(json, "detail")?,
+            },
             "queue-full" => ServeError::QueueFull {
-                pending: count("pending"),
-                limit: count("limit"),
+                pending: field(json, "pending")?,
+                limit: field(json, "limit")?,
             },
             "client-limit" => ServeError::ClientLimit {
-                pending: count("pending"),
-                limit: count("limit"),
+                pending: field(json, "pending")?,
+                limit: field(json, "limit")?,
             },
             "unknown-job" => ServeError::UnknownJob {
-                job: json
-                    .get("job")
-                    .and_then(Json::as_int)
-                    .and_then(|v| u64::try_from(v).ok())
-                    .unwrap_or(0),
+                job: field(json, "job")?,
             },
             "shutting-down" => ServeError::ShuttingDown,
             "session-error" => ServeError::Session {
-                code: json
-                    .get("session_code")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned(),
-                message: json
-                    .get("session_message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_owned(),
+                code: field(json, "session_code")?,
+                message: field(json, "session_message")?,
             },
-            "transport" => ServeError::Transport { detail: detail() },
+            "transport" => ServeError::Transport {
+                detail: field(json, "detail")?,
+            },
             other => ServeError::Malformed {
                 detail: format!("unknown error code `{other}`"),
             },
-        }
+        })
     }
 }
 
@@ -272,7 +235,6 @@ impl From<ResolveError> for ServeError {
         match e {
             ResolveError::UnknownScenario { scenario } => ServeError::UnknownScenario { scenario },
             ResolveError::Invalid { detail } => ServeError::InvalidRequest { detail },
-            ResolveError::Malformed { detail } => ServeError::Malformed { detail },
             other => ServeError::InvalidRequest {
                 detail: other.to_string(),
             },
@@ -363,7 +325,7 @@ mod tests {
             // Every encoding carries a code and a human-readable message.
             assert!(encoded.get("code").is_some());
             assert!(encoded.get("message").and_then(Json::as_str).is_some());
-            let decoded = ServeError::from_json(&encoded);
+            let decoded = ServeError::from_json(&encoded).unwrap();
             assert_eq!(decoded, error, "round trip of {}", error.code());
         }
     }
@@ -374,7 +336,7 @@ mod tests {
             "code".to_owned(),
             Json::Str("from-the-future".into()),
         )]);
-        match ServeError::from_json(&alien) {
+        match ServeError::from_json(&alien).unwrap() {
             ServeError::Malformed { detail } => {
                 assert!(detail.contains("from-the-future"), "{detail}")
             }

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 
 use muml_fleet::JobRequest;
 use muml_obs::fnv1a64;
-use muml_obs::json::{parse, Json};
+use muml_obs::json::{field, object, parse, version, FromJson, Json, ToJson};
 
 use crate::protocol::{Priority, VerdictRecord};
 
@@ -94,65 +94,55 @@ impl JournalRecord {
             JournalRecord::Finished { .. } => "finished",
         }
     }
+}
 
-    /// The JSON payload of the record's frame.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("v".to_owned(), Json::from_u64(JOURNAL_VERSION)),
-            ("type".to_owned(), Json::Str(self.kind().to_owned())),
-        ];
+/// The JSON payload of a record's frame: `{"v": 1, "type": ..., <fields>}`.
+impl ToJson for JournalRecord {
+    fn to_json(&self) -> Json {
+        let (v, kind) = (&JOURNAL_VERSION, &self.kind());
         match self {
             JournalRecord::Accepted {
                 job,
                 client,
                 priority,
                 request,
-            } => {
-                fields.push(("job".to_owned(), Json::from_u64(*job)));
-                fields.push(("client".to_owned(), Json::from_u64(*client)));
-                fields.push((
-                    "priority".to_owned(),
-                    Json::Str(priority.as_str().to_owned()),
-                ));
-                fields.push(("request".to_owned(), request.to_json()));
-            }
-            JournalRecord::Started { job } => {
-                fields.push(("job".to_owned(), Json::from_u64(*job)));
-            }
+            } => object(&[
+                ("v", v),
+                ("type", kind),
+                ("job", job),
+                ("client", client),
+                ("priority", priority),
+                ("request", request),
+            ]),
+            JournalRecord::Started { job } => object(&[("v", v), ("type", kind), ("job", job)]),
             JournalRecord::Finished { record } => {
-                fields.push(("record".to_owned(), record.to_json()));
+                object(&[("v", v), ("type", kind), ("record", record)])
             }
         }
-        Json::Object(fields)
     }
+}
 
-    /// Decodes a frame payload. `None` for anything malformed — the
-    /// journal treats undecodable payloads as torn tail, not as errors.
-    pub fn from_json(json: &Json) -> Option<JournalRecord> {
-        if json.get("v").and_then(Json::as_int) != Some(JOURNAL_VERSION as i64) {
-            return None;
-        }
-        let job = |json: &Json| {
-            json.get("job")
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-        };
-        match json.get("type").and_then(Json::as_str)? {
-            "accepted" => Some(JournalRecord::Accepted {
-                job: job(json)?,
-                client: json
-                    .get("client")
-                    .and_then(Json::as_int)
-                    .and_then(|v| u64::try_from(v).ok())?,
-                priority: Priority::parse(json.get("priority").and_then(Json::as_str)?)?,
-                request: JobRequest::from_json(json.get("request")?).ok()?,
-            }),
-            "started" => Some(JournalRecord::Started { job: job(json)? }),
-            "finished" => Some(JournalRecord::Finished {
-                record: VerdictRecord::from_json(json.get("record")?).ok()?,
-            }),
-            _ => None,
-        }
+/// The journal treats a payload that does not decode as torn tail, not as
+/// an error.
+impl FromJson for JournalRecord {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        version(json, "v", JOURNAL_VERSION)?;
+        let kind: String = field(json, "type")?;
+        Ok(match kind.as_str() {
+            "accepted" => JournalRecord::Accepted {
+                job: field(json, "job")?,
+                client: field(json, "client")?,
+                priority: field(json, "priority")?,
+                request: field(json, "request")?,
+            },
+            "started" => JournalRecord::Started {
+                job: field(json, "job")?,
+            },
+            "finished" => JournalRecord::Finished {
+                record: field(json, "record")?,
+            },
+            other => return Err(format!("unknown record type `{other}`")),
+        })
     }
 }
 
@@ -319,7 +309,7 @@ fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
         };
         let Some(record) = parse(text)
             .ok()
-            .and_then(|json| JournalRecord::from_json(&json))
+            .and_then(|json| JournalRecord::from_json(&json).ok())
         else {
             break;
         };

@@ -18,6 +18,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
+use muml_obs::json::ToJson;
+
 use crate::error::ServeError;
 use crate::protocol::{read_frame, write_frame, FrameError, Request, Response};
 use crate::server::Daemon;

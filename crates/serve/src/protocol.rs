@@ -22,7 +22,7 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 
 use muml_fleet::request::JobRequest;
-use muml_obs::json::Json;
+use muml_obs::json::{field, field_or, object, FromJson, Json, ToJson};
 
 use crate::error::ServeError;
 
@@ -221,6 +221,19 @@ impl Priority {
     }
 }
 
+impl ToJson for Priority {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl FromJson for Priority {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let name = String::from_json(json)?;
+        Priority::parse(&name).ok_or_else(|| format!("unknown priority `{name}`"))
+    }
+}
+
 /// What happened to a cancelled job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelState {
@@ -255,6 +268,19 @@ impl CancelState {
     }
 }
 
+impl ToJson for CancelState {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl FromJson for CancelState {
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let name = String::from_json(json)?;
+        CancelState::parse(&name).ok_or_else(|| format!("unknown cancel state `{name}`"))
+    }
+}
+
 /// A client → daemon request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -286,95 +312,60 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The wire encoding: `{"v": 1, "method": ..., <fields>}`.
-    pub fn to_json(&self) -> Json {
-        let mut obj = vec![("v".to_owned(), Json::Int(PROTOCOL_VERSION))];
-        match self {
-            Request::Submit { request, priority } => {
-                obj.push(("method".to_owned(), Json::Str("submit".into())));
-                obj.push(("request".to_owned(), request.to_json()));
-                obj.push(("priority".to_owned(), Json::Str(priority.as_str().into())));
-            }
-            Request::Wait { job } => {
-                obj.push(("method".to_owned(), Json::Str("wait".into())));
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-            }
-            Request::Cancel { job } => {
-                obj.push(("method".to_owned(), Json::Str("cancel".into())));
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-            }
-            Request::History => obj.push(("method".to_owned(), Json::Str("history".into()))),
-            Request::Stats => obj.push(("method".to_owned(), Json::Str("stats".into()))),
-            Request::Subscribe => obj.push(("method".to_owned(), Json::Str("subscribe".into()))),
-            Request::Shutdown => obj.push(("method".to_owned(), Json::Str("shutdown".into()))),
-        }
-        Json::Object(obj)
-    }
+fn malformed(detail: String) -> ServeError {
+    ServeError::Malformed { detail }
+}
 
+/// The wire encoding: `{"v": 1, "method": ..., <fields>}`.
+impl ToJson for Request {
+    fn to_json(&self) -> Json {
+        let v = &PROTOCOL_VERSION;
+        match self {
+            Request::Submit { request, priority } => object(&[
+                ("v", v),
+                ("method", &"submit"),
+                ("request", request),
+                ("priority", priority),
+            ]),
+            Request::Wait { job } => object(&[("v", v), ("method", &"wait"), ("job", job)]),
+            Request::Cancel { job } => object(&[("v", v), ("method", &"cancel"), ("job", job)]),
+            Request::History => object(&[("v", v), ("method", &"history")]),
+            Request::Stats => object(&[("v", v), ("method", &"stats")]),
+            Request::Subscribe => object(&[("v", v), ("method", &"subscribe")]),
+            Request::Shutdown => object(&[("v", v), ("method", &"shutdown")]),
+        }
+    }
+}
+
+impl Request {
     /// Decodes a request frame.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnsupportedVersion`] for a foreign `"v"`,
     /// [`ServeError::UnknownMethod`] for an unrecognised `"method"`, and
-    /// [`ServeError::Malformed`] for structural problems — all of which a
-    /// server answers on the still-healthy connection.
+    /// [`ServeError::Malformed`] naming the field for everything else —
+    /// all of which a server answers on the still-healthy connection.
     pub fn from_json(json: &Json) -> Result<Request, ServeError> {
-        let version =
-            json.get("v")
-                .and_then(Json::as_int)
-                .ok_or_else(|| ServeError::Malformed {
-                    detail: "missing protocol version `v`".into(),
-                })?;
+        let version: i64 = field(json, "v").map_err(malformed)?;
         if version != PROTOCOL_VERSION {
             return Err(ServeError::UnsupportedVersion { got: version });
         }
-        let method =
-            json.get("method")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServeError::Malformed {
-                    detail: "missing `method`".into(),
-                })?;
-        let job_id = || -> Result<u64, ServeError> {
-            json.get("job")
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| ServeError::Malformed {
-                    detail: "missing job id".into(),
-                })
-        };
-        match method {
-            "submit" => {
-                let request = json.get("request").ok_or_else(|| ServeError::Malformed {
-                    detail: "missing `request`".into(),
-                })?;
-                let request = JobRequest::from_json(request).map_err(ServeError::from)?;
-                let priority = match json.get("priority") {
-                    None | Some(Json::Null) => Priority::Normal,
-                    Some(Json::Str(name)) => {
-                        Priority::parse(name).ok_or_else(|| ServeError::Malformed {
-                            detail: format!("unknown priority `{name}`"),
-                        })?
-                    }
-                    Some(_) => {
-                        return Err(ServeError::Malformed {
-                            detail: "`priority` must be a string".into(),
-                        })
-                    }
-                };
-                Ok(Request::Submit { request, priority })
-            }
-            "wait" => Ok(Request::Wait { job: job_id()? }),
-            "cancel" => Ok(Request::Cancel { job: job_id()? }),
-            "history" => Ok(Request::History),
-            "stats" => Ok(Request::Stats),
-            "subscribe" => Ok(Request::Subscribe),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ServeError::UnknownMethod {
-                method: other.to_owned(),
-            }),
-        }
+        let method: String = field(json, "method").map_err(malformed)?;
+        let job = || field(json, "job").map_err(malformed);
+        Ok(match method.as_str() {
+            "submit" => Request::Submit {
+                request: field(json, "request").map_err(malformed)?,
+                priority: field_or(json, "priority", Priority::Normal).map_err(malformed)?,
+            },
+            "wait" => Request::Wait { job: job()? },
+            "cancel" => Request::Cancel { job: job()? },
+            "history" => Request::History,
+            "stats" => Request::Stats,
+            "subscribe" => Request::Subscribe,
+            "shutdown" => Request::Shutdown,
+            _ => return Err(ServeError::UnknownMethod { method }),
+        })
     }
 }
 
@@ -400,70 +391,15 @@ pub struct VerdictRecord {
     pub attempts: usize,
 }
 
-impl VerdictRecord {
-    /// The wire encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("job".to_owned(), Json::from_u64(self.job)),
-            ("request".to_owned(), self.request.to_json()),
-            ("outcome".to_owned(), Json::Str(self.outcome.clone())),
-            (
-                "property".to_owned(),
-                match &self.property {
-                    Some(p) => Json::Str(p.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("iterations".to_owned(), Json::from_usize(self.iterations)),
-            ("nanos".to_owned(), Json::from_u64(self.nanos)),
-            ("attempts".to_owned(), Json::from_usize(self.attempts)),
-        ])
-    }
-
-    /// Decodes the wire encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Malformed`] when required fields are missing.
-    pub fn from_json(json: &Json) -> Result<VerdictRecord, ServeError> {
-        let malformed = |detail: &str| ServeError::Malformed {
-            detail: detail.to_owned(),
-        };
-        let request = json
-            .get("request")
-            .ok_or_else(|| malformed("verdict missing `request`"))?;
-        Ok(VerdictRecord {
-            job: json
-                .get("job")
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| malformed("verdict missing `job`"))?,
-            request: JobRequest::from_json(request).map_err(ServeError::from)?,
-            outcome: json
-                .get("outcome")
-                .and_then(Json::as_str)
-                .ok_or_else(|| malformed("verdict missing `outcome`"))?
-                .to_owned(),
-            property: json
-                .get("property")
-                .and_then(Json::as_str)
-                .map(str::to_owned),
-            iterations: json
-                .get("iterations")
-                .and_then(Json::as_int)
-                .and_then(|v| usize::try_from(v).ok())
-                .unwrap_or(0),
-            nanos: json
-                .get("nanos")
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .unwrap_or(0),
-            attempts: json
-                .get("attempts")
-                .and_then(Json::as_int)
-                .and_then(|v| usize::try_from(v).ok())
-                .unwrap_or(0),
-        })
+muml_obs::json_codec! {
+    impl ToJson + FromJson for VerdictRecord {
+        job: "job",
+        request: "request",
+        outcome: "outcome",
+        property: "property" = None,
+        iterations: "iterations",
+        nanos: "nanos",
+        attempts: "attempts",
     }
 }
 
@@ -486,48 +422,15 @@ pub struct ServerStats {
     pub scenarios: Vec<String>,
 }
 
-impl ServerStats {
-    /// The wire encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("submitted".to_owned(), Json::from_u64(self.submitted)),
-            ("completed".to_owned(), Json::from_u64(self.completed)),
-            ("rejected".to_owned(), Json::from_u64(self.rejected)),
-            ("cancelled".to_owned(), Json::from_u64(self.cancelled)),
-            ("queued".to_owned(), Json::from_usize(self.queued)),
-            ("running".to_owned(), Json::from_usize(self.running)),
-            (
-                "scenarios".to_owned(),
-                Json::Array(self.scenarios.iter().cloned().map(Json::Str).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes the wire encoding (missing counters default to zero).
-    pub fn from_json(json: &Json) -> ServerStats {
-        let counter = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .unwrap_or(0)
-        };
-        let scenarios = match json.get("scenarios") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .filter_map(Json::as_str)
-                .map(str::to_owned)
-                .collect(),
-            _ => Vec::new(),
-        };
-        ServerStats {
-            submitted: counter("submitted"),
-            completed: counter("completed"),
-            rejected: counter("rejected"),
-            cancelled: counter("cancelled"),
-            queued: counter("queued") as usize,
-            running: counter("running") as usize,
-            scenarios,
-        }
+muml_obs::json_codec! {
+    impl ToJson + FromJson for ServerStats {
+        submitted: "submitted",
+        completed: "completed",
+        rejected: "rejected",
+        cancelled: "cancelled",
+        queued: "queued",
+        running: "running",
+        scenarios: "scenarios",
     }
 }
 
@@ -578,143 +481,87 @@ pub enum Response {
     ShuttingDown,
 }
 
-impl Response {
-    /// The wire encoding: `{"v": 1, "reply": ..., <fields>}`.
-    pub fn to_json(&self) -> Json {
-        let mut obj = vec![("v".to_owned(), Json::Int(PROTOCOL_VERSION))];
+/// The wire encoding: `{"v": 1, "reply": ..., <fields>}`.
+impl ToJson for Response {
+    fn to_json(&self) -> Json {
+        let v = &PROTOCOL_VERSION;
         match self {
-            Response::Accepted { job } => {
-                obj.push(("reply".to_owned(), Json::Str("accepted".into())));
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-            }
+            Response::Accepted { job } => object(&[("v", v), ("reply", &"accepted"), ("job", job)]),
             Response::Rejected { error } => {
-                obj.push(("reply".to_owned(), Json::Str("rejected".into())));
-                obj.push(("error".to_owned(), error.to_json()));
+                object(&[("v", v), ("reply", &"rejected"), ("error", error)])
             }
             Response::Verdict(record) => {
-                obj.push(("reply".to_owned(), Json::Str("verdict".into())));
-                obj.push(("verdict".to_owned(), record.to_json()));
+                object(&[("v", v), ("reply", &"verdict"), ("verdict", record)])
             }
-            Response::Cancelled { job, state } => {
-                obj.push(("reply".to_owned(), Json::Str("cancelled".into())));
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-                obj.push(("state".to_owned(), Json::Str(state.as_str().into())));
-            }
+            Response::Cancelled { job, state } => object(&[
+                ("v", v),
+                ("reply", &"cancelled"),
+                ("job", job),
+                ("state", state),
+            ]),
             Response::History { entries } => {
-                obj.push(("reply".to_owned(), Json::Str("history".into())));
-                obj.push((
-                    "entries".to_owned(),
-                    Json::Array(entries.iter().map(VerdictRecord::to_json).collect()),
-                ));
+                object(&[("v", v), ("reply", &"history"), ("entries", entries)])
             }
-            Response::Stats(stats) => {
-                obj.push(("reply".to_owned(), Json::Str("stats".into())));
-                obj.push(("stats".to_owned(), stats.to_json()));
-            }
-            Response::Subscribed => {
-                obj.push(("reply".to_owned(), Json::Str("subscribed".into())));
-            }
+            Response::Stats(stats) => object(&[("v", v), ("reply", &"stats"), ("stats", stats)]),
+            Response::Subscribed => object(&[("v", v), ("reply", &"subscribed")]),
             Response::Event {
                 stream,
                 job,
                 payload,
-            } => {
-                obj.push(("reply".to_owned(), Json::Str("event".into())));
-                obj.push(("stream".to_owned(), Json::Str(stream.clone())));
-                obj.push(("job".to_owned(), Json::from_u64(*job)));
-                obj.push(("payload".to_owned(), payload.clone()));
-            }
-            Response::ShuttingDown => {
-                obj.push(("reply".to_owned(), Json::Str("shutting-down".into())));
-            }
+            } => object(&[
+                ("v", v),
+                ("reply", &"event"),
+                ("stream", stream),
+                ("job", job),
+                ("payload", payload),
+            ]),
+            Response::ShuttingDown => object(&[("v", v), ("reply", &"shutting-down")]),
         }
-        Json::Object(obj)
     }
+}
 
+impl Response {
     /// Decodes a reply frame.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnsupportedVersion`] / [`ServeError::Malformed`] on
-    /// foreign or structurally broken frames.
+    /// [`ServeError::UnsupportedVersion`] on a foreign version,
+    /// [`ServeError::Malformed`] naming the field on structurally broken
+    /// frames.
     pub fn from_json(json: &Json) -> Result<Response, ServeError> {
-        let malformed = |detail: String| ServeError::Malformed { detail };
-        let version = json
-            .get("v")
-            .and_then(Json::as_int)
-            .ok_or_else(|| malformed("missing protocol version `v`".into()))?;
+        let version: i64 = field(json, "v").map_err(malformed)?;
         if version != PROTOCOL_VERSION {
             return Err(ServeError::UnsupportedVersion { got: version });
         }
-        let reply = json
-            .get("reply")
-            .and_then(Json::as_str)
-            .ok_or_else(|| malformed("missing `reply`".into()))?;
-        let job_id = || -> Result<u64, ServeError> {
-            json.get("job")
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| malformed("missing job id".into()))
+        let reply: String = field(json, "reply").map_err(malformed)?;
+        let decode = || -> Result<Response, String> {
+            Ok(match reply.as_str() {
+                "accepted" => Response::Accepted {
+                    job: field(json, "job")?,
+                },
+                "rejected" => Response::Rejected {
+                    error: field(json, "error")?,
+                },
+                "verdict" => Response::Verdict(field(json, "verdict")?),
+                "cancelled" => Response::Cancelled {
+                    job: field(json, "job")?,
+                    state: field(json, "state")?,
+                },
+                "history" => Response::History {
+                    entries: field(json, "entries")?,
+                },
+                "stats" => Response::Stats(field(json, "stats")?),
+                "subscribed" => Response::Subscribed,
+                "event" => Response::Event {
+                    stream: field(json, "stream")?,
+                    job: field(json, "job")?,
+                    payload: field(json, "payload")?,
+                },
+                "shutting-down" => Response::ShuttingDown,
+                other => return Err(format!("unknown reply `{other}`")),
+            })
         };
-        match reply {
-            "accepted" => Ok(Response::Accepted { job: job_id()? }),
-            "rejected" => {
-                let error = json
-                    .get("error")
-                    .ok_or_else(|| malformed("rejection missing `error`".into()))?;
-                Ok(Response::Rejected {
-                    error: ServeError::from_json(error),
-                })
-            }
-            "verdict" => {
-                let record = json
-                    .get("verdict")
-                    .ok_or_else(|| malformed("missing `verdict`".into()))?;
-                Ok(Response::Verdict(VerdictRecord::from_json(record)?))
-            }
-            "cancelled" => {
-                let state = json
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .and_then(CancelState::parse)
-                    .ok_or_else(|| malformed("missing or unknown cancel state".into()))?;
-                Ok(Response::Cancelled {
-                    job: job_id()?,
-                    state,
-                })
-            }
-            "history" => {
-                let entries = match json.get("entries") {
-                    Some(Json::Array(items)) => items
-                        .iter()
-                        .map(VerdictRecord::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err(malformed("history missing `entries`".into())),
-                };
-                Ok(Response::History { entries })
-            }
-            "stats" => {
-                let stats = json
-                    .get("stats")
-                    .ok_or_else(|| malformed("missing `stats`".into()))?;
-                Ok(Response::Stats(ServerStats::from_json(stats)))
-            }
-            "subscribed" => Ok(Response::Subscribed),
-            "event" => Ok(Response::Event {
-                stream: json
-                    .get("stream")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| malformed("event missing `stream`".into()))?
-                    .to_owned(),
-                job: job_id()?,
-                payload: json
-                    .get("payload")
-                    .cloned()
-                    .ok_or_else(|| malformed("event missing `payload`".into()))?,
-            }),
-            "shutting-down" => Ok(Response::ShuttingDown),
-            other => Err(malformed(format!("unknown reply `{other}`"))),
-        }
+        decode().map_err(malformed)
     }
 }
 

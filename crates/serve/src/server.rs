@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use muml_core::CancelToken;
 use muml_fleet::{classify, Job, JobContext, JobOutcome, JobRegistry, JobRequest, JobResult};
+use muml_obs::json::ToJson;
 use muml_obs::{EventSink, FleetEvent, LoopEvent, SharedSink};
 
 use crate::error::ServeError;

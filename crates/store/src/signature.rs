@@ -12,7 +12,6 @@
 use muml_automata::Universe;
 use muml_legacy::{HiddenMealy, LegacyComponent, MealyRule, StateObservable};
 use muml_obs::fnv1a64;
-use muml_obs::json::Json;
 
 /// One canonicalized interpreter rule of a [`ComponentSignature`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -159,82 +158,28 @@ impl ComponentSignature {
             && self.outputs == other.outputs
             && self.initial == other.initial
     }
-
-    /// The JSON encoding embedded in snapshot files.
-    pub fn to_json(&self) -> Json {
-        let rules = self
-            .rules
-            .iter()
-            .map(|r| {
-                Json::Object(vec![
-                    ("state".into(), Json::Str(r.state.clone())),
-                    ("ins".into(), str_array(&r.inputs)),
-                    ("outs".into(), str_array(&r.outputs)),
-                    ("target".into(), Json::Str(r.target.clone())),
-                ])
-            })
-            .collect();
-        Json::Object(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("inputs".into(), str_array(&self.inputs)),
-            ("outputs".into(), str_array(&self.outputs)),
-            ("initial".into(), Json::Str(self.initial.clone())),
-            ("rules".into(), Json::Array(rules)),
-        ])
-    }
-
-    /// Decodes a signature from its JSON encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let name = str_field(json, "name")?;
-        let inputs = str_list(json, "inputs")?;
-        let outputs = str_list(json, "outputs")?;
-        let initial = str_field(json, "initial")?;
-        let rules = match json.get("rules") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    Ok(RuleSignature::new(
-                        &str_field(item, "state")?,
-                        str_list(item, "ins")?,
-                        str_list(item, "outs")?,
-                        &str_field(item, "target")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("signature `rules` is not an array".to_owned()),
-        };
-        Ok(ComponentSignature::new(
-            &name, inputs, outputs, &initial, rules,
-        ))
-    }
 }
 
-pub(crate) fn str_array(names: &[String]) -> Json {
-    Json::Array(names.iter().map(|n| Json::Str(n.clone())).collect())
+// The JSON encoding embedded in snapshot files. Decoding goes through the
+// constructors, which canonicalize.
+muml_obs::json_codec! {
+    impl ToJson + FromJson for RuleSignature {
+        state: "state",
+        inputs: "ins",
+        outputs: "outs",
+        target: "target",
+    } then |r: RuleSignature| RuleSignature::new(&r.state, r.inputs, r.outputs, &r.target)
 }
 
-pub(crate) fn str_field(json: &Json, key: &str) -> Result<String, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
-pub(crate) fn str_list(json: &Json, key: &str) -> Result<Vec<String>, String> {
-    match json.get(key) {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("non-string entry in `{key}`"))
-            })
-            .collect(),
-        _ => Err(format!("missing or non-array field `{key}`")),
+muml_obs::json_codec! {
+    impl ToJson + FromJson for ComponentSignature {
+        name: "name",
+        inputs: "inputs",
+        outputs: "outputs",
+        initial: "initial",
+        rules: "rules",
+    } then |s: ComponentSignature| {
+        ComponentSignature::new(&s.name, s.inputs, s.outputs, &s.initial, s.rules)
     }
 }
 
@@ -242,6 +187,7 @@ pub(crate) fn str_list(json: &Json, key: &str) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
     use muml_legacy::{fault_matrix, inject, MealyBuilder};
+    use muml_obs::json::{FromJson, ToJson};
 
     fn sig(rules: Vec<RuleSignature>) -> ComponentSignature {
         ComponentSignature::new(

@@ -12,9 +12,9 @@
 //! store surfaces as a miss rather than an error.
 
 use muml_automata::{IncompleteSnapshot, SnapshotRefusal, SnapshotState, SnapshotTransition};
-use muml_obs::json::{parse, Json};
+use muml_obs::json::{field, field_with, items, object, parse, FromJson, Json};
 
-use crate::signature::{str_array, str_field, str_list, ComponentSignature};
+use crate::signature::ComponentSignature;
 
 /// The current snapshot schema version. Files tagged with any other value
 /// are treated as misses (never migrated in place).
@@ -46,28 +46,15 @@ impl DeltaRecord {
             && !self.initial_changed
             && self.dirty.is_empty()
     }
+}
 
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("states".into(), Json::from_usize(self.new_states)),
-            ("transitions".into(), Json::from_usize(self.new_transitions)),
-            ("refusals".into(), Json::from_usize(self.new_refusals)),
-            ("initial_changed".into(), Json::Bool(self.initial_changed)),
-            ("dirty".into(), str_array(&self.dirty)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        Ok(DeltaRecord {
-            new_states: usize_field(json, "states")?,
-            new_transitions: usize_field(json, "transitions")?,
-            new_refusals: usize_field(json, "refusals")?,
-            initial_changed: json
-                .get("initial_changed")
-                .and_then(Json::as_bool)
-                .ok_or("missing or non-bool field `initial_changed`")?,
-            dirty: str_list(json, "dirty")?,
-        })
+muml_obs::json_codec! {
+    impl ToJson + FromJson for DeltaRecord {
+        new_states: "states",
+        new_transitions: "transitions",
+        new_refusals: "refusals",
+        initial_changed: "initial_changed",
+        dirty: "dirty",
     }
 }
 
@@ -106,68 +93,17 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl Snapshot {
-    /// Encodes the snapshot as versioned JSON text.
-    pub fn encode(&self) -> String {
-        let a = &self.automaton;
-        let states = a
-            .states
-            .iter()
-            .map(|s| {
-                Json::Object(vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("props".into(), str_array(&s.props)),
-                ])
-            })
-            .collect();
-        let transitions = a
-            .transitions
-            .iter()
-            .map(|t| {
-                Json::Object(vec![
-                    ("from".into(), Json::from_usize(t.from)),
-                    ("ins".into(), str_array(&t.inputs)),
-                    ("outs".into(), str_array(&t.outputs)),
-                    ("to".into(), Json::from_usize(t.to)),
-                ])
-            })
-            .collect();
-        let refusals = a
-            .refusals
-            .iter()
-            .map(|r| {
-                Json::Object(vec![
-                    ("state".into(), Json::from_usize(r.state)),
-                    ("ins".into(), str_array(&r.inputs)),
-                    ("outs".into(), str_array(&r.outputs)),
-                ])
-            })
-            .collect();
-        let automaton = Json::Object(vec![
-            ("name".into(), Json::Str(a.name.clone())),
-            ("inputs".into(), str_array(&a.inputs)),
-            ("outputs".into(), str_array(&a.outputs)),
-            ("states".into(), Json::Array(states)),
-            ("transitions".into(), Json::Array(transitions)),
-            ("refusals".into(), Json::Array(refusals)),
-            (
-                "initial".into(),
-                Json::Array(a.initial.iter().map(|&i| Json::from_usize(i)).collect()),
-            ),
-        ]);
-        Json::Object(vec![
-            ("v".into(), Json::Int(SNAPSHOT_VERSION)),
-            ("signature".into(), self.signature.to_json()),
-            ("automaton".into(), automaton),
-            (
-                "history".into(),
-                Json::Array(self.history.iter().map(DeltaRecord::to_json).collect()),
-            ),
-            ("quarantined".into(), str_array(&self.quarantined)),
-        ])
-        .encode()
+muml_obs::json_codec! {
+    impl ToJson + FromJson for Snapshot {
+        "v" = SNAPSHOT_VERSION;
+        signature: "signature",
+        automaton: "automaton" via (automaton_to_json, automaton_from_json),
+        history: "history",
+        quarantined: "quarantined",
     }
+}
 
+impl Snapshot {
     /// Decodes snapshot text.
     ///
     /// # Errors
@@ -175,108 +111,95 @@ impl Snapshot {
     /// [`SnapshotError::UnknownVersion`] when the version tag is present
     /// but unsupported, [`SnapshotError::Corrupt`] for everything else.
     pub fn decode(text: &str) -> Result<Snapshot, SnapshotError> {
-        let corrupt = |detail: String| SnapshotError::Corrupt(detail);
-        let json = parse(text).map_err(|e| corrupt(format!("not JSON: {e}")))?;
-        let version = json
-            .get("v")
-            .and_then(Json::as_int)
-            .ok_or_else(|| corrupt("missing version tag `v`".to_owned()))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnknownVersion(version));
+        let json = parse(text).map_err(|e| SnapshotError::Corrupt(format!("not JSON: {e}")))?;
+        match field::<i64>(&json, "v") {
+            Ok(version) if version != SNAPSHOT_VERSION => {
+                Err(SnapshotError::UnknownVersion(version))
+            }
+            _ => Snapshot::from_json(&json).map_err(SnapshotError::Corrupt),
         }
-        let signature = json
-            .get("signature")
-            .ok_or_else(|| corrupt("missing `signature`".to_owned()))
-            .and_then(|s| ComponentSignature::from_json(s).map_err(corrupt))?;
-        let automaton = json
-            .get("automaton")
-            .ok_or_else(|| corrupt("missing `automaton`".to_owned()))
-            .and_then(|a| decode_automaton(a).map_err(corrupt))?;
-        let history = match json.get("history") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(DeltaRecord::from_json)
-                .collect::<Result<Vec<_>, String>>()
-                .map_err(corrupt)?,
-            _ => return Err(corrupt("missing or non-array `history`".to_owned())),
-        };
-        let quarantined = str_list(&json, "quarantined").map_err(corrupt)?;
-        Ok(Snapshot {
-            signature,
-            automaton,
-            history,
-            quarantined,
-        })
     }
 }
 
-fn usize_field(json: &Json, key: &str) -> Result<usize, String> {
-    json.get(key)
-        .and_then(Json::as_int)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| format!("missing or non-natural field `{key}`"))
+// The automaton's parts are `muml-automata` types, and that crate does not
+// depend on the codec: they are encoded here and decoded under the same
+// field rule into struct literals.
+fn automaton_to_json(a: &IncompleteSnapshot) -> Json {
+    let states: Vec<Json> = a
+        .states
+        .iter()
+        .map(|s| object(&[("name", &s.name), ("props", &s.props)]))
+        .collect();
+    let transitions: Vec<Json> = a
+        .transitions
+        .iter()
+        .map(|t| {
+            object(&[
+                ("from", &t.from),
+                ("ins", &t.inputs),
+                ("outs", &t.outputs),
+                ("to", &t.to),
+            ])
+        })
+        .collect();
+    let refusals: Vec<Json> = a
+        .refusals
+        .iter()
+        .map(|r| {
+            object(&[
+                ("state", &r.state),
+                ("ins", &r.inputs),
+                ("outs", &r.outputs),
+            ])
+        })
+        .collect();
+    object(&[
+        ("name", &a.name),
+        ("inputs", &a.inputs),
+        ("outputs", &a.outputs),
+        ("states", &states),
+        ("transitions", &transitions),
+        ("refusals", &refusals),
+        ("initial", &a.initial),
+    ])
 }
 
-fn decode_automaton(json: &Json) -> Result<IncompleteSnapshot, String> {
-    let states = match json.get("states") {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|s| {
-                Ok(SnapshotState {
-                    name: str_field(s, "name")?,
-                    props: str_list(s, "props")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing or non-array `states`".to_owned()),
-    };
-    let transitions = match json.get("transitions") {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|t| {
-                Ok(SnapshotTransition {
-                    from: usize_field(t, "from")?,
-                    inputs: str_list(t, "ins")?,
-                    outputs: str_list(t, "outs")?,
-                    to: usize_field(t, "to")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing or non-array `transitions`".to_owned()),
-    };
-    let refusals = match json.get("refusals") {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|r| {
-                Ok(SnapshotRefusal {
-                    state: usize_field(r, "state")?,
-                    inputs: str_list(r, "ins")?,
-                    outputs: str_list(r, "outs")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing or non-array `refusals`".to_owned()),
-    };
-    let initial = match json.get("initial") {
-        Some(Json::Array(items)) => items
-            .iter()
-            .map(|i| {
-                i.as_int()
-                    .and_then(|v| usize::try_from(v).ok())
-                    .ok_or_else(|| "non-natural entry in `initial`".to_owned())
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("missing or non-array `initial`".to_owned()),
-    };
+fn automaton_from_json(json: &Json) -> Result<IncompleteSnapshot, String> {
     Ok(IncompleteSnapshot {
-        name: str_field(json, "name")?,
-        inputs: str_list(json, "inputs")?,
-        outputs: str_list(json, "outputs")?,
-        states,
-        transitions,
-        refusals,
-        initial,
+        name: field(json, "name")?,
+        inputs: field(json, "inputs")?,
+        outputs: field(json, "outputs")?,
+        states: parts(json, "states", |s| {
+            Ok(SnapshotState {
+                name: field(s, "name")?,
+                props: field(s, "props")?,
+            })
+        })?,
+        transitions: parts(json, "transitions", |t| {
+            Ok(SnapshotTransition {
+                from: field(t, "from")?,
+                inputs: field(t, "ins")?,
+                outputs: field(t, "outs")?,
+                to: field(t, "to")?,
+            })
+        })?,
+        refusals: parts(json, "refusals", |r| {
+            Ok(SnapshotRefusal {
+                state: field(r, "state")?,
+                inputs: field(r, "ins")?,
+                outputs: field(r, "outs")?,
+            })
+        })?,
+        initial: field(json, "initial")?,
     })
+}
+
+fn parts<T>(
+    json: &Json,
+    key: &str,
+    part: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    field_with(json, key, None, |list| items(list, part))
 }
 
 #[cfg(test)]
@@ -284,6 +207,7 @@ mod tests {
     use super::*;
     use crate::signature::RuleSignature;
     use muml_automata::{IncompleteAutomaton, Label, Observation, SignalSet, Universe};
+    use muml_obs::json::ToJson;
 
     pub(crate) fn sample() -> Snapshot {
         let u = Universe::new();
@@ -330,7 +254,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let snap = sample();
-        let back = Snapshot::decode(&snap.encode()).unwrap();
+        let back = Snapshot::decode(&snap.to_json().encode()).unwrap();
         assert_eq!(back, snap);
         // The restored automaton must be reconstructible.
         let u = Universe::new();
@@ -342,7 +266,10 @@ mod tests {
 
     #[test]
     fn unknown_version_is_typed() {
-        let text = sample().encode().replacen("\"v\":1", "\"v\":99", 1);
+        let text = sample()
+            .to_json()
+            .encode()
+            .replacen("\"v\":1", "\"v\":99", 1);
         assert_eq!(
             Snapshot::decode(&text),
             Err(SnapshotError::UnknownVersion(99))
@@ -359,7 +286,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let text = sample().encode();
+        let text = sample().to_json().encode();
         for len in 0..text.len() {
             let prefix = &text[..len];
             let err = Snapshot::decode(prefix).expect_err("truncated snapshot decoded");
@@ -372,7 +299,7 @@ mod tests {
 
     #[test]
     fn mangled_bytes_never_panic() {
-        let text = sample().encode();
+        let text = sample().to_json().encode();
         let bytes = text.as_bytes();
         // Deterministic fuzz: overwrite each position with hostile bytes.
         for step in [1usize, 7, 13] {

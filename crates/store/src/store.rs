@@ -20,7 +20,7 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use muml_obs::json::{parse, Json};
+use muml_obs::json::{parse, FromJson, ToJson};
 
 use crate::io::{RealIo, StoreIo};
 use crate::signature::ComponentSignature;
@@ -232,10 +232,13 @@ impl Store {
         let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
         let _file_lock = self.file_lock().map_err(|detail| StoreError { detail })?;
         let fingerprint = snapshot.signature.fingerprint();
-        self.write_atomic(&self.snapshot_path(&fingerprint), &snapshot.encode())?;
+        self.write_atomic(
+            &self.snapshot_path(&fingerprint),
+            &snapshot.to_json().encode(),
+        )?;
         let mut index = self.read_index();
         index.set(&snapshot.signature.name, &fingerprint);
-        self.write_atomic(&self.dir.join("index.json"), &index.encode())?;
+        self.write_atomic(&self.dir.join("index.json"), &index.to_json().encode())?;
         Ok(())
     }
 
@@ -267,11 +270,11 @@ impl Store {
     /// broken index only disables previous-version salvage).
     fn read_index(&self) -> ComponentIndex {
         let path = self.dir.join("index.json");
-        let text = match self.io.read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return ComponentIndex::default(),
-        };
-        ComponentIndex::decode(&text).unwrap_or_default()
+        let text = self.io.read_to_string(&path).unwrap_or_default();
+        parse(&text)
+            .ok()
+            .and_then(|json| ComponentIndex::from_json(&json).ok())
+            .unwrap_or_default()
     }
 }
 
@@ -292,35 +295,12 @@ impl ComponentIndex {
             None => self.entries.push((name.to_owned(), fingerprint.to_owned())),
         }
     }
+}
 
-    fn encode(&self) -> String {
-        let components = self
-            .entries
-            .iter()
-            .map(|(n, f)| (n.clone(), Json::Str(f.clone())))
-            .collect();
-        Json::Object(vec![
-            ("v".into(), Json::Int(INDEX_VERSION)),
-            ("components".into(), Json::Object(components)),
-        ])
-        .encode()
-    }
-
-    fn decode(text: &str) -> Option<ComponentIndex> {
-        let json = parse(text).ok()?;
-        if json.get("v").and_then(Json::as_int) != Some(INDEX_VERSION) {
-            return None;
-        }
-        let mut entries = Vec::new();
-        match json.get("components") {
-            Some(Json::Object(fields)) => {
-                for (name, value) in fields {
-                    entries.push((name.clone(), value.as_str()?.to_owned()));
-                }
-            }
-            _ => return None,
-        }
-        Some(ComponentIndex { entries })
+muml_obs::json_codec! {
+    impl ToJson + FromJson for ComponentIndex {
+        "v" = INDEX_VERSION;
+        entries: "components",
     }
 }
 
@@ -610,7 +590,13 @@ mod tests {
             }
         );
         // Valid snapshot under the wrong file name.
-        std::fs::write(&path, learned_snapshot(&base_signature_renamed()).encode()).unwrap();
+        std::fs::write(
+            &path,
+            learned_snapshot(&base_signature_renamed())
+                .to_json()
+                .encode(),
+        )
+        .unwrap();
         assert_eq!(
             store.lookup(&sig),
             StoreLookup::Miss {

@@ -3,6 +3,7 @@
 //! fingerprint is timing-free — `Collector::kinds` ignores the nanosecond
 //! fields — so the test is deterministic across machines.
 
+use muml_integration::obs::json::ToJson;
 use muml_integration::obs::{json, Collector, JsonWriter, LoopEvent, RunOutcome};
 use muml_integration::prelude::*;
 use muml_integration::railcab::{faulty_shuttle, scenario};
