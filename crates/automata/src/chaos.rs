@@ -21,6 +21,9 @@ use crate::universe::Universe;
 pub const S_ALL: &str = "s_all";
 /// Name of the all-blocking chaos state (`s_δ` / `s_delta`).
 pub const S_DELTA: &str = "s_delta";
+/// Name of the fresh chaos proposition `p′` (Section 2.7) that labels both
+/// chaos states of the loop's closures.
+pub const CHAOS_PROP: &str = "__chaos__";
 
 /// Builds the chaotic automaton `M_c` of Definition 8 over `(inputs,
 /// outputs)`.

@@ -321,11 +321,9 @@ impl<'c> CompositionCache<'c> {
         deltas: &[LearnDelta],
         chaos_prop: Option<PropId>,
         opts: &ComposeOptions,
-        allow_incremental: bool,
     ) -> Result<(RecomposeInfo, Option<WarmCarry>)> {
         assert_eq!(legacy.len(), deltas.len(), "one delta per legacy component");
-        let reusable = allow_incremental
-            && deltas.iter().all(|d| !d.initial_changed)
+        let reusable = deltas.iter().all(|d| !d.initial_changed)
             && self
                 .state
                 .as_ref()
@@ -770,7 +768,7 @@ mod tests {
         let opts = ComposeOptions::default();
         let d = m.take_delta();
         cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts)
             .unwrap();
         let before: Vec<String> = cache
             .composition()
@@ -793,7 +791,7 @@ mod tests {
         .unwrap();
         let d = m.take_delta();
         let (info, _) = cache
-            .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+            .recompose(std::slice::from_ref(&m), &[d], None, &opts)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Incremental);
         let comp = cache.composition();

@@ -69,7 +69,7 @@ mod universe;
 
 pub use automaton::{Automaton, StateId, Transition};
 pub use builder::AutomatonBuilder;
-pub use chaos::{chaotic_automaton, chaotic_closure, S_ALL, S_DELTA};
+pub use chaos::{chaotic_automaton, chaotic_closure, CHAOS_PROP, S_ALL, S_DELTA};
 pub use csr::Csr;
 
 pub use compose::{

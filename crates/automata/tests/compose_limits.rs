@@ -119,7 +119,7 @@ fn composition_cache_surfaces_the_state_limit() {
         ..ComposeOptions::default()
     };
     let err = cache
-        .recompose(std::slice::from_ref(&legacy), &deltas, None, &opts, true)
+        .recompose(std::slice::from_ref(&legacy), &deltas, None, &opts)
         .unwrap_err();
     assert!(matches!(err, AutomataError::Limit { .. }), "{err:?}");
 }

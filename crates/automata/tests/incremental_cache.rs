@@ -62,7 +62,7 @@ fn incremental_matches_cold_across_learning() {
     let opts = ComposeOptions::default();
     let d0 = m.take_delta();
     let (info, carry) = cache
-        .recompose(std::slice::from_ref(&m), &[d0], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d0], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
     assert!(carry.is_none());
@@ -79,7 +79,7 @@ fn incremental_matches_cold_across_learning() {
     let d1 = m.take_delta();
     assert!(!d1.initial_changed);
     let (info, carry) = cache
-        .recompose(std::slice::from_ref(&m), &[d1], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d1], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
     let carry = carry.unwrap();
@@ -102,7 +102,7 @@ fn incremental_matches_cold_across_learning() {
     let d2 = m.take_delta();
     assert!(!d2.initial_changed);
     let (info, carry) = cache
-        .recompose(std::slice::from_ref(&m), &[d2], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d2], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
     let carry = carry.unwrap();
@@ -120,7 +120,7 @@ fn incremental_matches_cold_across_learning() {
     .unwrap();
     let d3 = m.take_delta();
     let (info, carry) = cache
-        .recompose(std::slice::from_ref(&m), &[d3], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d3], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
     assert!(carry.is_some());
@@ -141,7 +141,7 @@ fn empty_delta_is_a_no_op_with_full_carry() {
     let opts = ComposeOptions::default();
     let d = m.take_delta();
     cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     let before = cache.composition().automaton.clone();
     let (info, carry) = cache
@@ -150,7 +150,6 @@ fn empty_delta_is_a_no_op_with_full_carry() {
             &[LearnDelta::default()],
             None,
             &opts,
-            true,
         )
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
@@ -174,14 +173,14 @@ fn threshold_zero_forces_cold_fallback() {
     let opts = ComposeOptions::default();
     let d = m.take_delta();
     cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     let ping = Label::new(u.signals(["ping"]), SignalSet::EMPTY);
     m.learn(&Observation::blocked(vec!["start".into()], vec![ping]))
         .unwrap();
     let d = m.take_delta();
     let (info, carry) = cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
     assert!(carry.is_none());
@@ -197,7 +196,7 @@ fn initial_growth_forces_cold_rebuild() {
     let opts = ComposeOptions::default();
     let d = m.take_delta();
     cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     // An observation starting in a *new* state grows Q.
     let pong = Label::new(SignalSet::EMPTY, u.signals(["pong"]));
@@ -209,7 +208,7 @@ fn initial_growth_forces_cold_rebuild() {
     let d = m.take_delta();
     assert!(d.initial_changed);
     let (info, _) = cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
     assert_same_product(
@@ -235,7 +234,6 @@ fn nan_threshold_cannot_disable_cold_fallback() {
             &[LearnDelta::default()],
             None,
             &opts,
-            true,
         )
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
@@ -244,7 +242,7 @@ fn nan_threshold_cannot_disable_cold_fallback() {
         .unwrap();
     let d = m.take_delta();
     let (info, _) = cache
-        .recompose(std::slice::from_ref(&m), &[d], None, &opts, true)
+        .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     // With threshold 0.0 every dirty recompose must fall back cold.
     assert_eq!(info.mode, RecomposeMode::Cold);

@@ -180,7 +180,7 @@ fn theorem1_chaotic_closure_abstracts() {
         if !inc.observation_conforming(&m) {
             return; // nondeterministic resolution clash — premise not met
         }
-        let chaos_prop = u.prop("__chaos__");
+        let chaos_prop = u.prop(CHAOS_PROP);
         let closure = chaotic_closure(&inc, Some(chaos_prop));
         let opts = RefineOptions {
             wildcard_props: PropSet::singleton(chaos_prop),
@@ -249,7 +249,7 @@ fn lemma2_precongruence() {
         if !inc.observation_conforming(&m2) {
             return;
         }
-        let chaos_prop = u.prop("__chaos__");
+        let chaos_prop = u.prop(CHAOS_PROP);
         let closure = chaotic_closure(&inc, Some(chaos_prop));
         let bare2 = restrict_interface(&m2, m2.inputs(), m2.outputs(), PropSet::EMPTY).unwrap();
 

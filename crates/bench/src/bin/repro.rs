@@ -26,6 +26,7 @@ use muml_obs::json::{Json, ToJson};
 use muml_obs::Collector;
 use muml_railcab::scenario;
 use muml_serve::{run_fleet, ServeConfig};
+use muml_testkit::TempDir;
 
 /// The artefacts that only print.
 const FIGURES: [&str; 12] = [
@@ -137,16 +138,11 @@ fn benchmark(what: &str, store: Option<PathBuf>, json: bool) {
     };
     print!("{}", envelope.render());
     // The ratio of the total cell's first two timings: printed, never
-    // stored, and compared with the cell's `target` if it has one.
+    // stored.
     if let Some(total) = envelope.cell("total") {
         if let [(slow, a), (fast, b), ..] = total.wall_ns.as_slice() {
             let ratio = *a as f64 / (*b).max(1) as f64;
             println!("{slow}/{fast}: {ratio:.1}x");
-            if let Some(Json::Float(target)) = total.get("target") {
-                if ratio < *target {
-                    println!("warning: {ratio:.1}x is below the {target:.1}x target");
-                }
-            }
         }
     }
     if json {
@@ -291,16 +287,18 @@ fn fleet_cells() -> Vec<Cell> {
 /// directory that is removed afterwards; with it, a second invocation
 /// exercises the pre-warmed path (the cache-poisoning guard).
 fn warm_envelope(store: Option<PathBuf>) -> Envelope {
-    let ephemeral = store.is_none();
-    let dir = store.unwrap_or_else(|| {
-        let dir = std::env::temp_dir().join(format!("muml-repro-warm-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    });
-    std::fs::create_dir_all(&dir).expect("create store directory");
+    let temp;
+    let dir = match &store {
+        Some(dir) => dir.as_path(),
+        None => {
+            temp = TempDir::new("repro-warm");
+            temp.path()
+        }
+    };
+    std::fs::create_dir_all(dir).expect("create store directory");
     let mut prewarmed = false;
     let envelope = Envelope::measure("warm", Timing::ONCE, || {
-        let report = warm::warm_campaign(&dir);
+        let report = warm::warm_campaign(dir);
         prewarmed = report.store_prewarmed;
         println!(
             "driven steps saved: {:.0}%, tests saved: {:.0}%",
@@ -317,9 +315,6 @@ fn warm_envelope(store: Option<PathBuf>) -> Envelope {
             "started cold"
         }
     );
-    if ephemeral {
-        std::fs::remove_dir_all(&dir).ok();
-    }
     envelope
 }
 

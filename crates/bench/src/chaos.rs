@@ -31,16 +31,17 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use muml_core::store::{FaultProfile, FaultyIo, Store};
 use muml_fleet::{FleetReport, Job, JobOutcome};
+use muml_legacy::XorShift;
 use muml_serve::{
     railcab_registry, run_fleet, Daemon, Journal, Priority, ServeClient, ServeConfig, Server,
 };
+use muml_testkit::TempDir;
 
 use crate::campaign::{railcab_campaign, railcab_requests, CampaignOptions};
 use crate::envelope::Cell;
@@ -120,51 +121,6 @@ pub struct ChaosReport {
     pub budget_attempts: usize,
 }
 
-/// XorShift64* — the workspace's seeded PRNG idiom (no external crates).
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> XorShift {
-        XorShift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn roll(&mut self, rate: f64) -> bool {
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64) < rate
-    }
-}
-
-/// A fresh directory under the system temp dir, removed when the guard
-/// drops: an axis leaves nothing behind, even when an assertion fails.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "muml-chaos-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("create chaos temp dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn outcome_names(report: &FleetReport) -> Vec<(usize, String)> {
     report
         .results
@@ -200,8 +156,8 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
                 0x9E37_79B9_7F4A_7C15 ^ ((i as u64) << 24),
                 FaultProfile::uniform(rate),
             ));
-            let dir = TempDir::new("store");
-            let store = Arc::new(Store::open_with_io(&dir.0, io.clone()));
+            let dir = TempDir::new("chaos-store");
+            let store = Arc::new(Store::open_with_io(dir.path(), io.clone()));
             let report = run_fleet(
                 railcab_campaign(&options),
                 &ServeConfig::default()
@@ -231,8 +187,8 @@ fn store_axis(rates: &[f64]) -> Vec<ChaosStoreRow> {
 // -------------------------------------------------------------- journal
 
 fn journal_axis(cuts: usize) -> ChaosJournalRow {
-    let dir = TempDir::new("journal");
-    let path = dir.0.join("serve.journal");
+    let dir = TempDir::new("chaos-journal");
+    let path = dir.path().join("serve.journal");
     let requests = railcab_requests(&chaos_options(4));
 
     // Reference run: journal everything, remember the exact history.
@@ -289,13 +245,13 @@ fn journal_axis(cuts: usize) -> ChaosJournalRow {
     for cut_index in 0..cuts {
         // A seeded crash point strictly inside the file: every prefix is
         // a state a real crash could have left behind.
-        let cut = 1 + (rng.next() as usize) % (bytes.len() - 1);
-        let cut_dir = TempDir::new("journal-cut");
-        let cut_path = cut_dir.0.join("serve.journal");
+        let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
+        let cut_dir = TempDir::new("chaos-journal-cut");
+        let cut_path = cut_dir.path().join("serve.journal");
         std::fs::write(&cut_path, &bytes[..cut]).expect("write cut journal");
         // Learn the expected surviving records from an independent copy
         // (opening recovers — and truncates — in place).
-        let probe_path = cut_dir.0.join("probe.journal");
+        let probe_path = cut_dir.path().join("probe.journal");
         std::fs::write(&probe_path, &bytes[..cut]).expect("write probe");
         let (_, probe) = Journal::open(&probe_path).expect("probe replay");
         let expect_finished = probe.finished().len();
@@ -397,7 +353,7 @@ fn socket_axis(hostiles: usize) -> ChaosSocketRow {
     let swarm: Vec<std::thread::JoinHandle<()>> = (0..hostiles)
         .map(|_| {
             let addr = addr.clone();
-            let behaviour = rng.next();
+            let behaviour = rng.next_u64();
             std::thread::spawn(move || hostile_client(&addr, behaviour))
         })
         .collect();
@@ -477,7 +433,7 @@ fn worker_axis(rates: &[f64]) -> Vec<ChaosWorkerRow> {
                 .into_iter()
                 .map(|job| {
                     let n = if rng.roll(rate) {
-                        1 + (rng.next() as usize % CHAOS_RETRIES)
+                        1 + (rng.next_u64() as usize % CHAOS_RETRIES)
                     } else {
                         0
                     };

@@ -7,7 +7,7 @@
 
 use muml_automata::{
     chaotic_closure, compose2, refines_with, IncompleteAutomaton, Label, Observation, PropSet,
-    RefineOptions, SignalSet,
+    RefineOptions, SignalSet, CHAOS_PROP,
 };
 use muml_core::{default_mapper, initial_knowledge};
 use muml_logic::{parse, Checker, Formula};
@@ -55,7 +55,7 @@ pub fn check_cells() -> Vec<Cell> {
     for n in [8usize, 16, 32, 64, 128] {
         let w = counter_workload(n, n / 2);
         let inc = late_knowledge(&w);
-        let closure = chaotic_closure(&inc, Some(w.universe.prop("__chaos__")));
+        let closure = chaotic_closure(&inc, Some(w.universe.prop(CHAOS_PROP)));
         let comp = compose2(&w.context, &closure).expect("composes");
         let fs: Vec<Formula> = CHECK_FORMULAS
             .iter()
@@ -112,7 +112,7 @@ pub fn table_d(sizes: &[usize]) -> Vec<Cell> {
         .map(|&n| {
             let w = counter_workload(n, n / 2);
             let inc = late_knowledge(&w);
-            let chaos = w.universe.prop("__chaos__");
+            let chaos = w.universe.prop(CHAOS_PROP);
             let (closure, closure_ns) = timed(|| chaotic_closure(&inc, Some(chaos)));
             let (comp, compose_ns) = timed(|| compose2(&w.context, &closure).expect("composes"));
             let ((holds, iterations), check_ns) = timed(|| {

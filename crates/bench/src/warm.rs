@@ -192,26 +192,19 @@ impl WarmReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use muml_testkit::TempDir;
 
     #[test]
     fn warm_campaign_halves_the_rig_work() {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "muml-warm-bench-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("warm-bench");
         // The assertions (verdict identity, ≥2× step reduction) live
         // inside warm_campaign; completing is the test.
-        let report = warm_campaign(&dir);
+        let report = warm_campaign(dir.path());
         assert!(!report.store_prewarmed);
         assert!(!report.jobs.is_empty());
         assert!(report.driven_reduction() >= 0.5);
         // A second invocation sees the warmed store and still agrees.
-        let again = warm_campaign(&dir);
+        let again = warm_campaign(dir.path());
         assert!(again.store_prewarmed);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

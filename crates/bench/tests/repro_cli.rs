@@ -5,6 +5,7 @@ use std::path::Path;
 use std::process::Command;
 
 use muml_obs::json::{parse, Json};
+use muml_testkit::TempDir;
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -43,13 +44,6 @@ fn counter(dir: &Path, artefact: &str, cell: &str, key: &str) -> Json {
         .and_then(|c| c.get("counters")?.get(key))
         .unwrap_or_else(|| panic!("no counter {cell}.{key}: {text}"))
         .clone()
-}
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-{tag}-cli-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 #[test]
@@ -102,19 +96,16 @@ fn warm_runs_clean_twice_and_writes_the_envelope() {
     // panics). Second run against the same store is the cache-poisoning
     // guard: every cell now seeds from the first run's snapshots, and any
     // flipped verdict panics inside warm_campaign.
-    let dir = scratch("warm");
+    let tmp = TempDir::new("repro-warm-cli");
+    let dir = tmp.path();
     let store = dir.join("store");
     for prewarmed in [false, true] {
-        let stdout = repro_in(
-            &dir,
-            &["warm", "--json", "--store", store.to_str().unwrap()],
-        );
+        let stdout = repro_in(dir, &["warm", "--json", "--store", store.to_str().unwrap()]);
         assert!(stdout.contains("verdicts identical"), "{stdout}");
-        let total = |key| counter(&dir, "warm", "total", key);
+        let total = |key| counter(dir, "warm", "total", key);
         assert_eq!(total("verdicts_identical"), Json::Bool(true));
         assert_eq!(total("store_prewarmed"), Json::Bool(prewarmed));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -122,15 +113,15 @@ fn storm_runs_clean_and_writes_the_envelope() {
     // The full sweep runs in a few seconds; `--json` must exit 0 (the
     // soundness assertion is built in — a flipped verdict panics) and
     // write BENCH_storm.json into the working directory.
-    let dir = scratch("storm");
-    repro_in(&dir, &["storm", "--json"]);
+    let tmp = TempDir::new("repro-storm-cli");
+    let dir = tmp.path();
+    repro_in(dir, &["storm", "--json"]);
     assert_eq!(
-        counter(&dir, "storm", "total", "verdicts_sound"),
+        counter(dir, "storm", "total", "verdicts_sound"),
         Json::Bool(true)
     );
     assert_eq!(
-        counter(&dir, "storm", "rate=0.00", "inconclusive"),
+        counter(dir, "storm", "rate=0.00", "inconclusive"),
         Json::Int(0)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

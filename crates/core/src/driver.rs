@@ -47,10 +47,10 @@ use std::time::Instant;
 
 use muml_automata::{
     Automaton, ComposeOptions, CompositionCache, IncompleteAutomaton, Label, LearnDelta,
-    RecomposeMode, SignalSet, Universe,
+    RecomposeMode, SignalSet, Universe, CHAOS_PROP,
 };
 use muml_legacy::{
-    execute_with_retry_pooled, probe_offers_pooled, CacheStats, PortMap, RetryPolicy, RetryReport,
+    execute_with_retry_cached, probe_offers_pooled, CacheStats, PortMap, RetryPolicy, RetryReport,
     SimClock, StateObservable, TraceCache,
 };
 use muml_logic::{check_all_with, CheckSeed, Checker, Formula, Verdict};
@@ -135,8 +135,6 @@ pub struct IntegrationConfig {
     pub max_iterations: usize,
     /// Composition options.
     pub compose: ComposeOptions,
-    /// Name of the fresh chaos proposition `p′` (Section 2.7).
-    pub chaos_prop: String,
     /// How many distinct deadlock counterexamples to derive (and test) per
     /// verification run. `1` reproduces the paper's base scheme; larger
     /// values implement the Section-7 improvement of learning from several
@@ -147,15 +145,6 @@ pub struct IntegrationConfig {
     /// its deadline) the run ends with [`CoreError::Cancelled`]. `None`
     /// (the default) runs to a verdict or the iteration cap.
     pub cancel: Option<CancelToken>,
-    /// Reuse work across learn iterations: patch the cached closures and
-    /// product with each iteration's learn delta instead of rebuilding
-    /// them, and warm-start the model checker from the previous
-    /// iteration's satisfaction sets. Verdicts, counterexamples, and
-    /// iteration counts are identical either way (the incremental product
-    /// is a cold rebuild's up to a renaming of states, which nothing
-    /// downstream observes); `false` forces the cold path everywhere, e.g.
-    /// for differential testing.
-    pub incremental: bool,
     /// Retry policy for counterexample tests and frontier probes. The
     /// default (`quorum` 1, a few attempts) behaves exactly like single-shot
     /// execution on a reliable rig; raise the quorum when the rig is known
@@ -175,21 +164,11 @@ pub struct IntegrationConfig {
     /// skew, I/O errors) degrade to a cold start — they never fail the
     /// run. `None` (the default) keeps the loop fully stateless.
     pub store: Option<Arc<Store>>,
-    /// Memoize test executions in a per-component prefix-sharing trace
-    /// cache (`muml_legacy::TraceCache`): repeated counterexample tests
-    /// are synthesized without re-driving the rig, and frontier probes
-    /// resume from a checkpoint at the confirmed prefix instead of
-    /// replaying it. Memoization applies only to deterministic rigs —
-    /// flaky-rig results enter the cache only after quorum confirmation —
-    /// and verdicts are bit-identical either way. On by default; `false`
-    /// forces every test through the uncached serial executor, e.g. for
-    /// differential testing.
-    pub trace_cache: bool,
-    /// Scoped-thread pool width for independent rig executions (parallel
-    /// frontier probes and speculative quorum attempts, on cloned rigs,
-    /// merged in deterministic order). `1` (the default) keeps everything
-    /// on the calling thread; verdicts and learned models are identical
-    /// for any width.
+    /// Scoped-thread pool width for frontier-probe batches: each offer a
+    /// probe still has to drive steps its own checkpoint and witness
+    /// clones, concurrently, and the results merge in offer order. `1`
+    /// (the default) keeps everything on the calling thread; verdicts and
+    /// learned models are identical for any width.
     pub test_parallelism: usize,
 }
 
@@ -198,14 +177,11 @@ impl Default for IntegrationConfig {
         IntegrationConfig {
             max_iterations: 10_000,
             compose: ComposeOptions::default(),
-            chaos_prop: "__chaos__".to_owned(),
             batch_counterexamples: 1,
             cancel: None,
-            incremental: true,
             retry: RetryPolicy::default(),
             flake_budget: 2,
             store: None,
-            trace_cache: true,
             test_parallelism: 1,
         }
     }
@@ -226,13 +202,6 @@ impl IntegrationConfig {
         self
     }
 
-    /// Sets the name of the fresh chaos proposition `p′`.
-    #[must_use]
-    pub fn with_chaos_prop(mut self, chaos_prop: impl Into<String>) -> Self {
-        self.chaos_prop = chaos_prop.into();
-        self
-    }
-
     /// Sets how many deadlock counterexamples to derive per check.
     #[must_use]
     pub fn with_batch_counterexamples(mut self, batch: usize) -> Self {
@@ -245,14 +214,6 @@ impl IntegrationConfig {
     #[must_use]
     pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Enables or disables incremental recomposition + checker
-    /// warm-starting (on by default).
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 
@@ -287,14 +248,7 @@ impl IntegrationConfig {
         self
     }
 
-    /// Enables or disables the prefix-sharing trace cache (on by default).
-    #[must_use]
-    pub fn with_trace_cache(mut self, trace_cache: bool) -> Self {
-        self.trace_cache = trace_cache;
-        self
-    }
-
-    /// Sets the scoped-thread pool width for independent rig executions
+    /// Sets the scoped-thread pool width for frontier-probe batches
     /// (clamped to at least 1; `1` = fully serial).
     #[must_use]
     pub fn with_test_parallelism(mut self, test_parallelism: usize) -> Self {
@@ -438,7 +392,7 @@ pub struct IntegrationStats {
     /// Counterexample projections skipped by the dedup guard because an
     /// identical projection already diverged earlier in this run.
     pub dedup_skipped: usize,
-    /// Batches of rig executions dispatched to the scoped-thread pool.
+    /// Frontier-probe batches dispatched to the scoped-thread pool.
     pub parallel_batches: usize,
     /// Fixpoint / backward-induction iterations of the model checker,
     /// summed over all verification runs.
@@ -563,7 +517,7 @@ pub(crate) fn run_loop(
             .collect(),
         properties: properties.len(),
     });
-    let chaos = u.prop(&config.chaos_prop);
+    let chaos = u.prop(CHAOS_PROP);
     let deadlock_free = Formula::deadlock_free();
     // Property ordering matters for soundness of the "confirmed ⇒ real
     // fault" step (Lemma 6):
@@ -711,24 +665,18 @@ pub(crate) fn run_loop(
             .collect();
         let knowledge_sum_before: usize = knowledge.iter().map(|k| k.0 + k.1 + k.2).sum();
 
-        // Compose M_a^c ∥ chaos(M_l^i) — incrementally when the learn
-        // delta permits, cold otherwise. The incremental product is the
-        // cold rebuild up to a renaming of states, and nothing downstream
-        // (checking, counterexamples, projections) reads state numbers, so
-        // everything downstream is mode-agnostic. Sizes are reported over
-        // the reachable part.
+        // Compose M_a^c ∥ chaos(M_l^i) — spliced from the learn delta when
+        // it permits, rebuilt cold otherwise (the cache's own fallback).
+        // The spliced product is the cold rebuild up to a renaming of
+        // states, and nothing downstream (checking, counterexamples,
+        // projections) reads state numbers, so everything downstream is
+        // mode-agnostic. Sizes are reported over the reachable part.
         let compose_timer = PhaseTimer::start(Phase::Compose);
         let deltas: Vec<LearnDelta> = learned.iter_mut().map(|m| m.take_delta()).collect();
         for (acc, d) in run_delta.iter_mut().zip(&deltas) {
             acc.merge(d);
         }
-        let (info, carry) = cache.recompose(
-            &learned,
-            &deltas,
-            Some(chaos),
-            &config.compose,
-            config.incremental,
-        )?;
+        let (info, carry) = cache.recompose(&learned, &deltas, Some(chaos), &config.compose)?;
         let comp = cache.composition();
         let compose_ns = compose_timer.stop(&mut stats.timings);
         match info.mode {
@@ -1312,12 +1260,12 @@ pub(crate) fn note_retry(
 
 /// The shared test-execution front end of the loop: one prefix-sharing
 /// [`TraceCache`] per unit (scoped to the unit's signature fingerprint plus
-/// rig token), the retry [`SimClock`], and the scoped-thread pool width.
-/// Every rig interaction of the run — counterexample tests, frontier probe
-/// batches, frontier read-backs — goes through it, so the cache sees every
-/// executed word and the stats see every cache delta.
+/// rig token), the retry [`SimClock`], and the probe pool width. Every rig
+/// interaction of the run — counterexample tests, frontier probe batches,
+/// frontier read-backs — goes through it, so the cache sees every executed
+/// word and the stats see every cache delta.
 pub(crate) struct TestHarness {
-    caches: Vec<Option<TraceCache>>,
+    caches: Vec<TraceCache>,
     baselines: Vec<CacheStats>,
     clock: SimClock,
     parallelism: usize,
@@ -1325,17 +1273,15 @@ pub(crate) struct TestHarness {
 
 impl TestHarness {
     pub(crate) fn new(units: &[LegacyUnit<'_>], config: &IntegrationConfig) -> Self {
-        let caches: Vec<Option<TraceCache>> = units
+        let caches: Vec<TraceCache> = units
             .iter()
             .map(|unit| {
-                config.trace_cache.then(|| {
-                    let fp = unit
-                        .signature
-                        .as_ref()
-                        .map(|s| s.fingerprint())
-                        .unwrap_or_default();
-                    TraceCache::new(format!("{fp}+{}", unit.component.rig_token()))
-                })
+                let fp = unit
+                    .signature
+                    .as_ref()
+                    .map(|s| s.fingerprint())
+                    .unwrap_or_default();
+                TraceCache::new(format!("{fp}+{}", unit.component.rig_token()))
             })
             .collect();
         let baselines = vec![CacheStats::default(); caches.len()];
@@ -1347,8 +1293,8 @@ impl TestHarness {
         }
     }
 
-    /// One flake-tolerant test execution for unit `i`, through the cache
-    /// and pool, with retry + cache telemetry booked into `stats`/`sink`.
+    /// One flake-tolerant test execution for unit `i`, through its cache,
+    /// with retry + cache telemetry booked into `stats`/`sink`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &mut self,
@@ -1363,15 +1309,14 @@ impl TestHarness {
         iteration: usize,
     ) -> RetryReport {
         let name = component.name().to_owned();
-        let rr = execute_with_retry_pooled(
+        let rr = execute_with_retry_cached(
             component,
             expected,
             u,
             ports,
             retry,
             &mut self.clock,
-            self.caches[i].as_mut(),
-            self.parallelism,
+            &mut self.caches[i],
         );
         note_retry(stats, sink, iteration, &name, &rr);
         self.book(i, stats, sink, iteration, &name);
@@ -1405,7 +1350,7 @@ impl TestHarness {
             ports,
             retry,
             &mut self.clock,
-            self.caches[i].as_mut(),
+            &mut self.caches[i],
             self.parallelism,
         );
         for rr in &reports {
@@ -1425,10 +1370,7 @@ impl TestHarness {
         iteration: usize,
         component: &str,
     ) {
-        let Some(cache) = self.caches[i].as_ref() else {
-            return;
-        };
-        let s = cache.stats();
+        let s = self.caches[i].stats();
         let b = self.baselines[i];
         self.baselines[i] = s;
         let hits = s.hits - b.hits;
@@ -1483,13 +1425,10 @@ mod tests {
         let c = IntegrationConfig::default()
             .with_max_iterations(7)
             .with_batch_counterexamples(3)
-            .with_chaos_prop("p_prime")
-            .with_incremental(false)
+            .with_test_parallelism(0)
             .with_compose(ComposeOptions::default());
         assert_eq!(c.max_iterations, 7);
         assert_eq!(c.batch_counterexamples, 3);
-        assert_eq!(c.chaos_prop, "p_prime");
-        assert!(!c.incremental);
-        assert!(IntegrationConfig::default().incremental);
+        assert_eq!(c.test_parallelism, 1, "a zero width is clamped to serial");
     }
 }

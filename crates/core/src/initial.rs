@@ -83,7 +83,7 @@ pub fn interface_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muml_automata::{S_ALL, S_DELTA};
+    use muml_automata::{CHAOS_PROP, S_ALL, S_DELTA};
     use muml_legacy::MealyBuilder;
 
     #[test]
@@ -96,7 +96,7 @@ mod tests {
             .initial("noConvoy")
             .build()
             .unwrap();
-        let chaos = u.prop("__chaos__");
+        let chaos = u.prop(CHAOS_PROP);
         let mapper = default_mapper("shuttle2");
         let (m0, a0) = initial_abstraction(&u, &c, chaos, &mapper);
         // Figure 4(a): one state, no transitions.

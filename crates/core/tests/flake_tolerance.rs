@@ -348,24 +348,17 @@ impl StateObservable for Liar {
 }
 
 /// The clonable liars against a correct 8-push driver / 10-state counter
-/// pair, with the trace cache on and off, serially and on the pool.
+/// pair, serially and on the probe pool.
 ///
-/// With the cache on, a reset-parity liar is caught — the cache's
-/// checkpoint and witness lineages descend from resets of different parity
-/// — and degrades to `Inconclusive` exactly as the uncached serial
-/// executor would make it. A lifetime-step liar is the residual gap of
-/// DESIGN.md §17: its clones keep its step count, and in a fresh loop
-/// (whose first test is the empty word) both lineages reach every depth
-/// after the same number of steps, so the cache cannot tell it from a
-/// deterministic component and the loop concludes from the lie (a fault
-/// once the lie shows within the tested depth).
-///
-/// With the cache off, every test is a record drive and its replay from
-/// two resets. The reset-parity liar fails those replays and ends
-/// `Inconclusive` as well; the lifetime-step liar's lie shows in both
-/// drives alike and surfaces as contradictory learning input (a typed
-/// error), never as a verdict. The cold loop concluding neither where the
-/// cached loop does is the open gap this test pins, not closes.
+/// A reset-parity liar is caught — the cache's checkpoint and witness
+/// lineages descend from resets of different parity — and degrades to
+/// `Inconclusive` exactly as the serial executor would make it. A
+/// lifetime-step liar is the residual gap of DESIGN.md §17: its clones keep
+/// its step count, and in a fresh loop (whose first test is the empty word)
+/// both lineages reach every depth after the same number of steps, so the
+/// cache cannot tell it from a deterministic component and the loop
+/// concludes from the lie (a fault once the lie shows within the tested
+/// depth). This test pins that gap, it does not close it.
 #[test]
 fn clonable_liars_are_caught_or_consistently_believed() {
     for (lie, caught, proven) in [
@@ -374,40 +367,29 @@ fn clonable_liars_are_caught_or_consistently_believed() {
         (Lie::LifetimeStep { from: 4 }, false, false),
         (Lie::LifetimeStep { from: 12 }, false, true),
     ] {
-        for cache in [true, false] {
-            for parallelism in [1usize, 4] {
-                let u = Universe::new();
-                let (ctx, counter) = counter_pair(&u, 10, 8);
-                let mut liar = Liar::new(counter, lie, &u);
-                let mut units = [LegacyUnit::new(&mut liar, PortMap::with_default("p"))];
-                let result = verify_integration(
-                    &u,
-                    &ctx,
-                    &[],
-                    &mut units,
-                    &IntegrationConfig::default()
-                        .with_trace_cache(cache)
-                        .with_test_parallelism(parallelism),
-                );
-                let tag = format!("{lie:?} cache={cache} parallelism={parallelism}");
-                let report = match result {
-                    Ok(report) => report,
-                    Err(e) => {
-                        assert!(!cache && !caught, "{tag}: {e}");
-                        assert!(matches!(e, CoreError::Learning(_)), "{tag}: {e}");
-                        continue;
-                    }
-                };
-                match &report.verdict {
-                    IntegrationVerdict::Inconclusive { .. } => assert!(caught, "{tag}"),
-                    IntegrationVerdict::RealFault { property, .. } => {
-                        assert!(cache && !caught && !proven, "{tag}: {property}");
-                    }
-                    IntegrationVerdict::Proven => assert!(cache && proven, "{tag}"),
+        for parallelism in [1usize, 4] {
+            let u = Universe::new();
+            let (ctx, counter) = counter_pair(&u, 10, 8);
+            let mut liar = Liar::new(counter, lie, &u);
+            let mut units = [LegacyUnit::new(&mut liar, PortMap::with_default("p"))];
+            let tag = format!("{lie:?} parallelism={parallelism}");
+            let report = verify_integration(
+                &u,
+                &ctx,
+                &[],
+                &mut units,
+                &IntegrationConfig::default().with_test_parallelism(parallelism),
+            )
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            match &report.verdict {
+                IntegrationVerdict::Inconclusive { .. } => assert!(caught, "{tag}"),
+                IntegrationVerdict::RealFault { property, .. } => {
+                    assert!(!caught && !proven, "{tag}: {property}");
                 }
-                // A caught liar fails the serial cross-check from then on.
-                assert_eq!(report.stats.suspected_rig_faults > 0, caught, "{tag}");
+                IntegrationVerdict::Proven => assert!(proven, "{tag}"),
             }
+            // A caught liar fails the serial cross-check from then on.
+            assert_eq!(report.stats.suspected_rig_faults > 0, caught, "{tag}");
         }
     }
 }

@@ -4,25 +4,12 @@
 //! damage or component drift degrades to a cold start — never to a wrong
 //! verdict or an error.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use muml_automata::{Automaton, AutomatonBuilder, Universe};
 use muml_core::store::ComponentSignature;
 use muml_core::{IntegrationReport, IntegrationSession, LegacyUnit};
 use muml_legacy::{HiddenMealy, MealyBuilder, PortMap};
 use muml_obs::Collector;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "muml-warm-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use muml_testkit::TempDir;
 
 fn controller(u: &Universe) -> Automaton {
     AutomatonBuilder::new(u, "ctx")
@@ -70,13 +57,14 @@ fn run_once(store_dir: &std::path::Path) -> (IntegrationReport, Vec<String>) {
 
 #[test]
 fn second_run_seeds_from_store_and_proves_without_testing() {
-    let dir = tmpdir("seed");
-    let (first, first_kinds) = run_once(&dir);
+    let tmp = TempDir::new("warm-seed");
+    let dir = tmp.path();
+    let (first, first_kinds) = run_once(dir);
     assert!(first.verdict.proven(), "{:?}", first.verdict);
     assert!(first_kinds.iter().any(|k| k == "store_miss"));
     assert!(first.stats.driven_steps > 0);
 
-    let (second, second_kinds) = run_once(&dir);
+    let (second, second_kinds) = run_once(dir);
     assert!(second.verdict.proven(), "{:?}", second.verdict);
     assert!(second_kinds.iter().any(|k| k == "store_hit"));
     // The seeded model is the first run's final learned model, so the very
@@ -84,16 +72,16 @@ fn second_run_seeds_from_store_and_proves_without_testing() {
     assert_eq!(second.stats.tests_executed, 0);
     assert_eq!(second.stats.driven_steps, 0);
     assert_eq!(second.stats.iterations, 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupt_snapshot_degrades_to_cold_start_with_identical_verdict() {
-    let dir = tmpdir("corrupt");
-    let (first, _) = run_once(&dir);
+    let tmp = TempDir::new("warm-corrupt");
+    let dir = tmp.path();
+    let (first, _) = run_once(dir);
     assert!(first.verdict.proven());
     // Truncate every snapshot in the store (the index survives).
-    for entry in std::fs::read_dir(&dir).unwrap() {
+    for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "json")
             && path.file_name().is_some_and(|n| n != "index.json")
@@ -102,23 +90,23 @@ fn corrupt_snapshot_degrades_to_cold_start_with_identical_verdict() {
             std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         }
     }
-    let (second, kinds) = run_once(&dir);
+    let (second, kinds) = run_once(dir);
     assert!(second.verdict.proven(), "{:?}", second.verdict);
     assert!(kinds.iter().any(|k| k == "store_miss"));
     assert!(!kinds.iter().any(|k| k == "store_hit"));
     // Cold start: the rig was driven again, and the repaired snapshot is
     // back in place for the next run.
     assert!(second.stats.driven_steps > 0);
-    let (third, third_kinds) = run_once(&dir);
+    let (third, third_kinds) = run_once(dir);
     assert!(third.verdict.proven());
     assert!(third_kinds.iter().any(|k| k == "store_hit"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn rule_change_invalidates_instead_of_blindly_hitting() {
-    let dir = tmpdir("drift");
-    let (first, _) = run_once(&dir);
+    let tmp = TempDir::new("warm-drift");
+    let dir = tmp.path();
+    let (first, _) = run_once(dir);
     assert!(first.verdict.proven());
 
     // Same boundary (name, interface, initial state), different rule set:
@@ -139,7 +127,7 @@ fn rule_change_invalidates_instead_of_blindly_hitting() {
     let mut sink = Collector::new();
     let report = IntegrationSession::new(&u, &ctx)
         .unit(LegacyUnit::new(&mut c, PortMap::with_default("port")).with_signature(sig))
-        .with_store(&dir)
+        .with_store(dir)
         .sink(&mut sink)
         .run()
         .unwrap();
@@ -158,26 +146,25 @@ fn rule_change_invalidates_instead_of_blindly_hitting() {
         "{:?}",
         report.verdict
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unsigned_units_ignore_the_store() {
-    let dir = tmpdir("unsigned");
+    let tmp = TempDir::new("warm-unsigned");
+    let dir = tmp.path();
     let u = Universe::new();
     let ctx = controller(&u);
     let mut c = good_component(&u);
     let mut sink = Collector::new();
     let report = IntegrationSession::new(&u, &ctx)
         .unit(LegacyUnit::new(&mut c, PortMap::with_default("port")))
-        .with_store(&dir)
+        .with_store(dir)
         .sink(&mut sink)
         .run()
         .unwrap();
     assert!(report.verdict.proven());
     assert!(!sink.events.iter().any(|e| e.kind().starts_with("store_")));
     // Nothing persisted either.
-    let snapshots = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    let snapshots = std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
     assert_eq!(snapshots, 0, "unsigned unit must not write snapshots");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -61,12 +61,8 @@ pub struct JobRequest {
     /// Simulated harness round-trip latency per component step/reset.
     /// Encoded on the wire in microseconds (`latency_us`).
     pub latency: Duration,
-    /// Whether the session memoizes executed traces in the prefix-sharing
-    /// trace cache (DESIGN.md §17). Defaults to `true`; absent on the wire
-    /// means enabled.
-    pub trace_cache: bool,
-    /// Worker threads for frontier-probe batches and speculative quorum
-    /// attempts (`1` = serial). Absent on the wire means serial.
+    /// Worker threads for frontier-probe batches (`1` = serial). Absent on
+    /// the wire means serial.
     pub test_parallelism: usize,
 }
 
@@ -85,7 +81,6 @@ impl JobRequest {
             deadline: None,
             retries: 0,
             latency: Duration::ZERO,
-            trace_cache: true,
             test_parallelism: 1,
         }
     }
@@ -146,13 +141,6 @@ impl JobRequest {
         self
     }
 
-    /// Enables or disables the prefix-sharing trace cache.
-    #[must_use]
-    pub fn with_trace_cache(mut self, enabled: bool) -> Self {
-        self.trace_cache = enabled;
-        self
-    }
-
     /// Sets the test-execution worker count (`1` = serial).
     #[must_use]
     pub fn with_test_parallelism(mut self, workers: usize) -> Self {
@@ -163,8 +151,9 @@ impl JobRequest {
 
 // The wire encoding: a versioned JSON object with every field explicit.
 // Durations are integers (`deadline_ms`, `latency_us`) so the schema stays
-// language-neutral. Requests from clients that predate the trace cache
-// decode to its defaults: cache on, serial execution.
+// language-neutral. Requests from clients that predate `test_parallelism`
+// decode to serial execution, and the `trace_cache` key older clients
+// still send is ignored: the trace cache is always on.
 muml_obs::json_codec! {
     impl ToJson + FromJson for JobRequest {
         "v" = JOB_REQUEST_VERSION;
@@ -178,7 +167,6 @@ muml_obs::json_codec! {
         deadline: "deadline_ms" via (millis, from_millis) = None,
         retries: "retries",
         latency: "latency_us" via (micros, from_micros) = Duration::ZERO,
-        trace_cache: "trace_cache" = true,
         test_parallelism: "test_parallelism" via (ToJson::to_json, workers) = 1,
     }
 }
@@ -316,7 +304,6 @@ mod tests {
             .with_deadline(Duration::from_secs(5))
             .with_retries(2)
             .with_latency(Duration::from_micros(500))
-            .with_trace_cache(false)
             .with_test_parallelism(4)
     }
 
@@ -331,18 +318,19 @@ mod tests {
             JobRequest::from_json(&baseline.to_json()).unwrap(),
             baseline
         );
-        // Requests from clients that predate the trace cache decode to the
-        // defaults: cache on, serial execution.
-        let legacy_fields = match baseline.to_json() {
+        // Requests from clients that predate `test_parallelism` decode to
+        // serial execution; the `trace_cache` key older clients send is
+        // ignored.
+        let legacy_fields = match sample().to_json() {
             Json::Object(fields) => fields
                 .into_iter()
-                .filter(|(k, _)| k != "trace_cache" && k != "test_parallelism")
+                .filter(|(k, _)| k != "test_parallelism")
+                .chain([("trace_cache".to_owned(), Json::Bool(false))])
                 .collect(),
             _ => unreachable!(),
         };
         let decoded = JobRequest::from_json(&Json::Object(legacy_fields)).unwrap();
-        assert!(decoded.trace_cache);
-        assert_eq!(decoded.test_parallelism, 1);
+        assert_eq!(decoded, sample().with_test_parallelism(1));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!   **zero** rig steps; testing `w·a` after `w` steps a clone of the
 //!   checkpoint at `w` once and checks that output against one step of a
 //!   clone of the witness at `w` — two steps instead of `2·(|w|+1)`.
-//! * [`execute_with_retry_pooled`] — a drop-in for
-//!   [`execute_with_retry_on`] that consults the cache and runs speculative
-//!   quorum attempts on cloned rigs in parallel. Verdicts and observations
-//!   are bit-identical to the serial executor.
+//! * [`execute_with_retry_cached`] —
+//!   [`execute_with_retry_on`](crate::execute_with_retry_on) through the
+//!   cache. Verdicts and observations are bit-identical to that serial
+//!   executor, which stays the cache's validation run and its oracle.
 //! * [`probe_offers_pooled`] — the frontier-probe batch: `k` one-step
 //!   extensions of a confirmed prefix, resumed from the prefix checkpoint
-//!   and stepped concurrently, merged in offer order.
+//!   and stepped concurrently on a scoped-thread pool, merged in offer
+//!   order.
 //!
 //! **Flake-safety rule** (DESIGN.md §17): memoization and checkpointing
 //! apply only to rigs reporting
@@ -39,12 +40,11 @@ use std::collections::HashMap;
 use muml_automata::{Label, Observation, SignalSet, Universe};
 
 use crate::component::StateObservable;
-use crate::executor::{execute_expected_trace, TestOutcome};
+use crate::executor::TestOutcome;
 use crate::monitor::{Direction, MonitorEvent, MonitorTrace, PortMap};
 use crate::replay::{RecordedStep, Recording};
 use crate::retry::{
-    book_attempt, execute_with_retry_on, internally_consistent, retry_witnessed, RetryPolicy,
-    RetryReport, SimClock, TestVerdict,
+    internally_consistent, retry_witnessed, RetryPolicy, RetryReport, SimClock, TestVerdict,
 };
 
 /// Counters describing what the cache did, cumulatively per instance.
@@ -66,9 +66,10 @@ pub struct CacheStats {
     pub saved_steps: usize,
     /// Trie nodes inserted.
     pub insertions: usize,
-    /// Batches of rig executions dispatched to the scoped-thread pool.
+    /// Frontier-probe batches dispatched to the scoped-thread pool.
     pub parallel_batches: usize,
-    /// Individual rig executions that ran on a pooled clone.
+    /// Probe offers stepped on the pool (one checkpoint-clone step and one
+    /// witness-clone step each).
     pub parallel_tasks: usize,
 }
 
@@ -146,7 +147,8 @@ pub struct TraceCache {
 }
 
 /// The trie walk outcome for an expected trace, mirroring the record drive
-/// of [`execute_expected_trace`]: stop at the first output divergence.
+/// of [`execute_expected_trace`](crate::execute_expected_trace): stop at
+/// the first output divergence.
 enum Walk {
     /// The executed prefix is fully covered: the node path (one per
     /// executed step) and the divergence step, if any.
@@ -569,9 +571,10 @@ impl TraceCache {
 
     /// After a conclusive serial run of a *trusted* deterministic rig, the
     /// component sits exactly at the end of the executed word (the second
-    /// drive of [`execute_expected_trace`] is the replay, which does not
-    /// reset afterwards): snapshot it as the checkpoint of the word's final
-    /// trie node, so the very next extension resumes instead of replaying.
+    /// drive of [`execute_expected_trace`](crate::execute_expected_trace)
+    /// is the replay, which does not reset afterwards): snapshot it as the
+    /// checkpoint of the word's final trie node, so the very next
+    /// extension resumes instead of replaying.
     /// `witness` — the run's clone from between its record drive and
     /// replay, one reset apart from the checkpoint's drive — becomes that
     /// node's witness, so the next verification resumes as well.
@@ -596,6 +599,102 @@ impl TraceCache {
         }
         if self.nodes[at].witness.is_none() {
             self.nodes[at].witness = witness;
+        }
+    }
+
+    /// The batch half of [`probe_offers_pooled`] on a trusted cache: covers
+    /// `prefix` once, then memoizes every offer the trie lacks by one
+    /// checkpointed step plus its witness step, on the pool. Books the
+    /// steps driven per offer into `extra`. Returns early, leaving the
+    /// offers to the per-offer executor, when the prefix replay refutes
+    /// the claim, the prefix diverges, or the rig cannot be cloned.
+    fn step_offers(
+        &mut self,
+        component: &mut dyn StateObservable,
+        prefix: &[Label],
+        offers: &[SignalSet],
+        extra: &mut [usize],
+        parallelism: usize,
+    ) {
+        let prefix_driven = self.extend(component, prefix);
+        if let Some(e0) = extra.first_mut() {
+            *e0 += prefix_driven;
+        }
+        if self.validation != Validation::Trusted {
+            return;
+        }
+        // A prefix that does not replay cleanly (confirmed against
+        // different behaviour?) is left to the per-offer path, which
+        // handles divergence.
+        let Walk::Covered {
+            path,
+            divergence: None,
+        } = self.walk(prefix)
+        else {
+            return;
+        };
+        let prefix_node = path.last().copied().unwrap_or(0);
+        // Which offers still need a rig step?
+        let missing: Vec<usize> = (0..offers.len())
+            .filter(|&i| !self.nodes[prefix_node].children.contains_key(&offers[i]))
+            .collect();
+        if missing.is_empty() || self.nodes[prefix_node].checkpoint.is_none() {
+            return;
+        }
+        // Both lineages must reach the prefix: a prefix without a witness
+        // first gets one from a verification drive.
+        if self.nodes[prefix_node].witness.is_none() {
+            extra[0] += self.verify(component, prefix);
+        }
+        // Each missing offer steps a clone of the prefix checkpoint (the
+        // extension) and a clone of the prefix witness (its verification —
+        // see `verify`) once.
+        let mut pairs = Vec::with_capacity(missing.len());
+        if self.validation == Validation::Trusted {
+            let node = &self.nodes[prefix_node];
+            if let (Some(snap), Some(wit)) = (&node.checkpoint, &node.witness) {
+                for _ in &missing {
+                    match (snap.try_clone_boxed(), wit.try_clone_boxed()) {
+                        (Some(c), Some(w)) => pairs.push((c, w)),
+                        _ => break,
+                    }
+                }
+            }
+        }
+        if pairs.len() != missing.len() {
+            return;
+        }
+        let tasks: Vec<_> = missing
+            .iter()
+            .zip(pairs)
+            .map(|(&i, (mut c, mut w))| {
+                let a = offers[i];
+                move || {
+                    let out = c.step(a);
+                    let seen = w.step(a);
+                    (out, seen, c, w)
+                }
+            })
+            .collect();
+        let results = run_pooled(tasks, parallelism, &mut self.stats);
+        self.stats.driven_steps += 2 * results.len();
+        for (&i, (out, seen, c, w)) in missing.iter().zip(results) {
+            extra[i] += 2;
+            if self.validation != Validation::Trusted {
+                continue; // already distrusted: count steps only
+            }
+            // The verification step must reproduce the extension's output;
+            // any disagreement refutes the determinism claim (as the serial
+            // cross-check would).
+            if seen != out {
+                self.clear();
+                self.validation = Validation::Distrusted;
+                continue;
+            }
+            let mut node = Node::new(out, c.period(), c.observable_state());
+            node.checkpoint = Some(c);
+            node.witness = Some(w);
+            self.insert_node(prefix_node, offers[i], node);
         }
     }
 }
@@ -626,8 +725,9 @@ fn serial_counterfactual(executed: usize, policy: &RetryPolicy) -> usize {
 }
 
 /// Runs `tasks` on scoped threads, at most `parallelism` at a time, and
-/// returns the results in task order.
-fn run_pooled<T, F>(tasks: Vec<F>, parallelism: usize, stats: Option<&mut CacheStats>) -> Vec<T>
+/// returns the results in task order. A batch that reaches the pool is
+/// counted in `stats`.
+fn run_pooled<T, F>(tasks: Vec<F>, parallelism: usize, stats: &mut CacheStats) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -636,10 +736,8 @@ where
     if width <= 1 || tasks.len() <= 1 {
         return tasks.into_iter().map(|f| f()).collect();
     }
-    if let Some(stats) = stats {
-        stats.parallel_batches += 1;
-        stats.parallel_tasks += tasks.len();
-    }
+    stats.parallel_batches += 1;
+    stats.parallel_tasks += tasks.len();
     let mut out: Vec<Option<T>> = Vec::new();
     out.resize_with(tasks.len(), || None);
     let mut remaining: Vec<(usize, F)> = tasks.into_iter().enumerate().collect();
@@ -664,28 +762,25 @@ where
         .collect()
 }
 
-/// Drop-in for [`execute_with_retry_on`] with a trace cache and a
-/// scoped-thread pool. Verdicts, observations, and learned evidence are
-/// bit-identical to the serial uncached executor:
+/// [`execute_with_retry_on`](crate::execute_with_retry_on) through a trace
+/// cache. Verdicts, observations, and learned evidence are bit-identical
+/// to that serial executor:
 ///
-/// * deterministic rig + cache: the outcome is synthesized from the trie
-///   (full hit: zero steps; partial: resume from the deepest checkpoint);
-/// * deterministic rig, no cache, `parallelism > 1`, quorum > 1: the
-///   speculative quorum attempts run concurrently on cloned rigs and are
-///   merged in attempt order;
-/// * nondeterministic rig: the serial retry loop runs unchanged (fault
-///   PRNG streams must not be forked), and its conclusive outcomes are
-///   inserted into the cache for later full-word hits.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_retry_pooled(
+/// * deterministic rig with a validated claim: the outcome is synthesized
+///   from the trie (full hit: zero steps; partial: extend from the deepest
+///   checkpoint and verify from its witness);
+/// * the cache's first execution, a refuted claim, or a nondeterministic
+///   rig: the serial retry loop runs unchanged (fault PRNG streams must not
+///   be forked), and its conclusive outcomes are inserted into the cache
+///   for later full-word hits.
+pub fn execute_with_retry_cached(
     component: &mut dyn StateObservable,
     expected: &[Label],
     u: &Universe,
     ports: &PortMap,
     policy: &RetryPolicy,
     clock: &mut SimClock,
-    mut cache: Option<&mut TraceCache>,
-    parallelism: usize,
+    cache: &mut TraceCache,
 ) -> RetryReport {
     let deterministic = component.deterministic_rig();
     // Degenerate configuration (quorum can never be met): preserve the
@@ -696,178 +791,78 @@ pub fn execute_with_retry_pooled(
     // booked into the serial executor's report below.
     let mut refuted_steps = 0usize;
 
-    if let Some(cache) = cache.as_deref_mut() {
-        cache.stats.lookups += 1;
-        if deterministic && !degenerate && cache.validation == Validation::Trusted {
-            if let Some(outcome) = cache.synthesize(expected, u, ports) {
-                cache.stats.hits += 1;
-                cache.stats.saved_steps +=
-                    serial_counterfactual(outcome.observation.labels.len(), policy);
-                return synthesized_report(outcome, expected, 0);
-            }
-            let driven = cache.extend(component, expected);
-            if cache.validation == Validation::Trusted {
-                let mut outcome = cache
-                    .synthesize(expected, u, ports)
-                    .expect("extend must cover the executed prefix");
-                outcome.driven_steps = driven;
-                cache.stats.saved_steps +=
-                    serial_counterfactual(outcome.observation.labels.len(), policy)
-                        .saturating_sub(driven);
-                let mut report = synthesized_report(outcome, expected, driven);
-                report.attempts = 1;
-                return report;
-            }
-            // The extension refuted the determinism claim mid-replay: the
-            // trie was dropped; fall through to the serial executor.
-            refuted_steps = driven;
+    cache.stats.lookups += 1;
+    if deterministic && !degenerate && cache.validation == Validation::Trusted {
+        if let Some(outcome) = cache.synthesize(expected, u, ports) {
+            cache.stats.hits += 1;
+            cache.stats.saved_steps +=
+                serial_counterfactual(outcome.observation.labels.len(), policy);
+            return synthesized_report(outcome, expected, 0);
         }
-        if !deterministic || cache.validation == Validation::Distrusted {
-            if let Some(outcome) = cache.synthesize(expected, u, ports) {
-                // Every trie entry for a flaky (or distrusted) rig was
-                // quorum-confirmed when it was inserted; replaying the
-                // agreed verdict is as sound as the quorum that produced
-                // it.
-                cache.stats.hits += 1;
-                cache.stats.saved_steps += expected.len().saturating_mul(2);
-                return synthesized_report(outcome, expected, 0);
-            }
-        }
-    }
-
-    // A cache in `Trusted` state returned above, so reaching the executor
-    // with a cache means the claim is pending (the validation run must be
-    // the serial executor verbatim) or refuted (clones must not be used).
-    // The parallel quorum is therefore reserved for cache-less calls. The
-    // validation run also hands over its witness clone.
-    let validating = deterministic
-        && !degenerate
-        && cache
-            .as_deref()
-            .is_some_and(|c| c.validation == Validation::Pending);
-    let mut witness = None;
-    let mut report = if deterministic
-        && !degenerate
-        && cache.is_none()
-        && parallelism > 1
-        && policy.quorum.max(1) > 1
-    {
-        execute_quorum_parallel(
-            component,
-            expected,
-            u,
-            ports,
-            policy,
-            clock,
-            parallelism,
-            None,
-        )
-    } else {
-        retry_witnessed(
-            component,
-            expected,
-            u,
-            ports,
-            policy,
-            clock,
-            validating.then_some(&mut witness),
-        )
-    };
-    report.driven_steps += refuted_steps;
-
-    if let Some(cache) = cache {
-        if deterministic && !degenerate && cache.validation == Validation::Pending {
-            // The validation run: only a cleanly conclusive result — no
-            // replay errors, no internally inconsistent attempts — is
-            // consistent with the determinism claim.
-            cache.validation = if report.verdict.is_conclusive()
-                && report.replay_errors == 0
-                && report.inconsistent_attempts == 0
-            {
-                Validation::Trusted
-            } else {
-                Validation::Distrusted
-            };
-        }
-        if report.verdict.is_conclusive() {
-            if let Some(outcome) = report.outcome.as_ref() {
-                cache.insert_quorum_confirmed(component, outcome);
-                if deterministic && cache.validation == Validation::Trusted {
-                    cache.attach_terminal_clones(component, witness, &outcome.observation.labels);
-                }
-            }
-        }
-    }
-    report
-}
-
-/// Speculative parallel quorum for deterministic, clonable rigs: the
-/// attempts the serial loop would need (all identical on a deterministic
-/// rig) run concurrently on clones; the merge replays the serial loop's
-/// bookkeeping in attempt order, so the report is bit-identical. If the
-/// speculation falls short (the component lied about determinism), the
-/// serial loop continues on the original — still bit-identical, because a
-/// deterministic rig behaves the same on clone and original.
-#[allow(clippy::too_many_arguments)]
-fn execute_quorum_parallel(
-    component: &mut dyn StateObservable,
-    expected: &[Label],
-    u: &Universe,
-    ports: &PortMap,
-    policy: &RetryPolicy,
-    clock: &mut SimClock,
-    parallelism: usize,
-    stats: Option<&mut CacheStats>,
-) -> RetryReport {
-    let max_attempts = policy.max_attempts.max(1);
-    let speculate = policy.quorum.max(1).min(max_attempts);
-
-    let mut clones = Vec::with_capacity(speculate);
-    for _ in 0..speculate {
-        match component.try_clone_boxed() {
-            Some(c) => clones.push(c),
-            None => return execute_with_retry_on(component, expected, u, ports, policy, clock),
-        }
-    }
-    let tasks: Vec<_> = clones
-        .into_iter()
-        .map(|mut c| {
-            let u = u.clone();
-            let ports = ports.clone();
-            let expected = expected.to_vec();
-            move || execute_expected_trace(&mut *c, &expected, &u, &ports)
-        })
-        .collect();
-    let results = run_pooled(tasks, parallelism, stats);
-
-    // Serial-loop bookkeeping over the speculative results, in order.
-    let mut report = RetryReport::empty();
-    let mut candidates = Vec::new();
-    for result in results {
-        if book_attempt(
-            &mut report,
-            &mut candidates,
-            result,
-            expected,
-            policy,
-            clock,
-        ) {
+        let driven = cache.extend(component, expected);
+        if cache.validation == Validation::Trusted {
+            let mut outcome = cache
+                .synthesize(expected, u, ports)
+                .expect("extend must cover the executed prefix");
+            outcome.driven_steps = driven;
+            cache.stats.saved_steps +=
+                serial_counterfactual(outcome.observation.labels.len(), policy)
+                    .saturating_sub(driven);
+            let mut report = synthesized_report(outcome, expected, driven);
+            report.attempts = 1;
             return report;
         }
+        // The extension refuted the determinism claim mid-replay: the
+        // trie was dropped; fall through to the serial executor.
+        refuted_steps = driven;
     }
-    // Speculation exhausted without a verdict: continue serially, exactly
-    // where the serial loop would be.
-    while report.attempts < max_attempts {
-        let attempt = execute_expected_trace(component, expected, u, ports);
-        if book_attempt(
-            &mut report,
-            &mut candidates,
-            attempt,
-            expected,
-            policy,
-            clock,
-        ) {
-            break;
+    if !deterministic || cache.validation == Validation::Distrusted {
+        if let Some(outcome) = cache.synthesize(expected, u, ports) {
+            // Every trie entry for a flaky (or distrusted) rig was
+            // quorum-confirmed when it was inserted; replaying the agreed
+            // verdict is as sound as the quorum that produced it.
+            cache.stats.hits += 1;
+            cache.stats.saved_steps += expected.len().saturating_mul(2);
+            return synthesized_report(outcome, expected, 0);
+        }
+    }
+
+    // A `Trusted` cache returned above, so the executor runs when the
+    // claim is pending (the validation run must be the serial executor
+    // verbatim, and it hands over its witness clone) or refuted (clones
+    // must not be used).
+    let validating = deterministic && !degenerate && cache.validation == Validation::Pending;
+    let mut witness = None;
+    let mut report = retry_witnessed(
+        component,
+        expected,
+        u,
+        ports,
+        policy,
+        clock,
+        validating.then_some(&mut witness),
+    );
+    report.driven_steps += refuted_steps;
+
+    if validating {
+        // The validation run: only a cleanly conclusive result — no replay
+        // errors, no internally inconsistent attempts — is consistent with
+        // the determinism claim.
+        cache.validation = if report.verdict.is_conclusive()
+            && report.replay_errors == 0
+            && report.inconsistent_attempts == 0
+        {
+            Validation::Trusted
+        } else {
+            Validation::Distrusted
+        };
+    }
+    if report.verdict.is_conclusive() {
+        if let Some(outcome) = report.outcome.as_ref() {
+            cache.insert_quorum_confirmed(component, outcome);
+            if deterministic && cache.validation == Validation::Trusted {
+                cache.attach_terminal_clones(component, witness, &outcome.observation.labels);
+            }
         }
     }
     report
@@ -875,11 +870,11 @@ fn execute_quorum_parallel(
 
 /// The frontier-probe batch: for each offered input `a`, the verdict of
 /// testing `prefix·(a/∅)` — semantically identical to calling
-/// [`execute_with_retry_pooled`] per offer in order, but each uncached
-/// offer steps clones of the checkpoint and of the witness at the end of
-/// `prefix` once each (two steps instead of `2·(|w|+1)`), concurrently on
-/// the pool. Reports come back in offer order; learned evidence is
-/// bit-identical to serial.
+/// [`execute_with_retry_cached`] per offer in order, but on a validated
+/// deterministic rig each offer the trie lacks steps clones of the
+/// checkpoint and of the witness at the end of `prefix` once each (two
+/// steps instead of `2·(|w|+1)`), concurrently on the pool. Reports come
+/// back in offer order; learned evidence is bit-identical to serial.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_offers_pooled(
     component: &mut dyn StateObservable,
@@ -889,7 +884,7 @@ pub fn probe_offers_pooled(
     ports: &PortMap,
     policy: &RetryPolicy,
     clock: &mut SimClock,
-    mut cache: Option<&mut TraceCache>,
+    cache: &mut TraceCache,
     parallelism: usize,
 ) -> Vec<RetryReport> {
     let expected: Vec<Vec<Label>> = offers
@@ -900,240 +895,28 @@ pub fn probe_offers_pooled(
             w
         })
         .collect();
-    let deterministic = component.deterministic_rig();
+    // `extra` carries the rig steps the batch drove on behalf of each
+    // offer, so the per-offer reports (which would otherwise be zero-step
+    // cache hits) account for the true rig work.
+    let mut extra = vec![0usize; offers.len()];
     let degenerate = policy.quorum.max(1) > policy.max_attempts.max(1);
-
-    // The fast path: deterministic rig, validated claim, with a cache.
-    // Cover the prefix once, then extend each missing offer by a single
-    // checkpointed step plus its witness step. An unvalidated or
-    // refuted claim goes through the per-offer fallback, whose first
-    // execution validates serially.
-    if deterministic && !degenerate {
-        let trusted = cache
-            .as_deref()
-            .is_some_and(|c| c.validation == Validation::Trusted);
-        if trusted {
-            let cache = cache.as_deref_mut().expect("trusted implies present");
-            // `extra` carries the rig steps the batch drove on behalf of
-            // each offer, so the per-offer reports (which would otherwise
-            // be zero-step cache hits) account for the true rig work.
-            let mut extra = vec![0usize; offers.len()];
-            let prefix_driven = cache.extend(component, prefix);
-            if let Some(e0) = extra.first_mut() {
-                *e0 += prefix_driven;
-            }
-            if cache.validation != Validation::Trusted {
-                // The prefix replay refuted the determinism claim: handle
-                // every offer through the serial fallback below.
-                return per_offer_reports(
-                    component,
-                    &expected,
-                    &extra,
-                    u,
-                    ports,
-                    policy,
-                    clock,
-                    cache,
-                    parallelism,
-                );
-            }
-            let prefix_path = match cache.walk(prefix) {
-                Walk::Covered {
-                    path,
-                    divergence: None,
-                } => path,
-                // The prefix does not replay cleanly (it was confirmed
-                // against different behaviour?) — fall through to the
-                // general per-offer path, which handles divergence.
-                _ => {
-                    return per_offer_reports(
-                        component,
-                        &expected,
-                        &extra,
-                        u,
-                        ports,
-                        policy,
-                        clock,
-                        cache,
-                        parallelism,
-                    );
-                }
-            };
-            let prefix_node = prefix_path.last().copied().unwrap_or(0);
-            // Which offers still need a rig step?
-            let missing: Vec<usize> = (0..offers.len())
-                .filter(|&i| !cache.nodes[prefix_node].children.contains_key(&offers[i]))
-                .collect();
-            if !missing.is_empty() && cache.nodes[prefix_node].checkpoint.is_some() {
-                // Both lineages must reach the prefix: a prefix without a
-                // witness first gets one from a verification drive.
-                if cache.nodes[prefix_node].witness.is_none() {
-                    extra[0] += cache.verify(component, prefix);
-                }
-                // Each missing offer steps a clone of the prefix checkpoint
-                // (the extension) and a clone of the prefix witness (its
-                // verification — see `verify`) once.
-                let mut pairs = Vec::with_capacity(missing.len());
-                if cache.validation == Validation::Trusted {
-                    let node = &cache.nodes[prefix_node];
-                    if let (Some(snap), Some(wit)) = (&node.checkpoint, &node.witness) {
-                        for _ in &missing {
-                            match (snap.try_clone_boxed(), wit.try_clone_boxed()) {
-                                (Some(c), Some(w)) => pairs.push((c, w)),
-                                _ => break,
-                            }
-                        }
-                    }
-                }
-                if pairs.len() == missing.len() {
-                    let tasks: Vec<_> = missing
-                        .iter()
-                        .zip(pairs)
-                        .map(|(&i, (mut c, mut w))| {
-                            let a = offers[i];
-                            move || {
-                                let out = c.step(a);
-                                let seen = w.step(a);
-                                (out, seen, c, w)
-                            }
-                        })
-                        .collect();
-                    let results = run_pooled(tasks, parallelism, Some(&mut cache.stats));
-                    cache.stats.driven_steps += 2 * results.len();
-                    for (&i, (out, seen, c, w)) in missing.iter().zip(results) {
-                        extra[i] += 2;
-                        if cache.validation != Validation::Trusted {
-                            continue; // already distrusted: count steps only
-                        }
-                        // The verification step must reproduce the
-                        // extension's output; any disagreement refutes the
-                        // determinism claim (as the serial cross-check
-                        // would).
-                        if seen != out {
-                            cache.clear();
-                            cache.validation = Validation::Distrusted;
-                            continue;
-                        }
-                        let mut node = Node::new(out, c.period(), c.observable_state());
-                        node.checkpoint = Some(c);
-                        node.witness = Some(w);
-                        cache.insert_node(prefix_node, offers[i], node);
-                    }
-                }
-            }
-            // All offers are now either memoized or will be driven lazily
-            // by the per-offer executor (non-clonable or distrusted
-            // fallback).
-            return per_offer_reports(
-                component,
-                &expected,
-                &extra,
-                u,
-                ports,
-                policy,
-                clock,
-                cache,
-                parallelism,
-            );
-        }
-        // No cache, but a clonable deterministic rig: run the offers'
-        // full executions concurrently and merge in offer order. (With a
-        // pending or refuted cache this branch is skipped — validation
-        // must be serial, and a distrusted rig must not be cloned.)
-        if cache.is_none() && parallelism > 1 && component.try_clone_boxed().is_some() {
-            let mut clones = Vec::with_capacity(expected.len());
-            let mut ok = true;
-            for _ in &expected {
-                match component.try_clone_boxed() {
-                    Some(c) => clones.push(c),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                let tasks: Vec<_> = expected
-                    .iter()
-                    .zip(clones)
-                    .map(|(e, mut c)| {
-                        let u = u.clone();
-                        let ports = ports.clone();
-                        let policy = *policy;
-                        let e = e.clone();
-                        move || {
-                            let mut local = SimClock::new();
-                            execute_with_retry_on(&mut *c, &e, &u, &ports, &policy, &mut local)
-                        }
-                    })
-                    .collect();
-                let reports = run_pooled(tasks, parallelism, None);
-                for r in &reports {
-                    // Serial merge order: charge the backoff each offer's
-                    // serial execution would have charged, in offer order.
-                    clock.advance(r.backoff_ticks);
-                }
-                return reports;
-            }
-        }
+    if component.deterministic_rig() && !degenerate && cache.validation == Validation::Trusted {
+        cache.step_offers(component, prefix, offers, &mut extra, parallelism);
     }
-
-    // Serial fallback (nondeterministic rig, degenerate policy, or
-    // non-clonable component): exactly the per-offer serial semantics.
+    // Every offer is now either memoized or is driven by the per-offer
+    // executor: an unvalidated claim validates serially there, and a
+    // nondeterministic, refuted or non-clonable rig runs the serial path.
     expected
         .iter()
-        .map(|e| {
-            execute_with_retry_pooled(
-                component,
-                e,
-                u,
-                ports,
-                policy,
-                clock,
-                cache.as_deref_mut(),
-                parallelism,
-            )
-        })
-        .collect()
-}
-
-/// Per-offer tail of the probe batch: executes each offer word through the
-/// cached executor (most are now memoized) and folds the batch-driven rig
-/// steps (`extra`) into the matching reports, so driver-level accounting
-/// sees the true rig work instead of zero-step hits. The counterfactual
-/// savings credited to those hits are reduced by the same amount.
-#[allow(clippy::too_many_arguments)]
-fn per_offer_reports(
-    component: &mut dyn StateObservable,
-    expected: &[Vec<Label>],
-    extra: &[usize],
-    u: &Universe,
-    ports: &PortMap,
-    policy: &RetryPolicy,
-    clock: &mut SimClock,
-    cache: &mut TraceCache,
-    parallelism: usize,
-) -> Vec<RetryReport> {
-    expected
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let mut rr = execute_with_retry_pooled(
-                component,
-                e,
-                u,
-                ports,
-                policy,
-                clock,
-                Some(&mut *cache),
-                parallelism,
-            );
-            if extra[i] > 0 {
-                rr.driven_steps += extra[i];
+        .zip(extra)
+        .map(|(e, extra)| {
+            let mut rr = execute_with_retry_cached(component, e, u, ports, policy, clock, cache);
+            if extra > 0 {
+                rr.driven_steps += extra;
                 if rr.attempts == 0 {
                     // A synthesized hit claimed the full serial cost as
-                    // saved; the batch actually drove `extra[i]` steps.
-                    cache.stats.saved_steps = cache.stats.saved_steps.saturating_sub(extra[i]);
+                    // saved; the batch actually drove `extra` steps.
+                    cache.stats.saved_steps = cache.stats.saved_steps.saturating_sub(extra);
                 }
             }
             rr
@@ -1203,15 +986,8 @@ mod tests {
         let mut cache = TraceCache::new("test");
         let mut clock = SimClock::new();
         let mut c = component(&u);
-        let first = execute_with_retry_pooled(
-            &mut c,
-            &expected,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
+        let first = execute_with_retry_cached(
+            &mut c, &expected, &u, &ports, &policy, &mut clock, &mut cache,
         );
         assert_equivalent(&first, &serial);
         assert_eq!(
@@ -1219,15 +995,8 @@ mod tests {
             "first contact is the serial validation run"
         );
 
-        let second = execute_with_retry_pooled(
-            &mut c,
-            &expected,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
+        let second = execute_with_retry_cached(
+            &mut c, &expected, &u, &ports, &policy, &mut clock, &mut cache,
         );
         assert_equivalent(&second, &serial);
         assert_eq!(second.driven_steps, 0, "repeat is a pure synthesis");
@@ -1248,15 +1017,8 @@ mod tests {
         let mut clock = SimClock::new();
         let mut c = component(&u);
         for _ in 0..3 {
-            let r = execute_with_retry_pooled(
-                &mut c,
-                &expected,
-                &u,
-                &ports,
-                &policy,
-                &mut clock,
-                Some(&mut cache),
-                1,
+            let r = execute_with_retry_cached(
+                &mut c, &expected, &u, &ports, &policy, &mut clock, &mut cache,
             );
             assert_equivalent(&r, &serial);
         }
@@ -1274,31 +1036,15 @@ mod tests {
         let mut cache = TraceCache::new("test");
         let mut clock = SimClock::new();
         let mut c = component(&u);
-        let first = execute_with_retry_pooled(
-            &mut c,
-            &w,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
-        );
+        let first =
+            execute_with_retry_cached(&mut c, &w, &u, &ports, &policy, &mut clock, &mut cache);
         assert_eq!(first.driven_steps, 2, "first contact validates serially");
         // Extending w to w·a drives one new step from the checkpoint
         // captured at the end of the validation run, plus one verification
         // step from the witness it captured one reset earlier — 2 steps
         // against the serial executor's 2·|w·a| = 4.
-        let ext = execute_with_retry_pooled(
-            &mut c,
-            &wa,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
-        );
+        let ext =
+            execute_with_retry_cached(&mut c, &wa, &u, &ports, &policy, &mut clock, &mut cache);
         assert_eq!(ext.driven_steps, 2);
         assert!(cache.stats().resumes >= 1);
         let serial = execute_with_retry(&mut component(&u), &wa, &u, &ports, &policy);
@@ -1314,27 +1060,10 @@ mod tests {
         let mut clock = SimClock::new();
         let mut c = component(&u);
         let serial = execute_with_retry(&mut component(&u), &[], &u, &ports, &policy);
-        let r = execute_with_retry_pooled(
-            &mut c,
-            &[],
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
-        );
+        let r = execute_with_retry_cached(&mut c, &[], &u, &ports, &policy, &mut clock, &mut cache);
         assert_equivalent(&r, &serial);
-        let again = execute_with_retry_pooled(
-            &mut c,
-            &[],
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
-        );
+        let again =
+            execute_with_retry_cached(&mut c, &[], &u, &ports, &policy, &mut clock, &mut cache);
         assert_equivalent(&again, &serial);
     }
 
@@ -1350,71 +1079,20 @@ mod tests {
 
         let mut cache = TraceCache::new("flaky");
         let mut clock = SimClock::new();
-        let first = execute_with_retry_pooled(
-            &mut rig,
-            &expected,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            4,
+        let first = execute_with_retry_cached(
+            &mut rig, &expected, &u, &ports, &policy, &mut clock, &mut cache,
         );
         if first.verdict.is_conclusive() {
             assert!(first.attempts >= 1, "flaky path must actually execute");
             assert!(!cache.is_empty(), "conclusive verdicts are memoized");
-            let second = execute_with_retry_pooled(
-                &mut rig,
-                &expected,
-                &u,
-                &ports,
-                &policy,
-                &mut clock,
-                Some(&mut cache),
-                4,
+            let second = execute_with_retry_cached(
+                &mut rig, &expected, &u, &ports, &policy, &mut clock, &mut cache,
             );
             assert_eq!(second.verdict, first.verdict);
             assert_eq!(second.attempts, 0, "repeat is served from the cache");
             assert_eq!(second.driven_steps, 0);
         } else {
             assert!(cache.is_empty(), "inconclusive runs must not be cached");
-        }
-    }
-
-    #[test]
-    fn parallel_quorum_matches_serial_bit_for_bit() {
-        let u = Universe::new();
-        let ports = PortMap::with_default("rearRole");
-        let policy = RetryPolicy::default().with_quorum(3).with_max_attempts(6);
-        for expected in [
-            vec![l(&u, &[], &["propose"]), l(&u, &["start"], &[])],
-            vec![l(&u, &[], &[]), l(&u, &[], &["propose"])],
-        ] {
-            let mut serial_clock = SimClock::new();
-            let serial = execute_with_retry_on(
-                &mut component(&u),
-                &expected,
-                &u,
-                &ports,
-                &policy,
-                &mut serial_clock,
-            );
-            let mut par_clock = SimClock::new();
-            let parallel = execute_with_retry_pooled(
-                &mut component(&u),
-                &expected,
-                &u,
-                &ports,
-                &policy,
-                &mut par_clock,
-                None,
-                4,
-            );
-            assert_equivalent(&parallel, &serial);
-            assert_eq!(parallel.attempts, serial.attempts);
-            assert_eq!(parallel.backoff_ticks, serial.backoff_ticks);
-            assert_eq!(parallel.driven_steps, serial.driven_steps);
-            assert_eq!(par_clock.now(), serial_clock.now());
         }
     }
 
@@ -1452,7 +1130,7 @@ mod tests {
                 &ports,
                 &policy,
                 &mut clock,
-                Some(&mut cache),
+                &mut cache,
                 parallelism,
             );
             assert_eq!(batch.len(), serial.len());
@@ -1478,7 +1156,7 @@ mod tests {
                 &ports,
                 &policy,
                 &mut clock,
-                Some(&mut cache),
+                &mut cache,
                 parallelism,
             );
             for (b, s) in again.iter().zip(&serial) {
@@ -1490,44 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_without_cache_parallel_matches_serial() {
-        let u = Universe::new();
-        let ports = PortMap::with_default("rearRole");
-        let policy = RetryPolicy::default().with_quorum(2).with_max_attempts(4);
-        let prefix = vec![l(&u, &[], &["propose"])];
-        let offers = vec![u.signals(["start"]), u.signals(["reject"])];
-
-        let mut serial_clock = SimClock::new();
-        let serial: Vec<RetryReport> = offers
-            .iter()
-            .map(|&a| {
-                let mut e = prefix.clone();
-                e.push(Label::new(a, SignalSet::EMPTY));
-                execute_with_retry_on(
-                    &mut component(&u),
-                    &e,
-                    &u,
-                    &ports,
-                    &policy,
-                    &mut serial_clock,
-                )
-            })
-            .collect();
-
-        let mut clock = SimClock::new();
-        let mut c = component(&u);
-        let batch = probe_offers_pooled(
-            &mut c, &prefix, &offers, &u, &ports, &policy, &mut clock, None, 4,
-        );
-        for (b, s) in batch.iter().zip(&serial) {
-            assert_equivalent(b, s);
-            assert_eq!(b.attempts, s.attempts);
-            assert_eq!(b.driven_steps, s.driven_steps);
-        }
-        assert_eq!(clock.now(), serial_clock.now());
-    }
-
-    #[test]
     fn latent_component_checkpoints_resume_without_replay_sleeps() {
         let u = Universe::new();
         let ports = PortMap::with_default("rearRole");
@@ -1536,15 +1176,8 @@ mod tests {
         let mut cache = TraceCache::new("latent");
         let mut clock = SimClock::new();
         let expected = vec![l(&u, &[], &["propose"]), l(&u, &["start"], &[])];
-        let r = execute_with_retry_pooled(
-            &mut slow,
-            &expected,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
+        let r = execute_with_retry_cached(
+            &mut slow, &expected, &u, &ports, &policy, &mut clock, &mut cache,
         );
         assert_eq!(r.verdict, TestVerdict::Confirmed);
         assert_eq!(
@@ -1564,16 +1197,8 @@ mod tests {
         // steps, not the serial executor's 2·|w·a| = 6.
         let mut wa = expected.clone();
         wa.push(l(&u, &["start"], &[]));
-        let ext = execute_with_retry_pooled(
-            &mut slow,
-            &wa,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            1,
-        );
+        let ext =
+            execute_with_retry_cached(&mut slow, &wa, &u, &ports, &policy, &mut clock, &mut cache);
         assert_eq!(
             ext.driven_steps, 2,
             "one checkpointed step + one witness step"
@@ -1681,15 +1306,8 @@ mod tests {
         ];
         let mut cache = TraceCache::new("liar");
         let mut clock = SimClock::new();
-        execute_with_retry_pooled(
-            &mut liar,
-            first,
-            &u,
-            &ports,
-            &policy,
-            &mut clock,
-            Some(&mut cache),
-            parallelism,
+        execute_with_retry_cached(
+            &mut liar, first, &u, &ports, &policy, &mut clock, &mut cache,
         );
         // noConvoy → wait → noConvoy → … : `propose`, then `reject`.
         let mut prefix: Vec<Label> = Vec::new();
@@ -1702,7 +1320,7 @@ mod tests {
                 &ports,
                 &policy,
                 &mut clock,
-                Some(&mut cache),
+                &mut cache,
                 parallelism,
             );
             let a = if depth % 2 == 0 {
@@ -1711,15 +1329,8 @@ mod tests {
                 offers[2]
             };
             prefix.push(Label::new(a, truth.step(a)));
-            execute_with_retry_pooled(
-                &mut liar,
-                &prefix,
-                &u,
-                &ports,
-                &policy,
-                &mut clock,
-                Some(&mut cache),
-                parallelism,
+            execute_with_retry_cached(
+                &mut liar, &prefix, &u, &ports, &policy, &mut clock, &mut cache,
             );
         }
         cache.validation == Validation::Distrusted
@@ -1800,15 +1411,8 @@ mod tests {
             let mut clock = SimClock::new();
             let mut rig = UnreliableRig::new(component(&u), clean);
             for expected in [&word, &extension, &word] {
-                let cached = execute_with_retry_pooled(
-                    &mut rig,
-                    expected,
-                    &u,
-                    &ports,
-                    &policy,
-                    &mut clock,
-                    Some(&mut cache),
-                    2,
+                let cached = execute_with_retry_cached(
+                    &mut rig, expected, &u, &ports, &policy, &mut clock, &mut cache,
                 );
                 let serial = execute_with_retry(
                     &mut UnreliableRig::new(component(&u), clean),
@@ -1835,15 +1439,8 @@ mod tests {
                 &policy,
             );
             for _ in 0..2 {
-                let r = execute_with_retry_pooled(
-                    &mut rig,
-                    &word,
-                    &u,
-                    &ports,
-                    &policy,
-                    &mut clock,
-                    Some(&mut cache),
-                    2,
+                let r = execute_with_retry_cached(
+                    &mut rig, &word, &u, &ports, &policy, &mut clock, &mut cache,
                 );
                 if r.verdict.is_conclusive() {
                     assert_eq!(r.verdict, truth.verdict, "seed {seed}");

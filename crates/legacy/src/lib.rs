@@ -26,11 +26,12 @@
 //!   with exponential backoff on a [`SimClock`] and a verdict quorum,
 //!   classifying each test as `Confirmed`, `Diverged`, or `Inconclusive`
 //!   instead of panicking or lying under an unreliable rig.
-//! * [`TraceCache`] / [`execute_with_retry_pooled`] /
+//! * [`TraceCache`] / [`execute_with_retry_cached`] /
 //!   [`probe_offers_pooled`] — the prefix-sharing trace cache with
-//!   checkpointed resume and the scoped-thread pool for independent rig
-//!   executions; verdicts stay bit-identical to the serial executor
+//!   checkpointed resume, and the scoped-thread pool for frontier-probe
+//!   batches; verdicts stay bit-identical to the serial executor
 //!   (DESIGN.md §17).
+//! * [`XorShift`] — the workspace's one seeded fault generator.
 
 #![warn(missing_docs)]
 
@@ -46,7 +47,7 @@ mod replay;
 mod retry;
 mod rig;
 
-pub use cache::{execute_with_retry_pooled, probe_offers_pooled, CacheStats, TraceCache};
+pub use cache::{execute_with_retry_cached, probe_offers_pooled, CacheStats, TraceCache};
 pub use component::{LegacyComponent, StateObservable};
 pub use executor::{execute_expected_trace, TestOutcome};
 pub use faults::{fault_matrix, inject, Fault};
@@ -58,4 +59,4 @@ pub use replay::{record_live, replay, RecordedStep, Recording, ReplayError, Repl
 pub use retry::{
     execute_with_retry, execute_with_retry_on, RetryPolicy, RetryReport, SimClock, TestVerdict,
 };
-pub use rig::{RigFault, RigFaultProfile, UnreliableRig};
+pub use rig::{RigFault, RigFaultProfile, UnreliableRig, XorShift};

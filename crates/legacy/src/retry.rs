@@ -257,14 +257,12 @@ pub(crate) fn agrees(a: &TestOutcome, b: &TestOutcome) -> bool {
         && a.refusal == b.refusal
 }
 
-/// Books one executed attempt into `report`: the attempt bookkeeping of the
-/// serial retry loop and of the speculative parallel quorum, in one place.
-/// Charges the attempt's backoff to `clock`, adds every rig step it drove
+/// Books one executed attempt of the retry loop into `report`. Charges the attempt's backoff to `clock`, adds every rig step it drove
 /// (a failed replay's included), classifies it, and returns `true` once
 /// `policy.quorum` internally consistent attempts agree — the agreed
 /// outcome is then `report.outcome`. `candidates` holds the consistent
 /// attempts booked so far.
-pub(crate) fn book_attempt(
+fn book_attempt(
     report: &mut RetryReport,
     candidates: &mut Vec<TestOutcome>,
     attempt: Result<TestOutcome, ReplayError>,

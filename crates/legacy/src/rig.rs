@@ -186,17 +186,21 @@ impl RigFaultProfile {
     }
 }
 
-/// xorshift64* — tiny, seedable, dependency-free.
+/// xorshift64* — tiny, seedable, dependency-free: the one generator behind
+/// every seeded fault in the workspace (rig faults here, store I/O faults,
+/// the chaos campaign), so equal seeds behave alike everywhere.
 #[derive(Debug, Clone)]
-struct XorShift(u64);
+pub struct XorShift(u64);
 
 impl XorShift {
-    fn new(seed: u64) -> Self {
-        // Avoid the all-zero fixed point.
+    /// A generator seeded with `seed` (its low bit forced on, avoiding the
+    /// all-zero fixed point).
+    pub fn new(seed: u64) -> Self {
         XorShift(seed | 1)
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
@@ -205,15 +209,16 @@ impl XorShift {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// `true` with probability `rate` (clamped to `[0, 1]`).
-    fn roll(&mut self, rate: f64) -> bool {
+    /// `true` with probability `rate` (clamped to `[0, 1]`: a rate of 0 or
+    /// 1 decides without a draw).
+    pub fn roll(&mut self, rate: f64) -> bool {
         if rate <= 0.0 {
             return false;
         }
         if rate >= 1.0 {
             return true;
         }
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64) < rate
+        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < rate
     }
 }
 

@@ -1,18 +1,18 @@
 //! 200-seed differential suite (DESIGN.md §17): the prefix-sharing trace
-//! cache and the pooled executors must be observationally equivalent to the
-//! serial reset-and-replay path. For every seed we generate a random total
-//! hidden Mealy machine and a family of prefix-sharing words (some
+//! cache and its pooled probe batches must be observationally equivalent to
+//! the serial reset-and-replay path. For every seed we generate a random
+//! total hidden Mealy machine and a family of prefix-sharing words (some
 //! realizable, some diverging), then check that
 //!
 //! * cached, checkpoint-resumed execution ≡ serial reset-and-replay, and
-//! * parallel quorum / probe batches ≡ serial per-offer execution,
+//! * probe batches on the pool ≡ serial per-offer execution,
 //!
 //! where ≡ means the verdict and everything the learner consumes are
 //! bit-identical; only the driven-step accounting may differ.
 
 use muml_automata::{Label, SignalSet, Universe};
 use muml_legacy::{
-    execute_with_retry_on, execute_with_retry_pooled, probe_offers_pooled, HiddenMealy,
+    execute_with_retry_cached, execute_with_retry_on, probe_offers_pooled, HiddenMealy,
     LegacyComponent, MealyBuilder, PortMap, RetryPolicy, RetryReport, SimClock, TraceCache,
 };
 
@@ -134,58 +134,19 @@ fn cached_resume_matches_serial_reset_and_replay_across_seeds() {
         let mut cached_clock = SimClock::new();
         let mut serial_clock = SimClock::new();
         for w in &words {
-            let cached = execute_with_retry_pooled(
+            let cached = execute_with_retry_cached(
                 &mut cached_c,
                 w,
                 &u,
                 &ports,
                 &policy,
                 &mut cached_clock,
-                Some(&mut cache),
-                4,
+                &mut cache,
             );
             let serial =
                 execute_with_retry_on(&mut serial_c, w, &u, &ports, &policy, &mut serial_clock);
             assert_equivalent(&cached, &serial, seed);
         }
-    }
-}
-
-#[test]
-fn parallel_quorum_matches_serial_across_seeds() {
-    for seed in 0..SEEDS {
-        let u = Universe::new();
-        let mut scratch = build(&u, seed);
-        let mut parallel_c = build(&u, seed);
-        let mut serial_c = build(&u, seed);
-        let ports = PortMap::with_default("rearRole");
-        let policy = RetryPolicy::default().with_quorum(3).with_max_attempts(6);
-        let mut rng = Rng::new(seed.wrapping_mul(11).wrapping_add(5));
-
-        let len = 1 + rng.below(4) as usize;
-        let w = word(&u, &mut scratch, &mut rng, len);
-        let mut parallel_clock = SimClock::new();
-        let mut serial_clock = SimClock::new();
-        let parallel = execute_with_retry_pooled(
-            &mut parallel_c,
-            &w,
-            &u,
-            &ports,
-            &policy,
-            &mut parallel_clock,
-            None,
-            4,
-        );
-        let serial =
-            execute_with_retry_on(&mut serial_c, &w, &u, &ports, &policy, &mut serial_clock);
-        assert_equivalent(&parallel, &serial, seed);
-        assert_eq!(parallel.attempts, serial.attempts, "seed {seed}");
-        assert_eq!(parallel.backoff_ticks, serial.backoff_ticks, "seed {seed}");
-        assert_eq!(parallel.replay_errors, serial.replay_errors, "seed {seed}");
-        assert_eq!(
-            parallel.inconsistent_attempts, serial.inconsistent_attempts,
-            "seed {seed}"
-        );
     }
 }
 
@@ -223,7 +184,7 @@ fn probe_batches_match_serial_per_offer_across_seeds() {
             &ports,
             &policy,
             &mut clock,
-            Some(&mut cache),
+            &mut cache,
             4,
         );
         assert_eq!(cold.len(), serial.len(), "seed {seed}");
@@ -240,7 +201,7 @@ fn probe_batches_match_serial_per_offer_across_seeds() {
             &ports,
             &policy,
             &mut clock,
-            Some(&mut cache),
+            &mut cache,
             4,
         );
         for (b, s) in warm.iter().zip(&serial) {

@@ -193,7 +193,7 @@ fn randomized_learn_loops_match_cold_rebuilds() {
                 0
             };
             let (info, carry) = cache
-                .recompose(std::slice::from_ref(&m), &deltas, None, &opts, true)
+                .recompose(std::slice::from_ref(&m), &deltas, None, &opts)
                 .expect("recompose succeeds");
             if info.mode == RecomposeMode::Incremental {
                 incremental_recomposes += 1;

@@ -5,7 +5,7 @@
 //!
 //! Random inputs come from `muml-testkit` (deterministic splitmix64 cases).
 
-use muml_automata::{Automaton, AutomatonBuilder, Universe};
+use muml_automata::{Automaton, AutomatonBuilder, Universe, CHAOS_PROP};
 use muml_logic::{Bound, Checker, Formula};
 use muml_testkit::{cases, Rng};
 
@@ -242,7 +242,7 @@ fn weakening_neutral_without_chaos_states() {
         let fspec = gen_formula(rng, 3);
         let u = Universe::new();
         let m = build(&u, &spec);
-        let chaos = u.prop("__chaos__");
+        let chaos = u.prop(CHAOS_PROP);
         let f = to_formula(&u, &fspec);
         let mut c = Checker::new(&m);
         let plain = c.sat(&f).clone();

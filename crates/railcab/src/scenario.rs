@@ -12,7 +12,9 @@
 //! Listing 1.1; the artefacts here match the paper's in kind (the same
 //! verdicts, listing formats, and learned models), not byte-for-byte.
 
-use muml_automata::{chaotic_automaton, to_dot, Automaton, IncompleteAutomaton, Universe};
+use muml_automata::{
+    chaotic_automaton, to_dot, Automaton, IncompleteAutomaton, Universe, CHAOS_PROP,
+};
 use muml_core::obs::EventSink;
 use muml_core::{default_mapper, initial_abstraction};
 use muml_core::{IntegrationReport, IntegrationSession, LegacyUnit};
@@ -47,7 +49,7 @@ pub fn fig3_chaotic_automaton(u: &Universe) -> String {
 /// chaotic closure `M_a^0` (4b).
 pub fn fig4_initial(u: &Universe) -> (IncompleteAutomaton, Automaton) {
     let shuttle = correct_shuttle(u);
-    let chaos = u.prop("__chaos__");
+    let chaos = u.prop(CHAOS_PROP);
     let mapper = default_mapper("shuttle2");
     initial_abstraction(u, &shuttle, chaos, &mapper)
 }

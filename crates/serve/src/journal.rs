@@ -322,18 +322,7 @@ fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "muml-journal-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
+    use muml_testkit::TempDir;
 
     fn sample_records() -> Vec<JournalRecord> {
         let request = JobRequest::new(7, "railcab/faulty")
@@ -379,8 +368,8 @@ mod tests {
 
     #[test]
     fn append_then_open_replays_in_order() {
-        let dir = tmpdir("replay");
-        let path = dir.join("serve.journal");
+        let dir = TempDir::new("journal-replay");
+        let path = dir.path().join("serve.journal");
         {
             let (mut journal, replay) = Journal::open(&path).expect("open fresh");
             assert!(replay.records.is_empty());
@@ -404,8 +393,8 @@ mod tests {
         // Write the full journal once to learn its byte length, then for
         // every possible truncation point check that reopen recovers the
         // longest intact prefix and physically truncates the file.
-        let dir = tmpdir("torn");
-        let full_path = dir.join("full.journal");
+        let dir = TempDir::new("journal-torn");
+        let full_path = dir.path().join("full.journal");
         {
             let (mut journal, _) = Journal::open(&full_path).expect("open");
             for record in sample_records() {
@@ -419,7 +408,7 @@ mod tests {
         assert_eq!(good_len, full.len());
 
         for cut in 0..full.len() {
-            let path = dir.join(format!("cut-{cut}.journal"));
+            let path = dir.path().join(format!("cut-{cut}.journal"));
             std::fs::write(&path, &full[..cut]).expect("write prefix");
             let (_, replay) = Journal::open(&path).expect("open torn");
             let (expect_records, expect_len) = scan(&full[..cut]);
@@ -444,8 +433,8 @@ mod tests {
 
     #[test]
     fn corrupted_byte_stops_replay_at_the_frame_before() {
-        let dir = tmpdir("corrupt");
-        let path = dir.join("serve.journal");
+        let dir = TempDir::new("journal-corrupt");
+        let path = dir.path().join("serve.journal");
         {
             let (mut journal, _) = Journal::open(&path).expect("open");
             for record in sample_records() {
@@ -465,8 +454,8 @@ mod tests {
 
     #[test]
     fn appends_resume_after_recovery() {
-        let dir = tmpdir("resume");
-        let path = dir.join("serve.journal");
+        let dir = TempDir::new("journal-resume");
+        let path = dir.path().join("serve.journal");
         let records = sample_records();
         {
             let (mut journal, _) = Journal::open(&path).expect("open");

@@ -64,7 +64,6 @@ fn resolve_railcab(request: &JobRequest) -> Result<JobWork, ResolveError> {
     };
     let latency = request.latency;
     let max_iterations = request.max_iterations;
-    let trace_cache = request.trace_cache;
     let test_parallelism = request.test_parallelism;
     let build = variant.build;
     Ok(Box::new(move |ctx| {
@@ -81,7 +80,6 @@ fn resolve_railcab(request: &JobRequest) -> Result<JobWork, ResolveError> {
         let mut loop_sink = ctx.loop_sink.clone();
         let mut config = IntegrationConfig::default()
             .with_max_iterations(max_iterations)
-            .with_trace_cache(trace_cache)
             .with_test_parallelism(test_parallelism);
         let mut unit = LegacyUnit::new(&mut component, muml_railcab::scenario::rear_port_map(&u));
         if let Some(store) = &ctx.store {
@@ -128,32 +126,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_and_parallelism_knobs_thread_through() {
+    fn test_parallelism_threads_through_to_the_probe_pool() {
         let registry = railcab_registry();
-        let uncached = registry
-            .resolve(&baseline("correct").with_trace_cache(false))
-            .unwrap();
-        let uncached_report = (uncached.work)(&JobContext::default()).unwrap();
-        assert!(matches!(
-            uncached_report.verdict,
-            muml_core::IntegrationVerdict::Proven
-        ));
-        assert_eq!(uncached_report.stats.trace_cache_hits, 0);
-
-        let cached = registry
-            .resolve(&baseline("correct").with_test_parallelism(4))
-            .unwrap();
-        let cached_report = (cached.work)(&JobContext::default()).unwrap();
-        assert!(matches!(
-            cached_report.verdict,
-            muml_core::IntegrationVerdict::Proven
-        ));
+        let run = |workers: usize| {
+            let job = registry
+                .resolve(&baseline("correct").with_test_parallelism(workers))
+                .unwrap();
+            (job.work)(&JobContext::default()).unwrap()
+        };
+        let (serial, pooled) = (run(1), run(4));
+        for report in [&serial, &pooled] {
+            assert!(matches!(
+                report.verdict,
+                muml_core::IntegrationVerdict::Proven
+            ));
+        }
+        assert_eq!(serial.stats.parallel_batches, 0);
         assert!(
-            cached_report.stats.driven_steps <= uncached_report.stats.driven_steps,
-            "cache must not drive more rig steps ({} > {})",
-            cached_report.stats.driven_steps,
-            uncached_report.stats.driven_steps,
+            pooled.stats.parallel_batches > 0,
+            "four workers must reach the probe pool"
         );
+        assert_eq!(pooled.stats.driven_steps, serial.stats.driven_steps);
     }
 
     #[test]

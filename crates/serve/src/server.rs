@@ -1039,6 +1039,7 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
 mod tests {
     use super::*;
     use muml_core::{CoreError, IntegrationReport, IntegrationStats, IntegrationVerdict};
+    use muml_testkit::TempDir;
     use std::time::Duration;
 
     /// A registry with a `noop` scenario: `variant == "slow"` sleeps in
@@ -1310,21 +1311,10 @@ mod tests {
         daemon.join();
     }
 
-    fn journal_tmp(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "muml-serve-journal-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join("serve.journal")
-    }
-
     #[test]
     fn restart_replays_history_bit_identically() {
-        let path = journal_tmp("history");
+        let dir = TempDir::new("serve-journal-history");
+        let path = dir.path().join("serve.journal");
         let first_history = {
             let daemon = Daemon::start(ServeConfig::default().with_journal(&path), test_registry());
             assert_eq!(daemon.journal_replay(), Some(ReplayStats::default()));
@@ -1397,7 +1387,8 @@ mod tests {
 
     #[test]
     fn restart_requeues_unfinished_jobs_under_original_ids() {
-        let path = journal_tmp("requeue");
+        let dir = TempDir::new("serve-journal-requeue");
+        let path = dir.path().join("serve.journal");
         // Build a journal by hand: one finished job, one accepted-only.
         let (accepted_id, finished_record) = {
             let daemon = Daemon::start(ServeConfig::default().with_journal(&path), test_registry());
@@ -1436,7 +1427,8 @@ mod tests {
 
     #[test]
     fn torn_journal_tail_recovers_the_intact_prefix() {
-        let path = journal_tmp("torn");
+        let dir = TempDir::new("serve-journal-torn");
+        let path = dir.path().join("serve.journal");
         {
             let daemon = Daemon::start(ServeConfig::default().with_journal(&path), test_registry());
             for i in 0..3 {

@@ -8,22 +8,11 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use muml_fleet::JobRequest;
 use muml_serve::{Priority, ServeClient, RAILCAB_PATTERN, RAILCAB_SCENARIO};
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "muml-crash-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::SeqCst)
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+use muml_testkit::TempDir;
 
 /// Spawns the daemon binary on an OS-assigned port with the given journal
 /// and scrapes the printed TCP address.
@@ -84,8 +73,8 @@ fn connect_with_retry(addr: &str) -> ServeClient {
 
 #[test]
 fn sigkill_then_restart_replays_the_verdict_history_bit_identically() {
-    let dir = tmpdir("sigkill");
-    let journal = dir.join("serve.journal");
+    let dir = TempDir::new("crash-sigkill");
+    let journal = dir.path().join("serve.journal");
 
     // First life: complete a small campaign, capture the verdict history,
     // then SIGKILL the process — journal appends are the only persistence
@@ -135,8 +124,8 @@ fn sigkill_then_restart_replays_the_verdict_history_bit_identically() {
 
 #[test]
 fn sigkill_midway_resubmits_unfinished_jobs_on_restart() {
-    let dir = tmpdir("midway");
-    let journal = dir.join("serve.journal");
+    let dir = TempDir::new("crash-midway");
+    let journal = dir.path().join("serve.journal");
 
     // First life: finish one job (so the journal holds a complete
     // Accepted/Started/Finished triple), then admit more work and SIGKILL

@@ -12,6 +12,7 @@ use muml_obs::json::Json;
 use muml_serve::{
     CancelState, Daemon, Priority, Response, ServeClient, ServeConfig, ServeError, Server,
 };
+use muml_testkit::TempDir;
 
 /// A registry with a `noop` scenario: variant `slow` sleeps in
 /// cancellable 1ms steps; anything else proves instantly.
@@ -73,7 +74,8 @@ fn submit_wait_over_tcp() {
 
 #[test]
 fn submit_wait_over_unix_socket() {
-    let path = std::env::temp_dir().join(format!("muml-serve-test-{}.sock", std::process::id()));
+    let dir = TempDir::new("serve-wire");
+    let path = dir.path().join("serve.sock");
     let daemon = Daemon::start(ServeConfig::default(), test_registry());
     let server = Server::bind(daemon, None, Some(&path)).expect("bind unix");
     let mut client = ServeClient::connect_unix(&path).unwrap();

@@ -18,6 +18,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+use muml_legacy::XorShift;
+
 /// Filesystem operations the store performs, abstracted so faults can be
 /// injected deterministically. All methods mirror their `std::fs`
 /// equivalents except [`StoreIo::write_durable`], which also flushes file
@@ -241,7 +243,7 @@ impl FaultyIo {
         if !state.rng.roll(rate) {
             return None;
         }
-        let draw = state.rng.next();
+        let draw = state.rng.next_u64();
         state.injected.push(InjectedFault {
             kind,
             path: path.display().to_string(),
@@ -316,79 +318,40 @@ impl StoreIo for FaultyIo {
     }
 }
 
-/// xorshift64* — the same tiny deterministic generator the legacy rig
-/// uses, so seeds behave identically across the workspace.
-#[derive(Debug)]
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> XorShift {
-        XorShift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn roll(&mut self, rate: f64) -> bool {
-        if rate <= 0.0 {
-            return false;
-        }
-        if rate >= 1.0 {
-            return true;
-        }
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64) < rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn tmpfile(tag: &str) -> PathBuf {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        std::env::temp_dir().join(format!(
-            "muml-io-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ))
-    }
+    use muml_testkit::TempDir;
 
     #[test]
     fn real_io_round_trips_durably() {
-        let path = tmpfile("real");
+        let dir = TempDir::new("io-real");
+        let path = dir.path().join("file");
         RealIo.write_durable(&path, "hello").unwrap();
         assert_eq!(RealIo.read_to_string(&path).unwrap(), "hello");
         RealIo.sync_dir(path.parent().unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn zero_rate_injects_nothing() {
-        let path = tmpfile("zero");
+        let dir = TempDir::new("io-zero");
+        let path = dir.path().join("file");
         let io = FaultyIo::new(42, FaultProfile::uniform(0.0));
         for _ in 0..50 {
             io.write_durable(&path, "payload").unwrap();
             assert_eq!(io.read_to_string(&path).unwrap(), "payload");
         }
         assert_eq!(io.injected_count(), 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn full_rate_faults_every_fallible_op() {
-        let path = tmpfile("full");
+        let dir = TempDir::new("io-full");
+        let path = dir.path().join("file");
         let io = FaultyIo::new(7, FaultProfile::uniform(1.0));
         // enospc rolls first, so writes always fail at rate 1.0.
         assert!(io.write_durable(&path, "x").is_err());
-        assert!(io.rename(&path, &tmpfile("full-to")).is_err());
+        assert!(io.rename(&path, &dir.path().join("to")).is_err());
         assert!(io.lock_exclusive(&path).is_err());
         assert_eq!(io.injected_count(), 3);
     }
@@ -396,13 +359,13 @@ mod tests {
     #[test]
     fn same_seed_same_fault_schedule() {
         let schedule = |seed: u64| -> Vec<FaultKind> {
-            let path = tmpfile("det");
+            let dir = TempDir::new("io-det");
+            let path = dir.path().join("file");
             let io = FaultyIo::new(seed, FaultProfile::uniform(0.3));
             for i in 0..40 {
                 let _ = io.write_durable(&path, &format!("payload-{i}"));
                 let _ = io.read_to_string(&path);
             }
-            std::fs::remove_file(&path).ok();
             io.take_injected().into_iter().map(|f| f.kind).collect()
         };
         let a = schedule(1234);
@@ -413,7 +376,8 @@ mod tests {
 
     #[test]
     fn torn_write_reports_ok_but_truncates() {
-        let path = tmpfile("torn");
+        let dir = TempDir::new("io-torn");
+        let path = dir.path().join("file");
         let io = FaultyIo::new(
             3,
             FaultProfile {
@@ -428,6 +392,5 @@ mod tests {
         let on_disk = std::fs::read_to_string(&path).unwrap();
         assert!(on_disk.len() < 10, "torn write must lose a suffix");
         assert!("0123456789".starts_with(&on_disk));
-        std::fs::remove_file(&path).ok();
     }
 }

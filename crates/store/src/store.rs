@@ -395,17 +395,8 @@ mod tests {
     use crate::signature::RuleSignature;
     use crate::snapshot::DeltaRecord;
     use muml_automata::{IncompleteAutomaton, Label, Observation, SignalSet, Universe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use muml_testkit::TempDir;
     use std::sync::Arc;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        std::env::temp_dir().join(format!(
-            "muml-store-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ))
-    }
 
     fn rule(state: &str, ins: &[&str], outs: &[&str], target: &str) -> RuleSignature {
         RuleSignature::new(
@@ -467,8 +458,8 @@ mod tests {
 
     #[test]
     fn save_then_lookup_hits() {
-        let dir = tmpdir("hit");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-hit");
+        let store = Store::open(dir.path());
         let sig = base_signature();
         assert_eq!(
             store.lookup(&sig),
@@ -482,13 +473,12 @@ mod tests {
             StoreLookup::Hit { snapshot } => assert_eq!(snapshot, snap),
             other => panic!("expected hit, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rule_edit_invalidates_only_the_dirty_cone() {
-        let dir = tmpdir("cone");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-cone");
+        let store = Store::open(dir.path());
         let sig = base_signature();
         store.save(&learned_snapshot(&sig)).unwrap();
         // Change only `run`'s rule: idle's knowledge must survive.
@@ -522,13 +512,12 @@ mod tests {
             }
             other => panic!("expected invalidation, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn interface_change_is_a_cold_start() {
-        let dir = tmpdir("iface");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-iface");
+        let store = Store::open(dir.path());
         let sig = base_signature();
         store.save(&learned_snapshot(&sig)).unwrap();
         let widened = ComponentSignature::new(
@@ -557,17 +546,16 @@ mod tests {
                 reason: MissReason::InterfaceChanged
             }
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_files_are_typed_misses() {
-        let dir = tmpdir("corrupt");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-corrupt");
+        let store = Store::open(dir.path());
         let sig = base_signature();
         let snap = learned_snapshot(&sig);
         store.save(&snap).unwrap();
-        let path = dir.join(format!("{}.json", sig.fingerprint()));
+        let path = dir.path().join(format!("{}.json", sig.fingerprint()));
         let text = std::fs::read_to_string(&path).unwrap();
 
         // Truncations at a sweep of byte lengths.
@@ -611,7 +599,6 @@ mod tests {
                 reason: MissReason::Corrupt(_)
             }
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn base_signature_renamed() -> ComponentSignature {
@@ -622,11 +609,11 @@ mod tests {
 
     #[test]
     fn corrupt_index_only_disables_salvage() {
-        let dir = tmpdir("index");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-index");
+        let store = Store::open(dir.path());
         let sig = base_signature();
         store.save(&learned_snapshot(&sig)).unwrap();
-        std::fs::write(dir.join("index.json"), "{{{{").unwrap();
+        std::fs::write(dir.path().join("index.json"), "{{{{").unwrap();
         // Exact hit still works (index not involved)...
         assert!(matches!(store.lookup(&sig), StoreLookup::Hit { .. }));
         // ...while a changed component falls back to a plain miss.
@@ -649,13 +636,12 @@ mod tests {
             store.lookup(&changed),
             StoreLookup::Invalidated { .. }
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn concurrent_saves_never_corrupt() {
-        let dir = tmpdir("race");
-        let store = Arc::new(Store::open(&dir));
+        let dir = TempDir::new("store-race");
+        let store = Arc::new(Store::open(dir.path()));
         let sig = base_signature();
         let snap = learned_snapshot(&sig);
         let handles: Vec<_> = (0..8)
@@ -673,7 +659,6 @@ mod tests {
             h.join().unwrap();
         }
         assert!(matches!(store.lookup(&sig), StoreLookup::Hit { .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Two *separate* `Store` instances on one directory have separate
@@ -682,15 +667,15 @@ mod tests {
     /// single-process clothing.
     #[test]
     fn separate_instances_serialize_via_flock() {
-        let dir = tmpdir("flock");
+        let dir = TempDir::new("store-flock");
         let sig = base_signature();
         let snap = learned_snapshot(&sig);
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let dir = dir.clone();
+                let dir = dir.path().to_path_buf();
                 let snap = snap.clone();
                 std::thread::spawn(move || {
-                    let store = Store::open(&dir);
+                    let store = Store::open(dir);
                     for _ in 0..12 {
                         store.save(&snap).unwrap();
                     }
@@ -702,20 +687,19 @@ mod tests {
         }
         // A fresh reader parses a complete snapshot: no interleaved or
         // half-renamed writes survived the race.
-        match Store::open(&dir).lookup(&sig) {
+        match Store::open(dir.path()).lookup(&sig) {
             StoreLookup::Hit { snapshot } => assert_eq!(snapshot, snap),
             other => panic!("expected hit after racing writers, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn save_leaves_no_temp_files() {
-        let dir = tmpdir("tmpless");
-        let store = Store::open(&dir);
+        let dir = TempDir::new("store-tmpless");
+        let store = Store::open(dir.path());
         let snap = learned_snapshot(&base_signature());
         store.save(&snap).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -725,7 +709,6 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The systematic ladder exercise: under a sweep of seeded fault
@@ -737,12 +720,12 @@ mod tests {
         use crate::io::{FaultProfile, FaultyIo};
 
         for (case, rate) in [0.05_f64, 0.15, 0.35].iter().enumerate() {
-            let dir = tmpdir("chaos");
+            let dir = TempDir::new("store-chaos");
             let faulty = Arc::new(FaultyIo::new(
                 0x9E37_79B9_7F4A_7C15 ^ ((case as u64) << 16),
                 FaultProfile::uniform(*rate),
             ));
-            let store = Store::open_with_io(&dir, Arc::clone(&faulty) as Arc<dyn StoreIo>);
+            let store = Store::open_with_io(dir.path(), Arc::clone(&faulty) as Arc<dyn StoreIo>);
             let sig = base_signature();
             let snap = learned_snapshot(&sig);
             let changed = ComponentSignature::new(
@@ -786,7 +769,6 @@ mod tests {
                 "rate {rate} injected nothing over 60 rounds"
             );
             assert!(hits > 0, "rate {rate} never produced a single hit");
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

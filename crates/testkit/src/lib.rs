@@ -14,12 +14,17 @@
 //!   composition and an incrementally maintained one;
 //! * [`ReferenceChecker`] — the naive sweep kernel the bitset/worklist
 //!   [`muml_logic::Checker`] replaced, kept as its executable
-//!   specification.
+//!   specification;
+//! * [`TempDir`] — a scratch directory that removes itself, so a test
+//!   leaves nothing in the temp dir even when an assertion fails.
 //!
 //! There is no shrinking; generators should therefore keep their value
 //! spaces small (as the original proptest strategies already did).
 
 #![warn(missing_docs)]
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use muml_automata::{Composition, StateId};
 
@@ -96,6 +101,38 @@ pub fn cases(n: u64, body: impl Fn(&mut Rng)) {
             eprintln!("testkit: case failed with seed {seed} (replay via Rng::with_seed({seed}))");
             std::panic::resume_unwind(payload);
         }
+    }
+}
+
+/// A fresh, empty directory `muml-{tag}-{pid}-{n}` under the system temp
+/// dir, removed with everything in it when the guard drops — also when a
+/// test panics, because unwinding runs the drop.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Creates the next directory for `tag` in this process.
+    pub fn new(tag: &str) -> TempDir {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "muml-{tag}-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
     }
 }
 

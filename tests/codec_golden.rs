@@ -25,6 +25,7 @@ use muml_obs::{fnv1a64, FleetEvent, LoopEvent, RunOutcome};
 use muml_serve::protocol::{CancelState, Priority, Request, Response, ServerStats, VerdictRecord};
 use muml_serve::{Journal, JournalRecord, ServeError};
 use muml_store::{ComponentSignature, DeltaRecord, RuleSignature, Snapshot, Store, StoreLookup};
+use muml_testkit::TempDir;
 
 const CORPUS: &str = include_str!("codec_golden.jsonl");
 
@@ -66,33 +67,6 @@ fn decoded<T: PartialEq + Debug + 'static>(
     }
 }
 
-/// A directory under the system temp dir, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "muml-codec-golden-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::SeqCst)
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 fn names(names: &[&str]) -> Vec<String> {
     names.iter().map(|n| (*n).to_owned()).collect()
 }
@@ -108,7 +82,6 @@ fn full_request() -> JobRequest {
         .with_deadline(Duration::from_secs(5))
         .with_retries(2)
         .with_latency(Duration::from_micros(500))
-        .with_trace_cache(false)
         .with_test_parallelism(4)
 }
 
@@ -305,7 +278,7 @@ fn snapshot_file(dir: &Path) -> PathBuf {
 
 /// The store's files after saving `rear`, then `front`.
 fn store_files() -> (String, String) {
-    let dir = TempDir::new("encode");
+    let dir = TempDir::new("codec-golden-encode");
     let store = Store::open(dir.path());
     store.save(&snapshot()).expect("save rear");
     store.save(&front_snapshot()).expect("save front");
@@ -318,7 +291,7 @@ fn store_files() -> (String, String) {
 /// A store directory holding `snapshot` as rear's file and `index` as its
 /// index.
 fn store_dir(snapshot: &str, index: &str) -> TempDir {
-    let dir = TempDir::new("decode");
+    let dir = TempDir::new("codec-golden-decode");
     std::fs::write(snapshot_file(dir.path()), snapshot).expect("write snapshot");
     std::fs::write(dir.path().join("index.json"), index).expect("write index");
     dir
@@ -673,7 +646,7 @@ fn documents() -> Vec<Golden> {
                 StoreLookup::Hit { snapshot } => snapshot,
                 other => panic!("expected a hit, got {other:?}"),
             };
-            let fresh = TempDir::new("reencode");
+            let fresh = TempDir::new("codec-golden-reencode");
             Store::open(fresh.path()).save(&snapshot).expect("save");
             read(&snapshot_file(fresh.path()))
         })),
@@ -684,7 +657,7 @@ fn documents() -> Vec<Golden> {
         // A save reads the index, points rear at its (same) file and
         // writes the index back.
         reencode: Some(Box::new(|line| {
-            let dir = TempDir::new("index");
+            let dir = TempDir::new("codec-golden-index");
             std::fs::write(dir.path().join("index.json"), line).expect("write index");
             Store::open(dir.path()).save(&snapshot()).expect("save");
             read(&dir.path().join("index.json"))
@@ -779,16 +752,78 @@ fn job_request_without_the_newer_fields_decodes_to_the_defaults() {
     let old = Json::Object(
         fields
             .into_iter()
-            .filter(|(k, _)| k != "trace_cache" && k != "test_parallelism")
+            .filter(|(k, _)| k != "test_parallelism")
             .collect(),
     );
     let decoded = JobRequest::from_json(&old).unwrap();
-    assert!(decoded.trace_cache);
     assert_eq!(decoded.test_parallelism, 1);
     let mut expected = full_request();
-    expected.trace_cache = true;
     expected.test_parallelism = 1;
     assert_eq!(decoded, expected);
+}
+
+/// Every pinned line that embeds a `JobRequest`, as it was pinned while
+/// requests still carried `trace_cache` (`JOB_REQUEST_VERSION` 1 then as
+/// now). Clients, journals and histories written then must still decode:
+/// the key is ignored, so each line decodes to its document's value and
+/// re-encodes to the pinned line.
+const WITH_TRACE_CACHE: &[(&str, &str)] = &[
+    (
+        "request/submit",
+        r#"{"v":1,"method":"submit","request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"priority":"low"}"#,
+    ),
+    (
+        "response/verdict",
+        r#"{"v":1,"reply":"verdict","verdict":{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"real_fault","property":"AG safe","iterations":12,"nanos":34567,"attempts":2}}"#,
+    ),
+    (
+        "response/history",
+        r#"{"v":1,"reply":"history","entries":[{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"proven","property":null,"iterations":12,"nanos":34567,"attempts":2},{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"real_fault","property":"AG safe","iterations":12,"nanos":34567,"attempts":2}]}"#,
+    ),
+    (
+        "verdict/with-property",
+        r#"{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"real_fault","property":"AG safe","iterations":12,"nanos":34567,"attempts":2}"#,
+    ),
+    (
+        "verdict/without-property",
+        r#"{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"proven","property":null,"iterations":12,"nanos":34567,"attempts":2}"#,
+    ),
+    (
+        "job-request/full",
+        r#"{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4}"#,
+    ),
+    (
+        "job-request/baseline",
+        r#"{"v":1,"id":0,"name":"correct/baseline","scenario":"s","pattern":"","variant":"","fault":null,"max_iterations":10000,"deadline_ms":null,"retries":0,"latency_us":0,"trace_cache":true,"test_parallelism":1}"#,
+    ),
+    (
+        "journal/accepted",
+        r#"{"v":1,"type":"accepted","job":1,"client":3,"priority":"high","request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4}}"#,
+    ),
+    (
+        "journal/finished",
+        r#"{"v":1,"type":"finished","record":{"job":3,"request":{"v":1,"id":3,"name":"faulty/drop[x]","scenario":"railcab-convoy","pattern":"DistanceCoordination","variant":"faulty","fault":"drop[x]","max_iterations":64,"deadline_ms":5000,"retries":2,"latency_us":500,"trace_cache":false,"test_parallelism":4},"outcome":"proven","property":null,"iterations":12,"nanos":34567,"attempts":2}}"#,
+    ),
+];
+
+#[test]
+fn lines_with_the_retired_trace_cache_key_decode_to_the_same_values() {
+    let docs = documents();
+    for (name, old) in WITH_TRACE_CACHE {
+        assert!(old.contains("\"trace_cache\":"), "{name}");
+        let doc = docs.iter().find(|d| d.name == *name).expect("a document");
+        let reencode = doc.reencode.as_ref().expect("a decoded document");
+        assert_eq!(reencode(old), line(name), "{name}");
+    }
+    let embedding = CORPUS
+        .lines()
+        .filter(|l| l.contains("\"request\":{"))
+        .count();
+    assert_eq!(
+        WITH_TRACE_CACHE.len(),
+        embedding + 2,
+        "every line embedding a request, and the two bare requests"
+    );
 }
 
 #[test]
@@ -800,7 +835,7 @@ fn journal_framed_from_the_record_lines_replays_every_record() {
         bytes.extend_from_slice(&fnv1a64(payload).to_be_bytes());
         bytes.extend_from_slice(payload);
     }
-    let dir = TempDir::new("journal");
+    let dir = TempDir::new("codec-golden-journal");
     let path = dir.path().join("serve.journal");
     std::fs::write(&path, &bytes).expect("write journal");
     let (_, replay) = Journal::open(&path).expect("open journal");
@@ -861,7 +896,6 @@ const RULE_CASES: &[(&str, &[&str], Option<&str>)] = &[
     ("stats", &["scenarios"], Some("{}")),
     ("stats", &["submitted"], None),
     ("job-request/full", &["retries"], Some("-1")),
-    ("job-request/full", &["trace_cache"], Some("\"no\"")),
     ("job-request/baseline", &["name"], None),
     ("journal/accepted", &["client"], Some("\"3\"")),
     ("journal/accepted", &["priority"], None),

@@ -11,8 +11,9 @@
 //! The rig steps each cell drives are pinned by a second hash of their
 //! own, so a change to how the trace cache drives the rig re-pins that
 //! one only, and the first shows that nothing the loop concludes moved.
-//! The default (incremental) run must also equal the cold-rebuild run cell
-//! by cell on every field that does not count composition work.
+//! The loop has one path (spliced product, trace cache); the first hash
+//! was pinned while a cold-rebuild, uncached loop still existed and gave
+//! the same digest cell by cell.
 
 use muml_bench::workload::{counter_workload, seed_fault, ticker_counter_workload};
 use muml_integration::core::{
@@ -32,9 +33,8 @@ const PINNED_DIGEST: u64 = 0x0eaf_bfc7_e731_6d76;
 /// The FNV-1a hash of every cell's driven rig steps, in grid order.
 const PINNED_DRIVEN_DIGEST: u64 = 0x20b7_d27c_d106_8134;
 
-/// One cell's observable run: the mode-independent part, the composition
-/// work counters (which count only what each mode composed) and the rig
-/// steps driven.
+/// One cell's observable run: what the loop concludes, the composition
+/// work counters and the rig steps driven.
 struct CellDigest {
     tag: String,
     observable: String,
@@ -88,13 +88,7 @@ fn digest(tag: String, report: &IntegrationReport) -> CellDigest {
     }
 }
 
-fn counter_cell(
-    n: usize,
-    k: usize,
-    fault: Option<usize>,
-    ticker: bool,
-    incremental: bool,
-) -> IntegrationReport {
+fn counter_cell(n: usize, k: usize, fault: Option<usize>, ticker: bool) -> IntegrationReport {
     let mut w = if ticker {
         ticker_counter_workload(n, k)
     } else {
@@ -112,16 +106,12 @@ fn counter_cell(
         &w.context,
         &[],
         &mut units,
-        &IntegrationConfig::default().with_incremental(incremental),
+        &IntegrationConfig::default(),
     )
     .expect("counter loop terminates")
 }
 
-fn railcab_cell(
-    variant: ShuttleVariant,
-    fault: Option<&Fault>,
-    incremental: bool,
-) -> IntegrationReport {
+fn railcab_cell(variant: ShuttleVariant, fault: Option<&Fault>) -> IntegrationReport {
     let u = muml_integration::automata::Universe::new();
     let context = front_context(&u);
     let mut shuttle = (variant.build)(&u);
@@ -135,20 +125,19 @@ fn railcab_cell(
         &context,
         &props,
         &mut units,
-        &IntegrationConfig::default().with_incremental(incremental),
+        &IntegrationConfig::default(),
     )
     .expect("railcab loop terminates")
 }
 
-/// The grid, run in one mode.
-fn grid(incremental: bool) -> Vec<CellDigest> {
+fn grid() -> Vec<CellDigest> {
     let mut cells = Vec::new();
     // Plain driver: every push count and fault depth of small counters.
     for n in 4..=12usize {
         for k in 1..=n - 2 {
             for fault in std::iter::once(None).chain((1..n - 1).map(Some)) {
                 let tag = format!("counter n={n} k={k} fault={fault:?}");
-                cells.push(digest(tag, &counter_cell(n, k, fault, false, incremental)));
+                cells.push(digest(tag, &counter_cell(n, k, fault, false)));
             }
         }
     }
@@ -159,7 +148,7 @@ fn grid(incremental: bool) -> Vec<CellDigest> {
         for k in [n / 2, n - 2] {
             for fault in [None, Some(1), Some(n / 2), Some(n - 2)] {
                 let tag = format!("ticker n={n} k={k} fault={fault:?}");
-                cells.push(digest(tag, &counter_cell(n, k, fault, true, incremental)));
+                cells.push(digest(tag, &counter_cell(n, k, fault, true)));
             }
         }
     }
@@ -170,12 +159,12 @@ fn grid(incremental: bool) -> Vec<CellDigest> {
         let faults = fault_matrix(&(variant.build)(&u), &u);
         cells.push(digest(
             format!("railcab {}", variant.name),
-            &railcab_cell(variant, None, incremental),
+            &railcab_cell(variant, None),
         ));
         for fault in &faults {
             cells.push(digest(
                 format!("railcab {}/{}", variant.name, fault.describe()),
-                &railcab_cell(variant, Some(fault), incremental),
+                &railcab_cell(variant, Some(fault)),
             ));
         }
     }
@@ -183,23 +172,12 @@ fn grid(incremental: bool) -> Vec<CellDigest> {
 }
 
 #[test]
-fn loop_runs_match_the_pinned_digest_and_the_cold_loop() {
-    let incremental = grid(true);
-    let cold = grid(false);
-    assert_eq!(incremental.len(), cold.len());
-    for (a, b) in incremental.iter().zip(&cold) {
-        assert_eq!(a.tag, b.tag);
-        assert_eq!(
-            (&a.observable, a.driven),
-            (&b.observable, b.driven),
-            "{}: incremental and cold loops diverge",
-            a.tag
-        );
-    }
+fn loop_runs_match_the_pinned_digests() {
+    let cells = grid();
     let mut text = String::new();
     let mut driven = String::new();
     let mut families = [("counter", 0usize), ("ticker", 0), ("railcab", 0)];
-    for c in &incremental {
+    for c in &cells {
         text.push_str(&c.tag);
         text.push('\n');
         text.push_str(&c.observable);
@@ -218,13 +196,13 @@ fn loop_runs_match_the_pinned_digest_and_the_cold_loop() {
         hash,
         PINNED_DIGEST,
         "loop digest over {} cells moved: {hash:#018x}",
-        incremental.len()
+        cells.len()
     );
     let driven_hash = fnv1a64(driven.as_bytes());
     assert_eq!(
         driven_hash,
         PINNED_DRIVEN_DIGEST,
         "driven-step digest over {} cells moved: {driven_hash:#018x} (totals {families:?})",
-        incremental.len()
+        cells.len()
     );
 }

@@ -2,6 +2,7 @@
 //! and listing of Sections 3–5, asserted structurally (see EXPERIMENTS.md
 //! for the paper-vs-measured record).
 
+use muml_integration::automata::CHAOS_PROP;
 use muml_integration::prelude::*;
 use muml_integration::railcab::{
     correct_shuttle, distance_coordination, front_context, rear_inputs, rear_outputs, scenario,
@@ -38,7 +39,7 @@ fn figure_4_initial_synthesis() {
     assert_eq!(a0.state_count(), 4);
     // Lemma 4 / Theorem 1: the real shuttle refines the initial abstraction
     // (checked prop-free on both sides; the chaos wildcard covers s_∀/s_δ).
-    let chaos = u.prop("__chaos__");
+    let chaos = u.prop(CHAOS_PROP);
     let shuttle = correct_shuttle(&u);
     assert!(m0.observation_conforming(&shuttle_automaton(&u)));
     let trivial = IncompleteAutomaton::trivial(

@@ -1,39 +1,36 @@
 //! `IntegrationStats::driven_steps` is the loop's rig-cost counter. This
 //! test checks that it counts what the rig really did: every component is
 //! wrapped in a rig whose clones (the trace cache's checkpoints and
-//! verification drives, the pool's parallel instances) all share one step
-//! counter, and the stats must equal that counter exactly — with the trace
-//! cache on and off, serially and on the pool, for honest rigs and for a
-//! rig whose replays fail the determinism cross-check. The same rig counts
-//! resets, which pins the serial cost of a test attempt: one record drive
-//! and one replay, each from its own reset.
+//! verification drives, the probe pool's parallel steps) all share one
+//! step counter, and the stats must equal that counter exactly — serially
+//! and on the pool, for honest rigs and for a rig whose replays fail the
+//! determinism cross-check. The same rig counts resets, which pins the
+//! serial executor's cost of a test attempt (the cost the trace cache's
+//! savings are counted against): one record drive and one replay, each
+//! from its own reset.
 
 use muml_bench::experiments::CountingRig;
 use muml_bench::workload::{counter_workload, seed_fault, ticker_counter_workload};
-use muml_integration::automata::{Automaton, SignalSet, Universe};
-use muml_integration::core::{
-    verify_integration, IntegrationConfig, IntegrationReport, LegacyUnit,
-};
+use muml_integration::automata::{Automaton, Label, SignalSet, Universe};
+use muml_integration::core::{verify_integration, IntegrationConfig, LegacyUnit};
 use muml_integration::legacy::{
-    fault_matrix, inject, HiddenMealy, LegacyComponent, PortMap, RetryPolicy, StateObservable,
+    execute_with_retry_on, fault_matrix, inject, HiddenMealy, LegacyComponent, PortMap,
+    RetryPolicy, SimClock, StateObservable,
 };
 use muml_integration::logic::Formula;
 use muml_integration::railcab::{front_context, scenario, shuttle_variants};
 
-/// The four harness modes: trace cache on/off × serial/pooled.
+/// The two harness modes: serial and pooled probe batches.
 fn modes() -> Vec<(String, IntegrationConfig)> {
-    let mut out = Vec::new();
-    for cache in [true, false] {
-        for parallelism in [1usize, 4] {
-            out.push((
-                format!("cache={cache} parallelism={parallelism}"),
-                IntegrationConfig::default()
-                    .with_trace_cache(cache)
-                    .with_test_parallelism(parallelism),
-            ));
-        }
-    }
-    out
+    [1usize, 4]
+        .into_iter()
+        .map(|parallelism| {
+            (
+                format!("parallelism={parallelism}"),
+                IntegrationConfig::default().with_test_parallelism(parallelism),
+            )
+        })
+        .collect()
 }
 
 /// A clonable determinism liar: it claims `deterministic_rig()` (the trait
@@ -94,20 +91,14 @@ struct Cell<C> {
     ports: PortMap,
 }
 
-/// What a counting rig saw during one run: the run's report, and the steps
-/// and resets taken by the rig and all its clones.
-struct Counted {
-    report: IntegrationReport,
-    steps: usize,
-    resets: usize,
-}
-
-/// Runs one cell on a counting rig.
-fn run_counted<C: StateObservable + Clone + Send + 'static>(
+/// Runs one cell on a counting rig and asserts the stats' counter equals
+/// the step count shared by the rig and all its clones.
+fn assert_counted<C: StateObservable + Clone + Send + 'static>(
     cell: Cell<C>,
-    tag: &str,
+    mode: &str,
     config: &IntegrationConfig,
-) -> Counted {
+) {
+    let tag = format!("{} {mode}", cell.tag);
     let mut rig = CountingRig::new(cell.component);
     let report = {
         let mut units = [LegacyUnit::new(&mut rig, cell.ports)];
@@ -120,24 +111,10 @@ fn run_counted<C: StateObservable + Clone + Send + 'static>(
         )
         .unwrap_or_else(|e| panic!("{tag}: {e}"))
     };
-    Counted {
-        report,
-        steps: rig.steps(),
-        resets: rig.resets(),
-    }
-}
-
-/// Runs one cell and asserts the counter equals the shared step count.
-fn assert_counted<C: StateObservable + Clone + Send + 'static>(
-    cell: Cell<C>,
-    mode: &str,
-    config: &IntegrationConfig,
-) {
-    let tag = format!("{} {mode}", cell.tag);
-    let run = run_counted(cell, &tag, config);
-    assert!(run.steps > 0, "{tag}: the rig was never driven");
+    assert!(rig.steps() > 0, "{tag}: the rig was never driven");
     assert_eq!(
-        run.report.stats.driven_steps, run.steps,
+        report.stats.driven_steps,
+        rig.steps(),
         "{tag}: driven_steps must equal the rig's own step count"
     );
 }
@@ -205,22 +182,62 @@ fn driven_steps_equal_the_rigs_own_step_count() {
     }
 }
 
-/// With the cache off every test attempt is the serial executor:
-/// one record drive and one replay, each from its own reset — serially and
-/// on the pool, whose parallel frontier probes run full attempts on clones.
+/// Words to test `component` with: its real answers to input sequences
+/// that cycle through its input subsets from three starting points, each
+/// also with its last output altered, so that the record drive diverges.
+fn words(component: &HiddenMealy) -> Vec<Vec<Label>> {
+    let (inputs, outputs) = component.interface();
+    let offers: Vec<SignalSet> = inputs.subsets().collect();
+    let mut scratch = component.clone();
+    let mut out = Vec::new();
+    for start in 0..3 {
+        scratch.reset();
+        let word: Vec<Label> = (start..start + 4)
+            .map(|i| {
+                let a = offers[i % offers.len()];
+                Label::new(a, scratch.step(a))
+            })
+            .collect();
+        let mut diverging = word.clone();
+        let last = diverging.last_mut().expect("a non-empty word");
+        *last = Label::new(last.inputs, outputs.difference(last.outputs));
+        out.push(word);
+        out.push(diverging);
+    }
+    out
+}
+
+/// The serial executor — the trace cache's validation run and the oracle
+/// its saved steps are counted against — drives every attempt as one record
+/// drive and one replay, each from its own reset, with and without a
+/// quorum.
 #[test]
 fn every_uncached_attempt_resets_the_rig_twice() {
-    for parallelism in [1usize, 4] {
-        let config = IntegrationConfig::default()
-            .with_trace_cache(false)
-            .with_test_parallelism(parallelism);
-        for cell in honest_cells() {
-            let tag = format!("{} cache=false parallelism={parallelism}", cell.tag);
-            let run = run_counted(cell, &tag, &config);
-            let attempts = run.report.stats.test_attempts;
-            assert!(attempts > 0, "{tag}: no test attempt ran");
-            assert_eq!(run.resets, 2 * attempts, "{tag}: resets per attempt");
-            assert_eq!(run.report.stats.driven_steps, run.steps, "{tag}");
+    let policies = [
+        RetryPolicy::default(),
+        RetryPolicy::default().with_quorum(2).with_max_attempts(4),
+    ];
+    for cell in honest_cells() {
+        for policy in &policies {
+            for word in words(&cell.component) {
+                let tag = format!("{} quorum={} word={word:?}", cell.tag, policy.quorum);
+                let mut rig = CountingRig::new(cell.component.clone());
+                let report = execute_with_retry_on(
+                    &mut rig,
+                    &word,
+                    &cell.universe,
+                    &cell.ports,
+                    policy,
+                    &mut SimClock::new(),
+                );
+                assert!(report.attempts > 0, "{tag}: no test attempt ran");
+                assert_eq!(
+                    rig.resets(),
+                    2 * report.attempts,
+                    "{tag}: resets per attempt"
+                );
+                assert_eq!(report.driven_steps, rig.steps(), "{tag}");
+            }
         }
     }
 }
@@ -228,8 +245,8 @@ fn every_uncached_attempt_resets_the_rig_twice() {
 /// Failed attempts drive the rig too: every replay of the reset-parity liar
 /// fails the cross-check, and the steps each failed attempt drove (the
 /// record drive and the replay up to the mismatch) must be booked —
-/// through the serial retry loop, the speculative parallel quorum (quorum
-/// 2, no cache, four workers) and the trace cache's validation run.
+/// through the trace cache's validation run and the serial retry loop a
+/// distrusted rig falls back to, with a quorum of 2.
 #[test]
 fn failed_replays_book_the_steps_they_drove() {
     for (mode, config) in modes() {
