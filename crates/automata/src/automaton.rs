@@ -416,13 +416,13 @@ impl Automaton {
         }
     }
 
-    /// Reserves room for `states` more states and `transitions` more
-    /// transitions.
-    pub(crate) fn reserve(&mut self, states: usize, transitions: usize) {
-        self.name_end.reserve(states);
-        self.props.reserve(states);
-        self.rows.reserve(states);
-        self.trans.reserve(transitions);
+    /// Trims the per-state arrays and the row buffer, which a product
+    /// built state by state grows by doubling, to their length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.name_end.shrink_to_fit();
+        self.props.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.trans.shrink_to_fit();
     }
 
     /// Appends a state with an empty row; `name` writes its display name
@@ -459,6 +459,21 @@ impl Automaton {
         row.cap += 1;
         self.live += 1;
         self.trans.push(t);
+    }
+
+    /// Writes the row of `s`, which has none yet, packed at the end of the
+    /// buffer, draining `row`: how a product is built row after row.
+    pub(crate) fn push_row(&mut self, s: StateId, row: &mut Vec<Transition>) {
+        debug_assert_eq!(self.rows[s.index()].cap, 0, "the state has a row");
+        let start = u32::try_from(self.trans.len()).expect("transitions exceed the u32 range");
+        let len = row.len() as u32;
+        self.live += row.len();
+        self.trans.append(row);
+        self.rows[s.index()] = Span {
+            start,
+            len,
+            cap: len,
+        };
     }
 
     /// Replaces the row of `s` with the transitions in `row` (guard ids of

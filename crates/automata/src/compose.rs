@@ -16,14 +16,13 @@
 //! chaotic closure never expands the closure's exponential `*` transitions
 //! beyond what the context admits.
 
-use std::collections::HashMap;
 use std::ops::Deref;
 
-use crate::automaton::{Automaton, StateData, StateId, Transition};
+use crate::automaton::{Automaton, StateId, Transition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::label::{Guard, GuardId, GuardTable, Label, LabelFamily};
-use crate::lazy::TupleArena;
+use crate::lazy::{product_props, write_product_name, Product, TupleArena};
 use crate::run::{Run, RunKind};
 use crate::signal::SignalSet;
 
@@ -118,6 +117,81 @@ impl Composition {
     /// given sequence of compositions, so runs can compare it exactly.
     pub fn heap_bytes(&self) -> usize {
         self.automaton.heap_bytes() + self.tuples.heap_bytes() + self.csr.heap_bytes()
+    }
+
+    /// Assembles the product of `parts` from rows another exploration
+    /// found (the classic reference kernel in `muml-testkit` builds its
+    /// products this way): state `i` has the component-state tuple
+    /// `tuples[i]` and the row `rows[i]` of composed guards and target
+    /// states in emit order, and `initial` lists the initial states in
+    /// order. Names, labels, the composed interface and the CSR relation
+    /// are derived as [`compose`] derives them; `stats` are taken as given.
+    ///
+    /// # Errors
+    ///
+    /// As for [`compose`], when the parts do not compose;
+    /// [`AutomataError::NoInitialState`], [`AutomataError::UnknownState`]
+    /// or [`AutomataError::UndeclaredSignal`] when the product is not a
+    /// valid automaton.
+    ///
+    /// # Panics
+    ///
+    /// If `tuples` and `rows` differ in length, a tuple does not have one
+    /// state per part, or two states share a tuple.
+    pub fn from_rows(
+        parts: &[&Automaton],
+        tuples: &[Vec<u32>],
+        rows: &[Vec<(Guard, StateId)>],
+        initial: Vec<StateId>,
+        stats: ComposeStats,
+    ) -> Result<Composition> {
+        check_composable(parts)?;
+        assert_eq!(tuples.len(), rows.len(), "one row per state");
+        let mut comp = Composition::empty(parts);
+        let m = &mut comp.automaton;
+        m.initial = initial;
+        for (tuple, row) in tuples.iter().zip(rows) {
+            assert_eq!(tuple.len(), parts.len(), "one state per part");
+            assert!(comp.tuples.intern(tuple).1, "two states share {tuple:?}");
+            let s = m.push_state(product_props(parts, tuple), |buf| {
+                write_product_name(parts, tuple, buf)
+            });
+            for (guard, to) in row {
+                let guard = m.guards_mut().intern(guard.clone());
+                m.push_transition(s, Transition { guard, to: *to });
+            }
+        }
+        m.validate()?;
+        comp.csr = Csr::of(m);
+        comp.reachable = m.reachable_states().len();
+        comp.stats = stats;
+        Ok(comp)
+    }
+
+    /// The product of `parts` without states: its name, composed interface
+    /// and component provenance, an empty guard table and tuple arena.
+    pub(crate) fn empty<P: Deref<Target = Automaton>>(parts: &[P]) -> Composition {
+        let (inputs, outputs) = parts
+            .iter()
+            .fold((SignalSet::EMPTY, SignalSet::EMPTY), |(i, o), p| {
+                (i.union(p.inputs()), o.union(p.outputs()))
+            });
+        let names: Vec<String> = parts.iter().map(|p| p.name().to_owned()).collect();
+        Composition {
+            automaton: Automaton::empty(
+                parts[0].universe().clone(),
+                names.join("||"),
+                (inputs, outputs),
+                GuardTable::default(),
+                Vec::new(),
+            ),
+            component_names: names,
+            interfaces: parts.iter().map(|p| (p.inputs(), p.outputs())).collect(),
+            stats: ComposeStats::default(),
+            csr: Csr::default(),
+            tuples: TupleArena::new(parts.len()),
+            reachable: 0,
+        }
     }
 
     /// Index of a component by name.
@@ -226,7 +300,8 @@ struct Solved {
 /// guard's must / free input sets, each restricted to its part's inputs;
 /// `S_must` / `S_free` are built the same way over outputs. Every signal
 /// has at most one receiver and one sender, so these unions are exactly the
-/// per-signal domains of [`compose_reference`]'s solver. Then:
+/// per-signal domains the classic solver meets one signal at a time (kept
+/// as the reference kernel in `muml-testkit`). Then:
 ///
 /// * the combination is infeasible iff a signal is must on one side of a
 ///   handshake and impossible on the other — one mask test, since
@@ -294,16 +369,6 @@ impl RowKernel {
         }
     }
 
-    /// The composed input set (union of the parts' inputs).
-    pub(crate) fn all_inputs(&self) -> SignalSet {
-        self.all_inputs
-    }
-
-    /// The composed output set (union of the parts' outputs).
-    pub(crate) fn all_outputs(&self) -> SignalSet {
-        self.all_outputs
-    }
-
     /// Expands the outgoing transitions of the product state `tuple` (part
     /// state ids, packed as in [`TupleArena`]): iterates all transition
     /// combinations (part 0's index varying fastest) and hands each
@@ -314,9 +379,9 @@ impl RowKernel {
     /// advance like an odometer once per pass over it, and only the part
     /// that advanced (or wrapped) rewrites its entry of the key and target.
     ///
-    /// This is the per-row kernel shared by [`compose`] (through
-    /// [`LazyProduct`](crate::LazyProduct)) and the incremental
-    /// recomposition cache (which runs it only over invalidated rows).
+    /// This is the row kernel of the one product engine (`crate::lazy`),
+    /// which [`compose`], the incremental recomposition cache and the
+    /// frontier probe's products all run.
     ///
     /// # Errors
     ///
@@ -516,10 +581,10 @@ pub fn compose2(a: &Automaton, b: &Automaton) -> Result<Composition> {
 
 /// Composes `parts` synchronously (n-way generalization of Definition 3).
 ///
-/// Implemented as a full expansion of the arena-backed on-the-fly product
-/// ([`crate::lazy::LazyProduct`]); the classic HashMap-interned exploration
-/// is retained as [`compose_reference`] and the two are differentially
-/// tested to produce bit-identical results.
+/// Expands every reachable row with the one product engine, in depth-first
+/// discovery order from the cartesian initial states, so state ids are
+/// that discovery order. `muml-testkit`'s classic reference kernel is
+/// differentially tested to produce bit-identical results.
 ///
 /// # Errors
 ///
@@ -531,30 +596,24 @@ pub fn compose2(a: &Automaton, b: &Automaton) -> Result<Composition> {
 /// * [`AutomataError::Limit`] if the reachable product exceeds
 ///   `opts.max_states`.
 pub fn compose(parts: &[&Automaton], opts: &ComposeOptions) -> Result<Composition> {
-    crate::lazy::LazyProduct::new(parts, opts)?.into_composition()
+    let mut product = Product::new(parts)?;
+    product.finish(parts, opts)?;
+    Ok(product.comp)
 }
 
-/// The classic materializing composition: `HashMap<Vec<StateId>, StateId>`
-/// interner, per-state `Vec<Transition>` rows, full expansion before
-/// returning, and the original per-signal constraint solver (one
-/// `HashMap<SignalId, SignalRole>` walk per transition combination, no
-/// memo) instead of the bitset [`RowKernel`]. Kept as the differential
-/// oracle for the arena-backed [`compose`]; not intended for production
-/// callers.
+/// Checks that `parts` share one universe and are pairwise composable
+/// (Section 2: distinct inputs and outputs).
 ///
 /// # Errors
 ///
-/// Same as [`compose`].
-#[doc(hidden)]
-pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<Composition> {
+/// [`AutomataError::UniverseMismatch`] / [`AutomataError::NotComposable`]
+/// as for [`compose`].
+pub(crate) fn check_composable<P: Deref<Target = Automaton>>(parts: &[P]) -> Result<()> {
     assert!(!parts.is_empty(), "compose requires at least one automaton");
-    let universe = parts[0].universe().clone();
-    for p in parts {
-        if !p.universe().same_as(&universe) {
-            return Err(AutomataError::UniverseMismatch);
-        }
+    let universe = parts[0].universe();
+    if parts.iter().any(|p| !p.universe().same_as(universe)) {
+        return Err(AutomataError::UniverseMismatch);
     }
-    // Pairwise composability (Section 2): distinct inputs and outputs.
     for (i, a) in parts.iter().enumerate() {
         for b in &parts[i + 1..] {
             if !a.composable_with(b) {
@@ -570,404 +629,7 @@ pub fn compose_reference(parts: &[&Automaton], opts: &ComposeOptions) -> Result<
             }
         }
     }
-
-    let all_inputs = parts
-        .iter()
-        .fold(SignalSet::EMPTY, |acc, p| acc.union(p.inputs()));
-    let all_outputs = parts
-        .iter()
-        .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
-
-    // Signal roles: each signal has at most one sender and one receiver.
-    let roles = reference::signal_roles(parts);
-
-    // Product exploration.
-    let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
-    let mut origin: Vec<Vec<StateId>> = Vec::new();
-    let mut states: Vec<StateData> = Vec::new();
-    let mut guards = GuardTable::default();
-    let mut adj: Vec<Vec<Transition>> = Vec::new();
-    let mut worklist: Vec<StateId> = Vec::new();
-    let mut stats = ComposeStats::default();
-
-    let intern = |tuple: Vec<StateId>,
-                  index: &mut HashMap<Vec<StateId>, StateId>,
-                  origin: &mut Vec<Vec<StateId>>,
-                  states: &mut Vec<StateData>,
-                  adj: &mut Vec<Vec<Transition>>,
-                  worklist: &mut Vec<StateId>|
-     -> StateId {
-        if let Some(&id) = index.get(&tuple) {
-            return id;
-        }
-        let id = StateId(states.len() as u32);
-        let name = tuple
-            .iter()
-            .zip(parts)
-            .map(|(&s, p)| p.state_name(s).to_owned())
-            .collect::<Vec<_>>()
-            .join("||");
-        let props = tuple
-            .iter()
-            .zip(parts)
-            .fold(crate::PropSet::EMPTY, |acc, (&s, p)| {
-                acc.union(p.props_of(s))
-            });
-        states.push(StateData { name, props });
-        adj.push(Vec::new());
-        origin.push(tuple.clone());
-        index.insert(tuple, id);
-        worklist.push(id);
-        id
-    };
-
-    // Initial product states: Q'' = Q₁ × … × Qₙ.
-    let mut initial_tuples = vec![Vec::new()];
-    for p in parts {
-        let mut next = Vec::new();
-        for tuple in &initial_tuples {
-            for &q in p.initial_states() {
-                let mut t: Vec<StateId> = tuple.clone();
-                t.push(q);
-                next.push(t);
-            }
-        }
-        initial_tuples = next;
-    }
-    let mut initial = Vec::new();
-    for t in initial_tuples {
-        initial.push(intern(
-            t,
-            &mut index,
-            &mut origin,
-            &mut states,
-            &mut adj,
-            &mut worklist,
-        ));
-    }
-
-    while let Some(ps) = worklist.pop() {
-        if states.len() > opts.max_states {
-            return Err(AutomataError::Limit {
-                what: "composed state space".into(),
-                max: opts.max_states,
-            });
-        }
-        let tuple = origin[ps.index()].clone();
-        reference::expand_tuple(
-            parts,
-            &tuple,
-            &roles,
-            all_inputs,
-            all_outputs,
-            opts,
-            &mut stats,
-            |guard, target| {
-                let tgt = intern(
-                    target.to_vec(),
-                    &mut index,
-                    &mut origin,
-                    &mut states,
-                    &mut adj,
-                    &mut worklist,
-                );
-                let tr = Transition {
-                    guard: guards.intern(guard),
-                    to: tgt,
-                };
-                if !adj[ps.index()].contains(&tr) {
-                    adj[ps.index()].push(tr);
-                }
-            },
-        )?;
-    }
-
-    let name = parts
-        .iter()
-        .map(|p| p.name().to_owned())
-        .collect::<Vec<_>>()
-        .join("||");
-    let automaton = Automaton::from_rows(
-        universe,
-        name,
-        (all_inputs, all_outputs),
-        states,
-        (guards, adj),
-        initial,
-    );
-    automaton.validate()?;
-    let csr = Csr::of(&automaton);
-    let mut tuples = TupleArena::new(parts.len());
-    for t in &origin {
-        tuples.intern(&t.iter().map(|s| s.0).collect::<Vec<_>>());
-    }
-    Ok(Composition {
-        reachable: automaton.state_count(),
-        automaton,
-        component_names: parts.iter().map(|p| p.name().to_owned()).collect(),
-        interfaces: parts.iter().map(|p| (p.inputs(), p.outputs())).collect(),
-        stats,
-        csr,
-        tuples,
-    })
-}
-
-/// The per-signal constraint solver of the classic kernel, kept only as the
-/// row kernel of [`compose_reference`]: for every transition combination it
-/// walks the signal roles one signal at a time, meeting the receiver's and
-/// the sender's domains. [`RowKernel`] solves the same system with set
-/// algebra; the lazy differential suite pins the two to equal output.
-mod reference {
-    use std::collections::HashMap;
-
-    use super::{ComposeOptions, ComposeStats};
-    use crate::automaton::{Automaton, StateId, Transition};
-    use crate::error::{AutomataError, Result};
-    use crate::label::{Guard, Label, LabelFamily};
-    use crate::signal::{SignalId, SignalSet};
-
-    /// Who sends / receives a signal within a composition.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub(super) struct SignalRole {
-        sender: Option<usize>,
-        receiver: Option<usize>,
-    }
-
-    /// Derives the per-signal sender/receiver roles of a composition: each
-    /// signal has at most one sender and one receiver among `parts`.
-    pub(super) fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole> {
-        let mut roles: HashMap<SignalId, SignalRole> = HashMap::new();
-        for (i, p) in parts.iter().enumerate() {
-            for s in p.inputs().iter() {
-                roles.entry(s).or_default().receiver = Some(i);
-            }
-            for s in p.outputs().iter() {
-                roles.entry(s).or_default().sender = Some(i);
-            }
-        }
-        roles
-    }
-
-    /// Expands the outgoing transitions of one product state (given as the tuple
-    /// of component states) by iterating all transition combinations and solving
-    /// the per-signal constraint system for each. `emit` receives each composed
-    /// guard together with the target component-state tuple.
-    ///
-    /// # Errors
-    ///
-    /// [`AutomataError::FreeSignalOverflow`] as for [`compose`].
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn expand_tuple(
-        parts: &[&Automaton],
-        tuple: &[StateId],
-        roles: &HashMap<SignalId, SignalRole>,
-        all_inputs: SignalSet,
-        all_outputs: SignalSet,
-        opts: &ComposeOptions,
-        stats: &mut ComposeStats,
-        mut emit: impl FnMut(Guard, &[StateId]),
-    ) -> Result<()> {
-        let n = parts.len();
-        // Iterate over all transition combinations (one per component).
-        let per_comp: Vec<&[Transition]> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.transitions_from(tuple[i]))
-            .collect();
-        if per_comp.iter().any(|ts| ts.is_empty()) {
-            return Ok(()); // some component blocks everything → product deadlock
-        }
-        let mut combo = vec![0usize; n];
-        'combos: loop {
-            let chosen: Vec<&Transition> = combo
-                .iter()
-                .enumerate()
-                .map(|(i, &j)| &per_comp[i][j])
-                .collect();
-            let target: Vec<StateId> = chosen.iter().map(|t| t.to).collect();
-            stats.combos += 1;
-            solve_combo(
-                parts,
-                &chosen,
-                roles,
-                all_inputs,
-                all_outputs,
-                opts,
-                stats,
-                |guard| emit(guard, &target),
-            )?;
-            // advance combination counter
-            for i in 0..n {
-                combo[i] += 1;
-                if combo[i] < per_comp[i].len() {
-                    continue 'combos;
-                }
-                combo[i] = 0;
-            }
-            break;
-        }
-        Ok(())
-    }
-
-    /// Per-signal assignment derived from the guards of one transition
-    /// combination.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Assign {
-        True,
-        False,
-        Free,
-    }
-
-    impl Assign {
-        fn meet(self, other: Assign) -> Option<Assign> {
-            use Assign::*;
-            match (self, other) {
-                (Free, x) | (x, Free) => Some(x),
-                (True, True) => Some(True),
-                (False, False) => Some(False),
-                _ => None,
-            }
-        }
-    }
-
-    /// Solves the per-signal constraint system for one transition combination
-    /// and emits zero or more composed guards via `emit`.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_combo(
-        parts: &[&Automaton],
-        chosen: &[&Transition],
-        roles: &HashMap<SignalId, SignalRole>,
-        all_inputs: SignalSet,
-        all_outputs: SignalSet,
-        opts: &ComposeOptions,
-        stats: &mut ComposeStats,
-        mut emit: impl FnMut(Guard),
-    ) -> Result<()> {
-        let fams: Vec<LabelFamily> = chosen
-            .iter()
-            .zip(parts)
-            .map(|(t, p)| p.guard(t.guard).to_family())
-            .collect();
-
-        // Per-signal assignment after propagating guard domains + handshake.
-        let mut in_must = SignalSet::EMPTY; // composed A'' forced members
-        let mut out_must = SignalSet::EMPTY; // composed B'' forced members
-        let mut free_in_only = SignalSet::EMPTY; // free, input side only
-        let mut free_out_only = SignalSet::EMPTY; // free, output side only
-        let mut free_both = SignalSet::EMPTY; // free internal signals (coupled)
-
-        for (&sig, role) in roles {
-            let recv_dom = role.receiver.map(|k| {
-                let f = &fams[k];
-                if f.in_must.contains(sig) {
-                    Assign::True
-                } else if f.in_free.contains(sig) {
-                    Assign::Free
-                } else {
-                    Assign::False
-                }
-            });
-            let send_dom = role.sender.map(|j| {
-                let f = &fams[j];
-                if f.out_must.contains(sig) {
-                    Assign::True
-                } else if f.out_free.contains(sig) {
-                    Assign::Free
-                } else {
-                    Assign::False
-                }
-            });
-            let joint = match (recv_dom, send_dom) {
-                (Some(r), Some(s)) => match r.meet(s) {
-                    Some(j) => j,
-                    None => return Ok(()), // handshake conflict → combo infeasible
-                },
-                (Some(r), None) => r,
-                (None, Some(s)) => s,
-                (None, None) => unreachable!("signal without any role"),
-            };
-            let is_input = role.receiver.is_some();
-            let is_output = role.sender.is_some();
-            match joint {
-                Assign::True => {
-                    if is_input {
-                        in_must.insert(sig);
-                    }
-                    if is_output {
-                        out_must.insert(sig);
-                    }
-                }
-                Assign::False => {}
-                Assign::Free => match (is_input, is_output) {
-                    (true, true) => free_both.insert(sig),
-                    (true, false) => free_in_only.insert(sig),
-                    (false, true) => free_out_only.insert(sig),
-                    (false, false) => unreachable!(),
-                },
-            }
-        }
-
-        // Components with exclusion lists need their own labels concrete, so any
-        // free signal touching their interface must be enumerated as well.
-        let mut enumerate = free_both;
-        for (i, f) in fams.iter().enumerate() {
-            if !f.excluded.is_empty() {
-                let support = parts[i].inputs().union(parts[i].outputs());
-                enumerate = enumerate
-                    .union(free_in_only.intersection(support))
-                    .union(free_out_only.intersection(support));
-            }
-        }
-        let sym_in = free_in_only.difference(enumerate);
-        let sym_out = free_out_only.difference(enumerate);
-
-        if enumerate.len() > opts.expand_cap {
-            return Err(AutomataError::FreeSignalOverflow {
-                free: enumerate.len(),
-                cap: opts.expand_cap,
-            });
-        }
-
-        for chosen_free in enumerate.subsets() {
-            let a_must = in_must.union(chosen_free.intersection(all_inputs));
-            let b_must = out_must.union(chosen_free.intersection(all_outputs));
-            // Filter component exclusions: each component's own label must not be
-            // in its exclusion list. (Only checkable when concrete — guaranteed
-            // by the `enumerate` construction above.)
-            let mut excluded = false;
-            for (i, f) in fams.iter().enumerate() {
-                if f.excluded.is_empty() {
-                    continue;
-                }
-                let own = Label::new(
-                    a_must.intersection(parts[i].inputs()),
-                    b_must.intersection(parts[i].outputs()),
-                );
-                if f.excluded.contains(&own) {
-                    excluded = true;
-                    break;
-                }
-            }
-            if excluded {
-                continue;
-            }
-            let guard = if sym_in.is_empty() && sym_out.is_empty() {
-                stats.expanded_labels += 1;
-                Guard::Exact(Label::new(a_must, b_must))
-            } else {
-                stats.family_guards += 1;
-                Guard::from(LabelFamily {
-                    in_must: a_must,
-                    in_free: sym_in,
-                    out_must: b_must,
-                    out_free: sym_out,
-                    excluded: Vec::new(),
-                })
-            };
-            emit(guard);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Restricts a run of a composition to one component and drops the leading
@@ -1292,56 +954,6 @@ mod tests {
         // The only possible joint step is excluded → initial state deadlocks.
         let m = &comp.automaton;
         assert!(m.transitions_from(m.initial_states()[0]).is_empty());
-    }
-
-    /// The memo key must tell apart family guards whose boxes agree and
-    /// whose exclusion lists differ: `srv` accepts any subset of `{req}`
-    /// except `{req}` at `s0` and except `{}` at `s1`.
-    #[test]
-    fn memo_key_covers_exclusion_lists() {
-        let u = Universe::new();
-        let req = SignalSet::singleton(u.signal("req"));
-        let except = |l: Label| {
-            let mut fam = LabelFamily::all(req, SignalSet::EMPTY);
-            fam.excluded.push(l);
-            Guard::from(fam)
-        };
-        let s = AutomatonBuilder::new(&u, "srv")
-            .input("req")
-            .state("s0")
-            .initial("s0")
-            .state("s1")
-            .transition_guard("s0", except(Label::new(req, SignalSet::EMPTY)), "s1")
-            .transition_guard("s1", except(Label::EMPTY), "s0")
-            .build()
-            .unwrap();
-        // A client that may or may not send `req`.
-        let c = AutomatonBuilder::new(&u, "cli")
-            .output("req")
-            .state("t")
-            .initial("t")
-            .transition("t", [], ["req"], "t")
-            .transition("t", [], [], "t")
-            .build()
-            .unwrap();
-        let comp = compose2(&c, &s).unwrap();
-        let m = &comp.automaton;
-        let row = |name: &str| -> Vec<(Guard, String)> {
-            let st = m.find_state(name).unwrap();
-            m.transitions_from(st)
-                .iter()
-                .map(|t| (m.guard(t.guard).clone(), m.state_name(t.to).to_owned()))
-                .collect()
-        };
-        // At s0 only silence passes, at s1 only `req`.
-        assert_eq!(row("t||s0"), [(Guard::Exact(Label::EMPTY), "t||s1".into())]);
-        assert_eq!(
-            row("t||s1"),
-            [(Guard::Exact(Label::new(req, req)), "t||s0".into())]
-        );
-        let reference = compose_reference(&[&c, &s], &ComposeOptions::default()).unwrap();
-        assert_eq!(comp.automaton, reference.automaton);
-        assert_eq!(comp.stats, reference.stats);
     }
 
     /// A memoized combination is still checked against the expansion cap

@@ -25,7 +25,7 @@ use crate::label::Guard;
 /// are collapsed, transitions whose guard family is empty are dropped, and
 /// states left without any live outgoing transition get a stutter self-loop
 /// and are flagged in [`Csr::is_deadlocked`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csr {
     /// `succ[succ_off[s]..succ_off[s+1]]` are the distinct successors of `s`.
     succ_off: Vec<u32>,

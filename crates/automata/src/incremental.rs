@@ -14,12 +14,12 @@
 //!   renaming of state ids (new copies sit at the end instead of
 //!   interleaved), which composition is insensitive to.
 //! * [`CompositionCache`] borrows its context for its whole lifetime and
-//!   updates one product in place. Product state ids are stable: the
-//!   product numbers its states through the same tuple arena and index a
-//!   cold [`compose`](crate::compose) fills, rows whose origin tuple
-//!   touches a dirty closure state are cleared and re-expanded where they
-//!   stand with the row kernel that built the product (its memo and the
-//!   product's guard table are kept across recomposes), and newly reached
+//!   updates one product in place. Product state ids are stable: the cold
+//!   build and every splice run the one product engine of
+//!   [`compose`](crate::compose) over the same storage, with the row
+//!   kernel that built the product (its memo and the product's guard table
+//!   are kept across recomposes). Rows whose origin tuple touches a dirty
+//!   closure state are re-expanded where they stand, and newly reached
 //!   tuples are appended. One pass over the successors from the initial
 //!   states then finds the reachable part; rows that fell out of it are
 //!   cleared (and re-expanded if a later splice reaches them again), and
@@ -39,25 +39,30 @@
 //! Unreachable rows are dropped — the product compacted in id order — only
 //! once they outnumber the reachable ones.
 //!
-//! A full rebuild remains the fallback whenever the initial-state set grew,
-//! the number of legacy components changed, or the dirty fraction of the
-//! product exceeds [`CompositionCache::set_threshold`]. The context cannot
-//! change under a cache: a different context needs a new cache.
+//! A cold rebuild remains the fallback whenever the initial-state set grew,
+//! the number of legacy components changed, or more than half of the
+//! reachable rows are dirty. The context cannot change under a cache: a
+//! different context needs a new cache.
 
 use crate::automaton::{Automaton, StateId, Transition};
-use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
-use crate::csr::{live_targets, Csr};
-use crate::error::{AutomataError, Result};
+use crate::compose::{ComposeOptions, Composition};
+use crate::error::Result;
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
 use crate::label::{Guard, GuardId, LabelFamily};
-use crate::lazy::{product_props, write_product_name, LazyProduct, RowDedup};
+use crate::lazy::Product;
 use crate::prop::PropId;
+
+/// The dirty fraction of the reachable rows above which
+/// [`CompositionCache::recompose`] rebuilds cold instead of splicing: past
+/// it, splicing would approach a rebuild's cost and the unreachable rows it
+/// leaves behind would dominate the product.
+const REBUILD_ABOVE: f64 = 0.5;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomposeMode {
     /// Full rebuild: no cache, initial set grew, component count changed,
-    /// or the dirty fraction exceeded the threshold.
+    /// or more than half of the reachable rows were dirty.
     Cold,
     /// Delta-driven: only invalidated rows were re-expanded.
     Incremental,
@@ -221,14 +226,9 @@ impl ClosureCache {
 
 struct CacheState {
     closures: Vec<ClosureCache>,
-    comp: Composition,
-    /// The row kernel that built `comp`: its memo names guards of
-    /// `comp.automaton`'s table and parts' guard ids, both append-only, so
-    /// it stays valid across splices.
-    kernel: RowKernel,
-    /// Whether each product state is reachable from the initial states.
-    /// Unreachable states keep their ids and tuples; their rows are empty.
-    live: Vec<bool>,
+    /// The product over the context and `closures`, with the row kernel
+    /// and per-state row status of the engine that built it.
+    product: Product,
 }
 
 /// Caches the composition `context ∥ chaos(M_l^1) ∥ … ∥ chaos(M_l^k)`
@@ -240,46 +240,22 @@ struct CacheState {
 /// [`Self::recompose`].
 pub struct CompositionCache<'c> {
     context: &'c Automaton,
-    threshold: f64,
     state: Option<CacheState>,
 }
 
 impl<'c> CompositionCache<'c> {
-    /// An empty cache over `context` with the default dirtiness threshold
-    /// (0.5).
+    /// An empty cache over `context`.
     pub fn new(context: &'c Automaton) -> Self {
         CompositionCache {
             context,
-            threshold: 0.5,
             state: None,
         }
-    }
-
-    /// Sets the dirty-fraction threshold above which [`Self::recompose`]
-    /// falls back to a cold rebuild. `0.0` forces every delta-carrying
-    /// recompose cold (useful to exercise the fallback in tests); `1.0`
-    /// never falls back on dirtiness.
-    ///
-    /// Values outside `[0.0, 1.0]` are clamped into the range; `NaN` is
-    /// ignored and keeps the current threshold (a NaN threshold would make
-    /// the dirty-fraction comparison vacuously false, silently disabling
-    /// the cold-rebuild fallback forever).
-    pub fn set_threshold(&mut self, threshold: f64) {
-        if threshold.is_nan() {
-            return;
-        }
-        self.threshold = threshold.clamp(0.0, 1.0);
-    }
-
-    /// The current dirty-fraction threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// The current product. Panics if [`Self::recompose`] has not succeeded
     /// yet.
     pub fn composition(&self) -> &Composition {
-        &self.state.as_ref().expect("recompose first").comp
+        &self.state.as_ref().expect("recompose first").product.comp
     }
 
     /// The current (possibly patched) closures, one per legacy component,
@@ -303,10 +279,11 @@ impl<'c> CompositionCache<'c> {
     /// `compose` over fresh closures up to a renaming of states: the same
     /// initial states in order, and for every reachable state the same
     /// name, props and transition row (guards in order, targets renamed),
-    /// hence the same CSR relation over the reachable part. States keep
-    /// their ids from one recompose to the next; origin tuples reference the
-    /// cache's append-only closure layout, and [`Composition::stats`]
-    /// reflects the (smaller) incremental work.
+    /// hence the same CSR relation over the reachable part. A cold rebuild
+    /// is `compose`'s product bit for bit. States keep their ids from one
+    /// recompose to the next; origin tuples reference the cache's
+    /// append-only closure layout, and [`Composition::stats`] reflects the
+    /// (smaller) incremental work.
     ///
     /// Returns the work report and, for incremental recompositions, the
     /// [`WarmCarry`] a checker needs to reuse the previous iteration's
@@ -349,13 +326,12 @@ impl<'c> CompositionCache<'c> {
             ids.sort_unstable();
             dirty_closure.push(ids);
         }
-        let old_states = st.comp.automaton.state_count();
-        let old_live = st.comp.reachable;
+        let comp = &st.product.comp;
+        let old_states = comp.automaton.state_count();
         let dirty_rows: Vec<u32> = (0..old_states as u32)
             .filter(|&r| {
-                st.live[r as usize]
-                    && st
-                        .comp
+                st.product.is_settled(r)
+                    && comp
                         .tuple(StateId(r))
                         .iter()
                         .skip(1) // slot 0 is the context
@@ -363,42 +339,42 @@ impl<'c> CompositionCache<'c> {
                         .any(|(cs, ids)| ids.binary_search(cs).is_ok())
             })
             .collect();
-        if old_live == 0 || dirty_rows.len() as f64 > self.threshold * old_live as f64 {
+        if dirty_rows.len() as f64 > REBUILD_ABOVE * comp.reachable as f64 {
             return self
                 .rebuild(legacy, chaos_prop, opts)
                 .map(|info| (info, None));
         }
 
-        // Dirty cone over the *old* relation: every state that can reach an
-        // invalidated row. States outside it keep their entire forward
-        // behaviour, hence their satisfaction bits (DESIGN.md §12).
-        let mut in_cone = vec![false; old_states];
+        // States whose satisfaction bits cannot be carried: those that were
+        // unreachable, and the dirty cone over the *old* relation — every
+        // state that can reach an invalidated row. Every other state keeps
+        // its entire forward behaviour (DESIGN.md §12).
+        let mut stale: Vec<bool> = (0..old_states as u32)
+            .map(|s| !st.product.is_settled(s))
+            .collect();
         let mut stack: Vec<u32> = dirty_rows.clone();
         for &r in &dirty_rows {
-            in_cone[r as usize] = true;
+            stale[r as usize] = true;
         }
         while let Some(s) = stack.pop() {
-            for &p in st.comp.csr.predecessors(s as usize) {
-                if !in_cone[p as usize] {
-                    in_cone[p as usize] = true;
+            for &p in comp.csr.predecessors(s as usize) {
+                if !stale[p as usize] {
+                    stale[p as usize] = true;
                     stack.push(p);
                 }
             }
         }
 
         // Patch the closures, then splice the product.
-        let st = self.state.as_mut().expect("checked above");
-        for ((c, m), d) in st.closures.iter_mut().zip(legacy).zip(deltas) {
+        let CacheState { closures, product } = self.state.as_mut().expect("checked above");
+        for ((c, m), d) in closures.iter_mut().zip(legacy).zip(deltas) {
             c.patch(m, d);
         }
-        let spliced = splice(self.context, st, &dirty_rows, opts);
-        let Splice {
-            expanded,
-            appended,
-            transitions,
-            stats,
-        } = match spliced {
-            Ok(s) => s,
+        let parts: Vec<&Automaton> = std::iter::once(self.context)
+            .chain(closures.iter().map(|c| c.automaton()))
+            .collect();
+        let (expanded, transitions) = match product.splice(&parts, &dirty_rows, opts) {
+            Ok(done) => done,
             Err(e) => {
                 // Poison the cache: the partially spliced product is not a
                 // valid composition.
@@ -406,27 +382,23 @@ impl<'c> CompositionCache<'c> {
                 return Err(e);
             }
         };
-        let was_live = std::mem::take(&mut st.live);
-        let settled = settle(&mut st.comp, &expanded);
-        st.live = settled.live;
-        st.comp.stats = stats;
+        let remap = product.settle();
 
-        let dirty_states = dirty_rows.len() + appended;
         let carry = WarmCarry {
             old_states,
-            new_states: st.comp.automaton.state_count(),
-            remap: (0..old_states)
-                .map(|s| {
-                    let new = settled.remap[s];
-                    let kept = new != u32::MAX && st.live[new as usize];
-                    (was_live[s] && kept && !expanded[s] && !in_cone[s]).then_some(new)
+            new_states: product.comp.automaton.state_count(),
+            remap: remap
+                .iter()
+                .zip(&stale)
+                .map(|(&new, &stale)| {
+                    (!stale && new != u32::MAX && product.is_settled(new)).then_some(new)
                 })
                 .collect(),
         };
         let info = RecomposeInfo {
             mode: RecomposeMode::Incremental,
-            dirty_states,
-            reused_states: st.comp.reachable.saturating_sub(dirty_states),
+            dirty_states: expanded,
+            reused_states: product.comp.reachable.saturating_sub(expanded),
             spliced_transitions: transitions,
         };
         Ok((info, Some(carry)))
@@ -446,201 +418,16 @@ impl<'c> CompositionCache<'c> {
         let parts: Vec<&Automaton> = std::iter::once(self.context)
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
-        let (comp, kernel) = LazyProduct::new(&parts, opts)?.materialize()?;
+        let mut product = Product::new(&parts)?;
+        product.finish(&parts, opts)?;
         let info = RecomposeInfo {
             mode: RecomposeMode::Cold,
-            dirty_states: comp.automaton.state_count(),
+            dirty_states: product.comp.automaton.state_count(),
             reused_states: 0,
-            spliced_transitions: comp.automaton.transition_count(),
+            spliced_transitions: product.comp.automaton.transition_count(),
         };
-        let live = vec![true; comp.automaton.state_count()];
-        self.state = Some(CacheState {
-            closures,
-            comp,
-            kernel,
-            live,
-        });
+        self.state = Some(CacheState { closures, product });
         Ok(info)
-    }
-}
-
-/// What one [`splice`] did.
-struct Splice {
-    /// Per product state: whether its row was re-expanded.
-    expanded: Vec<bool>,
-    /// States newly reached: fresh tuples plus unreachable rows revived.
-    appended: usize,
-    /// Transitions written into re-expanded rows.
-    transitions: usize,
-    stats: ComposeStats,
-}
-
-/// Re-expands the `dirty` rows of the cached product in place and explores
-/// whatever they newly reach: fresh tuples are interned and appended,
-/// unreachable (cleared) rows hit again are revived and re-expanded. Each
-/// row is collected in one reused scratch row of guard ids and written
-/// into the automaton's shared buffers, so the splice allocates nothing per
-/// state; the cache's kernel interns new guards into the product's table.
-fn splice(
-    context: &Automaton,
-    st: &mut CacheState,
-    dirty: &[u32],
-    opts: &ComposeOptions,
-) -> Result<Splice> {
-    let parts: Vec<&Automaton> = std::iter::once(context)
-        .chain(st.closures.iter().map(|c| c.automaton()))
-        .collect();
-    let kernel = &mut st.kernel;
-    let comp = &mut st.comp;
-    let live = &mut st.live;
-    let mut expanded = vec![false; comp.automaton.state_count()];
-    for &r in dirty {
-        expanded[r as usize] = true;
-    }
-    let mut queue: Vec<u32> = dirty.to_vec();
-    let mut appended = 0usize;
-    let mut transitions = 0usize;
-    let mut stats = ComposeStats::default();
-    let mut tuple: Vec<u32> = Vec::with_capacity(parts.len());
-    let mut row: Vec<Transition> = Vec::new();
-    let mut dedup = RowDedup::default();
-    while let Some(r) = queue.pop() {
-        if comp.reachable + appended > opts.max_states {
-            return Err(AutomataError::Limit {
-                what: "composed state space".into(),
-                max: opts.max_states,
-            });
-        }
-        tuple.clear();
-        tuple.extend_from_slice(comp.tuples.tuple(r));
-        let guards = comp.automaton.guards_mut();
-        let tuples = &mut comp.tuples;
-        dedup.next_row();
-        kernel.expand(&parts, &tuple, opts, &mut stats, guards, |guard, target| {
-            let (id, fresh) = tuples.intern(target);
-            if fresh {
-                live.push(false);
-                expanded.push(true);
-                appended += 1;
-                queue.push(id);
-            } else if !live[id as usize] && !expanded[id as usize] {
-                expanded[id as usize] = true;
-                appended += 1;
-                queue.push(id);
-            }
-            // Drop exact (target, guard id) repeats.
-            let t = Transition {
-                guard,
-                to: StateId(id),
-            };
-            if !dedup.repeats(id) || !row.contains(&t) {
-                row.push(t);
-            }
-        })?;
-        // States for the tuples this row discovered, in id order.
-        for id in comp.automaton.state_count()..comp.tuples.len() {
-            let fresh = comp.tuples.tuple(id as u32);
-            comp.automaton
-                .push_state(product_props(&parts, fresh), |buf| {
-                    write_product_name(&parts, fresh, buf)
-                });
-        }
-        transitions += row.len();
-        // The closure copies in the tuple may have been relabelled.
-        let state = StateId(r);
-        comp.automaton
-            .set_props(state, product_props(&parts, comp.tuples.tuple(r)));
-        comp.automaton.set_row(state, &mut row);
-    }
-    Ok(Splice {
-        expanded,
-        appended,
-        transitions,
-        stats,
-    })
-}
-
-/// The reachable part of a spliced product.
-struct Settled {
-    /// Per state: reachable from the initial states.
-    live: Vec<bool>,
-    /// Old id → new id (`u32::MAX` for states compaction dropped); the
-    /// identity unless the product was compacted.
-    remap: Vec<u32>,
-}
-
-/// Finds the reachable part of the spliced product with one pass over the
-/// successors from the initial states, clears the rows that fell out of it,
-/// and rebuilds the CSR relation — re-sorting only rows that changed and
-/// copying the rest from the previous relation. Once unreachable states
-/// outnumber reachable ones the product is compacted in id order instead.
-fn settle(comp: &mut Composition, expanded: &[bool]) -> Settled {
-    let m = &mut comp.automaton;
-    let n = m.state_count();
-    // Rows the splice did not touch still have the targets the previous
-    // relation lists as compact `u32` runs; only re-expanded rows are read
-    // from the automaton. (Product guards are never empty, so every target
-    // of a row is a live one.)
-    let prev = &comp.csr;
-    let mut live = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let reach = |t: u32, live: &mut [bool], stack: &mut Vec<u32>| {
-        if !live[t as usize] {
-            live[t as usize] = true;
-            stack.push(t);
-        }
-    };
-    for q in m.initial_states() {
-        reach(q.0, &mut live, &mut stack);
-    }
-    while let Some(s) = stack.pop() {
-        if expanded[s as usize] {
-            for t in m.transitions_from(StateId(s)) {
-                reach(t.to.0, &mut live, &mut stack);
-            }
-        } else {
-            for &t in prev.row(s as usize) {
-                reach(t, &mut live, &mut stack);
-            }
-        }
-    }
-    let reachable = live.iter().filter(|&&l| l).count();
-    comp.reachable = reachable;
-    if n - reachable > reachable {
-        let mut remap = vec![u32::MAX; n];
-        let mut next = 0u32;
-        for (s, &l) in live.iter().enumerate() {
-            if l {
-                remap[s] = next;
-                next += 1;
-            }
-        }
-        m.retain_states(&live);
-        comp.tuples.remap(&remap, reachable);
-        comp.csr = Csr::of(m);
-        return Settled {
-            live: vec![true; reachable],
-            remap,
-        };
-    }
-    let mut changed = expanded.to_vec();
-    for s in 0..n {
-        if !live[s] && !m.transitions_from(StateId(s as u32)).is_empty() {
-            m.clear_row(StateId(s as u32));
-            changed[s] = true;
-        }
-    }
-    m.compact_rows();
-    comp.csr = Csr::from_rows(n, |s, out| {
-        if changed[s] {
-            live_targets(m, s, out);
-        } else {
-            out.extend_from_slice(prev.row(s));
-        }
-    });
-    Settled {
-        live,
-        remap: (0..n as u32).collect(),
     }
 }
 
@@ -739,32 +526,11 @@ mod tests {
     }
 
     #[test]
-    fn set_threshold_rejects_nan_and_clamps() {
-        let u = Universe::new();
-        let ctx = context(&u);
-        let mut cache = CompositionCache::new(&ctx);
-        assert_eq!(cache.threshold(), 0.5);
-        // NaN would make `dirty > threshold * states` vacuously false,
-        // permanently disabling the cold fallback — it must be ignored.
-        cache.set_threshold(f64::NAN);
-        assert_eq!(cache.threshold(), 0.5);
-        cache.set_threshold(-3.0);
-        assert_eq!(cache.threshold(), 0.0);
-        cache.set_threshold(7.5);
-        assert_eq!(cache.threshold(), 1.0);
-        cache.set_threshold(0.25);
-        assert_eq!(cache.threshold(), 0.25);
-        cache.set_threshold(f64::NAN);
-        assert_eq!(cache.threshold(), 0.25);
-    }
-
-    #[test]
     fn ids_stay_put_and_unreachable_rows_are_cleared() {
         let u = Universe::new();
         let ctx = context(&u);
         let mut m = legacy(&u);
         let mut cache = CompositionCache::new(&ctx);
-        cache.set_threshold(1.0);
         let opts = ComposeOptions::default();
         let d = m.take_delta();
         cache

@@ -1,59 +1,50 @@
-//! On-the-fly product exploration with arena/struct-of-arrays storage.
+//! The one product engine, over flat arena storage.
 //!
-//! The classic materializing product
-//! ([`compose_reference`](crate::compose_reference)) builds the full
-//! reachable product — per-state `Vec<Transition>` rows, a
-//! `HashMap<Vec<StateId>, StateId>` interner, one heap allocation per
-//! product state — before any consumer sees a single state.
-//! [`LazyProduct`] is the same exploration under the identical constraint
-//! system, split into *per-row* steps over flat storage:
+//! Every product the crate builds is written by one routine into one
+//! storage: a [`compose`](crate::compose) result, the cold build and every
+//! splice of a [`CompositionCache`](crate::CompositionCache), and the
+//! frontier probe's [`LazyProduct`] all expand their rows through
+//! `Product::expand` into a [`Composition`]'s automaton rows and its tuple
+//! arena.
 //!
-//! * one `u32` arena holds every component-state tuple (stride = number of
-//!   components), so a product state is a slice, not a `Vec`. The arena and
-//!   its interner (`TupleArena`) are the id space of every product in the
-//!   crate: a materialized [`Composition`] keeps them, and the incremental
-//!   [`CompositionCache`](crate::CompositionCache) extends them in place;
-//! * expanded rows live in CSR-style blocks (`row_off`/`row_len` into one
-//!   flat target array), with `u32::MAX` marking rows not yet expanded;
-//! * a tuple's id is found through a dense table over the box of
-//!   coordinates seen so far (a few multiply-adds and one load), or, once
-//!   that box would be too sparse or too large, through an open-addressed
-//!   table keyed by a multiply-xor hash of the tuple that probes the arena
-//!   directly — no per-key allocation, no `Vec<StateId>` clones;
-//! * rows are solved by the bitset [`RowKernel`], which memoizes each
+//! * One `u32` arena holds every component-state tuple (stride = number of
+//!   components), so a product state is a slice, not a `Vec`. Its index
+//!   (`TupleArena`) finds a tuple's id through a dense table over the box
+//!   of coordinates seen so far (a few multiply-adds and one load), or,
+//!   once that box would be too sparse or too large, through an
+//!   open-addressed table keyed by a multiply-xor hash of the tuple that
+//!   probes the arena directly — no per-key allocation, no `Vec<StateId>`
+//!   clones.
+//! * Rows are solved by the bitset [`RowKernel`], which memoizes each
 //!   combination of part guard ids and emits ids into the product's guard
-//!   table (each distinct guard stored once); its scratch buffers, like
-//!   the product's own row buffers, are reused from row to row, and
-//!   repeated row entries are dropped in time linear in the row
-//!   (`RowDedup`).
+//!   table (each distinct guard stored once). A row is collected in a
+//!   reused scratch row, repeated entries dropped in time linear in the row
+//!   (`RowDedup`), and written into the automaton's shared row buffer:
+//!   packed at its end while the product is first built, and in place or
+//!   in a size-class slot once it has settled. New states' names and
+//!   labels go into the automaton's shared buffers as well, so nothing is
+//!   allocated per state.
 //!
-//! Every row keeps its `(guard id, target)` pairs in emit order. Consumers
-//! that need one row (the driver's frontier probe) call
-//! [`LazyProduct::locate`], which expands in discovery order only until
-//! the wanted tuple is interned, read the row with
-//! [`LazyProduct::row_guards`], and keep the product across calls.
-//! Consumers that need the full automaton call
-//! [`LazyProduct::into_composition`], which expands every remaining row,
-//! renumbers states into the canonical discovery order (rows expanded out
-//! of order with [`LazyProduct::expand_row`] included) and yields a
-//! [`Composition`] bit-identical to the classic materializing path (this
-//! is how [`compose`](crate::compose) itself is implemented now).
-//! Materializing writes names, rows and tuples into the automaton's shared
-//! buffers: nothing is allocated per state.
+//! A LIFO worklist drives expansion. A state is queued when it is first
+//! reached, and ids are handed out in that order, so a product built by
+//! draining the worklist from its initial tuples numbers its states in
+//! depth-first discovery order — the classic numbering, which depends on
+//! the parts alone. A probe expands only as far as it reads:
+//! [`LazyProduct::locate`] drains the worklist only until the wanted tuple
+//! is interned, and [`LazyProduct::expand_row`] then expands the located
+//! row out of turn. Nothing is ever renumbered: a product keeps the ids it
+//! handed out, and a splice only appends to them (or compacts them, see
+//! `Product::settle`).
 
 use std::borrow::Cow;
 use std::ops::Deref;
 
 use crate::automaton::{Automaton, StateId, Transition};
-use crate::compose::{ComposeOptions, ComposeStats, Composition, RowKernel};
-use crate::csr::Csr;
+use crate::compose::{check_composable, ComposeOptions, ComposeStats, Composition, RowKernel};
+use crate::csr::{live_targets, Csr};
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, GuardId, GuardTable};
+use crate::label::Guard;
 use crate::prop::PropSet;
-
-/// Sentinel in `row_off` marking a state whose outgoing row has not been
-/// expanded yet.
-const UNEXPANDED: u32 = u32::MAX;
 
 /// Open-addressed tuple→id interner over the tuple arena: the index of a
 /// [`TupleArena`] whose tuples are too spread out for a dense table.
@@ -228,9 +219,8 @@ enum TupleIndex {
 
 /// The id space of a product: every component-state tuple, packed with
 /// stride `k` in one `u32` arena (id `i` is `arena[i*k..i*k+k]`), and the
-/// index mapping tuples back to ids. Lazy, cold and incremental products
-/// all number their states through one of these, and the row kernel keys
-/// its memo with one.
+/// index mapping tuples back to ids. Every product numbers its states
+/// through one of these, and the row kernel keys its memo with one.
 #[derive(Debug, Clone)]
 pub(crate) struct TupleArena {
     k: usize,
@@ -357,7 +347,7 @@ impl TupleArena {
 
     /// Renumbers the tuples: `remap[old]` is the new id, or `u32::MAX` to
     /// drop the tuple; the kept ids must be exactly `0..kept`.
-    pub(crate) fn remap(&mut self, remap: &[u32], kept: usize) {
+    fn remap(&mut self, remap: &[u32], kept: usize) {
         let k = self.k;
         let mut arena = vec![0u32; kept * k];
         for (old, &new) in remap.iter().enumerate() {
@@ -379,17 +369,16 @@ impl TupleArena {
 /// Drops repeated entries from a row while it is collected, in time
 /// linear in the row: `stamp[t]` is the number of the last row that
 /// targeted `t`, so only an entry whose target already occurs in the row
-/// needs a scan of it. Cold, lazy and incremental products all dedupe
-/// their rows through one of these.
+/// needs a scan of it.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RowDedup {
+struct RowDedup {
     stamp: Vec<u32>,
     row: u32,
 }
 
 impl RowDedup {
     /// Starts collecting a new row.
-    pub(crate) fn next_row(&mut self) {
+    fn next_row(&mut self) {
         if self.row == u32::MAX {
             self.stamp.fill(0);
             self.row = 0;
@@ -400,7 +389,7 @@ impl RowDedup {
     /// Whether the row being collected already targets `target`; from now
     /// on it does.
     #[inline]
-    pub(crate) fn repeats(&mut self, target: u32) -> bool {
+    fn repeats(&mut self, target: u32) -> bool {
         let t = target as usize;
         if t >= self.stamp.len() {
             self.stamp.resize(t + 1, 0);
@@ -434,55 +423,382 @@ pub(crate) fn product_props<P: Deref<Target = Automaton>>(parts: &[P], tuple: &[
         })
 }
 
-/// An on-the-fly synchronous product over flat arena storage. See the
-/// module docs for the storage layout and the bit-identity contract with
-/// [`compose`](crate::compose::compose).
-///
-/// Parts are borrowed or owned ([`LazyProduct::from_parts`]): a product
-/// kept across a run can own snapshots of parts its owner keeps mutating.
-pub struct LazyProduct<'a> {
-    parts: Vec<Cow<'a, Automaton>>,
-    opts: ComposeOptions,
+/// Where a product state's row stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// No row: the state was unreachable when the product last settled, so
+    /// its row was cleared. Reaching it again queues it.
+    Idle,
+    /// In the worklist, waiting for its row.
+    Queued,
+    /// Row written since the product last settled.
+    Expanded,
+    /// Row written and settled: the state is reachable and its row is in
+    /// the CSR relation.
+    Settled,
+}
+
+/// The one product engine: a product, the row kernel that writes its rows
+/// and the worklist that drives it (see the module docs). Parts are handed
+/// to every call rather than kept, so that a
+/// [`CompositionCache`](crate::CompositionCache) can patch its closures
+/// between splices; every call must get the parts the product was started
+/// over, or patched copies of them.
+pub(crate) struct Product {
+    /// The product written so far: the automaton's rows, the tuple arena
+    /// and the work counters. `comp.reachable` stays zero until the product
+    /// first settles.
+    pub(crate) comp: Composition,
+    /// The row kernel: its memo names guards of `comp.automaton`'s table
+    /// and the parts' guard ids, both append-only, so it stays valid for
+    /// the product's lifetime.
     kernel: RowKernel,
-    /// Every discovered state's component-state tuple, interned.
-    tuples: TupleArena,
-    /// Union of component labellings per product state.
-    props: Vec<PropSet>,
-    /// Offset of each expanded row in `succ` ([`UNEXPANDED`] otherwise).
-    row_off: Vec<u32>,
-    /// Length of each expanded row.
-    row_len: Vec<u32>,
-    /// Flat transition targets of the `(guard, target)` pairs, in emit
-    /// order.
-    succ: Vec<u32>,
-    /// Parallel guard ids for `succ`.
-    succ_guards: Vec<GuardId>,
-    /// The product's guard table, which the kernel interns into.
-    guards: GuardTable,
-    /// Discovery-order worklist: every interned state is pushed once;
-    /// `expand_all` drains it LIFO, which is exactly the classic compose
-    /// exploration order.
+    /// Where each state's row stands.
+    rows: Vec<Row>,
+    /// The worklist, popped last in, first out.
     pending: Vec<u32>,
-    initial: Vec<u32>,
-    stats: ComposeStats,
-    expanded_rows: usize,
-    /// Row scratch, reused across [`LazyProduct::expand_row`] calls: the
-    /// row's tuple, and its collected `(guard, target)` pairs with their
-    /// dedupe stamps.
-    tuple_buf: Vec<u32>,
-    row_buf: Vec<(GuardId, u32)>,
+    /// States reachable when the product last settled plus those queued
+    /// since: the count `max_states` bounds.
+    reached: usize,
+    /// Rows expanded so far.
+    expanded: usize,
+    /// Row scratch, reused from row to row: the row's tuple, and its
+    /// collected transitions with their dedupe stamps.
+    tuple: Vec<u32>,
+    row: Vec<Transition>,
     dedup: RowDedup,
 }
 
-impl<'a> LazyProduct<'a> {
-    /// Starts a lazy product over `parts`, validating universes and pairwise
-    /// composability and interning the cartesian initial tuples (ids
-    /// `0..initial_count`, same as the classic path).
+impl Product {
+    /// An unexpanded product of `parts`: checks universes and pairwise
+    /// composability, and queues the cartesian initial tuples as states
+    /// `0..initial_count`.
     ///
     /// # Errors
     ///
     /// [`AutomataError::UniverseMismatch`] / [`AutomataError::NotComposable`]
-    /// as for [`compose`](crate::compose::compose).
+    /// as for [`compose`](crate::compose).
+    pub(crate) fn new<P: Deref<Target = Automaton>>(parts: &[P]) -> Result<Product> {
+        check_composable(parts)?;
+        let mut product = Product {
+            comp: Composition::empty(parts),
+            kernel: RowKernel::new(parts),
+            rows: Vec::new(),
+            pending: Vec::new(),
+            reached: 0,
+            expanded: 0,
+            tuple: Vec::with_capacity(parts.len()),
+            row: Vec::new(),
+            dedup: RowDedup::default(),
+        };
+        // Initial product states: Q'' = Q₁ × … × Qₙ, in cartesian order.
+        let mut initial_tuples: Vec<Vec<u32>> = vec![Vec::new()];
+        for p in parts {
+            let mut next = Vec::new();
+            for tuple in &initial_tuples {
+                for &q in p.initial_states() {
+                    let mut t = tuple.clone();
+                    t.push(q.0);
+                    next.push(t);
+                }
+            }
+            initial_tuples = next;
+        }
+        let initial = initial_tuples
+            .iter()
+            .map(|t| StateId(product.queue_initial(parts, t)))
+            .collect();
+        product.comp.automaton.initial = initial;
+        Ok(product)
+    }
+
+    /// Interns an initial tuple, as a new queued state on first sight.
+    fn queue_initial<P: Deref<Target = Automaton>>(&mut self, parts: &[P], tuple: &[u32]) -> u32 {
+        let (id, fresh) = self.comp.tuples.intern(tuple);
+        if fresh {
+            self.comp
+                .automaton
+                .push_state(product_props(parts, tuple), |buf| {
+                    write_product_name(parts, tuple, buf)
+                });
+            self.rows.push(Row::Queued);
+            self.pending.push(id);
+            self.reached += 1;
+        }
+        id
+    }
+
+    /// Whether state `s` has a current row.
+    fn has_row(&self, s: u32) -> bool {
+        matches!(self.rows[s as usize], Row::Expanded | Row::Settled)
+    }
+
+    /// Whether state `s` was reachable when the product last settled.
+    pub(crate) fn is_settled(&self, s: u32) -> bool {
+        self.rows[s as usize] == Row::Settled
+    }
+
+    /// Expands the row of `s` with the row kernel: the one routine every
+    /// product is built and spliced by. Fresh targets become new states at
+    /// the end of the product and are queued, as is any state without a
+    /// row hit again; the row, with exact repeats dropped, replaces the
+    /// state's old one. A state that already has a row is left alone.
+    /// Returns the number of transitions written.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::FreeSignalOverflow`] from the row kernel;
+    /// [`AutomataError::Limit`] when more than `max_states` states have been
+    /// reached.
+    fn expand<P: Deref<Target = Automaton>>(
+        &mut self,
+        parts: &[P],
+        s: u32,
+        opts: &ComposeOptions,
+    ) -> Result<usize> {
+        if self.has_row(s) {
+            return Ok(0);
+        }
+        if self.reached > opts.max_states {
+            return Err(AutomataError::Limit {
+                what: "composed state space".into(),
+                max: opts.max_states,
+            });
+        }
+        let Product {
+            comp,
+            kernel,
+            rows,
+            pending,
+            reached,
+            tuple,
+            row,
+            dedup,
+            ..
+        } = self;
+        let Composition {
+            automaton,
+            tuples,
+            stats,
+            reachable,
+            ..
+        } = comp;
+        tuple.clear();
+        tuple.extend_from_slice(tuples.tuple(s));
+        row.clear();
+        dedup.next_row();
+        let guards = automaton.guards_mut();
+        kernel.expand(parts, tuple, opts, stats, guards, |guard, target| {
+            let (id, fresh) = tuples.intern(target);
+            if fresh {
+                rows.push(Row::Idle);
+            }
+            if rows[id as usize] == Row::Idle {
+                rows[id as usize] = Row::Queued;
+                pending.push(id);
+                *reached += 1;
+            }
+            let t = Transition {
+                guard,
+                to: StateId(id),
+            };
+            if !dedup.repeats(id) || !row.contains(&t) {
+                row.push(t);
+            }
+        })?;
+        // States for the tuples this row discovered, in id order.
+        for id in automaton.state_count()..tuples.len() {
+            let fresh = tuples.tuple(id as u32);
+            automaton.push_state(product_props(parts, fresh), |buf| {
+                write_product_name(parts, fresh, buf)
+            });
+        }
+        let state = StateId(s);
+        let written = row.len();
+        if *reachable == 0 {
+            // Not settled yet: the product is being built row after row,
+            // each packed at the end of the buffer.
+            automaton.push_row(state, row);
+        } else {
+            // A splice rewrites the row in place, or in a size-class slot a
+            // later splice can reuse, and may have relabelled the closure
+            // copies in its tuple.
+            automaton.set_props(state, product_props(parts, tuple));
+            automaton.set_row(state, row);
+        }
+        rows[s as usize] = Row::Expanded;
+        self.expanded += 1;
+        Ok(written)
+    }
+
+    /// Expands queued rows, the last queued first, until none is left.
+    /// Returns the transitions written.
+    fn drain<P: Deref<Target = Automaton>>(
+        &mut self,
+        parts: &[P],
+        opts: &ComposeOptions,
+    ) -> Result<usize> {
+        let mut written = 0;
+        while let Some(s) = self.pending.pop() {
+            written += self.expand(parts, s, opts)?;
+        }
+        Ok(written)
+    }
+
+    /// Expands every queued row and settles the product for the first
+    /// time: trims its storage, validates it and builds its CSR relation.
+    /// Every state is reachable, since each was reached from an initial
+    /// state.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Product::expand`], and validation errors.
+    pub(crate) fn finish<P: Deref<Target = Automaton>>(
+        &mut self,
+        parts: &[P],
+        opts: &ComposeOptions,
+    ) -> Result<()> {
+        self.drain(parts, opts)?;
+        let m = &mut self.comp.automaton;
+        m.shrink_to_fit();
+        m.validate()?;
+        self.comp.csr = Csr::of(m);
+        self.comp.reachable = m.state_count();
+        self.rows.fill(Row::Settled);
+        Ok(())
+    }
+
+    /// Re-expands the `dirty` rows of a settled product where they stand,
+    /// and whatever they newly reach, with [`Product::expand`]. Afterwards
+    /// `comp.stats` counts this splice's work only; [`Product::settle`]
+    /// must follow. Returns the rows expanded and the transitions written.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Product::expand`]; the product is then left half spliced.
+    pub(crate) fn splice<P: Deref<Target = Automaton>>(
+        &mut self,
+        parts: &[P],
+        dirty: &[u32],
+        opts: &ComposeOptions,
+    ) -> Result<(usize, usize)> {
+        self.comp.stats = ComposeStats::default();
+        for &r in dirty {
+            self.rows[r as usize] = Row::Queued;
+        }
+        self.pending.extend_from_slice(dirty);
+        let before = self.expanded;
+        let written = self.drain(parts, opts)?;
+        Ok((self.expanded - before, written))
+    }
+
+    /// Settles a spliced product: finds the reachable part with one pass
+    /// over the successors from the initial states, clears the rows that
+    /// fell out of it, and rebuilds the CSR relation, re-sorting only the
+    /// rows that changed and copying the rest from the previous relation.
+    /// Once unreachable states outnumber reachable ones the product is
+    /// compacted in id order instead. Returns old id → new id (`u32::MAX`
+    /// for states compaction dropped): the identity unless the product was
+    /// compacted.
+    pub(crate) fn settle(&mut self) -> Vec<u32> {
+        let Product {
+            comp,
+            rows,
+            reached,
+            ..
+        } = self;
+        let m = &mut comp.automaton;
+        let n = m.state_count();
+        // Rows the splice did not touch still have the targets the previous
+        // relation lists as compact `u32` runs; only re-expanded rows are
+        // read from the automaton. (Product guards are never empty, so
+        // every target of a row is a live one.)
+        let prev = &comp.csr;
+        let mut live = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let reach = |t: u32, live: &mut [bool], stack: &mut Vec<u32>| {
+            if !live[t as usize] {
+                live[t as usize] = true;
+                stack.push(t);
+            }
+        };
+        for q in m.initial_states() {
+            reach(q.0, &mut live, &mut stack);
+        }
+        while let Some(s) = stack.pop() {
+            if rows[s as usize] == Row::Expanded {
+                for t in m.transitions_from(StateId(s)) {
+                    reach(t.to.0, &mut live, &mut stack);
+                }
+            } else {
+                for &t in prev.row(s as usize) {
+                    reach(t, &mut live, &mut stack);
+                }
+            }
+        }
+        let reachable = live.iter().filter(|&&l| l).count();
+        comp.reachable = reachable;
+        *reached = reachable;
+        if n - reachable > reachable {
+            let mut remap = vec![u32::MAX; n];
+            let mut next = 0u32;
+            for (s, &l) in live.iter().enumerate() {
+                if l {
+                    remap[s] = next;
+                    next += 1;
+                }
+            }
+            m.retain_states(&live);
+            comp.tuples.remap(&remap, reachable);
+            comp.csr = Csr::of(m);
+            *rows = vec![Row::Settled; reachable];
+            return remap;
+        }
+        let mut changed: Vec<bool> = rows.iter().map(|&r| r == Row::Expanded).collect();
+        for s in 0..n {
+            if !live[s] && !m.transitions_from(StateId(s as u32)).is_empty() {
+                m.clear_row(StateId(s as u32));
+                changed[s] = true;
+            }
+        }
+        m.compact_rows();
+        comp.csr = Csr::from_rows(n, |s, out| {
+            if changed[s] {
+                live_targets(m, s, out);
+            } else {
+                out.extend_from_slice(prev.row(s));
+            }
+        });
+        for (row, &l) in rows.iter_mut().zip(&live) {
+            *row = if l { Row::Settled } else { Row::Idle };
+        }
+        (0..n as u32).collect()
+    }
+}
+
+/// A product expanded on demand over borrowed or owned parts
+/// ([`LazyProduct::from_parts`]): the frontier probe keeps one per legacy
+/// unit across a run, owning snapshots of parts its owner keeps mutating,
+/// and reads single rows. [`LazyProduct::locate`] expands rows in discovery
+/// order only until a tuple is interned, and [`LazyProduct::expand_row`]
+/// expands one more, out of turn if need be. It runs the engine
+/// [`compose`](crate::compose) runs, so [`LazyProduct::finish`] yields
+/// [`compose`](crate::compose)'s product up to a renaming of states.
+pub struct LazyProduct<'a> {
+    parts: Vec<Cow<'a, Automaton>>,
+    opts: ComposeOptions,
+    product: Product,
+}
+
+impl<'a> LazyProduct<'a> {
+    /// Starts a product over `parts`, checking universes and pairwise
+    /// composability and interning the cartesian initial tuples (ids
+    /// `0..initial_count`, as for [`compose`](crate::compose)).
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::UniverseMismatch`] / [`AutomataError::NotComposable`]
+    /// as for [`compose`](crate::compose).
     pub fn new(parts: &[&'a Automaton], opts: &ComposeOptions) -> Result<LazyProduct<'a>> {
         Self::from_parts(parts.iter().map(|&p| Cow::Borrowed(p)).collect(), opts)
     }
@@ -496,79 +812,11 @@ impl<'a> LazyProduct<'a> {
         parts: Vec<Cow<'a, Automaton>>,
         opts: &ComposeOptions,
     ) -> Result<LazyProduct<'a>> {
-        assert!(!parts.is_empty(), "compose requires at least one automaton");
-        let universe = parts[0].universe();
-        for p in &parts {
-            if !p.universe().same_as(universe) {
-                return Err(AutomataError::UniverseMismatch);
-            }
-        }
-        for (i, a) in parts.iter().enumerate() {
-            for b in &parts[i + 1..] {
-                if !a.composable_with(b) {
-                    return Err(AutomataError::NotComposable {
-                        detail: format!(
-                            "`{}` and `{}` share inputs {} / outputs {}",
-                            a.name(),
-                            b.name(),
-                            universe.show_signals(a.inputs().intersection(b.inputs())),
-                            universe.show_signals(a.outputs().intersection(b.outputs())),
-                        ),
-                    });
-                }
-            }
-        }
-        let kernel = RowKernel::new(&parts);
-        let k = parts.len();
-        // Initial product states: Q'' = Q₁ × … × Qₙ, in cartesian order.
-        let mut initial_tuples: Vec<Vec<u32>> = vec![Vec::new()];
-        for p in &parts {
-            let mut next = Vec::new();
-            for tuple in &initial_tuples {
-                for &q in p.initial_states() {
-                    let mut t = tuple.clone();
-                    t.push(q.0);
-                    next.push(t);
-                }
-            }
-            initial_tuples = next;
-        }
-        let mut lp = LazyProduct {
+        Ok(LazyProduct {
+            product: Product::new(&parts)?,
             parts,
             opts: opts.clone(),
-            kernel,
-            tuples: TupleArena::new(k),
-            props: Vec::new(),
-            row_off: Vec::new(),
-            row_len: Vec::new(),
-            succ: Vec::new(),
-            succ_guards: Vec::new(),
-            guards: GuardTable::default(),
-            pending: Vec::new(),
-            initial: Vec::new(),
-            stats: ComposeStats::default(),
-            expanded_rows: 0,
-            tuple_buf: Vec::with_capacity(k),
-            row_buf: Vec::new(),
-            dedup: RowDedup::default(),
-        };
-        for t in initial_tuples {
-            let id = lp.intern(&t);
-            lp.initial.push(id);
-        }
-        Ok(lp)
-    }
-
-    /// Interns a tuple, assigning the next id on first sight.
-    fn intern(&mut self, tuple: &[u32]) -> u32 {
-        let (id, fresh) = self.tuples.intern(tuple);
-        if fresh {
-            self.props.push(product_props(&self.parts, tuple));
-            self.row_off.push(UNEXPANDED);
-            self.row_len.push(0);
-            self.pending.push(id);
-        }
-        id
+        })
     }
 
     /// The composed parts, in order.
@@ -576,73 +824,36 @@ impl<'a> LazyProduct<'a> {
         self.parts.iter().map(|p| &**p)
     }
 
-    /// Number of product states discovered so far: ids `0..state_count()`
-    /// are the states [`LazyProduct::expand_row`] accepts.
-    pub fn state_count(&self) -> usize {
-        self.props.len()
-    }
-
     /// Number of rows expanded so far (the frontier probe reports them as
     /// `probe_rows_expanded`).
     pub fn expanded_rows(&self) -> usize {
-        self.expanded_rows
-    }
-
-    /// The product name, `a||b||…` as for the classic path.
-    fn name(&self) -> String {
-        self.parts
-            .iter()
-            .map(|p| p.name().to_owned())
-            .collect::<Vec<_>>()
-            .join("||")
+        self.product.expanded
     }
 
     /// Finds the reachable product state with component-state tuple
-    /// `tuple`: expands pending rows in discovery order only until the
-    /// tuple is interned. `Ok(None)` means every reachable row is expanded
-    /// and the tuple is unreachable. Rows expanded here stay expanded, so
-    /// later calls resume where this one stopped.
+    /// `tuple`: expands queued rows in discovery order only until the tuple
+    /// is interned. `Ok(None)` means every reachable row is expanded and
+    /// the tuple is unreachable. Rows expanded here stay expanded, so later
+    /// calls resume where this one stopped.
     ///
     /// # Errors
     ///
     /// See [`LazyProduct::expand_row`].
     pub fn locate(&mut self, tuple: &[u32]) -> Result<Option<u32>> {
         loop {
-            if let Some(id) = self.tuples.get(tuple) {
+            if let Some(id) = self.product.comp.tuples.get(tuple) {
                 return Ok(Some(id));
             }
-            match self.pending.pop() {
-                Some(s) => self.expand_row(s)?,
+            match self.product.pending.pop() {
+                Some(s) => self.product.expand(&self.parts, s, &self.opts)?,
                 None => return Ok(None),
-            }
+            };
         }
     }
 
-    /// Whether row `s` has been expanded.
-    fn is_expanded(&self, s: u32) -> bool {
-        self.row_off[s as usize] != UNEXPANDED
-    }
-
-    /// The targets of the expanded row of `s`, in emit order (a target
-    /// repeats when several guards lead to it).
-    fn successors(&self, s: u32) -> &[u32] {
-        debug_assert!(self.is_expanded(s), "successor query on unexpanded row");
-        let off = self.row_off[s as usize] as usize;
-        &self.succ[off..off + self.row_len[s as usize] as usize]
-    }
-
-    /// The composed guards of the expanded row of `s`, in emit order.
-    /// Requires the row to be expanded.
-    pub fn row_guards(&self, s: u32) -> impl ExactSizeIterator<Item = &Guard> + '_ {
-        debug_assert!(self.is_expanded(s), "guard query on unexpanded row");
-        let off = self.row_off[s as usize] as usize;
-        self.succ_guards[off..off + self.row_len[s as usize] as usize]
-            .iter()
-            .map(|&g| self.guards.get(g))
-    }
-
-    /// Expands the outgoing row of `s` (no-op when already expanded),
-    /// interning newly discovered target states.
+    /// Expands the row of state `s` (an id [`LazyProduct::locate`]
+    /// returned), interning the target states it discovers; a no-op when
+    /// the row is already expanded.
     ///
     /// # Errors
     ///
@@ -650,190 +861,32 @@ impl<'a> LazyProduct<'a> {
     /// [`AutomataError::Limit`] when the discovered state count passes
     /// `max_states`.
     pub fn expand_row(&mut self, s: u32) -> Result<()> {
-        if self.is_expanded(s) {
-            return Ok(());
-        }
-        if self.state_count() > self.opts.max_states {
-            return Err(AutomataError::Limit {
-                what: "composed state space".into(),
-                max: self.opts.max_states,
-            });
-        }
-        // Collect the row in the reused row buffer first: the emit closure
-        // below interns new target states, which appends to the same arrays
-        // a direct row write would borrow.
-        let LazyProduct {
-            parts,
-            opts,
-            kernel,
-            tuples,
-            props,
-            row_off,
-            row_len,
-            succ,
-            succ_guards,
-            guards,
-            pending,
-            stats,
-            tuple_buf,
-            row_buf,
-            dedup,
-            ..
-        } = self;
-        tuple_buf.clear();
-        tuple_buf.extend_from_slice(tuples.tuple(s));
-        row_buf.clear();
-        dedup.next_row();
-        kernel.expand(parts, tuple_buf, opts, stats, guards, |guard, target| {
-            // Inline intern over the split-borrowed columns (the method form
-            // would re-borrow `self`).
-            let (id, fresh) = tuples.intern(target);
-            if fresh {
-                props.push(product_props(parts, target));
-                row_off.push(UNEXPANDED);
-                row_len.push(0);
-                pending.push(id);
-            }
-            // Classic dedup: drop exact (guard, target) repeats.
-            if !dedup.repeats(id) || !row_buf.contains(&(guard, id)) {
-                row_buf.push((guard, id));
-            }
-        })?;
-        let off = u32::try_from(succ.len()).expect("transition arena exceeds u32 range");
-        assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
-        row_off[s as usize] = off;
-        row_len[s as usize] = row_buf.len() as u32;
-        succ.extend(row_buf.iter().map(|&(_, t)| t));
-        succ_guards.extend(row_buf.iter().map(|&(g, _)| g));
-        self.expanded_rows += 1;
-        Ok(())
+        self.product.expand(&self.parts, s, &self.opts).map(drop)
     }
 
-    /// Drains the discovery worklist, expanding every reachable row. When no
-    /// row has been expanded out of band, this visits states in exactly the
-    /// classic compose order, so ids equal the classic numbering.
-    fn expand_all(&mut self) -> Result<()> {
-        while let Some(s) = self.pending.pop() {
-            self.expand_row(s)?;
-        }
-        Ok(())
+    /// The composed guards of the expanded row of `s`, in emit order.
+    /// Requires the row to be expanded.
+    pub fn row_guards(&self, s: u32) -> impl ExactSizeIterator<Item = &Guard> + '_ {
+        debug_assert!(self.product.has_row(s), "guard query on unexpanded row");
+        let m = &self.product.comp.automaton;
+        m.transitions_from(StateId(s))
+            .iter()
+            .map(move |t| m.guard(t.guard))
     }
 
-    /// The canonical discovery-order numbering: initial states first (in
-    /// cartesian order), then depth-first off a LIFO stack following each
-    /// row in emit order — the numbering the classic compose assigns. The
-    /// result maps current ids to canonical ids (`None` for states that are
-    /// unreachable under the canonical traversal, which cannot happen once
-    /// `expand_all` ran).
-    fn canonical_order(&self) -> Vec<Option<u32>> {
-        let n = self.state_count();
-        let mut order: Vec<Option<u32>> = vec![None; n];
-        let mut next = 0u32;
-        let mut stack: Vec<u32> = Vec::with_capacity(n);
-        for &q in &self.initial {
-            if order[q as usize].is_none() {
-                order[q as usize] = Some(next);
-                next += 1;
-                stack.push(q);
-            }
-        }
-        while let Some(s) = stack.pop() {
-            if !self.is_expanded(s) {
-                continue;
-            }
-            for &t in self.successors(s) {
-                if order[t as usize].is_none() {
-                    order[t as usize] = Some(next);
-                    next += 1;
-                    stack.push(t);
-                }
-            }
-        }
-        order
-    }
-
-    /// Expands every remaining row and materializes the product as a
-    /// [`Composition`] bit-identical to the classic path: canonical
-    /// renumbering, rows, tuples, and the CSR relation. Names, rows and
-    /// tuples are written into shared buffers, so nothing is allocated per
-    /// state, and the product's guard table becomes the automaton's.
+    /// Expands every remaining row in discovery order and returns the
+    /// product. Nothing is renumbered: rows expanded out of turn keep the
+    /// ids they were given, so the result is [`compose`](crate::compose)'s
+    /// product up to a renaming of states (work counters included), and
+    /// bit for bit when no row was expanded out of turn.
     ///
     /// # Errors
     ///
-    /// Any expansion error (see [`LazyProduct::expand_row`]); validation
-    /// errors as for [`compose`](crate::compose::compose).
-    pub fn into_composition(self) -> Result<Composition> {
-        self.materialize().map(|(comp, _)| comp)
-    }
-
-    /// [`LazyProduct::into_composition`], also returning the row kernel,
-    /// whose memo refers to the composition's guard table and stays valid
-    /// for it.
-    pub(crate) fn materialize(mut self) -> Result<(Composition, RowKernel)> {
-        self.expand_all()?;
-        let n = self.state_count();
-        // old id -> canonical id, and back
-        let order: Vec<u32> = self
-            .canonical_order()
-            .into_iter()
-            .map(|o| o.expect("expand_all left no unreachable state"))
-            .collect();
-        let identity = order.iter().enumerate().all(|(i, &o)| o == i as u32);
-        let mut back: Vec<u32> = vec![0; n];
-        for (old, &new) in order.iter().enumerate() {
-            back[new as usize] = old as u32;
-        }
-        let initial: Vec<StateId> = self
-            .initial
-            .iter()
-            .map(|&q| StateId(order[q as usize]))
-            .collect();
-        let mut automaton = Automaton::empty(
-            self.parts[0].universe().clone(),
-            self.name(),
-            (self.kernel.all_inputs(), self.kernel.all_outputs()),
-            std::mem::take(&mut self.guards),
-            initial,
-        );
-        automaton.reserve(n, self.succ.len());
-        for &old in &back {
-            let s = automaton.push_state(self.props[old as usize], |buf| {
-                write_product_name(&self.parts, self.tuples.tuple(old), buf)
-            });
-            let off = self.row_off[old as usize] as usize;
-            let len = self.row_len[old as usize] as usize;
-            for (&t, &guard) in self.succ[off..off + len]
-                .iter()
-                .zip(&self.succ_guards[off..off + len])
-            {
-                automaton.push_transition(
-                    s,
-                    Transition {
-                        guard,
-                        to: StateId(order[t as usize]),
-                    },
-                );
-            }
-        }
-        automaton.validate()?;
-        let csr = Csr::of(&automaton);
-        if !identity {
-            self.tuples.remap(&order, n);
-        }
-        let comp = Composition {
-            automaton,
-            component_names: self.parts.iter().map(|p| p.name().to_owned()).collect(),
-            interfaces: self
-                .parts
-                .iter()
-                .map(|p| (p.inputs(), p.outputs()))
-                .collect(),
-            stats: self.stats,
-            csr,
-            tuples: self.tuples,
-            reachable: n,
-        };
-        Ok((comp, self.kernel))
+    /// As for [`LazyProduct::expand_row`], and validation errors as for
+    /// [`compose`](crate::compose).
+    pub fn finish(mut self) -> Result<Composition> {
+        self.product.finish(&self.parts, &self.opts)?;
+        Ok(self.product.comp)
     }
 }
 
@@ -885,104 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_rows_match_compose_rows() {
-        let u = Universe::new();
-        let (c, s) = pair(&u);
-        let classic = crate::compose::compose2(&c, &s).unwrap();
-        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
-        lp.expand_all().unwrap();
-        assert_eq!(lp.state_count(), classic.automaton.state_count());
-        for st in 0..lp.state_count() as u32 {
-            let mut name = String::new();
-            write_product_name(&lp.parts, lp.tuples.tuple(st), &mut name);
-            assert_eq!(name, classic.automaton.state_name(StateId(st)));
-            assert_eq!(
-                lp.props[st as usize],
-                classic.automaton.props_of(StateId(st))
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_order_expansion_renumbers_to_classic() {
-        // A client that branches at once and then runs on along each
-        // branch: the classic LIFO worklist expands the second branch
-        // before the first, so expanding rows breadth-first (lowest id
-        // first) numbers the states differently and `materialize` must
-        // renumber rows, names and tuples into the classic order.
-        let u = Universe::new();
-        let c = AutomatonBuilder::new(&u, "client")
-            .output("a")
-            .output("b")
-            .state("idle")
-            .initial("idle")
-            .state("w1")
-            .state("w2")
-            .state("d1")
-            .state("d2")
-            .transition("idle", [], ["a"], "w1")
-            .transition("idle", [], ["b"], "w2")
-            .transition("w1", [], [], "d1")
-            .transition("w2", [], [], "d2")
-            .transition("d1", [], [], "d1")
-            .transition("d2", [], [], "d2")
-            .build()
-            .unwrap();
-        let s = AutomatonBuilder::new(&u, "server")
-            .input("a")
-            .input("b")
-            .state("s")
-            .initial("s")
-            .transition("s", ["a"], [], "s")
-            .transition("s", ["b"], [], "s")
-            .transition("s", [], [], "s")
-            .build()
-            .unwrap();
-        let classic = crate::compose::compose2(&c, &s).unwrap();
-        let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
-        let mut row = 0;
-        while (row as usize) < lp.state_count() {
-            lp.expand_row(row).unwrap();
-            row += 1;
-        }
-        let bfs_names: Vec<String> = (0..lp.state_count() as u32)
-            .map(|q| {
-                let mut name = String::new();
-                write_product_name(&lp.parts, lp.tuples.tuple(q), &mut name);
-                name
-            })
-            .collect();
-        assert!(
-            bfs_names
-                .iter()
-                .zip(classic.automaton.state_ids())
-                .any(|(name, st)| name != classic.automaton.state_name(st)),
-            "breadth-first expansion must differ from the classic order"
-        );
-        let comp = lp.into_composition().unwrap();
-        assert_eq!(
-            comp.automaton.state_count(),
-            classic.automaton.state_count()
-        );
-        for st in classic.automaton.state_ids() {
-            assert_eq!(
-                comp.automaton.state_name(st),
-                classic.automaton.state_name(st)
-            );
-            assert_eq!(
-                comp.automaton.transitions_from(st),
-                classic.automaton.transitions_from(st)
-            );
-        }
-        assert_eq!(comp.csr, classic.csr);
-        for st in classic.automaton.state_ids() {
-            assert_eq!(comp.tuple(st), classic.tuple(st));
-            // The renumbered arena still finds every tuple's new id.
-            assert_eq!(comp.tuples.get(comp.tuple(st)), Some(st.0));
-        }
-    }
-
-    #[test]
     fn deadlock_rows_are_empty() {
         let u = Universe::new();
         let c = pair(&u).0;
@@ -997,16 +952,15 @@ mod tests {
             .build()
             .unwrap();
         let mut lp = LazyProduct::new(&[&c, &s], &ComposeOptions::default()).unwrap();
-        lp.expand_all().unwrap();
-        let dead: Vec<u32> = (0..lp.state_count() as u32)
-            .filter(|&st| lp.successors(st).is_empty())
-            .collect();
-        assert_eq!(dead.len(), 1, "one deadlock state: {dead:?}");
-        assert_eq!(lp.row_guards(dead[0]).len(), 0);
-        let comp = lp.into_composition().unwrap();
-        let stuck = comp.automaton.find_state("waiting||stuck").unwrap();
-        assert!(comp.automaton.transitions_from(stuck).is_empty());
-        assert!(comp.csr.is_deadlocked(stuck.index()));
+        let waiting = c.find_state("waiting").unwrap().0;
+        let stuck = s.find_state("stuck").unwrap().0;
+        let dead = lp.locate(&[waiting, stuck]).unwrap().expect("reachable");
+        lp.expand_row(dead).unwrap();
+        assert_eq!(lp.row_guards(dead).len(), 0);
+        let comp = lp.finish().unwrap();
+        assert_eq!(comp.automaton.state_name(StateId(dead)), "waiting||stuck");
+        assert!(comp.automaton.transitions_from(StateId(dead)).is_empty());
+        assert!(comp.csr.is_deadlocked(dead as usize));
     }
 
     #[test]
@@ -1017,8 +971,8 @@ mod tests {
             max_states: 1,
             ..ComposeOptions::default()
         };
-        let mut lp = LazyProduct::new(&[&c, &s], &opts).unwrap();
-        assert!(matches!(lp.expand_all(), Err(AutomataError::Limit { .. })));
+        let lp = LazyProduct::new(&[&c, &s], &opts).unwrap();
+        assert!(matches!(lp.finish(), Err(AutomataError::Limit { .. })));
     }
 
     /// The arena against a `HashMap` reference: every lookup before an

@@ -73,8 +73,7 @@ pub use chaos::{chaotic_automaton, chaotic_closure, CHAOS_PROP, S_ALL, S_DELTA};
 pub use csr::Csr;
 
 pub use compose::{
-    compose, compose2, compose_reference, project_to_component, ComposeOptions, ComposeStats,
-    Composition,
+    compose, compose2, project_to_component, ComposeOptions, ComposeStats, Composition,
 };
 pub use determinize::{determinize, determinize_with, DeterminizeOptions};
 pub use dot::to_dot;

@@ -1,11 +1,13 @@
-//! Differential tests for the arena-backed lazy product: [`compose`] (which
-//! expands through [`LazyProduct`] and solves rows with the memoizing
+//! Differential tests for the one product engine: [`compose`] (which
+//! expands rows in discovery order and solves them with the memoizing
 //! bitset kernel) must be **bit-identical** to the classic materializing
-//! kernel [`compose_reference`] (per-signal solver, no memo) — same state
-//! numbering, names, props, transition rows (guards resolved, so the order
-//! guards were interned in does not matter), origin tuples, CSR and work
-//! counters — over random corpora, and regardless of the order rows are
-//! expanded in.
+//! kernel [`compose_reference`] of `muml-testkit` (per-signal solver, no
+//! memo) — same state numbering, names, props, transition rows (guards
+//! resolved, so the order guards were interned in does not matter), origin
+//! tuples, CSR and work counters — over random corpora, and fail where it
+//! fails with the same error. A [`LazyProduct`] expanded partly out of
+//! turn, as the frontier probe expands it, must still be `compose`'s
+//! product up to a renaming of states.
 //!
 //! The exact-label corpus covers plain handshakes. The chaotic-closure
 //! corpus covers what only symbolic guards reach: guard families, exclusion
@@ -18,7 +20,7 @@
 use std::collections::{HashMap, HashSet};
 
 use muml_automata::*;
-use muml_testkit::{cases, Rng};
+use muml_testkit::{assert_same_product, cases, compose_reference, Rng};
 
 /// Pure-data description of a random automaton over a small fixed alphabet
 /// (2 inputs, 2 outputs), mirroring `kernel_properties`.
@@ -132,18 +134,6 @@ fn row(m: &Automaton, s: StateId) -> Vec<(&Guard, StateId)> {
         .iter()
         .map(|t| (m.guard(t.guard), t.to))
         .collect()
-}
-
-/// Expands every row of `lp` lowest id first — breadth-first, where the
-/// classic discovery order is depth-first — and materializes it, so
-/// `into_composition` has to renumber the states.
-fn expand_lowest_first(mut lp: LazyProduct<'_>) -> Composition {
-    let mut s = 0;
-    while (s as usize) < lp.state_count() {
-        lp.expand_row(s).expect("within limits");
-        s += 1;
-    }
-    lp.into_composition().expect("renumbers")
 }
 
 /// Composes `parts` with both kernels and asserts they agree bit-for-bit or
@@ -266,8 +256,8 @@ impl Coverage {
     }
 }
 
-/// The headline invariant: the lazy-product-backed [`compose`] and the
-/// classic [`compose_reference`] agree bit-for-bit — or fail identically —
+/// The headline invariant: the engine-backed [`compose`] and the classic
+/// [`compose_reference`] agree bit-for-bit — or fail identically —
 /// on a 200-seed corpus of random cross-wired pairs.
 #[test]
 fn lazy_compose_matches_reference_on_corpus() {
@@ -292,25 +282,54 @@ fn lazy_compose_matches_reference_on_corpus() {
     });
 }
 
-/// Expansion order must not leak into the finished composition: expanding
-/// rows lowest id first (breadth-first, where the classic discovery order
-/// is depth-first) and renumbering via `into_composition` reproduces the
-/// reference bit-for-bit.
+/// The memo key must tell apart family guards whose boxes agree and
+/// whose exclusion lists differ: `srv` accepts any subset of `{req}`
+/// except `{req}` at `s0` and except `{}` at `s1`.
 #[test]
-fn out_of_order_lazy_expansion_matches_reference_on_corpus() {
-    cases(200, |rng| {
-        let u = Universe::new();
-        let (a, b) = gen_pair(rng, &u);
-        let parts = [&a, &b];
-        let opts = ComposeOptions::default();
-        let reference = match compose_reference(&parts, &opts) {
-            Ok(c) => c,
-            // Failure parity is covered by the corpus test above.
-            Err(_) => return,
-        };
-        let lazy = expand_lowest_first(LazyProduct::new(&parts, &opts).expect("lazy product"));
-        assert_compositions_identical(&lazy, &reference, "out-of-order vs reference");
-    });
+fn memo_key_covers_exclusion_lists() {
+    let u = Universe::new();
+    let req = SignalSet::singleton(u.signal("req"));
+    let except = |l: Label| {
+        let mut fam = LabelFamily::all(req, SignalSet::EMPTY);
+        fam.excluded.push(l);
+        Guard::from(fam)
+    };
+    let s = AutomatonBuilder::new(&u, "srv")
+        .input("req")
+        .state("s0")
+        .initial("s0")
+        .state("s1")
+        .transition_guard("s0", except(Label::new(req, SignalSet::EMPTY)), "s1")
+        .transition_guard("s1", except(Label::EMPTY), "s0")
+        .build()
+        .unwrap();
+    // A client that may or may not send `req`.
+    let c = AutomatonBuilder::new(&u, "cli")
+        .output("req")
+        .state("t")
+        .initial("t")
+        .transition("t", [], ["req"], "t")
+        .transition("t", [], [], "t")
+        .build()
+        .unwrap();
+    let comp = compose2(&c, &s).unwrap();
+    let m = &comp.automaton;
+    let row = |name: &str| -> Vec<(Guard, String)> {
+        let st = m.find_state(name).unwrap();
+        m.transitions_from(st)
+            .iter()
+            .map(|t| (m.guard(t.guard).clone(), m.state_name(t.to).to_owned()))
+            .collect()
+    };
+    // At s0 only silence passes, at s1 only `req`.
+    assert_eq!(row("t||s0"), [(Guard::Exact(Label::EMPTY), "t||s1".into())]);
+    assert_eq!(
+        row("t||s1"),
+        [(Guard::Exact(Label::new(req, req)), "t||s0".into())]
+    );
+    let reference = compose_reference(&[&c, &s], &ComposeOptions::default()).unwrap();
+    assert_eq!(comp.automaton, reference.automaton);
+    assert_eq!(comp.stats, reference.stats);
 }
 
 /// Three-way products (two cross-wired parts plus an observer with private
@@ -384,25 +403,6 @@ fn chaotic_closures_match_reference_on_corpus() {
     assert!(coverage.stats.family_guards > 0, "{coverage:?}");
     assert!(coverage.stats.expanded_labels > 0, "{coverage:?}");
     assert!(coverage.guards > 10_000, "{coverage:?}");
-}
-
-/// Out-of-order expansion of closure products renumbers to the reference
-/// as well, work counters included.
-#[test]
-fn out_of_order_closure_expansion_matches_reference() {
-    cases(100, |rng| {
-        let u = Universe::new();
-        let ctx = build(&u, "a", ["i0", "i1"], ["o0", "o1"], &gen_spec(rng, 5, 10));
-        let m = gen_incomplete(rng, &u, "l", &["o0", "o1", "e"], &["i0", "i1", "f"]);
-        let closure = chaotic_closure(&m, None);
-        let parts = [&ctx, &closure];
-        let opts = ComposeOptions::default();
-        let Ok(reference) = compose_reference(&parts, &opts) else {
-            return;
-        };
-        let lazy = expand_lowest_first(LazyProduct::new(&parts, &opts).expect("lazy product"));
-        assert_compositions_identical(&lazy, &reference, "out-of-order closure product");
-    });
 }
 
 /// A driver that pushes `up` `k` times and then idles (never listening for
@@ -522,8 +522,7 @@ fn lockstep_rings(rng: &mut Rng, u: &Universe, n: usize) -> (Automaton, Automato
 /// fill a tiny fraction of their `n × n` box, so the product numbers its
 /// states through the hash interner rather than a dense table of the
 /// whole box (its heap stays far below what that table would take). It
-/// must still equal the reference, work counters and emit order included,
-/// and regardless of expansion order.
+/// must still equal the reference, work counters and emit order included.
 #[test]
 fn sparse_lockstep_products_match_reference() {
     cases(40, |rng| {
@@ -539,10 +538,6 @@ fn sparse_lockstep_products_match_reference() {
             comp.heap_bytes(),
             n * n * 4
         );
-        let opts = ComposeOptions::default();
-        let reference = compose_reference(&[&a, &b], &opts).expect("rings compose");
-        let lazy = expand_lowest_first(LazyProduct::new(&[&a, &b], &opts).expect("lazy product"));
-        assert_compositions_identical(&lazy, &reference, "out-of-order lockstep rings");
     });
 }
 
@@ -577,5 +572,71 @@ fn four_part_products_with_empty_middle_rows_match_reference() {
         blocked.get() > 50,
         "only {} product states reach an empty middle row",
         blocked.get()
+    );
+}
+
+/// Expansion as the frontier probe does it: locate a few reachable tuples,
+/// expanding each located row out of turn, then finish in discovery order.
+/// Nothing is renumbered, so the result must be `compose`'s product up to
+/// a renaming of states, with the same work counters, and every located
+/// row must read as `compose`'s row of that tuple.
+#[test]
+fn partly_out_of_order_expansion_matches_compose_up_to_renaming() {
+    let renumbered = std::cell::Cell::new(0usize);
+    cases(200, |rng| {
+        let u = Universe::new();
+        let (a, b) = gen_pair(rng, &u);
+        let ctx = build(&u, "a", ["i0", "i1"], ["o0", "o1"], &gen_spec(rng, 5, 10));
+        let m = gen_incomplete(rng, &u, "l", &["o0", "o1", "e"], &["i0", "i1", "f"]);
+        let closure = chaotic_closure(&m, None);
+        let ticker = ticker_context(&u, rng.range(1..=4), 3, rng.range(2..=3));
+        let counter = gen_incomplete(rng, &u, "counter", &["up", "e"], &["top"]);
+        let counter_closure = chaotic_closure(&counter, None);
+        let shapes: [(&[&Automaton], &str); 3] = [
+            (&[&a, &b], "cross-wired pair"),
+            (&[&ctx, &closure], "context with closure"),
+            (&[&ticker, &counter_closure], "ticker context"),
+        ];
+        for (parts, what) in shapes {
+            let opts = ComposeOptions::default();
+            let Ok(whole) = compose(parts, &opts) else {
+                continue;
+            };
+            let mut lp = LazyProduct::new(parts, &opts).expect("parts compose");
+            for _ in 0..rng.range(1..=3) {
+                // Mostly early states: their rows are the likeliest to be
+                // expanded out of turn while later ones still wait.
+                let early = rng.range(1..=whole.automaton.state_count());
+                let target = StateId(rng.below(early) as u32);
+                let s = lp
+                    .locate(whole.tuple(target))
+                    .expect("within limits")
+                    .expect("the tuple is reachable");
+                lp.expand_row(s).expect("within limits");
+                let whole_row: Vec<&Guard> = whole
+                    .automaton
+                    .transitions_from(target)
+                    .iter()
+                    .map(|t| whole.automaton.guard(t.guard))
+                    .collect();
+                assert_eq!(lp.row_guards(s).collect::<Vec<_>>(), whole_row, "{what}");
+            }
+            let finished = lp.finish().expect("within limits");
+            assert_same_product(what, &finished, &whole);
+            assert_eq!(finished.stats, whole.stats, "{what}: compose stats");
+            if finished
+                .automaton
+                .state_ids()
+                .any(|s| finished.tuple(s) != whole.tuple(s))
+            {
+                renumbered.set(renumbered.get() + 1);
+            }
+        }
+    });
+    // Out-of-turn rows must actually have moved ids in part of the corpus.
+    assert!(
+        renumbered.get() > 50,
+        "only {} products were numbered differently",
+        renumbered.get()
     );
 }

@@ -12,7 +12,7 @@
 //! plus the steps it saved, which is what the serial executor
 //! (`execute_with_retry_on`: a record drive and a replay from reset per
 //! attempt) would have driven for the same tests. The per-step
-//! [`LatentComponent`](muml_legacy::LatentComponent) latency weights the
+//! [`LatentComponent`] latency weights the
 //! wall-clock numbers the way a real test rig would.
 
 use std::time::{Duration, Instant};

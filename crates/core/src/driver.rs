@@ -133,8 +133,6 @@ pub struct IntegrationConfig {
     /// Safety cap on iterations (Theorem 2 guarantees termination for
     /// finite deterministic components; the cap guards misuse).
     pub max_iterations: usize,
-    /// Composition options.
-    pub compose: ComposeOptions,
     /// How many distinct deadlock counterexamples to derive (and test) per
     /// verification run. `1` reproduces the paper's base scheme; larger
     /// values implement the Section-7 improvement of learning from several
@@ -176,7 +174,6 @@ impl Default for IntegrationConfig {
     fn default() -> Self {
         IntegrationConfig {
             max_iterations: 10_000,
-            compose: ComposeOptions::default(),
             batch_counterexamples: 1,
             cancel: None,
             retry: RetryPolicy::default(),
@@ -192,13 +189,6 @@ impl IntegrationConfig {
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets the composition options.
-    #[must_use]
-    pub fn with_compose(mut self, compose: ComposeOptions) -> Self {
-        self.compose = compose;
         self
     }
 
@@ -676,7 +666,8 @@ pub(crate) fn run_loop(
         for (acc, d) in run_delta.iter_mut().zip(&deltas) {
             acc.merge(d);
         }
-        let (info, carry) = cache.recompose(&learned, &deltas, Some(chaos), &config.compose)?;
+        let (info, carry) =
+            cache.recompose(&learned, &deltas, Some(chaos), &ComposeOptions::default())?;
         let comp = cache.composition();
         let compose_ns = compose_timer.stop(&mut stats.timings);
         match info.mode {
@@ -1425,8 +1416,7 @@ mod tests {
         let c = IntegrationConfig::default()
             .with_max_iterations(7)
             .with_batch_counterexamples(3)
-            .with_test_parallelism(0)
-            .with_compose(ComposeOptions::default());
+            .with_test_parallelism(0);
         assert_eq!(c.max_iterations, 7);
         assert_eq!(c.batch_counterexamples, 3);
         assert_eq!(c.test_parallelism, 1, "a zero width is clamped to serial");

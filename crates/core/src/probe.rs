@@ -211,7 +211,7 @@ pub(crate) fn probe_frontier(
             closures,
             &proj_tuple,
             own_in,
-            &config.compose,
+            &ComposeOptions::default(),
             &mut stats.probe_rows_expanded,
         )?
         else {
@@ -345,7 +345,6 @@ pub(crate) fn probe_frontier(
         StateId(dead_tuple[0]),
         learned,
         &frontier_states,
-        config,
     )? {
         Ok(FrontierResult::Progress {
             component: "resolved by earlier learning".to_owned(),
@@ -370,7 +369,6 @@ fn joint_step_exists(
     ctx_state: StateId,
     learned: &[IncompleteAutomaton],
     frontier_states: &[String],
-    config: &IntegrationConfig,
 ) -> Result<bool, CoreError> {
     use muml_automata::AutomatonBuilder;
 
@@ -420,7 +418,7 @@ fn joint_step_exists(
         slice_parts.push(slice);
     }
     let refs: Vec<&Automaton> = slice_parts.iter().collect();
-    let comp = compose(&refs, &config.compose)?;
+    let comp = compose(&refs, &ComposeOptions::default())?;
     let init = comp.automaton.initial_states()[0];
     Ok(!comp.automaton.transitions_from(init).is_empty())
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`JobRequest`] is *pure data*: the coordinates of one campaign cell
 //! (scenario × pattern × variant × fault) plus its resource budget. Unlike
-//! the closure-carrying [`Job`](crate::Job), a request crosses process
+//! the closure-carrying [`Job`], a request crosses process
 //! boundaries — its [`ToJson`] / [`FromJson`] table gives it a stable JSON
 //! encoding (versioned under the `"v"` key), so the same type is
 //! simultaneously

@@ -13,7 +13,7 @@
 //!
 //! These baselines learn an **under-approximation** and need an equivalence
 //! oracle to conclude anything; the paper's approach
-//! ([`muml_core::verify_integration`]) starts from a safe
+//! (`muml_core::verify_integration`) starts from a safe
 //! **over-approximation** (the chaotic closure) and therefore never needs
 //! an equivalence check, stops as soon as the *context-relevant* behaviour
 //! is covered, and reports no false negatives. The benches in `muml-bench`

@@ -30,8 +30,8 @@ pub struct LearnStats {
 pub struct ComponentOracle<'a> {
     component: &'a mut dyn LegacyComponent,
     cache: HashMap<Vec<SignalSet>, Vec<SignalSet>>,
-    /// Cost counters (shared with the equivalence oracle via
-    /// [`ComponentOracle::stats_mut`]).
+    /// Cost counters (the equivalence oracle of the learners books its
+    /// queries here as well).
     pub stats: LearnStats,
 }
 

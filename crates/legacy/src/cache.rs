@@ -1382,27 +1382,16 @@ mod tests {
             u.signals(["reject"]),
         ];
         let out_sets = [SignalSet::EMPTY, u.signals(["propose"])];
-        let mut xs = 0x0123_4567_89AB_CDEF_u64;
-        let mut next = move || {
-            xs ^= xs << 13;
-            xs ^= xs >> 7;
-            xs ^= xs << 17;
-            xs
-        };
+        let mut rng = muml_testkit::Rng::with_seed(0x0123_4567_89AB_CDEF);
         for seed in 0..200u64 {
             // A pseudo-random expected trace of length 1..=5, plus its
             // one-step extension — exercising miss, hit, and resume.
-            let len = (next() % 5 + 1) as usize;
+            let len = rng.range(1..=5);
             let word: Vec<Label> = (0..len)
-                .map(|_| {
-                    Label::new(
-                        a_sets[(next() % 3) as usize],
-                        out_sets[(next() % 2) as usize],
-                    )
-                })
+                .map(|_| Label::new(a_sets[rng.below(3)], out_sets[rng.below(2)]))
                 .collect();
             let mut extension = word.clone();
-            extension.push(Label::new(a_sets[(next() % 3) as usize], SignalSet::EMPTY));
+            extension.push(Label::new(a_sets[rng.below(3)], SignalSet::EMPTY));
 
             // Clean rig (an UnreliableRig with a clean profile, so the
             // cache path sees the wrapper, not the bare interpreter).

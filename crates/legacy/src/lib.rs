@@ -12,7 +12,7 @@
 //!   interpreter standing in for real legacy code (see DESIGN.md §5 for the
 //!   substitution argument).
 //! * [`record_live`] / [`replay`] — the two-phase, probe-effect-free
-//!   monitoring workflow of [22]: record messages + periods with minimal
+//!   monitoring workflow of \[22\]: record messages + periods with minimal
 //!   probes, then replay deterministically with full state/timing
 //!   instrumentation (Listings 1.2 and 1.3).
 //! * [`execute_expected_trace`] — drive the component along a

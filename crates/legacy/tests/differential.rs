@@ -15,28 +15,9 @@ use muml_legacy::{
     execute_with_retry_cached, execute_with_retry_on, probe_offers_pooled, HiddenMealy,
     LegacyComponent, MealyBuilder, PortMap, RetryPolicy, RetryReport, SimClock, TraceCache,
 };
+use muml_testkit::Rng;
 
 const SEEDS: u64 = 200;
-
-/// xorshift64 — deterministic and dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const STATES: [&str; 3] = ["s0", "s1", "s2"];
 const IN_SETS: [&[&str]; 4] = [&[], &["a"], &["b"], &["a", "b"]];
@@ -49,7 +30,7 @@ fn sig(u: &Universe, names: &[&str]) -> SignalSet {
 /// A random total deterministic machine: exactly one rule per
 /// (state, input-set) pair, so every word is defined.
 fn build(u: &Universe, seed: u64) -> HiddenMealy {
-    let mut rng = Rng::new(seed.wrapping_add(1));
+    let mut rng = Rng::with_seed(seed.wrapping_add(1));
     let mut b = MealyBuilder::new(u, "legacy")
         .input("a")
         .input("b")
@@ -61,8 +42,8 @@ fn build(u: &Universe, seed: u64) -> HiddenMealy {
     b = b.initial("s0");
     for s in STATES {
         for ins in IN_SETS {
-            let outs = OUT_SETS[rng.below(4) as usize];
-            let next = STATES[rng.below(3) as usize];
+            let outs = OUT_SETS[rng.below(4)];
+            let next = STATES[rng.below(3)];
             b = b.rule(s, ins.iter().copied(), outs.iter().copied(), next);
         }
     }
@@ -76,13 +57,13 @@ fn word(u: &Universe, scratch: &mut HiddenMealy, rng: &mut Rng, len: usize) -> V
     scratch.reset();
     let mut w = Vec::with_capacity(len);
     for _ in 0..len {
-        let ins = sig(u, IN_SETS[rng.below(4) as usize]);
+        let ins = sig(u, IN_SETS[rng.below(4)]);
         let out = scratch.step(ins);
         w.push(Label::new(ins, out));
     }
     if rng.below(3) == 0 {
-        let t = rng.below(len as u64) as usize;
-        let mutated = sig(u, OUT_SETS[rng.below(4) as usize]);
+        let t = rng.below(len);
+        let mutated = sig(u, OUT_SETS[rng.below(4)]);
         w[t] = Label::new(w[t].inputs, mutated);
     }
     w
@@ -115,17 +96,17 @@ fn cached_resume_matches_serial_reset_and_replay_across_seeds() {
         let mut serial_c = build(&u, seed);
         let ports = PortMap::with_default("rearRole");
         let policy = RetryPolicy::default();
-        let mut rng = Rng::new(seed.wrapping_mul(7).wrapping_add(3));
+        let mut rng = Rng::with_seed(seed.wrapping_mul(7).wrapping_add(3));
 
-        let len = 1 + rng.below(4) as usize;
+        let len = 1 + rng.below(4);
         let base = word(&u, &mut scratch, &mut rng, len);
         // Increasing prefixes exercise checkpointed resume; the sibling
         // extension forks the trie; the repeated full word is a warm hit.
         let mut words: Vec<Vec<Label>> = (1..=len).map(|k| base[..k].to_vec()).collect();
         let mut sibling = base.clone();
         sibling.push(Label::new(
-            sig(&u, IN_SETS[rng.below(4) as usize]),
-            sig(&u, OUT_SETS[rng.below(4) as usize]),
+            sig(&u, IN_SETS[rng.below(4)]),
+            sig(&u, OUT_SETS[rng.below(4)]),
         ));
         words.push(sibling);
         words.push(base.clone());
@@ -159,9 +140,9 @@ fn probe_batches_match_serial_per_offer_across_seeds() {
         let mut serial_c = build(&u, seed);
         let ports = PortMap::with_default("rearRole");
         let policy = RetryPolicy::default();
-        let mut rng = Rng::new(seed.wrapping_mul(13).wrapping_add(7));
+        let mut rng = Rng::with_seed(seed.wrapping_mul(13).wrapping_add(7));
 
-        let len = 1 + rng.below(3) as usize;
+        let len = 1 + rng.below(3);
         let prefix = word(&u, &mut scratch, &mut rng, len);
         let offers: Vec<SignalSet> = IN_SETS.iter().map(|s| sig(&u, s)).collect();
 

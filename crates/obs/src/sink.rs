@@ -185,7 +185,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 /// A cloneable, thread-safe handle fanning many producers into one shared
 /// sink (`Arc<Mutex<dyn EventSink + Send>>`).
 ///
-/// Daemon workers each run their own [`IntegrationSession`] with its own
+/// Daemon workers each run their own `IntegrationSession` (`muml_core`) with its own
 /// `&mut dyn EventSink`; `SharedSink` lets all of them feed one collector
 /// without any worker owning it. Combine with [`Tee`] to additionally keep
 /// a local per-worker stream.

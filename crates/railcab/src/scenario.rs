@@ -5,7 +5,7 @@
 //! the known front role (`shuttle1`) — Listing 1.1 shows both partners
 //! exchanging messages within one step, i.e. a delay-free link — so the
 //! walkthrough composes the legacy closure with
-//! [`front_context`](crate::front_context) directly.
+//! [`front_context`] directly.
 //!
 //! Note on concrete traces: our model checker returns *shortest*
 //! counterexamples, while the authors' checker returned a longer one in

@@ -1,6 +1,6 @@
 //! The durable job journal: crash-safe intent logging for the daemon.
 //!
-//! Every admitted [`JobRequest`](muml_fleet::JobRequest) is appended to an
+//! Every admitted [`JobRequest`] is appended to an
 //! on-disk journal *before* the submit reply goes back to the client, and
 //! every verdict is appended before it enters the in-memory history. After
 //! a crash (power loss, OOM-kill, plain SIGKILL) the restarting daemon

@@ -12,6 +12,9 @@
 //! * [`assert_same_product`] — the one comparison of two composed products
 //!   up to a renaming of states, which is the contract between a cold
 //!   composition and an incrementally maintained one;
+//! * [`compose_reference`] — the classic materializing composition with
+//!   its per-signal solver, kept as the executable specification of
+//!   [`muml_automata::compose`];
 //! * [`ReferenceChecker`] — the naive sweep kernel the bitset/worklist
 //!   [`muml_logic::Checker`] replaced, kept as its executable
 //!   specification;
@@ -28,8 +31,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use muml_automata::{Composition, StateId};
 
+mod compose;
 mod reference;
 
+pub use compose::compose_reference;
 pub use reference::ReferenceChecker;
 
 /// A splitmix64 pseudo-random generator (deterministic, `Copy`-cheap).
