@@ -30,11 +30,6 @@
 //!   Nothing downstream reads state numbers — the checker's verdicts and
 //!   witnesses start from the initial states and walk rows in emit order,
 //!   and listings, projections and probes read names and tuples.
-//! * [`WarmCarry`] reports which product states kept their entire forward
-//!   behaviour (they cannot reach any invalidated row), so a checker may
-//!   carry their satisfaction bits into the next iteration (see
-//!   `muml-logic`'s seeded checker; DESIGN.md §12 has the soundness
-//!   argument).
 //!
 //! Unreachable rows are dropped — the product compacted in id order — only
 //! once they outnumber the reachable ones.
@@ -90,33 +85,6 @@ pub struct RecomposeInfo {
     pub reused_states: usize,
     /// Transitions written while re-expanding rows (cold: all of them).
     pub spliced_transitions: usize,
-}
-
-/// Which previous-product states kept their satisfaction bits, and where
-/// they moved.
-///
-/// A state is *carried* iff it was reachable before the splice, is
-/// reachable after it, was not re-expanded, and cannot reach any
-/// invalidated row in the old transition relation: every path from it is
-/// over unchanged rows, so the truth of **every** CTL formula at it is
-/// unchanged (see DESIGN.md §12). `remap[old] = Some(new)` exactly for
-/// carried states; ids are stable, so `new == old` unless the splice
-/// compacted the product.
-#[derive(Debug, Clone)]
-pub struct WarmCarry {
-    /// Number of states in the previous product (`remap.len()`).
-    pub old_states: usize,
-    /// Number of states in the new product.
-    pub new_states: usize,
-    /// Old product id → new product id, for carried states only.
-    pub remap: Vec<Option<u32>>,
-}
-
-impl WarmCarry {
-    /// Number of carried states.
-    pub fn carried(&self) -> usize {
-        self.remap.iter().filter(|r| r.is_some()).count()
-    }
 }
 
 /// A chaotic closure that can be *patched* in place when its underlying
@@ -285,9 +253,7 @@ impl<'c> CompositionCache<'c> {
     /// append-only closure layout, and [`Composition::stats`] reflects the
     /// (smaller) incremental work.
     ///
-    /// Returns the work report and, for incremental recompositions, the
-    /// [`WarmCarry`] a checker needs to reuse the previous iteration's
-    /// satisfaction sets.
+    /// Returns the work report.
     ///
     /// # Errors
     ///
@@ -298,7 +264,7 @@ impl<'c> CompositionCache<'c> {
         deltas: &[LearnDelta],
         chaos_prop: Option<PropId>,
         opts: &ComposeOptions,
-    ) -> Result<(RecomposeInfo, Option<WarmCarry>)> {
+    ) -> Result<RecomposeInfo> {
         assert_eq!(legacy.len(), deltas.len(), "one delta per legacy component");
         let reusable = deltas.iter().all(|d| !d.initial_changed)
             && self
@@ -306,9 +272,7 @@ impl<'c> CompositionCache<'c> {
                 .as_ref()
                 .is_some_and(|st| st.closures.len() == legacy.len());
         if !reusable {
-            return self
-                .rebuild(legacy, chaos_prop, opts)
-                .map(|info| (info, None));
+            return self.rebuild(legacy, chaos_prop, opts);
         }
 
         // Dirty closure ids per component, in the cache's stable id space.
@@ -327,8 +291,7 @@ impl<'c> CompositionCache<'c> {
             dirty_closure.push(ids);
         }
         let comp = &st.product.comp;
-        let old_states = comp.automaton.state_count();
-        let dirty_rows: Vec<u32> = (0..old_states as u32)
+        let dirty_rows: Vec<u32> = (0..comp.automaton.state_count() as u32)
             .filter(|&r| {
                 st.product.is_settled(r)
                     && comp
@@ -340,29 +303,7 @@ impl<'c> CompositionCache<'c> {
             })
             .collect();
         if dirty_rows.len() as f64 > REBUILD_ABOVE * comp.reachable as f64 {
-            return self
-                .rebuild(legacy, chaos_prop, opts)
-                .map(|info| (info, None));
-        }
-
-        // States whose satisfaction bits cannot be carried: those that were
-        // unreachable, and the dirty cone over the *old* relation — every
-        // state that can reach an invalidated row. Every other state keeps
-        // its entire forward behaviour (DESIGN.md §12).
-        let mut stale: Vec<bool> = (0..old_states as u32)
-            .map(|s| !st.product.is_settled(s))
-            .collect();
-        let mut stack: Vec<u32> = dirty_rows.clone();
-        for &r in &dirty_rows {
-            stale[r as usize] = true;
-        }
-        while let Some(s) = stack.pop() {
-            for &p in comp.csr.predecessors(s as usize) {
-                if !stale[p as usize] {
-                    stale[p as usize] = true;
-                    stack.push(p);
-                }
-            }
+            return self.rebuild(legacy, chaos_prop, opts);
         }
 
         // Patch the closures, then splice the product.
@@ -382,26 +323,13 @@ impl<'c> CompositionCache<'c> {
                 return Err(e);
             }
         };
-        let remap = product.settle();
-
-        let carry = WarmCarry {
-            old_states,
-            new_states: product.comp.automaton.state_count(),
-            remap: remap
-                .iter()
-                .zip(&stale)
-                .map(|(&new, &stale)| {
-                    (!stale && new != u32::MAX && product.is_settled(new)).then_some(new)
-                })
-                .collect(),
-        };
-        let info = RecomposeInfo {
+        product.settle();
+        Ok(RecomposeInfo {
             mode: RecomposeMode::Incremental,
             dirty_states: expanded,
             reused_states: product.comp.reachable.saturating_sub(expanded),
             spliced_transitions: transitions,
-        };
-        Ok((info, Some(carry)))
+        })
     }
 
     fn rebuild(
@@ -556,7 +484,7 @@ mod tests {
         ))
         .unwrap();
         let d = m.take_delta();
-        let (info, _) = cache
+        let info = cache
             .recompose(std::slice::from_ref(&m), &[d], None, &opts)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Incremental);

@@ -697,10 +697,8 @@ impl Product {
     /// fell out of it, and rebuilds the CSR relation, re-sorting only the
     /// rows that changed and copying the rest from the previous relation.
     /// Once unreachable states outnumber reachable ones the product is
-    /// compacted in id order instead. Returns old id → new id (`u32::MAX`
-    /// for states compaction dropped): the identity unless the product was
-    /// compacted.
-    pub(crate) fn settle(&mut self) -> Vec<u32> {
+    /// compacted in id order instead.
+    pub(crate) fn settle(&mut self) {
         let Product {
             comp,
             rows,
@@ -752,7 +750,7 @@ impl Product {
             comp.tuples.remap(&remap, reachable);
             comp.csr = Csr::of(m);
             *rows = vec![Row::Settled; reachable];
-            return remap;
+            return;
         }
         let mut changed: Vec<bool> = rows.iter().map(|&r| r == Row::Expanded).collect();
         for s in 0..n {
@@ -772,7 +770,6 @@ impl Product {
         for (row, &l) in rows.iter_mut().zip(&live) {
             *row = if l { Row::Settled } else { Row::Idle };
         }
-        (0..n as u32).collect()
     }
 }
 

@@ -82,7 +82,7 @@ pub use incomplete::{
     IncompleteAutomaton, IncompleteSnapshot, LearnDelta, Observation, SnapshotRefusal,
     SnapshotState, SnapshotTransition,
 };
-pub use incremental::{ClosureCache, CompositionCache, RecomposeInfo, RecomposeMode, WarmCarry};
+pub use incremental::{ClosureCache, CompositionCache, RecomposeInfo, RecomposeMode};
 pub use label::{Guard, GuardId, Label, LabelFamily};
 pub use lazy::LazyProduct;
 pub use minimize::{equivalence_witness, equivalent, minimize};

@@ -8,7 +8,7 @@
 use muml_automata::{
     chaotic_closure, compose, Automaton, AutomatonBuilder, ComposeOptions, Composition,
     CompositionCache, GuardId, IncompleteAutomaton, Label, LearnDelta, Observation, RecomposeMode,
-    SignalSet, StateId, Universe, WarmCarry,
+    SignalSet, Universe,
 };
 use muml_testkit::assert_same_product;
 
@@ -41,18 +41,6 @@ fn cold_oracle(ctx: &Automaton, m: &IncompleteAutomaton) -> Composition {
     compose(&[ctx, &closure], &ComposeOptions::default()).unwrap()
 }
 
-/// Carried states keep their old satisfaction bits, which only hold for
-/// states still reachable in the new product.
-fn assert_carry_is_reachable(carry: &WarmCarry, comp: &Composition) {
-    let reachable = comp.automaton.reachable_states();
-    for new in carry.remap.iter().flatten() {
-        assert!(
-            reachable.contains(&StateId(*new)),
-            "carried state {new} is unreachable"
-        );
-    }
-}
-
 #[test]
 fn incremental_matches_cold_across_learning() {
     let u = Universe::new();
@@ -61,11 +49,10 @@ fn incremental_matches_cold_across_learning() {
     let mut cache = CompositionCache::new(&ctx);
     let opts = ComposeOptions::default();
     let d0 = m.take_delta();
-    let (info, carry) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d0], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
-    assert!(carry.is_none());
     assert_same_product("cold start", cache.composition(), &cold_oracle(&ctx, &m));
 
     // Learn a regular run: the start state gains a transition and a new
@@ -78,22 +65,14 @@ fn incremental_matches_cold_across_learning() {
     .unwrap();
     let d1 = m.take_delta();
     assert!(!d1.initial_changed);
-    let (info, carry) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d1], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
-    let carry = carry.unwrap();
     assert_same_product("first step", cache.composition(), &cold_oracle(&ctx, &m));
-    assert_carry_is_reachable(&carry, cache.composition());
-    assert_eq!(carry.old_states, carry.remap.len());
-    assert_eq!(
-        carry.new_states,
-        cache.composition().automaton.state_count()
-    );
 
     // Refuse the empty interaction at the new state: only its copies'
-    // rows are invalidated; the chaos tail of the product is out of the
-    // dirty cone and must be both reused and carried.
+    // rows are invalidated; the chaos tail of the product must be reused.
     m.learn(&Observation::blocked(
         vec!["start".into(), "started".into()],
         vec![ping, Label::EMPTY],
@@ -101,15 +80,12 @@ fn incremental_matches_cold_across_learning() {
     .unwrap();
     let d2 = m.take_delta();
     assert!(!d2.initial_changed);
-    let (info, carry) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d2], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
-    let carry = carry.unwrap();
     assert!(info.reused_states > 0, "{info:?}");
-    assert!(carry.carried() > 0, "{carry:?}");
     assert_same_product("refusal", cache.composition(), &cold_oracle(&ctx, &m));
-    assert_carry_is_reachable(&carry, cache.composition());
 
     // And one more regular step out of the refusing state.
     let pong = Label::new(SignalSet::EMPTY, u.signals(["pong"]));
@@ -119,11 +95,10 @@ fn incremental_matches_cold_across_learning() {
     ))
     .unwrap();
     let d3 = m.take_delta();
-    let (info, carry) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d3], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
-    assert!(carry.is_some());
     assert_same_product("second step", cache.composition(), &cold_oracle(&ctx, &m));
     // `dirty + reused` is the reachable product, as the loop reports it.
     assert_eq!(
@@ -133,7 +108,7 @@ fn incremental_matches_cold_across_learning() {
 }
 
 #[test]
-fn empty_delta_is_a_no_op_with_full_carry() {
+fn empty_delta_is_a_no_op() {
     let u = Universe::new();
     let ctx = context(&u);
     let mut m = legacy(&u);
@@ -144,7 +119,7 @@ fn empty_delta_is_a_no_op_with_full_carry() {
         .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     let before = cache.composition().automaton.clone();
-    let (info, carry) = cache
+    let info = cache
         .recompose(
             std::slice::from_ref(&m),
             &[LearnDelta::default()],
@@ -154,11 +129,6 @@ fn empty_delta_is_a_no_op_with_full_carry() {
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Incremental);
     assert_eq!(info.dirty_states, 0);
-    let carry = carry.unwrap();
-    assert_eq!(carry.carried(), before.state_count());
-    for (old, new) in carry.remap.iter().enumerate() {
-        assert_eq!(*new, Some(old as u32));
-    }
     assert_eq!(cache.composition().automaton, before);
     assert_same_product("empty delta", cache.composition(), &cold_oracle(&ctx, &m));
 }
@@ -201,11 +171,10 @@ fn dirtying_more_than_half_the_rows_rebuilds_cold() {
         .unwrap();
     let d = m.take_delta();
     assert!(!d.initial_changed);
-    let (info, carry) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);
-    assert!(carry.is_none());
     assert_same_product(
         "over half dirty",
         cache.composition(),
@@ -269,7 +238,7 @@ fn a_cold_rebuild_is_compose_bit_for_bit() {
         }
         let deltas = [m.take_delta()];
         let mut cache = CompositionCache::new(&ctx);
-        let (info, _) = cache
+        let info = cache
             .recompose(std::slice::from_ref(&m), &deltas, None, &opts)
             .unwrap();
         assert_eq!(info.mode, RecomposeMode::Cold);
@@ -299,7 +268,7 @@ fn initial_growth_forces_cold_rebuild() {
     .unwrap();
     let d = m.take_delta();
     assert!(d.initial_changed);
-    let (info, _) = cache
+    let info = cache
         .recompose(std::slice::from_ref(&m), &[d], None, &opts)
         .unwrap();
     assert_eq!(info.mode, RecomposeMode::Cold);

@@ -1,10 +1,10 @@
 //! `repro incr`: the loop's compose and check phases — the product spliced
-//! from each learn delta and the checker warm-started from the previous
-//! iteration's satisfaction sets — over the RailCab walkthroughs, scalable
-//! counter loops, and the `full`-variant fault campaign at zero harness
-//! latency. The splice's equivalence to a cold rebuild is checked where it
-//! is made (`crates/logic/tests/incremental_differential.rs`) and the
-//! loop's verdicts against ground truth (`tests/cross_validation.rs`); this
+//! from each learn delta and checked by a fresh checker — over the RailCab
+//! walkthroughs, scalable counter loops, and the `full`-variant fault
+//! campaign at zero harness latency. The splice's equivalence to a cold
+//! rebuild is checked where it is made
+//! (`crates/logic/tests/incremental_differential.rs`) and the loop's
+//! verdicts against ground truth (`tests/cross_validation.rs`); this
 //! benchmark measures the one loop (DESIGN.md §12).
 
 use muml_automata::Universe;
@@ -73,7 +73,7 @@ fn cell(name: String, report: &IntegrationReport) -> Cell {
             },
         )
         .counter("incremental_recomposes", stats.recompose_incremental)
-        .counter("checker_warm_states", stats.checker_warm_states)
+        .counter("checker_worklist_pops", stats.checker_worklist_pops)
         .counter("peak_product_bytes", stats.peak_product_bytes)
         .wall("compose_check", compose_check_ns(stats))
 }

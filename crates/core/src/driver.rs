@@ -53,7 +53,7 @@ use muml_legacy::{
     execute_with_retry_cached, probe_offers_pooled, CacheStats, PortMap, RetryPolicy, RetryReport,
     SimClock, StateObservable, TraceCache,
 };
-use muml_logic::{check_all_with, CheckSeed, Checker, Formula, Verdict};
+use muml_logic::{check_all_with, Checker, Formula, Verdict};
 use muml_obs::{EventSink, LoopEvent, NullSink, Phase, PhaseTimer, PhaseTimings, RunOutcome};
 use muml_store::{ComponentSignature, DeltaRecord, Snapshot, Store, StoreLookup};
 
@@ -396,11 +396,6 @@ pub struct IntegrationStats {
     /// States popped off the checker's unbounded-operator worklists,
     /// summed over all verification runs.
     pub checker_worklist_pops: u64,
-    /// Fixpoint memberships the checker carried over from previous
-    /// iterations' seeds instead of re-deriving.
-    pub checker_warm_states: u64,
-    /// Seed satisfaction-set words translated while warm-starting.
-    pub checker_reseeded_words: u64,
     /// Compose-phase nanoseconds spent in cold (full) rebuilds.
     pub compose_cold_ns: u64,
     /// Compose-phase nanoseconds spent splicing incrementally.
@@ -624,12 +619,10 @@ pub(crate) fn run_loop(
     let mut iterations = Vec::new();
     let mut stats = IntegrationStats::default();
     // The composition cache owns the chaotic closures and the product and
-    // splices each iteration's learn delta into them; the seed carries the
-    // previous iteration's satisfaction sets into the next check. The
-    // frontier probe's rest-of-system products live for the run as well.
+    // splices each iteration's learn delta into them. The frontier probe's
+    // rest-of-system products live for the run as well.
     let mut cache = CompositionCache::new(context);
     let mut rest = RestProducts::new(context, units.len());
-    let mut prev_seed: Option<CheckSeed> = None;
     // `stalled` counts consecutive iterations that quarantined without
     // learning anything, bounded by the flake budget.
     let mut stalled = 0usize;
@@ -666,8 +659,7 @@ pub(crate) fn run_loop(
         for (acc, d) in run_delta.iter_mut().zip(&deltas) {
             acc.merge(d);
         }
-        let (info, carry) =
-            cache.recompose(&learned, &deltas, Some(chaos), &ComposeOptions::default())?;
+        let info = cache.recompose(&learned, &deltas, Some(chaos), &ComposeOptions::default())?;
         let comp = cache.composition();
         let compose_ns = compose_timer.stop(&mut stats.timings);
         match info.mode {
@@ -703,25 +695,15 @@ pub(crate) fn run_loop(
         // …and check φ ∧ ¬δ.
         let check_timer = PhaseTimer::start(Phase::Check);
         // The composition already carries the CSR relation; borrowing it
-        // keeps adjacency construction out of the timed check phase. When
-        // the recompose spliced, warm-start from the previous iteration's
-        // satisfaction sets restricted to the carried (clean) states.
-        let mut checker = match (prev_seed.take(), &carry) {
-            (Some(seed), Some(carry)) => {
-                Checker::with_csr_seeded(&comp.automaton, &comp.csr, seed, carry)
-            }
-            _ => Checker::with_csr(&comp.automaton, &comp.csr),
-        };
+        // keeps adjacency construction out of the timed check phase.
+        let mut checker = Checker::with_csr(&comp.automaton, &comp.csr);
         let verdict = check_all_with(&mut checker, &checked)?;
         let check_ns = check_timer.stop(&mut stats.timings);
         let cstats = checker.stats;
-        prev_seed = Some(checker.into_seed());
         stats.checker_fixpoint_iterations += cstats.fixpoint_iterations;
         stats.checker_labeled_states += cstats.labeled_states;
         stats.checker_words_touched += cstats.words_touched;
         stats.checker_worklist_pops += cstats.worklist_pops;
-        stats.checker_warm_states += cstats.warm_states;
-        stats.checker_reseeded_words += cstats.reseeded_words;
         sink.emit(&LoopEvent::ModelChecked {
             iteration: index,
             holds: matches!(verdict, Verdict::Holds),
@@ -734,8 +716,6 @@ pub(crate) fn run_loop(
             words_touched: cstats.words_touched,
             worklist_pops: cstats.worklist_pops,
             peak_resident_sets: cstats.peak_resident_sets,
-            warm_states: cstats.warm_states,
-            reseeded_words: cstats.reseeded_words,
             nanos: check_ns,
         });
         let cex = match verdict {

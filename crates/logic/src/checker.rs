@@ -40,7 +40,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use muml_automata::{Automaton, Csr, PropId, StateId, WarmCarry};
+use muml_automata::{Automaton, Csr, PropId, StateId};
 
 use crate::ast::{Bound, Formula};
 use crate::bitset::BitSet;
@@ -122,53 +122,6 @@ pub struct CheckStats {
     /// Peak number of satisfaction sets resident in the interned
     /// subformula table.
     pub peak_resident_sets: u64,
-    /// States whose least-fixpoint membership was carried over from a
-    /// previous iteration's seed instead of being re-derived (see
-    /// [`Checker::with_csr_seeded`]).
-    pub warm_states: u64,
-    /// `u64` words of seed satisfaction sets translated through the carry
-    /// remap while warm-starting.
-    pub reseeded_words: u64,
-}
-
-/// A reusable snapshot of a finished [`Checker`]: the insertion-ordered
-/// subformula keys plus their satisfaction sets.
-///
-/// Produced by [`Checker::into_seed`] and consumed by
-/// [`Checker::with_csr_seeded`] to warm-start the *next* iteration's
-/// checker over a mutated product. Seeding is purely an acceleration: a
-/// seeded checker computes exactly the same satisfaction sets as a cold
-/// one (see the `seeded_matches_cold_*` tests).
-pub struct CheckSeed {
-    keys: Vec<Key>,
-    table: Vec<BitSet>,
-}
-
-impl CheckSeed {
-    /// Number of interned subformulas in the seed.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the seed holds no subformulas at all.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
-/// Seeding state of a warm-started checker: the previous iteration's
-/// snapshot plus the state carry. `aligned` tracks whether the new
-/// checker's intern sequence is still a prefix-match of the seed's —
-/// the first divergent key disables seeding permanently, because all
-/// later child ids may disagree.
-struct SeedState {
-    keys: Vec<Key>,
-    table: Vec<BitSet>,
-    /// `remap[old_state] = Some(new_state)` iff the old state survived
-    /// *outside the dirty cone* — only those states' fixpoint
-    /// memberships are guaranteed to persist.
-    remap: Vec<Option<u32>>,
-    aligned: bool,
 }
 
 /// A satisfaction-set evaluator over one automaton.
@@ -202,11 +155,6 @@ pub struct Checker<'a> {
     ids: KeyMap,
     /// Interned satisfaction sets, indexed by subformula id.
     table: Vec<BitSet>,
-    /// Insertion-ordered keys, parallel to `table` (the raw material of
-    /// [`Checker::into_seed`]).
-    keys: Vec<Key>,
-    /// Warm-start seed from the previous iteration, if any.
-    seed: Option<SeedState>,
     /// Work counters.
     pub stats: CheckStats,
 }
@@ -214,13 +162,17 @@ pub struct Checker<'a> {
 impl<'a> Checker<'a> {
     /// Creates a checker for `m`, deriving the CSR adjacency here.
     pub fn new(m: &'a Automaton) -> Self {
-        Checker::with_owned_csr(m, Csr::of(m))
+        Checker::over(m, Cow::Owned(Csr::of(m)))
     }
 
     /// Creates a checker for `m` borrowing a pre-built [`Csr`] — e.g. the
     /// one a [`Composition`](muml_automata::Composition) carries — so the
     /// relation is not re-derived per verification run.
     pub fn with_csr(m: &'a Automaton, csr: &'a Csr) -> Self {
+        Checker::over(m, Cow::Borrowed(csr))
+    }
+
+    fn over(m: &'a Automaton, csr: Cow<'a, Csr>) -> Self {
         assert_eq!(
             csr.state_count(),
             m.state_count(),
@@ -228,75 +180,9 @@ impl<'a> Checker<'a> {
         );
         Checker {
             m,
-            csr: Cow::Borrowed(csr),
+            csr,
             ids: KeyMap::with_capacity_and_hasher(32, Default::default()),
             table: Vec::with_capacity(32),
-            keys: Vec::with_capacity(32),
-            seed: None,
-            stats: CheckStats::default(),
-        }
-    }
-
-    /// Like [`Checker::with_csr`], but warm-started from a previous
-    /// iteration's [`CheckSeed`] over the predecessor product, with
-    /// `carry` mapping surviving clean states (the ones *outside* the
-    /// recomposition's dirty cone) to their new ids.
-    ///
-    /// Warm starting exploits a monotonicity fact of the learn loop: a
-    /// state outside the dirty cone cannot reach any modified state, so
-    /// its entire forward behaviour — and hence every CTL truth at it —
-    /// is unchanged. For the unbounded least fixpoints (`EF`/`AF`/
-    /// `E[U]`/`A[U]`, and `AG`/`EG` via their dual inner fixpoints) the
-    /// checker therefore initialises the worklist result with the
-    /// carried-over members and only re-derives membership for the dirty
-    /// cone and fresh states. Seeding applies per subformula and only
-    /// while the new intern sequence prefix-matches the seed's; any
-    /// divergence falls back to the cold computation for the remaining
-    /// subformulas. Results are bit-identical to a cold checker either
-    /// way.
-    pub fn with_csr_seeded(
-        m: &'a Automaton,
-        csr: &'a Csr,
-        seed: CheckSeed,
-        carry: &WarmCarry,
-    ) -> Self {
-        assert_eq!(
-            carry.new_states,
-            m.state_count(),
-            "carry does not match the new automaton"
-        );
-        assert_eq!(
-            carry.old_states,
-            carry.remap.len(),
-            "carry remap does not match its old state count"
-        );
-        let mut c = Checker::with_csr(m, csr);
-        c.seed = Some(SeedState {
-            keys: seed.keys,
-            table: seed.table,
-            remap: carry.remap.clone(),
-            aligned: true,
-        });
-        c
-    }
-
-    /// Consumes the checker and snapshots its interned subformulas for
-    /// warm-starting the next iteration via [`Checker::with_csr_seeded`].
-    pub fn into_seed(self) -> CheckSeed {
-        CheckSeed {
-            keys: self.keys,
-            table: self.table,
-        }
-    }
-
-    fn with_owned_csr(m: &'a Automaton, csr: Csr) -> Self {
-        Checker {
-            m,
-            csr: Cow::Owned(csr),
-            ids: KeyMap::with_capacity_and_hasher(32, Default::default()),
-            table: Vec::with_capacity(32),
-            keys: Vec::with_capacity(32),
-            seed: None,
             stats: CheckStats::default(),
         }
     }
@@ -375,63 +261,15 @@ impl<'a> Checker<'a> {
             return id;
         }
         let id = self.table.len();
-        let warm = self.seed_warm(id, key);
-        let set = self.compute(key, warm);
+        let set = self.compute(key);
         self.stats.labeled_states += set.len() as u64;
         self.table.push(set);
-        self.keys.push(key);
         self.stats.peak_resident_sets = self.stats.peak_resident_sets.max(self.table.len() as u64);
         self.ids.insert(key, id);
         id
     }
 
-    /// The warm-start set for the subformula about to be interned at
-    /// `id`, if the seed is still aligned and the key is an unbounded
-    /// least fixpoint. For `EF`/`AF`/`E[U]`/`A[U]` the carried states are
-    /// those where the previous result held; for `AG`/`EG` — computed by
-    /// duality over an inner lfp — the carried states are those where it
-    /// did *not* (old `AG φ` false at a clean surviving state means the
-    /// bad-reaching inner fixpoint provably still contains it).
-    ///
-    /// Any key mismatch at `id` permanently breaks alignment: child ids
-    /// of all later seed entries may no longer agree with the new
-    /// checker's numbering.
-    fn seed_warm(&mut self, id: usize, key: Key) -> Option<BitSet> {
-        let n = self.m.state_count();
-        let sd = self.seed.as_mut()?;
-        if !sd.aligned {
-            return None;
-        }
-        match sd.keys.get(id) {
-            Some(k) if *k == key => {}
-            _ => {
-                sd.aligned = false;
-                return None;
-            }
-        }
-        let negate = matches!(key, Key::Ag(None, _) | Key::Eg(None, _));
-        let direct = matches!(
-            key,
-            Key::Ef(None, _) | Key::Af(None, _) | Key::Eu(None, _, _) | Key::Au(None, _, _)
-        );
-        if !direct && !negate {
-            return None;
-        }
-        let old = &sd.table[id];
-        let mut warm = BitSet::empty(n);
-        for (old_s, slot) in sd.remap.iter().enumerate() {
-            if let Some(new_s) = slot {
-                if old.get(old_s) != negate {
-                    warm.insert(*new_s as usize);
-                }
-            }
-        }
-        self.stats.warm_states += warm.count_ones() as u64;
-        self.stats.reseeded_words += (old.word_count() + warm.word_count()) as u64;
-        Some(warm)
-    }
-
-    fn compute(&mut self, key: Key, warm: Option<BitSet>) -> BitSet {
+    fn compute(&mut self, key: Key) -> BitSet {
         let n = self.m.state_count();
         match key {
             Key::True => BitSet::full(n),
@@ -471,47 +309,34 @@ impl<'a> Checker<'a> {
                 self.note_sweep(&set);
                 set
             }
-            // Unbounded least fixpoints: direct worklists, warm-started
-            // with the carried-over members when a seed applies.
+            // Unbounded least fixpoints: direct worklists.
             Key::Ef(None, g) => {
-                let (set, pops) = exists_until(&self.csr, None, &self.table[g], warm.as_ref());
+                let (set, pops) = exists_until(&self.csr, None, &self.table[g]);
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Af(None, g) => {
-                let (set, pops) = all_until(&self.csr, None, &self.table[g], warm.as_ref());
+                let (set, pops) = all_until(&self.csr, None, &self.table[g]);
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Eu(None, l, r) => {
-                let (set, pops) = exists_until(
-                    &self.csr,
-                    Some(&self.table[l]),
-                    &self.table[r],
-                    warm.as_ref(),
-                );
+                let (set, pops) = exists_until(&self.csr, Some(&self.table[l]), &self.table[r]);
                 self.note_worklist(&set, pops);
                 set
             }
             Key::Au(None, l, r) => {
-                let (set, pops) = all_until(
-                    &self.csr,
-                    Some(&self.table[l]),
-                    &self.table[r],
-                    warm.as_ref(),
-                );
+                let (set, pops) = all_until(&self.csr, Some(&self.table[l]), &self.table[r]);
                 self.note_worklist(&set, pops);
                 set
             }
             // Unbounded greatest fixpoints, by duality. The stutter loops
             // make the path relation total, so `AG φ = ¬EF ¬φ` and
             // `EG φ = ¬AF ¬φ` hold exactly and the two lfp worklists above
-            // are the only fixpoint engines the kernel needs. The warm set
-            // here seeds the *inner* lfp, so it holds the carried states
-            // where the old gfp result was false (see [`Checker::seed_warm`]).
+            // are the only fixpoint engines the kernel needs.
             Key::Ag(None, g) => {
                 let bad = self.table[g].complement();
-                let (reach, pops) = exists_until(&self.csr, None, &bad, warm.as_ref());
+                let (reach, pops) = exists_until(&self.csr, None, &bad);
                 self.note_worklist(&reach, pops);
                 let set = reach.complement();
                 self.stats.words_touched += 2 * set.word_count() as u64;
@@ -519,7 +344,7 @@ impl<'a> Checker<'a> {
             }
             Key::Eg(None, g) => {
                 let bad = self.table[g].complement();
-                let (must, pops) = all_until(&self.csr, None, &bad, warm.as_ref());
+                let (must, pops) = all_until(&self.csr, None, &bad);
                 self.note_worklist(&must, pops);
                 let set = must.complement();
                 self.stats.words_touched += 2 * set.word_count() as u64;
@@ -626,23 +451,10 @@ fn pre_some(csr: &Csr, y: &BitSet) -> BitSet {
 /// Least fixpoint of `Z = goal ∨ (hold ∧ EX Z)` (with `hold = true` when
 /// absent): existential reachability as a backward worklist. Each state
 /// enters the worklist at most once — when it first becomes satisfied — and
-/// propagation runs only over the predecessor lists of changed states.
-///
-/// `warm` pre-loads states already known to be in the fixpoint (carried
-/// over from a previous iteration). Since any warm state `s` satisfies
-/// the fixpoint equation in the new system too, starting from
-/// `goal ∪ warm` computes the same least fixpoint while skipping the
-/// propagation chains that would re-derive the warm members.
-fn exists_until(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-) -> (BitSet, u64) {
+/// propagation runs only over the predecessor lists of changed states, so
+/// the pop count is the size of the result.
+fn exists_until(csr: &Csr, hold: Option<&BitSet>, goal: &BitSet) -> (BitSet, u64) {
     let mut res = goal.clone();
-    if let Some(w) = warm {
-        res.union_with(w);
-    }
     let mut work: Vec<u32> = res.iter_ones().map(|s| s as u32).collect();
     let mut pops = 0u64;
     while let Some(s) = work.pop() {
@@ -666,23 +478,13 @@ fn exists_until(
 /// is in, so a state whose only escape is a self-loop never spuriously
 /// satisfies `AF`.
 ///
-/// `warm` pre-loads known fixpoint members, as in [`exists_until`]. The
-/// worklist is built from `goal ∪ warm` *after* the union, so every
-/// member is enqueued exactly once — a duplicate enqueue would decrement
-/// a predecessor's successor counter twice for the same edge and
-/// unsoundly admit it.
-fn all_until(
-    csr: &Csr,
-    hold: Option<&BitSet>,
-    goal: &BitSet,
-    warm: Option<&BitSet>,
-) -> (BitSet, u64) {
+/// Every member is enqueued exactly once, when it joins the result: a
+/// duplicate enqueue would decrement a predecessor's successor counter
+/// twice for the same edge and unsoundly admit it.
+fn all_until(csr: &Csr, hold: Option<&BitSet>, goal: &BitSet) -> (BitSet, u64) {
     let n = csr.state_count();
     let mut remaining: Vec<u32> = (0..n).map(|s| csr.out_degree(s)).collect();
     let mut res = goal.clone();
-    if let Some(w) = warm {
-        res.union_with(w);
-    }
     let mut work: Vec<u32> = res.iter_ones().map(|s| s as u32).collect();
     let mut pops = 0u64;
     while let Some(s) = work.pop() {
@@ -721,7 +523,7 @@ impl Mode {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use muml_automata::{AutomatonBuilder, Universe, WarmCarry};
+    use muml_automata::{AutomatonBuilder, Universe};
 
     /// s0(p) → s1 → s2(q); s2 loops; s1 also branches to dead (deadlock).
     fn diamond(u: &Universe) -> Automaton {
@@ -976,137 +778,6 @@ mod tests {
         }
     }
 
-    const SEED_FORMULAS: [&str; 7] = [
-        "EF q",
-        "AF q",
-        "AG !deadlock",
-        "EF deadlock",
-        "EG !q",
-        "E[!q U q]",
-        "A[!q U (q | deadlock)]",
-    ];
-
-    fn cold_sat(m: &Automaton, u: &Universe, f: &str) -> BitSet {
-        let mut c = Checker::new(m);
-        c.sat(&parse(u, f).unwrap()).clone()
-    }
-
-    #[test]
-    fn seeded_matches_cold_with_identity_carry() {
-        let u = Universe::new();
-        let m = diamond(&u);
-        let csr = Csr::of(&m);
-        let mut cold = Checker::with_csr(&m, &csr);
-        for f in SEED_FORMULAS {
-            cold.sat(&parse(&u, f).unwrap());
-        }
-        let seed = cold.into_seed();
-        let carry = WarmCarry {
-            old_states: m.state_count(),
-            new_states: m.state_count(),
-            remap: (0..m.state_count()).map(|s| Some(s as u32)).collect(),
-        };
-        let mut warm = Checker::with_csr_seeded(&m, &csr, seed, &carry);
-        for f in SEED_FORMULAS {
-            assert_eq!(
-                *warm.sat(&parse(&u, f).unwrap()),
-                cold_sat(&m, &u, f),
-                "seeded checker diverged on {f}"
-            );
-        }
-        assert!(warm.stats.warm_states > 0);
-        assert!(warm.stats.reseeded_words > 0);
-    }
-
-    #[test]
-    fn seeded_matches_cold_after_mutation() {
-        // Old: s0(p) → s1 → s2(q) with s2 looping. New: s1 additionally
-        // branches to a fresh deadlock state s3. The dirty row is s1, its
-        // backward cone {s0, s1}; only s2 (which cannot reach s1) is
-        // carried. The seeded checker must agree with a cold checker on
-        // the new automaton even where verdicts flipped (e.g. AF q).
-        let u = Universe::new();
-        let old = AutomatonBuilder::new(&u, "m")
-            .inputs(["a", "b"])
-            .state("s0")
-            .initial("s0")
-            .prop("s0", "p")
-            .state("s1")
-            .state("s2")
-            .prop("s2", "q")
-            .transition("s0", ["a"], [], "s1")
-            .transition("s1", ["a"], [], "s2")
-            .transition("s2", [], [], "s2")
-            .build()
-            .unwrap();
-        let new = AutomatonBuilder::new(&u, "m")
-            .inputs(["a", "b"])
-            .state("s0")
-            .initial("s0")
-            .prop("s0", "p")
-            .state("s1")
-            .state("s2")
-            .prop("s2", "q")
-            .state("s3")
-            .transition("s0", ["a"], [], "s1")
-            .transition("s1", ["a"], [], "s2")
-            .transition("s1", ["b"], [], "s3")
-            .transition("s2", [], [], "s2")
-            .build()
-            .unwrap();
-        let mut prev = Checker::new(&old);
-        for f in SEED_FORMULAS {
-            prev.sat(&parse(&u, f).unwrap());
-        }
-        let seed = prev.into_seed();
-        let carry = WarmCarry {
-            old_states: old.state_count(),
-            new_states: new.state_count(),
-            remap: vec![None, None, Some(2)],
-        };
-        let csr = Csr::of(&new);
-        let mut warm = Checker::with_csr_seeded(&new, &csr, seed, &carry);
-        for f in SEED_FORMULAS {
-            assert_eq!(
-                *warm.sat(&parse(&u, f).unwrap()),
-                cold_sat(&new, &u, f),
-                "seeded checker diverged on {f}"
-            );
-        }
-        assert!(warm.stats.warm_states > 0);
-        // The mutation flipped AF q from true to false at the initial
-        // state; verify the seeded checker sees the flip.
-        assert!(!warm.satisfies(&parse(&u, "AF q").unwrap()));
-    }
-
-    #[test]
-    fn misaligned_seed_falls_back_to_cold() {
-        let u = Universe::new();
-        let m = diamond(&u);
-        let csr = Csr::of(&m);
-        let mut prev = Checker::with_csr(&m, &csr);
-        prev.sat(&parse(&u, "EF q").unwrap());
-        let seed = prev.into_seed();
-        let carry = WarmCarry {
-            old_states: m.state_count(),
-            new_states: m.state_count(),
-            remap: (0..m.state_count()).map(|s| Some(s as u32)).collect(),
-        };
-        // Interning AF q first diverges from the seed's key sequence at
-        // id 1 (Af vs Ef over the same Prop child), so even the later
-        // EF q query — whose keys the seed does hold — must not be
-        // warm-started. Correctness is unaffected.
-        let mut warm = Checker::with_csr_seeded(&m, &csr, seed, &carry);
-        for f in ["AF q", "EF q"] {
-            assert_eq!(
-                *warm.sat(&parse(&u, f).unwrap()),
-                cold_sat(&m, &u, f),
-                "misaligned seeded checker diverged on {f}"
-            );
-        }
-        assert_eq!(warm.stats.warm_states, 0);
-    }
-
     #[test]
     fn worklist_counters_move() {
         let u = Universe::new();
@@ -1116,5 +787,38 @@ mod tests {
         assert!(c.stats.worklist_pops > 0);
         assert!(c.stats.words_touched > 0);
         assert!(c.stats.fixpoint_iterations > 0);
+    }
+
+    /// Both least-fixpoint engines pop every member of their result
+    /// exactly once, over random relations, goals and hold sets. This is
+    /// `all_until`'s soundness condition too: a state enqueued twice would
+    /// decrement its predecessors' successor counters twice per edge.
+    #[test]
+    fn each_fixpoint_member_is_popped_once() {
+        muml_testkit::cases(200, |rng| {
+            let u = Universe::new();
+            let n = rng.range(1..=150);
+            let mut b = AutomatonBuilder::new(&u, "m");
+            for s in 0..n {
+                b = b.state(&format!("s{s}"));
+            }
+            b = b.initial("s0");
+            for s in 0..n {
+                for _ in 0..rng.below(4) {
+                    let to = format!("s{}", rng.below(n));
+                    b = b.transition(&format!("s{s}"), [], [], &to);
+                }
+            }
+            let m = b.build().unwrap();
+            let csr = Csr::of(&m);
+            let goal = BitSet::from_fn(n, |_| rng.chance(1, 8));
+            let hold = BitSet::from_fn(n, |_| rng.chance(2, 3));
+            for hold in [None, Some(&hold)] {
+                let (set, pops) = exists_until(&csr, hold, &goal);
+                assert_eq!(pops, set.count_ones() as u64, "exists_until");
+                let (set, pops) = all_until(&csr, hold, &goal);
+                assert_eq!(pops, set.count_ones() as u64, "all_until");
+            }
+        });
     }
 }

@@ -35,7 +35,7 @@ mod witness;
 
 pub use ast::{Bound, Formula};
 pub use bitset::BitSet;
-pub use checker::{CheckSeed, CheckStats, Checker};
+pub use checker::{CheckStats, Checker};
 pub use counterexample::{
     check, check_all, check_all_with, check_with, deadlock_counterexamples, Counterexample, Verdict,
 };

@@ -171,11 +171,6 @@ crate::json_codec! {
             /// Peak satisfaction sets resident in the checker's interned
             /// subformula table.
             peak_resident_sets: u64,
-            /// Fixpoint memberships carried over from the previous
-            /// iteration's seed (0 for a cold check).
-            warm_states: u64,
-            /// Seed satisfaction-set words translated while warm-starting.
-            reseeded_words: u64,
             /// Wall-clock nanoseconds spent checking.
             nanos: u64,
         },

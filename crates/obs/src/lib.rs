@@ -14,8 +14,7 @@
 //! * [`EventSink`] — the consumer interface, with [`Collector`]
 //!   (in-memory), [`Renderer`] (human-readable, in the style of the
 //!   paper's listings), [`JsonWriter`] (newline-delimited JSON), and
-//!   [`NullSink`] implementations. [`Tee`] fans one stream out to two
-//!   sinks.
+//!   [`NullSink`] implementations.
 //! * [`FleetEvent`] — a job's start and finish on the `muml-serve`
 //!   daemon's worker pool, as its subscribers receive them.
 //! * [`Phase`] / [`PhaseTimings`] / [`PhaseTimer`] — monotonic per-phase
@@ -41,5 +40,5 @@ pub use event::{LoopEvent, RunOutcome};
 pub use fleet::FleetEvent;
 pub use hash::fnv1a64;
 pub use render::{render_event, Renderer};
-pub use sink::{Collector, EventSink, JsonWriter, NullSink, SharedSink, Tee};
+pub use sink::{Collector, EventSink, JsonWriter, NullSink, SharedSink};
 pub use timer::{Phase, PhaseTimer, PhaseTimings};

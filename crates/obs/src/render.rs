@@ -86,8 +86,6 @@ pub fn render_event(event: &LoopEvent) -> String {
             words_touched,
             worklist_pops,
             peak_resident_sets: _,
-            warm_states,
-            reseeded_words: _,
             nanos,
         } => {
             let verdict = match (holds, violated) {
@@ -98,7 +96,7 @@ pub fn render_event(event: &LoopEvent) -> String {
             format!(
                 "  check: {verdict} ({fixpoint_iterations} fixpoint iterations, \
                  {labeled_states} states labeled, {words_touched} words, \
-                 {worklist_pops} pops, {warm_states} warm) [{}]",
+                 {worklist_pops} pops) [{}]",
                 ms(*nanos)
             )
         }

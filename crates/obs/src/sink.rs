@@ -165,17 +165,6 @@ impl<W: io::Write> EventSink for Renderer<W> {
     }
 }
 
-/// Fans one event stream out to two sinks (nest for more).
-#[derive(Debug)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
-    fn emit(&mut self, event: &LoopEvent) {
-        self.0.emit(event);
-        self.1.emit(event);
-    }
-}
-
 impl<S: EventSink + ?Sized> EventSink for &mut S {
     fn emit(&mut self, event: &LoopEvent) {
         (**self).emit(event);
@@ -187,8 +176,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 ///
 /// Daemon workers each run their own `IntegrationSession` (`muml_core`) with its own
 /// `&mut dyn EventSink`; `SharedSink` lets all of them feed one collector
-/// without any worker owning it. Combine with [`Tee`] to additionally keep
-/// a local per-worker stream.
+/// without any worker owning it.
 ///
 /// Events from concurrent sessions interleave at event granularity (the
 /// mutex is held per `emit`); use [`LoopEvent::iteration`] together with a
@@ -292,8 +280,6 @@ mod tests {
                 words_touched: 48,
                 worklist_pops: 17,
                 peak_resident_sets: 6,
-                warm_states: 5,
-                reseeded_words: 2,
                 nanos: 999,
             },
             LoopEvent::CounterexampleExtracted {
@@ -364,15 +350,6 @@ mod tests {
         assert_eq!(collector.iteration(0).len(), 8);
         assert_eq!(collector.kinds()[0], "run_started");
         assert_eq!(*collector.kinds().last().unwrap(), "run_finished");
-    }
-
-    #[test]
-    fn tee_duplicates_the_stream() {
-        let mut tee = Tee(Collector::new(), Collector::new());
-        for event in &sample_events() {
-            tee.emit(event);
-        }
-        assert_eq!(tee.0.events, tee.1.events);
     }
 
     #[test]

@@ -354,8 +354,6 @@ fn loop_events() -> Vec<LoopEvent> {
             words_touched: 123,
             worklist_pops: 45,
             peak_resident_sets: 6,
-            warm_states: 0,
-            reseeded_words: 0,
             nanos: 8_765,
         },
         LoopEvent::CounterexampleExtracted {
@@ -823,6 +821,29 @@ fn lines_with_the_retired_trace_cache_key_decode_to_the_same_values() {
         WITH_TRACE_CACHE.len(),
         embedding + 2,
         "every line embedding a request, and the two bare requests"
+    );
+}
+
+/// The `model_checked` event as it was pinned while the checker still
+/// warm-started each iteration from the previous one's satisfaction sets.
+/// `LoopEvent` is encoded only, so telemetry written then is read by key
+/// (`repro fig2`'s event cells, a `JsonWriter` stream): the two retired
+/// keys are the line's only difference, and every other key reads the
+/// same value.
+const MODEL_CHECKED_WITH_WARM_START: &str = r#"{"event":"model_checked","iteration":0,"holds":false,"violated":"AG (shuttle2.convoy -> front.convoy)","fixpoint_iterations":5,"labeled_states":70,"words_touched":123,"worklist_pops":45,"peak_resident_sets":6,"warm_states":0,"reseeded_words":0,"nanos":8765}"#;
+
+#[test]
+fn model_checked_line_with_the_retired_warm_start_keys_reads_the_same_values() {
+    let Json::Object(fields) = parse(MODEL_CHECKED_WITH_WARM_START).unwrap() else {
+        panic!("an event is an object")
+    };
+    let (retired, kept): (Vec<_>, Vec<_>) = fields
+        .into_iter()
+        .partition(|(k, _)| k == "warm_states" || k == "reseeded_words");
+    assert_eq!(retired.len(), 2);
+    assert_eq!(
+        Json::Object(kept).encode(),
+        line("loop-event/model_checked")
     );
 }
 
