@@ -101,18 +101,6 @@ impl LearnDelta {
             && !self.initial_changed
     }
 
-    /// Accumulates `other` into `self` (deltas over consecutive windows
-    /// merge into the delta over the union window).
-    pub fn merge(&mut self, other: &LearnDelta) {
-        self.dirty.extend_from_slice(&other.dirty);
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        self.new_states += other.new_states;
-        self.new_transitions += other.new_transitions;
-        self.new_refusals += other.new_refusals;
-        self.initial_changed |= other.initial_changed;
-    }
-
     fn mark(&mut self, s: StateId) {
         if !self.dirty.contains(&s) {
             self.dirty.push(s);
@@ -257,11 +245,6 @@ impl IncompleteAutomaton {
         d.dirty.sort_unstable();
         d.dirty.dedup();
         d
-    }
-
-    /// Peeks at the pending (undrained) delta.
-    pub fn pending_delta(&self) -> &LearnDelta {
-        &self.delta
     }
 
     /// The universe this automaton was built against.
@@ -799,7 +782,7 @@ mod tests {
     fn take_delta_tracks_learned_knowledge() {
         let (u, mut m) = setup();
         // Construction itself is not an increment.
-        assert!(m.pending_delta().is_empty());
+        assert!(m.take_delta().is_empty());
         let obs = Observation::regular(
             vec!["noConvoy".into(), "wait".into(), "convoy".into()],
             vec![label(&u, &[], &["propose"]), label(&u, &["start"], &[])],
@@ -836,28 +819,7 @@ mod tests {
         assert!(!d.is_empty());
         // Re-applying the same proposition map must be a no-op.
         m.set_prop("noConvoy", p);
-        assert!(m.pending_delta().is_empty());
-    }
-
-    #[test]
-    fn delta_merge_accumulates_windows() {
-        let (u, mut m) = setup();
-        m.learn(&Observation::regular(
-            vec!["noConvoy".into(), "wait".into()],
-            vec![label(&u, &[], &["propose"])],
-        ))
-        .unwrap();
-        let mut acc = m.take_delta();
-        m.learn(&Observation::blocked(
-            vec!["wait".into()],
-            vec![label(&u, &["reject"], &[])],
-        ))
-        .unwrap();
-        acc.merge(&m.take_delta());
-        assert_eq!(acc.new_states, 1);
-        assert_eq!(acc.new_transitions, 1);
-        assert_eq!(acc.new_refusals, 1);
-        assert_eq!(acc.dirty, vec![StateId(0), StateId(1)]);
+        assert!(m.take_delta().is_empty());
     }
 
     #[test]
@@ -880,7 +842,7 @@ mod tests {
         let u2 = Universe::new();
         u2.signal("unrelated-first");
         u2.prop("other");
-        let r = IncompleteAutomaton::from_snapshot(&u2, &snap).unwrap();
+        let mut r = IncompleteAutomaton::from_snapshot(&u2, &snap).unwrap();
         assert_eq!(r.state_count(), m.state_count());
         assert_eq!(r.transition_count(), m.transition_count());
         assert_eq!(r.refusal_count(), m.refusal_count());
@@ -898,7 +860,7 @@ mod tests {
         let wait = r.find_state("wait").unwrap();
         assert!(r.props_of(wait).contains(u2.prop("marked")));
         // Restoring is a birth, not an increment.
-        assert!(r.pending_delta().is_empty());
+        assert!(r.take_delta().is_empty());
         // Re-snapshotting the restored automaton is a fixed point.
         assert_eq!(r.to_snapshot(), snap);
     }

@@ -55,7 +55,7 @@ use muml_legacy::{
 };
 use muml_logic::{check_all_with, Checker, Formula, Verdict};
 use muml_obs::{EventSink, LoopEvent, NullSink, Phase, PhaseTimer, PhaseTimings, RunOutcome};
-use muml_store::{ComponentSignature, DeltaRecord, Snapshot, Store, StoreLookup};
+use muml_store::{ComponentSignature, Snapshot, Store, StoreLookup};
 
 use crate::cancel::CancelToken;
 use crate::error::CoreError;
@@ -553,7 +553,6 @@ pub(crate) fn run_loop(
     // fingerprint guarantees that), so Lemmas 5–7 apply unchanged: the loop
     // merely starts from a later point of the same monotone chain. Any
     // store problem degrades to the cold start above.
-    let mut store_history: Vec<Vec<DeltaRecord>> = vec![Vec::new(); units.len()];
     if let Some(store) = config.store.as_deref() {
         for (i, unit) in units.iter().enumerate() {
             let Some(sig) = unit.signature.as_ref() else {
@@ -599,7 +598,6 @@ pub(crate) fn run_loop(
                         };
                         sink.emit(&event);
                         quarantined.extend(snapshot.quarantined.iter().cloned());
-                        store_history[i] = snapshot.history;
                         learned[i] = m;
                     }
                     Err(e) => {
@@ -612,10 +610,6 @@ pub(crate) fn run_loop(
             }
         }
     }
-    // Per-unit learn deltas accumulated over the whole run, merged with the
-    // still-pending delta at persistence time to append one history record.
-    let mut run_delta: Vec<LearnDelta> = vec![LearnDelta::default(); units.len()];
-
     let mut iterations = Vec::new();
     let mut stats = IntegrationStats::default();
     // The composition cache owns the chaotic closures and the product and
@@ -656,9 +650,6 @@ pub(crate) fn run_loop(
         // mode-agnostic. Sizes are reported over the reachable part.
         let compose_timer = PhaseTimer::start(Phase::Compose);
         let deltas: Vec<LearnDelta> = learned.iter_mut().map(|m| m.take_delta()).collect();
-        for (acc, d) in run_delta.iter_mut().zip(&deltas) {
-            acc.merge(d);
-        }
         let info = cache.recompose(&learned, &deltas, Some(chaos), &ComposeOptions::default())?;
         let comp = cache.composition();
         let compose_ns = compose_timer.stop(&mut stats.timings);
@@ -728,14 +719,7 @@ pub(crate) fn run_loop(
                     counterexample: None,
                     outcome: IterationOutcome::Proven,
                 });
-                persist_learned(
-                    config,
-                    units,
-                    &learned,
-                    &quarantined,
-                    &store_history,
-                    &run_delta,
-                );
+                persist_learned(config, units, &learned, &quarantined);
                 sink.emit(&LoopEvent::RunFinished {
                     iterations: stats.iterations,
                     outcome: RunOutcome::Proven,
@@ -927,14 +911,7 @@ pub(crate) fn run_loop(
                     counterexample: Some(cex_listing.clone()),
                     outcome: IterationOutcome::Fault,
                 });
-                persist_learned(
-                    config,
-                    units,
-                    &learned,
-                    &quarantined,
-                    &store_history,
-                    &run_delta,
-                );
+                persist_learned(config, units, &learned, &quarantined);
                 sink.emit(&LoopEvent::RunFinished {
                     iterations: stats.iterations,
                     outcome: RunOutcome::RealFault,
@@ -1046,14 +1023,7 @@ pub(crate) fn run_loop(
                         counterexample: Some(cex_listing.clone()),
                         outcome: IterationOutcome::Fault,
                     });
-                    persist_learned(
-                        config,
-                        units,
-                        &learned,
-                        &quarantined,
-                        &store_history,
-                        &run_delta,
-                    );
+                    persist_learned(config, units, &learned, &quarantined);
                     sink.emit(&LoopEvent::RunFinished {
                         iterations: stats.iterations,
                         outcome: RunOutcome::RealFault,
@@ -1102,14 +1072,7 @@ pub(crate) fn run_loop(
         } else if iteration_quarantines > 0 {
             stalled += 1;
             if stalled > config.flake_budget {
-                persist_learned(
-                    config,
-                    units,
-                    &learned,
-                    &quarantined,
-                    &store_history,
-                    &run_delta,
-                );
+                persist_learned(config, units, &learned, &quarantined);
                 sink.emit(&LoopEvent::RunFinished {
                     iterations: stats.iterations,
                     outcome: RunOutcome::Inconclusive,
@@ -1136,52 +1099,28 @@ pub(crate) fn run_loop(
 }
 
 /// Persists every signed unit's final learned model back into the
-/// warm-start store, appending one [`DeltaRecord`] for this run's growth
-/// (the accumulated drained deltas merged with the still-pending one) to
-/// the snapshot's history. Called once per terminal verdict; a run that
-/// learned nothing still refreshes the snapshot (the quarantine list may
-/// have changed). Save failures are deliberately ignored — the store has
-/// cache semantics, and a full disk must not flip a sound verdict into an
-/// error.
+/// warm-start store. Called once per terminal verdict; a run that learned
+/// nothing still refreshes the snapshot (the quarantine list may have
+/// changed). Save failures are deliberately ignored — the store has cache
+/// semantics, and a full disk must not flip a sound verdict into an error.
 fn persist_learned(
     config: &IntegrationConfig,
     units: &[LegacyUnit<'_>],
     learned: &[IncompleteAutomaton],
     quarantined: &std::collections::HashSet<String>,
-    store_history: &[Vec<DeltaRecord>],
-    run_delta: &[LearnDelta],
 ) {
     let Some(store) = config.store.as_deref() else {
         return;
     };
-    for (i, unit) in units.iter().enumerate() {
+    for (unit, m) in units.iter().zip(learned) {
         let Some(sig) = unit.signature.as_ref() else {
             continue;
         };
-        let m = &learned[i];
-        let mut delta = run_delta[i].clone();
-        delta.merge(m.pending_delta());
-        let mut history = store_history[i].clone();
-        let record = DeltaRecord {
-            new_states: delta.new_states,
-            new_transitions: delta.new_transitions,
-            new_refusals: delta.new_refusals,
-            initial_changed: delta.initial_changed,
-            dirty: delta
-                .dirty
-                .iter()
-                .map(|s| m.state_name(*s).to_owned())
-                .collect(),
-        };
-        if !record.is_empty() {
-            history.push(record);
-        }
         let mut quarantined: Vec<String> = quarantined.iter().cloned().collect();
         quarantined.sort();
         let snapshot = Snapshot {
             signature: sig.clone(),
             automaton: m.to_snapshot(),
-            history,
             quarantined,
         };
         let _ = store.save(&snapshot);

@@ -35,7 +35,7 @@ pub const JOB_REQUEST_VERSION: i64 = 1;
 /// not the executor: report ordering is by `id`, so shuffling the
 /// submission order (or changing the worker count) cannot change an
 /// aggregated report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JobRequest {
     /// Stable job id (position in the generated campaign).
     pub id: usize,

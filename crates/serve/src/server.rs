@@ -29,7 +29,8 @@
 //! under the request's own [`retries`](JobRequest::retries) like any other
 //! rig-attributed failure; the worker thread survives it.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -215,7 +216,44 @@ enum JobState {
         cancelled_by_client: bool,
     },
     /// The finished verdict, shared with the history.
-    Done(Arc<VerdictRecord>),
+    Done(Arc<Finished>),
+}
+
+/// A finished job as the daemon keeps it for [`Daemon::wait`] and
+/// [`Daemon::history`]: the request is split into its `id` and its
+/// *shape* (every other field), and the shape is interned, so repeated
+/// submissions of one campaign cell share one stored request. The
+/// [`VerdictRecord`] is rebuilt on read.
+struct Finished {
+    job: u64,
+    request_id: usize,
+    /// The request with its `id` cleared, shared through
+    /// [`SchedState::shapes`].
+    shape: Arc<JobRequest>,
+    /// One of [`JobOutcome::names`] or `"cancelled"`; any other name (an
+    /// older journal's) stays owned.
+    outcome: Cow<'static, str>,
+    property: Option<String>,
+    iterations: usize,
+    nanos: u64,
+    attempts: usize,
+}
+
+impl Finished {
+    fn record(&self) -> VerdictRecord {
+        VerdictRecord {
+            job: self.job,
+            request: JobRequest {
+                id: self.request_id,
+                ..JobRequest::clone(&self.shape)
+            },
+            outcome: self.outcome.clone().into_owned(),
+            property: self.property.clone(),
+            iterations: self.iterations,
+            nanos: self.nanos,
+            attempts: self.attempts,
+        }
+    }
 }
 
 /// One priority class: per-client FIFO queues served round-robin.
@@ -290,9 +328,11 @@ struct SchedState {
     next_job: u64,
     classes: [ClassQueue; 3],
     jobs: HashMap<u64, JobState>,
-    /// Finished verdicts, oldest first; each is the same allocation its
-    /// job's [`JobState::Done`] holds.
-    history: VecDeque<Arc<VerdictRecord>>,
+    /// Finished jobs, oldest first; each is the same allocation its job's
+    /// [`JobState::Done`] holds.
+    history: VecDeque<Arc<Finished>>,
+    /// The request shapes the history holds, each once.
+    shapes: HashSet<Arc<JobRequest>>,
     running: usize,
     per_client: HashMap<u64, usize>,
     counters: Counters,
@@ -309,18 +349,70 @@ impl SchedState {
         self.queued() + self.running
     }
 
-    /// Files a finished verdict: one shared record, held by the history
-    /// and by its job's `Done` state. Evicting a record past
-    /// `history_limit` forgets its job as well.
+    /// Files a finished verdict — every path that finishes a job comes
+    /// here — as one shared [`Finished`] record, held by the history and by
+    /// its job's `Done` state, with its request shape interned. Evicting a
+    /// record past `history_limit` forgets its job as well, and its shape
+    /// once no other record holds it.
     fn finish(&mut self, record: VerdictRecord, history_limit: usize) {
-        let record = Arc::new(record);
-        self.history.push_back(Arc::clone(&record));
+        let VerdictRecord {
+            job,
+            mut request,
+            outcome,
+            property,
+            iterations,
+            nanos,
+            attempts,
+        } = record;
+        let request_id = std::mem::take(&mut request.id);
+        let shape = match self.shapes.get(&request) {
+            Some(shape) => Arc::clone(shape),
+            None => {
+                let shape = Arc::new(request);
+                self.shapes.insert(Arc::clone(&shape));
+                shape
+            }
+        };
+        let outcome = match JobOutcome::names()
+            .into_iter()
+            .chain(["cancelled"])
+            .find(|name| *name == outcome)
+        {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(outcome),
+        };
+        let finished = Arc::new(Finished {
+            job,
+            request_id,
+            shape,
+            outcome,
+            property,
+            iterations,
+            nanos,
+            attempts,
+        });
+        self.history.push_back(Arc::clone(&finished));
+        self.jobs.insert(job, JobState::Done(finished));
         while self.history.len() > history_limit {
             if let Some(evicted) = self.history.pop_front() {
                 self.jobs.remove(&evicted.job);
+                // Held by the interner and `evicted` alone: no other
+                // record has this shape.
+                if Arc::strong_count(&evicted.shape) == 2 {
+                    self.shapes.remove(&*evicted.shape);
+                }
             }
         }
-        self.jobs.insert(record.job, JobState::Done(record));
+    }
+
+    /// Sends the event `make` builds to every live subscriber, dropping
+    /// dead ones. Builds nothing when nobody is subscribed.
+    fn publish(&mut self, make: impl FnOnce() -> Response) {
+        if self.subscribers.is_empty() {
+            return;
+        }
+        let event = make();
+        self.subscribers.retain(|tx| tx.send(event.clone()).is_ok());
     }
 }
 
@@ -351,14 +443,6 @@ impl DaemonInner {
                 .unwrap_or_else(PoisonError::into_inner)
                 .append(record);
         }
-    }
-
-    /// Sends an event to every live subscriber, dropping dead ones.
-    fn broadcast(&self, response: &Response) {
-        let mut state = self.lock();
-        state
-            .subscribers
-            .retain(|tx| tx.send(response.clone()).is_ok());
     }
 
     /// Moves a job into `Done`, maintaining history, counters, and
@@ -405,11 +489,7 @@ struct ForwardSink {
 
 impl EventSink for ForwardSink {
     fn emit(&mut self, event: &LoopEvent) {
-        // Cheap exit when nobody is listening.
-        if self.inner.lock().subscribers.is_empty() {
-            return;
-        }
-        self.inner.broadcast(&Response::Event {
+        self.inner.lock().publish(|| Response::Event {
             stream: "loop".into(),
             job: self.job,
             payload: event.to_json(),
@@ -434,6 +514,7 @@ impl Daemon {
             classes: Default::default(),
             jobs: HashMap::new(),
             history: VecDeque::new(),
+            shapes: HashSet::new(),
             running: 0,
             per_client: HashMap::new(),
             counters: Counters::default(),
@@ -609,7 +690,7 @@ impl Daemon {
         loop {
             match state.jobs.get(&job) {
                 None => return Err(ServeError::UnknownJob { job }),
-                Some(JobState::Done(record)) => return Ok(VerdictRecord::clone(record)),
+                Some(JobState::Done(finished)) => return Ok(finished.record()),
                 Some(_) => {
                     state = self
                         .inner
@@ -652,18 +733,7 @@ impl Daemon {
                     _ => unreachable!("matched Queued above"),
                 };
                 state.counters.cancelled += 1;
-                let record = VerdictRecord {
-                    job,
-                    request: queued.job.request.clone(),
-                    outcome: "cancelled".into(),
-                    property: None,
-                    iterations: 0,
-                    nanos: 0,
-                    attempts: 0,
-                };
-                self.inner.record_done(&mut state, queued.client, record);
-                drop(state);
-                self.inner.broadcast(&Response::Event {
+                state.publish(|| Response::Event {
                     stream: "fleet".into(),
                     job,
                     payload: FleetEvent::JobFinished {
@@ -675,6 +745,16 @@ impl Daemon {
                     }
                     .to_json(),
                 });
+                let record = VerdictRecord {
+                    job,
+                    request: queued.job.request,
+                    outcome: "cancelled".into(),
+                    property: None,
+                    iterations: 0,
+                    nanos: 0,
+                    attempts: 0,
+                };
+                self.inner.record_done(&mut state, queued.client, record);
                 Ok(CancelState::Removed)
             }
         }
@@ -686,7 +766,7 @@ impl Daemon {
             .lock()
             .history
             .iter()
-            .map(|r| VerdictRecord::clone(r))
+            .map(|finished| finished.record())
             .collect()
     }
 
@@ -749,7 +829,7 @@ impl Daemon {
             state.counters.cancelled += 1;
             let record = VerdictRecord {
                 job,
-                request: queued.job.request.clone(),
+                request: queued.job.request,
                 outcome: "cancelled".into(),
                 property: None,
                 iterations: 0,
@@ -893,6 +973,16 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
                         },
                     );
                     state.running += 1;
+                    state.publish(|| Response::Event {
+                        stream: "fleet".into(),
+                        job: id,
+                        payload: FleetEvent::JobStarted {
+                            job: queued.job.request.id,
+                            name: queued.job.request.name.clone(),
+                            worker,
+                        }
+                        .to_json(),
+                    });
                     break (id, queued);
                 }
                 if state.shutdown {
@@ -905,23 +995,12 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
             }
         };
         let QueuedJob {
-            job,
+            job: Job { request, work },
             client,
             cancel,
             reply,
         } = *queued;
-        let request = job.request.clone();
         inner.journal_append(&JournalRecord::Started { job: id });
-        inner.broadcast(&Response::Event {
-            stream: "fleet".into(),
-            job: id,
-            payload: FleetEvent::JobStarted {
-                job: request.id,
-                name: request.name.clone(),
-                worker,
-            }
-            .to_json(),
-        });
         let loop_sink = SharedSink::new(ForwardSink {
             inner: Arc::clone(&inner),
             job: id,
@@ -941,7 +1020,7 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
                 loop_sink: Some(loop_sink.clone()),
                 store: inner.config.store.clone(),
             };
-            let run = catch_unwind(AssertUnwindSafe(|| (job.work)(&context)));
+            let run = catch_unwind(AssertUnwindSafe(|| work(&context)));
             let classified = match run {
                 Ok(result) => classify(result),
                 Err(panic) => {
@@ -977,42 +1056,39 @@ fn worker_loop(worker: usize, inner: Arc<DaemonInner>) {
         // A deadline expiry and a client cancel both surface as a
         // cooperative stop; only the client-initiated one is `cancelled`.
         let outcome_name = if cancelled_by_client && outcome == JobOutcome::TimedOut {
-            "cancelled".to_owned()
+            "cancelled"
         } else {
-            outcome.name().to_owned()
+            outcome.name()
         };
         let property = match &outcome {
             JobOutcome::RealFault { property } => Some(property.clone()),
             _ => None,
         };
+        state.running -= 1;
+        // Deliver the finish event *before* `record_done` wakes waiters:
+        // a client that saw the verdict may immediately shut the daemon
+        // down, and subscribers must not lose the event to that race.
+        state.publish(|| Response::Event {
+            stream: "fleet".into(),
+            job: id,
+            payload: FleetEvent::JobFinished {
+                job: request.id,
+                worker,
+                outcome: outcome_name.into(),
+                iterations,
+                nanos,
+            }
+            .to_json(),
+        });
         let record = VerdictRecord {
             job: id,
             request,
-            outcome: outcome_name.clone(),
+            outcome: outcome_name.into(),
             property,
             iterations,
             nanos,
             attempts,
         };
-        state.running -= 1;
-        // Deliver the finish event *before* `record_done` wakes waiters:
-        // a client that saw the verdict may immediately shut the daemon
-        // down, and subscribers must not lose the event to that race.
-        let event = Response::Event {
-            stream: "fleet".into(),
-            job: id,
-            payload: FleetEvent::JobFinished {
-                job: record.request.id,
-                worker,
-                outcome: outcome_name,
-                iterations,
-                nanos,
-            }
-            .to_json(),
-        };
-        state
-            .subscribers
-            .retain(|tx| tx.send(event.clone()).is_ok());
         let batch = reply.map(|tx| {
             let result = JobResult {
                 request: record.request.clone(),
@@ -1043,22 +1119,38 @@ mod tests {
     use std::time::Duration;
 
     /// A registry with a `noop` scenario: `variant == "slow"` sleeps in
-    /// cancellable 1ms steps, everything else proves instantly.
+    /// cancellable 1ms steps, `"fault"` finds a real fault of `AG safe`,
+    /// `"error"` fails, everything else proves instantly.
     fn test_registry() -> JobRegistry {
         let mut registry = JobRegistry::new();
         registry.register("noop", |request| {
-            let slow = request.variant == "slow";
+            let variant = request.variant.clone();
             Ok(Box::new(move |ctx: &JobContext| {
-                if slow {
-                    for _ in 0..5_000 {
-                        if ctx.cancel.is_cancelled() {
-                            return Err(CoreError::Cancelled { iterations: 1 });
+                let verdict = match variant.as_str() {
+                    "slow" => {
+                        for _ in 0..5_000 {
+                            if ctx.cancel.is_cancelled() {
+                                return Err(CoreError::Cancelled { iterations: 1 });
+                            }
+                            thread::sleep(Duration::from_millis(1));
                         }
-                        thread::sleep(Duration::from_millis(1));
+                        IntegrationVerdict::Proven
                     }
-                }
+                    "fault" => IntegrationVerdict::RealFault {
+                        property: "AG safe".into(),
+                        trace: Vec::new(),
+                        rendered: String::new(),
+                    },
+                    "error" => {
+                        return Err(CoreError::Nondeterministic {
+                            component: "rig".into(),
+                            period: 3,
+                        })
+                    }
+                    _ => IntegrationVerdict::Proven,
+                };
                 Ok(IntegrationReport {
-                    verdict: IntegrationVerdict::Proven,
+                    verdict,
                     iterations: Vec::new(),
                     learned: Vec::new(),
                     stats: IntegrationStats::default(),
@@ -1316,32 +1408,84 @@ mod tests {
         let dir = TempDir::new("serve-journal-history");
         let path = dir.path().join("serve.journal");
         let first_history = {
-            let daemon = Daemon::start(ServeConfig::default().with_journal(&path), test_registry());
+            let config = ServeConfig::default().with_workers(1).with_journal(&path);
+            let daemon = Daemon::start(config, test_registry());
             assert_eq!(daemon.journal_replay(), Some(ReplayStats::default()));
-            for i in 0..5 {
-                let id = daemon
-                    .submit(1, &noop_request(i), Priority::Normal)
-                    .unwrap();
+            for request in [
+                noop_request(0),
+                noop_request(1).with_variant("fault"),
+                noop_request(2).with_variant("error"),
+                noop_request(0),
+            ] {
+                let id = daemon.submit(1, &request, Priority::Normal).unwrap();
                 daemon.wait(id).unwrap();
             }
+            // Cancelled while queued behind a running job, then the
+            // running job itself.
+            let pinned = daemon
+                .submit(1, &slow_request(4), Priority::Normal)
+                .unwrap();
+            let queued = daemon
+                .submit(1, &noop_request(5), Priority::Normal)
+                .unwrap();
+            assert_eq!(daemon.cancel(queued).unwrap(), CancelState::Removed);
+            daemon.cancel(pinned).unwrap();
+            daemon.wait(pinned).unwrap();
             let history = daemon.history();
             daemon.shutdown();
             daemon.join();
             history
         };
+        // `history` and `wait` return exactly what was filed: the
+        // journal's `finished` records.
+        let (mut journal, replay) = Journal::open(&path).unwrap();
+        let filed: Vec<VerdictRecord> = replay.finished().into_iter().cloned().collect();
+        assert_eq!(first_history, filed);
+        let outcomes: Vec<(&str, Option<&str>)> = filed
+            .iter()
+            .map(|r| (r.outcome.as_str(), r.property.as_deref()))
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                ("proven", None),
+                ("real_fault", Some("AG safe")),
+                ("error", None),
+                ("proven", None),
+                ("cancelled", None),
+                ("cancelled", None),
+            ]
+        );
+        // An outcome name this build does not know, as an older journal
+        // may hold, is kept as written.
+        let retired = VerdictRecord {
+            job: 99,
+            outcome: "retired_outcome".into(),
+            ..filed[0].clone()
+        };
+        journal
+            .append(&JournalRecord::Finished {
+                record: retired.clone(),
+            })
+            .unwrap();
+        drop(journal);
+        let filed: Vec<VerdictRecord> = filed.into_iter().chain([retired]).collect();
         // A fresh daemon on the same journal rebuilds the identical
         // history — same order, same nanos, same attempt counts.
         let daemon = Daemon::start(ServeConfig::default().with_journal(&path), test_registry());
         let replay = daemon.journal_replay().expect("journal configured");
-        assert_eq!(replay.finished, 5);
+        assert_eq!(replay.finished, 7);
         assert_eq!(replay.resubmitted, 0);
         assert_eq!(replay.truncated_bytes, 0);
-        assert_eq!(daemon.history(), first_history);
+        assert_eq!(daemon.history(), filed);
+        for record in &filed {
+            assert_eq!(&daemon.wait(record.job).unwrap(), record);
+        }
         // The id counter resumes above every replayed id.
         let next = daemon
             .submit(1, &noop_request(9), Priority::Normal)
             .unwrap();
-        assert!(next > first_history.iter().map(|r| r.job).max().unwrap());
+        assert!(next > filed.iter().map(|r| r.job).max().unwrap());
         daemon.wait(next).unwrap();
         daemon.shutdown();
         daemon.join();
@@ -1353,34 +1497,58 @@ mod tests {
             ServeConfig::default().with_history_limit(2),
             test_registry(),
         );
+        // Two submissions of one shape (only the request ids differ),
+        // then two shapes of their own.
+        let requests = [
+            noop_request(0),
+            JobRequest {
+                id: 1,
+                ..noop_request(0)
+            },
+            noop_request(2),
+            noop_request(3),
+        ];
         let mut jobs = Vec::new();
-        for i in 0..3 {
-            let job = daemon
-                .submit(1, &noop_request(i), Priority::Normal)
-                .unwrap();
+        for (i, request) in requests.iter().enumerate() {
+            let job = daemon.submit(1, request, Priority::Normal).unwrap();
             let record = daemon.wait(job).unwrap();
-            // `wait` and `history` hand out equal records…
+            // `wait` and `history` hand out equal records, each with its
+            // own request id…
+            assert_eq!(&record.request, request);
             assert_eq!(daemon.history().last(), Some(&record));
             jobs.push(job);
-        }
-        {
-            // …because both read one shared allocation.
             let state = daemon.inner.lock();
-            assert_eq!(state.history.len(), 2);
-            for record in &state.history {
-                let Some(JobState::Done(done)) = state.jobs.get(&record.job) else {
-                    panic!("job {} has no Done state", record.job);
+            // …because both read one shared allocation…
+            for finished in &state.history {
+                let Some(JobState::Done(done)) = state.jobs.get(&finished.job) else {
+                    panic!("job {} has no Done state", finished.job);
                 };
-                assert!(Arc::ptr_eq(done, record));
-                assert_eq!(Arc::strong_count(record), 2);
+                assert!(Arc::ptr_eq(done, finished));
+                assert_eq!(Arc::strong_count(finished), 2);
+            }
+            // …whose request shape is interned…
+            if i == 1 {
+                assert!(Arc::ptr_eq(
+                    &state.history[0].shape,
+                    &state.history[1].shape
+                ));
+                assert_eq!(state.shapes.len(), 1);
+            }
+            // …and leaves the interner with the last record holding it.
+            assert!(state.shapes.len() <= state.history.len());
+            for shape in &state.shapes {
+                assert!(
+                    state.history.iter().any(|f| Arc::ptr_eq(&f.shape, shape)),
+                    "no record holds the interned {shape:?}"
+                );
             }
         }
-        // Eviction past the limit forgets both copies of the oldest job.
+        // Eviction past the limit forgets both copies of the oldest jobs.
         assert!(matches!(
-            daemon.wait(jobs[0]),
+            daemon.wait(jobs[1]),
             Err(ServeError::UnknownJob { .. })
         ));
-        assert_eq!(daemon.wait(jobs[2]).unwrap().job, jobs[2]);
+        assert_eq!(daemon.wait(jobs[3]).unwrap().job, jobs[3]);
         daemon.shutdown();
         daemon.join();
     }

@@ -14,9 +14,8 @@
 //!   a content-address. Rule reordering and whitespace-equivalent names do
 //!   not change the fingerprint; any semantic rule edit does.
 //! * [`Snapshot`] — a versioned, hand-rolled JSON image (no serde in this
-//!   workspace) of the learned automaton, its
-//!   [`LearnDelta`](muml_automata::LearnDelta) history and the quarantine
-//!   records of the run that produced it.
+//!   workspace) of the learned automaton and the quarantine records of the
+//!   run that produced it.
 //! * [`Store`] — a directory of snapshot files keyed by fingerprint, with a
 //!   per-component index for dirty-cone invalidation when the component
 //!   *changed*, coarse file locking for cross-process sharing, and atomic
@@ -37,5 +36,5 @@ mod store;
 
 pub use io::{FaultKind, FaultProfile, FaultyIo, InjectedFault, RealIo, StoreIo};
 pub use signature::{ComponentSignature, RuleSignature};
-pub use snapshot::{DeltaRecord, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use store::{MissReason, Store, StoreError, StoreLookup};

@@ -2,8 +2,8 @@
 //!
 //! A [`Snapshot`] is everything a later session needs to warm-start: the
 //! component signature it was learned against, the learned automaton as a
-//! name-based [`IncompleteSnapshot`], the accumulated learning history, and
-//! the quarantine records of flaky counterexample traces. The encoding is
+//! name-based [`IncompleteSnapshot`], and the quarantine records of flaky
+//! counterexample traces. The encoding is
 //! the workspace's hand-rolled JSON ([`muml_obs::json`]) under a `"v"`
 //! version tag, in the same style as `muml-serve`'s wire frames.
 //!
@@ -18,45 +18,7 @@ use crate::signature::ComponentSignature;
 
 /// The current snapshot schema version. Files tagged with any other value
 /// are treated as misses (never migrated in place).
-pub const SNAPSHOT_VERSION: i64 = 1;
-
-/// One run's worth of learning, appended to the snapshot history each time
-/// a session saves. State ids are rendered to names so the history stays
-/// meaningful across restores.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaRecord {
-    /// States created during the run.
-    pub new_states: usize,
-    /// Transitions added to `T`.
-    pub new_transitions: usize,
-    /// Refusals added to `T̄`.
-    pub new_refusals: usize,
-    /// Whether the initial-state set grew.
-    pub initial_changed: bool,
-    /// Names of the states whose knowledge changed.
-    pub dirty: Vec<String>,
-}
-
-impl DeltaRecord {
-    /// Whether the run learned nothing.
-    pub fn is_empty(&self) -> bool {
-        self.new_states == 0
-            && self.new_transitions == 0
-            && self.new_refusals == 0
-            && !self.initial_changed
-            && self.dirty.is_empty()
-    }
-}
-
-muml_obs::json_codec! {
-    impl ToJson + FromJson for DeltaRecord {
-        new_states: "states",
-        new_transitions: "transitions",
-        new_refusals: "refusals",
-        initial_changed: "initial_changed",
-        dirty: "dirty",
-    }
-}
+pub const SNAPSHOT_VERSION: i64 = 2;
 
 /// A persisted learned model: the unit of storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,8 +27,6 @@ pub struct Snapshot {
     pub signature: ComponentSignature,
     /// The learned automaton, name-based and order-preserving.
     pub automaton: IncompleteSnapshot,
-    /// Per-run learning history, oldest first.
-    pub history: Vec<DeltaRecord>,
     /// Rendered listings of quarantined counterexample traces (PR 5's flake
     /// quarantine), carried across runs so a flaky trace is not re-driven.
     pub quarantined: Vec<String>,
@@ -98,7 +58,6 @@ muml_obs::json_codec! {
         "v" = SNAPSHOT_VERSION;
         signature: "signature",
         automaton: "automaton" via (automaton_to_json, automaton_from_json),
-        history: "history",
         quarantined: "quarantined",
     }
 }
@@ -240,13 +199,6 @@ mod tests {
         Snapshot {
             signature,
             automaton: m.to_snapshot(),
-            history: vec![DeltaRecord {
-                new_states: 1,
-                new_transitions: 1,
-                new_refusals: 1,
-                initial_changed: false,
-                dirty: vec!["idle".into(), "run".into()],
-            }],
             quarantined: vec!["trace: idle -go/ack-> run".into()],
         }
     }
@@ -266,10 +218,11 @@ mod tests {
 
     #[test]
     fn unknown_version_is_typed() {
-        let text = sample()
-            .to_json()
-            .encode()
-            .replacen("\"v\":1", "\"v\":99", 1);
+        let text = sample().to_json().encode().replacen(
+            &format!("\"v\":{SNAPSHOT_VERSION}"),
+            "\"v\":99",
+            1,
+        );
         assert_eq!(
             Snapshot::decode(&text),
             Err(SnapshotError::UnknownVersion(99))

@@ -393,7 +393,6 @@ fn invalidate_dirty_cone(mut snapshot: Snapshot, sig: &ComponentSignature) -> St
 mod tests {
     use super::*;
     use crate::signature::RuleSignature;
-    use crate::snapshot::DeltaRecord;
     use muml_automata::{IncompleteAutomaton, Label, Observation, SignalSet, Universe};
     use muml_testkit::TempDir;
     use std::sync::Arc;
@@ -445,13 +444,6 @@ mod tests {
         Snapshot {
             signature: sig.clone(),
             automaton: m.to_snapshot(),
-            history: vec![DeltaRecord {
-                new_states: 1,
-                new_transitions: 2,
-                new_refusals: 1,
-                initial_changed: false,
-                dirty: vec!["idle".into(), "run".into()],
-            }],
             quarantined: vec![],
         }
     }
@@ -570,7 +562,8 @@ mod tests {
             }
         }
         // Unknown version tag.
-        std::fs::write(&path, text.replacen("\"v\":1", "\"v\":7", 1)).unwrap();
+        let version = format!("\"v\":{}", crate::SNAPSHOT_VERSION);
+        std::fs::write(&path, text.replacen(&version, "\"v\":7", 1)).unwrap();
         assert_eq!(
             store.lookup(&sig),
             StoreLookup::Miss {

@@ -24,7 +24,7 @@ use muml_obs::json::*;
 use muml_obs::{fnv1a64, FleetEvent, LoopEvent, RunOutcome};
 use muml_serve::protocol::{CancelState, Priority, Request, Response, ServerStats, VerdictRecord};
 use muml_serve::{Journal, JournalRecord, ServeError};
-use muml_store::{ComponentSignature, DeltaRecord, RuleSignature, Snapshot, Store, StoreLookup};
+use muml_store::{ComponentSignature, MissReason, RuleSignature, Snapshot, Store, StoreLookup};
 use muml_testkit::TempDir;
 
 const CORPUS: &str = include_str!("codec_golden.jsonl");
@@ -185,8 +185,8 @@ fn rear_signature(run_target: &str) -> ComponentSignature {
     )
 }
 
-/// A learned `rear`: two states, two transitions, one refusal, a history
-/// of two runs and one quarantined listing.
+/// A learned `rear`: two states, two transitions, one refusal and one
+/// quarantined listing.
 fn snapshot() -> Snapshot {
     Snapshot {
         signature: rear_signature("idle"),
@@ -225,22 +225,6 @@ fn snapshot() -> Snapshot {
             }],
             initial: vec![0],
         },
-        history: vec![
-            DeltaRecord {
-                new_states: 1,
-                new_transitions: 1,
-                new_refusals: 0,
-                initial_changed: true,
-                dirty: names(&["idle"]),
-            },
-            DeltaRecord {
-                new_states: 0,
-                new_transitions: 1,
-                new_refusals: 1,
-                initial_changed: false,
-                dirty: names(&["idle", "run"]),
-            },
-        ],
         quarantined: vec!["trace: idle -go/ack-> run".into()],
     }
 }
@@ -263,7 +247,6 @@ fn front_snapshot() -> Snapshot {
             refusals: vec![],
             initial: vec![0],
         },
-        history: vec![],
         quarantined: vec![],
     }
 }
@@ -892,6 +875,28 @@ fn store_holding_the_pinned_files_hits_and_invalidates() {
     }
 }
 
+/// `rear`'s snapshot as version 1 pinned it, with a per-run learning
+/// history that nothing read. Version 2 dropped the field, which had no
+/// declared default, so a version 1 file is a miss, not a hit without its
+/// history: the component cold-starts once and its next save writes
+/// version 2.
+const SNAPSHOT_V1: &str = r#"{"v":1,"signature":{"name":"rear","inputs":["go","halt"],"outputs":["ack"],"initial":"idle","rules":[{"state":"idle","ins":["go"],"outs":["ack"],"target":"run"},{"state":"run","ins":["halt"],"outs":[],"target":"idle"}]},"automaton":{"name":"rear","inputs":["go","halt"],"outputs":["ack"],"states":[{"name":"idle","props":[]},{"name":"run","props":["busy"]}],"transitions":[{"from":0,"ins":["go"],"outs":["ack"],"to":1},{"from":1,"ins":["halt"],"outs":[],"to":0}],"refusals":[{"state":1,"ins":["go"],"outs":[]}],"initial":[0]},"history":[{"states":1,"transitions":1,"refusals":0,"initial_changed":true,"dirty":["idle"]},{"states":0,"transitions":1,"refusals":1,"initial_changed":false,"dirty":["idle","run"]}],"quarantined":["trace: idle -go/ack-> run"]}"#;
+
+#[test]
+fn a_version_1_snapshot_is_an_unknown_version_miss() {
+    let dir = store_dir(SNAPSHOT_V1, line("store/index"));
+    let store = Store::open(dir.path());
+    // The exact address, and the index's salvage path for a changed rule.
+    for signature in [rear_signature("idle"), rear_signature("run")] {
+        assert_eq!(
+            store.lookup(&signature),
+            StoreLookup::Miss {
+                reason: MissReason::UnknownVersion(1)
+            }
+        );
+    }
+}
+
 /// One decode rule for every decoded type: `(document, path to a field,
 /// what the field becomes)`, where `None` drops it. Each mutated document
 /// must fail to decode with an error that names the field (the path's last
@@ -928,7 +933,6 @@ const RULE_CASES: &[(&str, &[&str], Option<&str>)] = &[
         &["automaton", "transitions", "1", "to"],
         Some("-1"),
     ),
-    ("store/snapshot", &["history", "0", "initial_changed"], None),
 ];
 
 /// Decodes a document by the entry point its callers use, chosen by the
